@@ -118,7 +118,7 @@ func main() {
 		fsckRepair = flag.Bool("repair", false, "fsck: scrub-repair the corrupted image and fail unless it re-checks clean")
 
 		benchJSON     = flag.String("bench-json", "", "run the seeded benchmark trajectory and write the arkfs-bench/v3 report to this file (- for stdout)")
-		benchBaseline = flag.String("bench-baseline", "", "bench: compare the run against this committed arkfs-bench/v3 report and fail on a metadata-throughput regression")
+		benchBaseline = flag.String("bench-baseline", "", "bench: compare the run against this committed arkfs-bench/v3 report and fail on a throughput regression")
 		debugAddr     = flag.String("debug-addr", "", "serve /metrics, /stats.json, /healthz and pprof on this address while running (empty: off)")
 	)
 	flag.Usage = func() {
@@ -313,10 +313,11 @@ func main() {
 }
 
 // checkBaseline guards the committed benchmark trajectory: the regenerated
-// report's headline metadata rates (mdtest-easy CREATE, mdtest-hard WRITE)
-// must not fall below the committed baseline. Both runs are deterministic on
-// the virtual clock, so an equal-seed comparison is exact — any drop is a
-// real regression on the commit path, not measurement noise.
+// report's headline rates (mdtest-easy CREATE, mdtest-hard WRITE in ops/s,
+// fio WRITE in GiB/s) must not fall below the committed baseline. Both runs
+// are deterministic on the virtual clock, so an equal-seed comparison is
+// exact — any drop is a real regression on the commit or write-back path,
+// not measurement noise.
 func checkBaseline(rep *harness.BenchReport, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -340,6 +341,7 @@ func checkBaseline(rep *harness.BenchReport, path string) error {
 	}{
 		{"mdtest-easy CREATE", phaseRate(rep.MdtestEasy, "CREATE"), phaseRate(base.MdtestEasy, "CREATE"), 0},
 		{"mdtest-hard WRITE", phaseRate(rep.MdtestHard, "WRITE"), phaseRate(base.MdtestHard, "WRITE"), 0},
+		{"fio WRITE", rep.FioWrite.GiBps, base.FioWrite.GiBps, 0},
 		{"sharded 512-client ACQUIRE", shardRate(rep.ShardedScalability, 512, true),
 			shardRate(base.ShardedScalability, 512, true), 0.02},
 	}
@@ -348,7 +350,7 @@ func checkBaseline(rep *harness.BenchReport, path string) error {
 			return fmt.Errorf("baseline %s: missing %s phase", path, c.label)
 		}
 		if c.got < c.want*(1-c.slack) {
-			return fmt.Errorf("%s regressed: %.1f ops/s below committed baseline %.1f ops/s",
+			return fmt.Errorf("%s regressed: %.3f below committed baseline %.3f",
 				c.label, c.got, c.want)
 		}
 	}

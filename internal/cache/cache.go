@@ -10,6 +10,7 @@ import (
 	"arkfs/internal/prt"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
+	"arkfs/internal/wire"
 )
 
 // Config tunes the data object cache.
@@ -59,9 +60,16 @@ type Cache struct {
 	prefetchSem *sim.Chan[struct{}]
 	// flushLocks serialize Flush per file: a lease recall must wait for any
 	// in-flight background write-back, or its PUTs could land after a
-	// subsequent truncate/rewrite and resurrect stale chunks.
-	flushLocks map[types.Ino]*sim.Mutex
+	// subsequent truncate/rewrite and resurrect stale chunks. An entry lives
+	// only while a Flush holds or waits for it.
+	flushLocks map[types.Ino]*flushLock
 	stats      Stats
+}
+
+// flushLock is one file's Flush serializer; refs counts holder plus waiters.
+type flushLock struct {
+	mu   *sim.Mutex
+	refs int
 }
 
 // fileCache is the per-file cache state.
@@ -80,12 +88,29 @@ type fileCache struct {
 type entry struct {
 	ino     types.Ino
 	idx     uint64
-	data    []byte // valid prefix of the chunk
+	data    []byte // valid prefix of the chunk; Write owns it unless held
 	dirty   bool
 	ver     uint64              // bumped by every mutation; write-backs detect concurrent writes
 	loading *sim.Chan[struct{}] // non-nil while a fetch is in flight; Close = ready
-	wb      *sim.Chan[struct{}] // non-nil while an eviction write-back is in flight; Close = done
+	wb      *sim.Chan[struct{}] // non-nil while a write-back (eviction or Flush) is in flight; Close = done
+	held    bool                // the in-flight write-back still has data: Write must replace it, not mutate it
 	lruElem *list.Element
+}
+
+// holdLocked starts a write-back of e and lends it e.data, spare capacity
+// included, until releaseLocked: no copy is taken, so until then nobody may
+// write the buffer (Write replaces it instead). Callers hold c.mu.
+func (c *Cache) holdLocked(e *entry) (data []byte, ver uint64) {
+	e.wb = sim.NewChan[struct{}](c.env)
+	e.held = true
+	return e.data, e.ver
+}
+
+// releaseLocked ends e's write-back and wakes whoever waits for it.
+func (e *entry) releaseLocked() {
+	e.held = false
+	e.wb.Close()
+	e.wb = nil
 }
 
 // New creates a cache over the translator. The entry size is forced to the
@@ -110,7 +135,7 @@ func New(env sim.Env, tr *prt.Translator, cfg Config) *Cache {
 		env: env, tr: tr, cfg: cfg,
 		files:      make(map[types.Ino]*fileCache),
 		lru:        list.New(),
-		flushLocks: make(map[types.Ino]*sim.Mutex),
+		flushLocks: make(map[types.Ino]*flushLock),
 	}
 	c.prefetchSem = sim.NewChan[struct{}](env)
 	for i := 0; i < cfg.PrefetchParallelism; i++ {
@@ -181,7 +206,11 @@ func (c *Cache) Read(ino types.Ino, buf []byte, off, size int64) (int, error) {
 
 // Write stores buf at off in the cache (write-back). The caller updates the
 // inode size; partially covered, previously unseen chunks are fetched first
-// so a later flush cannot clobber bytes outside the write.
+// so a later flush cannot clobber bytes outside the write: an entry always
+// holds its chunk's whole valid prefix, which is what lets write-back PUT it
+// without reading the stored chunk. The bytes are copied once, into a buffer
+// allocated on the entry's first write with room for the whole chunk and its
+// CRC trailer; later requests grow it in place.
 func (c *Cache) Write(ino types.Ino, buf []byte, off int64) error {
 	if off < 0 {
 		return fmt.Errorf("cache: negative offset: %w", types.ErrInval)
@@ -201,11 +230,20 @@ func (c *Cache) Write(ino types.Ino, buf []byte, off int64) error {
 			return err
 		}
 		c.mu.Lock()
-		need := inOff + want
-		if int64(len(e.data)) < need {
-			grown := make([]byte, need, c.cfg.EntrySize)
-			copy(grown, e.data)
-			e.data = grown
+		have := int64(len(e.data))
+		need := max(inOff+want, have)
+		switch {
+		case e.held || int64(cap(e.data)) < need:
+			// First write, or a write-back has the buffer: move to one this
+			// entry owns (ver keeps the entry dirty past that write-back).
+			own := make([]byte, need, c.cfg.EntrySize+wire.TrailerSize)
+			copy(own, e.data)
+			e.data, e.held = own, false
+		case have < need:
+			e.data = e.data[:need]
+			if inOff > have {
+				clear(e.data[have:inOff]) // a hole; the spare bytes may hold an old trailer
+			}
 		}
 		copy(e.data[inOff:], buf[written:written+int(want)])
 		e.dirty = true
@@ -384,20 +422,16 @@ func (c *Cache) evictLocked(keep *entry) {
 		if victim.dirty {
 			// Write back while the entry is still visible, so concurrent
 			// readers never fall through to pre-writeback store state. The
-			// dirty bit stays set until the PUT succeeds, and the bytes are
-			// snapshotted under the lock so a concurrent Write cannot tear
-			// the in-flight PUT. The wb marker keeps other evictors off this
+			// dirty bit stays set until the PUT succeeds, and a concurrent
+			// Write replaces the held buffer, so it cannot tear the
+			// in-flight PUT. The wb marker keeps other evictors off this
 			// entry and lets Flush wait for the write-back to settle.
-			victim.wb = sim.NewChan[struct{}](c.env)
-			data := append([]byte(nil), victim.data...)
-			ver, off := victim.ver, int64(victim.idx)*c.cfg.EntrySize
+			data, ver := c.holdLocked(victim)
 			c.stats.Writebacks.Add(1)
 			c.mu.Unlock()
-			err := c.tr.WriteAt(victim.ino, data, off)
+			err := c.tr.PutChunkOwned(victim.ino, int64(victim.idx), data)
 			c.mu.Lock()
-			done := victim.wb
-			victim.wb = nil
-			done.Close()
+			victim.releaseLocked()
 			if err != nil {
 				// Still dirty, still resident: the next Flush retries the
 				// PUT and reports the failure. Rotate the victim to the
@@ -425,16 +459,28 @@ func (c *Cache) evictLocked(keep *entry) {
 	}
 }
 
-// flushLock returns the per-file flush serializer.
-func (c *Cache) flushLock(ino types.Ino) *sim.Mutex {
+// lockFlush takes ino's flush serializer, creating it on first use.
+func (c *Cache) lockFlush(ino types.Ino) *flushLock {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.flushLocks[ino]
-	if m == nil {
-		m = sim.NewMutex(c.env)
-		c.flushLocks[ino] = m
+	l := c.flushLocks[ino]
+	if l == nil {
+		l = &flushLock{mu: sim.NewMutex(c.env)}
+		c.flushLocks[ino] = l
 	}
-	return m
+	l.refs++
+	c.mu.Unlock()
+	l.mu.Lock()
+	return l
+}
+
+// unlockFlush releases l and forgets it once nobody holds or awaits it.
+func (c *Cache) unlockFlush(ino types.Ino, l *flushLock) {
+	l.mu.Unlock()
+	c.mu.Lock()
+	if l.refs--; l.refs == 0 {
+		delete(c.flushLocks, ino)
+	}
+	c.mu.Unlock()
 }
 
 // Flush writes back every dirty entry of ino (fsync). Entries stay resident.
@@ -443,9 +489,7 @@ func (c *Cache) flushLock(ino types.Ino) *sim.Mutex {
 // for concurrent eviction write-backs and retries the ones that failed, so a
 // successful return means every byte dirtied before the call is durable.
 func (c *Cache) Flush(ino types.Ino) error {
-	lock := c.flushLock(ino)
-	lock.Lock()
-	defer lock.Unlock()
+	defer c.unlockFlush(ino, c.lockFlush(ino))
 	type pending struct {
 		e    *entry
 		ver  uint64
@@ -464,12 +508,13 @@ func (c *Cache) Flush(ino types.Ino) error {
 			switch {
 			case e.wb != nil:
 				// An eviction write-back owns this entry; wait for it below
-				// and re-examine (it re-dirties the entry on failure).
+				// and re-examine (it leaves the entry dirty on failure).
 				inflight = append(inflight, e.wb)
 			case e.dirty:
-				// Snapshot under the lock: a concurrent Write may mutate the
-				// backing array while the PUT is in flight (torn flush).
-				work = append(work, pending{e: e, ver: e.ver, data: append([]byte(nil), e.data...)})
+				// Hold, not copy: a concurrent Write moves the entry to a new
+				// buffer, so the PUT below cannot be torn.
+				data, ver := c.holdLocked(e)
+				work = append(work, pending{e: e, ver: ver, data: data})
 			}
 			return true
 		})
@@ -486,27 +531,33 @@ func (c *Cache) Flush(ino types.Ino) error {
 		}
 		g := sim.NewGroup(c.env)
 		errs := make([]error, len(work))
+		settle := func(i int, err error) {
+			errs[i] = err
+			p := work[i]
+			c.mu.Lock()
+			if err == nil && p.e.ver == p.ver {
+				// Only mark clean if no Write landed mid-PUT; otherwise
+				// the entry keeps its dirty bit for the next flush.
+				p.e.dirty = false
+			}
+			p.e.releaseLocked()
+			c.mu.Unlock()
+		}
 		for i := range work {
 			i := i
 			if _, ok := sem.Recv(); !ok {
-				return fmt.Errorf("cache: shut down during flush: %w", types.ErrIO)
+				settle(i, fmt.Errorf("cache: shut down during flush: %w", types.ErrIO))
+				continue
 			}
 			g.Go(func() {
 				defer sem.Send(struct{}{})
-				p := work[i]
-				off := int64(p.e.idx) * c.cfg.EntrySize
-				if err := c.tr.WriteAt(ino, p.data, off); err != nil {
-					errs[i] = fmt.Errorf("cache: flush %s: %w", ino.Short(), err)
-					return
+				err := c.tr.PutChunkOwned(ino, int64(work[i].e.idx), work[i].data)
+				if err != nil {
+					err = fmt.Errorf("cache: flush %s: %w", ino.Short(), err)
+				} else {
+					c.stats.Writebacks.Add(1)
 				}
-				c.mu.Lock()
-				if p.e.ver == p.ver {
-					// Only mark clean if no Write landed mid-PUT; otherwise
-					// the entry keeps its dirty bit for the next flush.
-					p.e.dirty = false
-				}
-				c.mu.Unlock()
-				c.stats.Writebacks.Add(1)
+				settle(i, err)
 			})
 		}
 		g.Wait()
@@ -559,8 +610,7 @@ func (c *Cache) Invalidate(ino types.Ino) {
 		return true
 	})
 	delete(c.files, ino)
-	// The flush lock is retained deliberately: deleting it while a Flush
-	// holds it would let a later Flush run concurrently with that one.
+	// The flush lock, if a Flush holds it, outlives this: its last user drops it.
 }
 
 // Clear drops every entry of every file without write-back (the global

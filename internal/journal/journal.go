@@ -1010,13 +1010,13 @@ func applyOps(env sim.Env, tr *prt.Translator, dir types.Ino, ops []wire.Op, par
 			}
 		case wire.OpDelDentry:
 			if idx, ok := byName[op.Name]; ok {
-				entries = append(entries[:idx], entries[idx+1:]...)
+				// Swap with the last entry: the block is sorted below, so
+				// order is free and one delete moves one entry.
+				last := len(entries) - 1
+				entries[idx] = entries[last]
+				byName[entries[idx].Name] = idx
+				entries = entries[:last]
 				delete(byName, op.Name)
-				for n, j := range byName {
-					if j > idx {
-						byName[n] = j - 1
-					}
-				}
 			}
 		}
 	}

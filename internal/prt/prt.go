@@ -223,8 +223,15 @@ func (t *Translator) GetChunk(ino types.Ino, idx int64) ([]byte, error) {
 func (t *Translator) PutChunk(ino types.Ino, idx int64, payload []byte) error {
 	// Full slice expression so Seal's append cannot scribble past the
 	// payload into a caller-owned buffer.
-	frame := wire.Seal(payload[:len(payload):len(payload)])
-	if err := t.store.Put(DataKey(ino, idx), frame); err != nil {
+	return t.PutChunkOwned(ino, idx, payload[:len(payload):len(payload)])
+}
+
+// PutChunkOwned is PutChunk for a caller that owns payload's spare capacity
+// and keeps the buffer unwritten until the call returns (the cache's
+// write-back): with wire.TrailerSize bytes to spare the trailer is written
+// there and the chunk goes to the store without being copied here.
+func (t *Translator) PutChunkOwned(ino types.Ino, idx int64, payload []byte) error {
+	if err := t.store.Put(DataKey(ino, idx), wire.Seal(payload)); err != nil {
 		return fmt.Errorf("prt: write chunk %d of %s: %w", idx, ino.Short(), err)
 	}
 	return nil

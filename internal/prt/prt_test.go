@@ -244,3 +244,82 @@ func TestWriteReadMatchesModelQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// spyStore records the frame of the last Put without copying it.
+type spyStore struct {
+	objstore.Store
+	frame []byte
+}
+
+func (s *spyStore) Put(key string, data []byte) error {
+	s.frame = data
+	return s.Store.Put(key, data)
+}
+
+// PutChunkOwned seals into the caller's spare capacity: the frame handed to
+// the store is the caller's buffer, and only the trailer bytes changed.
+func TestPutChunkOwnedSealsInPlace(t *testing.T) {
+	spy := &spyStore{Store: objstore.NewMemStore()}
+	tr := New(spy, 64)
+	ino := types.NewInoSource(30).Next()
+	buf := bytes.Repeat([]byte{0xEE}, 48)
+	for i := 0; i < 20; i++ {
+		buf[i] = byte(i)
+	}
+	payload := buf[: 20 : 20+wire.TrailerSize]
+	if err := tr.PutChunkOwned(ino, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	if &spy.frame[0] != &buf[0] || len(spy.frame) != 24 {
+		t.Fatal("frame is not the caller's buffer plus trailer")
+	}
+	if got, err := wire.Unseal(buf[:24]); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("in-place frame: %x, %v", got, err)
+	}
+	for i, b := range buf {
+		if (i < 20 && b != byte(i)) || (i >= 24 && b != 0xEE) {
+			t.Fatalf("byte %d = %#x: written outside the 4 spare bytes", i, b)
+		}
+	}
+	if got, err := tr.GetChunk(ino, 0); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("GetChunk = %x, %v", got, err)
+	}
+	// Without spare capacity it falls back to a fresh frame.
+	if err := tr.PutChunkOwned(ino, 1, buf[:20:20]); err != nil || &spy.frame[0] == &buf[0] {
+		t.Fatalf("no spare capacity: err %v, frame aliases the payload: %v", err, &spy.frame[0] == &buf[0])
+	}
+}
+
+// PutChunk's contract is the opposite: a payload that is a sub-slice of a
+// larger buffer keeps the bytes after it.
+func TestPutChunkLeavesBytesAfterPayload(t *testing.T) {
+	tr, _ := newT(t, 64)
+	ino := types.NewInoSource(31).Next()
+	buf := bytes.Repeat([]byte{0xEE}, 48)
+	if err := tr.PutChunk(ino, 0, buf[:20]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, bytes.Repeat([]byte{0xEE}, 48)) {
+		t.Fatalf("PutChunk wrote into the caller's buffer: %x", buf)
+	}
+	if got, err := tr.GetChunk(ino, 0); err != nil || !bytes.Equal(got, buf[:20]) {
+		t.Fatalf("GetChunk = %x, %v", got, err)
+	}
+}
+
+func benchmarkPut(b *testing.B, put func(*Translator, types.Ino, int64, []byte) error) {
+	const chunk = 2 << 20
+	tr := New(objstore.NewMemStore(), chunk)
+	ino := types.NewInoSource(32).Next()
+	payload := make([]byte, chunk, chunk+wire.TrailerSize)
+	b.SetBytes(chunk)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := put(tr, ino, int64(i%16), payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPutChunk(b *testing.B)      { benchmarkPut(b, (*Translator).PutChunk) }
+func BenchmarkPutChunkOwned(b *testing.B) { benchmarkPut(b, (*Translator).PutChunkOwned) }

@@ -31,6 +31,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // corruption from other storage failures with errors.Is.
 var ErrCorrupt = fmt.Errorf("wire: corrupt record: %w", types.ErrIntegrity)
 
+// TrailerSize is the length of the checksum trailer Seal appends.
+const TrailerSize = 4
+
 // Seal appends the CRC32C (Castagnoli) checksum of buf as a 4-byte big-endian
 // trailer, in place when capacity allows. Every persisted ArkFS record — txn,
 // inode, dentry block, data chunk, superblock — is framed this way.
@@ -42,10 +45,10 @@ func Seal(buf []byte) []byte {
 // Unseal verifies a sealed frame and returns the payload with the trailer
 // stripped. The payload aliases frame; callers that mutate it must copy.
 func Unseal(frame []byte) ([]byte, error) {
-	if len(frame) < 4 {
+	if len(frame) < TrailerSize {
 		return nil, fmt.Errorf("%w: frame too short (%d bytes)", ErrCorrupt, len(frame))
 	}
-	body, trailer := frame[:len(frame)-4], frame[len(frame)-4:]
+	body, trailer := frame[:len(frame)-TrailerSize], frame[len(frame)-TrailerSize:]
 	want := binary.BigEndian.Uint32(trailer)
 	if got := crc32.Checksum(body, castagnoli); got != want {
 		return nil, fmt.Errorf("%w: crc mismatch (got %08x want %08x)", ErrCorrupt, got, want)
