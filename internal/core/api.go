@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"arkfs/internal/obs"
@@ -19,7 +18,7 @@ import (
 // trace span rides the context into the routing layers, which tag it with the
 // chosen route (local vs remote), the parent directory, and retries.
 
-// maxOpRetries bounds retries when leadership moves mid-operation (ESTALE).
+// maxOpRetries caps the retries of one forwarded operation (see forward).
 const maxOpRetries = 8
 
 // opTrack measures one public operation: a trace span, committed to the ring
@@ -304,78 +303,28 @@ func (c *Client) FlushAll(ctx context.Context) error {
 
 // create routes a CreateReq to the parent's leader.
 func (c *Client) create(ctx context.Context, parent types.Ino, req CreateReq) (*types.Inode, error) {
-	sp := obs.SpanFrom(ctx)
-	sp.SetDir(parent)
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ld, leader, err := c.routeFor(ctx, parent)
-		if err != nil {
-			return nil, err
-		}
-		if ld != nil {
-			sp.SetRoute(obs.RouteLocal)
-			return c.localCreate(ctx, ld, parent, req)
-		}
-		sp.SetRoute(obs.RouteRemote)
-		c.stats.RemoteMetaOps.Add(1)
-		resp, err := c.callLeader(ctx, leader, parent, req)
-		if err != nil {
-			if c.shouldRetry(ctx, parent, err, attempt) {
-				continue
-			}
-			return nil, fmt.Errorf("core: forwarded op: %w", err)
-		}
-		cr := resp.(CreateResp)
-		rerr := errFromString(cr.Err)
-		if rerr != nil {
-			if c.shouldRetry(ctx, parent, rerr, attempt) {
-				continue
-			}
-			return nil, rerr
-		}
-		node, err := wire.DecodeInode(cr.Inode)
-		if err != nil {
-			return nil, err
-		}
-		c.pcachePutLookup(parent, req.Name, node)
-		return node, nil
+	ld, resp, err := forward[CreateResp](ctx, c, obs.SpanFrom(ctx), parent, req)
+	if ld != nil {
+		return c.localCreate(ctx, ld, parent, req)
 	}
+	if err != nil {
+		return nil, err
+	}
+	node, err := wire.DecodeInode(resp.Inode)
+	if err != nil {
+		return nil, err
+	}
+	c.pcachePutLookup(parent, req.Name, node)
+	return node, nil
 }
 
 // unlink routes an UnlinkReq to the parent's leader.
 func (c *Client) unlink(ctx context.Context, parent types.Ino, req UnlinkReq) error {
-	sp := obs.SpanFrom(ctx)
-	sp.SetDir(parent)
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ld, leader, err := c.routeFor(ctx, parent)
-		if err != nil {
-			return err
-		}
-		if ld != nil {
-			sp.SetRoute(obs.RouteLocal)
-			return c.localUnlink(ctx, ld, parent, req)
-		}
-		sp.SetRoute(obs.RouteRemote)
-		c.stats.RemoteMetaOps.Add(1)
-		resp, err := c.callLeader(ctx, leader, parent, req)
-		if err != nil {
-			if c.shouldRetry(ctx, parent, err, attempt) {
-				continue
-			}
-			return fmt.Errorf("core: forwarded op: %w", err)
-		}
-		ur := resp.(UnlinkResp)
-		rerr := errFromString(ur.Err)
-		if rerr != nil && c.shouldRetry(ctx, parent, rerr, attempt) {
-			continue
-		}
-		return rerr
+	ld, _, err := forward[UnlinkResp](ctx, c, obs.SpanFrom(ctx), parent, req)
+	if ld != nil {
+		return c.localUnlink(ctx, ld, parent, req)
 	}
+	return err
 }
 
 // setAttr resolves path and routes the patch to the right leader.
@@ -414,76 +363,23 @@ func (c *Client) setAttr(ctx context.Context, path string, patch AttrPatch) (*ty
 
 // setAttrIno routes a SetAttrReq for (dir, name) to its leader.
 func (c *Client) setAttrIno(ctx context.Context, dir types.Ino, name string, patch AttrPatch, implicit bool) (*types.Inode, error) {
-	sp := obs.SpanFrom(ctx)
-	sp.SetDir(dir)
 	req := SetAttrReq{Dir: dir, Name: name, Cred: c.opts.Cred, Patch: patch, Implicit: implicit}
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ld, leader, err := c.routeFor(ctx, dir)
-		if err != nil {
-			return nil, err
-		}
-		if ld != nil {
-			sp.SetRoute(obs.RouteLocal)
-			return c.localSetAttr(ctx, ld, dir, req)
-		}
-		sp.SetRoute(obs.RouteRemote)
-		c.stats.RemoteMetaOps.Add(1)
-		resp, err := c.callLeader(ctx, leader, dir, req)
-		if err != nil {
-			if c.shouldRetry(ctx, dir, err, attempt) {
-				continue
-			}
-			return nil, fmt.Errorf("core: forwarded op: %w", err)
-		}
-		sr := resp.(SetAttrResp)
-		rerr := errFromString(sr.Err)
-		if rerr != nil {
-			if c.shouldRetry(ctx, dir, rerr, attempt) {
-				continue
-			}
-			return nil, rerr
-		}
-		return wire.DecodeInode(sr.Inode)
+	ld, resp, err := forward[SetAttrResp](ctx, c, obs.SpanFrom(ctx), dir, req)
+	if ld != nil {
+		return c.localSetAttr(ctx, ld, dir, req)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodeInode(resp.Inode)
 }
 
 // readdirIno lists a directory by inode through its leader.
 func (c *Client) readdirIno(ctx context.Context, dir types.Ino) ([]wire.Dentry, error) {
-	sp := obs.SpanFrom(ctx)
-	sp.SetDir(dir)
 	req := ReaddirReq{Dir: dir, Cred: c.opts.Cred}
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ld, leader, err := c.routeFor(ctx, dir)
-		if err != nil {
-			return nil, err
-		}
-		if ld != nil {
-			sp.SetRoute(obs.RouteLocal)
-			return c.localReaddir(ld, req)
-		}
-		sp.SetRoute(obs.RouteRemote)
-		c.stats.RemoteMetaOps.Add(1)
-		resp, err := c.callLeader(ctx, leader, dir, req)
-		if err != nil {
-			if c.shouldRetry(ctx, dir, err, attempt) {
-				continue
-			}
-			return nil, fmt.Errorf("core: forwarded op: %w", err)
-		}
-		rr := resp.(ReaddirResp)
-		rerr := errFromString(rr.Err)
-		if rerr != nil {
-			if c.shouldRetry(ctx, dir, rerr, attempt) {
-				continue
-			}
-			return nil, rerr
-		}
-		return rr.Entries, nil
+	ld, resp, err := forward[ReaddirResp](ctx, c, obs.SpanFrom(ctx), dir, req)
+	if ld != nil {
+		return c.localReaddir(ld, req)
 	}
+	return resp.Entries, err
 }

@@ -588,6 +588,65 @@ func (c *Client) invalidateLeader(dir types.Ino) {
 	c.mu.Unlock()
 }
 
+// remoteLeaderHint is routeFor for callers that need an address to call
+// whoever leads: when this client leads dir (or just became its leader) the
+// answer is its own address, whose server serves the directory like any other
+// leader's. A discovery failure is the caller's error to report: there is no
+// address worth calling.
+func (c *Client) remoteLeaderHint(ctx context.Context, dir types.Ino) (rpc.Addr, error) {
+	ld, leader, err := c.routeFor(ctx, dir)
+	if ld != nil {
+		leader = c.addr
+	}
+	return leader, err
+}
+
+// forward is the one way an operation reaches the leader of dir (paper
+// §III-B). Each attempt checks ctx, routes (routeFor), and either finds this
+// client leading — it returns the ledDir and the caller runs the operation
+// on its own metatable — or sends req to the leader and rehydrates the
+// errno of the answer. A stale route or pushback, from the fabric or in the
+// answer, goes to shouldRetry, which decides whether to go round again; any
+// other outcome is final. The leader's answer is returned even when it
+// carries an error, next to that error.
+//
+// sp is the operation's span when this call is the operation's own routing
+// decision: it is tagged with dir and the route taken. Steps of path
+// resolution and data-lease calls pass nil. req is boxed only on the remote
+// branch, so an operation served locally pays nothing for being forwardable.
+func forward[R response, Q any](ctx context.Context, c *Client, sp *obs.Span, dir types.Ino, req Q) (*ledDir, R, error) {
+	var none R
+	sp.SetDir(dir)
+	for attempt := 0; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return nil, none, err
+		}
+		ld, leader, err := c.routeFor(ctx, dir)
+		if err != nil {
+			return nil, none, err
+		}
+		if ld != nil {
+			sp.SetRoute(obs.RouteLocal)
+			return ld, none, nil
+		}
+		sp.SetRoute(obs.RouteRemote)
+		msg := any(req)
+		if m, _ := describe(msg); m.namespace {
+			c.stats.RemoteMetaOps.Add(1)
+		}
+		var ans R
+		resp, err := c.callLeader(ctx, leader, dir, msg)
+		if err != nil {
+			err = fmt.Errorf("core: forwarded op: %w", err)
+		} else {
+			ans, err = answer[R](resp)
+		}
+		if !c.shouldRetry(ctx, dir, err, attempt) {
+			return nil, ans, err
+		}
+	}
+}
+
 // leaderFor resolves who serves metadata for dir: this client (returns a
 // live *ledDir) or a remote leader (returns its address). It acquires or
 // extends the directory lease as needed and runs journal recovery when the
@@ -598,16 +657,13 @@ func (c *Client) leaderFor(ctx context.Context, dir types.Ino) (*ledDir, rpc.Add
 		c.mu.Unlock()
 		return nil, "", fmt.Errorf("core: client closed: %w", types.ErrIO)
 	}
-	if ld, ok := c.led[dir]; ok {
-		if c.env.Now() < ld.expiry-c.opts.LeaseMargin {
-			c.mu.Unlock()
-			return ld, "", nil
-		}
-		// Near or past expiry: try to extend outside the lock.
+	if ld, ok := c.led[dir]; ok && c.env.Now() < ld.expiry-c.opts.LeaseMargin {
 		c.mu.Unlock()
-		return c.acquireLease(ctx, dir)
+		return ld, "", nil
 	}
 	c.mu.Unlock()
+	// Not ours, or ours but near or past expiry: acquire or extend, outside
+	// the lock.
 	return c.acquireLease(ctx, dir)
 }
 
@@ -905,40 +961,37 @@ func (c *Client) spendRetry(ctx context.Context) bool {
 	return true
 }
 
-// shouldRetry decides whether a forwarded-op loop may go around again after
-// err: leadership moves (ESTALE) re-resolve after the standard backoff, and
-// typed EAGAIN pushback — leader admission refusals, brownout sheds, fabric
-// queue sheds — retries after honoring the server's retry-after hint. Every
-// retry spends one token of the op's shared budget; an exhausted budget stops
-// the loop so the typed pushback surfaces to the caller instead of feeding
-// the retry storm.
+// shouldRetry decides whether forward may go around again after err:
+// leadership moves (ESTALE) re-resolve after the standard backoff, and typed
+// EAGAIN pushback — leader admission refusals, brownout sheds, fabric queue
+// sheds — retries after honoring the server's retry-after hint. Every retry
+// spends one token of the op's shared budget; an exhausted budget stops the
+// loop so the typed pushback surfaces to the caller instead of feeding the
+// retry storm.
 func (c *Client) shouldRetry(ctx context.Context, dir types.Ino, err error, attempt int) bool {
 	if err == nil || attempt >= maxOpRetries || ctx.Err() != nil {
 		return false
 	}
-	switch {
-	case errors.Is(err, types.ErrStale):
-		if !c.spendRetry(ctx) {
-			return false
-		}
-		obs.SpanFrom(ctx).AddRetry()
+	stale := errors.Is(err, types.ErrStale)
+	if !stale && !errors.Is(err, types.ErrAgain) {
+		return false // neither a moved leader nor pushback: final
+	}
+	if !c.spendRetry(ctx) {
+		return false
+	}
+	obs.SpanFrom(ctx).AddRetry()
+	if stale {
 		c.invalidateLeader(dir)
 		c.retryBackoff(attempt)
 		return true
-	case errors.Is(err, types.ErrAgain):
-		if !c.spendRetry(ctx) {
-			return false
-		}
-		obs.SpanFrom(ctx).AddRetry()
-		c.cPushbackHonors.Inc()
-		if d, ok := types.RetryAfter(err); ok && d > 0 {
-			c.env.Sleep(d)
-		} else {
-			c.retryBackoff(attempt)
-		}
-		return true
 	}
-	return false
+	c.cPushbackHonors.Inc()
+	if d, ok := types.RetryAfter(err); ok && d > 0 {
+		c.env.Sleep(d)
+	} else {
+		c.retryBackoff(attempt)
+	}
+	return true
 }
 
 // BreakerState reports the store-path circuit breaker's state; BreakerClosed

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"io"
 	"sync"
 
@@ -108,67 +107,28 @@ func (c *Client) Create(ctx context.Context, path string, mode types.Mode) (*Fil
 // openDataLease registers a read lease at the parent's leader and returns
 // whether the file is in direct-I/O mode plus its current size.
 func (c *Client) openDataLease(ctx context.Context, parent types.Ino, name string, node *types.Inode, write bool) (bool, int64, error) {
-	if ld, ok := c.ledDirFor(parent); ok {
-		direct := c.grantRead(ld, node.Ino, c.addr)
-		// Leader's table has the freshest size.
-		if cur, ok := ld.table.Child(node.Ino); ok {
-			return direct, cur.Size, nil
-		}
-		return direct, node.Size, nil
-	}
-	req := OpenReq{Dir: parent, Name: name, Cred: c.opts.Cred, Client: c.addr, Write: write}
-	var or OpenResp
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
+	ld, ok := c.ledDirFor(parent)
+	if !ok {
+		var resp OpenResp
+		var err error
+		req := OpenReq{Dir: parent, Name: name, Cred: c.opts.Cred, Client: c.addr, Write: write}
+		if ld, resp, err = forward[OpenResp](ctx, c, nil, parent, req); err != nil {
 			return false, 0, err
 		}
-		if ld, ok := c.ledDirFor(parent); ok {
-			direct := c.grantRead(ld, node.Ino, c.addr)
-			if cur, ok := ld.table.Child(node.Ino); ok {
-				return direct, cur.Size, nil
+		if ld == nil {
+			fresh, err := wire.DecodeInode(resp.Inode)
+			if err != nil {
+				return false, 0, err
 			}
-			return direct, node.Size, nil
+			return resp.Direct, fresh.Size, nil
 		}
-		resp, err := c.callLeader(ctx, c.remoteLeaderHint(ctx, parent), parent, req)
-		if err != nil {
-			if errors.Is(err, types.ErrStale) && attempt < maxOpRetries {
-				c.retryBackoff(attempt)
-				continue
-			}
-			return false, 0, err
-		}
-		or = resp.(OpenResp)
-		if errors.Is(errFromString(or.Err), types.ErrStale) && attempt < maxOpRetries {
-			c.invalidateLeader(parent)
-			c.retryBackoff(attempt)
-			continue
-		}
-		break
 	}
-	if err := errFromString(or.Err); err != nil {
-		return false, 0, err
+	direct := c.grantRead(ld, node.Ino, c.addr)
+	// Leader's table has the freshest size.
+	if cur, ok := ld.table.Child(node.Ino); ok {
+		return direct, cur.Size, nil
 	}
-	fresh, err := wire.DecodeInode(or.Inode)
-	if err != nil {
-		return false, 0, err
-	}
-	return or.Direct, fresh.Size, nil
-}
-
-// remoteLeaderHint returns the last known leader for dir, falling back to a
-// manager-driven discovery inside callLeader when absent.
-func (c *Client) remoteLeaderHint(ctx context.Context, dir types.Ino) rpc.Addr {
-	c.mu.Lock()
-	addr, ok := c.remote[dir]
-	c.mu.Unlock()
-	if ok {
-		return addr
-	}
-	// Unknown: force discovery via leaderFor.
-	if ld, leader, err := c.leaderFor(ctx, dir); err == nil && ld == nil {
-		return leader
-	}
-	return c.addr // we became the leader; callLeader will hit our own server
+	return direct, node.Size, nil
 }
 
 // Size returns the handle's view of the file size.
@@ -314,21 +274,21 @@ func (f *File) ensureWritable() error {
 	f.mu.Unlock()
 
 	c := f.c
-	ctx := context.Background() // file I/O paths carry no caller context
-	var direct bool
-	if ld, ok := c.ledDirFor(f.parent); ok {
+	ld, ok := c.ledDirFor(f.parent)
+	var resp WriteLeaseResp
+	if !ok {
+		// File I/O paths carry no caller context, so the upgrade mints its
+		// own retry budget.
+		ctx := c.withOpBudget(context.Background())
+		var err error
+		req := WriteLeaseReq{Dir: f.parent, Ino: f.ino, Client: c.addr}
+		if ld, resp, err = forward[WriteLeaseResp](ctx, c, nil, f.parent, req); err != nil {
+			return err
+		}
+	}
+	direct := resp.Direct
+	if ld != nil {
 		direct = c.upgradeWrite(ld, f.ino, c.addr)
-	} else {
-		resp, err := c.callLeader(ctx, c.remoteLeaderHint(ctx, f.parent), f.parent,
-			WriteLeaseReq{Dir: f.parent, Ino: f.ino, Client: c.addr})
-		if err != nil {
-			return err
-		}
-		wr := resp.(WriteLeaseResp)
-		if err := errFromString(wr.Err); err != nil {
-			return err
-		}
-		direct = wr.Direct
 	}
 	f.mu.Lock()
 	if direct {
@@ -465,9 +425,12 @@ func (f *File) Close() error {
 			c.releaseData(ld, f.ino, c.addr)
 			return
 		}
-		req := CloseFileReq{Dir: f.parent, Ino: f.ino, Client: c.addr}
+		// Best effort: if this fails the leader keeps a stale holder entry
+		// until its own lease on the directory turns over.
 		ctx := context.Background()
-		_, _ = c.callLeader(ctx, c.remoteLeaderHint(ctx, f.parent), f.parent, req)
+		if leader, err := c.remoteLeaderHint(ctx, f.parent); err == nil {
+			_, _ = c.callLeader(ctx, leader, f.parent, CloseFileReq{Dir: f.parent, Ino: f.ino, Client: c.addr})
+		}
 	}
 	if c.data.Dirty(f.ino) {
 		// Background write-back; release the data lease only afterwards. On
@@ -605,11 +568,7 @@ func (c *Client) releaseData(ld *ledDir, ino types.Ino, client rpc.Addr) {
 	}
 }
 
-func (c *Client) serveOpen(r OpenReq) OpenResp {
-	ld, errStr := c.mustLead(r.Dir)
-	if errStr != "" {
-		return OpenResp{Err: errStr}
-	}
+func (c *Client) serveOpen(ld *ledDir, r OpenReq) OpenResp {
 	node, err := c.localStat(ld, StatReq{Dir: r.Dir, Name: r.Name, Cred: r.Cred})
 	if err != nil {
 		return OpenResp{Err: errString(err)}
@@ -625,19 +584,7 @@ func (c *Client) serveOpen(r OpenReq) OpenResp {
 	return OpenResp{Inode: wire.EncodeInode(node), Direct: direct}
 }
 
-func (c *Client) serveWriteLease(r WriteLeaseReq) WriteLeaseResp {
-	ld, errStr := c.mustLead(r.Dir)
-	if errStr != "" {
-		return WriteLeaseResp{Err: errStr}
-	}
-	return WriteLeaseResp{Direct: c.upgradeWrite(ld, r.Ino, r.Client)}
-}
-
-func (c *Client) serveCloseFile(ctx context.Context, r CloseFileReq) CloseFileResp {
-	ld, errStr := c.mustLead(r.Dir)
-	if errStr != "" {
-		return CloseFileResp{Err: errStr}
-	}
+func (c *Client) serveCloseFile(ctx context.Context, ld *ledDir, r CloseFileReq) CloseFileResp {
 	c.releaseData(ld, r.Ino, r.Client)
 	if r.SetSize {
 		if _, err := c.localSetAttr(ctx, ld, r.Dir, SetAttrReq{

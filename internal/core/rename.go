@@ -56,49 +56,25 @@ func (c *Client) Rename(ctx context.Context, src, dst string) error {
 		}
 	}
 
+	// The hint only saves the coordinator a manager round trip; if discovery
+	// fails here the coordinator discovers (and reports) for itself.
+	hint, _ := c.remoteLeaderHint(ctx, dres.parent)
 	req := RenameReq{
 		SrcDir: sres.parent, SrcName: sres.name,
 		DstDir: dres.parent, DstName: dres.name,
-		Cred:          c.opts.Cred,
-		DstLeaderHint: c.remoteLeaderHint(ctx, dres.parent),
+		Cred: c.opts.Cred, DstLeaderHint: hint,
 	}
 	defer func() {
 		c.pcacheInvalidate(sres.parent)
 		c.pcacheInvalidate(dres.parent)
 	}()
 
-	sp := obs.SpanFrom(ctx)
-	sp.SetDir(sres.parent)
-
 	// The source directory's leader coordinates.
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return op.end(errnoWrap("rename", src, err))
-		}
-		ld, leader, err := c.routeFor(ctx, sres.parent)
-		if err != nil {
-			return op.end(errnoWrap("rename", src, err))
-		}
-		if ld != nil {
-			sp.SetRoute(obs.RouteLocal)
-			return op.end(errnoWrap("rename", src, c.coordinateRename(ctx, req)))
-		}
-		sp.SetRoute(obs.RouteRemote)
-		c.stats.RemoteMetaOps.Add(1)
-		resp, err := c.callLeader(ctx, leader, sres.parent, req)
-		if err != nil {
-			if c.shouldRetry(ctx, sres.parent, err, attempt) {
-				continue
-			}
-			return op.end(errnoWrap("rename", src, fmt.Errorf("core: forwarded op: %w", err)))
-		}
-		rr := resp.(RenameResp)
-		rerr := errFromString(rr.Err)
-		if rerr != nil && c.shouldRetry(ctx, sres.parent, rerr, attempt) {
-			continue
-		}
-		return op.end(errnoWrap("rename", src, rerr))
+	ld, _, err := forward[RenameResp](ctx, c, obs.SpanFrom(ctx), sres.parent, req)
+	if ld != nil {
+		err = c.coordinateRename(ctx, req)
 	}
+	return op.end(errnoWrap("rename", src, err))
 }
 
 // coordinateRename runs on the source directory's leader.
@@ -144,16 +120,7 @@ func (c *Client) coordinateRename(ctx context.Context, r RenameReq) error {
 	if dstLd, ok := c.ledDirFor(r.DstDir); ok {
 		prepErr = c.prepareRenameLocal(ctx, dstLd, prep)
 	} else {
-		dstLeader := r.DstLeaderHint
-		if dstLeader == "" || dstLeader == c.addr {
-			dstLeader = c.remoteLeaderHint(ctx, r.DstDir)
-		}
-		resp, cerr := c.callLeader(ctx, dstLeader, r.DstDir, prep)
-		if cerr != nil {
-			prepErr = cerr
-		} else {
-			prepErr = errFromString(resp.(PrepareRenameResp).Err)
-		}
+		prepErr = c.callParticipant(ctx, r, prep)
 	}
 
 	// --- Phase 2: decide, record the decision, apply both sides.
@@ -182,26 +149,39 @@ func (c *Client) coordinateRename(ctx context.Context, r RenameReq) error {
 	// Tell the participant the decision; once it has resolved its prepare,
 	// the decision record can be garbage-collected.
 	decide := DecideRenameReq{TxID: txid, DstDir: r.DstDir, Commit: commit}
-	participantDone := false
+	var decideErr error
 	if dstLd, ok := c.ledDirFor(r.DstDir); ok {
-		participantDone = c.decideRenameLocal(ctx, dstLd, decide) == nil
+		decideErr = c.decideRenameLocal(ctx, dstLd, decide)
 	} else {
-		dstLeader := r.DstLeaderHint
-		if dstLeader == "" || dstLeader == c.addr {
-			dstLeader = c.remoteLeaderHint(ctx, r.DstDir)
-		}
-		if resp, derr := c.callLeader(ctx, dstLeader, r.DstDir, decide); derr == nil && resp != nil &&
-			resp.(DecideRenameResp).Err == "" {
-			participantDone = true
-		}
+		decideErr = c.callParticipant(ctx, r, decide)
 	}
-	if participantDone {
+	if decideErr == nil {
 		_ = c.jrnl.DeleteDecision(r.SrcDir, txid)
 	}
 	if !commit {
 		return fmt.Errorf("core: rename prepare failed: %w", prepErr)
 	}
 	return nil
+}
+
+// callParticipant sends one 2PC leg (prepare or decide) to the leader of the
+// rename's destination directory: at the requester's hint if it gave a usable
+// one, else wherever discovery points. A discovery failure is returned as
+// itself; there is no leader to call. No retry loop: the coordinator's answer
+// to a failed leg is to abort (prepare) or keep its decision record (decide).
+func (c *Client) callParticipant(ctx context.Context, r RenameReq, leg any) error {
+	leader := r.DstLeaderHint
+	if leader == "" || leader == c.addr {
+		var err error
+		if leader, err = c.remoteLeaderHint(ctx, r.DstDir); err != nil {
+			return err
+		}
+	}
+	resp, err := c.callLeader(ctx, leader, r.DstDir, leg)
+	if err == nil {
+		_, err = answer[response](resp)
+	}
+	return err
 }
 
 type pendingRename struct {
@@ -343,20 +323,4 @@ func (c *Client) decideRenameLocal(ctx context.Context, ld *ledDir, r DecideRena
 		return err
 	}
 	return nil
-}
-
-func (c *Client) servePrepareRename(ctx context.Context, r PrepareRenameReq) PrepareRenameResp {
-	ld, errStr := c.mustLead(r.DstDir)
-	if errStr != "" {
-		return PrepareRenameResp{Err: errStr}
-	}
-	return PrepareRenameResp{Err: errString(c.prepareRenameLocal(ctx, ld, r))}
-}
-
-func (c *Client) serveDecideRename(ctx context.Context, r DecideRenameReq) DecideRenameResp {
-	ld, errStr := c.mustLead(r.DstDir)
-	if errStr != "" {
-		return DecideRenameResp{Err: errStr}
-	}
-	return DecideRenameResp{Err: errString(c.decideRenameLocal(ctx, ld, r))}
 }

@@ -101,116 +101,76 @@ func (c *Client) walk(ctx context.Context, path string, followLast bool, depth i
 // statDir returns a directory's inode: locally if led, from the permission
 // cache, or from the leader (caching the answer in pcache mode).
 func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, error) {
-	if ld, ok := c.ledDirFor(dir); ok {
-		c.stats.LocalMetaOps.Add(1)
-		return ld.table.DirInode(), nil
-	}
-	if pe := c.pcacheGet(dir); pe != nil && pe.inode != nil {
-		c.stats.PcacheHits.Add(1)
-		return pe.inode.Clone(), nil
-	}
-	// Acquire (become leader) or discover the remote leader. Leadership can
-	// move (or still be installing) underneath us: retry with backoff.
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
+	ld, ok := c.ledDirFor(dir)
+	if !ok {
+		if pe := c.pcacheGet(dir); pe != nil && pe.inode != nil {
+			c.stats.PcacheHits.Add(1)
+			return pe.inode.Clone(), nil
+		}
+		// Acquire (become leader) or ask the remote leader.
+		var resp StatResp
+		var err error
+		if ld, resp, err = forward[StatResp](ctx, c, nil, dir, StatReq{Dir: dir, Cred: c.opts.Cred}); err != nil {
 			return nil, err
 		}
-		ld, leader, err := c.routeFor(ctx, dir)
-		if err != nil {
-			return nil, err
-		}
-		if ld != nil {
-			c.stats.LocalMetaOps.Add(1)
-			return ld.table.DirInode(), nil
-		}
-		resp, err := c.callLeader(ctx, leader, dir, StatReq{Dir: dir, Cred: c.opts.Cred})
-		if err != nil {
-			if c.shouldRetry(ctx, dir, err, attempt) {
-				continue
+		if ld == nil {
+			node, err := wire.DecodeInode(resp.Inode)
+			if err != nil {
+				return nil, err
 			}
-			return nil, err
+			c.pcachePutDir(dir, node)
+			return node, nil
 		}
-		sr := resp.(StatResp)
-		serr := errFromString(sr.Err)
-		if serr != nil {
-			if c.shouldRetry(ctx, dir, serr, attempt) {
-				continue
-			}
-			return nil, serr
-		}
-		node, err := wire.DecodeInode(sr.Inode)
-		if err != nil {
-			return nil, err
-		}
-		c.pcachePutDir(dir, node)
-		return node, nil
 	}
+	c.stats.LocalMetaOps.Add(1)
+	return ld.table.DirInode(), nil
 }
 
-// lookup resolves one name within dir.
+// lookup resolves one name within dir. Unlike the other forwarded operations
+// it treats the leader's ENOENT as an answer worth keeping (a negative
+// permission-cache entry), and it caches the directory inode piggy-backed on
+// the answer whether or not the name resolved.
 func (c *Client) lookup(ctx context.Context, dir types.Ino, name string) (*types.Inode, error) {
-	if ld, ok := c.ledDirFor(dir); ok {
-		c.chargeMetaOp()
-		c.stats.LocalMetaOps.Add(1)
-		_, child, err := ld.table.Lookup(name)
-		return child, err
-	}
-	if pe := c.pcacheGet(dir); pe != nil {
-		if node, ok := pe.lookups[name]; ok {
-			c.stats.PcacheHits.Add(1)
-			if node == nil {
-				return nil, fmt.Errorf("core: %q: %w", name, types.ErrNotExist)
+	ld, ok := c.ledDirFor(dir)
+	if !ok {
+		if pe := c.pcacheGet(dir); pe != nil {
+			if node, ok := pe.lookups[name]; ok {
+				c.stats.PcacheHits.Add(1)
+				if node == nil {
+					return nil, fmt.Errorf("core: %q: %w", name, types.ErrNotExist)
+				}
+				return node.Clone(), nil
 			}
-			return node.Clone(), nil
 		}
-	}
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ld, leader, err := c.routeFor(ctx, dir)
-		if err != nil {
-			return nil, err
-		}
-		if ld != nil {
-			c.chargeMetaOp()
-			c.stats.LocalMetaOps.Add(1)
-			_, child, err := ld.table.Lookup(name)
-			return child, err
-		}
-		c.stats.RemoteMetaOps.Add(1)
-		resp, err := c.callLeader(ctx, leader, dir, LookupReq{
+		var resp LookupResp
+		var err error
+		ld, resp, err = forward[LookupResp](ctx, c, nil, dir, LookupReq{
 			Dir: dir, Name: name, Cred: c.opts.Cred, WantDirInode: c.opts.PermCache,
 		})
-		if err != nil {
-			if c.shouldRetry(ctx, dir, err, attempt) {
-				continue // we became the leader mid-call, or honored pushback
-			}
-			return nil, err
-		}
-		lr := resp.(LookupResp)
-		lerr := errFromString(lr.Err)
-		if lerr != nil && !isNotExist(lerr) && c.shouldRetry(ctx, dir, lerr, attempt) {
-			continue
-		}
-		if c.opts.PermCache && len(lr.DirInode) > 0 {
-			if dn, derr := wire.DecodeInode(lr.DirInode); derr == nil {
+		if c.opts.PermCache && len(resp.DirInode) > 0 {
+			if dn, derr := wire.DecodeInode(resp.DirInode); derr == nil {
 				c.pcachePutDir(dir, dn)
 			}
 		}
-		if lerr != nil {
-			if isNotExist(lerr) {
-				c.pcachePutLookup(dir, name, nil) // negative entry
-			}
-			return nil, fmt.Errorf("core: lookup %q: %w", name, lerr)
-		}
-		node, err := wire.DecodeInode(lr.Inode)
 		if err != nil {
-			return nil, err
+			if resp.Err != "" && isNotExist(err) {
+				c.pcachePutLookup(dir, name, nil) // the leader said so: negative entry
+			}
+			return nil, fmt.Errorf("core: lookup %q: %w", name, err)
 		}
-		c.pcachePutLookup(dir, name, node)
-		return node, nil
+		if ld == nil {
+			node, err := wire.DecodeInode(resp.Inode)
+			if err != nil {
+				return nil, err
+			}
+			c.pcachePutLookup(dir, name, node)
+			return node, nil
+		}
 	}
+	c.chargeMetaOp()
+	c.stats.LocalMetaOps.Add(1)
+	_, child, err := ld.table.Lookup(name)
+	return child, err
 }
 
 // callLeader performs one leader RPC, refreshing the leader address through
@@ -218,8 +178,8 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, name string) (*types
 // or cancellation is honored at each RPC boundary. Timeouts — a crashed
 // leader, a partition, a dropped message — never escape to the workload as
 // hard failures from here: they invalidate the cached route and surface as
-// ErrStale, so the per-operation retry loops re-resolve through the lease
-// manager (with backoff) until their own attempt budget runs out.
+// ErrStale, so forward re-resolves through the lease manager (with backoff)
+// until the operation's attempt budget runs out.
 func (c *Client) callLeader(ctx context.Context, leader rpc.Addr, dir types.Ino, req any) (any, error) {
 	resp, err := c.net.CallFromCtx(ctx, c.addr, leader, req)
 	if err == nil {
@@ -234,7 +194,7 @@ func (c *Client) callLeader(ctx context.Context, leader rpc.Addr, dir types.Ino,
 		// Typed pushback (inbox bound, queue-wait shed) is not a routing
 		// problem either: the leader is alive and asking for backoff.
 		// Rediscovering through the lease manager would only add load where
-		// the hint asks for less; surface it to the caller's budgeted loop.
+		// the hint asks for less; surface it to forward's budgeted retry.
 		return nil, err
 	}
 	// The leader may have vanished; invalidate and rediscover once.

@@ -70,4 +70,24 @@ func TestRetryStormBounded(t *testing.T) {
 		t.Fatalf("doomed create emitted %d wire calls, want ≤ %d (retry storm)", wire, bound)
 	}
 	t.Logf("doomed create: %d wire calls", wire)
+
+	// The forwarded Open (the data-lease half of Open, after resolution) is
+	// under the same bound. The path cannot be resolved through the
+	// partition, so the leader supplies the inodes and the call is made
+	// directly, under a budget minted the way startOp mints it.
+	dir, err := c1.Stat(ctx, "/dir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := c1.Stat(ctx, "/dir/seed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = calls.Value()
+	if _, _, err := c2.openDataLease(c2.withOpBudget(ctx), dir.Ino, "seed", seed, false); err == nil {
+		t.Fatal("open through a partition succeeded")
+	}
+	if wire := calls.Value() - before; wire == 0 || wire > bound {
+		t.Fatalf("doomed open emitted %d wire calls, want 1..%d", wire, bound)
+	}
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 
 	"arkfs/internal/obs"
-	"arkfs/internal/qos"
+	"arkfs/internal/rpc"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
 )
@@ -17,34 +17,34 @@ import (
 // request so a forwarded operation stitches into a single trace across both
 // processes, and journal writes triggered below parent under that span.
 func (c *Client) serve(ctx context.Context, req any) any {
-	op, dir := serveMeta(req)
-	sp := c.tracer.StartChild(obs.RemoteFrom(ctx), op, "")
+	m, known := describe(req)
+	if !known {
+		return ErrResp{Err: "EINVAL"}
+	}
+	sp := c.tracer.StartChild(obs.RemoteFrom(ctx), m.span, "")
 	if sp != nil {
-		sp.SetDir(dir)
+		sp.SetDir(m.dir)
 		sp.SetTenant(obs.TenantFrom(ctx))
 		sp.SetWait(obs.QueueWaitFrom(ctx))
 		ctx = obs.WithSpan(ctx, sp)
 	}
-	if err := c.admit(ctx, req); err != nil {
-		resp := shedResp(req, err)
+	if err := c.admit(ctx, m); err != nil {
 		sp.End(err)
-		return resp
+		return rpc.ShedFor(err)
 	}
-	resp := c.dispatch(ctx, req)
-	sp.End(errFromString(respErr(resp)))
+	resp := c.dispatch(ctx, m.dir, req)
+	sp.End(errFromString(resp.errno()))
 	return resp
 }
 
 // admit is the leader-side overload gate, run before a forwarded operation
 // dispatches: per-tenant token-bucket admission control first, then the
-// brownout ladder against the journal's commit-pipeline pressure. Refusals
-// return a typed EAGAIN whose retry-after hint rides the response's errno
-// string back to the caller. Protocol-internal messages are exempt: a 2PC
-// decision or a cache-flush broadcast is the cleanup half of work already
-// admitted, and refusing it would turn overload into stuck transactions.
-func (c *Client) admit(ctx context.Context, req any) error {
-	switch req.(type) {
-	case DecideRenameReq, FlushCacheReq, CloseFileReq:
+// brownout ladder against the journal's commit-pipeline pressure. A refusal
+// is a typed EAGAIN that serve answers with the fabric's Shed payload, so
+// the caller sees the same retry-after error as for an inbox or queue-wait
+// shed. Exempt messages (see msgInfo) are never refused.
+func (c *Client) admit(ctx context.Context, m msgInfo) error {
+	if m.exempt {
 		return nil
 	}
 	if c.opts.QoS != nil {
@@ -54,7 +54,7 @@ func (c *Client) admit(ctx context.Context, req any) error {
 		}
 	}
 	if c.opts.Brownout != nil {
-		if shed, after := c.opts.Brownout.Sheds(c.jrnl.Pressure(), opCost(req)); shed {
+		if shed, after := c.opts.Brownout.Sheds(c.jrnl.Pressure(), m.cost); shed {
 			c.cShedBrownout.Inc()
 			return types.AgainAfter(after, "brownout")
 		}
@@ -62,66 +62,28 @@ func (c *Client) admit(ctx context.Context, req any) error {
 	return nil
 }
 
-// opCost classifies a forwarded operation for the brownout ladder: reads of
-// single entries are cheap (never shed — they are also how clients discover
-// that pressure dropped), mutations are normal, and full-directory listings
-// plus 2PC renames — the ops that hold locks longest and feed the journal
-// most — are expensive, shed first.
-func opCost(req any) qos.OpCost {
-	switch req.(type) {
-	case LookupReq, StatReq:
-		return qos.CostCheap
-	case ReaddirReq, RenameReq, PrepareRenameReq:
-		return qos.CostExpensive
-	default:
-		return qos.CostNormal
+// dispatch runs req against dir, the directory the message table names for
+// it. If this client does not lead dir the answer is ESTALE: the caller was
+// redirected here but our lease is gone, so it must rediscover. FlushCacheReq
+// names no directory; it is addressed to a lease holder, not to a leader.
+func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response {
+	ld, leads := c.ledDirFor(dir)
+	if _, toHolder := req.(FlushCacheReq); !leads && !toHolder {
+		return ErrResp{Err: "ESTALE"}
 	}
-}
-
-// shedResp wraps a typed refusal in the response type matching req, so the
-// pushback travels the same errno channel every other error uses.
-func shedResp(req any, err error) any {
-	e := errString(err)
-	switch req.(type) {
-	case LookupReq:
-		return LookupResp{Err: e}
-	case CreateReq:
-		return CreateResp{Err: e}
-	case UnlinkReq:
-		return UnlinkResp{Err: e}
-	case StatReq:
-		return StatResp{Err: e}
-	case SetAttrReq:
-		return SetAttrResp{Err: e}
-	case ReaddirReq:
-		return ReaddirResp{Err: e}
-	case RenameReq:
-		return RenameResp{Err: e}
-	case PrepareRenameReq:
-		return PrepareRenameResp{Err: e}
-	case OpenReq:
-		return OpenResp{Err: e}
-	case WriteLeaseReq:
-		return WriteLeaseResp{Err: e}
-	default:
-		return StatResp{Err: e}
-	}
-}
-
-func (c *Client) dispatch(ctx context.Context, req any) any {
 	switch r := req.(type) {
 	case LookupReq:
-		return c.serveLookup(r)
+		return c.serveLookup(ld, r)
 	case CreateReq:
-		return c.serveCreate(ctx, r)
+		return c.serveCreate(ctx, ld, r)
 	case UnlinkReq:
-		return c.serveUnlink(ctx, r)
+		return UnlinkResp{Err: errString(c.localUnlink(ctx, ld, r.Dir, r))}
 	case StatReq:
-		return c.serveStat(r)
+		return c.serveStat(ld, r)
 	case SetAttrReq:
-		return c.serveSetAttr(ctx, r)
+		return c.serveSetAttr(ctx, ld, r)
 	case ReaddirReq:
-		return c.serveReaddir(r)
+		return c.serveReaddir(ld, r)
 	case RenameReq:
 		// Forwarded renames run under the server worker's context — trace
 		// identity but no deadline: the requesting client's deadline applies
@@ -129,105 +91,24 @@ func (c *Client) dispatch(ctx context.Context, req any) any {
 		// decision once started.
 		return RenameResp{Err: errString(c.coordinateRename(ctx, r))}
 	case PrepareRenameReq:
-		return c.servePrepareRename(ctx, r)
+		return PrepareRenameResp{Err: errString(c.prepareRenameLocal(ctx, ld, r))}
 	case DecideRenameReq:
-		return c.serveDecideRename(ctx, r)
+		return DecideRenameResp{Err: errString(c.decideRenameLocal(ctx, ld, r))}
 	case OpenReq:
-		return c.serveOpen(r)
+		return c.serveOpen(ld, r)
 	case WriteLeaseReq:
-		return c.serveWriteLease(r)
+		return WriteLeaseResp{Direct: c.upgradeWrite(ld, r.Ino, r.Client)}
 	case CloseFileReq:
-		return c.serveCloseFile(ctx, r)
+		return c.serveCloseFile(ctx, ld, r)
 	case FlushCacheReq:
 		return c.serveFlushCache(r)
 	default:
-		return StatResp{Err: "EINVAL"}
+		// Described but not dispatched: a bug TestMessageTable catches.
+		return ErrResp{Err: "EINVAL"}
 	}
 }
 
-// serveMeta names the server-side span for a request and extracts the
-// directory it targets.
-func serveMeta(req any) (string, types.Ino) {
-	switch r := req.(type) {
-	case LookupReq:
-		return "serve.lookup", r.Dir
-	case CreateReq:
-		return "serve.create", r.Dir
-	case UnlinkReq:
-		return "serve.unlink", r.Dir
-	case StatReq:
-		return "serve.stat", r.Dir
-	case SetAttrReq:
-		return "serve.setattr", r.Dir
-	case ReaddirReq:
-		return "serve.readdir", r.Dir
-	case RenameReq:
-		return "serve.rename", r.SrcDir
-	case PrepareRenameReq:
-		return "serve.rename.prepare", r.DstDir
-	case DecideRenameReq:
-		return "serve.rename.decide", r.DstDir
-	case OpenReq:
-		return "serve.open", r.Dir
-	case WriteLeaseReq:
-		return "serve.writelease", r.Dir
-	case CloseFileReq:
-		return "serve.close", r.Dir
-	case FlushCacheReq:
-		return "serve.flushcache", types.Ino{}
-	default:
-		return "serve.unknown", types.Ino{}
-	}
-}
-
-// respErr extracts the errno string from any service response.
-func respErr(resp any) string {
-	switch r := resp.(type) {
-	case LookupResp:
-		return r.Err
-	case CreateResp:
-		return r.Err
-	case UnlinkResp:
-		return r.Err
-	case StatResp:
-		return r.Err
-	case SetAttrResp:
-		return r.Err
-	case ReaddirResp:
-		return r.Err
-	case RenameResp:
-		return r.Err
-	case PrepareRenameResp:
-		return r.Err
-	case DecideRenameResp:
-		return r.Err
-	case OpenResp:
-		return r.Err
-	case WriteLeaseResp:
-		return r.Err
-	case CloseFileResp:
-		return r.Err
-	case FlushCacheResp:
-		return r.Err
-	default:
-		return ""
-	}
-}
-
-// mustLead returns the ledDir for dir or an ESTALE error string: the caller
-// was redirected here but our lease is gone, so they must rediscover.
-func (c *Client) mustLead(dir types.Ino) (*ledDir, string) {
-	if ld, ok := c.ledDirFor(dir); ok {
-		return ld, ""
-	}
-	return nil, "ESTALE"
-}
-
-func (c *Client) serveLookup(r LookupReq) LookupResp {
-	ld, errStr := c.mustLead(r.Dir)
-	if errStr != "" {
-		return LookupResp{Err: errStr}
-	}
+func (c *Client) serveLookup(ld *ledDir, r LookupReq) LookupResp {
 	var resp LookupResp
 	dirNode := ld.table.DirInode()
 	if r.WantDirInode {
@@ -247,11 +128,7 @@ func (c *Client) serveLookup(r LookupReq) LookupResp {
 	return resp
 }
 
-func (c *Client) serveCreate(ctx context.Context, r CreateReq) CreateResp {
-	ld, errStr := c.mustLead(r.Dir)
-	if errStr != "" {
-		return CreateResp{Err: errStr}
-	}
+func (c *Client) serveCreate(ctx context.Context, ld *ledDir, r CreateReq) CreateResp {
 	node, err := c.localCreate(ctx, ld, r.Dir, r)
 	if err != nil {
 		return CreateResp{Err: errString(err)}
@@ -259,19 +136,7 @@ func (c *Client) serveCreate(ctx context.Context, r CreateReq) CreateResp {
 	return CreateResp{Inode: wire.EncodeInode(node)}
 }
 
-func (c *Client) serveUnlink(ctx context.Context, r UnlinkReq) UnlinkResp {
-	ld, errStr := c.mustLead(r.Dir)
-	if errStr != "" {
-		return UnlinkResp{Err: errStr}
-	}
-	return UnlinkResp{Err: errString(c.localUnlink(ctx, ld, r.Dir, r))}
-}
-
-func (c *Client) serveStat(r StatReq) StatResp {
-	ld, errStr := c.mustLead(r.Dir)
-	if errStr != "" {
-		return StatResp{Err: errStr}
-	}
+func (c *Client) serveStat(ld *ledDir, r StatReq) StatResp {
 	node, err := c.localStat(ld, r)
 	if err != nil {
 		return StatResp{Err: errString(err)}
@@ -279,11 +144,7 @@ func (c *Client) serveStat(r StatReq) StatResp {
 	return StatResp{Inode: wire.EncodeInode(node)}
 }
 
-func (c *Client) serveSetAttr(ctx context.Context, r SetAttrReq) SetAttrResp {
-	ld, errStr := c.mustLead(r.Dir)
-	if errStr != "" {
-		return SetAttrResp{Err: errStr}
-	}
+func (c *Client) serveSetAttr(ctx context.Context, ld *ledDir, r SetAttrReq) SetAttrResp {
 	node, err := c.localSetAttr(ctx, ld, r.Dir, r)
 	if err != nil {
 		return SetAttrResp{Err: errString(err)}
@@ -291,11 +152,7 @@ func (c *Client) serveSetAttr(ctx context.Context, r SetAttrReq) SetAttrResp {
 	return SetAttrResp{Inode: wire.EncodeInode(node)}
 }
 
-func (c *Client) serveReaddir(r ReaddirReq) ReaddirResp {
-	ld, errStr := c.mustLead(r.Dir)
-	if errStr != "" {
-		return ReaddirResp{Err: errStr}
-	}
+func (c *Client) serveReaddir(ld *ledDir, r ReaddirReq) ReaddirResp {
 	entries, err := c.localReaddir(ld, r)
 	if err != nil {
 		return ReaddirResp{Err: errString(err)}

@@ -130,7 +130,8 @@ type BenchIsolationSide struct {
 	PoliteTimeouts int   `json:"polite_timeouts"`
 	// Hostile outcome: typed retry-after pushback vs timeouts vs acks. With
 	// protection on, pushback dominates and timeouts are zero; off, the
-	// flood is absorbed (or times out) instead of being refused.
+	// flood is absorbed (or times out) instead of being refused. Pushback
+	// is refusals surfaced to the application plus OverloadReport.HostileRetries.
 	HostileAcked    int `json:"hostile_acked"`
 	HostilePushback int `json:"hostile_pushback"`
 	HostileTimeouts int `json:"hostile_timeouts"`
@@ -393,7 +394,7 @@ func isolationSide(r *OverloadReport) BenchIsolationSide {
 	for _, t := range r.Contended {
 		if t.Hostile {
 			s.HostileAcked += t.Acked
-			s.HostilePushback += t.Pushback
+			s.HostilePushback += t.Pushback + int(r.HostileRetries)
 			s.HostileTimeouts += t.Timeout
 			continue
 		}

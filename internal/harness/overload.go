@@ -7,11 +7,12 @@
 // theirs. The oracle asserts the overload-protection contract: no
 // acknowledged op is ever lost, well-behaved tenants keep most of their
 // isolated-run goodput, the hostile tenant is answered with typed retry-after
-// pushback rather than timeouts, and once the burst ends the system converges
-// (new polite work is admitted again). Because all timing flows through
-// sim.VirtEnv and every random draw is precomputed from the seed, a replay of
-// the same seed reproduces the run: OverloadReport.Fingerprint() is stable,
-// including every qos.* counter in the metrics registry.
+// pushback rather than timeouts (hints its client honors inside the op budget
+// count: they throttle it just the same), and once the burst ends the system
+// converges (new polite work is admitted again). Because all timing flows
+// through sim.VirtEnv and every random draw is precomputed from the seed, a
+// replay of the same seed reproduces the run: OverloadReport.Fingerprint() is
+// stable, including every qos.* counter in the metrics registry.
 package harness
 
 import (
@@ -88,6 +89,10 @@ type OverloadReport struct {
 	// Lost lists acknowledged creates the verifier could not find — any
 	// entry is a violated durability promise.
 	Lost []string
+	// HostileRetries counts the retries the hostile tenant's client spent
+	// inside its op budgets in the contended pass: retry-after hints it
+	// honored, which throttle it but never show in BurstResult.Pushback.
+	HostileRetries int64
 	// Errors are assertion failures; an empty slice is a pass.
 	Errors []string
 	// Metrics is the contended pass's deterministic metrics fingerprint
@@ -136,6 +141,9 @@ func (r *OverloadReport) Summary() string {
 		}
 		fmt.Fprintf(&b, "  %s t%02d: %4d attempted, %4d acked, %4d pushback, %d timeout, %d other, p99=%v",
 			role, i, t.Attempted, t.Acked, t.Pushback, t.Timeout, t.OtherErr, t.P99())
+		if t.Hostile {
+			fmt.Fprintf(&b, ", %d hint(s) honored", r.HostileRetries)
+		}
 		if !t.Hostile && i < len(r.Isolated) {
 			fmt.Fprintf(&b, ", goodput %.0f/s (isolated %.0f/s)", Goodput(t), Goodput(r.Isolated[i]))
 		}
@@ -157,6 +165,7 @@ func (r *OverloadReport) Summary() string {
 // clock: the isolated baseline (hostile=false) or the contended run.
 type overloadPass struct {
 	results  []workload.BurstResult
+	retries  int64 // the hostile tenant's, from the per-tenant table
 	lost     []string
 	convErrs []string
 	metrics  string
@@ -213,6 +222,9 @@ func runOverloadPass(cfg OverloadConfig, hostile bool) *overloadPass {
 		p.results, p.err = workload.MultiTenantBurst(env, d.Mounts, bc)
 		if p.err != nil {
 			return
+		}
+		if hostile {
+			p.retries = reg.Tenants().Snapshot()[d.Ark[n-1].Tenant()].Retries
 		}
 		env.Sleep(250 * time.Millisecond) // pressure drains, buckets refill
 
@@ -271,6 +283,7 @@ func RunOverload(cfg OverloadConfig) *OverloadReport {
 	rep.Isolated, rep.Contended = iso.results, con.results
 	rep.Lost = con.lost
 	rep.Metrics = con.metrics
+	rep.HostileRetries = con.retries
 	if cfg.QoSOff {
 		return rep // report-only mode for the bench comparison
 	}
@@ -285,8 +298,8 @@ func RunOverload(cfg OverloadConfig) *OverloadReport {
 	for i, t := range rep.Contended {
 		if t.Hostile {
 			hostileSeen = true
-			if t.Pushback == 0 {
-				rep.Errors = append(rep.Errors, "hostile tenant saw no typed retry-after pushback")
+			if t.Pushback == 0 && rep.HostileRetries == 0 {
+				rep.Errors = append(rep.Errors, "hostile tenant saw no typed retry-after pushback: none surfaced, none honored")
 			}
 			if t.Timeout > 0 {
 				rep.Errors = append(rep.Errors, fmt.Sprintf("hostile tenant hit %d timeout(s); overload must answer with pushback, not silence", t.Timeout))

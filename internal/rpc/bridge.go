@@ -34,7 +34,7 @@ func (n *Network) Bridge(bind string, target Addr) (*TCPServer, error) {
 		if err != nil {
 			// Typed pushback must survive the bridge: re-encode it as the
 			// Shed payload so the remote fabric rehydrates the same EAGAIN.
-			if sh := shedPayload(err); sh != nil {
+			if sh := ShedFor(err); sh != nil {
 				return sh
 			}
 			return nil // the caller surfaces a decode/transport error

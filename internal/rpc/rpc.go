@@ -47,10 +47,10 @@ func (s *Shed) Err() error {
 		types.AgainAfter(time.Duration(s.AfterNS), s.Reason))
 }
 
-// shedPayload converts a typed EAGAIN error back into the wire payload (for
-// the TCP bridge, whose handler can only return payloads). Returns nil when
-// err is not a shed.
-func shedPayload(err error) *Shed {
+// ShedFor converts a typed EAGAIN error back into the wire payload, for
+// handlers — the TCP bridge, a server's own admission gate — which can only
+// return payloads. Returns nil when err is not a shed.
+func ShedFor(err error) *Shed {
 	var ra *types.RetryAfterError
 	if errors.As(err, &ra) {
 		return &Shed{AfterNS: int64(ra.After), Reason: ra.Reason}
