@@ -136,12 +136,12 @@ type Client struct {
 	opts        Options
 	server      *rpc.Server
 
-	mu      sync.Mutex
-	led     map[types.Ino]*ledDir
-	remote  map[types.Ino]rpc.Addr // last known leader of remote directories
-	pcache  map[types.Ino]*permEntry
-	handles map[types.Ino]map[*File]bool // open handles, for lease-conflict flips
-	closed  bool
+	mu     sync.Mutex
+	led    map[types.Ino]*ledDir
+	remote map[types.Ino]rpc.Addr // last known leader of remote directories
+	pcache map[types.Ino]*permEntry
+	open   map[types.Ino]*openFile // inodes with a live handle or a release pending
+	closed bool
 
 	// pending2pc tracks this client's participant-side prepared renames
 	// awaiting the coordinator's decision (txid -> pendingRename).
@@ -323,7 +323,7 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 		led:     make(map[types.Ino]*ledDir),
 		remote:  make(map[types.Ino]rpc.Addr),
 		pcache:  make(map[types.Ino]*permEntry),
-		handles: make(map[types.Ino]map[*File]bool),
+		open:    make(map[types.Ino]*openFile),
 		inoSrc:  types.NewInoSource(opts.Seed),
 	}
 	c.jrnl.SetTxnIDBase(uint64(opts.Seed) & 0xFFFFFFFF)

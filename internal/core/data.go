@@ -4,30 +4,50 @@ import (
 	"context"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"arkfs/internal/rpc"
+	"arkfs/internal/sim"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
 )
 
-// File is an open ArkFS file handle. It carries a read data lease by
-// default; the first write upgrades it to an exclusive write lease unless
-// another client also holds a lease, in which case every holder's cache is
-// flushed and the file switches to direct object I/O (paper §III-D).
+// File is one open descriptor of an ArkFS file: the flags and path it was
+// opened with, where that path led, and its cursor. What this client knows
+// about the inode behind it is in the openFile record it points at.
 type File struct {
 	c      *Client
+	of     *openFile
 	path   string
-	parent types.Ino
-	ino    types.Ino
+	parent types.Ino // the directory path resolved to
+	name   string    // and the file's name in it
 	flags  types.OpenFlag
+	closed atomic.Bool
+	offset atomic.Int64 // the cursor of Read, Write and Seek
+}
+
+// openFile is the one record a client keeps per inode it has open, in
+// Client.open. It owns the client's side of the inode's data lease (paper
+// §III-D; the leader's side is grantLease), the one size this client
+// believes, and the close-time write-back. The invariant it keeps: while this
+// client has a live handle or dirty cached bytes for the inode, it is in the
+// leader's holder set and no release invalidates its cache.
+type openFile struct {
+	ino    types.Ino
+	leased atomic.Bool // set once a leader lists this client as a holder
+
+	// Guarded by Client.mu.
+	parent    types.Ino           // whose leader the latest Open registered with
+	refs      int                 // live handles and Opens in flight
+	returning bool                // the lease is on its way back: the record is dead, Open waits
+	returned  *sim.Chan[struct{}] // made by an Open that waits; closed once the lease is back
 
 	mu       sync.Mutex
 	size     int64
-	offset   int64
-	direct   bool
-	hasWrite bool // holds the exclusive write lease
-	wrote    bool // size/mtime need pushing at Sync/Close
-	closed   bool
+	ver      uint64 // bumped by every write, truncate and publish through this client
+	direct   bool   // lease conflict: no caching, direct object I/O
+	hasWrite bool   // holds the exclusive write lease
+	wrote    bool   // size/mtime need pushing at Sync/Close
 }
 
 // Open opens (and with OCreate, creates) a file.
@@ -73,35 +93,149 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 			return nil, op.end(errnoWrap("open", path, err))
 		}
 	}
-	// Register the data read lease with the parent's leader.
-	direct, size, err := c.openDataLease(ctx, res.parent, res.name, node, flags.WantsWrite())
-	if err != nil {
+	f := &File{c: c, of: c.ref(res.parent, node.Ino), path: path, parent: res.parent, name: res.name, flags: flags}
+	if err := f.attach(ctx, node); err != nil {
+		c.unref(f.of)
 		return nil, op.end(errnoWrap("open", path, err))
 	}
-	f := &File{
-		c: c, path: path, parent: res.parent, ino: node.Ino,
-		flags: flags, size: size, direct: direct,
-	}
-	if flags.Has(types.OTrunc) && flags.WantsWrite() && f.size > 0 {
-		if err := f.truncate(0); err != nil {
-			return nil, op.end(errnoWrap("open", path, err))
-		}
-	}
-	if flags.Has(types.OAppend) {
-		f.offset = f.size
-	}
-	c.mu.Lock()
-	if c.handles[f.ino] == nil {
-		c.handles[f.ino] = make(map[*File]bool)
-	}
-	c.handles[f.ino][f] = true
-	c.mu.Unlock()
 	return f, op.end(nil)
 }
 
 // Create is the creat(2) shorthand: O_WRONLY|O_CREATE|O_TRUNC.
 func (c *Client) Create(ctx context.Context, path string, mode types.Mode) (*File, error) {
 	return c.Open(ctx, path, types.OWronly|types.OCreate|types.OTrunc, mode)
+}
+
+// ref takes a reference on ino's record for an Open, making the record if the
+// client has none. A record whose last Close is still writing back is adopted
+// as it stands, cache and lease included, and that release stands down when
+// it sees the reference: Open never waits for a write-back PUT. It waits only
+// for a lease return already decided, and only for that one message, so that
+// its OpenReq cannot overtake the CloseFileReq and have the leader drop a
+// holder that has a live handle.
+func (c *Client) ref(parent, ino types.Ino) *openFile {
+	c.mu.Lock()
+	for {
+		of := c.open[ino]
+		if of == nil {
+			of = &openFile{ino: ino}
+			c.open[ino] = of
+		}
+		if !of.returning {
+			of.parent = parent
+			of.refs++
+			c.mu.Unlock()
+			return of
+		}
+		if of.returned == nil {
+			of.returned = sim.NewChan[struct{}](c.env)
+		}
+		returned := of.returned
+		c.mu.Unlock()
+		returned.Recv()
+		c.mu.Lock()
+	}
+}
+
+// unref drops a reference; the last one out releases the record. close(2)
+// does not fsync: dirty data is written back in the background, and the data
+// lease is held until that completes, so any new reader triggers a recall
+// (flush broadcast) first and never sees stale objects. On failure the
+// entries stay dirty and resident, the error is recorded for FlushAll/Close,
+// and the lease is kept so the data cannot be invalidated out from under the
+// pending retry.
+func (c *Client) unref(of *openFile) {
+	c.mu.Lock()
+	of.refs--
+	last := of.refs == 0
+	c.mu.Unlock()
+	switch {
+	case !last: // another handle shares the data lease; keep it (and the cache)
+	case c.data.Dirty(of.ino):
+		c.env.Go(func() {
+			if err := c.data.Flush(of.ino); err != nil {
+				c.recordWBErr(err)
+				return
+			}
+			c.release(of)
+		})
+	default:
+		c.release(of)
+	}
+}
+
+// release invalidates the inode's cache and gives its data lease back, if at
+// this moment the record is still unreferenced and clean. A handle that came
+// since the last Close keeps both, and its own last Close releases in turn.
+func (c *Client) release(of *openFile) {
+	c.mu.Lock()
+	if of.refs > 0 || of.returning || c.data.Dirty(of.ino) {
+		c.mu.Unlock()
+		return
+	}
+	// Giving the lease back forfeits the right to cache: a later open must
+	// not trust entries that predate other clients' writes.
+	c.data.Invalidate(of.ino)
+	of.returning = true
+	parent := of.parent
+	c.mu.Unlock()
+
+	if of.leased.Load() { // else every Open failed before a leader listed this client
+		ctx := context.Background()
+		if ld, leads := c.ledDirFor(parent); leads {
+			c.releaseData(ld, of.ino, c.addr)
+		} else if leader, err := c.remoteLeaderHint(ctx, parent); err == nil {
+			// Best effort: if this fails the leader keeps a stale holder
+			// entry until its own lease on the directory turns over.
+			_, _ = c.callLeader(ctx, leader, parent, CloseFileReq{Dir: parent, Ino: of.ino, Client: c.addr})
+		}
+	}
+
+	c.mu.Lock()
+	delete(c.open, of.ino)
+	if of.returned != nil {
+		of.returned.Close()
+	}
+	c.mu.Unlock()
+}
+
+// attach registers the data lease at the parent's leader, brings the record
+// up to date with the answer, and applies O_TRUNC and O_APPEND.
+func (f *File) attach(ctx context.Context, node *types.Inode) error {
+	of := f.of
+	of.mu.Lock()
+	ver := of.ver
+	of.mu.Unlock()
+	direct, size, err := f.c.openDataLease(ctx, f.parent, f.name, node, f.flags.WantsWrite())
+	if err != nil {
+		return err
+	}
+	of.leased.Store(true)
+	of.mu.Lock()
+	of.direct = of.direct || direct
+	// The leader's size is the fresher one (close-to-open) unless this client
+	// has bytes it has not published, or changed or published the size while
+	// the request was in flight: the answer may predate that.
+	if !of.wrote && of.ver == ver {
+		of.size = size
+	}
+	size = of.size
+	of.mu.Unlock()
+	if f.flags.Has(types.OTrunc) && f.flags.WantsWrite() && size > 0 {
+		// O_TRUNC goes through the parent's leader, like truncate(2).
+		res, err := f.c.setAttrIno(context.Background(), f.parent, f.name, AttrPatch{SetSize: true, Size: 0}, false)
+		if err != nil {
+			return err
+		}
+		of.mu.Lock()
+		of.size = res.Size
+		of.ver++
+		of.mu.Unlock()
+		f.c.data.Invalidate(of.ino)
+	} else if f.flags.Has(types.OAppend) {
+		f.offset.Store(size)
+	}
+	return nil
 }
 
 // openDataLease registers a read lease at the parent's leader and returns
@@ -123,7 +257,7 @@ func (c *Client) openDataLease(ctx context.Context, parent types.Ino, name strin
 			return resp.Direct, fresh.Size, nil
 		}
 	}
-	direct := c.grantRead(ld, node.Ino, c.addr)
+	direct := c.grantLease(ld, node.Ino, c.addr, false)
 	// Leader's table has the freshest size.
 	if cur, ok := ld.table.Child(node.Ino); ok {
 		return direct, cur.Size, nil
@@ -131,38 +265,34 @@ func (c *Client) openDataLease(ctx context.Context, parent types.Ino, name strin
 	return direct, node.Size, nil
 }
 
-// Size returns the handle's view of the file size.
+// Size returns this client's view of the file size.
 func (f *File) Size() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.size
+	f.of.mu.Lock()
+	defer f.of.mu.Unlock()
+	return f.of.size
 }
 
 // Ino returns the file's inode number.
-func (f *File) Ino() types.Ino { return f.ino }
+func (f *File) Ino() types.Ino { return f.of.ino }
 
 // ReadAt reads len(p) bytes at offset off, returning io.EOF at end of file.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	start := f.c.env.Now()
 	f.c.chargeFUSE()
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if f.closed.Load() || !f.flags.WantsRead() {
 		return 0, types.ErrBadFD
 	}
-	if !f.flags.WantsRead() {
-		f.mu.Unlock()
-		return 0, types.ErrBadFD
-	}
-	size, direct := f.size, f.direct
-	f.mu.Unlock()
+	of := f.of
+	of.mu.Lock()
+	size, direct := of.size, of.direct
+	of.mu.Unlock()
 
 	var n int
 	var err error
 	if direct {
-		n, err = f.c.tr.ReadAt(f.ino, p, off, size)
+		n, err = f.c.tr.ReadAt(of.ino, p, off, size)
 	} else {
-		n, err = f.c.data.Read(f.ino, p, off, size)
+		n, err = f.c.data.Read(of.ino, p, off, size)
 	}
 	f.c.cBytesRead.Add(int64(n))
 	f.c.tenants.AddBytes(f.c.opts.Tenant, int64(n), 0)
@@ -178,13 +308,9 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 
 // Read reads from the cursor position.
 func (f *File) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.offset
-	f.mu.Unlock()
+	off := f.offset.Load()
 	n, err := f.ReadAt(p, off)
-	f.mu.Lock()
-	f.offset = off + int64(n)
-	f.mu.Unlock()
+	f.offset.Store(off + int64(n))
 	return n, err
 }
 
@@ -192,34 +318,28 @@ func (f *File) Read(p []byte) (int, error) {
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	start := f.c.env.Now()
 	f.c.chargeFUSE()
-	f.mu.Lock()
-	if f.closed || !f.flags.WantsWrite() {
-		f.mu.Unlock()
+	if f.closed.Load() || !f.flags.WantsWrite() {
 		return 0, types.ErrBadFD
 	}
-	f.mu.Unlock()
-	if err := f.ensureWritable(); err != nil {
-		return 0, errnoWrap("write", f.path, err)
-	}
-	f.mu.Lock()
-	direct := f.direct
-	f.mu.Unlock()
-
-	var err error
-	if direct {
-		err = f.c.tr.WriteAt(f.ino, p, off)
-	} else {
-		err = f.c.data.Write(f.ino, p, off)
+	of := f.of
+	direct, err := f.ensureWritable()
+	switch {
+	case err != nil:
+	case direct:
+		err = f.c.tr.WriteAt(of.ino, p, off)
+	default:
+		err = f.c.data.Write(of.ino, p, off)
 	}
 	if err != nil {
 		return 0, errnoWrap("write", f.path, err)
 	}
-	f.mu.Lock()
-	if end := off + int64(len(p)); end > f.size {
-		f.size = end
+	of.mu.Lock()
+	if end := off + int64(len(p)); end > of.size {
+		of.size = end
 	}
-	f.wrote = true
-	f.mu.Unlock()
+	of.wrote = true
+	of.ver++
+	of.mu.Unlock()
 	f.c.cBytesWrite.Add(int64(len(p)))
 	f.c.tenants.AddBytes(f.c.opts.Tenant, 0, int64(len(p)))
 	f.c.opHists["write"].Observe(f.c.env.Now() - start)
@@ -228,105 +348,92 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 
 // Write writes at the cursor (honoring O_APPEND).
 func (f *File) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.offset
+	off := f.offset.Load()
 	if f.flags.Has(types.OAppend) {
-		off = f.size
+		off = f.Size()
 	}
-	f.mu.Unlock()
 	n, err := f.WriteAt(p, off)
-	f.mu.Lock()
-	f.offset = off + int64(n)
-	f.mu.Unlock()
+	f.offset.Store(off + int64(n))
 	return n, err
 }
 
 // Seek repositions the cursor.
 func (f *File) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	var base int64
 	switch whence {
 	case io.SeekStart:
 		base = 0
 	case io.SeekCurrent:
-		base = f.offset
+		base = f.offset.Load()
 	case io.SeekEnd:
-		base = f.size
+		base = f.Size()
 	default:
 		return 0, types.ErrInval
 	}
 	if base+offset < 0 {
 		return 0, types.ErrInval
 	}
-	f.offset = base + offset
-	return f.offset, nil
+	f.offset.Store(base + offset)
+	return base + offset, nil
 }
 
-// ensureWritable acquires the exclusive write lease on first write; a
-// conflict flips the handle (and everyone else's) to direct I/O.
-func (f *File) ensureWritable() error {
-	f.mu.Lock()
-	if f.hasWrite || f.direct {
-		f.mu.Unlock()
-		return nil
+// ensureWritable acquires the exclusive write lease on this client's first
+// write to the inode, through whichever handle, and reports whether to write
+// direct: a conflict flips this record (and everyone else's) to direct I/O.
+func (f *File) ensureWritable() (direct bool, err error) {
+	c, of := f.c, f.of
+	of.mu.Lock()
+	settled, direct := of.hasWrite || of.direct, of.direct
+	of.mu.Unlock()
+	if settled {
+		return direct, nil
 	}
-	f.mu.Unlock()
-
-	c := f.c
 	ld, ok := c.ledDirFor(f.parent)
 	var resp WriteLeaseResp
 	if !ok {
 		// File I/O paths carry no caller context, so the upgrade mints its
 		// own retry budget.
 		ctx := c.withOpBudget(context.Background())
-		var err error
-		req := WriteLeaseReq{Dir: f.parent, Ino: f.ino, Client: c.addr}
+		req := WriteLeaseReq{Dir: f.parent, Ino: of.ino, Client: c.addr}
 		if ld, resp, err = forward[WriteLeaseResp](ctx, c, nil, f.parent, req); err != nil {
-			return err
+			return false, err
 		}
 	}
-	direct := resp.Direct
+	direct = resp.Direct
 	if ld != nil {
-		direct = c.upgradeWrite(ld, f.ino, c.addr)
+		direct = c.grantLease(ld, of.ino, c.addr, true)
 	}
-	f.mu.Lock()
 	if direct {
-		f.direct = true
-	} else {
-		f.hasWrite = true
+		// The flush broadcast reaches this client too; this covers a lost one.
+		return true, c.recall(of.ino)
 	}
-	f.mu.Unlock()
-	if direct {
-		// Push anything we cached before the conflict, then bypass.
-		if err := c.data.Flush(f.ino); err != nil {
-			return err
-		}
-		c.data.Invalidate(f.ino)
-	}
-	return nil
+	of.mu.Lock()
+	of.hasWrite = true
+	direct = of.direct // a recall may have got in since the grant
+	of.mu.Unlock()
+	return direct, nil
 }
 
-// truncate implements O_TRUNC and Ftruncate through the parent's leader.
-func (f *File) truncate(size int64) error {
-	res, err := f.c.setAttrIno(context.Background(), f.parent, f.baseName(), AttrPatch{SetSize: true, Size: size}, false)
-	if err != nil {
-		return err
+// publish pushes the size and mtime this client's writes gave the inode to
+// the parent's leader (a cheap metadata RPC, journaled and batched there), as
+// Fsync and Close both do.
+func (f *File) publish(ctx context.Context) error {
+	of := f.of
+	of.mu.Lock()
+	size, ver, wrote := of.size, of.ver, of.wrote
+	of.mu.Unlock()
+	if !wrote {
+		return nil
 	}
-	f.mu.Lock()
-	f.size = res.Size
-	f.mu.Unlock()
-	f.c.data.Invalidate(f.ino)
-	return nil
-}
-
-// baseName extracts the final path component.
-func (f *File) baseName() string {
-	_, name, err := types.SplitDir(f.path)
-	if err != nil {
-		return ""
+	patch := AttrPatch{SetSize: true, Size: size, SetTimes: true, Mtime: f.c.env.Now()}
+	_, err := f.c.setAttrIno(ctx, f.parent, f.name, patch, true)
+	of.mu.Lock()
+	if err == nil && of.ver == ver {
+		of.wrote = false // nothing was written meanwhile
 	}
-	return name
+	of.ver++
+	of.mu.Unlock()
+	return err
 }
 
 // Sync flushes cached data and pushes size/mtime to the parent's leader —
@@ -338,24 +445,14 @@ func (f *File) Sync() error { return f.Fsync(context.Background()) }
 // the metadata forwarding boundary instead of blocking through it.
 func (f *File) Fsync(ctx context.Context) error {
 	f.c.chargeFUSE()
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if f.closed.Load() {
 		return types.ErrBadFD
 	}
-	size, wrote := f.size, f.wrote
-	f.mu.Unlock()
-	if err := f.c.data.Flush(f.ino); err != nil {
+	if err := f.c.data.Flush(f.of.ino); err != nil {
 		return errnoWrap("fsync", f.path, err)
 	}
-	if wrote {
-		patch := AttrPatch{SetSize: true, Size: size, SetTimes: true, Mtime: f.c.env.Now()}
-		if _, err := f.c.setAttrIno(ctx, f.parent, f.baseName(), patch, true); err != nil {
-			return errnoWrap("fsync", f.path, err)
-		}
-		f.mu.Lock()
-		f.wrote = false
-		f.mu.Unlock()
+	if err := f.publish(ctx); err != nil {
+		return errnoWrap("fsync", f.path, err)
 	}
 	// Make the metadata durable if we own the journal (durability barrier,
 	// not a checkpoint — see Client.fsyncDir).
@@ -367,187 +464,63 @@ func (f *File) Fsync(ctx context.Context) error {
 	return nil
 }
 
-// Close syncs written state and releases the data lease.
+// Close publishes what this client wrote and drops the descriptor's reference
+// on the record: the size reaches the leader now, the data when the record's
+// last reference goes (see unref).
 func (f *File) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if f.closed.Swap(true) {
 		return nil
 	}
-	wrote := f.wrote
-	f.mu.Unlock()
-
-	// close(2) does not fsync: the size reaches the leader now (a cheap
-	// metadata RPC, journaled and batched there), while dirty data stays in
-	// the write-back cache and is flushed in the background. The data lease
-	// is held until that flush completes, so any new reader triggers a
-	// recall (flush broadcast) first and never sees stale objects.
-	var err error
-	if wrote {
-		f.mu.Lock()
-		size := f.size
-		f.mu.Unlock()
-		patch := AttrPatch{SetSize: true, Size: size, SetTimes: true, Mtime: f.c.env.Now()}
-		if _, serr := f.c.setAttrIno(context.Background(), f.parent, f.baseName(), patch, true); serr != nil {
-			err = serr
-		}
-		f.mu.Lock()
-		f.wrote = false
-		f.mu.Unlock()
-	}
-	f.mu.Lock()
-	f.closed = true
-	size := f.size
-	f.mu.Unlock()
-
-	c := f.c
-	c.mu.Lock()
-	if hs := c.handles[f.ino]; hs != nil {
-		delete(hs, f)
-		if len(hs) == 0 {
-			delete(c.handles, f.ino)
-		}
-	}
-	c.mu.Unlock()
-	_ = size
-	c.mu.Lock()
-	stillOpen := len(c.handles[f.ino]) > 0
-	c.mu.Unlock()
-	if stillOpen {
-		// Another handle shares the data lease; keep it (and the cache).
-		return err
-	}
-	release := func() {
-		// Giving the lease back forfeits the right to cache: a later open
-		// must not trust entries that predate other clients' writes.
-		c.data.Invalidate(f.ino)
-		if ld, ok := c.ledDirFor(f.parent); ok {
-			c.releaseData(ld, f.ino, c.addr)
-			return
-		}
-		// Best effort: if this fails the leader keeps a stale holder entry
-		// until its own lease on the directory turns over.
-		ctx := context.Background()
-		if leader, err := c.remoteLeaderHint(ctx, f.parent); err == nil {
-			_, _ = c.callLeader(ctx, leader, f.parent, CloseFileReq{Dir: f.parent, Ino: f.ino, Client: c.addr})
-		}
-	}
-	if c.data.Dirty(f.ino) {
-		// Background write-back; release the data lease only afterwards. On
-		// failure the entries stay dirty and resident, the error is recorded
-		// for FlushAll/Close, and the lease is kept so the data cannot be
-		// invalidated out from under the pending retry.
-		c.env.Go(func() {
-			if ferr := c.data.Flush(f.ino); ferr != nil {
-				c.recordWBErr(ferr)
-				return
-			}
-			release()
-		})
-	} else {
-		release()
-	}
+	err := f.publish(context.Background())
+	f.c.unref(f.of)
 	return err
 }
 
-// DropCaches empties this client's data cache (the benchmark "drop caches"
+// DropAllCaches empties the whole data cache (the benchmark "drop caches"
 // step between write and read phases).
-func (c *Client) DropCaches(inos ...types.Ino) {
-	for _, ino := range inos {
-		c.data.Invalidate(ino)
-	}
-}
-
-// DropAllCaches empties the whole data cache.
 func (c *Client) DropAllCaches() { c.data.Clear() }
 
 // --- leader-side data lease service ------------------------------------------
 
-// grantRead registers a read lease for client on a child file of a led
-// directory and reports whether the file is in direct mode. If another
-// client holds the write lease, its cache is recalled (flush broadcast)
-// first and the file falls to direct mode — the paper's conflict rule.
-func (c *Client) grantRead(ld *ledDir, ino types.Ino, client rpc.Addr) bool {
+// grantLease lists client as a holder of ino's data lease and, with write,
+// tries to make it the exclusive writer; it reports whether the file is in
+// direct mode. The paper's conflict rule (§III-D): a reader that finds another
+// client holding the write lease, or a writer that finds any other holder,
+// has those caches recalled (flush broadcast) first, and the file stays in
+// direct mode until every holder has left.
+func (c *Client) grantLease(ld *ledDir, ino types.Ino, client rpc.Addr, write bool) bool {
 	ld.opMu.Lock()
 	dl := ld.dataLeases[ino]
 	if dl == nil {
 		dl = &dataLease{readers: make(map[rpc.Addr]bool)}
 		ld.dataLeases[ino] = dl
 	}
-	writer := dl.writer
-	if writer != "" && writer != client {
-		dl.direct = true
-		dl.writer = ""
-	}
 	dl.readers[client] = true
+	var recall []rpc.Addr
+	switch {
+	case dl.direct:
+	case write && len(dl.readers) == 1:
+		dl.writer = client
+	case write:
+		for h := range dl.readers {
+			recall = append(recall, h)
+		}
+	case dl.writer != "" && dl.writer != client:
+		recall = append(recall, dl.writer)
+	}
+	if recall != nil {
+		dl.direct, dl.writer = true, ""
+	}
 	direct := dl.direct
 	ld.opMu.Unlock()
-
-	if writer != "" && writer != client {
-		if writer == c.addr {
-			// Invalidate only after a successful flush: a failed write-back
-			// keeps the entries dirty for a later retry instead of dropping
-			// them, and the error is recorded for FlushAll/Close.
-			if ferr := c.data.Flush(ino); ferr != nil {
-				c.recordWBErr(ferr)
-			} else {
-				c.data.Invalidate(ino)
-			}
-			c.markHandlesDirect(ino)
+	for _, h := range recall {
+		if h == c.addr {
+			c.recordWBErr(c.recall(ino))
 		} else {
-			_, _ = c.net.CallFrom(c.addr, writer, FlushCacheReq{Ino: ino})
+			_, _ = c.net.CallFrom(c.addr, h, FlushCacheReq{Ino: ino})
 		}
 	}
 	return direct
-}
-
-// upgradeWrite grants the exclusive write lease to client if it is the only
-// lease holder; otherwise it broadcasts cache flushes and switches the file
-// to direct mode (paper §III-D).
-func (c *Client) upgradeWrite(ld *ledDir, ino types.Ino, client rpc.Addr) (direct bool) {
-	ld.opMu.Lock()
-	dl := ld.dataLeases[ino]
-	if dl == nil {
-		dl = &dataLease{readers: make(map[rpc.Addr]bool)}
-		ld.dataLeases[ino] = dl
-		dl.readers[client] = true
-	}
-	if dl.direct {
-		ld.opMu.Unlock()
-		return true
-	}
-	exclusive := dl.writer == "" || dl.writer == client
-	for r := range dl.readers {
-		if r != client {
-			exclusive = false
-		}
-	}
-	if exclusive {
-		dl.writer = client
-		ld.opMu.Unlock()
-		return false
-	}
-	// Conflict: flush everyone, go direct.
-	dl.direct = true
-	dl.writer = ""
-	holders := make([]rpc.Addr, 0, len(dl.readers))
-	for r := range dl.readers {
-		holders = append(holders, r)
-	}
-	ld.opMu.Unlock()
-	for _, h := range holders {
-		if h == c.addr {
-			if ferr := c.data.Flush(ino); ferr != nil {
-				c.recordWBErr(ferr)
-			} else {
-				c.data.Invalidate(ino)
-			}
-			c.markHandlesDirect(ino)
-			continue
-		}
-		_, _ = c.net.CallFrom(c.addr, h, FlushCacheReq{Ino: ino})
-	}
-	return true
 }
 
 // releaseData drops client's lease on ino; when the last holder leaves, the
@@ -580,52 +553,28 @@ func (c *Client) serveOpen(ld *ledDir, r OpenReq) OpenResp {
 	if err := node.Access(r.Cred, want); err != nil {
 		return OpenResp{Err: errString(err)}
 	}
-	direct := c.grantRead(ld, node.Ino, r.Client)
+	direct := c.grantLease(ld, node.Ino, r.Client, false)
 	return OpenResp{Inode: wire.EncodeInode(node), Direct: direct}
 }
 
-func (c *Client) serveCloseFile(ctx context.Context, ld *ledDir, r CloseFileReq) CloseFileResp {
-	c.releaseData(ld, r.Ino, r.Client)
-	if r.SetSize {
-		if _, err := c.localSetAttr(ctx, ld, r.Dir, SetAttrReq{
-			Dir: r.Dir, Name: c.nameOf(ld, r.Ino), Cred: types.Root, Implicit: true,
-			Patch: AttrPatch{SetSize: true, Size: r.Size, SetTimes: true, Mtime: r.Mtime},
-		}); err != nil {
-			return CloseFileResp{Err: errString(err)}
-		}
-	}
-	return CloseFileResp{}
-}
-
-// nameOf finds the dentry name of a child inode (linear scan; used on the
-// rare remote-close-with-size path).
-func (c *Client) nameOf(ld *ledDir, ino types.Ino) string {
-	for _, de := range ld.table.List() {
-		if de.Ino == ino {
-			return de.Name
-		}
-	}
-	return ""
-}
-
-func (c *Client) serveFlushCache(r FlushCacheReq) FlushCacheResp {
-	if err := c.data.Flush(r.Ino); err != nil {
-		return FlushCacheResp{Err: errString(err)}
-	}
-	c.data.Invalidate(r.Ino)
-	c.markHandlesDirect(r.Ino)
-	return FlushCacheResp{}
-}
-
-// markHandlesDirect flips this client's open handles on ino to direct I/O.
-func (c *Client) markHandlesDirect(ino types.Ino) {
+// recall is a holder's half of a lease conflict, run for a FlushCacheReq and
+// when the leader recalls itself. The record flips first, so no request that
+// starts afterwards caches again. Invalidate only after a successful flush: a
+// failed write-back keeps the entries dirty for a later retry instead of
+// dropping them, and the caller records the error for FlushAll/Close or
+// returns it on the wire.
+func (c *Client) recall(ino types.Ino) error {
 	c.mu.Lock()
-	handles := c.handles[ino]
+	of := c.open[ino]
 	c.mu.Unlock()
-	for f := range handles {
-		f.mu.Lock()
-		f.direct = true
-		f.hasWrite = false
-		f.mu.Unlock()
+	if of != nil {
+		of.mu.Lock()
+		of.direct, of.hasWrite = true, false
+		of.mu.Unlock()
 	}
+	err := c.data.Flush(ino)
+	if err == nil {
+		c.data.Invalidate(ino)
+	}
+	return err
 }

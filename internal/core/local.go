@@ -119,6 +119,10 @@ func (c *Client) localUnlink(ctx context.Context, ld *ledDir, dir types.Ino, req
 	now := c.env.Now()
 	dirNode.Mtime, dirNode.Ctime = now, now
 	ld.table.SetDirInode(dirNode)
+	// What the victim's writer still caches (a close-time write-back may be
+	// in flight) goes to the store first: a PUT that landed after the
+	// checkpoint's delete would leak the object.
+	c.recallWriter(ctx, ld, victim.Ino)
 	c.data.Invalidate(victim.Ino)
 	delete(ld.dataLeases, victim.Ino)
 	c.jrnl.Log(ctx, dir, []wire.Op{

@@ -387,9 +387,9 @@ func TestDataLeaseConflictFallsBackToDirect(t *testing.T) {
 	if _, err := f2.WriteAt([]byte("bb"), 0); err != nil {
 		t.Fatal(err)
 	}
-	f2.mu.Lock()
-	direct2 := f2.direct
-	f2.mu.Unlock()
+	f2.of.mu.Lock()
+	direct2 := f2.of.direct
+	f2.of.mu.Unlock()
 	if !direct2 {
 		t.Fatal("c2 write with concurrent lease holders should be direct")
 	}

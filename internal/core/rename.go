@@ -103,6 +103,10 @@ func (c *Client) coordinateRename(ctx context.Context, r RenameReq) error {
 		ld.opMu.Unlock()
 		return err
 	}
+	// A data lease does not move with its file: the new parent's leader will
+	// have no holder to recall, so what the writer still caches goes to the
+	// store now, before anyone can open the file there.
+	c.recallWriter(ctx, ld, moving.Ino)
 	ld.opMu.Unlock()
 
 	txid := c.jrnl.NewTxnID()

@@ -97,11 +97,12 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 	case OpenReq:
 		return c.serveOpen(ld, r)
 	case WriteLeaseReq:
-		return WriteLeaseResp{Direct: c.upgradeWrite(ld, r.Ino, r.Client)}
+		return WriteLeaseResp{Direct: c.grantLease(ld, r.Ino, r.Client, true)}
 	case CloseFileReq:
-		return c.serveCloseFile(ctx, ld, r)
+		c.releaseData(ld, r.Ino, r.Client)
+		return CloseFileResp{}
 	case FlushCacheReq:
-		return c.serveFlushCache(r)
+		return FlushCacheResp{Err: errString(c.recall(r.Ino))}
 	default:
 		// Described but not dispatched: a bug TestMessageTable catches.
 		return ErrResp{Err: "EINVAL"}
