@@ -17,7 +17,7 @@
 //
 // Bench mode: arkbench -bench-json out.json -seed N writes the seeded
 // benchmark trajectory (mdtest, fio, scalability, tenant isolation, metrics
-// fingerprint) in the stable arkfs-bench/v3 schema; the same seed yields a
+// fingerprint) in the stable arkfs-bench/v4 schema; the same seed yields a
 // byte-identical file apart from the sharded sweep, which is stable to ~0.1%.
 //
 // Fsck mode: arkbench -fsck -seed N deploys and populates a file system,
@@ -117,8 +117,8 @@ func main() {
 		fsckMode   = flag.Bool("fsck", false, "run a seeded corruption/scrub drill instead of an experiment")
 		fsckRepair = flag.Bool("repair", false, "fsck: scrub-repair the corrupted image and fail unless it re-checks clean")
 
-		benchJSON     = flag.String("bench-json", "", "run the seeded benchmark trajectory and write the arkfs-bench/v3 report to this file (- for stdout)")
-		benchBaseline = flag.String("bench-baseline", "", "bench: compare the run against this committed arkfs-bench/v3 report and fail on a throughput regression")
+		benchJSON     = flag.String("bench-json", "", "run the seeded benchmark trajectory and write the arkfs-bench/v4 report to this file (- for stdout)")
+		benchBaseline = flag.String("bench-baseline", "", "bench: compare the run against this committed arkfs-bench/v4 report and fail on a regression of its headline rates or takeover times")
 		debugAddr     = flag.String("debug-addr", "", "serve /metrics, /stats.json, /healthz and pprof on this address while running (empty: off)")
 	)
 	flag.Usage = func() {
@@ -352,6 +352,20 @@ func checkBaseline(rep *harness.BenchReport, path string) error {
 		if c.got < c.want*(1-c.slack) {
 			return fmt.Errorf("%s regressed: %.3f below committed baseline %.3f",
 				c.label, c.got, c.want)
+		}
+	}
+	// The takeover curve is virtual time like the mdtest phases: exact, and
+	// lower is better.
+	for _, want := range base.Takeover {
+		got := int64(-1)
+		for _, p := range rep.Takeover {
+			if p.Store == want.Store && p.Entries == want.Entries && p.Crashed == want.Crashed {
+				got = p.ElapsedNS
+			}
+		}
+		if got < 0 || got > want.ElapsedNS {
+			return fmt.Errorf("takeover %s/%d entries (crashed: %v) regressed: %d ns above committed baseline %d ns",
+				want.Store, want.Entries, want.Crashed, got, want.ElapsedNS)
 		}
 	}
 	// The elastic ring is pointless if it does not beat the single manager

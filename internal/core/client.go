@@ -684,6 +684,12 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 	// directory and comes with a firm retry-after hint, so those waits get
 	// their own (larger) budget instead of consuming acquire retries.
 	quiesceWaits := 0
+	// taken is a directory this call has recovered and loaded but not
+	// installed, because the takeover ran its lease into the margin: the
+	// manager is asked again, and only its re-grant of the same chain in place
+	// (nobody led the directory in between) puts the table to use.
+	var taken *ledDir
+	var chain uint64 // the lease ID taken was built under
 	for attempt := 0; attempt < c.opts.AcquireRetries; {
 		if err := ctx.Err(); err != nil {
 			return nil, "", fmt.Errorf("core: lease acquire for %s: %w", dir.Short(), err)
@@ -703,9 +709,39 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 			}
 			return nil, "", fmt.Errorf("core: lease acquire: %w", err)
 		}
+		if taken != nil && !(resp.Granted && resp.SameLeader && resp.LeaseID == chain) {
+			taken = nil // any other answer: the table is stale, follow the answer
+		}
 		switch {
 		case resp.Granted:
-			return c.becomeLeader(ctx, dir, resp)
+			// A lease no longer than the margin (a manager whose period is
+			// shorter than this client assumes) is good until it lapses: every
+			// operation extends it first, as routeFor has always had it.
+			margin := c.opts.LeaseMargin
+			if resp.Expiry-c.env.Now() <= margin {
+				margin = 0
+			}
+			if taken == nil {
+				if taken, err = c.becomeLeader(ctx, dir, resp); err != nil {
+					return nil, "", err
+				}
+				chain = resp.LeaseID
+			} else {
+				c.mu.Lock()
+				taken.expiry = resp.Expiry // the same chain, re-granted in place
+				c.mu.Unlock()
+			}
+			if installed, err := c.install(dir, taken, margin); err != nil {
+				return nil, "", err
+			} else if installed {
+				return taken, "", nil
+			}
+			// Recovery and load outlasted the lease that permits them. Serving
+			// now would be serving from a lapsed lease, and past the manager's
+			// grace another client may lead already. Each takeover spends an
+			// attempt, so a directory that cannot be loaded within a lease
+			// period (DESIGN.md §5) ends in ETIMEDOUT, not in a reload loop.
+			attempt++
 		case resp.Redirect:
 			// If we believed we led this directory, that leadership is gone:
 			// drop the stale table (its journal was flushed at the last
@@ -745,16 +781,17 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 	return nil, "", fmt.Errorf("core: lease acquire retries exhausted for %s: %w", dir.Short(), types.ErrTimedOut)
 }
 
-// becomeLeader installs leadership state after a granted lease: running
-// journal recovery if required and (re)building the metadata table unless
-// the manager confirmed our copy is still current.
-func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.AcquireResp) (*ledDir, rpc.Addr, error) {
+// becomeLeader builds leadership state after a granted lease: it runs
+// journal recovery if required and (re)builds the metadata table unless the
+// manager confirmed our copy is still current. The directory it returns is
+// not yet served from: install publishes it, if its lease still allows.
+func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.AcquireResp) (*ledDir, error) {
 	if grant.NeedRecovery {
 		c.crashHit(crashpoint.RecoveryPreReplay)
 		rsp := c.tracer.StartChild(obs.SpanContextFrom(ctx), "journal.recover", "")
 		rsp.SetDir(dir)
 		rsp.SetTenant(obs.TenantFrom(ctx))
-		rep, err := journal.RecoverWith(c.tr, dir, c.obsReg)
+		_, err := c.jrnl.Recover(dir)
 		rsp.End(err)
 		if err != nil {
 			// A dead process is silent: if the failure is our own crash, do
@@ -767,13 +804,12 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 			if !closed {
 				_ = c.lm.Release(ctx, dir, grant.LeaseID, false)
 			}
-			return nil, "", fmt.Errorf("core: recovery of %s: %w", dir.Short(), err)
+			return nil, fmt.Errorf("core: recovery of %s: %w", dir.Short(), err)
 		}
-		c.jrnl.SetNextSeq(dir, rep.NextSeq)
 		c.crashHit(crashpoint.RecoveryPostReplay)
 		done, err := c.lm.RecoveryDone(ctx, dir, grant.LeaseID)
 		if err != nil || !done.OK {
-			return nil, "", fmt.Errorf("core: recovery handshake for %s failed: %w", dir.Short(), types.ErrIO)
+			return nil, fmt.Errorf("core: recovery handshake for %s failed: %w", dir.Short(), types.ErrIO)
 		}
 		grant.Expiry = done.Expiry
 	}
@@ -785,14 +821,14 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		// either — it is silent, so the lease lapses and the successor runs
 		// recovery.
 		c.mu.Unlock()
-		return nil, "", fmt.Errorf("core: client closed: %w", types.ErrIO)
+		return nil, fmt.Errorf("core: client closed: %w", types.ErrIO)
 	}
 	if ld, ok := c.led[dir]; ok && grant.SameLeader {
 		// Extension of a lease we already hold: keep the table.
 		ld.leaseID = grant.LeaseID
 		ld.expiry = grant.Expiry
 		c.mu.Unlock()
-		return ld, "", nil
+		return ld, nil
 	}
 	c.mu.Unlock()
 
@@ -800,7 +836,7 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 	// from the object store. The paper's SameLeader shortcut only helps when
 	// the client also kept its table; after Close we always reload.
 	degraded := false
-	tbl, err := metatable.Load(c.tr, dir)
+	tbl, _, err := c.jrnl.LoadTable(dir, false)
 	if err != nil && errors.Is(err, types.ErrIntegrity) {
 		// The checkpointed state is rotten but the lease is ours: serve the
 		// directory read-only from whatever still verifies rather than
@@ -810,7 +846,7 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		dsp := c.tracer.StartChild(obs.SpanContextFrom(ctx), "integrity.degraded", dir.Short())
 		dsp.SetDir(dir)
 		dsp.SetTenant(obs.TenantFrom(ctx))
-		tbl, lost, err = metatable.LoadDegraded(c.tr, dir)
+		tbl, lost, err = c.jrnl.LoadTable(dir, true)
 		dsp.End(err)
 		if err == nil {
 			degraded = true
@@ -820,31 +856,40 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 	}
 	if err != nil {
 		_ = c.lm.Release(ctx, dir, grant.LeaseID, true)
-		return nil, "", fmt.Errorf("core: build metatable for %s: %w", dir.Short(), err)
+		return nil, fmt.Errorf("core: build metatable for %s: %w", dir.Short(), err)
 	}
 	// Check our own access to the directory (paper: release and report a
 	// permission error if the leader-to-be cannot access it).
 	if err := tbl.DirInode().Access(c.opts.Cred, types.MayExec); err != nil {
 		_ = c.lm.Release(ctx, dir, grant.LeaseID, true)
-		return nil, "", fmt.Errorf("core: access %s: %w", dir.Short(), err)
+		return nil, fmt.Errorf("core: access %s: %w", dir.Short(), err)
 	}
-	ld := &ledDir{
+	return &ledDir{
 		opMu:       sim.NewMutex(c.env),
 		table:      tbl,
 		leaseID:    grant.LeaseID,
 		expiry:     grant.Expiry,
 		degraded:   degraded,
 		dataLeases: make(map[types.Ino]*dataLease),
-	}
+	}, nil
+}
+
+// install publishes ld as the directory this client leads, provided its
+// lease is still outside the margin operations are served within (routeFor).
+// Nothing of unbounded length lies between this check and the operation that
+// asked for the lease.
+func (c *Client) install(dir types.Ino, ld *ledDir, margin time.Duration) (bool, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
-		return nil, "", fmt.Errorf("core: client closed: %w", types.ErrIO)
+		return false, fmt.Errorf("core: client closed: %w", types.ErrIO)
+	}
+	if c.env.Now() >= ld.expiry-margin {
+		return false, nil
 	}
 	c.led[dir] = ld
 	delete(c.remote, dir)
-	c.mu.Unlock()
-	return ld, "", nil
+	return true, nil
 }
 
 // crashHit announces a core-side crash site (recovery phases).

@@ -1,21 +1,27 @@
 package harness
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"time"
 
+	"arkfs/internal/core"
+	"arkfs/internal/journal"
 	"arkfs/internal/objstore"
 	"arkfs/internal/obs"
 	"arkfs/internal/sim"
+	"arkfs/internal/types"
 	"arkfs/internal/workload"
 )
 
 // BenchSchema identifies the BenchReport JSON layout. Bump the suffix on any
 // field change: downstream tooling (CI artifact diffing, EXPERIMENTS.md
 // tables) keys on it. v2 added the sharded lease-cluster scalability sweep;
-// v3 added the tenant-isolation (overload protection on/off) comparison.
-const BenchSchema = "arkfs-bench/v3"
+// v3 added the tenant-isolation (overload protection on/off) comparison; v4
+// added the directory-takeover curve.
+const BenchSchema = "arkfs-bench/v4"
 
 // BenchConfig parameterizes one benchmark trajectory. The zero value runs the
 // committed BENCH_seed.json configuration.
@@ -46,6 +52,9 @@ type BenchConfig struct {
 	// test.
 	ShardedDirs        int
 	ShardedFilesPerDir int
+	// TakeoverEntries are the directory sizes of the takeover curve (default
+	// 100, 1000, 10000).
+	TakeoverEntries []int
 	// Obs, when non-nil, is the registry the instrumented mdtest phase
 	// records into (live debug endpoints watch it mid-run). The fingerprint
 	// still reflects only this run: it is computed from a snapshot taken
@@ -80,6 +89,9 @@ func (c *BenchConfig) fill() {
 	}
 	if c.ShardedFilesPerDir <= 0 {
 		c.ShardedFilesPerDir = 1
+	}
+	if len(c.TakeoverEntries) == 0 {
+		c.TakeoverEntries = []int{100, 1000, 10000}
 	}
 }
 
@@ -144,6 +156,19 @@ type BenchIsolation struct {
 	QoSOff BenchIsolationSide `json:"qos_off"`
 }
 
+// BenchTakeover is one point of the directory-takeover curve: the virtual
+// time of a fresh client's first stat into a directory of Entries files on
+// the Store profile, which is a lease acquire plus the load of the metatable
+// (ROADMAP item 5). The previous leader either released the directory cleanly
+// or (Crashed) died behind a FlushAll, so the lease is a recovery grant and
+// the journal scan comes first.
+type BenchTakeover struct {
+	Store     string `json:"store"`
+	Entries   int    `json:"entries"`
+	Crashed   bool   `json:"crashed"`
+	ElapsedNS int64  `json:"elapsed_ns"`
+}
+
 // BenchReport is the stable -bench-json output. Every number derives from the
 // virtual clock and seeded IDs, so the same (schema, seed, config) yields a
 // byte-identical report.
@@ -176,6 +201,8 @@ type BenchReport struct {
 	// Isolation is the tenant-isolation comparison from the seeded overload
 	// scenario (see harness/overload.go): protection on vs off.
 	Isolation BenchIsolation `json:"isolation"`
+	// Takeover is what a leadership change costs, against directory size.
+	Takeover []BenchTakeover `json:"takeover"`
 	// MetricsFingerprint is the instrumented mdtest deployment's
 	// obs.Snapshot.Fingerprint() — the full sorted counter list.
 	MetricsFingerprint string `json:"metrics_fingerprint"`
@@ -381,7 +408,82 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 			rep.Isolation.QoSOn = side
 		}
 	}
+
+	// Phase 6: the takeover curve at the program's default fan-out, and one
+	// directory (the middle size) taken over after a crash.
+	var points []BenchTakeover
+	for _, store := range []string{"rados", "s3"} {
+		for _, n := range cfg.TakeoverEntries {
+			points = append(points, BenchTakeover{Store: store, Entries: n})
+		}
+	}
+	points = append(points, BenchTakeover{Store: "rados", Crashed: true,
+		Entries: cfg.TakeoverEntries[len(cfg.TakeoverEntries)/2]})
+	for _, p := range points {
+		took, err := TakeoverPoint(cal, p, 0)
+		if err != nil {
+			return nil, fmt.Errorf("bench: takeover %+v: %w", p, err)
+		}
+		p.ElapsedNS = took.Nanoseconds()
+		rep.Takeover = append(rep.Takeover, p)
+	}
 	return rep, nil
+}
+
+// TakeoverPoint measures one point of the takeover curve with the journal's
+// defaults and the given CheckpointFanout (0: the default; 1 is one GET after
+// another, the curve before the load fanned out).
+func TakeoverPoint(cal Calibration, p BenchTakeover, fanout int) (took time.Duration, err error) {
+	prof := objstore.RADOSProfile()
+	if p.Store == "s3" {
+		prof = objstore.S3Profile()
+	}
+	jc := journal.DefaultConfig()
+	jc.CheckpointFanout = fanout
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		var d *Deployment
+		if d, err = buildArkFSJournal(env, cal, prof, 2, jc, ArkFSOptions{}); err != nil {
+			return
+		}
+		defer d.Close()
+		ctx := context.Background()
+		old, fresh := d.Ark[0], d.Ark[1]
+		if err = old.Mkdir(ctx, "/t", 0o777); err != nil {
+			return
+		}
+		for i := 0; i < p.Entries && err == nil; i++ {
+			var f *core.File
+			if f, err = old.Create(ctx, fmt.Sprintf("/t/f%06d", i), 0o644); err == nil {
+				err = f.Close()
+			}
+		}
+		var dir *types.Inode
+		if err == nil {
+			dir, err = old.Stat(ctx, "/t")
+		}
+		if err != nil {
+			return
+		}
+		if p.Crashed {
+			if err = old.FlushAll(ctx); err != nil {
+				return
+			}
+			old.Crash()
+			env.Sleep(2*cal.LeasePeriod + cal.LeasePeriod/2) // the lease and its grace run out
+		} else if err = old.ReleaseDir(dir.Ino); err != nil {
+			return
+		}
+		// Resolving /t is not part of the reading (after a crash it takes the
+		// root over as well): the clock covers the lease and the load of /t.
+		if _, err = fresh.Stat(ctx, "/t"); err != nil {
+			return
+		}
+		t0 := env.Now()
+		_, err = fresh.Stat(ctx, "/t/f000000")
+		took = env.Now() - t0
+	})
+	return took, err
 }
 
 // isolationSide condenses an overload report into the bench schema's

@@ -12,6 +12,7 @@ func quickBench() BenchConfig {
 		// Tiny sharded sweep: enough to exercise the phase, small enough that
 		// two full runs fit a unit test.
 		ShardedClients: []int{8}, Shards: 2, ShardedDirs: 2, ShardedFilesPerDir: 1,
+		TakeoverEntries: []int{40},
 	}
 }
 
@@ -70,6 +71,15 @@ func TestRunBenchSchemaStable(t *testing.T) {
 	if off.HostilePushback != 0 {
 		t.Fatalf("qos-off run produced pushback with no admission control: %+v", off)
 	}
+	// The takeover curve: the one size on both stores, and after a crash.
+	if len(rep.Takeover) != 3 || !rep.Takeover[2].Crashed {
+		t.Fatalf("takeover section: %+v", rep.Takeover)
+	}
+	for _, p := range rep.Takeover {
+		if p.Entries != 40 || p.ElapsedNS <= 0 {
+			t.Fatalf("takeover point %+v", p)
+		}
+	}
 	var back BenchReport
 	if err := json.Unmarshal(rep.JSON(), &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
@@ -114,5 +124,31 @@ func TestRunBenchDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.JSON(), b.JSON()) {
 		t.Fatalf("same-seed bench runs differ:\n--- a\n%s\n--- b\n%s", a.JSON(), b.JSON())
+	}
+}
+
+// TestTakeoverCurve: at every size and on both store models, and after a
+// crash, a fresh client's first stat into a directory is faster with the
+// load fanned out than with CheckpointFanout 1 (one GET after another, the
+// curve before the fan-out), and both see the directory.
+func TestTakeoverCurve(t *testing.T) {
+	cal := DefaultCalibration()
+	for _, p := range []BenchTakeover{
+		{Store: "rados", Entries: 100}, {Store: "rados", Entries: 1000}, {Store: "s3", Entries: 100},
+		{Store: "s3", Entries: 1000}, {Store: "rados", Entries: 1000, Crashed: true},
+	} {
+		fanned, err := TakeoverPoint(cal, p, 0)
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		serial, err := TakeoverPoint(cal, p, 1)
+		if err != nil {
+			t.Fatalf("%+v serial: %v", p, err)
+		}
+		t.Logf("%-5s %6d entries crashed=%-5v %12v fanned out %12v serial (%.1fx)",
+			p.Store, p.Entries, p.Crashed, fanned, serial, float64(serial)/float64(fanned))
+		if fanned*4 > serial {
+			t.Errorf("%+v: %v fanned out against %v serial, want at least 4x", p, fanned, serial)
+		}
 	}
 }

@@ -328,11 +328,11 @@ func (j *Journal) dirJournalLocked(dir types.Ino) *dirJournal {
 	return dj
 }
 
-// SetNextSeq primes the journal sequence for dir; the new leader calls this
-// after recovery with one past the highest sequence it observed. Everything
-// below that sequence was either replayed or discarded, so the durability
-// watermark starts there too.
-func (j *Journal) SetNextSeq(dir types.Ino, seq uint64) {
+// setNextSeq primes the journal sequence for dir after recovery (Recover)
+// with one past the highest sequence it observed. Everything below that
+// sequence was either replayed or discarded, so the durability watermark
+// starts there too.
+func (j *Journal) setNextSeq(dir types.Ino, seq uint64) {
 	dj := j.dirJournal(dir)
 	dj.mu.Lock()
 	dj.nextSeq = seq
@@ -805,7 +805,7 @@ func (j *Journal) ckptLoop(q *sim.Chan[*ckptItem]) {
 				sp := j.trace.StartChild(it.sc, "journal.checkpoint", "")
 				sp.SetDir(it.dj.dir)
 				sp.SetTenant(it.tenant)
-				if err := applyOps(j.env, j.tr, it.dj.dir, it.ops, j.cfg.CheckpointFanout, j.cfg.Crash); err != nil {
+				if err := j.applyOps(it.dj.dir, it.ops, j.cfg.Crash); err != nil {
 					j.cCkptErrs.Inc()
 					it.dj.mu.Lock()
 					it.dj.ckptStuck = err
@@ -846,7 +846,7 @@ func (j *Journal) ckptLoop(q *sim.Chan[*ckptItem]) {
 // retried (faults may have healed), and a stuck checkpoint is reported as a
 // persistent error — unlike dj.err it cannot be consumed by an intermediate
 // barrier, so a directory with an unapplied journal record can never be
-// released clean. Only a recovery replay (SetNextSeq) clears it.
+// released clean. Only a recovery replay (Recover) clears it.
 func (j *Journal) drainErr(dj *dirJournal) error {
 	dj.mu.Lock()
 	stale := dj.stale
@@ -893,47 +893,50 @@ func (dj *dirJournal) takeErr() error {
 	return err
 }
 
-// ApplyOps checkpoints a transaction's operations sequentially; recovery
-// uses it. The checkpoint workers use applyOps with an environment, which
-// fans independent inode writes out in parallel.
+// ApplyOps checkpoints a transaction's operations one object after another
+// (tools, tests and probes with no environment). The checkpoint workers and
+// recovery's replay run the same code as a method of their Journal, which
+// fans the independent inode writes out.
 func ApplyOps(tr *prt.Translator, dir types.Ino, ops []wire.Op) error {
-	return applyOps(nil, tr, dir, ops, 1, nil)
+	return (&Journal{tr: tr}).applyOps(dir, ops, nil)
 }
 
-// applyOpsRepair is ApplyOps for recovery and scrub: when the directory's
+// applyOpsRepair is applyOps for recovery: when the directory's
 // checkpointed dentry block fails verification, it is rebuilt from the
 // journal operations instead of failing the replay — the journal is the
 // authority the checkpoint is derived from. Entries present only in the lost
 // block are not recoverable here; the scrubber reports the resulting orphan
-// inodes. Rebuilds count against integrity.repaired on reg.
-func applyOpsRepair(tr *prt.Translator, dir types.Ino, ops []wire.Op, reg *obs.Registry) error {
-	err := applyOps(nil, tr, dir, ops, 1, nil)
+// inodes. Rebuilds count against integrity.repaired on the journal's registry.
+func (j *Journal) applyOpsRepair(dir types.Ino, ops []wire.Op) error {
+	err := j.applyOps(dir, ops, nil)
 	if err == nil || !errors.Is(err, types.ErrIntegrity) {
 		return err
 	}
 	// One confirming retry before the destructive rebuild: a transient read
 	// fault (a flip on the wire, not rot at rest) must not cost the directory
 	// its checkpoint-only entries. Rot at rest fails the re-read identically.
-	err = applyOps(nil, tr, dir, ops, 1, nil)
+	err = j.applyOps(dir, ops, nil)
 	if err == nil || !errors.Is(err, types.ErrIntegrity) {
 		return err
 	}
 	// The corrupt block is unreadable regardless; replaying onto an empty
 	// table recovers every journal-covered entry.
-	if derr := tr.DeleteDentries(dir); derr != nil {
+	if derr := j.tr.DeleteDentries(dir); derr != nil {
 		return fmt.Errorf("journal: drop corrupt dentry block of %s: %w", dir.Short(), derr)
 	}
-	reg.Counter("integrity.repaired").Inc()
-	return applyOps(nil, tr, dir, ops, 1, nil)
+	j.cfg.Obs.Counter("integrity.repaired").Inc()
+	return j.applyOps(dir, ops, nil)
 }
 
 // applyOps checkpoints a transaction's operations onto the original objects:
-// inode records are written/deleted individually (in parallel when env is
-// non-nil — they are independent objects), dentry mutations are applied in
+// inode records are written/deleted individually (they are independent
+// objects: CheckpointFanout at a time), dentry mutations are applied in
 // one read-modify-write of the directory's dentry block, and deleting an
 // inode also drops its data chunks (and dentry block, for directories).
-// Replay is idempotent.
-func applyOps(env sim.Env, tr *prt.Translator, dir types.Ino, ops []wire.Op, parallelism int, crash *crashpoint.Set) error {
+// Replay is idempotent. crash announces the mid-checkpoint crash site;
+// recovery passes nil.
+func (j *Journal) applyOps(dir types.Ino, ops []wire.Op, crash *crashpoint.Set) error {
+	tr := j.tr
 	var dentryDirty bool
 	for i := range ops {
 		k := ops[i].Kind
@@ -994,8 +997,8 @@ func applyOps(env sim.Env, tr *prt.Translator, dir types.Ino, ops []wire.Op, par
 			if op.Kind == wire.OpSetInode {
 				ino = op.Inode.Ino
 			}
-			if j, seen := lastInodeOp[ino]; seen {
-				inodeOps[j] = op
+			if at, seen := lastInodeOp[ino]; seen {
+				inodeOps[at] = op
 				continue
 			}
 			lastInodeOp[ino] = len(inodeOps)
@@ -1021,35 +1024,11 @@ func applyOps(env sim.Env, tr *prt.Translator, dir types.Ino, ops []wire.Op, par
 		}
 	}
 
-	if env == nil || parallelism <= 1 || len(inodeOps) < 2 {
-		for _, op := range inodeOps {
-			if err := applyInodeOp(op); err != nil {
-				return err
-			}
-		}
-	} else {
-		sem := sim.NewChan[struct{}](env)
-		for i := 0; i < parallelism; i++ {
-			sem.Send(struct{}{})
-		}
-		g := sim.NewGroup(env)
-		errs := make([]error, len(inodeOps))
-		for i, op := range inodeOps {
-			i, op := i, op
-			if _, ok := sem.Recv(); !ok {
-				return fmt.Errorf("journal: shut down during checkpoint: %w", types.ErrIO)
-			}
-			g.Go(func() {
-				defer sem.Send(struct{}{})
-				errs[i] = applyInodeOp(op)
-			})
-		}
-		g.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
+	err := sim.FanOut(j.env, len(inodeOps), j.cfg.CheckpointFanout, func(i int) error {
+		return applyInodeOp(inodeOps[i])
+	})
+	if err != nil {
+		return err
 	}
 
 	// Inode objects are written, the dentry block is not: crashing here

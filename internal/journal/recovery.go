@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sort"
 
+	"arkfs/internal/metatable"
 	"arkfs/internal/obs"
 	"arkfs/internal/prt"
+	"arkfs/internal/sim"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
 )
@@ -42,6 +44,9 @@ type Report struct {
 // unreplayed — a transaction is only durable if every record before it is
 // intact, exactly like a single-file write-ahead log. Replaying past a gap
 // could apply operations whose prerequisites were in the lost record.
+//
+// Recover and RecoverWith do one round trip after another; a client taking a
+// directory over calls its journal's Recover method.
 func Recover(tr *prt.Translator, dir types.Ino) (Report, error) {
 	return RecoverWith(tr, dir, nil)
 }
@@ -50,22 +55,43 @@ func Recover(tr *prt.Translator, dir types.Ino) (Report, error) {
 // (integrity.detected, integrity.truncated, integrity.repaired). A nil
 // registry is inert.
 func RecoverWith(tr *prt.Translator, dir types.Ino, reg *obs.Registry) (Report, error) {
+	return (&Journal{tr: tr, cfg: Config{Obs: reg}}).recoverDir(dir)
+}
+
+// Recover is the package's Recover as the new leader of dir runs it: the
+// record GETs and the replay's inode writes overlap, CheckpointFanout at a
+// time (records are still verified, cut and replayed strictly in sequence
+// order), integrity counters go to the journal's registry, and on success
+// dir's sequence is primed with one past the highest sequence observed.
+func (j *Journal) Recover(dir types.Ino) (Report, error) {
+	rep, err := j.recoverDir(dir)
+	if err == nil {
+		j.setNextSeq(dir, rep.NextSeq)
+	}
+	return rep, err
+}
+
+// LoadTable builds dir's metatable for its new leader: metatable.LoadWith on
+// the journal's environment and store, the child-inode GETs overlapped under
+// the same bound as the checkpoint writes that put those inodes there.
+func (j *Journal) LoadTable(dir types.Ino, degraded bool) (*metatable.Table, int, error) {
+	return metatable.LoadWith(j.env, j.cfg.CheckpointFanout, j.tr, dir, degraded)
+}
+
+// recoverDir is the recovery pass itself. It uses j's store, environment,
+// fan-out and registry only, so a Journal that holds nothing but a translator
+// (no workers, no environment: every fan-out runs inline) is the serial form.
+func (j *Journal) recoverDir(dir types.Ino) (Report, error) {
 	var rep Report
+	reg := j.cfg.Obs
 	detected := reg.Counter("integrity.detected")
 	truncated := reg.Counter("integrity.truncated")
-	keys, err := tr.Store().List(prt.JournalPrefix(dir))
+	listed, err := j.tr.Store().List(prt.JournalPrefix(dir))
 	if err != nil {
 		return rep, fmt.Errorf("journal: recovery list: %w", err)
 	}
-	// Keys encode the sequence in fixed-width hex, so lexical order is
-	// sequence order; List already sorts. Re-sort defensively anyway.
-	type rec struct {
-		key string
-		seq uint64
-		txn *wire.Txn
-	}
-	ordered := make([]rec, 0, len(keys))
-	for _, key := range keys {
+	keys := listed[:0]
+	for _, key := range listed {
 		seq, err := prt.ParseJournalSeq(key)
 		if err != nil {
 			// Not a journal record at all; count it but leave it for the
@@ -77,55 +103,52 @@ func RecoverWith(tr *prt.Translator, dir types.Ino, reg *obs.Registry) (Report, 
 		if seq+1 > rep.NextSeq {
 			rep.NextSeq = seq + 1
 		}
-		ordered = append(ordered, rec{key: key, seq: seq})
+		keys = append(keys, key)
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
+	// Keys encode the sequence in fixed-width hex, so lexical order is
+	// sequence order; List already sorts. Re-sort defensively anyway.
+	sort.Strings(keys)
+	// Every record is fetched before the first is looked at, so what follows
+	// sees them in sequence order however the GETs completed.
+	recs, err := j.readRecords(keys)
+	if err != nil {
+		return rep, fmt.Errorf("journal: recovery: %w", err)
+	}
 
-	recs := ordered[:0]
+	live := recs[:0]
 	cut := false
-	for i := range ordered {
-		r := &ordered[i]
-		if cut {
-			// Past the first bad record: discard without replaying.
+	for _, r := range recs {
+		switch {
+		case cut || r.corrupt():
+			// The first record that is corrupt at rest (it survived a
+			// confirming re-read) cuts the journal: it and everything after it
+			// is discarded without replaying.
+			if !cut {
+				rep.Corrupt++
+				detected.Inc()
+				cut = true
+			}
 			rep.Truncated++
 			truncated.Inc()
-			if derr := tr.Store().Delete(r.key); derr != nil {
+			if derr := j.tr.Store().Delete(r.key); derr != nil {
 				return rep, fmt.Errorf("journal: recovery truncate %s: %w", r.key, derr)
 			}
-			continue
+		case r.missing:
+			// raced with a concurrent invalidation
+		default:
+			live = append(live, r)
 		}
-		txn, found, err := readTxn(tr, r.key)
-		if err != nil {
-			return rep, fmt.Errorf("journal: recovery read %s: %w", r.key, err)
-		}
-		if !found {
-			continue // raced with a concurrent invalidation
-		}
-		if txn == nil {
-			// Verified corrupt (survived a confirming re-read): cut here.
-			rep.Corrupt++
-			detected.Inc()
-			rep.Truncated++
-			truncated.Inc()
-			cut = true
-			if derr := tr.Store().Delete(r.key); derr != nil {
-				return rep, fmt.Errorf("journal: recovery truncate %s: %w", r.key, derr)
-			}
-			continue
-		}
-		r.txn = txn
-		recs = append(recs, *r)
 	}
 
-	for _, r := range recs {
+	for _, r := range live {
 		switch r.txn.Kind {
 		case wire.TxnNormal:
-			if err := applyOpsRepair(tr, dir, r.txn.Ops, reg); err != nil {
-				return rep, fmt.Errorf("journal: recovery replay seq %d: %w", r.seq, err)
+			if err := j.applyOpsRepair(dir, r.txn.Ops); err != nil {
+				return rep, fmt.Errorf("journal: recovery replay %s: %w", r.key, err)
 			}
 			rep.Replayed++
 		case wire.TxnPrepare:
-			committed, undecided, err := decisionFor(tr, r.txn)
+			committed, undecided, err := j.decisionFor(r.txn)
 			if err != nil {
 				return rep, err
 			}
@@ -138,7 +161,7 @@ func RecoverWith(tr *prt.Translator, dir types.Ino, reg *obs.Registry) (Report, 
 				continue
 			}
 			if committed {
-				if err := applyOpsRepair(tr, dir, r.txn.Ops, reg); err != nil {
+				if err := j.applyOpsRepair(dir, r.txn.Ops); err != nil {
 					return rep, fmt.Errorf("journal: recovery 2pc apply txn %d: %w", r.txn.ID, err)
 				}
 				rep.Committed2PC++
@@ -150,7 +173,7 @@ func RecoverWith(tr *prt.Translator, dir types.Ino, reg *obs.Registry) (Report, 
 			// record while the participant's prepare is still outstanding —
 			// deleting it early would flip a committed rename into a
 			// presumed abort on the participant's side.
-			if outstanding, err := hasPrepare(tr, r.txn.Peer, r.txn.ID); err != nil {
+			if outstanding, err := j.hasPrepare(r.txn.Peer, r.txn.ID); err != nil {
 				return rep, err
 			} else if outstanding {
 				continue // retain; the participant's recovery needs it
@@ -159,11 +182,49 @@ func RecoverWith(tr *prt.Translator, dir types.Ino, reg *obs.Registry) (Report, 
 			rep.Corrupt++
 			detected.Inc()
 		}
-		if err := tr.Store().Delete(r.key); err != nil {
+		if err := j.tr.Store().Delete(r.key); err != nil {
 			return rep, fmt.Errorf("journal: recovery invalidate %s: %w", r.key, err)
 		}
 	}
 	return rep, nil
+}
+
+// scanned is one journal record as a scan found it: read and verified (txn
+// is set), deleted underneath the scan (missing), or corrupt at rest
+// (neither). There is no fourth outcome: a store error that is not "not
+// found" fails the scan, because a record that could not be read may be the
+// very prepare or decision the scan is looking for.
+type scanned struct {
+	key     string
+	txn     *wire.Txn
+	missing bool
+}
+
+func (r scanned) corrupt() bool { return r.txn == nil && !r.missing }
+
+// scan lists dir's journal and reads every record in it.
+func (j *Journal) scan(dir types.Ino) ([]scanned, error) {
+	keys, err := j.tr.Store().List(prt.JournalPrefix(dir))
+	if err != nil {
+		return nil, fmt.Errorf("journal: scan of %s: %w", dir.Short(), err)
+	}
+	return j.readRecords(keys)
+}
+
+// readRecords is the one journal record reader: it fetches and verifies the
+// records under keys, CheckpointFanout GETs at a time, and returns them in
+// the order of keys.
+func (j *Journal) readRecords(keys []string) ([]scanned, error) {
+	recs := make([]scanned, len(keys))
+	err := sim.FanOut(j.env, len(keys), j.cfg.CheckpointFanout, func(i int) error {
+		txn, found, err := readTxn(j.tr, keys[i])
+		if err != nil {
+			return fmt.Errorf("journal: read %s: %w", keys[i], err)
+		}
+		recs[i] = scanned{key: keys[i], txn: txn, missing: !found}
+		return nil
+	})
+	return recs, err
 }
 
 // readTxn fetches and decodes one journal record. A record that fails
@@ -173,7 +234,6 @@ func RecoverWith(tr *prt.Translator, dir types.Ino, reg *obs.Registry) (Report, 
 // for a record that is verifiably corrupt at rest and (nil, false, nil) for
 // a record deleted underneath the scan.
 func readTxn(tr *prt.Translator, key string) (*wire.Txn, bool, error) {
-	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		raw, err := tr.Store().Get(key)
 		if err != nil {
@@ -182,42 +242,47 @@ func readTxn(tr *prt.Translator, key string) (*wire.Txn, bool, error) {
 			}
 			return nil, false, err
 		}
-		txn, derr := wire.DecodeTxn(raw)
-		if derr == nil {
+		if txn, derr := wire.DecodeTxn(raw); derr == nil {
 			return txn, true, nil
 		}
-		lastErr = derr
 	}
-	_ = lastErr
 	return nil, true, nil
+}
+
+// verdict is what one journal's records say about transaction txid: whether
+// it was decided and how, whether its prepare record is there, and whether a
+// corrupt record (which may be either of them) is.
+func verdict(recs []scanned, txid uint64) (decided, commit, sawCorrupt, sawPrepare bool) {
+	for _, r := range recs {
+		switch {
+		case r.corrupt():
+			sawCorrupt = true
+		case r.missing || r.txn.ID != txid:
+		case r.txn.Kind == wire.TxnCommit:
+			decided, commit = true, true
+		case r.txn.Kind == wire.TxnAbort:
+			decided = true
+		case r.txn.Kind == wire.TxnPrepare:
+			sawPrepare = true
+		}
+	}
+	return decided, commit, sawCorrupt, sawPrepare
 }
 
 // hasPrepare reports whether dir's journal still holds a prepare record for
 // txid. A record that cannot be decoded is conservatively treated as the
 // prepare: retaining a decision record longer than necessary is harmless,
 // while dropping one early flips a committed rename into a presumed abort.
-func hasPrepare(tr *prt.Translator, dir types.Ino, txid uint64) (bool, error) {
+func (j *Journal) hasPrepare(dir types.Ino, txid uint64) (bool, error) {
 	if dir.IsNil() {
 		return false, nil
 	}
-	keys, err := tr.Store().List(prt.JournalPrefix(dir))
+	recs, err := j.scan(dir)
 	if err != nil {
-		return false, fmt.Errorf("journal: prepare scan: %w", err)
+		return false, err
 	}
-	for _, key := range keys {
-		raw, err := tr.Store().Get(key)
-		if err != nil {
-			continue
-		}
-		txn, err := wire.DecodeTxn(raw)
-		if err != nil {
-			return true, nil // could be the prepare; retain the decision
-		}
-		if txn.Kind == wire.TxnPrepare && txn.ID == txid {
-			return true, nil
-		}
-	}
-	return false, nil
+	_, _, sawCorrupt, sawPrepare := verdict(recs, txid)
+	return sawCorrupt || sawPrepare, nil
 }
 
 // decisionFor locates the coordinator's decision for a prepared transaction.
@@ -225,41 +290,25 @@ func hasPrepare(tr *prt.Translator, dir types.Ino, txid uint64) (bool, error) {
 // journal is scanned too. Missing decision = presumed abort — but only when
 // every record scanned was readable: a corrupt record could be the commit
 // decision, so its presence makes the outcome undecided rather than abort.
-func decisionFor(tr *prt.Translator, prepare *wire.Txn) (committed, undecided bool, err error) {
+func (j *Journal) decisionFor(prepare *wire.Txn) (committed, undecided bool, err error) {
 	sawCorrupt := false
 	for _, dir := range []types.Ino{prepare.Peer, prepare.Dir} {
 		if dir.IsNil() {
 			continue
 		}
-		keys, err := tr.Store().List(prt.JournalPrefix(dir))
+		recs, err := j.scan(dir)
 		if err != nil {
-			return false, false, fmt.Errorf("journal: decision scan: %w", err)
+			return false, false, err
 		}
-		for _, key := range keys {
-			raw, err := tr.Store().Get(key)
-			if err != nil {
-				continue
-			}
-			txn, err := wire.DecodeTxn(raw)
-			if err != nil {
-				sawCorrupt = true
-				continue
-			}
-			if txn.ID != prepare.ID {
-				continue
-			}
-			switch txn.Kind {
-			case wire.TxnCommit:
-				return true, false, nil
-			case wire.TxnAbort:
-				return false, false, nil
-			}
+		decided, commit, corrupt, _ := verdict(recs, prepare.ID)
+		if decided {
+			return commit, false, nil
 		}
+		sawCorrupt = sawCorrupt || corrupt
 	}
-	if sawCorrupt {
-		return false, true, nil // the decision may be inside the corrupt record
-	}
-	return false, false, nil // presumed abort
+	// With a corrupt record the decision may be inside it; without one,
+	// presumed abort.
+	return false, sawCorrupt, nil
 }
 
 // PendingDecision consults the coordinator directory's journal for the fate
@@ -276,42 +325,18 @@ func decisionFor(tr *prt.Translator, prepare *wire.Txn) (committed, undecided bo
 // The coordinator always journals its own prepare before contacting the
 // participant, so "no trace of txid" can only mean a completed recovery.
 func PendingDecision(tr *prt.Translator, coordDir types.Ino, txid uint64) (decided, commit bool, err error) {
-	keys, err := tr.Store().List(prt.JournalPrefix(coordDir))
+	recs, err := (&Journal{tr: tr}).scan(coordDir)
 	if err != nil {
-		return false, false, fmt.Errorf("journal: decision probe: %w", err)
+		return false, false, err
 	}
-	prepareSeen := false
-	for _, key := range keys {
-		raw, err := tr.Store().Get(key)
-		if err != nil {
-			if errors.Is(err, types.ErrNotExist) {
-				continue // raced with an invalidation
-			}
-			return false, false, fmt.Errorf("journal: decision probe read %s: %w", key, err)
-		}
-		txn, err := wire.DecodeTxn(raw)
-		if err != nil {
-			// A corrupt record may be the decision for txid: undecided.
-			// The coordinator's recovery truncates it; probe again later.
-			prepareSeen = true
-			continue
-		}
-		if txn.ID != txid {
-			continue
-		}
-		switch txn.Kind {
-		case wire.TxnCommit:
-			return true, true, nil
-		case wire.TxnAbort:
-			return true, false, nil
-		case wire.TxnPrepare:
-			prepareSeen = true
-		}
+	decided, commit, sawCorrupt, sawPrepare := verdict(recs, txid)
+	if decided {
+		return true, commit, nil
 	}
-	if prepareSeen {
-		return false, false, nil
-	}
-	return true, false, nil // presumed abort
+	// A corrupt record may be the decision for txid (the coordinator's
+	// recovery truncates it; probe again later), and a prepare means the
+	// coordinator has yet to decide: undecided. No trace: presumed abort.
+	return !sawCorrupt && !sawPrepare, false, nil
 }
 
 // HasValidEntries reports whether dir's journal contains any records — the

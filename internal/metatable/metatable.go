@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"arkfs/internal/prt"
+	"arkfs/internal/sim"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
 )
@@ -34,33 +35,11 @@ type Table struct {
 
 // Load builds the metatable for dir from the object store: the directory
 // inode, the dentry block, and every child inode (eager, as in the paper —
-// after this, operations never touch the store until checkpoint).
+// after this, operations never touch the store until checkpoint). It fetches
+// one object after another; a leader taking a directory over uses LoadWith.
 func Load(tr *prt.Translator, dir types.Ino) (*Table, error) {
-	dirInode, err := tr.LoadInode(dir)
-	if err != nil {
-		return nil, fmt.Errorf("metatable: load dir inode: %w", err)
-	}
-	if !dirInode.IsDir() {
-		return nil, fmt.Errorf("metatable: %s: %w", dir.Short(), types.ErrNotDir)
-	}
-	dentries, err := tr.LoadDentries(dir)
-	if err != nil {
-		return nil, fmt.Errorf("metatable: load dentries: %w", err)
-	}
-	t := &Table{
-		dir:      dirInode,
-		entries:  make(map[string]wire.Dentry, len(dentries)),
-		children: make(map[types.Ino]*types.Inode, len(dentries)),
-	}
-	for _, de := range dentries {
-		t.entries[de.Name] = de
-		child, err := tr.LoadInode(de.Ino)
-		if err != nil {
-			return nil, fmt.Errorf("metatable: load child %q: %w", de.Name, err)
-		}
-		t.children[de.Ino] = child
-	}
-	return t, nil
+	t, _, err := LoadWith(nil, 1, tr, dir, false)
+	return t, err
 }
 
 // LoadDegraded builds as much of the metatable as survives verification:
@@ -70,6 +49,17 @@ func Load(tr *prt.Translator, dir types.Ino) (*Table, error) {
 // entries were lost. Only integrity failures are tolerated; infrastructure
 // errors (including an unreadable directory inode) still fail the load.
 func LoadDegraded(tr *prt.Translator, dir types.Ino) (*Table, int, error) {
+	return LoadWith(nil, 1, tr, dir, true)
+}
+
+// LoadWith is the loader behind Load and LoadDegraded. The child inodes are
+// independent objects, so their GETs overlap, at most limit at a time on
+// goroutines of env (sim.FanOut: the table built and the error reported are
+// those of the one-by-one loop, whatever order the GETs complete in; limit 1
+// is that loop, and then env may be nil). degraded selects the rule for a
+// dentry block or a child that fails verification, or a child that is
+// missing: fail the load, or drop it and count it in lost.
+func LoadWith(env sim.Env, limit int, tr *prt.Translator, dir types.Ino, degraded bool) (t *Table, lost int, err error) {
 	dirInode, err := tr.LoadInode(dir)
 	if err != nil {
 		return nil, 0, fmt.Errorf("metatable: load dir inode: %w", err)
@@ -77,31 +67,38 @@ func LoadDegraded(tr *prt.Translator, dir types.Ino) (*Table, int, error) {
 	if !dirInode.IsDir() {
 		return nil, 0, fmt.Errorf("metatable: %s: %w", dir.Short(), types.ErrNotDir)
 	}
-	lost := 0
 	dentries, err := tr.LoadDentries(dir)
 	if err != nil {
-		if !errors.Is(err, types.ErrIntegrity) {
+		if !degraded || !errors.Is(err, types.ErrIntegrity) {
 			return nil, 0, fmt.Errorf("metatable: load dentries: %w", err)
 		}
 		lost++ // the whole block; entries are uncountable
 		dentries = nil
 	}
-	t := &Table{
+	children := make([]*types.Inode, len(dentries)) // nil: dropped
+	err = sim.FanOut(env, len(dentries), limit, func(i int) error {
+		child, err := tr.LoadInode(dentries[i].Ino)
+		if err != nil && !(degraded && (errors.Is(err, types.ErrIntegrity) || errors.Is(err, types.ErrNotExist))) {
+			return fmt.Errorf("metatable: load child %q: %w", dentries[i].Name, err)
+		}
+		children[i] = child
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	t = &Table{
 		dir:      dirInode,
 		entries:  make(map[string]wire.Dentry, len(dentries)),
 		children: make(map[types.Ino]*types.Inode, len(dentries)),
 	}
-	for _, de := range dentries {
-		child, err := tr.LoadInode(de.Ino)
-		if err != nil {
-			if errors.Is(err, types.ErrIntegrity) || errors.Is(err, types.ErrNotExist) {
-				lost++
-				continue
-			}
-			return nil, lost, fmt.Errorf("metatable: load child %q: %w", de.Name, err)
+	for i, de := range dentries {
+		if children[i] == nil {
+			lost++
+			continue
 		}
 		t.entries[de.Name] = de
-		t.children[de.Ino] = child
+		t.children[de.Ino] = children[i]
 	}
 	return t, lost, nil
 }
