@@ -204,13 +204,38 @@ func (c *Cache) Read(ino types.Ino, buf []byte, off, size int64) (int, error) {
 	return read, nil
 }
 
+// streamRequest is the size FUSE splits a write at, and the request size of
+// streamed ingest (fio, tar): a file's first chunk holding less may be the
+// whole file, one holding as much has more coming.
+const streamRequest = 128 << 10
+
+// capacity is the size of the buffer Write moves an entry to when it holds
+// none it may write (first write, outgrown, or lent to a write-back): need
+// bytes and, always, wire.TrailerSize spare ones for the write-back to seal
+// in place. In a file's first chunk below a stream request it is the power
+// of two that fits, 4 KiB at least and at least double the buffer replaced,
+// so a small file costs what it holds and growing to a stream request
+// re-copies under streamRequest bytes in all; otherwise it is the whole
+// chunk at once and the entry never moves again.
+func (c *Cache) capacity(idx uint64, need int64, old int) int64 {
+	whole := c.cfg.EntrySize + wire.TrailerSize
+	if idx != 0 || need >= streamRequest {
+		return whole
+	}
+	n := int64(4 << 10)
+	for n < need+wire.TrailerSize || n < 2*int64(old) {
+		n <<= 1
+	}
+	return min(n, whole)
+}
+
 // Write stores buf at off in the cache (write-back). The caller updates the
 // inode size; partially covered, previously unseen chunks are fetched first
 // so a later flush cannot clobber bytes outside the write: an entry always
 // holds its chunk's whole valid prefix, which is what lets write-back PUT it
 // without reading the stored chunk. The bytes are copied once, into a buffer
-// allocated on the entry's first write with room for the whole chunk and its
-// CRC trailer; later requests grow it in place.
+// this entry owns (see capacity); later requests grow it in place while the
+// CRC trailer still fits behind them.
 func (c *Cache) Write(ino types.Ino, buf []byte, off int64) error {
 	if off < 0 {
 		return fmt.Errorf("cache: negative offset: %w", types.ErrInval)
@@ -232,14 +257,15 @@ func (c *Cache) Write(ino types.Ino, buf []byte, off int64) error {
 		c.mu.Lock()
 		have := int64(len(e.data))
 		need := max(inOff+want, have)
-		switch {
-		case e.held || int64(cap(e.data)) < need:
-			// First write, or a write-back has the buffer: move to one this
-			// entry owns (ver keeps the entry dirty past that write-back).
-			own := make([]byte, need, c.cfg.EntrySize+wire.TrailerSize)
+		if e.held || int64(cap(e.data)) < need+wire.TrailerSize {
+			// First write, outgrown, or a write-back has the buffer: move to
+			// one this entry owns (ver keeps the entry dirty past that
+			// write-back).
+			own := make([]byte, have, c.capacity(idx, need, cap(e.data)))
 			copy(own, e.data)
 			e.data, e.held = own, false
-		case have < need:
+		}
+		if have < need {
 			e.data = e.data[:need]
 			if inOff > have {
 				clear(e.data[have:inOff]) // a hole; the spare bytes may hold an old trailer
@@ -522,14 +548,6 @@ func (c *Cache) Flush(ino types.Ino) error {
 		if len(work) == 0 && len(inflight) == 0 {
 			return nil
 		}
-		// Write back with bounded parallelism: independent chunks flush
-		// concurrently, which is what lets the write-back path saturate the
-		// object store instead of serializing one PUT at a time.
-		sem := sim.NewChan[struct{}](c.env)
-		for i := 0; i < c.cfg.FlushParallelism; i++ {
-			sem.Send(struct{}{})
-		}
-		g := sim.NewGroup(c.env)
 		errs := make([]error, len(work))
 		settle := func(i int, err error) {
 			errs[i] = err
@@ -543,24 +561,43 @@ func (c *Cache) Flush(ino types.Ino) error {
 			p.e.releaseLocked()
 			c.mu.Unlock()
 		}
-		for i := range work {
-			i := i
-			if _, ok := sem.Recv(); !ok {
-				settle(i, fmt.Errorf("cache: shut down during flush: %w", types.ErrIO))
-				continue
+		put := func(i int) {
+			err := c.tr.PutChunkOwned(ino, int64(work[i].e.idx), work[i].data)
+			if err != nil {
+				err = fmt.Errorf("cache: flush %s: %w", ino.Short(), err)
+			} else {
+				c.stats.Writebacks.Add(1)
 			}
-			g.Go(func() {
-				defer sem.Send(struct{}{})
-				err := c.tr.PutChunkOwned(ino, int64(work[i].e.idx), work[i].data)
-				if err != nil {
-					err = fmt.Errorf("cache: flush %s: %w", ino.Short(), err)
-				} else {
-					c.stats.Writebacks.Add(1)
-				}
-				settle(i, err)
-			})
+			settle(i, err)
 		}
-		g.Wait()
+		switch len(work) {
+		case 0: // only eviction write-backs to wait for
+		case 1:
+			// A closed small file: its one PUT runs on the caller, with no
+			// semaphore, group or goroutine made for it.
+			put(0)
+		default:
+			// Write back with bounded parallelism: independent chunks flush
+			// concurrently, which is what lets the write-back path saturate
+			// the object store instead of serializing one PUT at a time.
+			sem := sim.NewChan[struct{}](c.env)
+			for i := 0; i < c.cfg.FlushParallelism; i++ {
+				sem.Send(struct{}{})
+			}
+			g := sim.NewGroup(c.env)
+			for i := range work {
+				i := i
+				if _, ok := sem.Recv(); !ok {
+					settle(i, fmt.Errorf("cache: shut down during flush: %w", types.ErrIO))
+					continue
+				}
+				g.Go(func() {
+					defer sem.Send(struct{}{})
+					put(i)
+				})
+			}
+			g.Wait()
+		}
 		for _, ch := range inflight {
 			ch.Recv() // closed when the eviction write-back settles
 		}

@@ -2,9 +2,11 @@ package cache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,76 +37,91 @@ func storedChunk(t *testing.T, s objstore.Store, ino types.Ino, idx int64) []byt
 // parks, and reads the rest (trailer included) after the Write, so a Write
 // that touched the held buffer shows up as a CRC mismatch or wrong bytes.
 func TestWriteDuringWritebackLeavesHeldBufferAlone(t *testing.T) {
-	const chunk, have = 64, 48
-	writes := []struct {
+	type write struct {
 		name string
 		off  int64
 		n    int
-	}{
-		{"inside len", 32, 8},     // in the half the parked PUT has yet to read
-		{"extending len", 40, 16}, // crosses the in-place trailer at [48,52)
-		{"full chunk", 0, chunk},
 	}
-	for _, holder := range []string{"eviction", "flush"} {
-		for _, w := range writes {
-			t.Run(holder+"/"+w.name, func(t *testing.T) {
-				env := sim.NewRealEnv()
-				t.Cleanup(env.Shutdown)
-				ino := types.NewInoSource(7).Next()
-				gs := &gateStore{
-					Store:   objstore.NewMemStore(),
-					gateKey: prt.DataKey(ino, 0),
-					entered: make(chan struct{}),
-					release: make(chan struct{}),
-				}
-				maxEntries := 100
-				if holder == "eviction" {
-					maxEntries = 1
-				}
-				c := New(env, prt.New(gs, chunk), Config{EntrySize: chunk, MaxEntries: maxEntries})
+	geometries := []struct {
+		name        string // subtest name prefix
+		chunk, have int
+		writes      []write
+	}{
+		{"", 64, 48, []write{
+			{"inside len", 32, 8},     // in the half the parked PUT has yet to read
+			{"extending len", 40, 16}, // crosses the in-place trailer at [48,52)
+			{"full chunk", 0, 64},
+		}},
+		// A size-classed entry: 3,000 bytes of a 64 KiB chunk in a 4 KiB buffer.
+		{"size-classed/", 64 << 10, 3000, []write{
+			{"inside len", 2000, 8},
+			{"extending len within the capacity", 2990, 100}, // crosses the trailer at [3000,3004)
+			{"outgrowing the capacity", 4000, 200},
+		}},
+	}
+	for _, geo := range geometries {
+		chunk, have := geo.chunk, geo.have
+		for _, holder := range []string{"eviction", "flush"} {
+			for _, w := range geo.writes {
+				t.Run(holder+"/"+geo.name+w.name, func(t *testing.T) {
+					env := sim.NewRealEnv()
+					t.Cleanup(env.Shutdown)
+					ino := types.NewInoSource(7).Next()
+					gs := &gateStore{
+						Store:   objstore.NewMemStore(),
+						gateKey: prt.DataKey(ino, 0),
+						entered: make(chan struct{}),
+						release: make(chan struct{}),
+					}
+					maxEntries := 100
+					if holder == "eviction" {
+						maxEntries = 1
+					}
+					c := New(env, prt.New(gs, int64(chunk)), Config{EntrySize: int64(chunk), MaxEntries: maxEntries})
 
-				before := bytes.Repeat([]byte{0xAA}, have)
-				if err := c.Write(ino, before, 0); err != nil {
-					t.Fatal(err)
-				}
-				held := make(chan error, 1)
-				if holder == "eviction" {
-					// A second chunk overflows the 1-entry cache: chunk 0 is
-					// written back from inside this Write.
-					env.Go(func() { held <- c.Write(ino, []byte{1}, chunk) })
-				} else {
-					env.Go(func() { held <- c.Flush(ino) })
-				}
-				<-gs.entered // the PUT has the buffer and is mid-value
-				after := append(make([]byte, 0, chunk), before...)
-				if end := int(w.off) + w.n; end > len(after) {
-					after = after[:end]
-				}
-				patch := bytes.Repeat([]byte{0xBB}, w.n)
-				copy(after[w.off:], patch)
-				if err := c.Write(ino, patch, w.off); err != nil {
-					t.Fatal(err)
-				}
-				close(gs.release)
-				if err := <-held; err != nil {
-					t.Fatal(err)
-				}
-				if got := storedChunk(t, gs, ino, 0); !bytes.Equal(got, before) {
-					t.Fatalf("held PUT stored %x, want the pre-write bytes", got)
-				}
-				if !c.Dirty(ino) {
-					t.Fatal("the write-back cleared the dirty bit of a Write it did not store")
-				}
-				if err := c.Flush(ino); err != nil {
-					t.Fatal(err)
-				}
-				if got := storedChunk(t, gs, ino, 0); !bytes.Equal(got, after) {
-					t.Fatalf("next Flush stored %x, want %x", got, after)
-				}
-				if c.Dirty(ino) {
-					t.Fatal("Dirty after the second flush")
-				}
-			})
+					before := bytes.Repeat([]byte{0xAA}, have)
+					if err := c.Write(ino, before, 0); err != nil {
+						t.Fatal(err)
+					}
+					held := make(chan error, 1)
+					if holder == "eviction" {
+						// A second chunk overflows the 1-entry cache: chunk 0 is
+						// written back from inside this Write.
+						env.Go(func() { held <- c.Write(ino, []byte{1}, int64(chunk)) })
+					} else {
+						env.Go(func() { held <- c.Flush(ino) })
+					}
+					<-gs.entered // the PUT has the buffer and is mid-value
+					after := append(make([]byte, 0, chunk), before...)
+					if end := int(w.off) + w.n; end > len(after) {
+						after = after[:end]
+					}
+					patch := bytes.Repeat([]byte{0xBB}, w.n)
+					copy(after[w.off:], patch)
+					if err := c.Write(ino, patch, w.off); err != nil {
+						t.Fatal(err)
+					}
+					close(gs.release)
+					if err := <-held; err != nil {
+						t.Fatal(err)
+					}
+					if got := storedChunk(t, gs, ino, 0); !bytes.Equal(got, before) {
+						t.Fatalf("held PUT stored %x, want the pre-write bytes", got)
+					}
+					if !c.Dirty(ino) {
+						t.Fatal("the write-back cleared the dirty bit of a Write it did not store")
+					}
+					if err := c.Flush(ino); err != nil {
+						t.Fatal(err)
+					}
+					if got := storedChunk(t, gs, ino, 0); !bytes.Equal(got, after) {
+						t.Fatalf("next Flush stored %x, want %x", got, after)
+					}
+					if c.Dirty(ino) {
+						t.Fatal("Dirty after the second flush")
+					}
+				})
+			}
 		}
 	}
 }
@@ -220,6 +237,26 @@ func (s countingStore) Put(key string, data []byte) error {
 // flat byte slice, so every write is evicted, refetched and regrown.
 func TestCacheMatchesFlatModel(t *testing.T) {
 	const chunk, span = 64, 8 * 64
+	matchFlatModel(t, chunk, span, func(rng *rand.Rand, _ int) (off, n int) {
+		off = rng.Intn(span - 1)
+		return off, 1 + rng.Intn(min(span-off, 3*chunk))
+	})
+}
+
+// The same at a chunk large enough to have size classes, over a file that
+// grows by small writes near its end: its first chunk's buffer is grown in
+// place, outgrown, evicted, refetched short and grown again.
+func TestSizeClassedCacheMatchesFlatModel(t *testing.T) {
+	const chunk, span = 32 << 10, 3 * 32 << 10
+	matchFlatModel(t, chunk, span, func(rng *rand.Rand, have int) (off, n int) {
+		off = rng.Intn(min(span-1, have+4096))
+		return off, 1 + rng.Intn(min(span-off, 2048))
+	})
+}
+
+// matchFlatModel runs seeded scripts of writes (at pick's offset and length,
+// given the file's length so far), reads, flushes and invalidations.
+func matchFlatModel(t *testing.T, chunk int64, span int, pick func(rng *rand.Rand, have int) (off, n int)) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c, tr, _ := cacheSetup(t, chunk, 2, 0)
@@ -234,8 +271,8 @@ func TestCacheMatchesFlatModel(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5:
-				off := rng.Intn(span - 1)
-				buf := make([]byte, 1+rng.Intn(min(span-off, 3*chunk)))
+				off, n := pick(rng, len(model))
+				buf := make([]byte, n)
 				rng.Read(buf)
 				if err := c.Write(ino, buf, int64(off)); err != nil {
 					t.Fatal(err)
@@ -327,6 +364,114 @@ func TestSequentialFillAllocatesOneBuffer(t *testing.T) {
 		}
 	}); got > slack || c.Dirty(ino) {
 		t.Fatalf("flushing one chunk allocated %d bytes in cache+prt", got)
+	}
+}
+
+// allocated is what fn allocates, in bytes, process-wide.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// The capacity rule at the production chunk size: a file's first chunk costs
+// what it holds until it holds a stream request, and a write-back seals its
+// trailer in the buffer's spare bytes whatever the size class, the boundary
+// sizes (trailer fits exactly, by one byte not, payload fills the class)
+// included.
+func TestSmallFileAllocatesWhatItHolds(t *testing.T) {
+	const chunk = 2 << 20
+	env := sim.NewRealEnv()
+	t.Cleanup(env.Shutdown)
+	c := New(env, prt.New(nullStore{}, chunk), Config{EntrySize: chunk, MaxEntries: 16})
+	src := types.NewInoSource(14)
+	cases := []struct {
+		size, req int
+		most      uint64 // written and flushed, cache + prt in all
+	}{
+		{3901, 3901, 16 << 10},
+		{4092, 4092, 16 << 10},
+		{4093, 4093, 16 << 10},
+		{4096, 4096, 16 << 10},
+		{8 << 10, 4 << 10, 32 << 10}, // the second request fills its class: no room for the trailer, so it moves
+		{96 << 10, 96 << 10, 160 << 10},
+		{40 << 10, 4 << 10, 192 << 10},
+	}
+	for _, tc := range cases {
+		ino := src.Next()
+		buf := make([]byte, tc.req)
+		wrote := allocated(func() {
+			for off := 0; off < tc.size; off += tc.req {
+				if err := c.Write(ino, buf, int64(off)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		flushed := allocated(func() {
+			if err := c.Flush(ino); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if wrote < uint64(tc.size) || wrote+flushed > tc.most {
+			t.Errorf("%d bytes in %d-byte requests: writing allocated %d bytes and flushing %d, want %d..%d in all",
+				tc.size, tc.req, wrote, flushed, tc.size, tc.most)
+		}
+		if flushed >= uint64(tc.size) || c.Dirty(ino) {
+			t.Errorf("%d bytes: the write-back allocated %d bytes: a frame, so the trailer was not sealed in place", tc.size, flushed)
+		}
+		t.Logf("%d bytes in %d-byte requests: writing allocated %d bytes, flushing %d", tc.size, tc.req, wrote, flushed)
+	}
+}
+
+// A one-entry Flush PUTs on its caller; when the PUT fails it leaves what the
+// parallel path leaves: the entry dirty and resident, the store's error
+// wrapped, and the next Flush stores the bytes.
+func TestOneEntryFlushFailureKeepsEntryDirty(t *testing.T) {
+	c, _, fs, _ := faultCacheSetup(t, 64<<10, 100)
+	ino := types.NewInoSource(15).Next()
+	data := chunkPattern(3, 3901)
+	if err := c.Write(ino, data, 0); err != nil {
+		t.Fatal(err)
+	}
+	fs.FailNext("d:", 1)
+	err := c.Flush(ino)
+	if err == nil || !errors.Is(err, types.ErrIO) || !strings.Contains(err.Error(), "cache: flush") {
+		t.Fatalf("Flush over a failing PUT = %v, want the store's error wrapped", err)
+	}
+	if !c.Dirty(ino) || c.Len() != 1 {
+		t.Fatalf("after the failed Flush: dirty = %v, %d entries resident", c.Dirty(ino), c.Len())
+	}
+	if err := c.Flush(ino); err != nil {
+		t.Fatal(err)
+	}
+	if got := storedChunk(t, fs, ino, 0); !bytes.Equal(got, data) || c.Dirty(ino) {
+		t.Fatalf("the retried Flush stored %d bytes, dirty = %v", len(got), c.Dirty(ino))
+	}
+}
+
+// BenchmarkSmallFile is the cache's share of one mdtest-hard file: 3,901
+// bytes written, flushed and invalidated on a fresh inode, at the production
+// chunk size.
+func BenchmarkSmallFile(b *testing.B) {
+	const chunk = 2 << 20
+	env := sim.NewRealEnv()
+	defer env.Shutdown()
+	c := New(env, prt.New(nullStore{}, chunk), Config{EntrySize: chunk})
+	src := types.NewInoSource(16)
+	buf := make([]byte, 3901)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ino := src.Next()
+		if err := c.Write(ino, buf, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Flush(ino); err != nil {
+			b.Fatal(err)
+		}
+		c.Invalidate(ino)
 	}
 }
 

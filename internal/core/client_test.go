@@ -28,14 +28,18 @@ type testCluster struct {
 	fault *objstore.FaultStore
 }
 
-func newTestCluster(t testing.TB) *testCluster {
+func newTestCluster(t testing.TB) *testCluster { return newTestClusterAt(t, 4096) }
+
+// newTestClusterAt is newTestCluster at a chosen chunk size: what a file's
+// data costs depends on it, so benchmarks run at the deployed 2 MiB.
+func newTestClusterAt(t testing.TB, chunk int64) *testCluster {
 	t.Helper()
 	env := sim.NewRealEnv()
 	t.Cleanup(env.Shutdown)
 	net := rpc.NewNetwork(env, sim.NetModel{})
 	store := objstore.NewMemStore()
 	fault := objstore.NewFaultStore(store)
-	tr := prt.New(fault, 4096)
+	tr := prt.New(fault, chunk)
 	if err := Format(tr); err != nil {
 		t.Fatal(err)
 	}

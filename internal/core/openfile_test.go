@@ -48,9 +48,9 @@ func holdsLease(t *testing.T, leader *Client, dir, ino types.Ino, client rpc.Add
 }
 
 // leaderOf makes a client that leads path, a new directory.
-func leaderOf(t testing.TB, tc *testCluster, path string) *Client {
+func leaderOf(t testing.TB, tc *testCluster, path string, opts ...func(*Options)) *Client {
 	t.Helper()
-	leader := tc.client(t, "leader")
+	leader := tc.client(t, "leader", opts...)
 	ctx := context.Background()
 	if err := leader.Mkdir(ctx, path, 0777); err != nil {
 		t.Fatal(err)
@@ -324,16 +324,22 @@ func TestConcurrentOpenCloseKeepsLease(t *testing.T) {
 // BenchmarkCreateWriteClose is the small-file path of mdtest-hard and of the
 // archive workloads: one 3,901-byte file created, written and closed per
 // iteration, by the directory's leader and by a client that forwards to it.
-// allocs/op is the number to watch: what a client keeps per open inode is
-// allocated here.
+// It runs at the deployed chunk size, which is what a file's first cache
+// buffer is sized against. B/op and allocs/op are the numbers to watch: what
+// a client keeps per open inode, and what the cache and the journal take per
+// small file, is allocated here.
 func BenchmarkCreateWriteClose(b *testing.B) {
 	for _, mode := range []string{"local", "forwarded"} {
 		b.Run(mode, func(b *testing.B) {
-			tc := newTestCluster(b)
-			leader := leaderOf(b, tc, "/b")
+			tc := newTestClusterAt(b, 2<<20)
+			// No commit tick inside the loop: a tick's checkpoint rewrites the
+			// whole dentry block, so how many fire (the box's speed) would
+			// set allocs/op. BenchmarkLogCreates has the journal's share.
+			noTick := func(o *Options) { o.Journal.CommitInterval = time.Hour }
+			leader := leaderOf(b, tc, "/b", noTick)
 			c := leader
 			if mode == "forwarded" {
-				c = tc.client(b, "peer")
+				c = tc.client(b, "peer", noTick)
 			}
 			ctx := context.Background()
 			payload := make([]byte, 3901)

@@ -106,6 +106,7 @@ type Journal struct {
 	// Metric sinks (nil-safe no-ops when cfg.Obs is nil).
 	cAppends     *obs.Counter
 	cOps         *obs.Counter
+	cCoalesced   *obs.Counter
 	gBuffer      *obs.Gauge
 	cCommits     *obs.Counter
 	cCommitErrs  *obs.Counter
@@ -142,10 +143,11 @@ type dirJournal struct {
 	dir types.Ino
 
 	mu        sync.Mutex
-	running   []wire.Op       // the running compound transaction
-	runSC     obs.SpanContext // trace of the op that opened the running txn
-	runTenant string          // tenant of the op that opened the running txn
-	scheduled bool            // a timed commit is already armed
+	running   []wire.Op         // the running compound transaction
+	runInode  map[types.Ino]int // where running holds each inode's one inode op
+	runSC     obs.SpanContext   // trace of the op that opened the running txn
+	runTenant string            // tenant of the op that opened the running txn
+	scheduled bool              // a timed commit is already armed
 	cancel    func() bool
 	nextSeq   uint64
 
@@ -236,6 +238,7 @@ func New(env sim.Env, tr *prt.Translator, cfg Config) *Journal {
 	j := &Journal{env: env, tr: tr, cfg: cfg, trace: cfg.Trace, dirs: make(map[types.Ino]*dirJournal)}
 	j.cAppends = cfg.Obs.Counter("journal.appends")
 	j.cOps = cfg.Obs.Counter("journal.ops")
+	j.cCoalesced = cfg.Obs.Counter("journal.ops.coalesced")
 	j.gBuffer = cfg.Obs.Gauge("journal.buffer.ops")
 	j.cCommits = cfg.Obs.Counter("journal.commits")
 	j.cCommitErrs = cfg.Obs.Counter("journal.commit.errors")
@@ -381,13 +384,16 @@ func (j *Journal) SetTxnIDBase(base uint64) {
 
 // Log appends metadata mutations to dir's running transaction and arms the
 // group-commit timer. It is the fast path: the op was already acknowledged
-// from the metatable, and this is pure memory work. The trace identity in ctx
-// is captured when this append opens a fresh running transaction, so the
-// eventual commit/checkpoint spans link back to the operation that started
-// the batch (later appends ride along untraced — a batch has one owner, the
-// way a group commit has one leader). Appends on a closed journal are
-// dropped: a directory journaled concurrently with Close would otherwise
-// wedge a record that no worker will ever write.
+// from the metatable, and this is pure memory work. The running transaction
+// holds one inode op per inode: a later one replaces the earlier where it
+// stands, which is what applyOps would keep of the two at checkpoint and
+// replay (dentry ops keep their order, a sealed record is never touched).
+// The trace identity in ctx is captured when this append opens a fresh
+// running transaction, so the eventual commit/checkpoint spans link back to
+// the operation that started the batch (later appends ride along untraced —
+// a batch has one owner, the way a group commit has one leader). Appends on
+// a closed journal are dropped: a directory journaled concurrently with
+// Close would otherwise wedge a record that no worker will ever write.
 func (j *Journal) Log(ctx context.Context, dir types.Ino, ops []wire.Op) {
 	j.mu.Lock()
 	if j.closed {
@@ -398,18 +404,46 @@ func (j *Journal) Log(ctx context.Context, dir types.Ino, ops []wire.Op) {
 	j.mu.Unlock()
 	j.cAppends.Inc()
 	j.cOps.Add(int64(len(ops)))
-	j.gBuffer.Add(int64(len(ops)))
 	dj.mu.Lock()
 	if len(dj.running) == 0 && ctx != nil {
 		dj.runSC = obs.SpanContextFrom(ctx)
 		dj.runTenant = obs.TenantFrom(ctx)
 	}
-	dj.running = append(dj.running, ops...)
+	before := len(dj.running)
+	for i := range ops {
+		if ino, ok := inodeOf(&ops[i]); ok {
+			if at, seen := dj.runInode[ino]; seen {
+				dj.running[at] = ops[i]
+				continue
+			}
+			if dj.runInode == nil {
+				dj.runInode = make(map[types.Ino]int)
+			}
+			dj.runInode[ino] = len(dj.running)
+		}
+		dj.running = append(dj.running, ops[i])
+	}
+	// The gauge counts what the running transaction holds (sealLocked takes
+	// len(running) back off), the counter what it absorbed.
+	grown := len(dj.running) - before
+	j.gBuffer.Add(int64(grown))
+	j.cCoalesced.Add(int64(len(ops) - grown))
 	if !dj.scheduled {
 		dj.scheduled = true
 		dj.cancel = j.env.After(j.cfg.CommitInterval, j.groupCommit)
 	}
 	dj.mu.Unlock()
+}
+
+// inodeOf names the inode an inode op sets or deletes.
+func inodeOf(op *wire.Op) (types.Ino, bool) {
+	switch op.Kind {
+	case wire.OpSetInode:
+		return op.Inode.Ino, true
+	case wire.OpDelInode:
+		return op.Ino, true
+	}
+	return types.Ino{}, false
 }
 
 // groupCommit is the commit tick: the first directory whose interval expires
@@ -459,7 +493,7 @@ func (j *Journal) sealLocked(dj *dirJournal) bool {
 		return false
 	}
 	ops, sc, tenant := dj.running, dj.runSC, dj.runTenant
-	dj.running, dj.runSC, dj.runTenant = nil, obs.SpanContext{}, ""
+	dj.running, dj.runInode, dj.runSC, dj.runTenant = nil, nil, obs.SpanContext{}, ""
 	j.gBuffer.Add(-int64(len(ops)))
 	seq := dj.nextSeq
 	dj.nextSeq++
@@ -993,10 +1027,7 @@ func (j *Journal) applyOps(dir types.Ino, ops []wire.Op, crash *crashpoint.Set) 
 		op := &ops[i]
 		switch op.Kind {
 		case wire.OpSetInode, wire.OpDelInode:
-			ino := op.Ino
-			if op.Kind == wire.OpSetInode {
-				ino = op.Inode.Ino
-			}
+			ino, _ := inodeOf(op)
 			if at, seen := lastInodeOp[ino]; seen {
 				inodeOps[at] = op
 				continue

@@ -118,6 +118,35 @@ func TestTxnRoundTrip(t *testing.T) {
 	}
 }
 
+// EncodeTxn sizes its buffer from the op count alone. A record the journal
+// has coalesced is, per created file, one inode op and one dentry op, plus
+// the directory's inode once; with mdtest-sized names and a stamp minutes
+// into the run that mix must still fit the estimate, so the encoder
+// allocates its buffer once (every other allocation is an inode's frame).
+func TestEncodeTxnPresizeFitsCoalescedCreates(t *testing.T) {
+	src := types.NewInoSource(12)
+	const stamp = 30 * time.Minute
+	dir := &types.Inode{Ino: src.Next(), Type: types.TypeDir, Mode: 0755, Uid: 1000, Gid: 1000, Nlink: 2,
+		Atime: stamp, Mtime: stamp, Ctime: stamp}
+	for _, files := range []int{1, 10, 2500} {
+		ops := make([]Op, 0, 2*files+1)
+		for i := 0; i < files; i++ {
+			child := &types.Inode{Ino: src.Next(), Type: types.TypeRegular, Mode: 0644, Uid: 1000, Gid: 1000, Nlink: 1,
+				Size: 3901, Atime: stamp, Mtime: stamp, Ctime: stamp}
+			ops = append(ops, Op{Kind: OpSetInode, Inode: child},
+				Op{Kind: OpAddDentry, Name: "file.mdtest.0." + string(rune('a'+i%26)), Ino: child.Ino, FType: child.Type})
+			if i == 0 {
+				ops = append(ops, Op{Kind: OpSetInode, Inode: dir})
+			}
+		}
+		txn := &Txn{ID: 1<<40 | 7, Dir: dir.Ino, Kind: TxnNormal, Stamp: stamp, Ops: ops}
+		inodeFrames := float64(files + 1)
+		if got := testing.AllocsPerRun(5, func() { EncodeTxn(txn) }); got != inodeFrames+1 {
+			t.Errorf("%d creates: %v allocations, want %v inode frames + one buffer", files, got, inodeFrames)
+		}
+	}
+}
+
 func TestTxn2PCKindsRoundTrip(t *testing.T) {
 	src := types.NewInoSource(11)
 	for _, kind := range []TxnKind{TxnPrepare, TxnCommit, TxnAbort} {
