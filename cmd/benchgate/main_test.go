@@ -53,8 +53,8 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 7 {
-		t.Fatalf("%d rows in the table, want the seven gated benchmarks", len(want))
+	if len(want) != 9 {
+		t.Fatalf("%d rows in the table, want the nine gated benchmarks", len(want))
 	}
 	got := map[string]reading{}
 	for name, r := range want {
@@ -66,5 +66,10 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 	got["BenchmarkSmallFile"] = reading{2108842, 51}
 	if bad := check(want, got); len(bad) != 1 {
 		t.Fatalf("the parent's BenchmarkSmallFile: %q", bad)
+	}
+	// So does a lookup message per component (ISSUE 21's parent at depth 3).
+	got["BenchmarkForwardedStat/depth3"] = reading{4752, 81}
+	if bad := check(want, got); len(bad) != 2 {
+		t.Fatalf("a forwarded stat of five messages: %q", bad)
 	}
 }

@@ -314,7 +314,7 @@ func (c *Client) create(ctx context.Context, parent types.Ino, req CreateReq) (*
 	if err != nil {
 		return nil, err
 	}
-	c.pcachePutLookup(parent, req.Name, node)
+	c.pcachePut(parent, req.Name, node)
 	return node, nil
 }
 

@@ -223,10 +223,10 @@ type dataLease struct {
 	direct  bool // conflict detected: everyone does direct I/O
 }
 
-// permEntry is one permission-cache record: a remote directory's inode and
-// its resolved lookups, valid for one lease period.
+// permEntry is one permission-cache record: a remote directory's resolved
+// lookups (nil: the leader said ENOENT) and, under the empty name, its own
+// inode, valid for one lease period.
 type permEntry struct {
-	inode   *types.Inode
 	lookups map[string]*types.Inode
 	expiry  time.Duration
 }

@@ -15,48 +15,51 @@ import (
 )
 
 // BenchmarkForwardedStat is BenchmarkStatNoObs for the other branch of
-// forward: one client leads /b, the other stats a file in it, so every
-// iteration forwards its lookups over the in-process fabric. allocs/op is
-// the number to watch — a request boxed on the way in, or a per-op closure
-// in the forwarding path, shows up here.
+// forward: one client leads every directory on the path, the other stats a
+// file at its end, so every iteration is one walk over the in-process fabric,
+// whatever the depth. allocs/op is the number to watch (both rows are in
+// cmd/benchgate/table.txt): a request boxed on the way in, a per-op closure
+// in the forwarding path, or a message per component shows up here.
 func BenchmarkForwardedStat(b *testing.B) {
-	tc := newTestCluster(b)
-	leader := tc.client(b, "leader")
-	peer := tc.client(b, "peer")
-	ctx := context.Background()
-	if err := leader.Mkdir(ctx, "/b", 0777); err != nil {
-		b.Fatal(err)
-	}
-	f, err := leader.Create(ctx, "/b/f", 0644)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = f.Close()
-	dir, err := peer.Stat(ctx, "/b")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if peer.Leads(dir.Ino) || !leader.Leads(dir.Ino) {
-		b.Fatal("peer does not forward to leader; the benchmark would measure nothing")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := peer.Stat(ctx, "/b/f"); err != nil {
-			b.Fatal(err)
-		}
+	for _, bm := range []struct{ name, dir string }{{"depth1", "/b"}, {"depth3", "/b/c/d"}} {
+		b.Run(bm.name, func(b *testing.B) {
+			tc := newTestCluster(b)
+			leader := tc.client(b, "leader")
+			peer := tc.client(b, "peer")
+			ctx := context.Background()
+			for end := 2; end <= len(bm.dir); end += 2 {
+				if err := leader.Mkdir(ctx, bm.dir[:end], 0777); err != nil {
+					b.Fatal(err)
+				}
+			}
+			f, err := leader.Create(ctx, bm.dir+"/f", 0644)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = f.Close()
+			dir, err := peer.Stat(ctx, bm.dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if peer.Leads(dir.Ino) || !leader.Leads(dir.Ino) {
+				b.Fatal("peer does not forward to leader; the benchmark would measure nothing")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := peer.Stat(ctx, bm.dir+"/f"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // admittedCalls counts the wire calls so far of the message types a leader's
 // admission gate charges on the open path.
 func admittedCalls(reg *obs.Registry) int64 {
-	var n int64
-	snap := reg.Snapshot()
-	for _, m := range []string{"Stat", "Lookup", "Create", "Open"} {
-		n += snap.Histograms["rpc.call."+m].Count
-	}
-	return n
+	calls := leaderCalls(reg)
+	return calls["Stat"] + calls["Walk"] + calls["Create"] + calls["Open"]
 }
 
 // TestForwardedOpenHonorsPushback: a leader whose admission gate refuses the
@@ -179,7 +182,7 @@ func TestMessageTable(t *testing.T) {
 		exempt, namespace bool
 	}
 	requests := map[string]row{
-		"LookupReq":        {"serve.lookup", "Dir", qos.CostCheap, false, true},
+		"WalkReq":          {"serve.walk", "Dir", qos.CostCheap, false, true},
 		"CreateReq":        {"serve.create", "Dir", qos.CostNormal, false, true},
 		"UnlinkReq":        {"serve.unlink", "Dir", qos.CostNormal, false, true},
 		"StatReq":          {"serve.stat", "Dir", qos.CostCheap, false, false},

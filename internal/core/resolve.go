@@ -16,18 +16,18 @@ const maxSymlinkDepth = 8
 // resolved is the outcome of a path walk: the parent directory and, when the
 // final entry exists, its inode.
 type resolved struct {
-	parent     types.Ino    // inode of the parent directory
-	parentNode *types.Inode // parent's inode (for permission checks)
-	name       string       // final component ("" for the root itself)
-	node       *types.Inode // final inode, nil if the entry does not exist
+	parent types.Ino    // inode of the parent directory
+	name   string       // final component ("" for the root itself)
+	node   *types.Inode // final inode, nil if the entry does not exist
 }
 
-// resolvePath walks an absolute path from the root, performing a lookup and
-// an execute-permission check at every component — the behavior the FUSE
-// driver forces on ArkFS (paper §IV-C). Lookups in directories this client
-// leads are local; remote lookups go to the leader unless the permission
-// cache covers them. followLast controls symlink resolution of the final
-// component.
+// resolvePath walks an absolute path from the root with a lookup and an
+// execute-permission check at every component (paper §IV-C). Lookups in
+// directories this client leads are local; the rest are answered by the
+// permission cache or by the directory's leader, which is sent all the names
+// that remain and answers for every consecutive directory it leads, so a path
+// costs one round trip per leader on it, not one per component. followLast
+// controls symlink resolution of the final component.
 func (c *Client) resolvePath(ctx context.Context, path string, followLast bool) (*resolved, error) {
 	return c.walk(ctx, path, followLast, 0)
 }
@@ -41,36 +41,39 @@ func (c *Client) walk(ctx context.Context, path string, followLast bool, depth i
 		return nil, err
 	}
 	cur := types.RootIno
-	var curNode *types.Inode
-
 	if len(parts) == 0 {
 		node, err := c.statDir(ctx, cur)
 		if err != nil {
 			return nil, err
 		}
-		return &resolved{parent: cur, parentNode: node, name: "", node: node}, nil
+		return &resolved{parent: cur, name: "", node: node}, nil
 	}
 
+	var curNode *types.Inode // cur's inode as its parent holds it; the root has none
+	var ahead []*types.Inode // what a leader answered beyond the name asked for
+	var aheadErr error       // and the error that stopped it, for the name after those
 	for i, name := range parts {
-		// Search permission on the directory being traversed.
-		if curNode == nil {
-			curNode, err = c.statDir(ctx, cur)
-			if err != nil {
-				return nil, err
+		// Search permission on the directory being traversed; whoever answers
+		// the lookup in the root checks the root.
+		if curNode != nil {
+			if err := curNode.Access(c.opts.Cred, types.MayExec); err != nil {
+				return nil, fmt.Errorf("core: search %q: %w", name, err)
 			}
-		}
-		if err := curNode.Access(c.opts.Cred, types.MayExec); err != nil {
-			return nil, fmt.Errorf("core: search %q: %w", name, err)
 		}
 		last := i == len(parts)-1
-		child, err := c.lookup(ctx, cur, name)
-		if err != nil {
-			if last && isNotExist(err) {
+		var child *types.Inode
+		if len(ahead) > 0 {
+			child, ahead = ahead[0], ahead[1:]
+		} else if aheadErr == nil {
+			child, ahead, aheadErr = c.lookup(ctx, cur, parts[i:])
+		}
+		if child == nil {
+			if last && isNotExist(aheadErr) {
 				// Parent exists; final entry does not — callers like Create
 				// need exactly this state.
-				return &resolved{parent: cur, parentNode: curNode, name: name}, nil
+				return &resolved{parent: cur, name: name}, nil
 			}
-			return nil, err
+			return nil, aheadErr
 		}
 		if child.Type == types.TypeSymlink && (!last || followLast) {
 			// Re-walk with the target spliced in.
@@ -87,13 +90,12 @@ func (c *Client) walk(ctx context.Context, path string, followLast bool, depth i
 			return c.walk(ctx, target, followLast, depth+1)
 		}
 		if last {
-			return &resolved{parent: cur, parentNode: curNode, name: name, node: child}, nil
+			return &resolved{parent: cur, name: name, node: child}, nil
 		}
 		if !child.IsDir() {
 			return nil, fmt.Errorf("core: %q in %q: %w", name, path, types.ErrNotDir)
 		}
-		cur = child.Ino
-		curNode = child
+		cur, curNode = child.Ino, child
 	}
 	panic("unreachable")
 }
@@ -103,9 +105,9 @@ func (c *Client) walk(ctx context.Context, path string, followLast bool, depth i
 func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, error) {
 	ld, ok := c.ledDirFor(dir)
 	if !ok {
-		if pe := c.pcacheGet(dir); pe != nil && pe.inode != nil {
+		if node, hit, _ := c.pcacheLookup(dir, ""); hit {
 			c.stats.PcacheHits.Add(1)
-			return pe.inode.Clone(), nil
+			return node, nil
 		}
 		// Acquire (become leader) or ask the remote leader.
 		var resp StatResp
@@ -118,7 +120,7 @@ func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, erro
 			if err != nil {
 				return nil, err
 			}
-			c.pcachePutDir(dir, node)
+			c.pcachePut(dir, "", node)
 			return node, nil
 		}
 	}
@@ -126,51 +128,60 @@ func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, erro
 	return ld.table.DirInode(), nil
 }
 
-// lookup resolves one name within dir. Unlike the other forwarded operations
-// it treats the leader's ENOENT as an answer worth keeping (a negative
-// permission-cache entry), and it caches the directory inode piggy-backed on
-// the answer whether or not the name resolved.
-func (c *Client) lookup(ctx context.Context, dir types.Ino, name string) (*types.Inode, error) {
+// lookup resolves names[0] within dir. A remote leader is sent all of names
+// and answers for as many as it leads the directories of: those inodes are
+// ahead, and err, if the first name resolved, belongs to the name after the
+// last of them. Unlike the other forwarded operations it treats the leader's
+// ENOENT as an answer worth keeping (a negative permission-cache entry), and
+// it caches what the answer says of every directory it crossed.
+func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string) (child *types.Inode, ahead []*types.Inode, err error) {
 	ld, ok := c.ledDirFor(dir)
 	if !ok {
-		if pe := c.pcacheGet(dir); pe != nil {
-			if node, ok := pe.lookups[name]; ok {
-				c.stats.PcacheHits.Add(1)
-				if node == nil {
-					return nil, fmt.Errorf("core: %q: %w", name, types.ErrNotExist)
-				}
-				return node.Clone(), nil
-			}
+		if node, hit, cached := c.pcacheLookup(dir, names[0]); hit {
+			c.stats.PcacheHits.Add(1)
+			return node, nil, cached
 		}
-		var resp LookupResp
-		var err error
-		ld, resp, err = forward[LookupResp](ctx, c, nil, dir, LookupReq{
-			Dir: dir, Name: name, Cred: c.opts.Cred, WantDirInode: c.opts.PermCache,
+		var resp WalkResp
+		ld, resp, err = forward[WalkResp](ctx, c, nil, dir, WalkReq{
+			Dir: dir, Names: names, Cred: c.opts.Cred, WantDirInode: c.opts.PermCache,
 		})
 		if c.opts.PermCache && len(resp.DirInode) > 0 {
 			if dn, derr := wire.DecodeInode(resp.DirInode); derr == nil {
-				c.pcachePutDir(dir, dn)
+				c.pcachePut(dir, "", dn)
 			}
-		}
-		if err != nil {
-			if resp.Err != "" && isNotExist(err) {
-				c.pcachePutLookup(dir, name, nil) // the leader said so: negative entry
-			}
-			return nil, fmt.Errorf("core: lookup %q: %w", name, err)
 		}
 		if ld == nil {
-			node, err := wire.DecodeInode(resp.Inode)
-			if err != nil {
-				return nil, err
+			ahead = make([]*types.Inode, 0, len(resp.Inodes))
+			for i, enc := range resp.Inodes {
+				node, derr := wire.DecodeInode(enc)
+				if derr != nil {
+					return nil, nil, derr
+				}
+				c.pcachePut(dir, names[i], node)
+				ahead, dir = append(ahead, node), node.Ino // the next name is node's
 			}
-			c.pcachePutLookup(dir, name, node)
-			return node, nil
+			if err != nil {
+				name := names[len(ahead)]
+				if resp.Err != "" && isNotExist(err) {
+					c.pcachePut(dir, name, nil) // the leader said so: negative entry
+				}
+				err = fmt.Errorf("core: lookup %q: %w", name, err)
+			}
+			if len(ahead) == 0 {
+				return nil, nil, err
+			}
+			return ahead[0], ahead[1:], err
+		}
+	}
+	if dir == types.RootIno { // no parent's copy of its inode for walk to have checked
+		if err := ld.table.DirInode().Access(c.opts.Cred, types.MayExec); err != nil {
+			return nil, nil, fmt.Errorf("core: search %q: %w", names[0], err)
 		}
 	}
 	c.chargeMetaOp()
 	c.stats.LocalMetaOps.Add(1)
-	_, child, err := ld.table.Lookup(name)
-	return child, err
+	_, child, err = ld.table.Lookup(names[0])
+	return child, nil, err
 }
 
 // callLeader performs one leader RPC, refreshing the leader address through
@@ -227,60 +238,65 @@ func (c *Client) callLeader(ctx context.Context, leader rpc.Addr, dir types.Ino,
 
 // --- permission cache -------------------------------------------------------
 
-// pcacheGet returns a live permission-cache entry for dir, or nil.
-func (c *Client) pcacheGet(dir types.Ino) *permEntry {
+// pcacheLookup answers name in dir from the permission cache; as in StatReq,
+// the empty name is dir itself. hit says an unexpired entry knows the name:
+// node is then a copy of the inode, or nil beside the error to report, which
+// is the leader's ENOENT remembered or, in the root (no parent's copy of its
+// inode for walk to check), what its cached inode refuses. The entry never
+// leaves c.mu.
+func (c *Client) pcacheLookup(dir types.Ino, name string) (node *types.Inode, hit bool, err error) {
 	if !c.opts.PermCache {
-		return nil
+		return nil, false, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pe := c.pcache[dir]
 	if pe == nil || c.env.Now() >= pe.expiry {
 		delete(c.pcache, dir)
-		return nil
+		return nil, false, nil
 	}
-	return pe
-}
-
-// pcachePutDir caches a remote directory's inode for one lease period.
-func (c *Client) pcachePutDir(dir types.Ino, node *types.Inode) {
-	if !c.opts.PermCache {
-		return
+	if node, hit = pe.lookups[name]; !hit {
+		return nil, false, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pe := c.pcache[dir]
-	if pe == nil || c.env.Now() >= pe.expiry {
-		pe = &permEntry{lookups: make(map[string]*types.Inode), expiry: c.env.Now() + c.opts.LeasePeriod}
-		c.pcache[dir] = pe
-	}
-	pe.inode = node.Clone()
-}
-
-// pcachePutLookup caches one lookup result (nil = negative entry).
-func (c *Client) pcachePutLookup(dir types.Ino, name string, node *types.Inode) {
-	if !c.opts.PermCache {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pe := c.pcache[dir]
-	if pe == nil || c.env.Now() >= pe.expiry {
-		pe = &permEntry{lookups: make(map[string]*types.Inode), expiry: c.env.Now() + c.opts.LeasePeriod}
-		c.pcache[dir] = pe
+	if dir == types.RootIno && name != "" {
+		root := pe.lookups[""]
+		if root == nil {
+			return nil, false, nil // an entry a create began: ask the leader
+		}
+		if err := root.Access(c.opts.Cred, types.MayExec); err != nil {
+			return nil, true, fmt.Errorf("core: search %q: %w", name, err)
+		}
 	}
 	if node == nil {
-		pe.lookups[name] = nil // negative entry
+		return nil, true, fmt.Errorf("core: %q: %w", name, types.ErrNotExist)
+	}
+	return node.Clone(), true, nil
+}
+
+// pcachePut caches one lookup result in dir for what is left of the entry's
+// lease period: a nil node is a negative entry, the empty name dir's own inode.
+func (c *Client) pcachePut(dir types.Ino, name string, node *types.Inode) {
+	if !c.opts.PermCache {
 		return
 	}
-	if node.Type == types.TypeRegular {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pe := c.pcache[dir]
+	if pe == nil || c.env.Now() >= pe.expiry {
+		pe = &permEntry{lookups: make(map[string]*types.Inode), expiry: c.env.Now() + c.opts.LeasePeriod}
+		c.pcache[dir] = pe
+	}
+	switch {
+	case node == nil:
+		pe.lookups[name] = nil
+	case node.Type == types.TypeRegular:
 		// The permission cache covers pathname resolution (directory
 		// permissions and traversal entries); file attributes stay fresh at
 		// the leader. Drop any stale negative entry for the name.
 		delete(pe.lookups, name)
-		return
+	default:
+		pe.lookups[name] = node.Clone()
 	}
-	pe.lookups[name] = node.Clone()
 }
 
 // pcacheInvalidate drops cached state for dir (after this client mutates it

@@ -72,8 +72,8 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 		return ErrResp{Err: "ESTALE"}
 	}
 	switch r := req.(type) {
-	case LookupReq:
-		return c.serveLookup(ld, r)
+	case WalkReq:
+		return c.serveWalk(ld, r)
 	case CreateReq:
 		return c.serveCreate(ctx, ld, r)
 	case UnlinkReq:
@@ -109,23 +109,34 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 	}
 }
 
-func (c *Client) serveLookup(ld *ledDir, r LookupReq) LookupResp {
-	var resp LookupResp
-	dirNode := ld.table.DirInode()
-	if r.WantDirInode {
-		resp.DirInode = wire.EncodeInode(dirNode)
+// serveWalk resolves r.Names one after another, starting in ld, for as long
+// as each answer is a directory this client leads at that instant: it never
+// acquires a lease on a walker's behalf. Every step checks search permission
+// for the requester and charges a table operation, as a lookup sent for that
+// step alone would; no lock is held from one step to the next.
+func (c *Client) serveWalk(ld *ledDir, r WalkReq) WalkResp {
+	resp := WalkResp{Inodes: make([][]byte, 0, len(r.Names))}
+	for i, name := range r.Names {
+		dirNode := ld.table.DirInode()
+		if i == 0 && r.WantDirInode {
+			resp.DirInode = wire.EncodeInode(dirNode)
+		}
+		if err := dirNode.Access(r.Cred, types.MayExec); err != nil {
+			resp.Err = errString(err)
+			return resp
+		}
+		c.chargeMetaOp()
+		_, child, err := ld.table.Lookup(name)
+		if err != nil {
+			resp.Err = errString(err)
+			return resp
+		}
+		resp.Inodes = append(resp.Inodes, wire.EncodeInode(child))
+		var leads bool
+		if ld, leads = c.ledDirFor(child.Ino); !leads {
+			break // not a directory, or not ours: the walker asks its leader
+		}
 	}
-	if err := dirNode.Access(r.Cred, types.MayExec); err != nil {
-		resp.Err = errString(err)
-		return resp
-	}
-	c.chargeMetaOp()
-	_, child, err := ld.table.Lookup(r.Name)
-	if err != nil {
-		resp.Err = errString(err)
-		return resp
-	}
-	resp.Inode = wire.EncodeInode(child)
 	return resp
 }
 
