@@ -82,7 +82,13 @@ type fileCache struct {
 	raNextOff int64 // next sequential offset expected
 	raWindow  int64 // current window size in bytes
 	raEdge    int64 // offset up to which prefetches have been issued
+
+	// unstored is the watermark of a file this client created (see Created):
+	// the store holds no chunk at or above it that has no resident entry.
+	unstored uint64
 }
+
+const noWatermark = ^uint64(0) // any file this client did not create
 
 // entry is one cached data object.
 type entry struct {
@@ -157,10 +163,21 @@ func (c *Cache) Len() int {
 func (c *Cache) file(ino types.Ino) *fileCache {
 	fc := c.files[ino]
 	if fc == nil {
-		fc = &fileCache{ino: ino}
+		fc = &fileCache{ino: ino, unstored: noWatermark}
 		c.files[ino] = fc
 	}
 	return fc
+}
+
+// Created records that this client has just created ino and holds its write
+// lease: the store has no chunk of it that did not leave this cache, and
+// ensure fetches none at or above the watermark. An eviction raises the
+// watermark past the entry it lets go; Invalidate and Clear (a recall, a
+// truncate, the last close) drop the fileCache and the knowledge with it.
+func (c *Cache) Created(ino types.Ino) {
+	c.mu.Lock()
+	c.file(ino).unstored = 0
+	c.mu.Unlock()
 }
 
 // Read copies file bytes [off, off+len(buf)) into buf through the cache,
@@ -255,6 +272,10 @@ func (c *Cache) Write(ino types.Ino, buf []byte, off int64) error {
 			return err
 		}
 		c.mu.Lock()
+		if e.lruElem == nil { // evicted or invalidated since ensure: bytes put here would be lost
+			c.mu.Unlock()
+			continue
+		}
 		have := int64(len(e.data))
 		need := max(inOff+want, have)
 		if e.held || int64(cap(e.data)) < need+wire.TrailerSize {
@@ -301,8 +322,9 @@ func (c *Cache) ensure(ino types.Ino, idx uint64, fetch, prefetch bool) (*entry,
 			ready.Recv() // closed when the fetch completes
 			continue
 		}
-		// Absent: create (and maybe fetch).
+		// Absent: create (and maybe fetch; never what the store cannot hold).
 		e := &entry{ino: ino, idx: idx}
+		fetch = fetch && idx < fc.unstored
 		if fetch {
 			e.loading = sim.NewChan[struct{}](c.env)
 		}
@@ -352,7 +374,7 @@ func (c *Cache) ensure(ino types.Ino, idx uint64, fetch, prefetch bool) (*entry,
 func (c *Cache) fetchChunk(ino types.Ino, idx uint64) ([]byte, error) {
 	data, err := c.tr.GetChunk(ino, int64(idx))
 	if err != nil {
-		if isNotExist(err) {
+		if errors.Is(err, types.ErrNotExist) {
 			return nil, nil
 		}
 		return nil, fmt.Errorf("cache: fetch chunk %d of %s: %w", idx, ino.Short(), err)
@@ -477,6 +499,7 @@ func (c *Cache) evictLocked(keep *entry) {
 		victim.lruElem = nil
 		if fc := c.files[victim.ino]; fc != nil {
 			fc.tree.Delete(victim.idx)
+			fc.unstored = max(fc.unstored, victim.idx+1) // noWatermark stays
 			if fc.tree.Len() == 0 {
 				delete(c.files, victim.ino)
 			}
@@ -676,11 +699,6 @@ func (c *Cache) Dirty(ino types.Ino) bool {
 		return true
 	})
 	return dirty
-}
-
-// isNotExist matches wrapped not-found errors from any backend.
-func isNotExist(err error) bool {
-	return errors.Is(err, types.ErrNotExist)
 }
 
 // Readahead state accessors used by tests and the fio harness.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -243,69 +244,104 @@ func TestCacheMatchesFlatModel(t *testing.T) {
 	})
 }
 
-// The same at a chunk large enough to have size classes, over a file that
-// grows by small writes near its end: its first chunk's buffer is grown in
-// place, outgrown, evicted, refetched short and grown again.
+// The same at a chunk large enough to have size classes, over eight chunks of
+// a file that mostly grows by small writes near its end and sometimes is
+// written far from it: its first chunk's buffer is grown in place, outgrown,
+// evicted, refetched short and grown again, and later chunks start as holes.
 func TestSizeClassedCacheMatchesFlatModel(t *testing.T) {
-	const chunk, span = 32 << 10, 3 * 32 << 10
+	const chunk, span = 32 << 10, 8 * 32 << 10
 	matchFlatModel(t, chunk, span, func(rng *rand.Rand, have int) (off, n int) {
 		off = rng.Intn(min(span-1, have+4096))
+		if rng.Intn(8) == 0 {
+			off = rng.Intn(span - 1) // anywhere: leaves a hole, or lands in one
+		}
 		return off, 1 + rng.Intn(min(span-off, 2048))
 	})
 }
 
 // matchFlatModel runs seeded scripts of writes (at pick's offset and length,
-// given the file's length so far), reads, flushes and invalidations.
+// given the file's length so far), reads, flushes and invalidations, each
+// script twice: on a plain inode and on one the cache is told was Created. A
+// chunk is PUT only from an entry that holds its whole valid prefix, fetched
+// or known never to have been stored, so both runs agree with the model at
+// every read and leave byte-identical stores.
 func matchFlatModel(t *testing.T, chunk int64, span int, pick func(rng *rand.Rand, have int) (off, n int)) {
 	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c, tr, _ := cacheSetup(t, chunk, 2, 0)
-		ino := types.NewInoSource(seed).Next()
-		model := make([]byte, 0, span)
-		check := func(step int, what string, got []byte, off int) {
-			t.Helper()
-			if !bytes.Equal(got, model[off:off+len(got)]) {
-				t.Fatalf("seed %d step %d: %s at %d differs from the model", seed, step, what, off)
-			}
+		plain := runFlatModel(t, seed, false, chunk, span, pick)
+		created := runFlatModel(t, seed, true, chunk, span, pick)
+		if !reflect.DeepEqual(plain, created) {
+			t.Fatalf("seed %d: the store after a Created run (%d objects) differs from the plain run's (%d)", seed, len(created), len(plain))
 		}
-		for step := 0; step < 400; step++ {
-			switch op := rng.Intn(10); {
-			case op < 5:
-				off, n := pick(rng, len(model))
-				buf := make([]byte, n)
-				rng.Read(buf)
-				if err := c.Write(ino, buf, int64(off)); err != nil {
-					t.Fatal(err)
-				}
-				if end := off + len(buf); end > len(model) {
-					model = model[:end] // the gap is zeros: model never shrinks
-				}
-				copy(model[off:], buf)
-			case op < 8 && len(model) > 0:
-				off := rng.Intn(len(model))
-				buf := make([]byte, 1+rng.Intn(len(model)-off))
-				if n, err := c.Read(ino, buf, int64(off), int64(len(model))); err != nil || n != len(buf) {
-					t.Fatalf("seed %d step %d: Read = %d, %v", seed, step, n, err)
-				}
-				check(step, "cache read", buf, off)
-			default:
-				if err := c.Flush(ino); err != nil {
-					t.Fatal(err)
-				}
-				if op == 9 {
-					c.Invalidate(ino)
-				}
-			}
-		}
-		if err := c.Flush(ino); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, len(model))
-		if _, err := tr.ReadAt(ino, got, 0, int64(len(got))); err != nil {
-			t.Fatal(err)
-		}
-		check(400, "store read", got, 0)
 	}
+}
+
+// runFlatModel runs one seed's script and returns what the store holds after
+// the final flush, key by key.
+func runFlatModel(t *testing.T, seed int64, created bool, chunk int64, span int, pick func(rng *rand.Rand, have int) (off, n int)) map[string]string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c, tr, _ := cacheSetup(t, chunk, 2, 0)
+	ino := types.NewInoSource(seed).Next()
+	if created {
+		c.Created(ino)
+	}
+	model := make([]byte, 0, span)
+	check := func(step int, what string, got []byte, off int) {
+		t.Helper()
+		if !bytes.Equal(got, model[off:off+len(got)]) {
+			t.Fatalf("seed %d created=%v step %d: %s at %d differs from the model", seed, created, step, what, off)
+		}
+	}
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			off, n := pick(rng, len(model))
+			buf := make([]byte, n)
+			rng.Read(buf)
+			if err := c.Write(ino, buf, int64(off)); err != nil {
+				t.Fatal(err)
+			}
+			if end := off + len(buf); end > len(model) {
+				model = model[:end] // the gap is zeros: model never shrinks
+			}
+			copy(model[off:], buf)
+		case op < 8 && len(model) > 0:
+			off := rng.Intn(len(model))
+			buf := make([]byte, 1+rng.Intn(len(model)-off))
+			if n, err := c.Read(ino, buf, int64(off), int64(len(model))); err != nil || n != len(buf) {
+				t.Fatalf("seed %d step %d: Read = %d, %v", seed, step, n, err)
+			}
+			check(step, "cache read", buf, off)
+		default:
+			if err := c.Flush(ino); err != nil {
+				t.Fatal(err)
+			}
+			if op == 9 {
+				c.Invalidate(ino)
+			}
+		}
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(model))
+	if _, err := tr.ReadAt(ino, got, 0, int64(len(got))); err != nil {
+		t.Fatal(err)
+	}
+	check(400, "store read", got, 0)
+	keys, err := tr.Store().List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := make(map[string]string, len(keys))
+	for _, key := range keys {
+		data, err := tr.Store().Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects[key] = string(data)
+	}
+	return objects
 }
 
 // nullStore acknowledges PUTs without keeping them, so what a write-back

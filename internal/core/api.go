@@ -82,7 +82,7 @@ func (c *Client) Mkdir(ctx context.Context, path string, mode types.Mode) error 
 	if res.name == "" || res.node != nil {
 		return op.end(errnoWrap("mkdir", path, types.ErrExist))
 	}
-	_, err = c.create(ctx, res.parent, CreateReq{
+	_, _, err = c.create(ctx, res.parent, CreateReq{
 		Dir: res.parent, Name: res.name, Type: types.TypeDir,
 		Mode: mode, Cred: c.opts.Cred, NewIno: c.inoSrc.Next(), Exclusive: true,
 	})
@@ -100,7 +100,7 @@ func (c *Client) Symlink(ctx context.Context, target, path string) error {
 	if res.name == "" || res.node != nil {
 		return op.end(errnoWrap("symlink", path, types.ErrExist))
 	}
-	_, err = c.create(ctx, res.parent, CreateReq{
+	_, _, err = c.create(ctx, res.parent, CreateReq{
 		Dir: res.parent, Name: res.name, Type: types.TypeSymlink,
 		Mode: 0777, Target: target, Cred: c.opts.Cred,
 		NewIno: c.inoSrc.Next(), Exclusive: true,
@@ -301,21 +301,21 @@ func (c *Client) FlushAll(ctx context.Context) error {
 
 // --- dispatch helpers --------------------------------------------------------
 
-// create routes a CreateReq to the parent's leader.
-func (c *Client) create(ctx context.Context, parent types.Ino, req CreateReq) (*types.Inode, error) {
+// create routes a CreateReq to the parent's leader. leased: the leader listed
+// req.Holder for the new inode, or may have (an error that is not its answer).
+func (c *Client) create(ctx context.Context, parent types.Ino, req CreateReq) (node *types.Inode, leased bool, err error) {
 	ld, resp, err := forward[CreateResp](ctx, c, obs.SpanFrom(ctx), parent, req)
 	if ld != nil {
 		return c.localCreate(ctx, ld, parent, req)
 	}
 	if err != nil {
-		return nil, err
+		return nil, req.Holder != "" && resp.Err == "", err
 	}
-	node, err := wire.DecodeInode(resp.Inode)
-	if err != nil {
-		return nil, err
+	if node, err = wire.DecodeInode(resp.Inode); err != nil {
+		return nil, resp.Leased, err
 	}
 	c.pcachePut(parent, req.Name, node)
-	return node, nil
+	return node, resp.Leased, nil
 }
 
 // unlink routes an UnlinkReq to the parent's leader.

@@ -196,3 +196,39 @@ func TestLeaseManagerRestartEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// A CreateReq that names its opener and the CreateResp that grants the lease
+// cross the TCP bridge's gob encoding with every field, as they cross the
+// in-process fabric.
+func TestCreateLeaseSurvivesTCPBridge(t *testing.T) {
+	tc := newTestCluster(t)
+	leader := leaderOf(t, tc, "/d")
+	bridge, err := tc.net.Bridge("127.0.0.1:0", leader.ServiceName())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bridge.Close()
+	env := sim.NewRealEnv()
+	defer env.Shutdown()
+	far := rpc.NewNetwork(env, sim.NetModel{})
+
+	dir := statIno(t, leader, "/d")
+	holder := rpc.Addr("tcp!far-away:1")
+	req := CreateReq{
+		Dir: dir, Name: "f", Type: types.TypeRegular, Mode: 0444, Cred: types.Cred{Uid: 1000, Gid: 1000},
+		NewIno: types.NewInoSource(7).Next(), Exclusive: true, Holder: holder, Write: true,
+	}
+	got, err := far.Call(rpc.TCPAddr(bridge.Addr()), req)
+	resp, ok := got.(CreateResp)
+	if err != nil || !ok || resp.Err != "" || !resp.Leased || len(resp.Inode) == 0 {
+		t.Fatalf("create over the bridge: %+v, %v; want an inode and Leased", got, err)
+	}
+	if holders, writer, _ := leaseOf(t, leader, dir, req.NewIno); len(holders) != 1 || holders[0] != holder || writer != holder {
+		t.Errorf("the leader lists %v, writer %q; want %s as both", holders, writer, holder)
+	}
+	req.Name, req.Holder, req.Write, req.NewIno = "g", "", false, types.NewInoSource(8).Next()
+	got, err = far.Call(rpc.TCPAddr(bridge.Addr()), req)
+	if resp, ok := got.(CreateResp); err != nil || !ok || resp.Err != "" || resp.Leased {
+		t.Errorf("a create that names no holder: %+v, %v; want an inode and no lease", got, err)
+	}
+}

@@ -61,28 +61,26 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 	if res.name == "" {
 		return nil, op.end(errnoWrap("open", path, types.ErrIsDir))
 	}
+	f := &File{c: c, path: path, parent: res.parent, name: res.name, flags: flags}
 	node := res.node
-	if node == nil {
-		if !flags.Has(types.OCreate) {
-			return nil, op.end(errnoWrap("open", path, types.ErrNotExist))
-		}
-		node, err = c.create(ctx, res.parent, CreateReq{
-			Dir: res.parent, Name: res.name, Type: types.TypeRegular,
-			Mode: mode, Cred: c.opts.Cred, NewIno: c.inoSrc.Next(),
-			Exclusive: flags.Has(types.OExcl),
-		})
-		if err != nil {
+	switch {
+	case node == nil && !flags.Has(types.OCreate):
+		return nil, op.end(errnoWrap("open", path, types.ErrNotExist))
+	case node == nil:
+		if node, f.of, err = c.openNew(ctx, res.parent, res.name, flags, mode); err != nil {
 			return nil, op.end(errnoWrap("open", path, err))
 		}
-	} else {
-		if flags.Has(types.OCreate) && flags.Has(types.OExcl) {
-			return nil, op.end(errnoWrap("open", path, types.ErrExist))
-		}
-		if node.IsDir() {
-			return nil, op.end(errnoWrap("open", path, types.ErrIsDir))
-		}
+	case flags.Has(types.OCreate) && flags.Has(types.OExcl):
+		return nil, op.end(errnoWrap("open", path, types.ErrExist))
+	case node.IsDir():
+		return nil, op.end(errnoWrap("open", path, types.ErrIsDir))
 	}
-	// Access-mode permission checks against the (possibly fresh) inode.
+	if f.of != nil {
+		// Granted by the create: the mode binds later opens, not the one that
+		// made the file, and there is nothing to truncate or append after.
+		return f, op.end(nil)
+	}
+	// The file existed: check the requested access, then attach.
 	if flags.WantsRead() {
 		if err := node.Access(c.opts.Cred, types.MayRead); err != nil {
 			return nil, op.end(errnoWrap("open", path, err))
@@ -93,12 +91,36 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 			return nil, op.end(errnoWrap("open", path, err))
 		}
 	}
-	f := &File{c: c, of: c.ref(res.parent, node.Ino), path: path, parent: res.parent, name: res.name, flags: flags}
+	f.of = c.ref(res.parent, node.Ino)
 	if err := f.attach(ctx, node); err != nil {
 		c.unref(f.of)
 		return nil, op.end(errnoWrap("open", path, err))
 	}
 	return f, op.end(nil)
+}
+
+// openNew creates the file Open did not find; if the request made the inode,
+// the leader granted its data lease with it (DESIGN.md §5.7) and the record
+// returned holds it. The record is taken before the request is sent, so a
+// recall that overtakes the answer finds it. A file that existed and a refusal
+// drop it silently; an error that is not the leader's answer returns the lease.
+func (c *Client) openNew(ctx context.Context, parent types.Ino, name string, flags types.OpenFlag, mode types.Mode) (*types.Inode, *openFile, error) {
+	req := CreateReq{Dir: parent, Name: name, Type: types.TypeRegular, Mode: mode, Cred: c.opts.Cred,
+		NewIno: c.inoSrc.Next(), Exclusive: flags.Has(types.OExcl), Holder: c.addr, Write: flags.WantsWrite()}
+	of := c.ref(parent, req.NewIno)
+	node, leased, err := c.create(ctx, parent, req)
+	of.leased.Store(leased)
+	if err != nil || !leased {
+		c.unref(of)
+		return node, nil, err
+	}
+	if req.Write {
+		c.data.Created(node.Ino)
+		of.mu.Lock()
+		of.hasWrite = !of.direct
+		of.mu.Unlock()
+	}
+	return node, of, nil
 }
 
 // Create is the creat(2) shorthand: O_WRONLY|O_CREATE|O_TRUNC.

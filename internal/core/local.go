@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"arkfs/internal/rpc"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
 )
@@ -15,36 +16,42 @@ import (
 
 // localCreate creates a child (file, directory, or symlink) in a led
 // directory. newIno is allocated by the caller so that remote creates keep
-// inode allocation on the requesting client.
-func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, req CreateReq) (*types.Inode, error) {
+// inode allocation on the requesting client. leased reports that the inode is
+// new and req.Holder was listed for its data lease in the same lock hold.
+func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, req CreateReq) (*types.Inode, bool, error) {
 	ld.opMu.Lock()
 	defer ld.opMu.Unlock()
 	c.chargeMetaOp()
 	c.stats.LocalMetaOps.Add(1)
 	if err := ld.writable(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := types.ValidName(req.Name); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	dirNode := ld.table.DirInode()
 	if err := dirNode.Access(req.Cred, types.MayWrite|types.MayExec); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	now := c.env.Now()
 
 	if _, existing, err := ld.table.Lookup(req.Name); err == nil {
+		if existing.Ino == req.NewIno {
+			// This very create, sent again after its answer was lost.
+			dl := ld.dataLeases[existing.Ino]
+			return existing, dl != nil && dl.readers[req.Holder], nil
+		}
 		if req.Exclusive {
-			return nil, fmt.Errorf("core: create %q: %w", req.Name, types.ErrExist)
+			return nil, false, fmt.Errorf("core: create %q: %w", req.Name, types.ErrExist)
 		}
 		if existing.IsDir() {
-			return nil, fmt.Errorf("core: create %q: %w", req.Name, types.ErrIsDir)
+			return nil, false, fmt.Errorf("core: create %q: %w", req.Name, types.ErrIsDir)
 		}
 		if req.Type == types.TypeDir {
-			return nil, fmt.Errorf("core: mkdir %q: %w", req.Name, types.ErrExist)
+			return nil, false, fmt.Errorf("core: mkdir %q: %w", req.Name, types.ErrExist)
 		}
 		// O_CREAT on an existing file: return it (the open path truncates).
-		return existing, nil
+		return existing, false, nil
 	}
 
 	child := &types.Inode{
@@ -61,17 +68,25 @@ func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, req
 		child.Nlink = 2
 	}
 	if err := ld.table.Insert(req.Name, child); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	dirNode.Mtime, dirNode.Ctime = now, now
 	ld.table.SetDirInode(dirNode)
+	if req.Holder != "" {
+		// The one row of grantLease's table a new inode can hit: no other holder.
+		dl := &dataLease{readers: map[rpc.Addr]bool{req.Holder: true}}
+		if req.Write {
+			dl.writer = req.Holder
+		}
+		ld.dataLeases[child.Ino] = dl
+	}
 
 	if req.Type == types.TypeDir {
 		// Materialize the new directory's inode object immediately so any
 		// client can acquire its lease and build a metatable before the
 		// parent journal checkpoints.
 		if err := c.tr.SaveInode(child); err != nil {
-			return nil, fmt.Errorf("core: mkdir materialize: %w", err)
+			return nil, false, fmt.Errorf("core: mkdir materialize: %w", err)
 		}
 	}
 	c.jrnl.Log(ctx, dir, []wire.Op{
@@ -79,7 +94,7 @@ func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, req
 		{Kind: wire.OpAddDentry, Name: req.Name, Ino: child.Ino, FType: child.Type},
 		{Kind: wire.OpSetInode, Inode: dirNode},
 	})
-	return child, nil
+	return child, req.Holder != "", nil
 }
 
 // localUnlink removes a name from a led directory. For rmdir the caller has

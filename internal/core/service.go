@@ -141,11 +141,11 @@ func (c *Client) serveWalk(ld *ledDir, r WalkReq) WalkResp {
 }
 
 func (c *Client) serveCreate(ctx context.Context, ld *ledDir, r CreateReq) CreateResp {
-	node, err := c.localCreate(ctx, ld, r.Dir, r)
+	node, leased, err := c.localCreate(ctx, ld, r.Dir, r)
 	if err != nil {
 		return CreateResp{Err: errString(err)}
 	}
-	return CreateResp{Inode: wire.EncodeInode(node)}
+	return CreateResp{Inode: wire.EncodeInode(node), Leased: leased}
 }
 
 func (c *Client) serveStat(ld *ledDir, r StatReq) StatResp {

@@ -405,7 +405,7 @@ func TestMessagesPerCall(t *testing.T) {
 		want map[string]int64
 	}{
 		{"create+write+close", func() error { return create("/p/q/r/f") },
-			map[string]int64{"Walk": 1, "Create": 1, "Open": 1, "WriteLease": 1, "SetAttr": 1, "CloseFile": 1}},
+			map[string]int64{"Walk": 1, "Create": 1, "SetAttr": 1, "CloseFile": 1}},
 		{"stat", func() error { _, err := c.Stat(ctx, "/p/q/r/f"); return err },
 			map[string]int64{"Walk": 1}},
 		{"open+read+close", func() error {
