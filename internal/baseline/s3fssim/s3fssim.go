@@ -480,12 +480,3 @@ func (m *Mount) DropAllCaches() {
 	m.staged = make(map[string]*stagedFile)
 	m.mu.Unlock()
 }
-
-// DropStaging evicts the staging copy of a path (benchmark cache-drop step).
-func (m *Mount) DropStaging(path string) {
-	if key, err := objKey(path); err == nil {
-		m.mu.Lock()
-		delete(m.staged, key)
-		m.mu.Unlock()
-	}
-}

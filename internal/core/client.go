@@ -108,9 +108,9 @@ type Options struct {
 	// queue-wait shedding (see rpc.ServerLimits). Zero value means no limits.
 	ServerLimits rpc.ServerLimits
 	// Breaker, when non-nil, mounts a circuit breaker under the client's
-	// store retry layer (base → breaker → retry): repeated transient backend
-	// failures trip it open and round-trips fast-fail with typed EAGAIN
-	// until a seeded half-open probe succeeds.
+	// store retry layer: repeated transient backend failures trip it open
+	// and round-trips fast-fail with typed EAGAIN until a seeded half-open
+	// probe succeeds.
 	Breaker *qos.BreakerConfig
 }
 
@@ -266,33 +266,26 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 		opts.Tenant = "tenant-" + opts.ID
 	}
 	env := net.Env()
-	if opts.Obs != nil {
-		// Per-verb store counters sit under everything else, so each retry
-		// attempt shows up as a distinct verb op and the kill gate stops the
-		// counting when the simulated process dies.
-		tr = prt.New(objstore.Instrument(tr.Store(), opts.Obs), tr.ChunkSize())
-	}
+	// The client's store path, innermost first: the caller's store, then
+	// instrument, breaker, retry, kill gate, each only if its option is set.
+	// DESIGN.md §7.3 gives the reason for each adjacency and
+	// TestStoreLayerOrder asserts them. The translator over it is this
+	// client's own: the caller's is shared by every client of a deployment.
+	store := objstore.Instrument(tr.Store(), opts.Obs)
 	var breaker *objstore.BreakerStore
 	if opts.Breaker != nil {
-		// The breaker sits under the retry layer: once a dying backend trips
-		// it, the remaining retry attempts fast-fail with typed EAGAIN (which
-		// Retryable classifies as permanent) instead of hammering it further.
-		breaker = objstore.NewBreakerStore(env, tr.Store(), *opts.Breaker)
-		tr = prt.New(breaker, tr.ChunkSize())
+		breaker = objstore.NewBreakerStore(env, store, *opts.Breaker)
+		store = breaker
 	}
 	var retry *objstore.RetryStore
 	if opts.Retry != nil {
-		// Mount the robustness layer under everything this client does to
-		// the object store: journal commits, cache write-backs, metatable
-		// loads, and recovery scans all go through the retrying path.
-		retry = objstore.NewRetryStore(env, tr.Store(), *opts.Retry)
-		tr = prt.New(retry, tr.ChunkSize())
+		retry = objstore.NewRetryStore(env, store, *opts.Retry)
+		store = retry
 	}
 	if opts.Crash != nil {
-		// The kill gate sits above the retry layer: a crashed process does
-		// not retry, it simply stops issuing I/O.
-		tr = prt.New(crashpoint.NewGateStore(opts.Crash, tr.Store()), tr.ChunkSize())
+		store = crashpoint.NewGateStore(opts.Crash, store)
 	}
+	tr = prt.New(store, tr.ChunkSize())
 	// Checksum failures anywhere under this client (inode, dentry, chunk)
 	// count against integrity.detected. Nil-safe for uninstrumented clients.
 	tr.SetObs(opts.Obs)
@@ -439,9 +432,6 @@ func (c *Client) SetAdvertise(addr rpc.Addr) {
 
 // Stat returns the client's counters.
 func (c *Client) StatCounters() *Stats { return &c.stats }
-
-// CacheStats exposes the data cache counters.
-func (c *Client) CacheStats() *cache.Stats { return c.data.Stat() }
 
 // RetryStats exposes the store-path retry counters; nil when Options.Retry
 // was not set.

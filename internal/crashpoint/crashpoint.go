@@ -142,69 +142,24 @@ func (s *Set) OnFire(fn func(Site)) {
 }
 
 // GateStore wraps a Store and fails every operation once its Set is killed,
-// modelling the fact that a crashed process issues no further I/O. It sits
-// *above* any retry layer: a dead client does not retry.
+// modelling the fact that a crashed process issues no further I/O. Where it
+// sits among the store wrappers, and why, is DESIGN.md §7.3.
 type GateStore struct {
+	objstore.Verbs
 	set   *Set
 	inner objstore.Store
 }
 
 // NewGateStore mounts the kill gate over inner.
 func NewGateStore(set *Set, inner objstore.Store) *GateStore {
-	return &GateStore{set: set, inner: inner}
+	g := &GateStore{set: set, inner: inner}
+	g.Verbs = g.do
+	return g
 }
 
-func (g *GateStore) gate(verb, key string) error {
+func (g *GateStore) do(op objstore.Op) (objstore.Result, error) {
 	if g.set.Killed() {
-		return fmt.Errorf("crashpoint: client killed, %s %q dropped: %w", verb, key, types.ErrIO)
+		return objstore.Result{}, fmt.Errorf("crashpoint: client killed, %s %q dropped: %w", op.Verb, op.Key, types.ErrIO)
 	}
-	return nil
-}
-
-// Put implements objstore.Store.
-func (g *GateStore) Put(key string, data []byte) error {
-	if err := g.gate("put", key); err != nil {
-		return err
-	}
-	return g.inner.Put(key, data)
-}
-
-// Get implements objstore.Store.
-func (g *GateStore) Get(key string) ([]byte, error) {
-	if err := g.gate("get", key); err != nil {
-		return nil, err
-	}
-	return g.inner.Get(key)
-}
-
-// GetRange implements objstore.Store.
-func (g *GateStore) GetRange(key string, off, n int64) ([]byte, error) {
-	if err := g.gate("getrange", key); err != nil {
-		return nil, err
-	}
-	return g.inner.GetRange(key, off, n)
-}
-
-// Delete implements objstore.Store.
-func (g *GateStore) Delete(key string) error {
-	if err := g.gate("delete", key); err != nil {
-		return err
-	}
-	return g.inner.Delete(key)
-}
-
-// List implements objstore.Store.
-func (g *GateStore) List(prefix string) ([]string, error) {
-	if err := g.gate("list", prefix); err != nil {
-		return nil, err
-	}
-	return g.inner.List(prefix)
-}
-
-// Head implements objstore.Store.
-func (g *GateStore) Head(key string) (int64, error) {
-	if err := g.gate("head", key); err != nil {
-		return 0, err
-	}
-	return g.inner.Head(key)
+	return objstore.Do(g.inner, op)
 }

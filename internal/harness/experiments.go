@@ -459,22 +459,6 @@ func (h *Runner) Table2() (*Experiment, error) {
 	return exp, nil
 }
 
-// All runs every experiment in order.
-func (h *Runner) All() ([]*Experiment, error) {
-	runs := []func() (*Experiment, error){
-		h.Fig1, h.Fig4, h.Fig5, h.Fig6a, h.Fig6b, h.Fig7, h.Table2,
-	}
-	var out []*Experiment
-	for _, run := range runs {
-		exp, err := run()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, exp)
-	}
-	return out, nil
-}
-
 // SystemsOf lists the distinct systems in an experiment, first-seen order.
 func (e *Experiment) SystemsOf() []string {
 	seen := map[string]bool{}

@@ -311,13 +311,6 @@ func (m *Manager) DirCount() int {
 	return len(m.dirs)
 }
 
-// RingView returns the shard's current membership view.
-func (m *Manager) RingView() Ring {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ring
-}
-
 // Close stops the manager's server. State is retained so a subsequent
 // NewManager with Restarted simulates a manager crash + restart.
 func (m *Manager) Close() { m.server.Close() }

@@ -120,16 +120,6 @@ type Router interface {
 	Update(Ring)
 }
 
-// StaticRouter routes every directory to one fixed manager — the unsharded
-// deployment's Router. Updates are ignored: there is no ring to replace.
-type StaticRouter rpc.Addr
-
-// Route implements Router.
-func (s StaticRouter) Route(types.Ino) (rpc.Addr, Epoch) { return rpc.Addr(s), 0 }
-
-// Update implements Router.
-func (StaticRouter) Update(Ring) {}
-
 // RingRouter caches a Ring and routes by rendezvous hash. It is safe for
 // concurrent use: the lease keeper, foreground acquires, and redirect-driven
 // updates all share one instance per client.

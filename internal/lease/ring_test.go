@@ -121,20 +121,6 @@ func TestRingRouterMonotonic(t *testing.T) {
 	}
 }
 
-// StaticRouter is the unsharded deployment: fixed address, epoch 0, and ring
-// updates are meaningless.
-func TestStaticRouter(t *testing.T) {
-	s := StaticRouter("leasemgr")
-	a, e := s.Route(types.RootIno)
-	if a != "leasemgr" || e != 0 {
-		t.Fatalf("static route: %s, %d", a, e)
-	}
-	s.Update(NewRing("x", "y")) // must be a no-op, not a panic
-	if a, _ := s.Route(inoFor(7)); a != "leasemgr" {
-		t.Fatalf("static route changed: %s", a)
-	}
-}
-
 // Snapshot codec: a populated grant table round-trips byte-exactly, and a
 // flipped byte is detected as corruption rather than half-applied.
 func TestSnapshotRoundTrip(t *testing.T) {

@@ -22,12 +22,10 @@ type BreakerStats struct {
 // BreakerStore wraps a Store with a qos circuit breaker: transient backend
 // failures trip it open, open fast-fails every round-trip with a typed
 // EAGAIN carrying the time-to-probe, and a seeded half-open probe schedule
-// decides recovery. It sits UNDER the RetryStore in the stack (base →
-// breaker → retry), so a closed→open transition mid-retry-loop turns the
-// remaining attempts into immediate typed pushback — which Retryable()
-// classifies as permanent, ending the loop — instead of further hammering a
-// dying backend.
+// decides recovery. Where it sits among the wrappers, and why, is DESIGN.md
+// §7.3.
 type BreakerStore struct {
+	Verbs
 	inner Store
 	env   sim.Env
 	br    *qos.Breaker
@@ -37,11 +35,10 @@ type BreakerStore struct {
 // NewBreakerStore wraps inner with a breaker under cfg (zero fields take the
 // qos defaults).
 func NewBreakerStore(env sim.Env, inner Store, cfg qos.BreakerConfig) *BreakerStore {
-	return &BreakerStore{inner: inner, env: env, br: qos.NewBreaker(cfg)}
+	b := &BreakerStore{inner: inner, env: env, br: qos.NewBreaker(cfg)}
+	b.Verbs = b.do
+	return b
 }
-
-// Inner exposes the wrapped backend.
-func (b *BreakerStore) Inner() Store { return b.inner }
 
 // BreakerStats returns the live counters.
 func (b *BreakerStore) BreakerStats() *BreakerStats { return &b.stats }
@@ -57,80 +54,26 @@ func (b *BreakerStore) now() time.Time { return time.Unix(0, int64(b.env.Now()))
 // Semantic errors (ErrNotExist and friends) are successes for breaker
 // purposes: the backend answered. Only transient, Retryable-class failures
 // count toward tripping.
-func (b *BreakerStore) do(verb, key string, op func() error) error {
+func (b *BreakerStore) do(op Op) (Result, error) {
 	wasHalfOpen := b.br.State() == qos.BreakerOpen || b.br.State() == qos.BreakerHalfOpen
 	ok, after := b.br.Allow(b.now())
 	if !ok {
 		b.stats.FastFails.Add(1)
-		return fmt.Errorf("objstore: %s %q: circuit open: %w", verb, key,
+		return Result{}, fmt.Errorf("objstore: %s %q: circuit open: %w", op.Verb, op.Key,
 			types.AgainAfter(after, "breaker"))
 	}
 	if wasHalfOpen {
 		b.stats.Probes.Add(1)
 	}
-	err := op()
+	r, err := Do(b.inner, op)
 	if err != nil && Retryable(err) {
 		before := b.br.State()
 		b.br.OnFailure(b.now())
 		if before != qos.BreakerOpen && b.br.State() == qos.BreakerOpen {
 			b.stats.Tripped.Add(1)
 		}
-		return err
+		return r, err
 	}
 	b.br.OnSuccess()
-	return err
-}
-
-// Put implements Store.
-func (b *BreakerStore) Put(key string, data []byte) error {
-	return b.do("put", key, func() error { return b.inner.Put(key, data) })
-}
-
-// Get implements Store.
-func (b *BreakerStore) Get(key string) ([]byte, error) {
-	var v []byte
-	err := b.do("get", key, func() error {
-		var e error
-		v, e = b.inner.Get(key)
-		return e
-	})
-	return v, err
-}
-
-// GetRange implements Store.
-func (b *BreakerStore) GetRange(key string, off, n int64) ([]byte, error) {
-	var v []byte
-	err := b.do("getrange", key, func() error {
-		var e error
-		v, e = b.inner.GetRange(key, off, n)
-		return e
-	})
-	return v, err
-}
-
-// Delete implements Store.
-func (b *BreakerStore) Delete(key string) error {
-	return b.do("delete", key, func() error { return b.inner.Delete(key) })
-}
-
-// List implements Store.
-func (b *BreakerStore) List(prefix string) ([]string, error) {
-	var v []string
-	err := b.do("list", prefix, func() error {
-		var e error
-		v, e = b.inner.List(prefix)
-		return e
-	})
-	return v, err
-}
-
-// Head implements Store.
-func (b *BreakerStore) Head(key string) (int64, error) {
-	var n int64
-	err := b.do("head", key, func() error {
-		var e error
-		n, e = b.inner.Head(key)
-		return e
-	})
-	return n, err
+	return r, err
 }

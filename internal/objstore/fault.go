@@ -17,6 +17,7 @@ import (
 // probabilistically from a seeded RNG ("flaky mode"), and add fixed latency
 // to every operation.
 type FaultStore struct {
+	Verbs
 	Inner Store
 
 	mu          sync.Mutex
@@ -49,7 +50,11 @@ type FaultStore struct {
 }
 
 // NewFaultStore wraps inner with no faults armed.
-func NewFaultStore(inner Store) *FaultStore { return &FaultStore{Inner: inner} }
+func NewFaultStore(inner Store) *FaultStore {
+	f := &FaultStore{Inner: inner}
+	f.Verbs = f.do
+	return f
+}
 
 // FailNext arms the store to fail the next n Put/Delete operations whose key
 // has the given prefix.
@@ -156,9 +161,10 @@ func (f *FaultStore) Injected() int {
 }
 
 // observe records one operation on key, applies latency, and returns an
-// injected error or nil. read selects the FailNextRead vs FailNext budget;
-// flaky mode applies to both.
-func (f *FaultStore) observe(verb, key string, read bool) error {
+// injected error or nil. Put and Delete draw on the FailNext budget, the
+// other verbs on FailNextRead's; flaky mode applies to both.
+func (f *FaultStore) observe(verb Verb, key string) error {
+	read := verb != VerbPut && verb != VerbDelete
 	f.mu.Lock()
 	f.opsObserved++
 	env, lat := f.env, f.latency
@@ -259,66 +265,52 @@ func flipBit(data []byte, pos int) []byte {
 
 func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
 
-// Put implements Store with fault injection.
-func (f *FaultStore) Put(key string, data []byte) error {
-	if err := f.observe("put", key, false); err != nil {
-		return err
+// do is one round trip with whatever is armed applied to it: an injected
+// failure before the inner store is reached, a torn or bit-flipped value on
+// the way in (Put), a torn or bit-flipped one on the way out (Get, GetRange).
+func (f *FaultStore) do(op Op) (Result, error) {
+	if err := f.observe(op.Verb, op.Key); err != nil {
+		return Result{}, err
 	}
-	if f.shouldTear(key) {
-		return f.Inner.Put(key, data[:len(data)/2])
+	if op.Verb == VerbPut {
+		if f.shouldTear(op.Key) {
+			op.Data = op.Data[:len(op.Data)/2]
+		} else if f.shouldCorrupt(op.Key) {
+			cp := append([]byte(nil), op.Data...)
+			op.Data = flipBit(cp, len(cp)/2)
+		}
 	}
-	if f.shouldCorrupt(key) {
-		cp := append([]byte(nil), data...)
-		return f.Inner.Put(key, flipBit(cp, len(cp)/2))
-	}
-	return f.Inner.Put(key, data)
-}
-
-// Get implements Store with fault injection.
-func (f *FaultStore) Get(key string) ([]byte, error) {
-	if err := f.observe("get", key, true); err != nil {
-		return nil, err
-	}
-	v, err := f.Inner.Get(key)
+	r, err := Do(f.Inner, op)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
-	if tlen, torn := f.tearOnRead(key, int64(len(v))); torn && int64(len(v)) > tlen {
-		v = v[:tlen]
-	}
-	if pos, ok := f.corruptOnRead(key); ok {
-		v = flipBit(v, pos)
-	}
-	return v, nil
-}
-
-// GetRange implements Store with fault injection. A key torn by TearNextRead
-// is served as the same short object Get reports: bytes beyond the torn
-// length do not exist from the reader's point of view.
-func (f *FaultStore) GetRange(key string, off, n int64) ([]byte, error) {
-	if err := f.observe("getrange", key, true); err != nil {
-		return nil, err
-	}
-	v, err := f.Inner.GetRange(key, off, n)
-	if err != nil {
-		return nil, err
-	}
-	if f.readTearArmedOrRecorded(key) {
-		size, herr := f.Inner.Head(key)
-		if herr == nil {
-			if tlen, torn := f.tearOnRead(key, size); torn {
-				if off >= tlen {
-					v = nil
-				} else if off+int64(len(v)) > tlen {
-					v = v[:tlen-off]
+	switch op.Verb {
+	case VerbGet:
+		if tlen, torn := f.tearOnRead(op.Key, int64(len(r.Data))); torn && int64(len(r.Data)) > tlen {
+			r.Data = r.Data[:tlen]
+		}
+	case VerbGetRange:
+		// A key torn by TearNextRead is served as the same short object Get
+		// reports: bytes beyond the torn length do not exist for the reader.
+		if !f.readTearArmedOrRecorded(op.Key) {
+			break
+		}
+		if size, herr := f.Inner.Head(op.Key); herr == nil {
+			if tlen, torn := f.tearOnRead(op.Key, size); torn {
+				if op.Off >= tlen {
+					r.Data = nil
+				} else if op.Off+int64(len(r.Data)) > tlen {
+					r.Data = r.Data[:tlen-op.Off]
 				}
 			}
 		}
+	default:
+		return r, nil
 	}
-	if pos, ok := f.corruptOnRead(key); ok {
-		v = flipBit(v, pos)
+	if pos, ok := f.corruptOnRead(op.Key); ok {
+		r.Data = flipBit(r.Data, pos)
 	}
-	return v, nil
+	return r, nil
 }
 
 // readTearArmedOrRecorded reports whether a read-tear could apply to key, so
@@ -330,28 +322,4 @@ func (f *FaultStore) readTearArmedOrRecorded(key string) bool {
 		return true
 	}
 	return f.tornReadLeft > 0 && hasPrefix(key, f.tornReadPrefix)
-}
-
-// Delete implements Store with fault injection.
-func (f *FaultStore) Delete(key string) error {
-	if err := f.observe("delete", key, false); err != nil {
-		return err
-	}
-	return f.Inner.Delete(key)
-}
-
-// List implements Store with fault injection.
-func (f *FaultStore) List(prefix string) ([]string, error) {
-	if err := f.observe("list", prefix, true); err != nil {
-		return nil, err
-	}
-	return f.Inner.List(prefix)
-}
-
-// Head implements Store with fault injection.
-func (f *FaultStore) Head(key string) (int64, error) {
-	if err := f.observe("head", key, true); err != nil {
-		return 0, err
-	}
-	return f.Inner.Head(key)
 }

@@ -62,9 +62,6 @@ func NewGateway(store Store) *Gateway {
 // "anon"), and refusals answer 429 with Retry-After. Nil detaches.
 func (g *Gateway) SetQoS(l *qos.Limiter) { g.qos = l }
 
-// SetClock overrides the admission clock (tests).
-func (g *Gateway) SetClock(now func() time.Time) { g.now = now }
-
 // admit charges one request to the caller's tenant bucket; on refusal it
 // writes the 429 response and returns false.
 func (g *Gateway) admit(w http.ResponseWriter, r *http.Request) bool {

@@ -7,19 +7,15 @@ import (
 // ObsStore wraps a Store and counts operations per verb (objstore.put,
 // objstore.get, ...) plus failures (objstore.errors) in a metrics registry.
 // Counters are resolved by name, so every ObsStore attached to the same
-// registry — one per client in a deployment — feeds the same totals.
-//
-// Retry totals are not counted here: the RetryStore sits above this wrapper
-// and its per-verb retry counters are folded into the registry at snapshot
-// time (see harness wiring), so one logical operation that retried twice
-// shows up as three verb ops and two retries.
+// registry — one per client in a deployment — feeds the same totals. Where
+// it sits among the wrappers, and why, is DESIGN.md §7.3.
 type ObsStore struct {
+	Verbs
 	inner Store
 
-	cPut, cGet, cGetRange *obs.Counter
-	cDelete, cList, cHead *obs.Counter
-	cErrors               *obs.Counter
-	cBytesOut, cBytesIn   *obs.Counter
+	cVerb               [numVerbs]*obs.Counter
+	cErrors             *obs.Counter
+	cBytesOut, cBytesIn *obs.Counter
 }
 
 // Instrument wraps inner with per-verb counting in reg. A nil registry
@@ -28,69 +24,32 @@ func Instrument(inner Store, reg *obs.Registry) Store {
 	if reg == nil {
 		return inner
 	}
-	return &ObsStore{
+	s := &ObsStore{
 		inner:     inner,
-		cPut:      reg.Counter("objstore.put"),
-		cGet:      reg.Counter("objstore.get"),
-		cGetRange: reg.Counter("objstore.getrange"),
-		cDelete:   reg.Counter("objstore.delete"),
-		cList:     reg.Counter("objstore.list"),
-		cHead:     reg.Counter("objstore.head"),
 		cErrors:   reg.Counter("objstore.errors"),
 		cBytesOut: reg.Counter("objstore.bytes.put"),
 		cBytesIn:  reg.Counter("objstore.bytes.get"),
 	}
+	for v, name := range verbNames {
+		s.cVerb[v] = reg.Counter("objstore." + name)
+	}
+	s.Verbs = s.do
+	return s
 }
 
-// Inner exposes the wrapped backend.
-func (s *ObsStore) Inner() Store { return s.inner }
-
-func (s *ObsStore) fail(err error) error {
+// do counts one round trip: the verb, the bytes a Put carries and a Get or
+// GetRange brings back, and a failure.
+func (s *ObsStore) do(op Op) (Result, error) {
+	s.cVerb[op.Verb].Inc()
+	if len(op.Data) > 0 {
+		s.cBytesOut.Add(int64(len(op.Data)))
+	}
+	r, err := Do(s.inner, op)
+	if len(r.Data) > 0 {
+		s.cBytesIn.Add(int64(len(r.Data)))
+	}
 	if err != nil {
 		s.cErrors.Inc()
 	}
-	return err
-}
-
-// Put implements Store.
-func (s *ObsStore) Put(key string, data []byte) error {
-	s.cPut.Inc()
-	s.cBytesOut.Add(int64(len(data)))
-	return s.fail(s.inner.Put(key, data))
-}
-
-// Get implements Store.
-func (s *ObsStore) Get(key string) ([]byte, error) {
-	s.cGet.Inc()
-	v, err := s.inner.Get(key)
-	s.cBytesIn.Add(int64(len(v)))
-	return v, s.fail(err)
-}
-
-// GetRange implements Store.
-func (s *ObsStore) GetRange(key string, off, n int64) ([]byte, error) {
-	s.cGetRange.Inc()
-	v, err := s.inner.GetRange(key, off, n)
-	s.cBytesIn.Add(int64(len(v)))
-	return v, s.fail(err)
-}
-
-// Delete implements Store.
-func (s *ObsStore) Delete(key string) error {
-	s.cDelete.Inc()
-	return s.fail(s.inner.Delete(key))
-}
-
-// List implements Store.
-func (s *ObsStore) List(prefix string) ([]string, error) {
-	s.cList.Inc()
-	v, err := s.inner.List(prefix)
-	return v, s.fail(err)
-}
-
-// Head implements Store.
-func (s *ObsStore) Head(key string) (int64, error) {
-	s.cHead.Inc()
-	n, err := s.inner.Head(key)
-	return n, s.fail(err)
+	return r, err
 }

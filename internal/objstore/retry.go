@@ -97,6 +97,7 @@ func Retryable(err error) bool {
 // round-trip (journal commit, cache write-back, metatable load, recovery
 // scan) can be mounted on.
 type RetryStore struct {
+	Verbs
 	inner  Store
 	env    sim.Env
 	policy RetryPolicy
@@ -128,16 +129,15 @@ func NewRetryStore(env sim.Env, inner Store, p RetryPolicy) *RetryStore {
 	if p.Seed == 0 {
 		p.Seed = def.Seed
 	}
-	return &RetryStore{
+	r := &RetryStore{
 		inner:  inner,
 		env:    env,
 		policy: p,
 		rng:    rand.New(rand.NewSource(p.Seed)),
 	}
+	r.Verbs = r.do
+	return r
 }
-
-// Inner exposes the wrapped backend (tests reach through to the FaultStore).
-func (r *RetryStore) Inner() Store { return r.inner }
 
 // RetryStats returns the live retry counters.
 func (r *RetryStore) RetryStats() *RetryStats { return &r.stats }
@@ -162,17 +162,22 @@ func (r *RetryStore) backoff(retry int) time.Duration {
 	return time.Duration(d)
 }
 
-// do runs op under the retry budget, counting re-issues in counter.
-func (r *RetryStore) do(verb, key string, counter *atomic.Int64, op func() error) error {
+// of returns the verb's retry counter.
+func (s *RetryStats) of(v Verb) *atomic.Int64 {
+	return [numVerbs]*atomic.Int64{&s.Put, &s.Get, &s.GetRange, &s.Delete, &s.List, &s.Head}[v]
+}
+
+// do runs op under the retry budget, counting re-issues against its verb.
+func (r *RetryStore) do(op Op) (Result, error) {
 	r.policy.Budget.OnAttempt()
 	deadline := time.Duration(-1)
 	if r.policy.AttemptBudget > 0 {
 		deadline = r.env.Now() + r.policy.AttemptBudget
 	}
 	for attempt := 1; ; attempt++ {
-		err := op()
+		res, err := Do(r.inner, op)
 		if err == nil || !Retryable(err) {
-			return err
+			return res, err
 		}
 		if attempt < r.policy.MaxAttempts && !r.env.Stopped() {
 			wait := r.backoff(attempt - 1)
@@ -182,67 +187,13 @@ func (r *RetryStore) do(verb, key string, counter *atomic.Int64, op func() error
 			// ratio is already at its ceiling, adding more retry load would
 			// deepen the overload that caused the failures.
 			if (deadline < 0 || r.env.Now()+wait < deadline) && r.policy.Budget.Allow() {
-				counter.Add(1)
+				r.stats.of(op.Verb).Add(1)
 				r.env.Sleep(wait)
 				continue
 			}
 		}
 		r.stats.Exhausted.Add(1)
-		return fmt.Errorf("objstore: %s %q gave up after %d attempt(s): %w",
-			verb, key, attempt, err)
+		return res, fmt.Errorf("objstore: %s %q gave up after %d attempt(s): %w",
+			op.Verb, op.Key, attempt, err)
 	}
-}
-
-// Put implements Store with retries.
-func (r *RetryStore) Put(key string, data []byte) error {
-	return r.do("put", key, &r.stats.Put, func() error { return r.inner.Put(key, data) })
-}
-
-// Get implements Store with retries.
-func (r *RetryStore) Get(key string) ([]byte, error) {
-	var v []byte
-	err := r.do("get", key, &r.stats.Get, func() error {
-		var e error
-		v, e = r.inner.Get(key)
-		return e
-	})
-	return v, err
-}
-
-// GetRange implements Store with retries.
-func (r *RetryStore) GetRange(key string, off, n int64) ([]byte, error) {
-	var v []byte
-	err := r.do("getrange", key, &r.stats.GetRange, func() error {
-		var e error
-		v, e = r.inner.GetRange(key, off, n)
-		return e
-	})
-	return v, err
-}
-
-// Delete implements Store with retries.
-func (r *RetryStore) Delete(key string) error {
-	return r.do("delete", key, &r.stats.Delete, func() error { return r.inner.Delete(key) })
-}
-
-// List implements Store with retries.
-func (r *RetryStore) List(prefix string) ([]string, error) {
-	var v []string
-	err := r.do("list", prefix, &r.stats.List, func() error {
-		var e error
-		v, e = r.inner.List(prefix)
-		return e
-	})
-	return v, err
-}
-
-// Head implements Store with retries.
-func (r *RetryStore) Head(key string) (int64, error) {
-	var n int64
-	err := r.do("head", key, &r.stats.Head, func() error {
-		var e error
-		n, e = r.inner.Head(key)
-		return e
-	})
-	return n, err
 }

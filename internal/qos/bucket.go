@@ -64,18 +64,6 @@ func (b *TokenBucket) Take(now time.Time) (ok bool, retryAfter time.Duration) {
 	return false, after
 }
 
-// Tokens returns the current token count after refilling to now.
-func (b *TokenBucket) Tokens(now time.Time) float64 {
-	if !b.last.IsZero() && now.After(b.last) {
-		b.tokens += b.rate * now.Sub(b.last).Seconds()
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = now
-	}
-	return b.tokens
-}
-
 // Limits parameterizes one tenant's admission rate.
 type Limits struct {
 	Rate  float64 // sustained operations per second

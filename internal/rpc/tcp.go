@@ -156,12 +156,6 @@ func (c *TCPClient) Call(sc obs.SpanContext, req any) (any, error) {
 	return c.CallEnvelope(sc, 0, "", qos.NoBudget, req)
 }
 
-// CallEpoch is Call with the caller's lease-ring epoch attached to the
-// envelope (0 when unsharded).
-func (c *TCPClient) CallEpoch(sc obs.SpanContext, ringEpoch uint64, req any) (any, error) {
-	return c.CallEnvelope(sc, ringEpoch, "", qos.NoBudget, req)
-}
-
 // CallEnvelope is Call with the full envelope metadata: the caller's
 // lease-ring epoch (0 when unsharded), tenant attribution ("" when unknown),
 // and remaining retry-budget tokens (qos.NoBudget when unbudgeted).

@@ -47,7 +47,6 @@ type chanCore interface {
 	send(v any) bool // false if the channel is closed
 	recv() (v any, ok bool)
 	recvTimeout(d time.Duration) (v any, ok bool, timedOut bool)
-	tryRecv() (v any, ok bool)
 	close()
 	len() int
 }
@@ -86,16 +85,6 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok bool, timedOut bool) {
 		return zero, false, timedOut
 	}
 	return cast[T](raw), true, false
-}
-
-// TryRecv returns immediately; ok is false if no value was ready.
-func (c *Chan[T]) TryRecv() (T, bool) {
-	v, ok := c.core.tryRecv()
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	return cast[T](v), true
 }
 
 // cast converts a queued any back to T, mapping a nil interface (e.g. a nil

@@ -127,15 +127,6 @@ func (c *realChan) recvTimeout(d time.Duration) (any, bool, bool) {
 	return v, ok, false
 }
 
-func (c *realChan) tryRecv() (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.queue) == 0 {
-		return nil, false
-	}
-	return c.popLocked()
-}
-
 // popLocked removes the queue head; callers hold c.mu and have ensured the
 // queue is non-empty or the channel closed.
 func (c *realChan) popLocked() (any, bool) {

@@ -328,16 +328,6 @@ func (c *virtChan) recvDeadline(d time.Duration) (any, bool) {
 	return w.v, w.ok
 }
 
-func (c *virtChan) tryRecv() (any, bool) {
-	e := c.env
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(c.queue) == 0 {
-		return nil, false
-	}
-	return c.popLocked(), true
-}
-
 func (c *virtChan) popLocked() any {
 	v := c.queue[0]
 	c.queue[0] = nil
