@@ -53,8 +53,8 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 9 {
-		t.Fatalf("%d rows in the table, want the nine gated benchmarks", len(want))
+	if len(want) != 10 {
+		t.Fatalf("%d rows in the table, want the ten gated benchmarks", len(want))
 	}
 	got := map[string]reading{}
 	for name, r := range want {
@@ -71,5 +71,10 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 	got["BenchmarkForwardedStat/depth3"] = reading{4752, 81}
 	if bad := check(want, got); len(bad) != 2 {
 		t.Fatalf("a forwarded stat of five messages: %q", bad)
+	}
+	// And an OpenReq after the walk (ISSUE 24's parent).
+	got["BenchmarkForwardedOpenReadClose"] = reading{9130, 70}
+	if bad := check(want, got); len(bad) != 3 {
+		t.Fatalf("a forwarded open of three messages: %q", bad)
 	}
 }

@@ -284,7 +284,8 @@ func (c *Client) Fsync(ctx context.Context, path string) error {
 // record is in the object store, a crash is recoverable by replay, and the
 // checkpoint workers fold the records into the original objects behind the
 // barrier. Lease handoff (Close, ReleaseDir) still uses the strong
-// commit-and-checkpoint flush.
+// commit-and-checkpoint flush. Data leases that clean closes are giving back
+// (release) have reached their leaders when FlushAll returns.
 func (c *Client) FlushAll(ctx context.Context) error {
 	_, op := c.startOp(ctx, "flushall", "")
 	if err := c.data.FlushAll(); err != nil {
@@ -293,6 +294,7 @@ func (c *Client) FlushAll(ctx context.Context) error {
 	if err := c.jrnl.BarrierAll(); err != nil {
 		return op.end(err)
 	}
+	c.awaitReturns()
 	// Surface any background write-back failure (lease recall, close path)
 	// recorded since the last FlushAll; the failed entries stayed dirty, so
 	// the FlushAll above has already retried them.

@@ -142,6 +142,16 @@ type Client struct {
 	pcache map[types.Ino]*permEntry
 	open   map[types.Ino]*openFile // inodes with a live handle or a release pending
 	closed bool
+	// Data-lease returns on their way to remote leaders (release): how many,
+	// the channel a FlushAll or Close that waits for them made, and per leader
+	// the highest grant number given back, which a walk's grant must exceed to
+	// be believed (adopt).
+	returns  int
+	quiet    *sim.Chan[struct{}]
+	returned map[rpc.Addr]uint64
+
+	grantSeq atomic.Uint64 // as a leader: the last number a data-lease grant was given
+	recalls  atomic.Uint64 // as a holder: recalls run; bumped under mu
 
 	// pending2pc tracks this client's participant-side prepared renames
 	// awaiting the coordinator's decision (txid -> pendingRename).
@@ -219,6 +229,7 @@ func (ld *ledDir) writable() error {
 // dataLease is the lease state of one child file.
 type dataLease struct {
 	readers map[rpc.Addr]bool
+	grants  map[rpc.Addr]uint64 // the number of each remote reader's latest grant; none for a create's
 	writer  rpc.Addr
 	direct  bool // conflict detected: everyone does direct I/O
 }
@@ -318,6 +329,8 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 		pcache:  make(map[types.Ino]*permEntry),
 		open:    make(map[types.Ino]*openFile),
 		inoSrc:  types.NewInoSource(opts.Seed),
+
+		returned: make(map[rpc.Addr]uint64),
 	}
 	c.jrnl.SetTxnIDBase(uint64(opts.Seed) & 0xFFFFFFFF)
 	if opts.Obs != nil {
@@ -501,6 +514,7 @@ func (c *Client) Close() error {
 	// clean close over lost acknowledged metadata — so the errors are joined
 	// rather than first-one-wins.
 	err := errors.Join(c.data.FlushAll(), c.jrnl.FlushAll(), c.takeWBErr())
+	c.awaitReturns()
 	for ino, ld := range held {
 		// An in-flight leaseKeeper extension may still be writing ld, so the
 		// ID must be read under the lock (and freshest-ID wins).
@@ -926,6 +940,11 @@ func (c *Client) Leads(dir types.Ino) bool {
 func (c *Client) ledDirFor(dir types.Ino) (*ledDir, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.ledLocked(dir)
+}
+
+// ledLocked is ledDirFor for a caller that holds c.mu.
+func (c *Client) ledLocked(dir types.Ino) (*ledDir, bool) {
 	ld, ok := c.led[dir]
 	if !ok || c.env.Now() >= ld.expiry {
 		return nil, false

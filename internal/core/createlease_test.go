@@ -210,6 +210,11 @@ func TestCreateLeaseFollowsAccessMode(t *testing.T) {
 			t.Errorf("%s: a second reader sent %v", tt.name, got)
 		}
 		_ = f.Close()
+		for _, closer := range []*Client{c, other} { // their returns are counted here, not in the next round
+			if err := closer.FlushAll(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -327,6 +332,9 @@ func TestUnansweredCreateReturnsLease(t *testing.T) {
 		t.Fatal("the open succeeded with every answer lost")
 	}
 	plan.HealAll()
+	if err := c.FlushAll(ctx); err != nil { // the return is off the caller's stack
+		t.Fatal(err)
+	}
 	if _, err := leader.Stat(ctx, "/d/f"); err != nil {
 		t.Fatalf("the create ran at the leader, its answer was lost: %v", err)
 	}

@@ -36,8 +36,10 @@ type openFile struct {
 	ino    types.Ino
 	leased atomic.Bool // set once a leader lists this client as a holder
 
-	// Guarded by Client.mu.
+	// Guarded by Client.mu; once returning is set nothing changes them (giveBack).
 	parent    types.Ino           // whose leader the latest Open registered with
+	leader    rpc.Addr            // who listed this client last ("": itself); until then, parent's route when the record was made
+	grant     uint64              // the highest number leader listed it under
 	refs      int                 // live handles and Opens in flight
 	returning bool                // the lease is on its way back: the record is dead, Open waits
 	returned  *sim.Chan[struct{}] // made by an Open that waits; closed once the lease is back
@@ -54,7 +56,14 @@ type openFile struct {
 func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mode types.Mode) (*File, error) {
 	ctx, op := c.startOp(ctx, "open", path)
 	c.chargeFUSE()
-	res, err := c.resolvePath(ctx, path, true)
+	// The walk carries the open (DESIGN.md §5.7), unless the open may create:
+	// its second message is then the create, which grants for itself.
+	var walked *walkOpen
+	recalls := c.recalls.Load()
+	if !flags.Has(types.OCreate) {
+		walked = &walkOpen{write: flags.WantsWrite()}
+	}
+	res, err := c.walk(ctx, path, true, 0, walked)
 	if err != nil {
 		return nil, op.end(errnoWrap("open", path, err))
 	}
@@ -80,19 +89,29 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 		// made the file, and there is nothing to truncate or append after.
 		return f, op.end(nil)
 	}
-	// The file existed: check the requested access, then attach.
+	// The file existed: check the requested access, then attach. A grant the
+	// walk brought is the record's from here on, whatever comes of the open.
+	var want uint8
 	if flags.WantsRead() {
-		if err := node.Access(c.opts.Cred, types.MayRead); err != nil {
-			return nil, op.end(errnoWrap("open", path, err))
-		}
+		want |= types.MayRead
 	}
 	if flags.WantsWrite() {
-		if err := node.Access(c.opts.Cred, types.MayWrite); err != nil {
-			return nil, op.end(errnoWrap("open", path, err))
-		}
+		want |= types.MayWrite
+	}
+	granted := walked != nil && walked.leased
+	err = node.Access(c.opts.Cred, want)
+	if err != nil && !granted {
+		return nil, op.end(errnoWrap("open", path, err))
 	}
 	f.of = c.ref(res.parent, node.Ino)
-	if err := f.attach(ctx, node); err != nil {
+	var grant *dataGrant
+	if granted && c.adopt(f.of, walked.grant, recalls) {
+		grant = &walked.grant
+	}
+	if err == nil {
+		err = f.attach(ctx, node, grant)
+	}
+	if err != nil {
 		c.unref(f.of)
 		return nil, op.end(errnoWrap("open", path, err))
 	}
@@ -109,11 +128,12 @@ func (c *Client) openNew(ctx context.Context, parent types.Ino, name string, fla
 		NewIno: c.inoSrc.Next(), Exclusive: flags.Has(types.OExcl), Holder: c.addr, Write: flags.WantsWrite()}
 	of := c.ref(parent, req.NewIno)
 	node, leased, err := c.create(ctx, parent, req)
-	of.leased.Store(leased)
 	if err != nil || !leased {
+		of.leased.Store(leased) // to return, if at all, where the request went
 		c.unref(of)
 		return node, nil, err
 	}
+	c.adopt(of, dataGrant{via: parent}, 0) // a create's listing has no number
 	if req.Write {
 		c.data.Created(node.Ino)
 		of.mu.Lock()
@@ -140,7 +160,7 @@ func (c *Client) ref(parent, ino types.Ino) *openFile {
 	for {
 		of := c.open[ino]
 		if of == nil {
-			of = &openFile{ino: ino}
+			of = &openFile{ino: ino, leader: c.remote[parent]}
 			c.open[ino] = of
 		}
 		if !of.returning {
@@ -165,7 +185,8 @@ func (c *Client) ref(parent, ino types.Ino) *openFile {
 // (flush broadcast) first and never sees stale objects. On failure the
 // entries stay dirty and resident, the error is recorded for FlushAll/Close,
 // and the lease is kept so the data cannot be invalidated out from under the
-// pending retry.
+// pending retry. A clean close decides the release here and waits for nothing:
+// the message that returns the lease to a remote leader leaves on a goroutine.
 func (c *Client) unref(of *openFile) {
 	c.mu.Lock()
 	of.refs--
@@ -179,62 +200,152 @@ func (c *Client) unref(of *openFile) {
 				c.recordWBErr(err)
 				return
 			}
-			c.release(of)
+			if c.release(of) {
+				c.giveBack(of)
+			}
 		})
 	default:
-		c.release(of)
+		if c.release(of) {
+			c.env.Go(func() { c.giveBack(of) })
+		}
 	}
 }
 
 // release invalidates the inode's cache and gives its data lease back, if at
 // this moment the record is still unreferenced and clean. A handle that came
 // since the last Close keeps both, and its own last Close releases in turn.
-func (c *Client) release(of *openFile) {
+// The decision is made here, in one hold of Client.mu. A record no leader
+// listed, or one this client lists itself, is finished before release returns;
+// for a remote leader's what remains is one message, and release reports that
+// its caller has giveBack to run. Until that message is answered the record
+// stays, returning, and an Open of the inode waits (ref).
+func (c *Client) release(of *openFile) (remote bool) {
 	c.mu.Lock()
 	if of.refs > 0 || of.returning || c.data.Dirty(of.ino) {
 		c.mu.Unlock()
-		return
+		return false
 	}
 	// Giving the lease back forfeits the right to cache: a later open must
 	// not trust entries that predate other clients' writes.
 	c.data.Invalidate(of.ino)
 	of.returning = true
-	parent := of.parent
-	c.mu.Unlock()
-
-	if of.leased.Load() { // else every Open failed before a leader listed this client
-		ctx := context.Background()
-		if ld, leads := c.ledDirFor(parent); leads {
-			c.releaseData(ld, of.ino, c.addr)
-		} else if leader, err := c.remoteLeaderHint(ctx, parent); err == nil {
-			// Best effort: if this fails the leader keeps a stale holder
-			// entry until its own lease on the directory turns over.
-			_, _ = c.callLeader(ctx, leader, parent, CloseFileReq{Dir: parent, Ino: of.ino, Client: c.addr})
+	ld, leads := c.ledLocked(of.parent)
+	leased := of.leased.Load() // else every Open failed before a leader listed this client
+	if leased && !leads && of.leader != "" {
+		c.returns++
+		if of.grant > c.returned[of.leader] {
+			c.returned[of.leader] = of.grant
 		}
+		c.mu.Unlock()
+		return true
 	}
-
+	c.mu.Unlock()
+	if leased && leads {
+		c.releaseData(ld, of.ino, c.addr, of.grant)
+	}
 	c.mu.Lock()
-	delete(c.open, of.ino)
-	if of.returned != nil {
-		of.returned.Close()
+	c.forget(of)
+	c.mu.Unlock()
+	return false
+}
+
+// giveBack sends the message release left: the CloseFileReq of a returning
+// record, whose fields nothing changes any more. It goes to the process that
+// listed this client and nowhere else: asking the lease manager who leads the
+// directory now could end with this client leading it, to tell itself a lease
+// is back, and a new leader never had the entry. Best effort: if the call
+// fails the leader keeps a stale holder entry until its own lease on the
+// directory turns over.
+func (c *Client) giveBack(of *openFile) {
+	_, _ = c.net.CallFrom(c.addr, of.leader, CloseFileReq{Dir: of.parent, Ino: of.ino, Client: c.addr, Grant: of.grant})
+	c.mu.Lock()
+	c.forget(of)
+	if c.returns--; c.returns == 0 && c.quiet != nil {
+		c.quiet.Close()
+		c.quiet = nil
 	}
 	c.mu.Unlock()
 }
 
-// attach registers the data lease at the parent's leader, brings the record
+// forget ends a release, under Client.mu: the record is gone and whoever
+// waited for its lease to be back goes on.
+func (c *Client) forget(of *openFile) {
+	delete(c.open, of.ino)
+	if of.returned != nil {
+		of.returned.Close()
+	}
+}
+
+// awaitReturns waits until no lease return is on its way to a remote leader.
+func (c *Client) awaitReturns() {
+	c.mu.Lock()
+	if c.returns == 0 {
+		c.mu.Unlock()
+		return
+	}
+	if c.quiet == nil {
+		c.quiet = sim.NewChan[struct{}](c.env)
+	}
+	quiet := c.quiet
+	c.mu.Unlock()
+	quiet.Recv()
+}
+
+// dataGrant is one listing of this client for a file's data lease, as the
+// message that asked for it reports it: an OpenResp, or the WalkResp of a walk
+// that carried the open.
+type dataGrant struct {
+	via    types.Ino // the directory whose route the message took: its leader listed, this client if it has none
+	seq    uint64    // that leader's number for the listing
+	direct bool      // the file is in direct mode
+}
+
+// adopt makes of the owner of grant g: whatever becomes of the Open that got
+// it, the record's release gives it back. For a walk's grant it also reports
+// whether g still says what its leader holds (after an OpenReq or a CreateReq
+// there is nothing to ask: the record was there before the request left, so a
+// recall found it and no return could be decided). A walk learns its inode
+// from the answer. A recall that overtook the answer found no record to flip
+// (recalls is the caller's reading of Client.recalls from before the walk),
+// and a return decided meanwhile may reach the leader after the grant, or
+// have taken a newer grant with it: the leader drops a return older than the
+// listing it holds, and a grant no newer than one already given back to its
+// leader is not believed here. The caller then asks with an OpenReq, which is
+// behind all of that.
+func (c *Client) adopt(of *openFile, g dataGrant, recalls uint64) (current bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if leader := c.remote[g.via]; leader != of.leader {
+		of.leader, of.grant = leader, 0 // another leader's numbers
+	}
+	if g.seq > of.grant {
+		of.grant = g.seq
+	}
+	of.leased.Store(true)
+	return c.recalls.Load() == recalls && g.seq > c.returned[of.leader]
+}
+
+// attach registers the data lease at the parent's leader, unless the walk has
+// (walked, with node as that leader had it after the grant), brings the record
 // up to date with the answer, and applies O_TRUNC and O_APPEND.
-func (f *File) attach(ctx context.Context, node *types.Inode) error {
+func (f *File) attach(ctx context.Context, node *types.Inode, walked *dataGrant) error {
 	of := f.of
 	of.mu.Lock()
 	ver := of.ver
 	of.mu.Unlock()
-	direct, size, err := f.c.openDataLease(ctx, f.parent, f.name, node, f.flags.WantsWrite())
-	if err != nil {
-		return err
+	grant, size := walked, node.Size
+	// A walk was under way before this record was known: if a size has gone
+	// through the record since it was made, the walk's may be the older one.
+	if grant == nil || ver != 0 {
+		g, fresh, err := f.c.openDataLease(ctx, f.parent, f.name, node, f.flags.WantsWrite())
+		if err != nil {
+			return err
+		}
+		f.c.adopt(of, g, 0)
+		grant, size = &g, fresh
 	}
-	of.leased.Store(true)
 	of.mu.Lock()
-	of.direct = of.direct || direct
+	of.direct = of.direct || grant.direct
 	// The leader's size is the fresher one (close-to-open) unless this client
 	// has bytes it has not published, or changed or published the size while
 	// the request was in flight: the answer may predate that.
@@ -261,30 +372,26 @@ func (f *File) attach(ctx context.Context, node *types.Inode) error {
 }
 
 // openDataLease registers a read lease at the parent's leader and returns
-// whether the file is in direct-I/O mode plus its current size.
-func (c *Client) openDataLease(ctx context.Context, parent types.Ino, name string, node *types.Inode, write bool) (bool, int64, error) {
+// the grant (whether the file is in direct-I/O mode) plus its current size.
+func (c *Client) openDataLease(ctx context.Context, parent types.Ino, name string, node *types.Inode, write bool) (dataGrant, int64, error) {
 	ld, ok := c.ledDirFor(parent)
 	if !ok {
 		var resp OpenResp
 		var err error
 		req := OpenReq{Dir: parent, Name: name, Cred: c.opts.Cred, Client: c.addr, Write: write}
 		if ld, resp, err = forward[OpenResp](ctx, c, nil, parent, req); err != nil {
-			return false, 0, err
+			return dataGrant{}, 0, err
 		}
 		if ld == nil {
 			fresh, err := wire.DecodeInode(resp.Inode)
 			if err != nil {
-				return false, 0, err
+				return dataGrant{}, 0, err
 			}
-			return resp.Direct, fresh.Size, nil
+			return dataGrant{via: parent, seq: resp.Grant, direct: resp.Direct}, fresh.Size, nil
 		}
 	}
-	direct := c.grantLease(ld, node.Ino, c.addr, false)
-	// Leader's table has the freshest size.
-	if cur, ok := ld.table.Child(node.Ino); ok {
-		return direct, cur.Size, nil
-	}
-	return direct, node.Size, nil
+	direct, seq := c.grantLease(ld, node.Ino, c.addr, false)
+	return dataGrant{via: parent, seq: seq, direct: direct}, ld.child(node).Size, nil
 }
 
 // Size returns this client's view of the file size.
@@ -423,7 +530,7 @@ func (f *File) ensureWritable() (direct bool, err error) {
 	}
 	direct = resp.Direct
 	if ld != nil {
-		direct = c.grantLease(ld, of.ino, c.addr, true)
+		direct, _ = c.grantLease(ld, of.ino, c.addr, true)
 	}
 	if direct {
 		// The flush broadcast reaches this client too; this covers a lost one.
@@ -509,8 +616,13 @@ func (c *Client) DropAllCaches() { c.data.Clear() }
 // direct mode. The paper's conflict rule (§III-D): a reader that finds another
 // client holding the write lease, or a writer that finds any other holder,
 // has those caches recalled (flush broadcast) first, and the file stays in
-// direct mode until every holder has left.
-func (c *Client) grantLease(ld *ledDir, ino types.Ino, client rpc.Addr, write bool) bool {
+// direct mode until every holder has left. An open's grant to another client
+// (not a write upgrade, and not this client's own, which no message carries)
+// gets seq, a number no earlier grant of this leader has: a return names the
+// highest its client knows, and one that a newer listing has overtaken on the
+// way is ignored (releaseData). Listing stays idempotent: a request served
+// twice leaves one entry, under the later number.
+func (c *Client) grantLease(ld *ledDir, ino types.Ino, client rpc.Addr, write bool) (direct bool, seq uint64) {
 	ld.opMu.Lock()
 	dl := ld.dataLeases[ino]
 	if dl == nil {
@@ -518,6 +630,13 @@ func (c *Client) grantLease(ld *ledDir, ino types.Ino, client rpc.Addr, write bo
 		ld.dataLeases[ino] = dl
 	}
 	dl.readers[client] = true
+	if !write && client != c.addr {
+		if dl.grants == nil {
+			dl.grants = make(map[rpc.Addr]uint64)
+		}
+		seq = c.grantSeq.Add(1)
+		dl.grants[client] = seq
+	}
 	var recall []rpc.Addr
 	switch {
 	case dl.direct:
@@ -533,7 +652,7 @@ func (c *Client) grantLease(ld *ledDir, ino types.Ino, client rpc.Addr, write bo
 	if recall != nil {
 		dl.direct, dl.writer = true, ""
 	}
-	direct := dl.direct
+	direct = dl.direct
 	ld.opMu.Unlock()
 	for _, h := range recall {
 		if h == c.addr {
@@ -542,19 +661,21 @@ func (c *Client) grantLease(ld *ledDir, ino types.Ino, client rpc.Addr, write bo
 			_, _ = c.net.CallFrom(c.addr, h, FlushCacheReq{Ino: ino})
 		}
 	}
-	return direct
+	return direct, seq
 }
 
-// releaseData drops client's lease on ino; when the last holder leaves, the
-// direct flag clears so future opens may cache again.
-func (c *Client) releaseData(ld *ledDir, ino types.Ino, client rpc.Addr) {
+// releaseData drops client's lease on ino, unless the client has been listed
+// again since it knew of grant: that listing's owner returns it. When the last
+// holder leaves, the direct flag clears so future opens may cache again.
+func (c *Client) releaseData(ld *ledDir, ino types.Ino, client rpc.Addr, grant uint64) {
 	ld.opMu.Lock()
 	defer ld.opMu.Unlock()
 	dl := ld.dataLeases[ino]
-	if dl == nil {
+	if dl == nil || dl.grants[client] > grant {
 		return
 	}
 	delete(dl.readers, client)
+	delete(dl.grants, client)
 	if dl.writer == client {
 		dl.writer = ""
 	}
@@ -568,15 +689,35 @@ func (c *Client) serveOpen(ld *ledDir, r OpenReq) OpenResp {
 	if err != nil {
 		return OpenResp{Err: errString(err)}
 	}
-	want := uint8(types.MayRead)
-	if r.Write {
-		want = types.MayWrite
-	}
-	if err := node.Access(r.Cred, want); err != nil {
+	node, direct, grant, err := c.openAt(ld, node, r.Cred, r.Client, r.Write)
+	if err != nil {
 		return OpenResp{Err: errString(err)}
 	}
-	direct := c.grantLease(ld, node.Ino, r.Client, false)
-	return OpenResp{Inode: wire.EncodeInode(node), Direct: direct}
+	return OpenResp{Inode: wire.EncodeInode(node), Direct: direct, Grant: grant}
+}
+
+// openAt is the leader's half of an open of node, a child of ld, whichever
+// message brought it (OpenReq, or a walk that ends at node): the access check
+// on the requester's credentials, the grant, and the inode as the table has it
+// once the grant, which may have recalled a writer, is made.
+func (c *Client) openAt(ld *ledDir, node *types.Inode, cred types.Cred, holder rpc.Addr, write bool) (fresh *types.Inode, direct bool, grant uint64, err error) {
+	want := uint8(types.MayRead)
+	if write {
+		want = types.MayWrite
+	}
+	if err := node.Access(cred, want); err != nil {
+		return nil, false, 0, err
+	}
+	direct, grant = c.grantLease(ld, node.Ino, holder, false)
+	return ld.child(node), direct, grant, nil
+}
+
+// child is node as ld's table has it now; node itself if the table has lost it.
+func (ld *ledDir) child(node *types.Inode) *types.Inode {
+	if cur, ok := ld.table.Child(node.Ino); ok {
+		return cur
+	}
+	return node
 }
 
 // recall is a holder's half of a lease conflict, run for a FlushCacheReq and
@@ -587,6 +728,7 @@ func (c *Client) serveOpen(ld *ledDir, r OpenReq) OpenResp {
 // returns it on the wire.
 func (c *Client) recall(ino types.Ino) error {
 	c.mu.Lock()
+	c.recalls.Add(1) // a walk whose grant is still on its way has no record yet (adopt)
 	of := c.open[ino]
 	c.mu.Unlock()
 	if of != nil {

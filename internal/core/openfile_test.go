@@ -314,6 +314,9 @@ func TestConcurrentOpenCloseKeepsLease(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if err := c.FlushAll(ctx); err != nil { // the last return is off the caller's stack
+		t.Fatal(err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.open) != 0 {

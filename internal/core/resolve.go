@@ -29,10 +29,21 @@ type resolved struct {
 // costs one round trip per leader on it, not one per component. followLast
 // controls symlink resolution of the final component.
 func (c *Client) resolvePath(ctx context.Context, path string, followLast bool) (*resolved, error) {
-	return c.walk(ctx, path, followLast, 0)
+	return c.walk(ctx, path, followLast, 0, nil)
 }
 
-func (c *Client) walk(ctx context.Context, path string, followLast bool, depth int) (*resolved, error) {
+// walkOpen is what Open tells its walk, and what the walk brings back: a
+// leader that resolves the path's last name to a regular file the client may
+// open lists the client for the file's data lease in the same message, and
+// grant is then what an OpenResp would have said (DESIGN.md §5.7).
+type walkOpen struct {
+	write  bool // the open wants to write
+	leased bool
+	grant  dataGrant
+}
+
+// walk is resolvePath; open, if not nil, rides the lookup of the last name.
+func (c *Client) walk(ctx context.Context, path string, followLast bool, depth int, open *walkOpen) (*resolved, error) {
 	if depth > maxSymlinkDepth {
 		return nil, fmt.Errorf("core: %q: %w", path, types.ErrLoop)
 	}
@@ -65,7 +76,7 @@ func (c *Client) walk(ctx context.Context, path string, followLast bool, depth i
 		if len(ahead) > 0 {
 			child, ahead = ahead[0], ahead[1:]
 		} else if aheadErr == nil {
-			child, ahead, aheadErr = c.lookup(ctx, cur, parts[i:])
+			child, ahead, aheadErr = c.lookup(ctx, cur, parts[i:], open)
 		}
 		if child == nil {
 			if last && isNotExist(aheadErr) {
@@ -87,7 +98,7 @@ func (c *Client) walk(ctx context.Context, path string, followLast bool, depth i
 			if rest != "/" {
 				target = target + rest
 			}
-			return c.walk(ctx, target, followLast, depth+1)
+			return c.walk(ctx, target, followLast, depth+1, open)
 		}
 		if last {
 			return &resolved{parent: cur, name: name, node: child}, nil
@@ -133,8 +144,10 @@ func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, erro
 // ahead, and err, if the first name resolved, belongs to the name after the
 // last of them. Unlike the other forwarded operations it treats the leader's
 // ENOENT as an answer worth keeping (a negative permission-cache entry), and
-// it caches what the answer says of every directory it crossed.
-func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string) (child *types.Inode, ahead []*types.Inode, err error) {
+// it caches what the answer says of every directory it crossed. With open, the
+// leader of the last name's directory may grant the open too: only an answer
+// that resolved every name says so.
+func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open *walkOpen) (child *types.Inode, ahead []*types.Inode, err error) {
 	ld, ok := c.ledDirFor(dir)
 	if !ok {
 		if node, hit, cached := c.pcacheLookup(dir, names[0]); hit {
@@ -142,9 +155,15 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string) (chi
 			return node, nil, cached
 		}
 		var resp WalkResp
-		ld, resp, err = forward[WalkResp](ctx, c, nil, dir, WalkReq{
-			Dir: dir, Names: names, Cred: c.opts.Cred, WantDirInode: c.opts.PermCache,
-		})
+		req := WalkReq{Dir: dir, Names: names, Cred: c.opts.Cred, WantDirInode: c.opts.PermCache}
+		if open != nil {
+			req.Holder, req.Write = c.addr, open.write
+		}
+		ld, resp, err = forward[WalkResp](ctx, c, nil, dir, req)
+		if open != nil && resp.Leased {
+			open.leased = true
+			open.grant = dataGrant{via: dir, seq: resp.Grant, direct: resp.Direct}
+		}
 		if c.opts.PermCache && len(resp.DirInode) > 0 {
 			if dn, derr := wire.DecodeInode(resp.DirInode); derr == nil {
 				c.pcachePut(dir, "", dn)

@@ -97,9 +97,10 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 	case OpenReq:
 		return c.serveOpen(ld, r)
 	case WriteLeaseReq:
-		return WriteLeaseResp{Direct: c.grantLease(ld, r.Ino, r.Client, true)}
+		direct, _ := c.grantLease(ld, r.Ino, r.Client, true)
+		return WriteLeaseResp{Direct: direct}
 	case CloseFileReq:
-		c.releaseData(ld, r.Ino, r.Client)
+		c.releaseData(ld, r.Ino, r.Client, r.Grant)
 		return CloseFileResp{}
 	case FlushCacheReq:
 		return FlushCacheResp{Err: errString(c.recall(r.Ino))}
@@ -113,7 +114,10 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 // as each answer is a directory this client leads at that instant: it never
 // acquires a lease on a walker's behalf. Every step checks search permission
 // for the requester and charges a table operation, as a lookup sent for that
-// step alone would; no lock is held from one step to the next.
+// step alone would; no lock is held from one step to the next. A walk that
+// carries an open (r.Holder) and ends at a regular file is that open too: the
+// grant serveOpen would make, and the inode as the table has it afterwards. A
+// refusal grants nothing and is the walker's own access check to report.
 func (c *Client) serveWalk(ld *ledDir, r WalkReq) WalkResp {
 	resp := WalkResp{Inodes: make([][]byte, 0, len(r.Names))}
 	for i, name := range r.Names {
@@ -130,6 +134,11 @@ func (c *Client) serveWalk(ld *ledDir, r WalkReq) WalkResp {
 		if err != nil {
 			resp.Err = errString(err)
 			return resp
+		}
+		if i == len(r.Names)-1 && r.Holder != "" && child.Type == types.TypeRegular {
+			if fresh, direct, grant, err := c.openAt(ld, child, r.Cred, r.Holder, r.Write); err == nil {
+				child, resp.Leased, resp.Direct, resp.Grant = fresh, true, direct, grant
+			}
 		}
 		resp.Inodes = append(resp.Inodes, wire.EncodeInode(child))
 		var leads bool

@@ -359,7 +359,8 @@ func TestPermCacheConcurrentStats(t *testing.T) {
 
 // The message sequence of each call at depth 3 under one remote leader. A
 // slide back to a lookup per component, or a round trip added to the open
-// path, fails here and not only in the benchmark.
+// path (the walk is the open of a file that exists), fails here and not only
+// in the benchmark.
 func TestMessagesPerCall(t *testing.T) {
 	tc := newTestCluster(t)
 	reg := obs.NewRegistry()
@@ -392,7 +393,7 @@ func TestMessagesPerCall(t *testing.T) {
 	if r, err := leader.Stat(ctx, "/p/q/r"); err != nil || !leader.Leads(r.Ino) || c.StatCounters().LocalMetaOps.Load() != 0 {
 		t.Fatalf("setup: the leader should lead /p/q/r (%v) and c nothing", err)
 	}
-	// The lease goes back after the write-back, off the caller's stack.
+	// The lease goes back off the caller's stack, after the write-back if any.
 	closed := func(n int64) {
 		for end := time.Now().Add(5 * time.Second); leaderCalls(reg)["CloseFile"] < n && time.Now().Before(end); {
 			time.Sleep(time.Millisecond)
@@ -417,7 +418,17 @@ func TestMessagesPerCall(t *testing.T) {
 				return err
 			}
 			return f.Close()
-		}, map[string]int64{"Walk": 1, "Open": 1, "CloseFile": 1}},
+		}, map[string]int64{"Walk": 1, "CloseFile": 1}},
+		{"open+write+close", func() error {
+			f, err := c.Open(ctx, "/p/q/r/f", types.OWronly, 0)
+			if err != nil {
+				return err
+			}
+			if _, err := f.Write([]byte("3901 other bytes")); err != nil {
+				return err
+			}
+			return f.Close()
+		}, map[string]int64{"Walk": 1, "WriteLease": 1, "SetAttr": 1, "CloseFile": 1}},
 		{"unlink", func() error { return c.Unlink(ctx, "/p/q/r/f") },
 			map[string]int64{"Walk": 1, "Unlink": 1}},
 	} {
@@ -461,5 +472,21 @@ func TestWalkSurvivesTCPBridge(t *testing.T) {
 	got, err = far.Call(rpc.TCPAddr(bridge.Addr()), req)
 	if resp, ok := got.(WalkResp); err != nil || !ok || len(resp.Inodes) != 1 || resp.Err != types.Errno(types.ErrNotExist) {
 		t.Errorf("a failing walk over the bridge: %+v, %v; want z, then ENOENT", got, err)
+	}
+
+	// A walk that carries an open: Holder and Write arrive, and Leased, Direct
+	// and the grant's number come back. The second holder's write lease puts
+	// the file in direct mode (its recall finds nobody listening at the first).
+	f := wt.ino(t, "/x/y/z/f")
+	req = WalkReq{Dir: wt.y, Names: []string{"z", "f"}, Cred: wt.a.opts.Cred, Holder: "arkfs-far", Write: true}
+	got, err = far.Call(rpc.TCPAddr(bridge.Addr()), req)
+	first, ok := got.(WalkResp)
+	if err != nil || !ok || !first.Leased || first.Direct || first.Grant == 0 || !holdsLease(t, wt.a, wt.z, f, "arkfs-far") {
+		t.Fatalf("a walk with an open over the bridge: %+v, %v; want Leased, a grant number, and arkfs-far listed", got, err)
+	}
+	wt.a.serve(ctx, WriteLeaseReq{Dir: wt.z, Ino: f, Client: "arkfs-other"})
+	got, err = far.Call(rpc.TCPAddr(bridge.Addr()), req)
+	if again, ok := got.(WalkResp); err != nil || !ok || !again.Leased || !again.Direct || again.Grant <= first.Grant {
+		t.Errorf("the same walk after a conflict: %+v, %v; want Leased, Direct and a later grant than %d", got, err, first.Grant)
 	}
 }

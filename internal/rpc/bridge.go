@@ -84,3 +84,14 @@ func (n *Network) callTCP(meta callMeta, to Addr, req any) (any, error) {
 	}
 	return resp, nil
 }
+
+// dropPooled closes and forgets the pooled connection to hostport, if any.
+func dropPooled(hostport string) {
+	tcpPool.mu.Lock()
+	cli := tcpPool.conns[hostport]
+	delete(tcpPool.conns, hostport)
+	tcpPool.mu.Unlock()
+	if cli != nil {
+		_ = cli.Close()
+	}
+}

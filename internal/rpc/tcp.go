@@ -74,6 +74,9 @@ func (s *TCPServer) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+	// A connection this process pooled to the endpoint is dead now, and a
+	// later listener may be given the same port.
+	dropPooled(s.Addr())
 }
 
 func (s *TCPServer) acceptLoop() {
