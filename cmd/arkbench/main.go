@@ -16,9 +16,9 @@
 // isolated baseline, typed pushback for the hostile tenant, convergence.
 //
 // Bench mode: arkbench -bench-json out.json -seed N writes the seeded
-// benchmark trajectory (mdtest, fio, scalability, tenant isolation, metrics
-// fingerprint) in the stable arkfs-bench/v4 schema; the same seed yields a
-// byte-identical file apart from the sharded sweep, which is stable to ~0.1%.
+// benchmark trajectory (mdtest, fio, scalability, sharded sweep, takeover,
+// metrics fingerprint) in the stable arkfs-bench/v5 schema; the same seed
+// yields a byte-identical file apart from the sharded sweep (~0.1%).
 //
 // Fsck mode: arkbench -fsck -seed N deploys and populates a file system,
 // shuts it down cleanly, bit-flips a few objects at rest, and reports what
@@ -117,8 +117,8 @@ func main() {
 		fsckMode   = flag.Bool("fsck", false, "run a seeded corruption/scrub drill instead of an experiment")
 		fsckRepair = flag.Bool("repair", false, "fsck: scrub-repair the corrupted image and fail unless it re-checks clean")
 
-		benchJSON     = flag.String("bench-json", "", "run the seeded benchmark trajectory and write the arkfs-bench/v4 report to this file (- for stdout)")
-		benchBaseline = flag.String("bench-baseline", "", "bench: compare the run against this committed arkfs-bench/v4 report and fail on a regression of its headline rates or takeover times")
+		benchJSON     = flag.String("bench-json", "", "run the seeded benchmark trajectory and write the arkfs-bench/v5 report to this file (- for stdout)")
+		benchBaseline = flag.String("bench-baseline", "", "bench: compare the run against this committed arkfs-bench/v5 report and fail on a regression of its headline rates or takeover times")
 		debugAddr     = flag.String("debug-addr", "", "serve /metrics, /stats.json, /healthz and pprof on this address while running (empty: off)")
 	)
 	flag.Usage = func() {

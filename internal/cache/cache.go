@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -644,6 +645,7 @@ func (c *Cache) FlushAll() error {
 		inos = append(inos, ino)
 	}
 	c.mu.Unlock()
+	slices.SortFunc(inos, types.Ino.Compare)
 	for _, ino := range inos {
 		if err := c.Flush(ino); err != nil {
 			return err

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -646,6 +647,7 @@ func (c *Client) grantLease(ld *ledDir, ino types.Ino, client rpc.Addr, write bo
 		for h := range dl.readers {
 			recall = append(recall, h)
 		}
+		slices.Sort(recall) // one recall per round trip, in a replayable order
 	case dl.writer != "" && dl.writer != client:
 		recall = append(recall, dl.writer)
 	}

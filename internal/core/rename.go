@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -282,26 +283,37 @@ func (c *Client) twopcResolver() {
 			return
 		}
 		now := c.env.Now()
-		c.pending2pc.Range(func(k, v any) bool {
+		// In transaction order, not the map's: each resolution is a round
+		// trip, and a seeded run must make them in the same order every time.
+		var txids []uint64
+		c.pending2pc.Range(func(k, _ any) bool {
+			txids = append(txids, k.(uint64))
+			return true
+		})
+		slices.Sort(txids)
+		for _, txid := range txids {
+			v, ok := c.pending2pc.Load(txid)
+			if !ok {
+				continue
+			}
 			pr := v.(pendingRename)
 			if now-pr.at < c.opts.LeasePeriod {
-				return true // give the live coordinator time to decide
+				continue // give the live coordinator time to decide
 			}
 			ld, leads := c.ledDirFor(pr.dir)
 			if !leads {
 				// Our lease on the destination lapsed; the next leader's
 				// recovery resolves the durable prepare record, and our
 				// in-memory table is gone with the lease.
-				c.pending2pc.Delete(k)
-				return true
+				c.pending2pc.Delete(txid)
+				continue
 			}
 			decided, commit, err := journal.PendingDecision(c.tr, pr.coord, pr.txid)
 			if err != nil || !decided {
-				return true // transient store error or genuinely undecided
+				continue // transient store error or genuinely undecided
 			}
 			c.decideRenameLocal(context.Background(), ld, DecideRenameReq{TxID: pr.txid, DstDir: pr.dir, Commit: commit})
-			return true
-		})
+		}
 	}
 }
 

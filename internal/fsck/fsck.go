@@ -265,7 +265,13 @@ func Check(store objstore.Store) (*Report, error) {
 	// future leader will ever replay them (the directory was removed, or its
 	// creation never became durable), so they are leaked space, not pending
 	// work.
-	for dir, keys := range journalKeys {
+	jdirs := make([]string, 0, len(journalKeys))
+	for dir := range journalKeys {
+		jdirs = append(jdirs, dir)
+	}
+	sort.Strings(jdirs) // the reads below are round trips: a replayable order
+	for _, dir := range jdirs {
+		keys := journalKeys[dir]
 		if !inodeKeys[dir] {
 			rep.add("orphan-journal", prt.PrefixJournal+dir,
 				"%d journal object(s) for a directory with no inode object", len(keys))

@@ -4,16 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"arkfs/internal/cache"
-	"arkfs/internal/core"
-	"arkfs/internal/fsapi"
 	"arkfs/internal/journal"
-	"arkfs/internal/lease"
 	"arkfs/internal/objstore"
-	"arkfs/internal/prt"
-	"arkfs/internal/rpc"
-	"arkfs/internal/sim"
-	"arkfs/internal/types"
 	"arkfs/internal/workload"
 )
 
@@ -22,65 +14,6 @@ import (
 // the 1-second compound-transaction window, the read-ahead window, and the
 // cache entry size.
 
-// buildArkFSJournal is BuildArkFS with an explicit journal configuration.
-func buildArkFSJournal(env sim.Env, cal Calibration, prof objstore.Profile, n int,
-	jc journal.Config, o ArkFSOptions) (*Deployment, error) {
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 2 << 20
-	}
-	if o.Readahead <= 0 {
-		o.Readahead = 8 << 20
-	}
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = 40
-	}
-	prof.MaxObjectSize = maxI64(prof.MaxObjectSize, o.ChunkSize)
-	cluster := objstore.NewCluster(env, prof)
-	if err := core.Format(prt.New(cluster, o.ChunkSize)); err != nil {
-		return nil, err
-	}
-	var store objstore.Store = cluster
-	d := &Deployment{Cluster: cluster}
-	if o.FlakyProb > 0 {
-		d.Fault = objstore.NewFaultStore(cluster)
-		d.Fault.SetFlaky(o.FlakyProb, o.FlakySeed)
-		store = d.Fault
-	}
-	tr := prt.New(store, o.ChunkSize)
-	net := rpc.NewNetwork(env, cal.ClientNet)
-	mgr := lease.NewManager(net, lease.Options{Period: cal.LeasePeriod, Workers: 8})
-	d.close = append(d.close, cluster.Close, mgr.Close)
-	for i := 0; i < n; i++ {
-		c := core.New(net, tr, core.Options{
-			ID:           fmt.Sprintf("abl%04d", i),
-			Cred:         types.Cred{Uid: 1000, Gid: 1000},
-			PermCache:    true,
-			FUSEOverhead: cal.FUSEOverhead,
-			Cost: sim.CostModel{
-				LocalMetaOp:    cal.ArkMetaOp,
-				MemCopyPerByte: cal.MemCopyPerByte,
-			},
-			Journal: jc,
-			Cache: cache.Config{
-				EntrySize:        o.ChunkSize,
-				MaxEntries:       o.CacheEntries,
-				MaxReadahead:     o.Readahead,
-				FlushParallelism: 16,
-				Cost:             sim.CostModel{MemCopyPerByte: cal.MemCopyPerByte},
-			},
-			RPCWorkers:  cal.RPCWorkers,
-			LeasePeriod: cal.LeasePeriod,
-			Retry:       o.Retry,
-			Seed:        int64(5000 + i),
-		})
-		d.Mounts = append(d.Mounts, fsapi.Adapt(c))
-		d.Ark = append(d.Ark, c)
-		cc := c
-		d.close = append(d.close, func() { _ = cc.Close() })
-	}
-	return d, nil
-}
-
 // AblationJournal compares journaling configurations under the mdtest-easy
 // CREATE workload: the paper's design (per-directory journals, parallel
 // commit/checkpoint workers, 1 s compound transactions) against a serialized
@@ -88,15 +21,12 @@ func buildArkFSJournal(env sim.Env, cal Calibration, prof objstore.Profile, n in
 // unbatched per-operation commits.
 func (h *Runner) AblationJournal() (*Experiment, error) {
 	exp := &Experiment{ID: "ablate-journal", Title: "Ablation: per-directory journaling (CREATE kIOPS)"}
-	cal := h.Cal
 	rados := objstore.RADOSProfile()
 	configs := []struct {
 		name string
 		jc   journal.Config
 	}{
-		{"per-dir journals, 1s batching (paper)", journal.Config{
-			CommitInterval: time.Second, CommitWorkers: 4, CheckpointWorkers: 4, CheckpointFanout: 64,
-			PipelineDepth: 8}},
+		{"per-dir journals, 1s batching (paper)", journal.Config{}}, // BuildArkFS's default
 		{"serialized journal path", journal.Config{
 			CommitInterval: time.Second, CommitWorkers: 1, CheckpointWorkers: 1, CheckpointFanout: 1,
 			PipelineDepth: 1}},
@@ -109,27 +39,14 @@ func (h *Runner) AblationJournal() (*Experiment, error) {
 	}
 	for _, cfg := range configs {
 		h.logf("ablate-journal: %s", cfg.name)
-		var phases []workload.PhaseResult
-		var err error
-		env := sim.NewVirtEnv()
-		env.Run(func() {
-			var d *Deployment
-			d, err = buildArkFSJournal(env, cal, rados, h.Scale.MdtestProcs, cfg.jc, h.ark(ArkFSOptions{PermCache: true}))
-			if err != nil {
-				return
-			}
-			defer d.Close()
-			phases, err = workload.MdtestEasy(env, d.Mounts, workload.MdtestConfig{
-				FilesPerProc: h.Scale.MdtestFilesPerProc,
-			})
-		})
+		// Seed 4000 keeps the client seeds (5000+i) this ablation was measured with.
+		o := h.ark(ArkFSOptions{PermCache: true, Journal: cfg.jc, Seed: 4000})
+		thr, err := createRate(h.Scale.MdtestProcs, arkfs(h.Cal, rados, o),
+			workload.MdtestConfig{FilesPerProc: h.Scale.MdtestFilesPerProc})
 		if err != nil {
 			return nil, fmt.Errorf("ablate-journal %s: %w", cfg.name, err)
 		}
-		exp.Cells = append(exp.Cells, Cell{
-			System: cfg.name, Metric: "CREATE",
-			Value: phases[0].OpsPerSec() / 1000, Unit: "kIOPS",
-		})
+		exp.Cells = append(exp.Cells, Cell{System: cfg.name, Metric: "CREATE", Value: thr / 1000, Unit: "kIOPS"})
 	}
 	exp.Notes = append(exp.Notes,
 		"isolates §III-E: parallel per-directory journals + compound transactions vs a serialized journal and per-op commits")
@@ -143,7 +60,6 @@ func (h *Runner) AblationReadahead() (*Experiment, error) {
 	cal := h.Cal
 	s3 := objstore.S3Profile()
 	for _, ra := range []int64{0, 2 << 20, 8 << 20, 32 << 20, 400 << 20} {
-		ra := ra
 		name := fmt.Sprintf("ra=%dMiB", ra>>20)
 		if ra == 0 {
 			name = "ra=off"
@@ -153,13 +69,11 @@ func (h *Runner) AblationReadahead() (*Experiment, error) {
 		if ra > 32<<20 {
 			entries = 250
 		}
-		_, read, err := h.fioRun(name, func(env sim.Env, n int) (*Deployment, error) {
-			o := h.ark(ArkFSOptions{PermCache: true, Readahead: ra, CacheEntries: entries})
-			if ra == 0 {
-				o.Readahead = -1 // forces the "disabled" path (below entry size)
-			}
-			return BuildArkFS(env, cal, s3, n, o)
-		})
+		o := h.ark(ArkFSOptions{PermCache: true, Readahead: ra, CacheEntries: entries})
+		if ra == 0 {
+			o.Readahead = -1 // forces the "disabled" path (below entry size)
+		}
+		_, read, err := h.fioRun(name, arkfs(cal, s3, o))
 		if err != nil {
 			return nil, fmt.Errorf("ablate-readahead %s: %w", name, err)
 		}
@@ -179,15 +93,12 @@ func (h *Runner) AblationLeaseManager() (*Experiment, error) {
 	rados := objstore.RADOSProfile()
 	clients := h.Scale.ScaleClients[len(h.Scale.ScaleClients)-1]
 	for _, shards := range []int{1, 4, 16} {
-		shards := shards
 		name := "1 manager (paper)"
 		if shards > 1 {
 			name = fmt.Sprintf("%d sharded managers", shards)
 		}
 		h.logf("ablate-leasemgr: %s @ %d clients", name, clients)
-		thr, err := h.scaleCreate(func(env sim.Env, n int) (*Deployment, error) {
-			return BuildArkFS(env, cal, rados, n, h.ark(ArkFSOptions{PermCache: true, LeaseShards: shards}))
-		}, clients)
+		thr, err := h.scaleCreate(arkfs(cal, rados, h.ark(ArkFSOptions{PermCache: true, LeaseShards: shards})), clients)
 		if err != nil {
 			return nil, fmt.Errorf("ablate-leasemgr %s: %w", name, err)
 		}
@@ -209,15 +120,12 @@ func (h *Runner) AblationEntrySize() (*Experiment, error) {
 	cal := h.Cal
 	rados := objstore.RADOSProfile()
 	for _, es := range []int64{256 << 10, 1 << 20, 2 << 20, 4 << 20} {
-		es := es
 		name := fmt.Sprintf("entry=%dKiB", es>>10)
 		h.logf("ablate-entrysize: %s", name)
 		entries := int((80 << 20) / es) // hold the cache byte budget constant
-		write, read, err := h.fioRun(name, func(env sim.Env, n int) (*Deployment, error) {
-			return BuildArkFS(env, cal, rados, n, h.ark(ArkFSOptions{
-				PermCache: true, ChunkSize: es, Readahead: 8 << 20, CacheEntries: entries,
-			}))
-		})
+		write, read, err := h.fioRun(name, arkfs(cal, rados, h.ark(ArkFSOptions{
+			PermCache: true, ChunkSize: es, Readahead: 8 << 20, CacheEntries: entries,
+		})))
 		if err != nil {
 			return nil, fmt.Errorf("ablate-entrysize %s: %w", name, err)
 		}

@@ -20,8 +20,9 @@ import (
 // field change: downstream tooling (CI artifact diffing, EXPERIMENTS.md
 // tables) keys on it. v2 added the sharded lease-cluster scalability sweep;
 // v3 added the tenant-isolation (overload protection on/off) comparison; v4
-// added the directory-takeover curve.
-const BenchSchema = "arkfs-bench/v4"
+// added the directory-takeover curve; v5 dropped the isolation comparison,
+// whose two sides agreed on everything but the pushback count.
+const BenchSchema = "arkfs-bench/v5"
 
 // BenchConfig parameterizes one benchmark trajectory. The zero value runs the
 // committed BENCH_seed.json configuration.
@@ -127,35 +128,6 @@ type BenchShardPoint struct {
 	CreatePerSec float64 `json:"create_per_sec"`
 }
 
-// BenchIsolationSide is one half of the tenant-isolation comparison: the
-// polite tenants' aggregate outcome in the contended overload scenario, with
-// overload protection either on or off.
-type BenchIsolationSide struct {
-	// PoliteGoodput is the polite tenants' summed acked ops/sec under
-	// contention; PoliteIsolated is the same tenants' baseline without the
-	// hostile tenant. Their ratio is the isolation headline.
-	PoliteGoodput  float64 `json:"polite_goodput_ops_per_sec"`
-	PoliteIsolated float64 `json:"polite_isolated_ops_per_sec"`
-	// PoliteP99NS is the worst polite tenant's p99 submission latency under
-	// contention, virtual-clock nanoseconds.
-	PoliteP99NS    int64 `json:"polite_p99_ns"`
-	PoliteTimeouts int   `json:"polite_timeouts"`
-	// Hostile outcome: typed retry-after pushback vs timeouts vs acks. With
-	// protection on, pushback dominates and timeouts are zero; off, the
-	// flood is absorbed (or times out) instead of being refused. Pushback
-	// is refusals surfaced to the application plus OverloadReport.HostileRetries.
-	HostileAcked    int `json:"hostile_acked"`
-	HostilePushback int `json:"hostile_pushback"`
-	HostileTimeouts int `json:"hostile_timeouts"`
-}
-
-// BenchIsolation is the overload-protection comparison: the same seeded
-// hostile-tenant burst run with the full protection stack and with none.
-type BenchIsolation struct {
-	QoSOn  BenchIsolationSide `json:"qos_on"`
-	QoSOff BenchIsolationSide `json:"qos_off"`
-}
-
 // BenchTakeover is one point of the directory-takeover curve: the virtual
 // time of a fresh client's first stat into a directory of Entries files on
 // the Store profile, which is a lease acquire plus the load of the metatable
@@ -198,9 +170,6 @@ type BenchReport struct {
 	// queueing delays. CI compares them with a tolerance instead of
 	// byte-diffing.
 	ShardedScalability []BenchShardPoint `json:"sharded_scalability"`
-	// Isolation is the tenant-isolation comparison from the seeded overload
-	// scenario (see harness/overload.go): protection on vs off.
-	Isolation BenchIsolation `json:"isolation"`
 	// Takeover is what a leadership change costs, against directory size.
 	Takeover []BenchTakeover `json:"takeover"`
 	// MetricsFingerprint is the instrumented mdtest deployment's
@@ -253,10 +222,8 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 
 	cal := DefaultCalibration()
 	rados := objstore.RADOSProfile()
-	build := func(env sim.Env, n int, reg *obs.Registry) (*Deployment, error) {
-		return BuildArkFS(env, cal, rados, n, ArkFSOptions{
-			PermCache: true, Obs: reg, Seed: cfg.Seed,
-		})
+	build := func(reg *obs.Registry) builder {
+		return arkfs(cal, rados, ArkFSOptions{PermCache: true, Obs: reg, Seed: cfg.Seed})
 	}
 
 	// Phase 1: instrumented mdtest. The registry from this deployment is the
@@ -266,35 +233,26 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	var runErr error
-	env := sim.NewVirtEnv()
-	env.Run(func() {
-		d, err := build(env, cfg.Procs, reg)
-		if err != nil {
-			runErr = fmt.Errorf("bench: deploy: %w", err)
-			return
-		}
-		defer d.Close()
+	err := simulate(cfg.Procs, build(reg), func(env sim.Env, d *Deployment) error {
 		easy, err := workload.MdtestEasy(env, d.Mounts, workload.MdtestConfig{
 			FilesPerProc: cfg.FilesPerProc, Root: "/bench-easy",
 		})
 		if err != nil {
-			runErr = fmt.Errorf("bench: mdtest-easy: %w", err)
-			return
+			return fmt.Errorf("mdtest-easy: %w", err)
 		}
 		rep.MdtestEasy = benchPhases(easy)
 		hard, err := workload.MdtestHard(env, d.Mounts, workload.MdtestConfig{
 			FilesPerProc: cfg.FilesPerProc / 2, SharedDirs: cfg.Procs, Root: "/bench-hard",
 		})
 		if err != nil {
-			runErr = fmt.Errorf("bench: mdtest-hard: %w", err)
-			return
+			return fmt.Errorf("mdtest-hard: %w", err)
 		}
 		rep.MdtestHard = benchPhases(hard)
 		env.Sleep(2 * cal.LeasePeriod) // let background work settle the gauges
+		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
 	fp := reg.Snapshot().Fingerprint()
 	rep.MetricsFingerprint = fp
@@ -302,49 +260,17 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 
 	// Phase 2: fio bandwidth (uninstrumented: the fingerprint covers the
 	// metadata trajectory; fio timing is its own result).
-	env = sim.NewVirtEnv()
-	env.Run(func() {
-		d, err := build(env, cfg.Procs, nil)
-		if err != nil {
-			runErr = fmt.Errorf("bench: fio deploy: %w", err)
-			return
-		}
-		defer d.Close()
-		w, r, err := workload.Fio(env, d.Mounts, workload.FioConfig{
-			FileSize: cfg.FioFileSize, ReqSize: 128 << 10, DropCaches: d.DropAllCaches,
-		})
-		if err != nil {
-			runErr = fmt.Errorf("bench: fio: %w", err)
-			return
-		}
-		rep.FioWrite, rep.FioRead = benchBW(w), benchBW(r)
-	})
-	if runErr != nil {
-		return nil, runErr
+	w, r, err := fio(cfg.Procs, build(nil), workload.FioConfig{FileSize: cfg.FioFileSize, ReqSize: 128 << 10})
+	if err != nil {
+		return nil, fmt.Errorf("bench: fio: %w", err)
 	}
+	rep.FioWrite, rep.FioRead = benchBW(w), benchBW(r)
 
 	// Phase 3: scalability sweep (CREATE throughput per client count).
 	for _, n := range cfg.Clients {
-		var thr float64
-		env := sim.NewVirtEnv()
-		env.Run(func() {
-			d, err := build(env, n, nil)
-			if err != nil {
-				runErr = fmt.Errorf("bench: scale deploy %d: %w", n, err)
-				return
-			}
-			defer d.Close()
-			phases, err := workload.MdtestEasy(env, d.Mounts, workload.MdtestConfig{
-				FilesPerProc: 50, Root: "/bench-scale",
-			})
-			if err != nil {
-				runErr = fmt.Errorf("bench: scale %d: %w", n, err)
-				return
-			}
-			thr = phases[0].OpsPerSec()
-		})
-		if runErr != nil {
-			return nil, runErr
+		thr, err := createRate(n, build(nil), workload.MdtestConfig{FilesPerProc: 50, Root: "/bench-scale"})
+		if err != nil {
+			return nil, fmt.Errorf("bench: scale %d: %w", n, err)
 		}
 		rep.Scalability = append(rep.Scalability, BenchScalePoint{Clients: n, CreatePerSec: thr})
 	}
@@ -354,36 +280,20 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 	// contended resource). One single-manager anchor at the smallest client
 	// count, then the elastic-ring points.
 	if cfg.Shards > 1 {
-		shardPoint := func(n, shards int) (float64, error) {
-			var thr float64
-			var perr error
-			env := sim.NewVirtEnv()
-			env.Run(func() {
-				d, err := BuildArkFS(env, cal, rados, n, ArkFSOptions{
-					PermCache: true, Seed: cfg.Seed, LeaseShards: shards,
-				})
-				if err != nil {
-					perr = fmt.Errorf("bench: sharded deploy %d/%d: %w", n, shards, err)
-					return
-				}
-				defer d.Close()
-				res, err := workload.LeaseChurn(env, d.Mounts, workload.LeaseChurnConfig{
-					Dirs: cfg.ShardedDirs, FilesPerDir: cfg.ShardedFilesPerDir,
-					Root: "/bench-shard",
-				})
-				if err != nil {
-					perr = fmt.Errorf("bench: sharded %d/%d: %w", n, shards, err)
-					return
-				}
-				thr = res.OpsPerSec()
-			})
-			return thr, perr
-		}
 		for _, n := range cfg.ShardedClients {
 			for _, shards := range []int{1, cfg.Shards} {
-				thr, err := shardPoint(n, shards)
+				var thr float64
+				err := simulate(n, arkfs(cal, rados, ArkFSOptions{PermCache: true, Seed: cfg.Seed, LeaseShards: shards}),
+					func(env sim.Env, d *Deployment) error {
+						res, err := workload.LeaseChurn(env, d.Mounts, workload.LeaseChurnConfig{
+							Dirs: cfg.ShardedDirs, FilesPerDir: cfg.ShardedFilesPerDir,
+							Root: "/bench-shard",
+						})
+						thr = res.OpsPerSec()
+						return err
+					})
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("bench: sharded %d/%d: %w", n, shards, err)
 				}
 				rep.ShardedScalability = append(rep.ShardedScalability,
 					BenchShardPoint{Clients: n, Shards: shards, CreatePerSec: thr})
@@ -391,25 +301,7 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 		}
 	}
 
-	// Phase 5: tenant isolation — the seeded overload scenario (hostile
-	// tenant at ~4× its admitted rate) with the protection stack on, then the
-	// identical burst with it off. The QoS-off side has no oracle (there is
-	// no contract to hold without protection); it is the "what overload does
-	// to the unprotected system" reference the on-side is compared against.
-	for _, off := range []bool{false, true} {
-		orep := RunOverload(OverloadConfig{Seed: cfg.Seed, QoSOff: off})
-		if !off && orep.Failed() {
-			return nil, fmt.Errorf("bench: isolation scenario violated its contract:\n%s", orep.Summary())
-		}
-		side := isolationSide(orep)
-		if off {
-			rep.Isolation.QoSOff = side
-		} else {
-			rep.Isolation.QoSOn = side
-		}
-	}
-
-	// Phase 6: the takeover curve at the program's default fan-out, and one
+	// Phase 5: the takeover curve at the program's default fan-out, and one
 	// directory (the middle size) taken over after a crash.
 	var points []BenchTakeover
 	for _, store := range []string{"rados", "s3"} {
@@ -440,13 +332,9 @@ func TakeoverPoint(cal Calibration, p BenchTakeover, fanout int) (took time.Dura
 	}
 	jc := journal.DefaultConfig()
 	jc.CheckpointFanout = fanout
-	env := sim.NewVirtEnv()
-	env.Run(func() {
-		var d *Deployment
-		if d, err = buildArkFSJournal(env, cal, prof, 2, jc, ArkFSOptions{}); err != nil {
-			return
-		}
-		defer d.Close()
+	// Seed 4000 keeps the client seeds (5000+i) this curve was measured with.
+	o := ArkFSOptions{PermCache: true, Journal: jc, Seed: 4000}
+	err = simulate(2, arkfs(cal, prof, o), func(env sim.Env, d *Deployment) (err error) {
 		ctx := context.Background()
 		old, fresh := d.Ark[0], d.Ark[1]
 		if err = old.Mkdir(ctx, "/t", 0o777); err != nil {
@@ -482,29 +370,7 @@ func TakeoverPoint(cal Calibration, p BenchTakeover, fanout int) (took time.Dura
 		t0 := env.Now()
 		_, err = fresh.Stat(ctx, "/t/f000000")
 		took = env.Now() - t0
+		return err
 	})
 	return took, err
-}
-
-// isolationSide condenses an overload report into the bench schema's
-// per-side summary.
-func isolationSide(r *OverloadReport) BenchIsolationSide {
-	var s BenchIsolationSide
-	for _, t := range r.Isolated {
-		s.PoliteIsolated += Goodput(t)
-	}
-	for _, t := range r.Contended {
-		if t.Hostile {
-			s.HostileAcked += t.Acked
-			s.HostilePushback += t.Pushback + int(r.HostileRetries)
-			s.HostileTimeouts += t.Timeout
-			continue
-		}
-		s.PoliteGoodput += Goodput(t)
-		if p99 := t.P99().Nanoseconds(); p99 > s.PoliteP99NS {
-			s.PoliteP99NS = p99
-		}
-		s.PoliteTimeouts += t.Timeout
-	}
-	return s
 }

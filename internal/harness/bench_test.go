@@ -56,21 +56,6 @@ func TestRunBenchSchemaStable(t *testing.T) {
 	if rep.MetricsFingerprint == "" || len(rep.MetricsSHA256) != 64 {
 		t.Fatalf("fingerprint missing: sha=%q", rep.MetricsSHA256)
 	}
-	// The isolation comparison: protection on answers the hostile flood with
-	// typed pushback and no timeouts on either side of the table.
-	on, off := rep.Isolation.QoSOn, rep.Isolation.QoSOff
-	if on.PoliteGoodput <= 0 || on.PoliteIsolated <= 0 {
-		t.Fatalf("isolation qos-on side empty: %+v", on)
-	}
-	if on.HostilePushback == 0 {
-		t.Fatalf("qos-on hostile tenant saw no pushback: %+v", on)
-	}
-	if on.PoliteTimeouts != 0 || on.HostileTimeouts != 0 {
-		t.Fatalf("qos-on run timed out: %+v", on)
-	}
-	if off.HostilePushback != 0 {
-		t.Fatalf("qos-off run produced pushback with no admission control: %+v", off)
-	}
 	// The takeover curve: the one size on both stores, and after a crash.
 	if len(rep.Takeover) != 3 || !rep.Takeover[2].Crashed {
 		t.Fatalf("takeover section: %+v", rep.Takeover)

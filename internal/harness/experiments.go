@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
+	"arkfs/internal/fsapi"
 	"arkfs/internal/objstore"
 	"arkfs/internal/sim"
 	"arkfs/internal/workload"
@@ -27,28 +29,21 @@ type Experiment struct {
 	Notes []string
 }
 
-// mdtestSystems lists the systems compared in Figs. 4 and 5.
+// sysBuilder is one system compared in a figure.
 type sysBuilder struct {
 	name  string
-	build func(env sim.Env, n int) (*Deployment, error)
+	build builder
 }
 
+// mdtestSystems lists the systems compared in Figs. 4 and 5.
 func (h *Runner) mdtestSystems() []sysBuilder {
 	cal := h.Cal
 	rados := objstore.RADOSProfile()
 	return []sysBuilder{
-		{"ArkFS", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildArkFS(env, cal, rados, n, h.ark(ArkFSOptions{PermCache: true}))
-		}},
-		{"CephFS-K (1 MDS)", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildCeph(env, cal, rados, n, CephOptions{NumMDS: 1})
-		}},
-		{"CephFS-K (16 MDS)", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildCeph(env, cal, rados, n, CephOptions{NumMDS: 16})
-		}},
-		{"CephFS-F", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildCeph(env, cal, rados, n, CephOptions{NumMDS: 1, FUSE: true})
-		}},
+		{"ArkFS", arkfs(cal, rados, h.ark(ArkFSOptions{PermCache: true}))},
+		{"CephFS-K (1 MDS)", ceph(cal, rados, CephOptions{NumMDS: 1})},
+		{"CephFS-K (16 MDS)", ceph(cal, rados, CephOptions{NumMDS: 16})},
+		{"CephFS-F", ceph(cal, rados, CephOptions{NumMDS: 1, FUSE: true})},
 		{"MarFS", func(env sim.Env, n int) (*Deployment, error) {
 			return BuildMarFS(env, cal, rados, n, h.MarFSReadFails)
 		}},
@@ -96,198 +91,131 @@ func (h *Runner) logf(format string, args ...any) {
 
 // Fig4 regenerates "Throughput of mdtest-easy" (kIOPS per phase per system).
 func (h *Runner) Fig4() (*Experiment, error) {
-	exp := &Experiment{ID: "fig4", Title: "Fig. 4: mdtest-easy throughput (kIOPS)"}
-	for _, sys := range h.mdtestSystems() {
-		h.logf("fig4: running %s", sys.name)
-		var phases []workload.PhaseResult
-		var err error
-		env := sim.NewVirtEnv()
-		env.Run(func() {
-			var d *Deployment
-			d, err = sys.build(env, h.Scale.MdtestProcs)
-			if err != nil {
-				return
-			}
-			defer d.Close()
-			phases, err = workload.MdtestEasy(env, d.Mounts, workload.MdtestConfig{
-				FilesPerProc: h.Scale.MdtestFilesPerProc,
-			})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig4 %s: %w", sys.name, err)
-		}
-		for _, p := range phases {
-			exp.Cells = append(exp.Cells, Cell{
-				System: sys.name, Metric: p.Name,
-				Value: p.OpsPerSec() / 1000, Unit: "kIOPS",
-				Failed: p.Errors > 0,
-			})
-		}
-	}
-	exp.Notes = append(exp.Notes, fmt.Sprintf(
+	return h.mdtest(&Experiment{ID: "fig4", Title: "Fig. 4: mdtest-easy throughput (kIOPS)", Notes: []string{fmt.Sprintf(
 		"%d procs x %d empty files, own leaf dirs, fsync per phase (paper: 16 procs x 1M files)",
-		h.Scale.MdtestProcs, h.Scale.MdtestFilesPerProc))
-	return exp, nil
+		h.Scale.MdtestProcs, h.Scale.MdtestFilesPerProc)}},
+		workload.MdtestEasy, workload.MdtestConfig{FilesPerProc: h.Scale.MdtestFilesPerProc})
 }
 
 // Fig5 regenerates "Throughput of mdtest-hard".
 func (h *Runner) Fig5() (*Experiment, error) {
-	exp := &Experiment{ID: "fig5", Title: "Fig. 5: mdtest-hard throughput (kIOPS)"}
-	for _, sys := range h.mdtestSystems() {
-		h.logf("fig5: running %s", sys.name)
-		var phases []workload.PhaseResult
-		var err error
-		env := sim.NewVirtEnv()
-		env.Run(func() {
-			var d *Deployment
-			d, err = sys.build(env, h.Scale.MdtestProcs)
-			if err != nil {
-				return
-			}
-			defer d.Close()
-			phases, err = workload.MdtestHard(env, d.Mounts, workload.MdtestConfig{
-				FilesPerProc: h.Scale.MdtestFilesPerProc,
-				FileSize:     3901,
-				SharedDirs:   h.Scale.MdtestSharedDirs,
-			})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig5 %s: %w", sys.name, err)
-		}
-		for _, p := range phases {
-			failed := p.Errors > 0
-			exp.Cells = append(exp.Cells, Cell{
-				System: sys.name, Metric: p.Name,
-				Value: p.OpsPerSec() / 1000, Unit: "kIOPS",
-				Failed: failed,
-			})
-		}
-	}
-	exp.Notes = append(exp.Notes,
+	return h.mdtest(&Experiment{ID: "fig5", Title: "Fig. 5: mdtest-hard throughput (kIOPS)", Notes: []string{
 		fmt.Sprintf("%d procs x %d files of 3901 B across %d shared dirs (paper: 16 procs x 1M files)",
 			h.Scale.MdtestProcs, h.Scale.MdtestFilesPerProc, h.Scale.MdtestSharedDirs),
-		"MarFS READ reported as failed, matching the paper's environment")
+		"MarFS READ reported as failed, matching the paper's environment"}},
+		workload.MdtestHard, workload.MdtestConfig{
+			FilesPerProc: h.Scale.MdtestFilesPerProc, FileSize: 3901, SharedDirs: h.Scale.MdtestSharedDirs,
+		})
+}
+
+// mdtest runs one mdtest workload on every system of Figs. 4 and 5 and adds a
+// cell per phase to exp.
+func (h *Runner) mdtest(exp *Experiment,
+	run func(sim.Env, []fsapi.FileSystem, workload.MdtestConfig) ([]workload.PhaseResult, error),
+	cfg workload.MdtestConfig) (*Experiment, error) {
+	for _, sys := range h.mdtestSystems() {
+		h.logf("%s: running %s", exp.ID, sys.name)
+		err := simulate(h.Scale.MdtestProcs, sys.build, func(env sim.Env, d *Deployment) error {
+			phases, err := run(env, d.Mounts, cfg)
+			for _, p := range phases {
+				exp.Cells = append(exp.Cells, Cell{
+					System: sys.name, Metric: p.Name,
+					Value: p.OpsPerSec() / 1000, Unit: "kIOPS",
+					Failed: p.Errors > 0,
+				})
+			}
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", exp.ID, sys.name, err)
+		}
+	}
 	return exp, nil
 }
 
-// fioRun is a helper running the fio workload on one deployment builder.
-func (h *Runner) fioRun(name string, build func(env sim.Env, n int) (*Deployment, error)) (w, r workload.BandwidthResult, err error) {
+// fioRun runs the fio workload at the Runner's scale on one system.
+func (h *Runner) fioRun(name string, build builder) (w, r workload.BandwidthResult, err error) {
 	h.logf("fio: running %s", name)
-	env := sim.NewVirtEnv()
-	env.Run(func() {
-		var d *Deployment
-		d, err = build(env, h.Scale.FioProcs)
-		if err != nil {
-			return
-		}
-		defer d.Close()
-		w, r, err = workload.Fio(env, d.Mounts, workload.FioConfig{
-			FileSize:   h.Scale.FioFileSize,
-			ReqSize:    h.Scale.FioReqSize,
-			DropCaches: d.DropAllCaches,
-		})
+	return fio(h.Scale.FioProcs, build, workload.FioConfig{FileSize: h.Scale.FioFileSize, ReqSize: h.Scale.FioReqSize})
+}
+
+// fio runs the fio workload on n clients, dropping their caches between the
+// passes.
+func fio(n int, build builder, cfg workload.FioConfig) (w, r workload.BandwidthResult, err error) {
+	err = simulate(n, build, func(env sim.Env, d *Deployment) (err error) {
+		cfg.DropCaches = d.DropAllCaches
+		w, r, err = workload.Fio(env, d.Mounts, cfg)
+		return err
 	})
 	return w, r, err
 }
 
-// Fig6a regenerates the RADOS half of "Large File I/O Bandwidth".
-func (h *Runner) Fig6a() (*Experiment, error) {
-	exp := &Experiment{ID: "fig6a", Title: "Fig. 6(a): large-file bandwidth on RADOS (GiB/s)"}
-	cal := h.Cal
-	rados := objstore.RADOSProfile()
-	systems := []sysBuilder{
-		{"ArkFS", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildArkFS(env, cal, rados, n, h.ark(ArkFSOptions{PermCache: true}))
-		}},
-		{"CephFS-K", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildCeph(env, cal, rados, n, CephOptions{NumMDS: 1})
-		}},
-		{"CephFS-F", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildCeph(env, cal, rados, n, CephOptions{NumMDS: 1, FUSE: true})
-		}},
-	}
+// bandwidth adds every system's fio WRITE and READ cells to exp.
+func (h *Runner) bandwidth(exp *Experiment, systems []sysBuilder) (*Experiment, error) {
 	for _, sys := range systems {
 		w, r, err := h.fioRun(sys.name, sys.build)
 		if err != nil {
-			return nil, fmt.Errorf("fig6a %s: %w", sys.name, err)
+			return nil, fmt.Errorf("%s %s: %w", exp.ID, sys.name, err)
 		}
 		exp.Cells = append(exp.Cells,
 			Cell{System: sys.name, Metric: "WRITE", Value: w.GiBps(), Unit: "GiB/s"},
 			Cell{System: sys.name, Metric: "READ", Value: r.GiBps(), Unit: "GiB/s"})
 	}
-	exp.Notes = append(exp.Notes, fmt.Sprintf(
-		"%d procs x %d MiB sequential, %d KiB requests, fsync+drop-cache between passes (paper: 32 procs x 32 GiB)",
-		h.Scale.FioProcs, h.Scale.FioFileSize>>20, h.Scale.FioReqSize>>10))
 	return exp, nil
+}
+
+// Fig6a regenerates the RADOS half of "Large File I/O Bandwidth".
+func (h *Runner) Fig6a() (*Experiment, error) {
+	cal := h.Cal
+	rados := objstore.RADOSProfile()
+	return h.bandwidth(&Experiment{ID: "fig6a", Title: "Fig. 6(a): large-file bandwidth on RADOS (GiB/s)", Notes: []string{fmt.Sprintf(
+		"%d procs x %d MiB sequential, %d KiB requests, fsync+drop-cache between passes (paper: 32 procs x 32 GiB)",
+		h.Scale.FioProcs, h.Scale.FioFileSize>>20, h.Scale.FioReqSize>>10)}}, []sysBuilder{
+		{"ArkFS", arkfs(cal, rados, h.ark(ArkFSOptions{PermCache: true}))},
+		{"CephFS-K", ceph(cal, rados, CephOptions{NumMDS: 1})},
+		{"CephFS-F", ceph(cal, rados, CephOptions{NumMDS: 1, FUSE: true})},
+	})
 }
 
 // Fig6b regenerates the S3 half of Fig. 6.
 func (h *Runner) Fig6b() (*Experiment, error) {
-	exp := &Experiment{ID: "fig6b", Title: "Fig. 6(b): large-file bandwidth on S3 (GiB/s)"}
 	cal := h.Cal
 	s3 := objstore.S3Profile()
-	systems := []sysBuilder{
-		{"ArkFS-ra8MB", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildArkFS(env, cal, s3, n, h.ark(ArkFSOptions{PermCache: true, Readahead: 8 << 20}))
-		}},
-		{"ArkFS-ra400MB", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildArkFS(env, cal, s3, n, h.ark(ArkFSOptions{PermCache: true, Readahead: 400 << 20, CacheEntries: 250}))
-		}},
+	return h.bandwidth(&Experiment{ID: "fig6b", Title: "Fig. 6(b): large-file bandwidth on S3 (GiB/s)", Notes: []string{
+		"ArkFS-ra400MB raises the max read-ahead to goofys's 400 MiB window"}}, []sysBuilder{
+		{"ArkFS-ra8MB", arkfs(cal, s3, h.ark(ArkFSOptions{PermCache: true, Readahead: 8 << 20}))},
+		{"ArkFS-ra400MB", arkfs(cal, s3, h.ark(ArkFSOptions{PermCache: true, Readahead: 400 << 20, CacheEntries: 250}))},
 		{"S3FS", func(env sim.Env, n int) (*Deployment, error) {
 			return BuildS3FS(env, cal, s3, n)
 		}},
 		{"goofys", func(env sim.Env, n int) (*Deployment, error) {
 			return BuildGoofys(env, cal, s3, n)
 		}},
-	}
-	for _, sys := range systems {
-		w, r, err := h.fioRun(sys.name, sys.build)
-		if err != nil {
-			return nil, fmt.Errorf("fig6b %s: %w", sys.name, err)
+	})
+}
+
+// createRate is mdtest-easy's aggregate CREATE throughput on n clients.
+func createRate(n int, build builder, cfg workload.MdtestConfig) (thr float64, err error) {
+	err = simulate(n, build, func(env sim.Env, d *Deployment) error {
+		phases, err := workload.MdtestEasy(env, d.Mounts, cfg)
+		if err == nil {
+			thr = phases[0].OpsPerSec() // CREATE
 		}
-		exp.Cells = append(exp.Cells,
-			Cell{System: sys.name, Metric: "WRITE", Value: w.GiBps(), Unit: "GiB/s"},
-			Cell{System: sys.name, Metric: "READ", Value: r.GiBps(), Unit: "GiB/s"})
-	}
-	exp.Notes = append(exp.Notes,
-		"ArkFS-ra400MB raises the max read-ahead to goofys's 400 MiB window")
-	return exp, nil
+		return err
+	})
+	return thr, err
 }
 
 // scaleCreate measures aggregate CREATE throughput at a given client count.
-func (h *Runner) scaleCreate(build func(env sim.Env, n int) (*Deployment, error), clients int) (float64, error) {
-	var thr float64
-	var err error
-	env := sim.NewVirtEnv()
-	env.Run(func() {
-		var d *Deployment
-		d, err = build(env, clients)
-		if err != nil {
-			return
-		}
-		defer d.Close()
-		var phases []workload.PhaseResult
-		phases, err = workload.MdtestEasy(env, d.Mounts, workload.MdtestConfig{
-			FilesPerProc: h.Scale.ScaleFilesPerProc,
-			Root:         "/scale",
-		})
-		if err != nil {
-			return
-		}
-		thr = phases[0].OpsPerSec() // CREATE
-	})
-	return thr, err
+func (h *Runner) scaleCreate(build builder, clients int) (float64, error) {
+	return createRate(clients, build, workload.MdtestConfig{FilesPerProc: h.Scale.ScaleFilesPerProc, Root: "/scale"})
 }
 
 // Fig1 regenerates the motivation figure: CephFS-K(1 MDS) creation
 // throughput vs client count, with the ideal linear line.
 func (h *Runner) Fig1() (*Experiment, error) {
 	exp := &Experiment{ID: "fig1", Title: "Fig. 1: single-MDS creation throughput vs clients (kIOPS)"}
-	cal := h.Cal
-	rados := objstore.RADOSProfile()
-	build := func(env sim.Env, n int) (*Deployment, error) {
-		return BuildCeph(env, cal, rados, n, CephOptions{NumMDS: 1})
-	}
+	build := ceph(h.Cal, objstore.RADOSProfile(), CephOptions{NumMDS: 1})
 	var base float64
 	for _, n := range h.Scale.ScaleClients {
 		h.logf("fig1: %d clients", n)
@@ -314,18 +242,10 @@ func (h *Runner) Fig7() (*Experiment, error) {
 	cal := h.Cal
 	rados := objstore.RADOSProfile()
 	systems := []sysBuilder{
-		{"ArkFS-pcache", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildArkFS(env, cal, rados, n, h.ark(ArkFSOptions{PermCache: true}))
-		}},
-		{"ArkFS-no-pcache", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildArkFS(env, cal, rados, n, h.ark(ArkFSOptions{PermCache: false}))
-		}},
-		{"CephFS-K (1 MDS)", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildCeph(env, cal, rados, n, CephOptions{NumMDS: 1})
-		}},
-		{"CephFS-K (16 MDS)", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildCeph(env, cal, rados, n, CephOptions{NumMDS: 16})
-		}},
+		{"ArkFS-pcache", arkfs(cal, rados, h.ark(ArkFSOptions{PermCache: true}))},
+		{"ArkFS-no-pcache", arkfs(cal, rados, h.ark(ArkFSOptions{PermCache: false}))},
+		{"CephFS-K (1 MDS)", ceph(cal, rados, CephOptions{NumMDS: 1})},
+		{"CephFS-K (16 MDS)", ceph(cal, rados, CephOptions{NumMDS: 16})},
 	}
 	// Normalize to ArkFS-pcache at 1 client, as the paper normalizes its
 	// y-axis to a single-client baseline.
@@ -372,66 +292,43 @@ func (h *Runner) Table2() (*Experiment, error) {
 	}
 
 	systems := []sysBuilder{
-		{"CephFS-F", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildCeph(env, cal, rados, n, CephOptions{NumMDS: 1, FUSE: true})
-		}},
-		{"CephFS-K", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildCeph(env, cal, rados, n, CephOptions{NumMDS: 1})
-		}},
-		{"ArkFS", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildArkFS(env, cal, rados, n, h.ark(ArkFSOptions{PermCache: true}))
-		}},
+		{"CephFS-F", ceph(cal, rados, CephOptions{NumMDS: 1, FUSE: true})},
+		{"CephFS-K", ceph(cal, rados, CephOptions{NumMDS: 1})},
+		{"ArkFS", arkfs(cal, rados, h.ark(ArkFSOptions{PermCache: true}))},
 	}
 	times := map[string][2]time.Duration{}
 	for _, sys := range systems {
 		h.logf("table2: running %s", sys.name)
 		var arch, unarch time.Duration
-		var err error
-		env := sim.NewVirtEnv()
-		env.Run(func() {
-			var d *Deployment
-			d, err = sys.build(env, h.Scale.ArchiveProcs)
-			if err != nil {
-				return
-			}
-			defer d.Close()
+		err := simulate(h.Scale.ArchiveProcs, sys.build, func(env sim.Env, d *Deployment) error {
 			ext := workload.NewExternalStore(env, cal.EBSBandwidth)
-			start := env.Now()
-			g := sim.NewGroup(env)
-			errs := make([]error, len(d.Mounts))
-			for i, m := range d.Mounts {
-				i, m := i, m
-				g.Go(func() {
-					cfg := workload.ArchiveConfig{Root: fmt.Sprintf("/archive-%02d", i), External: ext}
-					_, errs[i] = workload.Archive(env, m, dataset, tarImage, cfg)
-				})
-			}
-			g.Wait()
-			arch = env.Now() - start
-			for _, e := range errs {
-				if e != nil {
-					err = e
-					return
+			// pass runs op on every mount at once and returns how long the
+			// slowest took.
+			pass := func(op func(m fsapi.FileSystem, cfg workload.ArchiveConfig) error) (time.Duration, error) {
+				start := env.Now()
+				g := sim.NewGroup(env)
+				errs := make([]error, len(d.Mounts))
+				for i, m := range d.Mounts {
+					g.Go(func() {
+						errs[i] = op(m, workload.ArchiveConfig{Root: fmt.Sprintf("/archive-%02d", i), External: ext})
+					})
 				}
+				g.Wait()
+				return env.Now() - start, errors.Join(errs...)
+			}
+			var err error
+			if arch, err = pass(func(m fsapi.FileSystem, cfg workload.ArchiveConfig) error {
+				_, err := workload.Archive(env, m, dataset, tarImage, cfg)
+				return err
+			}); err != nil {
+				return err
 			}
 			d.DropAllCaches()
-			start = env.Now()
-			g = sim.NewGroup(env)
-			for i, m := range d.Mounts {
-				i, m := i, m
-				g.Go(func() {
-					cfg := workload.ArchiveConfig{Root: fmt.Sprintf("/archive-%02d", i), External: ext}
-					_, errs[i] = workload.Unarchive(env, m, dataset, cfg)
-				})
-			}
-			g.Wait()
-			unarch = env.Now() - start
-			for _, e := range errs {
-				if e != nil {
-					err = e
-					return
-				}
-			}
+			unarch, err = pass(func(m fsapi.FileSystem, cfg workload.ArchiveConfig) error {
+				_, err := workload.Unarchive(env, m, dataset, cfg)
+				return err
+			})
+			return err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("table2 %s: %w", sys.name, err)

@@ -23,6 +23,7 @@ import (
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
+	"arkfs/internal/wire"
 )
 
 // Calibration holds the simulation cost constants that stand in for the
@@ -126,13 +127,46 @@ type Deployment struct {
 	// for retry/cache statistics.
 	Ark []*core.Client
 	// Leases is the elastic lease cluster, non-nil when the deployment was
-	// built with ArkFSOptions.LeaseShards > 1. Chaos scenarios drive
-	// AddShard/RemoveShard/KillShard through it mid-workload.
+	// built with ArkFSOptions.LeaseShards > 1.
 	Leases *lease.Cluster
-	// Reg is the deployment-wide metrics registry (nil unless the deployment
-	// was built with ArkFSOptions.Obs).
-	Reg   *obs.Registry
-	close []func()
+	close  []func()
+}
+
+// builder deploys a system with n clients. Must be called inside env.Run.
+type builder func(env sim.Env, n int) (*Deployment, error)
+
+// simulate owns one simulated run from start to finish: a fresh virtual
+// clock, the deployment build deploys with n clients, body against it, and
+// the teardown. It returns the first error.
+func simulate(n int, build builder, body func(env sim.Env, d *Deployment) error) error {
+	env := sim.NewVirtEnv()
+	var err error
+	env.Run(func() {
+		var d *Deployment
+		if d, err = build(env, n); err != nil {
+			return
+		}
+		defer d.Close()
+		err = body(env, d)
+	})
+	return err
+}
+
+// arkfs is BuildArkFS as a builder.
+func arkfs(cal Calibration, prof objstore.Profile, o ArkFSOptions) builder {
+	return func(env sim.Env, n int) (*Deployment, error) { return BuildArkFS(env, cal, prof, n, o) }
+}
+
+// ceph is BuildCeph as a builder.
+func ceph(cal Calibration, prof objstore.Profile, o CephOptions) builder {
+	return func(env sim.Env, n int) (*Deployment, error) { return BuildCeph(env, cal, prof, n, o) }
+}
+
+// newCluster starts the object store of a deployment whose data path stores
+// chunkSize-byte chunks, each sealed with a checksum trailer.
+func newCluster(env sim.Env, prof objstore.Profile, chunkSize int64) *objstore.Cluster {
+	prof.MaxObjectSize = max(prof.MaxObjectSize, chunkSize+wire.TrailerSize)
+	return objstore.NewCluster(env, prof)
 }
 
 // RetryCount sums the store-path retries across all ArkFS clients.
@@ -226,6 +260,9 @@ type ArkFSOptions struct {
 	// Breaker mounts a seeded circuit breaker under each client's store
 	// retry path.
 	Breaker bool
+	// Journal configures every client's journal (zero: 1 s commit interval,
+	// 4 commit and 4 checkpoint workers, fan-out 64, pipeline depth 8).
+	Journal journal.Config
 }
 
 // BuildArkFS deploys ArkFS with n clients on the given storage profile.
@@ -243,15 +280,21 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 40
 	}
-	prof.MaxObjectSize = maxI64(prof.MaxObjectSize, o.ChunkSize)
-	cluster := objstore.NewCluster(env, prof)
+	if o.Journal == (journal.Config{}) {
+		o.Journal = journal.Config{
+			CommitInterval: time.Second, CommitWorkers: 4,
+			CheckpointWorkers: 4, CheckpointFanout: 64,
+			PipelineDepth: 8,
+		}
+	}
+	cluster := newCluster(env, prof, o.ChunkSize)
 	// Format through the raw cluster: fault injection targets the workload,
 	// not deployment setup.
 	if err := core.Format(prt.New(cluster, o.ChunkSize)); err != nil {
 		return nil, err
 	}
 	var store objstore.Store = cluster
-	d := &Deployment{Cluster: cluster, Reg: o.Obs}
+	d := &Deployment{Cluster: cluster}
 	if o.FlakyProb > 0 {
 		d.Fault = objstore.NewFaultStore(cluster)
 		d.Fault.SetFlaky(o.FlakyProb, o.FlakySeed)
@@ -269,17 +312,8 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 	}
 	d.close = append(d.close, cluster.Close)
 	lo := lease.Options{Period: cal.LeasePeriod, Workers: 8, ServiceCost: cal.LeaseOp, Obs: o.Obs,
-		Limits: rpc.ServerLimits{MaxInbox: o.MaxInbox, ShedWait: o.ShedWait}}
-	if o.LeaseQoSRate > 0 {
-		burst := o.LeaseQoSBurst
-		if burst <= 0 {
-			burst = 8
-		}
-		lo.QoS = qos.NewLimiter(qos.Limits{Rate: o.LeaseQoSRate, Burst: burst})
-		for t, lim := range o.QoSTenants {
-			lo.QoS.SetTenant(t, lim)
-		}
-	}
+		Limits: rpc.ServerLimits{MaxInbox: o.MaxInbox, ShedWait: o.ShedWait},
+		QoS:    o.limiter(o.LeaseQoSRate, o.LeaseQoSBurst)}
 	if o.LeaseShards > 1 {
 		co := lease.ClusterOptions{Shards: o.LeaseShards, Manager: lo}
 		if o.LeasePersist {
@@ -302,19 +336,6 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 		if o.Tenants > 0 {
 			tenant = fmt.Sprintf("tenant-%02d", i%o.Tenants)
 		}
-		// Each serving client enforces admission on its own leader path, so a
-		// tenant's allowance is per leader, matching how capacity is owned.
-		var limiter *qos.Limiter
-		if o.QoSRate > 0 {
-			burst := o.QoSBurst
-			if burst <= 0 {
-				burst = 8
-			}
-			limiter = qos.NewLimiter(qos.Limits{Rate: o.QoSRate, Burst: burst})
-			for t, lim := range o.QoSTenants {
-				limiter.SetTenant(t, lim)
-			}
-		}
 		var ladder *qos.BrownoutLadder
 		if o.Brownout {
 			ladder = &qos.BrownoutLadder{}
@@ -323,6 +344,8 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 		if o.Breaker {
 			breaker = &qos.BreakerConfig{Seed: o.Seed + int64(i)*104729}
 		}
+		// Each serving client enforces admission (QoS) on its own leader path,
+		// so a tenant's allowance is per leader, matching how capacity is owned.
 		c := core.New(net, tr, core.Options{
 			ID:           fmt.Sprintf("%04d", i),
 			Tenant:       tenant,
@@ -334,11 +357,7 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 				LocalMetaOp:    cal.ArkMetaOp,
 				MemCopyPerByte: cal.MemCopyPerByte,
 			},
-			Journal: journal.Config{
-				CommitInterval: time.Second, CommitWorkers: 4,
-				CheckpointWorkers: 4, CheckpointFanout: 64,
-				PipelineDepth: 8,
-			},
+			Journal: o.Journal,
 			Cache: cache.Config{
 				EntrySize:        o.ChunkSize,
 				MaxEntries:       o.CacheEntries,
@@ -355,7 +374,7 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 			Retry:        o.Retry,
 			Obs:          o.Obs,
 			Seed:         o.Seed + int64(1000+i),
-			QoS:          limiter,
+			QoS:          o.limiter(o.QoSRate, o.QoSBurst),
 			Brownout:     ladder,
 			OpBudget:     o.OpBudget,
 			Breaker:      breaker,
@@ -363,10 +382,25 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 		})
 		d.Mounts = append(d.Mounts, fsapi.Adapt(c))
 		d.Ark = append(d.Ark, c)
-		cc := c
-		d.close = append(d.close, func() { _ = cc.Close() })
+		d.close = append(d.close, func() { _ = c.Close() })
 	}
 	return d, nil
+}
+
+// limiter is a per-tenant admission controller at rate (burst default 8)
+// with the QoSTenants overrides pinned; nil when rate is zero.
+func (o *ArkFSOptions) limiter(rate, burst float64) *qos.Limiter {
+	if rate <= 0 {
+		return nil
+	}
+	if burst <= 0 {
+		burst = 8
+	}
+	l := qos.NewLimiter(qos.Limits{Rate: rate, Burst: burst})
+	for t, lim := range o.QoSTenants {
+		l.SetTenant(t, lim)
+	}
+	return l
 }
 
 // CephOptions selects CephFS variants.
@@ -396,8 +430,7 @@ func BuildCeph(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Cep
 			o.CacheEntries = 640 // same bytes, smaller entries
 		}
 	}
-	prof.MaxObjectSize = maxI64(prof.MaxObjectSize, o.ChunkSize)
-	cluster := objstore.NewCluster(env, prof)
+	cluster := newCluster(env, prof, o.ChunkSize)
 	tr := prt.New(cluster, o.ChunkSize)
 	net := rpc.NewNetwork(env, cal.ClientNet)
 	co := cephsim.DefaultClusterOptions(fmt.Sprintf("ceph%d", o.NumMDS), o.NumMDS)
@@ -469,11 +502,4 @@ func BuildGoofys(env sim.Env, cal Calibration, prof objstore.Profile, n int) (*D
 		d.Mounts = append(d.Mounts, goofyssim.New(env, cluster, opts))
 	}
 	return d, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -171,6 +171,46 @@ func TestTable2Shapes(t *testing.T) {
 	}
 }
 
+// TestAblationShapes: every ablation fills every cell, and the directions
+// quick scale shows hold. "paper" and "serialized" tie at this scale
+// (EXPERIMENTS.md), so their order is not asserted.
+func TestAblationShapes(t *testing.T) {
+	r := quickRunner()
+	cells := map[string]int{"ablate-journal": 4, "ablate-readahead": 5, "ablate-entrysize": 8, "ablate-leasemgr": 3}
+	exps := map[string]*Experiment{}
+	for _, run := range []func() (*Experiment, error){
+		r.AblationJournal, r.AblationReadahead, r.AblationEntrySize, r.AblationLeaseManager,
+	} {
+		exp, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(exp.Cells) != cells[exp.ID] {
+			t.Errorf("%s: %d cells, want %d", exp.ID, len(exp.Cells), cells[exp.ID])
+		}
+		for _, c := range exp.Cells {
+			if cell(t, exp, c.System, c.Metric) <= 0 {
+				t.Errorf("%s: cell %s/%s = %f, want > 0", exp.ID, c.System, c.Metric, c.Value)
+			}
+		}
+		exps[exp.ID] = exp
+	}
+	journal := exps["ablate-journal"]
+	if paper, unbatched := cell(t, journal, "per-dir journals, 1s batching (paper)", "CREATE"),
+		cell(t, journal, "no batching (commit per op)", "CREATE"); unbatched >= paper {
+		t.Errorf("CREATE without batching (%f) must trail the paper's design (%f)", unbatched, paper)
+	}
+	ra := exps["ablate-readahead"]
+	prev := 0.0
+	for _, window := range []string{"ra=off", "ra=2MiB", "ra=8MiB", "ra=32MiB"} {
+		read := cell(t, ra, "ArkFS", window)
+		if read <= prev {
+			t.Errorf("READ at %s (%f) must beat the smaller window (%f)", window, read, prev)
+		}
+		prev = read
+	}
+}
+
 func TestRenderFormats(t *testing.T) {
 	exp := &Experiment{
 		ID:    "test",

@@ -44,11 +44,6 @@ type OverloadConfig struct {
 	// pacing at half the admitted charge rate, ~4× its own admitted rate).
 	HostileStreams int
 	OpBudget       int // per-operation retry budget (default 8)
-	// QoSOff builds the deployment without any overload protection — no
-	// admission control, no brownout, no breaker, unbounded inboxes,
-	// unlimited retries. The assertions are skipped; the run only reports,
-	// for the bench's protection-on/off comparison.
-	QoSOff bool
 }
 
 func (c *OverloadConfig) fill() {
@@ -174,33 +169,20 @@ type overloadPass struct {
 
 func runOverloadPass(cfg OverloadConfig, hostile bool) *overloadPass {
 	p := &overloadPass{}
-	env := sim.NewVirtEnv()
-	env.Run(func() {
-		reg := obs.NewRegistry()
-		n := 1 + cfg.Tenants // service mount + one per polite tenant
-		if hostile {
-			n++
-		}
-		// PermCache on (the production default): without it every create
-		// charges its path-resolution lookups against the same admission
-		// bucket as the create itself, and even polite pacing overdraws.
-		o := ArkFSOptions{Obs: reg, Seed: cfg.Seed, OpBudget: cfg.OpBudget, PermCache: true}
-		if !cfg.QoSOff {
-			o.QoSRate = cfg.Rate
-			o.QoSBurst = cfg.Burst
-			o.Brownout = true
-			o.Breaker = true
-			o.MaxInbox = 256
-			o.ShedWait = 2 * time.Millisecond
-			o.LeaseQoSRate = 200
-			o.LeaseQoSBurst = 16
-		}
-		d, err := BuildArkFS(env, DefaultCalibration(), objstore.TestProfile(), n, o)
-		if err != nil {
-			p.err = err
-			return
-		}
-		defer d.Close()
+	reg := obs.NewRegistry()
+	n := 1 + cfg.Tenants // service mount + one per polite tenant
+	if hostile {
+		n++
+	}
+	// PermCache on (the production default): without it every create
+	// charges its path-resolution lookups against the same admission
+	// bucket as the create itself, and even polite pacing overdraws.
+	o := ArkFSOptions{
+		Obs: reg, Seed: cfg.Seed, OpBudget: cfg.OpBudget, PermCache: true,
+		QoSRate: cfg.Rate, QoSBurst: cfg.Burst, Brownout: true, Breaker: true,
+		MaxInbox: 256, ShedWait: 2 * time.Millisecond, LeaseQoSRate: 200, LeaseQoSBurst: 16,
+	}
+	p.err = simulate(n, arkfs(DefaultCalibration(), objstore.TestProfile(), o), func(env sim.Env, d *Deployment) error {
 		// Rate is admission charges per second, and one logical create costs
 		// about three charged RPCs at the leader (create, open, write-lease).
 		// Polite pacing of Rate/6 ops therefore offers half the admitted
@@ -219,9 +201,9 @@ func runOverloadPass(cfg OverloadConfig, hostile bool) *overloadPass {
 		if hostile {
 			bc.HostileProcs = 1
 		}
-		p.results, p.err = workload.MultiTenantBurst(env, d.Mounts, bc)
-		if p.err != nil {
-			return
+		var err error
+		if p.results, err = workload.MultiTenantBurst(env, d.Mounts, bc); err != nil {
+			return err
 		}
 		if hostile {
 			p.retries = reg.Tenants().Snapshot()[d.Ark[n-1].Tenant()].Retries
@@ -259,6 +241,7 @@ func runOverloadPass(cfg OverloadConfig, hostile bool) *overloadPass {
 			}
 		}
 		p.metrics = reg.Snapshot().Fingerprint()
+		return nil
 	})
 	return p
 }
@@ -284,10 +267,6 @@ func RunOverload(cfg OverloadConfig) *OverloadReport {
 	rep.Lost = con.lost
 	rep.Metrics = con.metrics
 	rep.HostileRetries = con.retries
-	if cfg.QoSOff {
-		return rep // report-only mode for the bench comparison
-	}
-
 	for _, path := range con.lost {
 		rep.Errors = append(rep.Errors, fmt.Sprintf("lost acknowledged op: %s", path))
 	}

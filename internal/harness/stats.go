@@ -54,47 +54,38 @@ func RunStats(cfg StatsConfig) (obs.Snapshot, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	var runErr error
-	env := sim.NewVirtEnv()
-	env.Run(func() {
-		o := ArkFSOptions{PermCache: true, Obs: reg, Tenants: cfg.Tenants}
-		if cfg.Flaky > 0 {
-			o.FlakyProb, o.FlakySeed = cfg.Flaky, cfg.FlakySeed
-			pol := objstore.DefaultRetryPolicy()
-			o.Retry = &pol
-		}
-		d, err := BuildArkFS(env, DefaultCalibration(), objstore.RADOSProfile(), cfg.Clients, o)
-		if err != nil {
-			runErr = fmt.Errorf("stats: deploy: %w", err)
-			return
-		}
-		defer d.Close()
+	cal := DefaultCalibration()
+	o := ArkFSOptions{PermCache: true, Obs: reg, Tenants: cfg.Tenants}
+	if cfg.Flaky > 0 {
+		o.FlakyProb, o.FlakySeed = cfg.Flaky, cfg.FlakySeed
+		pol := objstore.DefaultRetryPolicy()
+		o.Retry = &pol
+	}
+	err := simulate(cfg.Clients, arkfs(cal, objstore.RADOSProfile(), o), func(env sim.Env, d *Deployment) error {
 		if _, err := workload.MdtestEasy(env, d.Mounts, workload.MdtestConfig{
 			FilesPerProc: cfg.FilesPerProc, Root: "/stats-easy",
 		}); err != nil {
-			runErr = fmt.Errorf("stats: mdtest-easy: %w", err)
-			return
+			return fmt.Errorf("mdtest-easy: %w", err)
 		}
 		if _, err := workload.MdtestHard(env, d.Mounts, workload.MdtestConfig{
 			FilesPerProc: cfg.FilesPerProc / 2, SharedDirs: cfg.SharedDirs, Root: "/stats-hard",
 		}); err != nil {
-			runErr = fmt.Errorf("stats: mdtest-hard: %w", err)
-			return
+			return fmt.Errorf("mdtest-hard: %w", err)
 		}
 		if cfg.Tenants > 0 {
 			if _, err := workload.MultiTenant(env, d.Mounts, workload.MultiTenantConfig{
 				OpsPerProc: cfg.FilesPerProc / 2, Dirs: cfg.SharedDirs,
 				Seed: cfg.TenantSeed, Root: "/stats-tenants",
 			}); err != nil {
-				runErr = fmt.Errorf("stats: multitenant: %w", err)
-				return
+				return fmt.Errorf("multitenant: %w", err)
 			}
 		}
 		// Let background lease/journal work quiesce so gauges settle.
-		env.Sleep(2 * DefaultCalibration().LeasePeriod)
+		env.Sleep(2 * cal.LeasePeriod)
+		return nil
 	})
-	if runErr != nil {
-		return obs.Snapshot{}, runErr
+	if err != nil {
+		return obs.Snapshot{}, fmt.Errorf("stats: %w", err)
 	}
 	return reg.Snapshot(), nil
 }

@@ -43,10 +43,10 @@
 package journal
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -282,6 +282,8 @@ func (j *Journal) Close() {
 		djs = append(djs, dj)
 	}
 	j.mu.Unlock()
+	// Inode order, as in groupCommit: the barriers woken below queue up in it.
+	slices.SortFunc(djs, func(a, b *dirJournal) int { return a.dir.Compare(b.dir) })
 	for _, q := range j.putQs {
 		q.Close()
 	}
@@ -463,9 +465,7 @@ func (j *Journal) groupCommit() {
 	j.mu.Unlock()
 	// Map order is randomized; seal in inode order so virtual-clock runs of
 	// the same seed schedule identically.
-	sort.Slice(djs, func(a, b int) bool {
-		return bytes.Compare(djs[a].dir[:], djs[b].dir[:]) < 0
-	})
+	slices.SortFunc(djs, func(a, b *dirJournal) int { return a.dir.Compare(b.dir) })
 	sealed := 0
 	for _, dj := range djs {
 		dj.mu.Lock()
@@ -638,6 +638,7 @@ func (j *Journal) poisonLocked(dj *dirJournal, err error) (doomed []string) {
 		}
 		delete(dj.landed, seq)
 	}
+	slices.Sort(doomed)
 	j.backlog.Add(-int64(len(dj.queued)))
 	dj.queued = nil
 	dj.durableTo = dj.nextSeq
@@ -797,9 +798,7 @@ func (j *Journal) sweep(fn func(types.Ino) error) error {
 		if len(todo) == 0 {
 			return firstErr
 		}
-		sort.Slice(todo, func(a, b int) bool {
-			return bytes.Compare(todo[a][:], todo[b][:]) < 0
-		})
+		slices.SortFunc(todo, types.Ino.Compare)
 		for _, d := range todo {
 			seen[d] = true
 			if err := fn(d); err != nil && firstErr == nil {

@@ -2,6 +2,7 @@ package lease
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"arkfs/internal/objstore"
@@ -272,8 +273,8 @@ func (c *Cluster) RemoveShard(addr rpc.Addr) error {
 
 	// Rendezvous hashing moves keys only victim→survivors on a removal, so
 	// the survivors gain and nobody else loses. Freeze them all first.
-	for _, g := range gainers {
-		g.StartGain(prev, nr)
+	for _, a := range sortedAddrs(gainers) {
+		gainers[a].StartGain(prev, nr)
 	}
 	c.reshard(prev, nr, map[rpc.Addr]*Manager{addr: victim}, gainers)
 	victim.Tombstone(nr)
@@ -291,10 +292,11 @@ func (c *Cluster) reshard(prev, nr Ring, losers, gainers map[rpc.Addr]*Manager) 
 
 	var lost []suspect
 	var inherited []suspect
-	for a, m := range losers {
-		moved, sus := m.BeginHandoff(nr)
+	for _, a := range sortedAddrs(losers) {
+		moved, sus := losers[a].BeginHandoff(nr)
 		inherited = append(inherited, sus...)
-		for to, grants := range moved {
+		for _, to := range sortedAddrs(moved) {
+			grants := moved[to]
 			if err := c.transfer(a, to, nr.Epoch, grants); err != nil {
 				// The grants are gone from the loser and never reached the
 				// gainer: mark the loser's old range suspect, bounded by the
@@ -316,8 +318,8 @@ func (c *Cluster) reshard(prev, nr Ring, losers, gainers map[rpc.Addr]*Manager) 
 		}
 	}
 	thaw := append(append([]suspect(nil), inherited...), lost...)
-	for _, g := range gainers {
-		g.FinishGain(thaw)
+	for _, a := range sortedAddrs(gainers) {
+		gainers[a].FinishGain(thaw)
 	}
 	c.cReshards.Inc()
 	c.gEpoch.Set(int64(nr.Epoch))
@@ -387,10 +389,21 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	for _, m := range c.mgrs {
-		m.Close()
+	for _, a := range sortedAddrs(c.mgrs) {
+		c.mgrs[a].Close()
 	}
-	for _, m := range c.tombs {
-		m.Close()
+	for _, a := range sortedAddrs(c.tombs) {
+		c.tombs[a].Close()
 	}
+}
+
+// sortedAddrs returns m's keys in order: shards are visited in it, not in the
+// map's, so a seeded simulation replays its reshards message for message.
+func sortedAddrs[V any](m map[rpc.Addr]V) []rpc.Addr {
+	out := make([]rpc.Addr, 0, len(m))
+	for a := range m {
+		out = append(out, a)
+	}
+	slices.Sort(out)
+	return out
 }

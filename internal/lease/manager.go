@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -696,6 +697,9 @@ func (m *Manager) BeginHandoff(nr Ring) (map[rpc.Addr][]DirGrant, []suspect) {
 			Recovering: d.recovering, RecoverID: d.recoverID,
 		})
 		n++
+	}
+	for _, grants := range moved {
+		slices.SortFunc(grants, func(a, b DirGrant) int { return a.Dir.Compare(b.Dir) })
 	}
 	inherited := append([]suspect(nil), m.suspects...)
 	if m.restarted {

@@ -8,9 +8,13 @@ import (
 )
 
 // VirtEnv is a discrete-event virtual-clock environment. Tracked goroutines
-// run real Go code, but time only advances when every tracked goroutine is
-// parked in an Env blocking call; the parking goroutine then advances the
-// clock to the earliest pending event ("last one out turns the clock").
+// run real Go code, one at a time: exactly one of them holds the baton, and
+// it runs until it parks in an Env blocking call or exits. It then hands the
+// baton to the head of the run queue; when the queue is empty, the clock
+// advances to the earliest pending event and the goroutines that event wakes
+// join the queue. Wake-ups enter the queue in the order the one running
+// goroutine (or the clock) made them, so a simulation's interleaving depends
+// on nothing but its own program: the same inputs replay the same run.
 //
 // This reproduces queueing behavior — server serialization, RTT stacking,
 // bandwidth sharing — for hundreds of simulated clients in milliseconds of
@@ -18,24 +22,34 @@ import (
 type VirtEnv struct {
 	mu      sync.Mutex // guards every field below and all virtChan state
 	now     time.Duration
-	running int // tracked goroutines currently runnable
-	parked  int // goroutines blocked in chan recv (not represented by events)
+	cur     *vGoroutine   // holds the baton; nil when nothing runs
+	runq    []*vGoroutine // runnable, waiting for the baton, in wake order
+	parked  int           // goroutines blocked in chan recv (not represented by events)
 	events  eventHeap
 	seq     int64
 	stopped bool
 	chans   []*virtChan // registry so Shutdown can wake every parked receiver
 }
 
+// vGoroutine is one tracked goroutine. It blocks on wake whenever it does not
+// hold the baton; whoever hands it the baton sends one token.
+type vGoroutine struct{ wake chan struct{} }
+
+func newVGoroutine() *vGoroutine { return &vGoroutine{wake: make(chan struct{}, 1)} }
+
 // NewVirtEnv returns a virtual environment at time zero with no tracked
 // goroutines. Call Run to execute a simulation.
 func NewVirtEnv() *VirtEnv { return &VirtEnv{} }
 
+// An event is due at a virtual instant and does exactly one of: make g
+// runnable (a sleep ends), time out w (a receive deadline), or start fn on a
+// new goroutine (After).
 type event struct {
 	at  time.Duration
 	seq int64
-	// fire runs with env.mu held; it must only adjust counters and close
-	// wake channels (or spawn goroutines), never block or re-lock.
-	fire func()
+	g   *vGoroutine
+	w   *vWaiter
+	fn  func()
 	// onShutdown: fire this event during Shutdown (sleep and timeout wakes);
 	// plain After callbacks are dropped instead.
 	onShutdown bool
@@ -71,12 +85,14 @@ func (e *VirtEnv) Run(fn func()) {
 		e.mu.Unlock()
 		panic("sim: Run on a shut-down VirtEnv")
 	}
-	e.running++
+	g := newVGoroutine()
+	e.readyLocked(g)
 	e.mu.Unlock()
+	<-g.wake
 	defer func() {
 		e.Shutdown()
 		e.mu.Lock()
-		e.running--
+		e.passLocked()
 		e.mu.Unlock()
 	}()
 	fn()
@@ -99,26 +115,19 @@ func (e *VirtEnv) Sleep(d time.Duration) {
 		e.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
-	e.pushLocked(&event{
-		at:         e.now + d,
-		fire:       func() { e.running++; close(ch) },
-		onShutdown: true,
-	})
-	e.blockLocked()
+	g := e.cur
+	e.pushLocked(&event{at: e.now + d, g: g, onShutdown: true})
+	e.passLocked()
 	e.mu.Unlock()
-	<-ch
+	<-g.wake
 }
 
-// Go implements Env.
+// Go implements Env. fn starts once the baton reaches it, after every
+// goroutine that was already runnable.
 func (e *VirtEnv) Go(fn func()) {
 	e.mu.Lock()
-	e.running++
-	e.mu.Unlock()
-	go func() {
-		defer e.goroutineExit()
-		fn()
-	}()
+	defer e.mu.Unlock()
+	e.startLocked(fn)
 }
 
 // After implements Env.
@@ -128,14 +137,7 @@ func (e *VirtEnv) After(d time.Duration, fn func()) func() bool {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ev := &event{at: e.now + d}
-	ev.fire = func() {
-		e.running++
-		go func() {
-			defer e.goroutineExit()
-			fn()
-		}()
-	}
+	ev := &event{at: e.now + d, fn: fn}
 	e.pushLocked(ev)
 	return func() bool {
 		e.mu.Lock()
@@ -158,7 +160,7 @@ func (e *VirtEnv) Shutdown() {
 	for len(e.events) > 0 {
 		ev := heap.Pop(&e.events).(*event)
 		if !ev.cancelled && ev.onShutdown {
-			ev.fire()
+			e.fireLocked(ev)
 		}
 	}
 	for _, c := range e.chans {
@@ -173,13 +175,48 @@ func (e *VirtEnv) Stopped() bool {
 	return e.stopped
 }
 
-func (e *VirtEnv) goroutineExit() {
-	e.mu.Lock()
-	e.running--
-	if e.running == 0 {
-		e.advanceLocked()
+// startLocked runs fn on a new tracked goroutine that waits for the baton.
+func (e *VirtEnv) startLocked(fn func()) {
+	g := newVGoroutine()
+	e.readyLocked(g)
+	go func() {
+		<-g.wake
+		defer func() {
+			e.mu.Lock()
+			e.passLocked()
+			e.mu.Unlock()
+		}()
+		fn()
+	}()
+}
+
+// readyLocked makes g runnable: it takes the baton at once if nothing holds
+// it, and otherwise joins the run queue.
+func (e *VirtEnv) readyLocked(g *vGoroutine) {
+	if e.cur == nil {
+		e.cur = g
+		g.wake <- struct{}{}
+		return
 	}
-	e.mu.Unlock()
+	e.runq = append(e.runq, g)
+}
+
+// passLocked gives up the caller's baton: to the head of the run queue, or,
+// when the queue is empty, to whatever the next virtual instant wakes. If
+// nothing is runnable and no event is pending, the simulation has quiesced
+// and the baton is free.
+func (e *VirtEnv) passLocked() {
+	for len(e.runq) == 0 {
+		if !e.advanceLocked() {
+			e.cur = nil
+			return
+		}
+	}
+	g := e.runq[0]
+	e.runq[0] = nil
+	e.runq = e.runq[1:]
+	e.cur = g
+	g.wake <- struct{}{}
 }
 
 func (e *VirtEnv) pushLocked(ev *event) {
@@ -188,47 +225,54 @@ func (e *VirtEnv) pushLocked(ev *event) {
 	heap.Push(&e.events, ev)
 }
 
-// blockLocked marks the caller as no longer runnable and advances the clock
-// if it was the last one.
-func (e *VirtEnv) blockLocked() {
-	e.running--
-	if e.running == 0 {
-		e.advanceLocked()
+// fireLocked performs ev's wake-up; the goroutines it wakes join the run
+// queue behind everything already there.
+func (e *VirtEnv) fireLocked(ev *event) {
+	switch {
+	case ev.g != nil:
+		e.readyLocked(ev.g)
+	case ev.w != nil:
+		if !ev.w.done {
+			ev.w.done = true
+			e.parked--
+			e.readyLocked(ev.w.g)
+		}
+	default:
+		e.startLocked(ev.fn)
 	}
 }
 
 // advanceLocked moves virtual time forward to the earliest pending event and
-// fires every event due at that instant, repeating until some goroutine is
-// runnable again. Called with e.mu held whenever running reaches zero.
-func (e *VirtEnv) advanceLocked() {
-	for e.running == 0 {
-		// Skip cancelled events.
-		for len(e.events) > 0 && e.events[0].cancelled {
-			heap.Pop(&e.events)
+// fires every event due at that instant. It reports false when no event is
+// pending.
+func (e *VirtEnv) advanceLocked() bool {
+	// Skip cancelled events.
+	for len(e.events) > 0 && e.events[0].cancelled {
+		heap.Pop(&e.events)
+	}
+	if len(e.events) == 0 {
+		if e.parked > 0 && !e.stopped {
+			// Release the scheduler lock before panicking so deferred
+			// Shutdown calls on the unwinding path can still run.
+			msg := fmt.Sprintf(
+				"sim: deadlock at t=%v: %d goroutine(s) parked on channels with no pending events",
+				e.now, e.parked)
+			e.cur = nil
+			e.mu.Unlock()
+			panic(msg)
 		}
-		if len(e.events) == 0 {
-			if e.parked > 0 && !e.stopped {
-				// Release the scheduler lock before panicking so deferred
-				// Shutdown calls on the unwinding path can still run.
-				msg := fmt.Sprintf(
-					"sim: deadlock at t=%v: %d goroutine(s) parked on channels with no pending events",
-					e.now, e.parked)
-				e.mu.Unlock()
-				panic(msg)
-			}
-			return // simulation quiesced
-		}
-		t := e.events[0].at
-		if t > e.now {
-			e.now = t
-		}
-		for len(e.events) > 0 && e.events[0].at <= e.now {
-			ev := heap.Pop(&e.events).(*event)
-			if !ev.cancelled {
-				ev.fire()
-			}
+		return false // simulation quiesced
+	}
+	if t := e.events[0].at; t > e.now {
+		e.now = t
+	}
+	for len(e.events) > 0 && e.events[0].at <= e.now {
+		ev := heap.Pop(&e.events).(*event)
+		if !ev.cancelled {
+			e.fireLocked(ev)
 		}
 	}
+	return true
 }
 
 func (e *VirtEnv) newChanCore() chanCore {
@@ -249,7 +293,7 @@ type virtChan struct {
 }
 
 type vWaiter struct {
-	ch   chan struct{}
+	g    *vGoroutine
 	v    any
 	ok   bool
 	done bool
@@ -270,8 +314,7 @@ func (c *virtChan) send(v any) bool {
 		}
 		w.done, w.v, w.ok = true, v, true
 		e.parked--
-		e.running++
-		close(w.ch)
+		e.readyLocked(w.g)
 		return true
 	}
 	c.queue = append(c.queue, v)
@@ -304,27 +347,15 @@ func (c *virtChan) recvDeadline(d time.Duration) (any, bool) {
 		e.mu.Unlock()
 		return nil, false
 	}
-	w := &vWaiter{ch: make(chan struct{})}
+	w := &vWaiter{g: e.cur}
 	c.waiters = append(c.waiters, w)
 	e.parked++
 	if d >= 0 {
-		e.pushLocked(&event{
-			at:         e.now + d,
-			onShutdown: true,
-			fire: func() {
-				if w.done {
-					return
-				}
-				w.done = true
-				e.parked--
-				e.running++
-				close(w.ch)
-			},
-		})
+		e.pushLocked(&event{at: e.now + d, w: w, onShutdown: true})
 	}
-	e.blockLocked()
+	e.passLocked()
 	e.mu.Unlock()
-	<-w.ch
+	<-w.g.wake
 	return w.v, w.ok
 }
 
@@ -354,8 +385,7 @@ func (c *virtChan) wakeAllLocked(ok bool) {
 		}
 		w.done, w.ok = true, ok
 		c.env.parked--
-		c.env.running++
-		close(w.ch)
+		c.env.readyLocked(w.g)
 	}
 	c.waiters = nil
 }

@@ -210,6 +210,31 @@ func TestVirtDeterministicOrdering(t *testing.T) {
 	}
 }
 
+func TestVirtOneBatonFIFO(t *testing.T) {
+	// Goroutines runnable at one instant run one at a time, in the order
+	// they were made runnable: started ones in Go order, sleepers due
+	// together in Sleep order. The shared slice has no lock; under -race
+	// this also checks that no two tracked goroutines ever overlap.
+	env := NewVirtEnv()
+	var order []int
+	env.Run(func() {
+		g := NewGroup(env)
+		for i := 0; i < 20; i++ {
+			g.Go(func() {
+				order = append(order, i)
+				env.Sleep(time.Millisecond)
+				order = append(order, 100+i)
+			})
+		}
+		g.Wait()
+	})
+	for i := 0; i < 20; i++ {
+		if order[i] != i || order[20+i] != 100+i {
+			t.Fatalf("run order %v", order)
+		}
+	}
+}
+
 func TestRealEnvBasics(t *testing.T) {
 	env := NewRealEnv()
 	start := env.Now()

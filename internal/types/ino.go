@@ -8,6 +8,7 @@
 package types
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -42,6 +43,11 @@ func (i Ino) Hi() uint64 { return binary.BigEndian.Uint64(i[0:8]) }
 
 // Lo returns the lower 64 bits.
 func (i Ino) Lo() uint64 { return binary.BigEndian.Uint64(i[8:16]) }
+
+// Compare orders inode numbers bytewise, for slices.SortFunc: work collected
+// from an Ino-keyed map is done in this order, not the map's, so a seeded
+// simulation replays.
+func (i Ino) Compare(j Ino) int { return bytes.Compare(i[:], j[:]) }
 
 // ParseIno parses the 32-hex-digit form produced by String.
 func ParseIno(s string) (Ino, error) {
