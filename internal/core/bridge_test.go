@@ -40,7 +40,8 @@ func TestMultiProcessDeploymentOverTCP(t *testing.T) {
 	mgrAddr := rpc.TCPAddr(mgrBridge.Addr())
 
 	// Advertise needs the bridge address before the client talks to the
-	// manager, so construct carefully: bind a listener first.
+	// manager, so each client process binds its bridge first, as cmd/arkfs
+	// -serve does, and then creates the client that advertises it.
 	env1 := sim.NewRealEnv()
 	defer env1.Shutdown()
 	net1 := rpc.NewNetwork(env1, sim.NetModel{})
@@ -49,40 +50,36 @@ func TestMultiProcessDeploymentOverTCP(t *testing.T) {
 	if err := Format(tr1); err != nil {
 		t.Fatal(err)
 	}
-	// Reserve the service name, bridge it, then create the client that
-	// advertises the bridged address.
-	c1 := New(net1, tr1, Options{
-		ID: "p1", Cred: types.Cred{Uid: 1000, Gid: 1000},
-		LeaseMgr: mgrAddr, LeasePeriod: time.Second,
-		Journal:   journal.Config{CommitInterval: 20 * time.Millisecond, CommitWorkers: 2, CheckpointWorkers: 2},
-		Advertise: "tcp!pending-p1",
-	})
-	defer c1.Close()
-	b1, err := net1.Bridge("127.0.0.1:0", c1.ServiceName())
+	b1, err := net1.Bridge("127.0.0.1:0", ServiceName("p1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b1.Close()
-	c1.SetAdvertise(rpc.TCPAddr(b1.Addr()))
+	c1 := New(net1, tr1, Options{
+		ID: "p1", Cred: types.Cred{Uid: 1000, Gid: 1000},
+		LeaseMgr: mgrAddr, LeasePeriod: time.Second,
+		Journal:   journal.Config{CommitInterval: 20 * time.Millisecond, CommitWorkers: 2, CheckpointWorkers: 2},
+		Advertise: rpc.TCPAddr(b1.Addr()),
+	})
+	defer c1.Close()
 
 	env2 := sim.NewRealEnv()
 	defer env2.Shutdown()
 	net2 := rpc.NewNetwork(env2, sim.NetModel{})
 	store2 := objstore.NewHTTPStore(gw.URL)
 	tr2 := prt.New(store2, 64<<10)
-	c2 := New(net2, tr2, Options{
-		ID: "p2", Cred: types.Cred{Uid: 1000, Gid: 1000},
-		LeaseMgr: mgrAddr, LeasePeriod: time.Second,
-		Journal:   journal.Config{CommitInterval: 20 * time.Millisecond, CommitWorkers: 2, CheckpointWorkers: 2},
-		Advertise: "tcp!pending-p2",
-	})
-	defer c2.Close()
-	b2, err := net2.Bridge("127.0.0.1:0", c2.ServiceName())
+	b2, err := net2.Bridge("127.0.0.1:0", ServiceName("p2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Close()
-	c2.SetAdvertise(rpc.TCPAddr(b2.Addr()))
+	c2 := New(net2, tr2, Options{
+		ID: "p2", Cred: types.Cred{Uid: 1000, Gid: 1000},
+		LeaseMgr: mgrAddr, LeasePeriod: time.Second,
+		Journal:   journal.Config{CommitInterval: 20 * time.Millisecond, CommitWorkers: 2, CheckpointWorkers: 2},
+		Advertise: rpc.TCPAddr(b2.Addr()),
+	})
+	defer c2.Close()
 
 	// p1 builds a tree; it leads / and /shared.
 	if err := c1.Mkdir(context.Background(), "/shared", 0777); err != nil {
@@ -203,7 +200,7 @@ func TestLeaseManagerRestartEndToEnd(t *testing.T) {
 func TestCreateLeaseSurvivesTCPBridge(t *testing.T) {
 	tc := newTestCluster(t)
 	leader := leaderOf(t, tc, "/d")
-	bridge, err := tc.net.Bridge("127.0.0.1:0", leader.ServiceName())
+	bridge, err := tc.net.Bridge("127.0.0.1:0", leader.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

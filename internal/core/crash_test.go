@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"arkfs/internal/crashpoint"
 	"arkfs/internal/journal"
 	"arkfs/internal/lease"
 	"arkfs/internal/objstore"
@@ -139,6 +140,64 @@ func TestAcquireRidesOutManagerQuiesce(t *testing.T) {
 		}
 		if _, err := c.Stat(context.Background(), "/d/b"); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// A create that reaches a directory while its own client is recovering it
+// (the lease lapsed across a lease-manager restart) must land in the table the
+// recovery installs. The manager lets a recovering holder extend in place, so
+// the create used to be granted at once and run on the pre-recovery table,
+// which the recovery then replaced: the create was acknowledged and the file
+// was gone (chaos seed 4 lost one across a crash).
+func TestCreateDuringOwnRecoveryIsKept(t *testing.T) {
+	const lp = 200 * time.Millisecond
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		ctx := context.Background()
+		tr := prt.New(objstore.NewMemStore(), 4096)
+		if err := Format(tr); err != nil {
+			t.Fatal(err)
+		}
+		net := rpc.NewNetwork(env, sim.NetModel{Latency: 20 * time.Microsecond})
+		mgr := lease.NewManager(net, lease.Options{Period: lp})
+		crash := crashpoint.NewSet()
+		c := New(net, tr, Options{
+			ID: "c", Cred: types.Cred{Uid: 1, Gid: 1}, LeasePeriod: lp, AcquireRetries: 16, Crash: crash,
+			Journal: journal.Config{CommitInterval: lp / 4, CommitWorkers: 2, CheckpointWorkers: 2},
+		})
+		defer func() { _ = c.Close() }()
+		if err := c.Mkdir(ctx, "/d", 0777); err != nil {
+			t.Fatal(err)
+		}
+		dir := statIno(t, c, "/d")
+		if _, _, err := c.acquireLease(ctx, dir); err != nil {
+			t.Fatal(err)
+		}
+		mgr.Close()
+		env.Sleep(2 * lp)
+		mgr2 := lease.NewManager(net, lease.Options{Period: lp, Restarted: true})
+		defer mgr2.Close()
+
+		// When c starts recovering /d, a create of c's reaches /d (by inode:
+		// a walk would make c recover / first).
+		created := sim.NewChan[error](env)
+		crash.Arm(crashpoint.RecoveryPreReplay, func() {
+			env.Go(func() {
+				_, _, err := c.create(ctx, dir, CreateReq{Dir: dir, Name: "b", Type: types.TypeRegular,
+					Mode: 0644, Cred: types.Cred{Uid: 1, Gid: 1}, NewIno: types.NewInoSource(9).Next(), Exclusive: true})
+				created.Send(err)
+			})
+			env.Sleep(lp / 20)
+		})
+		if _, _, err := c.acquireLease(ctx, dir); err != nil {
+			t.Fatal(err)
+		}
+		if err, _ := created.Recv(); err != nil {
+			t.Fatalf("create during the recovery: %v", err)
+		}
+		if _, err := c.Stat(ctx, "/d/b"); err != nil {
+			t.Fatalf("stat right after the acknowledged create: %v", err)
 		}
 	})
 }

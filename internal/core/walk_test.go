@@ -449,7 +449,7 @@ func TestMessagesPerCall(t *testing.T) {
 // they cross the in-process fabric.
 func TestWalkSurvivesTCPBridge(t *testing.T) {
 	wt := newWalkTree(t)
-	bridge, err := wt.tc.net.Bridge("127.0.0.1:0", wt.a.ServiceName())
+	bridge, err := wt.tc.net.Bridge("127.0.0.1:0", wt.a.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
