@@ -75,17 +75,7 @@ func (t *opTrack) end(err error) error {
 func (c *Client) Mkdir(ctx context.Context, path string, mode types.Mode) error {
 	ctx, op := c.startOp(ctx, "mkdir", path)
 	c.chargeFUSE()
-	res, err := c.resolvePath(ctx, path, true)
-	if err != nil {
-		return op.end(errnoWrap("mkdir", path, err))
-	}
-	if res.name == "" || res.node != nil {
-		return op.end(errnoWrap("mkdir", path, types.ErrExist))
-	}
-	_, _, err = c.create(ctx, res.parent, CreateReq{
-		Dir: res.parent, Name: res.name, Type: types.TypeDir,
-		Mode: mode, Cred: c.opts.Cred, NewIno: c.inoSrc.Next(), Exclusive: true,
-	})
+	err := c.makeNode(ctx, path, CreateReq{Type: types.TypeDir, Mode: mode})
 	return op.end(errnoWrap("mkdir", path, err))
 }
 
@@ -93,19 +83,20 @@ func (c *Client) Mkdir(ctx context.Context, path string, mode types.Mode) error 
 func (c *Client) Symlink(ctx context.Context, target, path string) error {
 	ctx, op := c.startOp(ctx, "symlink", path)
 	c.chargeFUSE()
-	res, err := c.resolvePath(ctx, path, false)
-	if err != nil {
-		return op.end(errnoWrap("symlink", path, err))
-	}
-	if res.name == "" || res.node != nil {
-		return op.end(errnoWrap("symlink", path, types.ErrExist))
-	}
-	_, _, err = c.create(ctx, res.parent, CreateReq{
-		Dir: res.parent, Name: res.name, Type: types.TypeSymlink,
-		Mode: 0777, Target: target, Cred: c.opts.Cred,
-		NewIno: c.inoSrc.Next(), Exclusive: true,
-	})
+	err := c.makeNode(ctx, path, CreateReq{Type: types.TypeSymlink, Mode: 0777, Target: target})
 	return op.end(errnoWrap("symlink", path, err))
+}
+
+// makeNode makes what cr describes at path, which must not exist, the create
+// riding the walk to path's last name (DESIGN.md §5.7). A symlink there is an
+// entry like any other, not followed.
+func (c *Client) makeNode(ctx context.Context, path string, cr CreateReq) error {
+	cr.Cred, cr.NewIno, cr.Exclusive = c.opts.Cred, c.inoSrc.Next(), true
+	res, err := c.walk(ctx, path, false, 0, &ride{create: &cr})
+	if err == nil && (res.node == nil || res.node.Ino != cr.NewIno) {
+		err = types.ErrExist // the root, or an entry the permission cache knows
+	}
+	return err
 }
 
 // Readlink returns the target of a symlink.
@@ -302,23 +293,6 @@ func (c *Client) FlushAll(ctx context.Context) error {
 }
 
 // --- dispatch helpers --------------------------------------------------------
-
-// create routes a CreateReq to the parent's leader. leased: the leader listed
-// req.Holder for the new inode, or may have (an error that is not its answer).
-func (c *Client) create(ctx context.Context, parent types.Ino, req CreateReq) (node *types.Inode, leased bool, err error) {
-	ld, resp, err := forward[CreateResp](ctx, c, obs.SpanFrom(ctx), parent, req)
-	if ld != nil {
-		return c.localCreate(ctx, ld, parent, req)
-	}
-	if err != nil {
-		return nil, req.Holder != "" && resp.Err == "", err
-	}
-	if node, err = wire.DecodeInode(resp.Inode); err != nil {
-		return nil, resp.Leased, err
-	}
-	c.pcachePut(parent, req.Name, node)
-	return node, resp.Leased, nil
-}
 
 // unlink routes an UnlinkReq to the parent's leader.
 func (c *Client) unlink(ctx context.Context, parent types.Ino, req UnlinkReq) error {

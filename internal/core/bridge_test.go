@@ -194,9 +194,9 @@ func TestLeaseManagerRestartEndToEnd(t *testing.T) {
 	}
 }
 
-// A CreateReq that names its opener and the CreateResp that grants the lease
-// cross the TCP bridge's gob encoding with every field, as they cross the
-// in-process fabric.
+// A walk that carries a create naming its opener, and the WalkResp that grants
+// the lease, cross the TCP bridge's gob encoding with every field, as they
+// cross the in-process fabric.
 func TestCreateLeaseSurvivesTCPBridge(t *testing.T) {
 	tc := newTestCluster(t)
 	leader := leaderOf(t, tc, "/d")
@@ -211,21 +211,25 @@ func TestCreateLeaseSurvivesTCPBridge(t *testing.T) {
 
 	dir := statIno(t, leader, "/d")
 	holder := rpc.Addr("tcp!far-away:1")
+	cred := types.Cred{Uid: 1000, Gid: 1000}
 	req := CreateReq{
-		Dir: dir, Name: "f", Type: types.TypeRegular, Mode: 0444, Cred: types.Cred{Uid: 1000, Gid: 1000},
+		Type: types.TypeRegular, Mode: 0444, Cred: cred,
 		NewIno: types.NewInoSource(7).Next(), Exclusive: true, Holder: holder, Write: true,
 	}
-	got, err := far.Call(rpc.TCPAddr(bridge.Addr()), req)
-	resp, ok := got.(CreateResp)
-	if err != nil || !ok || resp.Err != "" || !resp.Leased || len(resp.Inode) == 0 {
+	walk := func(name string, req CreateReq) WalkReq {
+		return WalkReq{Dir: dir, Names: []string{name}, Cred: cred, Holder: req.Holder, Write: req.Write, Create: &req}
+	}
+	got, err := far.Call(rpc.TCPAddr(bridge.Addr()), walk("f", req))
+	resp, ok := got.(WalkResp)
+	if err != nil || !ok || resp.Err != "" || !resp.Leased || len(resp.Inodes) != 1 {
 		t.Fatalf("create over the bridge: %+v, %v; want an inode and Leased", got, err)
 	}
 	if holders, writer, _ := leaseOf(t, leader, dir, req.NewIno); len(holders) != 1 || holders[0] != holder || writer != holder {
 		t.Errorf("the leader lists %v, writer %q; want %s as both", holders, writer, holder)
 	}
-	req.Name, req.Holder, req.Write, req.NewIno = "g", "", false, types.NewInoSource(8).Next()
-	got, err = far.Call(rpc.TCPAddr(bridge.Addr()), req)
-	if resp, ok := got.(CreateResp); err != nil || !ok || resp.Err != "" || resp.Leased {
+	req.Holder, req.Write, req.NewIno = "", false, types.NewInoSource(8).Next()
+	got, err = far.Call(rpc.TCPAddr(bridge.Addr()), walk("g", req))
+	if resp, ok := got.(WalkResp); err != nil || !ok || resp.Err != "" || resp.Leased {
 		t.Errorf("a create that names no holder: %+v, %v; want an inode and no lease", got, err)
 	}
 }

@@ -184,8 +184,8 @@ func TestCreateDuringOwnRecoveryIsKept(t *testing.T) {
 		created := sim.NewChan[error](env)
 		crash.Arm(crashpoint.RecoveryPreReplay, func() {
 			env.Go(func() {
-				_, _, err := c.create(ctx, dir, CreateReq{Dir: dir, Name: "b", Type: types.TypeRegular,
-					Mode: 0644, Cred: types.Cred{Uid: 1, Gid: 1}, NewIno: types.NewInoSource(9).Next(), Exclusive: true})
+				_, _, err := c.lookup(ctx, dir, []string{"b"}, &ride{create: &CreateReq{Type: types.TypeRegular,
+					Mode: 0644, Cred: types.Cred{Uid: 1, Gid: 1}, NewIno: types.NewInoSource(9).Next(), Exclusive: true}})
 				created.Send(err)
 			})
 			env.Sleep(lp / 20)

@@ -51,7 +51,7 @@ func records(c *Client) int {
 // before the answer leaves: the place where an answer is delayed or lost.
 func behind(t *testing.T, tc *testCluster, leader, c *Client, dir types.Ino, after func(req any)) rpc.Addr {
 	t.Helper()
-	proxy := rpc.Addr("proxy-" + c.Addr())
+	proxy := rpc.Addr("proxy-"+c.Addr()) + rpc.Addr("-"+dir.Short())
 	srv := tc.net.ListenCtx(proxy, 4, func(ctx context.Context, req any) any {
 		resp := leader.serve(ctx, req)
 		after(req)
@@ -113,10 +113,10 @@ func TestCreateIgnoresOwnMode(t *testing.T) {
 	}
 }
 
-// A recall that reaches the opener between the leader's grant and the
-// CreateResp finds the record taken before the request was sent: the opener
-// ends up in direct mode without ever having cached, and the client whose open
-// caused the recall reads every byte.
+// A recall that reaches the opener between the leader's grant and the answer
+// to the walk that made the file finds the record taken before the walk was
+// sent: the opener ends up in direct mode without ever having cached, and the
+// client whose open caused the recall reads every byte.
 func TestRecallOvertakesCreateResp(t *testing.T) {
 	tc := newTestCluster(t)
 	leader := leaderOf(t, tc, "/d")
@@ -124,8 +124,8 @@ func TestRecallOvertakesCreateResp(t *testing.T) {
 	ctx := context.Background()
 	dir := statIno(t, leader, "/d")
 	granted, deliver := make(chan struct{}), make(chan struct{})
-	behind(t, tc, leader, c, dir, func(req any) {
-		if _, ok := req.(CreateReq); ok {
+	behind(t, tc, leader, c, types.RootIno, func(req any) {
+		if carriesCreate(req) {
 			close(granted)
 			<-deliver
 		}
@@ -141,7 +141,7 @@ func TestRecallOvertakesCreateResp(t *testing.T) {
 	if holders, writer, _ := leaseOf(t, leader, dir, statIno(t, leader, "/d/f")); len(holders) != 1 || writer != c.Addr() {
 		t.Fatalf("after the create the leader lists %v, writer %q", holders, writer)
 	}
-	early, err := other.Open(ctx, "/d/f", types.ORdonly, 0) // recalls c, whose CreateResp is still on its way
+	early, err := other.Open(ctx, "/d/f", types.ORdonly, 0) // recalls c, whose answer is still on its way
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCreateLeaseFollowsAccessMode(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if want := map[string]int64{"Walk": 1, "Create": 1}; !reflect.DeepEqual(got, want) {
+		if want := map[string]int64{"Walk": 1}; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: the creating open sent %v, want %v", tt.name, got, want)
 		}
 		holders, writer, _ := leaseOf(t, leader, dir, f.Ino())
@@ -219,9 +219,8 @@ func TestCreateLeaseFollowsAccessMode(t *testing.T) {
 }
 
 // A file that exists is attached to as before: O_CREAT|O_TRUNC without O_EXCL
-// sends Open and truncates; and a create that loses the race for the name
-// (the walk said ENOENT, the leader says it exists) is granted nothing and
-// leaves no provisional record.
+// is granted by its walk, as a plain open is, and truncates; and a create that
+// finds the name taken makes nothing and leaves no provisional record.
 func TestCreateOfExistingFileAttaches(t *testing.T) {
 	tc := newTestCluster(t)
 	reg := obs.NewRegistry()
@@ -244,24 +243,27 @@ func TestCreateOfExistingFileAttaches(t *testing.T) {
 	}
 	dir, ino := statIno(t, leader, "/d"), statIno(t, leader, "/d/f")
 
-	node, of, err := c.openNew(ctx, dir, "f", types.OWronly|types.OCreate, 0644)
-	if err != nil || of != nil || node.Ino != ino {
-		t.Fatalf("openNew of an existing name: inode %v, record %v, %v; want the existing inode and no record", node, of, err)
+	f, err := c.Open(ctx, "/d/f", types.OWronly|types.OCreate, 0644)
+	if err != nil || f.Ino() != ino {
+		t.Fatalf("O_CREAT of an existing name: %v; want the existing inode %s", err, ino.Short())
 	}
-	if n := records(c); n != 0 {
-		t.Fatalf("%d records left by a create that made nothing", n)
+	if n := records(c); n != 1 {
+		t.Fatalf("%d records, want the existing file's alone: the create made nothing", n)
 	}
-	if holdsLease(t, leader, dir, ino, c.Addr()) {
-		t.Fatal("the leader lists the opener for a file its create did not make")
+	_ = f.Close()
+	if err := c.FlushAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if holdsLease(t, leader, dir, ino, c.Addr()) || records(c) != 0 {
+		t.Fatal("the closed handle left its lease or its record")
 	}
 
-	var f *File
 	got := sent(reg, func() {
 		if f, err = c.Open(ctx, "/d/f", types.OWronly|types.OCreate|types.OTrunc, 0644); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if want := map[string]int64{"Walk": 1, "Open": 1, "SetAttr": 1}; !reflect.DeepEqual(got, want) {
+	if want := map[string]int64{"Walk": 1, "SetAttr": 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("O_CREAT|O_TRUNC on an existing file sent %v, want %v", got, want)
 	}
 	if f.Size() != 0 {
@@ -273,9 +275,9 @@ func TestCreateOfExistingFileAttaches(t *testing.T) {
 	}
 }
 
-// A CreateResp lost on the way: the opener sends the create again, and the
-// leader knows its own work by the inode number, O_EXCL or not, and answers
-// as it did the first time.
+// The answer to a walk that made a file, lost on the way: the opener sends the
+// walk again, and the leader knows its own work by the inode number, O_EXCL or
+// not, and answers as it did the first time.
 func TestLostCreateRespIsRetried(t *testing.T) {
 	tc := newTestCluster(t)
 	leader := leaderOf(t, tc, "/d")
@@ -286,14 +288,14 @@ func TestLostCreateRespIsRetried(t *testing.T) {
 	tc.net.SetFaultPlan(plan)
 	defer tc.net.SetFaultPlan(nil)
 	var proxy rpc.Addr
-	proxy = behind(t, tc, leader, c, dir, func(req any) {
-		if _, ok := req.(CreateReq); ok {
+	proxy = behind(t, tc, leader, c, types.RootIno, func(req any) {
+		if carriesCreate(req) {
 			plan.Partition([]rpc.Addr{proxy}, []rpc.Addr{c.Addr()}) // the retry goes to the leader itself
 		}
 	})
 	f, err := c.Open(ctx, "/d/f", types.OWronly|types.OCreate|types.OExcl, 0644)
 	if err != nil {
-		t.Fatalf("open after a lost CreateResp: %v", err)
+		t.Fatalf("open after a lost answer: %v", err)
 	}
 	if holders, writer, _ := leaseOf(t, leader, dir, f.Ino()); len(holders) != 1 || writer != c.Addr() {
 		t.Fatalf("the leader lists %v, writer %q", holders, writer)
@@ -322,8 +324,8 @@ func TestUnansweredCreateReturnsLease(t *testing.T) {
 	tc.net.SetFaultPlan(plan)
 	defer tc.net.SetFaultPlan(nil)
 	var proxy rpc.Addr
-	proxy = behind(t, tc, leader, c, dir, func(req any) {
-		if _, ok := req.(CreateReq); ok {
+	proxy = behind(t, tc, leader, c, types.RootIno, func(req any) {
+		if carriesCreate(req) {
 			plan.Partition([]rpc.Addr{proxy, leader.Addr()}, []rpc.Addr{c.Addr()})
 		}
 	})

@@ -39,6 +39,7 @@ type openFile struct {
 
 	// Guarded by Client.mu; once returning is set nothing changes them (giveBack).
 	parent    types.Ino           // whose leader the latest Open registered with
+	below     []string            // from parent down to the file's directory, if a create never learned it (aim)
 	leader    rpc.Addr            // who listed this client last ("": itself); until then, parent's route when the record was made
 	grant     uint64              // the highest number leader listed it under
 	refs      int                 // live handles and Opens in flight
@@ -57,38 +58,38 @@ type openFile struct {
 func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mode types.Mode) (*File, error) {
 	ctx, op := c.startOp(ctx, "open", path)
 	c.chargeFUSE()
-	// The walk carries the open (DESIGN.md §5.7), unless the open may create:
-	// its second message is then the create, which grants for itself.
-	var walked *walkOpen
-	recalls := c.recalls.Load()
-	if !flags.Has(types.OCreate) {
-		walked = &walkOpen{write: flags.WantsWrite()}
+	// The walk carries the open, and with O_CREAT the create (DESIGN.md §5.7).
+	walked := &ride{holder: c.addr, write: flags.WantsWrite()}
+	if flags.Has(types.OCreate) {
+		walked.create = &CreateReq{Type: types.TypeRegular, Mode: mode, Cred: c.opts.Cred, NewIno: c.inoSrc.Next(),
+			Exclusive: flags.Has(types.OExcl), Holder: c.addr, Write: flags.WantsWrite()}
+		walked.made = c.ref(types.Ino{}, walked.create.NewIno)
 	}
+	recalls := c.recalls.Load()
 	res, err := c.walk(ctx, path, true, 0, walked)
+	f := &File{c: c, path: path, flags: flags}
+	if walked.made != nil {
+		f.of = c.created(walked, res, err)
+	}
 	if err != nil {
 		return nil, op.end(errnoWrap("open", path, err))
 	}
 	if res.name == "" {
 		return nil, op.end(errnoWrap("open", path, types.ErrIsDir))
 	}
-	f := &File{c: c, path: path, parent: res.parent, name: res.name, flags: flags}
+	f.parent, f.name = res.parent, res.name
 	node := res.node
 	switch {
-	case node == nil && !flags.Has(types.OCreate):
-		return nil, op.end(errnoWrap("open", path, types.ErrNotExist))
+	case f.of != nil:
+		// Made by the walk, with its lease: the mode binds later opens, not the
+		// one that made the file, and there is nothing to truncate or append after.
+		return f, op.end(nil)
 	case node == nil:
-		if node, f.of, err = c.openNew(ctx, res.parent, res.name, flags, mode); err != nil {
-			return nil, op.end(errnoWrap("open", path, err))
-		}
-	case flags.Has(types.OCreate) && flags.Has(types.OExcl):
+		return nil, op.end(errnoWrap("open", path, types.ErrNotExist))
+	case flags.Has(types.OExcl) && walked.create != nil && node.Ino != walked.create.NewIno:
 		return nil, op.end(errnoWrap("open", path, types.ErrExist))
 	case node.IsDir():
 		return nil, op.end(errnoWrap("open", path, types.ErrIsDir))
-	}
-	if f.of != nil {
-		// Granted by the create: the mode binds later opens, not the one that
-		// made the file, and there is nothing to truncate or append after.
-		return f, op.end(nil)
 	}
 	// The file existed: check the requested access, then attach. A grant the
 	// walk brought is the record's from here on, whatever comes of the open.
@@ -99,7 +100,7 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 	if flags.WantsWrite() {
 		want |= types.MayWrite
 	}
-	granted := walked != nil && walked.leased
+	granted := walked.leased
 	err = node.Access(c.opts.Cred, want)
 	if err != nil && !granted {
 		return nil, op.end(errnoWrap("open", path, err))
@@ -119,29 +120,39 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 	return f, op.end(nil)
 }
 
-// openNew creates the file Open did not find; if the request made the inode,
-// the leader granted its data lease with it (DESIGN.md §5.7) and the record
-// returned holds it. The record is taken before the request is sent, so a
-// recall that overtakes the answer finds it. A file that existed and a refusal
-// drop it silently; an error that is not the leader's answer returns the lease.
-func (c *Client) openNew(ctx context.Context, parent types.Ino, name string, flags types.OpenFlag, mode types.Mode) (*types.Inode, *openFile, error) {
-	req := CreateReq{Dir: parent, Name: name, Type: types.TypeRegular, Mode: mode, Cred: c.opts.Cred,
-		NewIno: c.inoSrc.Next(), Exclusive: flags.Has(types.OExcl), Holder: c.addr, Write: flags.WantsWrite()}
-	of := c.ref(parent, req.NewIno)
-	node, leased, err := c.create(ctx, parent, req)
-	if err != nil || !leased {
-		of.leased.Store(leased) // to return, if at all, where the request went
+// created settles w.made, the record Open took for the inode its create would
+// make before the walk left, so that a recall overtaking the answer finds it.
+// If the walk made the inode, the leader granted its data lease with it
+// (DESIGN.md §5.7) and the record holds it for the handle. A file that existed
+// and a refusal drop it silently; a walk that got no answer may have made the
+// file, and the record returns the lease to where that walk went (aim).
+func (c *Client) created(w *ride, res *resolved, err error) *openFile {
+	of := w.made
+	if err != nil || res.node == nil || res.node.Ino != of.ino || !w.leased {
+		of.leased.Store(err != nil && w.lost)
 		c.unref(of)
-		return node, nil, err
+		return nil
 	}
-	c.adopt(of, dataGrant{via: parent}, 0) // a create's listing has no number
-	if req.Write {
-		c.data.Created(node.Ino)
+	c.mu.Lock()
+	of.parent, of.below = res.parent, nil
+	c.mu.Unlock()
+	c.adopt(of, w.grant, 0)
+	if w.write {
+		c.data.Created(of.ino)
 		of.mu.Lock()
 		of.hasWrite = !of.direct
 		of.mu.Unlock()
 	}
-	return node, of, nil
+	return of
+}
+
+// aim points of, the record of a create about to ride a walk from dir with
+// names, at where that walk goes: if no answer comes, the create may have been
+// made below dir, and its lease listed at dir's leader.
+func (c *Client) aim(of *openFile, dir types.Ino, names []string) {
+	c.mu.Lock()
+	of.parent, of.below, of.leader = dir, names[:len(names)-1], c.remote[dir]
+	c.mu.Unlock()
 }
 
 // Create is the creat(2) shorthand: O_WRONLY|O_CREATE|O_TRUNC.
@@ -165,7 +176,7 @@ func (c *Client) ref(parent, ino types.Ino) *openFile {
 			c.open[ino] = of
 		}
 		if !of.returning {
-			of.parent = parent
+			of.parent, of.below = parent, nil
 			of.refs++
 			c.mu.Unlock()
 			return of
@@ -258,7 +269,7 @@ func (c *Client) release(of *openFile) (remote bool) {
 // fails the leader keeps a stale holder entry until its own lease on the
 // directory turns over.
 func (c *Client) giveBack(of *openFile) {
-	_, _ = c.net.CallFrom(c.addr, of.leader, CloseFileReq{Dir: of.parent, Ino: of.ino, Client: c.addr, Grant: of.grant})
+	_, _ = c.net.CallFrom(c.addr, of.leader, CloseFileReq{Dir: of.parent, Below: of.below, Ino: of.ino, Client: c.addr, Grant: of.grant})
 	c.mu.Lock()
 	c.forget(of)
 	if c.returns--; c.returns == 0 && c.quiet != nil {
@@ -303,7 +314,7 @@ type dataGrant struct {
 
 // adopt makes of the owner of grant g: whatever becomes of the Open that got
 // it, the record's release gives it back. For a walk's grant it also reports
-// whether g still says what its leader holds (after an OpenReq or a CreateReq
+// whether g still says what its leader holds (after an OpenReq or a create
 // there is nothing to ask: the record was there before the request left, so a
 // recall found it and no return could be decided). A walk learns its inode
 // from the answer. A recall that overtook the answer found no record to flip

@@ -59,12 +59,13 @@ func BenchmarkForwardedStat(b *testing.B) {
 // admission gate charges on the open path.
 func admittedCalls(reg *obs.Registry) int64 {
 	calls := leaderCalls(reg)
-	return calls["Stat"] + calls["Walk"] + calls["Create"] + calls["Open"]
+	return calls["Stat"] + calls["Walk"] + calls["Open"]
 }
 
 // TestForwardedOpenHonorsPushback: a leader whose admission gate refuses the
-// forwarded Open once, with a hint, must cost the non-leader's Open(O_CREATE)
-// one retry — not fail the call after its create half already succeeded.
+// last of a non-leader's Open(O_CREATE) messages once, with a hint, must cost
+// the call one retry — not fail it. The refused walk makes nothing, and the
+// retry makes the file once.
 func TestForwardedOpenHonorsPushback(t *testing.T) {
 	tc := newTestCluster(t)
 	netReg := obs.NewRegistry()
@@ -82,7 +83,7 @@ func TestForwardedOpenHonorsPushback(t *testing.T) {
 	}
 
 	// A warm-up open tells how many admitted messages one Open(O_CREATE)
-	// sends; the forwarded Open is the last of them.
+	// sends; the walk that carries the create is the last of them.
 	before := admittedCalls(netReg)
 	f, err := peer.Open(ctx, "/d/warm", types.OWronly|types.OCreate, 0644)
 	if err != nil {
@@ -90,19 +91,31 @@ func TestForwardedOpenHonorsPushback(t *testing.T) {
 	}
 	_ = f.Close()
 	perOpen := admittedCalls(netReg) - before
-	if perOpen < 2 {
-		t.Fatalf("warm-up open sent %d admitted messages, want create and open at least", perOpen)
+	if perOpen < 1 {
+		t.Fatalf("warm-up open sent %d admitted messages, want the walk at least", perOpen)
 	}
 	// Tokens for all of the next open's messages but the last. At 20/s the
 	// refusal's hint is ~50ms: long against the run time of the messages
-	// before it, so no token accrues early, and short enough to wait out.
-	lim.SetTenant(peer.Tenant(), qos.Limits{Rate: 20, Burst: float64(perOpen - 1)})
+	// before it, so no token accrues early, and short enough to wait out. A
+	// bucket holds at least one token, so it is made one deeper and a stat
+	// spends the extra one.
+	lim.SetTenant(peer.Tenant(), qos.Limits{Rate: 20, Burst: float64(perOpen)})
+	if _, err := peer.Stat(ctx, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	served := r1.Snapshot().Counters["core.meta.local"]
 
 	f, err = peer.Open(ctx, "/d/pushed", types.OWronly|types.OCreate, 0644)
 	if err != nil {
 		t.Fatalf("open under one admission refusal: %v", err)
 	}
 	_ = f.Close()
+	if got := r1.Snapshot().Counters["core.meta.local"] - served; got != 1 {
+		t.Fatalf("the leader served %d creates for the refused walk and its retry, want the retry's alone", got)
+	}
+	if node, err := leader.Stat(ctx, "/d/pushed"); err != nil || node.Ino != f.Ino() {
+		t.Fatalf("the leader has %v, %v; want the inode the open made", node, err)
+	}
 	if got := r1.Snapshot().Counters["qos.shed.core.admission"]; got != 1 {
 		t.Fatalf("leader refused %d times, want exactly 1", got)
 	}
@@ -183,7 +196,6 @@ func TestMessageTable(t *testing.T) {
 	}
 	requests := map[string]row{
 		"WalkReq":          {"serve.walk", "Dir", qos.CostCheap, false, true},
-		"CreateReq":        {"serve.create", "Dir", qos.CostNormal, false, true},
 		"UnlinkReq":        {"serve.unlink", "Dir", qos.CostNormal, false, true},
 		"StatReq":          {"serve.stat", "Dir", qos.CostCheap, false, false},
 		"SetAttrReq":       {"serve.setattr", "Dir", qos.CostNormal, false, true},

@@ -14,11 +14,30 @@ import (
 // into the per-directory journal. They are invoked both by this client's own
 // public API and by the RPC service on behalf of other clients.
 
-// localCreate creates a child (file, directory, or symlink) in a led
+// lookupAt looks names[0] up in ld, the led directory dir, charging one table
+// operation. A create rides the lookup of the last name: a missing name, and
+// the create's own inode (a walk sent again after its answer was lost), are
+// localCreate's to rule on, which charges a table operation of its own; an
+// exclusive create finds any other entry EEXIST, and any other entry is the
+// answer, as without the create.
+func (c *Client) lookupAt(ctx context.Context, ld *ledDir, dir types.Ino, names []string, cr *CreateReq) (*types.Inode, bool, error) {
+	c.chargeMetaOp()
+	_, child, err := ld.table.Lookup(names[0])
+	switch {
+	case cr == nil || len(names) > 1:
+	case isNotExist(err) || err == nil && child.Ino == cr.NewIno:
+		return c.localCreate(ctx, ld, dir, names[0], *cr)
+	case err == nil && cr.Exclusive:
+		return nil, false, fmt.Errorf("core: create %q: %w", names[0], types.ErrExist)
+	}
+	return child, false, err
+}
+
+// localCreate creates name, a file, directory or symlink, in a led
 // directory. newIno is allocated by the caller so that remote creates keep
 // inode allocation on the requesting client. leased reports that the inode is
 // new and req.Holder was listed for its data lease in the same lock hold.
-func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, req CreateReq) (*types.Inode, bool, error) {
+func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, name string, req CreateReq) (*types.Inode, bool, error) {
 	ld.opMu.Lock()
 	defer ld.opMu.Unlock()
 	c.chargeMetaOp()
@@ -26,7 +45,7 @@ func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, req
 	if err := ld.writable(); err != nil {
 		return nil, false, err
 	}
-	if err := types.ValidName(req.Name); err != nil {
+	if err := types.ValidName(name); err != nil {
 		return nil, false, err
 	}
 	dirNode := ld.table.DirInode()
@@ -35,20 +54,20 @@ func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, req
 	}
 	now := c.env.Now()
 
-	if _, existing, err := ld.table.Lookup(req.Name); err == nil {
+	if _, existing, err := ld.table.Lookup(name); err == nil {
 		if existing.Ino == req.NewIno {
 			// This very create, sent again after its answer was lost.
 			dl := ld.dataLeases[existing.Ino]
 			return existing, dl != nil && dl.readers[req.Holder], nil
 		}
 		if req.Exclusive {
-			return nil, false, fmt.Errorf("core: create %q: %w", req.Name, types.ErrExist)
+			return nil, false, fmt.Errorf("core: create %q: %w", name, types.ErrExist)
 		}
 		if existing.IsDir() {
-			return nil, false, fmt.Errorf("core: create %q: %w", req.Name, types.ErrIsDir)
+			return nil, false, fmt.Errorf("core: create %q: %w", name, types.ErrIsDir)
 		}
 		if req.Type == types.TypeDir {
-			return nil, false, fmt.Errorf("core: mkdir %q: %w", req.Name, types.ErrExist)
+			return nil, false, fmt.Errorf("core: mkdir %q: %w", name, types.ErrExist)
 		}
 		// O_CREAT on an existing file: return it (the open path truncates).
 		return existing, false, nil
@@ -67,7 +86,7 @@ func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, req
 	if req.Type == types.TypeDir {
 		child.Nlink = 2
 	}
-	if err := ld.table.Insert(req.Name, child); err != nil {
+	if err := ld.table.Insert(name, child); err != nil {
 		return nil, false, err
 	}
 	dirNode.Mtime, dirNode.Ctime = now, now
@@ -91,7 +110,7 @@ func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, req
 	}
 	c.jrnl.Log(ctx, dir, []wire.Op{
 		{Kind: wire.OpSetInode, Inode: child},
-		{Kind: wire.OpAddDentry, Name: req.Name, Ino: child.Ino, FType: child.Type},
+		{Kind: wire.OpAddDentry, Name: name, Ino: child.Ino, FType: child.Type},
 		{Kind: wire.OpSetInode, Inode: dirNode},
 	})
 	return child, req.Holder != "", nil

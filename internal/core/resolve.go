@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"arkfs/internal/obs"
 	"arkfs/internal/rpc"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
@@ -32,18 +33,24 @@ func (c *Client) resolvePath(ctx context.Context, path string, followLast bool) 
 	return c.walk(ctx, path, followLast, 0, nil)
 }
 
-// walkOpen is what Open tells its walk, and what the walk brings back: a
-// leader that resolves the path's last name to a regular file the client may
-// open lists the client for the file's data lease in the same message, and
-// grant is then what an OpenResp would have said (DESIGN.md §5.7).
-type walkOpen struct {
-	write  bool // the open wants to write
+// ride is what a call sends along with its walk, for the leader of the
+// directory of the path's last name to do there, and what the walk brings back
+// (DESIGN.md §5.7). An open lists the client for the data lease of a regular
+// file it may open, and grant is then what an OpenResp would have said. A
+// create makes the name if it is missing (lookupAt); Open's lists the client
+// for the new inode too, and made is the record Open took for it.
+type ride struct {
+	holder rpc.Addr   // Open: this client, to list for the file's data lease
+	write  bool       // the open wants to write
+	create *CreateReq // Open with O_CREAT, Mkdir, Symlink
+	made   *openFile  // Open with O_CREAT: the record of create.NewIno
+	lost   bool       // the last walk message sent got no answer: it may have made the file
 	leased bool
 	grant  dataGrant
 }
 
 // walk is resolvePath; open, if not nil, rides the lookup of the last name.
-func (c *Client) walk(ctx context.Context, path string, followLast bool, depth int, open *walkOpen) (*resolved, error) {
+func (c *Client) walk(ctx context.Context, path string, followLast bool, depth int, open *ride) (*resolved, error) {
 	if depth > maxSymlinkDepth {
 		return nil, fmt.Errorf("core: %q: %w", path, types.ErrLoop)
 	}
@@ -145,24 +152,35 @@ func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, erro
 // last of them. Unlike the other forwarded operations it treats the leader's
 // ENOENT as an answer worth keeping (a negative permission-cache entry), and
 // it caches what the answer says of every directory it crossed. With open, the
-// leader of the last name's directory may grant the open too: only an answer
-// that resolved every name says so.
-func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open *walkOpen) (child *types.Inode, ahead []*types.Inode, err error) {
+// leader of the last name's directory may grant the open or make the create
+// too: only an answer that resolved every name says so. A negative entry for
+// the last name does not answer a create, which the leader has to make.
+func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open *ride) (child *types.Inode, ahead []*types.Inode, err error) {
+	var cr *CreateReq
+	if open != nil {
+		cr = open.create
+	}
 	ld, ok := c.ledDirFor(dir)
 	if !ok {
-		if node, hit, cached := c.pcacheLookup(dir, names[0]); hit {
+		if node, hit, cached := c.pcacheLookup(dir, names[0]); hit && (node != nil || cr == nil || len(names) > 1) {
 			c.stats.PcacheHits.Add(1)
 			return node, nil, cached
 		}
 		var resp WalkResp
-		req := WalkReq{Dir: dir, Names: names, Cred: c.opts.Cred, WantDirInode: c.opts.PermCache}
-		if open != nil {
-			req.Holder, req.Write = c.addr, open.write
+		var sp *obs.Span
+		req := WalkReq{Dir: dir, Names: names, Cred: c.opts.Cred, WantDirInode: c.opts.PermCache, Create: cr}
+		if open != nil { // what rides it makes the walk the call's own routing decision
+			sp, req.Holder, req.Write = obs.SpanFrom(ctx), open.holder, open.write
+			if open.made != nil {
+				c.aim(open.made, dir, names)
+			}
 		}
-		ld, resp, err = forward[WalkResp](ctx, c, nil, dir, req)
-		if open != nil && resp.Leased {
-			open.leased = true
-			open.grant = dataGrant{via: dir, seq: resp.Grant, direct: resp.Direct}
+		ld, resp, err = forward[WalkResp](ctx, c, sp, dir, req)
+		if open != nil {
+			open.lost = err != nil && resp.Err == ""
+			if resp.Leased {
+				open.leased, open.grant = true, dataGrant{via: dir, seq: resp.Grant, direct: resp.Direct}
+			}
 		}
 		if c.opts.PermCache && len(resp.DirInode) > 0 {
 			if dn, derr := wire.DecodeInode(resp.DirInode); derr == nil {
@@ -197,9 +215,11 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 			return nil, nil, fmt.Errorf("core: search %q: %w", names[0], err)
 		}
 	}
-	c.chargeMetaOp()
 	c.stats.LocalMetaOps.Add(1)
-	_, child, err = ld.table.Lookup(names[0])
+	child, leased, err := c.lookupAt(ctx, ld, dir, names, cr)
+	if leased {
+		open.leased, open.grant = true, dataGrant{via: dir}
+	}
 	return child, nil, err
 }
 

@@ -73,9 +73,7 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 	}
 	switch r := req.(type) {
 	case WalkReq:
-		return c.serveWalk(ld, r)
-	case CreateReq:
-		return c.serveCreate(ctx, ld, r)
+		return c.serveWalk(ctx, ld, r)
 	case UnlinkReq:
 		return UnlinkResp{Err: errString(c.localUnlink(ctx, ld, r.Dir, r))}
 	case StatReq:
@@ -100,7 +98,9 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 		direct, _ := c.grantLease(ld, r.Ino, r.Client, true)
 		return WriteLeaseResp{Direct: direct}
 	case CloseFileReq:
-		c.releaseData(ld, r.Ino, r.Client, r.Grant)
+		if ld = c.ledBelow(ld, r.Below); ld != nil {
+			c.releaseData(ld, r.Ino, r.Client, r.Grant)
+		}
 		return CloseFileResp{}
 	case FlushCacheReq:
 		return FlushCacheResp{Err: errString(c.recall(r.Ino))}
@@ -115,12 +115,15 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 // acquires a lease on a walker's behalf. Every step checks search permission
 // for the requester and charges a table operation, as a lookup sent for that
 // step alone would; no lock is held from one step to the next. A walk that
-// carries an open (r.Holder) and ends at a regular file is that open too: the
-// grant serveOpen would make, and the inode as the table has it afterwards. A
-// refusal grants nothing and is the walker's own access check to report.
-func (c *Client) serveWalk(ld *ledDir, r WalkReq) WalkResp {
+// carries a create serves the last name with it (lookupAt). One that carries
+// an open (r.Holder) and ends at a regular file it did not make is that open
+// too: the grant serveOpen would make, and the inode as the table has it
+// afterwards. A refusal grants nothing and is the walker's own access check to
+// report.
+func (c *Client) serveWalk(ctx context.Context, ld *ledDir, r WalkReq) WalkResp {
 	resp := WalkResp{Inodes: make([][]byte, 0, len(r.Names))}
-	for i, name := range r.Names {
+	dir := r.Dir
+	for i := range r.Names {
 		dirNode := ld.table.DirInode()
 		if i == 0 && r.WantDirInode {
 			resp.DirInode = wire.EncodeInode(dirNode)
@@ -129,13 +132,14 @@ func (c *Client) serveWalk(ld *ledDir, r WalkReq) WalkResp {
 			resp.Err = errString(err)
 			return resp
 		}
-		c.chargeMetaOp()
-		_, child, err := ld.table.Lookup(name)
+		child, leased, err := c.lookupAt(ctx, ld, dir, r.Names[i:], r.Create)
 		if err != nil {
 			resp.Err = errString(err)
 			return resp
 		}
-		if i == len(r.Names)-1 && r.Holder != "" && child.Type == types.TypeRegular {
+		resp.Leased = leased
+		made := r.Create != nil && child.Ino == r.Create.NewIno
+		if i == len(r.Names)-1 && r.Holder != "" && child.Type == types.TypeRegular && !made {
 			if fresh, direct, grant, err := c.openAt(ld, child, r.Cred, r.Holder, r.Write); err == nil {
 				child, resp.Leased, resp.Direct, resp.Grant = fresh, true, direct, grant
 			}
@@ -145,16 +149,24 @@ func (c *Client) serveWalk(ld *ledDir, r WalkReq) WalkResp {
 		if ld, leads = c.ledDirFor(child.Ino); !leads {
 			break // not a directory, or not ours: the walker asks its leader
 		}
+		dir = child.Ino
 	}
 	return resp
 }
 
-func (c *Client) serveCreate(ctx context.Context, ld *ledDir, r CreateReq) CreateResp {
-	node, leased, err := c.localCreate(ctx, ld, r.Dir, r)
-	if err != nil {
-		return CreateResp{Err: errString(err)}
+// ledBelow is the led directory names lead to from ld, or nil if this client
+// does not lead one of the directories on the way.
+func (c *Client) ledBelow(ld *ledDir, names []string) *ledDir {
+	for _, name := range names {
+		_, child, err := ld.table.Lookup(name)
+		if err != nil {
+			return nil
+		}
+		if ld, _ = c.ledDirFor(child.Ino); ld == nil {
+			return nil
+		}
 	}
-	return CreateResp{Inode: wire.EncodeInode(node), Leased: leased}
+	return ld
 }
 
 func (c *Client) serveStat(ld *ledDir, r StatReq) StatResp {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -317,6 +318,84 @@ func TestWalkFillsPermCache(t *testing.T) {
 	}
 }
 
+// A create rides every walk message of its path, not only the first: here
+// the leader of / hands the walk on at /x, which b leads, and b makes the file
+// and lists its opener. The open sends those two walks and nothing else.
+func TestCreateRidesEveryWalk(t *testing.T) {
+	wt := newWalkTree(t)
+	c := wt.tc.client(t, "c")
+	ctx := context.Background()
+	if _, err := c.Stat(ctx, "/x/y"); err != nil { // learns who leads / and /x
+		t.Fatal(err)
+	}
+	var carried atomic.Int32
+	count := func(req any) {
+		if carriesCreate(req) {
+			carried.Add(1)
+		}
+	}
+	behind(t, wt.tc, wt.a, c, types.RootIno, count)
+	behind(t, wt.tc, wt.b, c, wt.x, count)
+	var f *File
+	got := sent(wt.reg, func() {
+		var err error
+		if f, err = c.Open(ctx, "/x/new", types.OWronly|types.OCreate|types.OExcl, 0644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := map[string]int64{"Walk": 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("the create sent %v, want %v", got, want)
+	}
+	if n := carried.Load(); n != 2 {
+		t.Errorf("%d walks carried the create, want both", n)
+	}
+	if holders, writer, _ := leaseOf(t, wt.b, wt.x, f.Ino()); len(holders) != 1 || writer != c.Addr() {
+		t.Errorf("the leader of /x lists %v, writer %q; want the opener as both", holders, writer)
+	}
+	_ = f.Close()
+	if node, err := wt.a.Stat(ctx, "/x/new"); err != nil || node.Ino != f.Ino() {
+		t.Errorf("stat of the new file: %v, %v", node, err)
+	}
+}
+
+// A negative permission-cache entry does not answer a create: the create goes
+// out as a one-name walk to the leader of the directory, and a stat straight
+// after finds the file, with no negative entry left in the way.
+func TestPermCacheNegativeEntryThenCreate(t *testing.T) {
+	wt := newWalkTree(t)
+	pc := wt.tc.client(t, "pc", func(o *Options) { o.PermCache = true })
+	ctx := context.Background()
+	if _, err := pc.Stat(ctx, "/x/y/z/gone"); !errors.Is(err, types.ErrNotExist) {
+		t.Fatalf("stat of a missing name: %v", err)
+	}
+	negative := func() bool {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		node, cached := pc.pcache[wt.z].lookups["gone"]
+		return cached && node == nil
+	}
+	if !negative() {
+		t.Fatal("setup: no negative entry for the missing name")
+	}
+	var f *File
+	got := sent(wt.reg, func() {
+		var err error
+		if f, err = pc.Create(ctx, "/x/y/z/gone", 0644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := map[string]int64{"Walk": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("the create sent %v, want %v", got, want)
+	}
+	if negative() {
+		t.Error("the create left the negative entry")
+	}
+	if node, err := pc.Stat(ctx, "/x/y/z/gone"); err != nil || node.Ino != f.Ino() {
+		t.Errorf("stat straight after the create: %v, %v; want the new file", node, err)
+	}
+	_ = f.Close()
+}
+
 // Four goroutines stat through one permission-caching mount: hits, misses,
 // fills and negative entries of the same directories at the same time. Under
 // -race this is the test of the rule that a cache entry never leaves c.mu.
@@ -358,9 +437,9 @@ func TestPermCacheConcurrentStats(t *testing.T) {
 }
 
 // The message sequence of each call at depth 3 under one remote leader. A
-// slide back to a lookup per component, or a round trip added to the open
-// path (the walk is the open of a file that exists), fails here and not only
-// in the benchmark.
+// slide back to a lookup per component, or a round trip added to the open or
+// create path (the walk is the open of a file that exists, and the create of
+// one that does not), fails here and not only in the benchmark.
 func TestMessagesPerCall(t *testing.T) {
 	tc := newTestCluster(t)
 	reg := obs.NewRegistry()
@@ -406,7 +485,7 @@ func TestMessagesPerCall(t *testing.T) {
 		want map[string]int64
 	}{
 		{"create+write+close", func() error { return create("/p/q/r/f") },
-			map[string]int64{"Walk": 1, "Create": 1, "SetAttr": 1, "CloseFile": 1}},
+			map[string]int64{"Walk": 1, "SetAttr": 1, "CloseFile": 1}},
 		{"stat", func() error { _, err := c.Stat(ctx, "/p/q/r/f"); return err },
 			map[string]int64{"Walk": 1}},
 		{"open+read+close", func() error {
@@ -415,6 +494,13 @@ func TestMessagesPerCall(t *testing.T) {
 				return err
 			}
 			if _, err := io.ReadAll(f); err != nil {
+				return err
+			}
+			return f.Close()
+		}, map[string]int64{"Walk": 1, "CloseFile": 1}},
+		{"O_CREAT open+close of an existing file", func() error {
+			f, err := c.Open(ctx, "/p/q/r/f", types.OWronly|types.OCreate, 0666)
+			if err != nil {
 				return err
 			}
 			return f.Close()
@@ -429,6 +515,8 @@ func TestMessagesPerCall(t *testing.T) {
 			}
 			return f.Close()
 		}, map[string]int64{"Walk": 1, "WriteLease": 1, "SetAttr": 1, "CloseFile": 1}},
+		{"mkdir", func() error { return c.Mkdir(ctx, "/p/q/r/sub", 0777) },
+			map[string]int64{"Walk": 1}},
 		{"unlink", func() error { return c.Unlink(ctx, "/p/q/r/f") },
 			map[string]int64{"Walk": 1, "Unlink": 1}},
 	} {

@@ -45,6 +45,12 @@ func carriesOpen(req any) bool {
 	return ok && w.Holder != ""
 }
 
+// carriesCreate reports whether req is a walk that carries a create.
+func carriesCreate(req any) bool {
+	w, ok := req.(WalkReq)
+	return ok && w.Create != nil
+}
+
 func isDirect(f *File) bool {
 	f.of.mu.Lock()
 	defer f.of.mu.Unlock()

@@ -237,9 +237,10 @@ func Check(store objstore.Store) (*Report, error) {
 	// inode object still exists but fell out of the namespace (orphan: the
 	// file is recoverable) from chunks whose inode is gone entirely (dangling:
 	// leaked space, e.g. a crash between chunk deletion fan-out and the
-	// journal checkpoint that removed the inode).
-	for ino, idxs := range chunkKeys {
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	// journal checkpoint that removed the inode). Every leftover is reported in
+	// key order, so two checks of one image print the same report.
+	for _, ino := range sortedKeys(chunkKeys) {
+		idxs := chunkKeys[ino]
 		if inodeKeys[ino] {
 			rep.add("orphan-chunks", prt.PrefixData+ino, "%d chunk(s) with no reachable file", len(idxs))
 		} else {
@@ -248,13 +249,13 @@ func Check(store objstore.Store) (*Report, error) {
 		rep.Chunks += len(idxs)
 	}
 	// Unreachable inode objects.
-	for ino := range inodeKeys {
+	for _, ino := range sortedKeys(inodeKeys) {
 		if _, ok := reachedInodes[ino]; !ok {
 			rep.add("orphan-inode", prt.PrefixInode+ino, "inode object not reachable from /")
 		}
 	}
 	// Dentry blocks of unreachable directories.
-	for dir := range dentryKeys {
+	for _, dir := range sortedKeys(dentryKeys) {
 		if !reachedDirs[dir] {
 			rep.add("orphan-dentries", prt.PrefixDentry+dir, "dentry block of unreachable directory")
 		}
@@ -265,12 +266,7 @@ func Check(store objstore.Store) (*Report, error) {
 	// future leader will ever replay them (the directory was removed, or its
 	// creation never became durable), so they are leaked space, not pending
 	// work.
-	jdirs := make([]string, 0, len(journalKeys))
-	for dir := range journalKeys {
-		jdirs = append(jdirs, dir)
-	}
-	sort.Strings(jdirs) // the reads below are round trips: a replayable order
-	for _, dir := range jdirs {
+	for _, dir := range sortedKeys(journalKeys) { // the reads below are round trips: a replayable order
 		keys := journalKeys[dir]
 		if !inodeKeys[dir] {
 			rep.add("orphan-journal", prt.PrefixJournal+dir,
@@ -294,4 +290,14 @@ func Check(store objstore.Store) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

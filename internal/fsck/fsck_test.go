@@ -2,6 +2,7 @@ package fsck
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -136,6 +137,46 @@ func TestDetectsOrphans(t *testing.T) {
 	k := kinds(rep)
 	if k["orphan-inode"] == 0 || k["orphan-chunks"] == 0 || k["dangling-chunks"] == 0 {
 		t.Fatalf("missed orphans: %v", rep.Problems)
+	}
+}
+
+// Two checks of one image print the same report: the leftovers of every kind
+// (orphan and dangling chunks, orphan inodes, orphan dentry blocks) come out in
+// key order, not in the order a map happens to yield them.
+func TestReportOrderIsStable(t *testing.T) {
+	store, _ := buildImage(t)
+	for i := int64(0); i < 4; i++ {
+		ghost := &types.Inode{Ino: types.NewInoSource(90 + i).Next(), Type: types.TypeDir, Nlink: 2}
+		for _, obj := range []struct {
+			key string
+			raw []byte
+		}{
+			{prt.InodeKey(ghost.Ino), wire.EncodeInode(ghost)},
+			{prt.DataKey(ghost.Ino, 0), []byte("orphan")},
+			{prt.DentryKey(ghost.Ino), wire.EncodeDentries(nil)},
+			{prt.DataKey(types.NewInoSource(80+i).Next(), 0), []byte("dangling")},
+		} {
+			if err := store.Put(obj.key, obj.raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var first string
+	for run := 0; run < 8; run++ {
+		rep, err := Check(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := kinds(rep)
+		if k["orphan-inode"] != 4 || k["orphan-chunks"] != 4 || k["dangling-chunks"] != 4 || k["orphan-dentries"] != 4 {
+			t.Fatalf("want four of each kind: %v", k)
+		}
+		got := fmt.Sprint(rep.Problems)
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("check %d reports\n%s\nthe first reported\n%s", run, got, first)
+		}
 	}
 }
 

@@ -186,12 +186,7 @@ func (s *scrubber) journals() error {
 		}
 		byDir[rest[:i]] = append(byDir[rest[:i]], rec{key: k, seq: seq})
 	}
-	dirs := make([]string, 0, len(byDir))
-	for dir := range byDir {
-		dirs = append(dirs, dir)
-	}
-	sort.Strings(dirs) // deterministic action order across directories
-	for _, dir := range dirs {
+	for _, dir := range sortedKeys(byDir) { // deterministic action order across directories
 		recs := byDir[dir]
 		sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 		cut := false

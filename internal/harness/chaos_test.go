@@ -74,9 +74,6 @@ func TestChaosDataWrites(t *testing.T) {
 // TestChaosSameSeedSameFingerprint: replaying a seed reproduces the identical
 // event sequence — the property that makes chaos failures debuggable.
 func TestChaosSameSeedSameFingerprint(t *testing.T) {
-	if raceEnabled {
-		t.Skip("fingerprints are seed-deterministic only without race instrumentation")
-	}
 	cfg := ChaosConfig{Seed: 1234}
 	a := RunChaos(cfg)
 	b := RunChaos(cfg)
@@ -110,11 +107,6 @@ func TestChaosResharding(t *testing.T) {
 	}
 	if a.HandoffLost != 0 {
 		t.Fatalf("%d grant batch(es) abandoned to the grace path:\n%s", a.HandoffLost, a.Summary())
-	}
-	if raceEnabled {
-		// Race instrumentation perturbs fault-window timing; the safety
-		// invariants above still hold, only replay equality is skipped.
-		return
 	}
 	b := RunChaos(cfg)
 	if a.Fingerprint() != b.Fingerprint() {

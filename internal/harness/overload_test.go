@@ -56,9 +56,6 @@ func TestOverloadSeeds(t *testing.T) {
 // per-tenant tallies and every qos.* counter — the property that makes an
 // overload failure replayable with arkbench -chaos -overload -seed N.
 func TestOverloadSameSeedSameFingerprint(t *testing.T) {
-	if raceEnabled {
-		t.Skip("fingerprints are seed-deterministic only without race instrumentation")
-	}
 	cfg := OverloadConfig{Seed: 99}
 	a := RunOverload(cfg)
 	b := RunOverload(cfg)

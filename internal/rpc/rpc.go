@@ -146,7 +146,7 @@ func (n *Network) SetObs(reg *obs.Registry) {
 	n.methodHists = sync.Map{}
 }
 
-// methodNames caches reflect.Type → wire-method name ("CreateReq" → "Create").
+// methodNames caches reflect.Type → wire-method name ("WalkReq" → "Walk").
 var methodNames sync.Map
 
 func methodName(req any) string {
