@@ -18,7 +18,7 @@
 // Bench mode: arkbench -bench-json out.json -seed N writes the seeded
 // benchmark trajectory (mdtest, fio, scalability, sharded sweep, takeover,
 // metrics fingerprint) in the stable arkfs-bench/v5 schema; the same seed
-// yields a byte-identical file apart from the sharded sweep (~0.1%).
+// yields a byte-identical file.
 //
 // Fsck mode: arkbench -fsck -seed N deploys and populates a file system,
 // shuts it down cleanly, bit-flips a few objects at rest, and reports what
@@ -314,7 +314,8 @@ func main() {
 
 // checkBaseline guards the committed benchmark trajectory: the regenerated
 // report's headline rates (mdtest-easy CREATE, mdtest-hard WRITE in ops/s,
-// fio WRITE in GiB/s) must not fall below the committed baseline. Both runs
+// fio WRITE in GiB/s, the sharded 512-client ACQUIRE rate) must not fall
+// below the committed baseline. Both runs
 // are deterministic on the virtual clock, so an equal-seed comparison is
 // exact — any drop is a real regression on the commit or write-back path,
 // not measurement noise.
@@ -333,23 +334,18 @@ func checkBaseline(rep *harness.BenchReport, path string) error {
 	checks := []struct {
 		label     string
 		got, want float64
-		// slack is the tolerated fraction below the baseline: zero for the
-		// byte-deterministic mdtest phases; the sharded sweep points are only
-		// stable to ~0.1% across invocations (see BenchReport), so their gate
-		// allows 2% before calling it a regression.
-		slack float64
 	}{
-		{"mdtest-easy CREATE", phaseRate(rep.MdtestEasy, "CREATE"), phaseRate(base.MdtestEasy, "CREATE"), 0},
-		{"mdtest-hard WRITE", phaseRate(rep.MdtestHard, "WRITE"), phaseRate(base.MdtestHard, "WRITE"), 0},
-		{"fio WRITE", rep.FioWrite.GiBps, base.FioWrite.GiBps, 0},
+		{"mdtest-easy CREATE", phaseRate(rep.MdtestEasy, "CREATE"), phaseRate(base.MdtestEasy, "CREATE")},
+		{"mdtest-hard WRITE", phaseRate(rep.MdtestHard, "WRITE"), phaseRate(base.MdtestHard, "WRITE")},
+		{"fio WRITE", rep.FioWrite.GiBps, base.FioWrite.GiBps},
 		{"sharded 512-client ACQUIRE", shardRate(rep.ShardedScalability, 512, true),
-			shardRate(base.ShardedScalability, 512, true), 0.02},
+			shardRate(base.ShardedScalability, 512, true)},
 	}
 	for _, c := range checks {
 		if c.want <= 0 {
 			return fmt.Errorf("baseline %s: missing %s phase", path, c.label)
 		}
-		if c.got < c.want*(1-c.slack) {
+		if c.got < c.want {
 			return fmt.Errorf("%s regressed: %.3f below committed baseline %.3f",
 				c.label, c.got, c.want)
 		}

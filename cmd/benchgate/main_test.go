@@ -53,8 +53,8 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 10 {
-		t.Fatalf("%d rows in the table, want the ten gated benchmarks", len(want))
+	if len(want) != 11 {
+		t.Fatalf("%d rows in the table, want the eleven gated benchmarks", len(want))
 	}
 	got := map[string]reading{}
 	for name, r := range want {
@@ -76,5 +76,11 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 	got["BenchmarkForwardedOpenReadClose"] = reading{9130, 70}
 	if bad := check(want, got); len(bad) != 3 {
 		t.Fatalf("a forwarded open of three messages: %q", bad)
+	}
+	// And a prefetch goroutine per request that saw a chunk absent (ISSUE
+	// 27's parent).
+	got["BenchmarkReadSeqCold"] = reading{135038348, 1369}
+	if bad := check(want, got); len(bad) != 4 {
+		t.Fatalf("a cold read without read-ahead reservations: %q", bad)
 	}
 }

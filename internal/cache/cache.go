@@ -204,7 +204,7 @@ func (c *Cache) Read(ino types.Ino, buf []byte, off, size int64) (int, error) {
 		if r := c.cfg.EntrySize - inOff; want > r {
 			want = r
 		}
-		e, err := c.ensure(ino, idx, true, false)
+		e, err := c.ensure(ino, idx, true)
 		if err != nil {
 			return read, err
 		}
@@ -268,7 +268,7 @@ func (c *Cache) Write(ino types.Ino, buf []byte, off int64) error {
 			want = r
 		}
 		full := inOff == 0 && want == c.cfg.EntrySize
-		e, err := c.ensure(ino, idx, !full, false)
+		e, err := c.ensure(ino, idx, !full)
 		if err != nil {
 			return err
 		}
@@ -305,9 +305,9 @@ func (c *Cache) Write(ino types.Ino, buf []byte, off int64) error {
 }
 
 // ensure returns the entry for (ino, idx), fetching it from the object store
-// when fetch is true and it is absent. It may block on an in-flight fetch.
-// prefetch suppresses the miss counter for read-ahead-initiated fetches.
-func (c *Cache) ensure(ino types.Ino, idx uint64, fetch, prefetch bool) (*entry, error) {
+// when fetch is true and it is absent. It may block on an in-flight fetch, its
+// own or a read-ahead's, and counts a hit when that one lands.
+func (c *Cache) ensure(ino types.Ino, idx uint64, fetch bool) (*entry, error) {
 	for {
 		c.mu.Lock()
 		fc := c.file(ino)
@@ -323,50 +323,69 @@ func (c *Cache) ensure(ino types.Ino, idx uint64, fetch, prefetch bool) (*entry,
 			ready.Recv() // closed when the fetch completes
 			continue
 		}
-		// Absent: create (and maybe fetch; never what the store cannot hold).
-		e := &entry{ino: ino, idx: idx}
-		fetch = fetch && idx < fc.unstored
-		if fetch {
-			e.loading = sim.NewChan[struct{}](c.env)
-		}
-		fc.tree.Insert(idx, e)
-		e.lruElem = c.lru.PushFront(e)
-		if !prefetch {
-			c.stats.Misses.Add(1)
-		}
-		c.evictLocked(e)
+		c.stats.Misses.Add(1)
+		e := c.insertLocked(fc, idx, fetch)
 		c.mu.Unlock()
-		if !fetch {
+		if e.loading == nil {
 			return e, nil
 		}
-		data, err := c.fetchChunk(ino, idx)
-		c.mu.Lock()
-		e.data = data
-		ready := e.loading
-		e.loading = nil
-		if err != nil {
-			// Remove the failed entry entirely: leaving it resident with no
-			// data would serve zeros for bytes the store still holds (and a
-			// prefetch error would poison the later foreground read). The
-			// next access refetches.
-			if e.lruElem != nil {
-				c.lru.Remove(e.lruElem)
-				e.lruElem = nil
-			}
-			if fc := c.files[ino]; fc != nil {
-				fc.tree.Delete(idx)
-				if fc.tree.Len() == 0 && fc.raWindow == 0 {
-					delete(c.files, ino)
-				}
-			}
-		}
-		c.mu.Unlock()
-		ready.Close()
-		if err != nil {
+		if err := c.load(e, true); err != nil {
 			return nil, err
 		}
 		return e, nil
 	}
+}
+
+// insertLocked makes the absent entry idx of fc, and evicts to fit. With fetch
+// set, and only for a chunk the store may hold, the entry is a reservation:
+// loading until load fills it, and never evicted before. Callers hold c.mu,
+// which a dirty victim's write-back drops for its PUT.
+func (c *Cache) insertLocked(fc *fileCache, idx uint64, fetch bool) *entry {
+	e := &entry{ino: fc.ino, idx: idx}
+	if fetch && idx < fc.unstored {
+		e.loading = sim.NewChan[struct{}](c.env)
+	}
+	fc.tree.Insert(idx, e)
+	e.lruElem = c.lru.PushFront(e)
+	c.evictLocked(e)
+	return e
+}
+
+// errNoSlot fails a read-ahead reservation whose goroutine got no prefetch
+// slot: the cache's environment was shut down.
+var errNoSlot = fmt.Errorf("cache: shut down during read-ahead: %w", types.ErrIO)
+
+// load fills the reservation e from the store (or, with fetch false, fails
+// it) and wakes whoever waits on it. A failed entry leaves the cache, so its
+// waiters fetch it anew: resident with no data, it would serve zeros for bytes
+// the store holds. Only e leaves: an Invalidate while the GET was out may have
+// let a newer entry, maybe dirty, take idx.
+func (c *Cache) load(e *entry, fetch bool) error {
+	data, err := []byte(nil), errNoSlot
+	if fetch {
+		data, err = c.fetchChunk(e.ino, e.idx)
+	}
+	c.mu.Lock()
+	e.data = data
+	ready := e.loading
+	e.loading = nil
+	if err != nil {
+		if e.lruElem != nil {
+			c.lru.Remove(e.lruElem)
+			e.lruElem = nil
+		}
+		if fc := c.files[e.ino]; fc != nil {
+			if cur, ok := fc.tree.Get(e.idx); ok && cur == e {
+				fc.tree.Delete(e.idx)
+			}
+			if fc.tree.Len() == 0 && fc.raWindow == 0 {
+				delete(c.files, e.ino)
+			}
+		}
+	}
+	c.mu.Unlock()
+	ready.Close()
+	return err
 }
 
 // fetchChunk reads and CRC-verifies one data object; a missing object is a
@@ -383,14 +402,18 @@ func (c *Cache) fetchChunk(ino types.Ino, idx uint64) ([]byte, error) {
 	return data, nil
 }
 
-// readahead updates the sequential window and issues asynchronous prefetches
-// (paper: window doubles while reads stay sequential, capped at
-// MaxReadahead; a read starting at offset 0 jumps straight to the maximum).
+// readahead updates the sequential window and reserves the chunks in it for
+// asynchronous prefetches (paper: window doubles while reads stay sequential,
+// capped at MaxReadahead; a read starting at offset 0 jumps straight to the
+// maximum). The reservation is made in the c.mu hold that finds the chunk
+// absent, and its goroutine only fetches into it, so a chunk is fetched once
+// while it stays cached. The request's own chunks are the reader's to fetch.
 func (c *Cache) readahead(ino types.Ino, off, n, size int64) {
 	if c.cfg.MaxReadahead < c.cfg.EntrySize {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	fc := c.file(ino)
 	switch {
 	case off == 0 && fc.raNextOff == 0:
@@ -410,39 +433,25 @@ func (c *Cache) readahead(ino types.Ino, off, n, size int64) {
 		fc.raEdge = 0
 	}
 	fc.raNextOff = off + n
-	window := fc.raWindow
-	if window == 0 {
-		c.mu.Unlock()
+	if fc.raWindow == 0 {
 		return
 	}
-	target := off + n + window
-	if target > size {
-		target = size
-	}
-	start := fc.raEdge
-	if start < off+n {
-		start = off + n
-	}
-	firstIdx := start / c.cfg.EntrySize
-	lastIdx := (target - 1) / c.cfg.EntrySize
+	target := min(off+n+fc.raWindow, size)
+	idx := uint64(max(fc.raEdge, off+n+c.cfg.EntrySize-1) / c.cfg.EntrySize)
 	fc.raEdge = target
-	c.mu.Unlock()
-
-	for idx := firstIdx; idx <= lastIdx && idx*c.cfg.EntrySize < size; idx++ {
-		idx := idx
-		c.mu.Lock()
-		_, present := c.file(ino).tree.Get(uint64(idx))
-		c.mu.Unlock()
-		if present {
-			continue
+	// A write-back in insertLocked drops c.mu: stop if ino was dropped meanwhile.
+	for ; int64(idx)*c.cfg.EntrySize < target && c.files[ino] == fc; idx++ {
+		if _, ok := fc.tree.Get(idx); ok || idx >= fc.unstored {
+			continue // resident, in flight, or a hole the reader makes
 		}
+		e := c.insertLocked(fc, idx, true)
 		c.stats.Readaheads.Add(1)
 		c.env.Go(func() {
-			if _, ok := c.prefetchSem.Recv(); !ok {
-				return
+			_, ok := c.prefetchSem.Recv()
+			if ok {
+				defer c.prefetchSem.Send(struct{}{})
 			}
-			defer c.prefetchSem.Send(struct{}{})
-			_, _ = c.ensure(ino, uint64(idx), true, true)
+			_ = c.load(e, ok)
 		})
 	}
 }

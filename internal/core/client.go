@@ -142,8 +142,9 @@ type Client struct {
 	pcache map[types.Ino]*permEntry
 	open   map[types.Ino]*openFile // inodes with a live handle or a release pending
 	closed bool
-	// acquiring runs one lease acquisition per directory at a time.
-	acquiring map[types.Ino]*sim.Mutex
+	// acquiring runs one lease acquisition per directory at a time. An entry
+	// lives only while an acquisition holds or waits for it.
+	acquiring map[types.Ino]*acquisition
 	// Data-lease returns on their way to remote leaders (release): how many,
 	// the channel a FlushAll or Close that waits for them made, and per leader
 	// the highest grant number given back, which a walk's grant must exceed to
@@ -191,6 +192,13 @@ var opNames = []string{
 	"mkdir", "symlink", "readlink", "stat", "lstat", "unlink", "rmdir",
 	"readdir", "rename", "chmod", "chown", "setfacl", "utimes", "truncate",
 	"fsync", "flushall", "open", "read", "write",
+}
+
+// acquisition is one directory's lease-acquisition serializer; refs counts
+// holder plus waiters.
+type acquisition struct {
+	mu   *sim.Mutex
+	refs int
 }
 
 // ledDir is a directory this client currently leads.
@@ -332,7 +340,7 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 		open:    make(map[types.Ino]*openFile),
 		inoSrc:  types.NewInoSource(opts.Seed),
 
-		acquiring: make(map[types.Ino]*sim.Mutex),
+		acquiring: make(map[types.Ino]*acquisition),
 		returned:  make(map[rpc.Addr]uint64),
 	}
 	c.jrnl.SetTxnIDBase(uint64(opts.Seed) & 0xFFFFFFFF)
@@ -686,14 +694,22 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 		c.mu.Unlock()
 		return nil, "", fmt.Errorf("core: client closed: %w", types.ErrIO)
 	}
-	prev, mu := c.led[dir], c.acquiring[dir]
-	if mu == nil {
-		mu = sim.NewMutex(c.env)
-		c.acquiring[dir] = mu
+	prev, a := c.led[dir], c.acquiring[dir]
+	if a == nil {
+		a = &acquisition{mu: sim.NewMutex(c.env)}
+		c.acquiring[dir] = a
 	}
+	a.refs++
 	c.mu.Unlock()
-	mu.Lock()
-	defer mu.Unlock()
+	a.mu.Lock()
+	defer func() {
+		a.mu.Unlock()
+		c.mu.Lock()
+		if a.refs--; a.refs == 0 {
+			delete(c.acquiring, dir)
+		}
+		c.mu.Unlock()
+	}()
 	c.mu.Lock()
 	if ld := c.led[dir]; ld != nil && ld != prev && c.env.Now() < ld.expiry-c.opts.LeaseMargin {
 		c.mu.Unlock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -198,6 +199,47 @@ func TestCreateDuringOwnRecoveryIsKept(t *testing.T) {
 		}
 		if _, err := c.Stat(ctx, "/d/b"); err != nil {
 			t.Fatalf("stat right after the acknowledged create: %v", err)
+		}
+	})
+}
+
+// A client that takes and gives up one directory after another, as an
+// archiving walk does, keeps no acquisition state for any of them: the
+// serializer of a directory goes with its last user.
+func TestAcquiringForgetsReleasedDirs(t *testing.T) {
+	const lp = 200 * time.Millisecond
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		ctx := context.Background()
+		tr := prt.New(objstore.NewMemStore(), 4096)
+		if err := Format(tr); err != nil {
+			t.Fatal(err)
+		}
+		net := rpc.NewNetwork(env, sim.NetModel{})
+		mgr := lease.NewManager(net, lease.Options{Period: lp})
+		defer mgr.Close()
+		c := New(net, tr, Options{
+			ID: "c", Cred: types.Cred{Uid: 1, Gid: 1}, LeasePeriod: lp,
+			Journal: journal.Config{CommitInterval: lp / 4, CommitWorkers: 2, CheckpointWorkers: 2},
+		})
+		defer func() { _ = c.Close() }()
+		for i := 0; i < 1000; i++ {
+			name := fmt.Sprintf("/d%d", i)
+			if err := c.Mkdir(ctx, name, 0777); err != nil {
+				t.Fatal(err)
+			}
+			dir := statIno(t, c, name)
+			if _, _, err := c.acquireLease(ctx, dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ReleaseDir(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if n := len(c.acquiring); n != 0 {
+			t.Fatalf("%d directories still have an acquisition serializer after 1,000 were taken and released", n)
 		}
 	})
 }

@@ -163,12 +163,7 @@ type BenchReport struct {
 	FioRead     BenchBandwidth    `json:"fio_read"`
 	Scalability []BenchScalePoint `json:"scalability"`
 	// ShardedScalability is the elastic lease-cluster sweep: a single-manager
-	// and a multi-shard point per client count. Unlike every other section,
-	// these numbers are stable only to ~0.1% across process invocations: with
-	// thousands of clients feeding several shard queues, same-virtual-instant
-	// event ordering (which the host scheduler decides) feeds back into
-	// queueing delays. CI compares them with a tolerance instead of
-	// byte-diffing.
+	// and a multi-shard point per client count.
 	ShardedScalability []BenchShardPoint `json:"sharded_scalability"`
 	// Takeover is what a leadership change costs, against directory size.
 	Takeover []BenchTakeover `json:"takeover"`
