@@ -53,8 +53,8 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 11 {
-		t.Fatalf("%d rows in the table, want the eleven gated benchmarks", len(want))
+	if len(want) != 13 {
+		t.Fatalf("%d rows in the table, want the thirteen gated benchmarks", len(want))
 	}
 	got := map[string]reading{}
 	for name, r := range want {
@@ -82,5 +82,10 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 	got["BenchmarkReadSeqCold"] = reading{135038348, 1369}
 	if bad := check(want, got); len(bad) != 4 {
 		t.Fatalf("a cold read without read-ahead reservations: %q", bad)
+	}
+	// And a leader-local stat that copies every inode its walk crosses.
+	got["BenchmarkStatNoObs"] = reading{544, 8}
+	if bad := check(want, got); len(bad) != 5 {
+		t.Fatalf("a stat that copies what it crosses: %q", bad)
 	}
 }

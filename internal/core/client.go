@@ -140,8 +140,10 @@ type Client struct {
 	led    map[types.Ino]*ledDir
 	remote map[types.Ino]rpc.Addr // last known leader of remote directories
 	pcache map[types.Ino]*permEntry
-	open   map[types.Ino]*openFile // inodes with a live handle or a release pending
-	closed bool
+	// pcacheSweep is when pcachePut next drops every expired pcache entry.
+	pcacheSweep time.Duration
+	open        map[types.Ino]*openFile // inodes with a live handle or a release pending
+	closed      bool
 	// acquiring runs one lease acquisition per directory at a time. An entry
 	// lives only while an acquisition holds or waits for it.
 	acquiring map[types.Ino]*acquisition
@@ -276,6 +278,9 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 	}
 	if opts.AcquireRetries <= 0 {
 		opts.AcquireRetries = 16
+	}
+	if opts.OpBudget == 0 {
+		opts.OpBudget = DefaultOpBudget
 	}
 	if opts.Seed == 0 {
 		opts.Seed = int64(len(opts.ID)) + 7919
@@ -825,9 +830,10 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.AcquireResp) (*ledDir, error) {
 	if grant.NeedRecovery {
 		c.crashHit(crashpoint.RecoveryPreReplay)
-		rsp := c.tracer.StartChild(obs.SpanContextFrom(ctx), "journal.recover", "")
+		meta := rpc.MetaFrom(ctx)
+		rsp := c.tracer.StartChild(meta.Span, "journal.recover", "")
 		rsp.SetDir(dir)
-		rsp.SetTenant(obs.TenantFrom(ctx))
+		rsp.SetTenant(meta.Tenant)
 		_, err := c.jrnl.Recover(dir)
 		rsp.End(err)
 		if err != nil {
@@ -880,9 +886,10 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		// failing every operation. The scrubber repairs the objects; the
 		// next leadership change reloads cleanly.
 		var lost int
-		dsp := c.tracer.StartChild(obs.SpanContextFrom(ctx), "integrity.degraded", dir.Short())
+		meta := rpc.MetaFrom(ctx)
+		dsp := c.tracer.StartChild(meta.Span, "integrity.degraded", dir.Short())
 		dsp.SetDir(dir)
-		dsp.SetTenant(obs.TenantFrom(ctx))
+		dsp.SetTenant(meta.Tenant)
 		tbl, lost, err = c.jrnl.LoadTable(dir, true)
 		dsp.End(err)
 		if err == nil {
@@ -897,7 +904,7 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 	}
 	// Check our own access to the directory (paper: release and report a
 	// permission error if the leader-to-be cannot access it).
-	if err := tbl.DirInode().Access(c.opts.Cred, types.MayExec); err != nil {
+	if err := tbl.Dir().Access(c.opts.Cred, types.MayExec); err != nil {
 		_ = c.lm.Release(ctx, dir, grant.LeaseID, true)
 		return nil, fmt.Errorf("core: access %s: %w", dir.Short(), err)
 	}
@@ -1017,27 +1024,12 @@ func (c *Client) retryBackoff(attempt int) {
 // primitives expect; only differences matter, so the origin is arbitrary.
 func (c *Client) qosNow() time.Time { return time.Unix(0, int64(c.env.Now())) }
 
-// withOpBudget attaches a fresh shared retry budget to a public operation's
-// context — unless the caller already carries one (a forwarded operation
-// executing leader-side keeps drawing from the originator's budget, which the
-// RPC layer rehydrated into ctx).
-func (c *Client) withOpBudget(ctx context.Context) context.Context {
-	if c.opts.OpBudget < 0 || qos.BudgetFrom(ctx) != nil {
-		return ctx
-	}
-	n := c.opts.OpBudget
-	if n == 0 {
-		n = DefaultOpBudget
-	}
-	return qos.WithBudget(ctx, qos.NewBudget(n))
-}
-
 // spendRetry charges one retry to the operation's shared budget, reporting
 // whether the retry may proceed. Unbudgeted contexts (no budget attached, or
 // budgeting disabled) always proceed — the per-loop attempt caps still bound
 // them, as before this layer existed.
 func (c *Client) spendRetry(ctx context.Context) bool {
-	b := qos.BudgetFrom(ctx)
+	b := rpc.MetaFrom(ctx).Budget
 	if b == nil {
 		return true
 	}

@@ -185,7 +185,7 @@ func TestCreateDuringOwnRecoveryIsKept(t *testing.T) {
 		created := sim.NewChan[error](env)
 		crash.Arm(crashpoint.RecoveryPreReplay, func() {
 			env.Go(func() {
-				_, _, err := c.lookup(ctx, dir, []string{"b"}, &ride{create: &CreateReq{Type: types.TypeRegular,
+				_, _, _, err := c.lookup(ctx, dir, []string{"b"}, &ride{create: &CreateReq{Type: types.TypeRegular,
 					Mode: 0644, Cred: types.Cred{Uid: 1, Gid: 1}, NewIno: types.NewInoSource(9).Next(), Exclusive: true}})
 				created.Send(err)
 			})
@@ -240,6 +240,69 @@ func TestAcquiringForgetsReleasedDirs(t *testing.T) {
 		defer c.mu.Unlock()
 		if n := len(c.acquiring); n != 0 {
 			t.Fatalf("%d directories still have an acquisition serializer after 1,000 were taken and released", n)
+		}
+	})
+}
+
+// TestPcacheForgetsExpiredDirs: a permission-caching client that resolves
+// many remote directories once each holds their entries for one lease period,
+// not for its lifetime. After 10^4 of them and a lease period, one more
+// resolution leaves only its own entry.
+func TestPcacheForgetsExpiredDirs(t *testing.T) {
+	const lp = 200 * time.Millisecond
+	const dirs = 10000
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		ctx := context.Background()
+		tr := prt.New(objstore.NewMemStore(), 4096)
+		if err := Format(tr); err != nil {
+			t.Fatal(err)
+		}
+		net := rpc.NewNetwork(env, sim.NetModel{})
+		mgr := lease.NewManager(net, lease.Options{Period: lp})
+		defer mgr.Close()
+		mount := func(id string, permCache bool) *Client {
+			return New(net, tr, Options{
+				ID: id, Cred: types.Cred{Uid: 1, Gid: 1}, LeasePeriod: lp, PermCache: permCache,
+				Journal: journal.Config{CommitInterval: lp / 4, CommitWorkers: 2, CheckpointWorkers: 2},
+			})
+		}
+		leader, pc := mount("leader", false), mount("pc", true)
+		defer func() { _ = pc.Close() }()
+		defer func() { _ = leader.Close() }()
+		if _, err := leader.Stat(ctx, "/"); err != nil { // leader leads the root
+			t.Fatal(err)
+		}
+		// The leader answers each walk for the root and the directory below it,
+		// so pc caches an entry for every directory it resolves into.
+		for i := 0; i < dirs; i++ {
+			name := fmt.Sprintf("/d%d", i)
+			if err := leader.Mkdir(ctx, name, 0777); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := leader.acquireLease(ctx, statIno(t, leader, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < dirs; i++ {
+			if _, err := pc.Stat(ctx, fmt.Sprintf("/d%d/x", i)); !isNotExist(err) {
+				t.Fatalf("stat of a missing name: %v", err)
+			}
+		}
+		pc.mu.Lock()
+		held := len(pc.pcache)
+		pc.mu.Unlock()
+		if held < dirs {
+			t.Fatalf("pcache holds %d entries after %d resolutions; the test resolves nothing remote", held, dirs)
+		}
+		env.Sleep(lp + time.Millisecond)
+		if _, err := pc.Stat(ctx, "/x"); !isNotExist(err) { // one entry: the root's
+			t.Fatalf("stat of a missing name: %v", err)
+		}
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		if n := len(pc.pcache); n > 1 {
+			t.Fatalf("pcache holds %d entries a lease period after %d directories were resolved", n, dirs)
 		}
 	})
 }

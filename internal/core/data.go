@@ -126,7 +126,7 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 // (DESIGN.md §5.7) and the record holds it for the handle. A file that existed
 // and a refusal drop it silently; a walk that got no answer may have made the
 // file, and the record returns the lease to where that walk went (aim).
-func (c *Client) created(w *ride, res *resolved, err error) *openFile {
+func (c *Client) created(w *ride, res resolved, err error) *openFile {
 	of := w.made
 	if err != nil || res.node == nil || res.node.Ino != of.ino || !w.leased {
 		of.leased.Store(err != nil && w.lost)
@@ -534,7 +534,10 @@ func (f *File) ensureWritable() (direct bool, err error) {
 	if !ok {
 		// File I/O paths carry no caller context, so the upgrade mints its
 		// own retry budget.
-		ctx := c.withOpBudget(context.Background())
+		ctx := context.Background()
+		if c.opts.OpBudget > 0 {
+			ctx = rpc.WithBudget(ctx, rpc.Meta{}, c.opts.OpBudget)
+		}
 		req := WriteLeaseReq{Dir: f.parent, Ino: of.ino, Client: c.addr}
 		if ld, resp, err = forward[WriteLeaseResp](ctx, c, nil, f.parent, req); err != nil {
 			return false, err

@@ -168,7 +168,7 @@ func TestRenameParticipantDiscoveryError(t *testing.T) {
 	cut := plan.Partition([]rpc.Addr{c1.Addr()}, []rpc.Addr{"leasemgr"})
 	tc.net.SetFaultPlan(plan)
 	defer tc.net.SetFaultPlan(nil)
-	err = c1.coordinateRename(qos.WithBudget(ctx, qos.NewBudget(2)), RenameReq{
+	err = c1.coordinateRename(rpc.WithMeta(ctx, rpc.Meta{Budget: qos.NewBudget(2)}), RenameReq{
 		SrcDir: src.Ino, SrcName: "f", DstDir: dst.Ino, DstName: "moved", Cred: c1.opts.Cred,
 	})
 	cut.Heal()

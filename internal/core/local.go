@@ -15,14 +15,15 @@ import (
 // public API and by the RPC service on behalf of other clients.
 
 // lookupAt looks names[0] up in ld, the led directory dir, charging one table
-// operation. A create rides the lookup of the last name: a missing name, and
-// the create's own inode (a walk sent again after its answer was lost), are
-// localCreate's to rule on, which charges a table operation of its own; an
-// exclusive create finds any other entry EEXIST, and any other entry is the
-// answer, as without the create.
+// operation; the inode it returns may be the table's, so it is read-only. A
+// create rides the lookup of the last name: a missing name, and the create's
+// own inode (a walk sent again after its answer was lost), are localCreate's
+// to rule on, which charges a table operation of its own; an exclusive create
+// finds any other entry EEXIST, and any other entry is the answer, as without
+// the create.
 func (c *Client) lookupAt(ctx context.Context, ld *ledDir, dir types.Ino, names []string, cr *CreateReq) (*types.Inode, bool, error) {
 	c.chargeMetaOp()
-	_, child, err := ld.table.Lookup(names[0])
+	child, err := ld.table.Peek(names[0])
 	switch {
 	case cr == nil || len(names) > 1:
 	case isNotExist(err) || err == nil && child.Ino == cr.NewIno:
@@ -54,7 +55,7 @@ func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, nam
 	}
 	now := c.env.Now()
 
-	if _, existing, err := ld.table.Lookup(name); err == nil {
+	if existing, err := ld.table.Peek(name); err == nil {
 		if existing.Ino == req.NewIno {
 			// This very create, sent again after its answer was lost.
 			dl := ld.dataLeases[existing.Ino]
@@ -130,7 +131,7 @@ func (c *Client) localUnlink(ctx context.Context, ld *ledDir, dir types.Ino, req
 	if err := dirNode.Access(req.Cred, types.MayWrite|types.MayExec); err != nil {
 		return err
 	}
-	_, victim, err := ld.table.Lookup(req.Name)
+	victim, err := ld.table.Peek(req.Name)
 	if err != nil {
 		return err
 	}
@@ -168,21 +169,19 @@ func (c *Client) localUnlink(ctx context.Context, ld *ledDir, dir types.Ino, req
 }
 
 // localStat returns the inode of name within a led directory (or the
-// directory's own inode when name is empty).
+// directory's own inode when name is empty), read-only.
 func (c *Client) localStat(ld *ledDir, req StatReq) (*types.Inode, error) {
 	ld.opMu.Lock()
 	defer ld.opMu.Unlock()
 	c.chargeMetaOp()
 	c.stats.LocalMetaOps.Add(1)
 	if req.Name == "" {
-		return ld.table.DirInode(), nil
+		return ld.table.Dir(), nil
 	}
-	dirNode := ld.table.DirInode()
-	if err := dirNode.Access(req.Cred, types.MayExec); err != nil {
+	if err := ld.table.Dir().Access(req.Cred, types.MayExec); err != nil {
 		return nil, err
 	}
-	_, child, err := ld.table.Lookup(req.Name)
-	return child, err
+	return ld.table.Peek(req.Name)
 }
 
 // localSetAttr applies an attribute patch to name (or the directory itself)
@@ -295,7 +294,7 @@ func (c *Client) localReaddir(ld *ledDir, req ReaddirReq) ([]wire.Dentry, error)
 	defer ld.opMu.Unlock()
 	c.chargeMetaOp()
 	c.stats.LocalMetaOps.Add(1)
-	if err := ld.table.DirInode().Access(req.Cred, types.MayRead); err != nil {
+	if err := ld.table.Dir().Access(req.Cred, types.MayRead); err != nil {
 		return nil, err
 	}
 	return ld.table.List(), nil
@@ -318,7 +317,7 @@ func (c *Client) localRenameSameDir(ctx context.Context, ld *ledDir, dir types.I
 	if err := dirNode.Access(cred, types.MayWrite|types.MayExec); err != nil {
 		return err
 	}
-	_, moving, err := ld.table.Lookup(srcName)
+	moving, err := ld.table.Peek(srcName)
 	if err != nil {
 		return err
 	}
@@ -326,7 +325,7 @@ func (c *Client) localRenameSameDir(ctx context.Context, ld *ledDir, dir types.I
 		return nil
 	}
 	ops := []wire.Op{{Kind: wire.OpDelDentry, Name: srcName}}
-	if _, existing, err := ld.table.Lookup(dstName); err == nil {
+	if existing, err := ld.table.Peek(dstName); err == nil {
 		// Destination exists: POSIX rename replaces it (directories only if
 		// empty — checked by the caller).
 		if existing.IsDir() != moving.IsDir() {

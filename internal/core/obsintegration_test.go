@@ -132,6 +132,38 @@ func TestStatsAccessorWithoutObs(t *testing.T) {
 	}
 }
 
+// TestLeaderLocalStatAllocs: a warm stat that this client serves from its
+// own metatables allocates the context that carries its envelope and retry
+// budget, and the copy of the inode it returns. The directories the walk
+// crosses are read in place, and the names stay on the walk's stack.
+func TestLeaderLocalStatAllocs(t *testing.T) {
+	tc := newTestCluster(t)
+	c := tc.client(t, "a")
+	ctx := context.Background()
+	for _, dir := range []string{"/b", "/b/c"} {
+		if err := c.Mkdir(ctx, dir, 0777); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := createFile(c, "/b/c/f"); err != nil {
+		t.Fatal(err)
+	}
+	stat := func() {
+		if _, err := c.Stat(ctx, "/b/c/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stat()
+	if !c.Leads(statIno(t, c, "/b/c")) {
+		t.Fatal("setup: the client does not lead /b/c")
+	}
+	// Background ticks (lease keeper, journal) allocate too; over 1000 runs
+	// they do not reach one per stat.
+	if n := testing.AllocsPerRun(1000, stat); n > 2 {
+		t.Fatalf("a leader-local stat makes %v allocations, want ≤ 2", n)
+	}
+}
+
 // BenchmarkStatNoObs / BenchmarkStatWithObs: the observability layer's
 // overhead on the hottest metadata path must stay small (the acceptance bar
 // is <=5% with a no-op sink; with a live registry the cost is a few atomics).

@@ -94,12 +94,11 @@ func (c *Client) coordinateRename(ctx context.Context, r RenameReq) error {
 		ld.opMu.Unlock()
 		return err
 	}
-	dirNode := ld.table.DirInode()
-	if err := dirNode.Access(r.Cred, types.MayWrite|types.MayExec); err != nil {
+	if err := ld.table.Dir().Access(r.Cred, types.MayWrite|types.MayExec); err != nil {
 		ld.opMu.Unlock()
 		return err
 	}
-	_, moving, err := ld.table.Lookup(r.SrcName)
+	moving, err := ld.table.Peek(r.SrcName)
 	if err != nil {
 		ld.opMu.Unlock()
 		return err
@@ -210,8 +209,7 @@ func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRe
 		ld.opMu.Unlock()
 		return err
 	}
-	dirNode := ld.table.DirInode()
-	if err := dirNode.Access(r.Cred, types.MayWrite|types.MayExec); err != nil {
+	if err := ld.table.Dir().Access(r.Cred, types.MayWrite|types.MayExec); err != nil {
 		ld.opMu.Unlock()
 		return err
 	}
@@ -220,7 +218,7 @@ func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRe
 		return err
 	}
 	var dstOps []wire.Op
-	if _, existing, lerr := ld.table.Lookup(r.DstName); lerr == nil {
+	if existing, lerr := ld.table.Peek(r.DstName); lerr == nil {
 		// Replace target (emptiness of directories was checked upstream).
 		if existing.IsDir() != child.IsDir() {
 			ld.opMu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"arkfs/internal/obs"
 	"arkfs/internal/rpc"
@@ -19,7 +20,7 @@ const maxSymlinkDepth = 8
 type resolved struct {
 	parent types.Ino    // inode of the parent directory
 	name   string       // final component ("" for the root itself)
-	node   *types.Inode // final inode, nil if the entry does not exist
+	node   *types.Inode // final inode (the caller's copy), nil if the entry does not exist
 }
 
 // resolvePath walks an absolute path from the root with a lookup and an
@@ -29,7 +30,7 @@ type resolved struct {
 // that remain and answers for every consecutive directory it leads, so a path
 // costs one round trip per leader on it, not one per component. followLast
 // controls symlink resolution of the final component.
-func (c *Client) resolvePath(ctx context.Context, path string, followLast bool) (*resolved, error) {
+func (c *Client) resolvePath(ctx context.Context, path string, followLast bool) (resolved, error) {
 	return c.walk(ctx, path, followLast, 0, nil)
 }
 
@@ -50,21 +51,24 @@ type ride struct {
 }
 
 // walk is resolvePath; open, if not nil, rides the lookup of the last name.
-func (c *Client) walk(ctx context.Context, path string, followLast bool, depth int, open *ride) (*resolved, error) {
+// The directories it crosses are read where the metatable or the permission
+// cache holds them, and only the last name's inode is copied.
+func (c *Client) walk(ctx context.Context, path string, followLast bool, depth int, open *ride) (resolved, error) {
 	if depth > maxSymlinkDepth {
-		return nil, fmt.Errorf("core: %q: %w", path, types.ErrLoop)
+		return resolved{}, fmt.Errorf("core: %q: %w", path, types.ErrLoop)
 	}
-	parts, err := types.SplitPath(path)
+	var buf [16]string // the names stay on this stack unless a leader is sent them
+	parts, err := types.SplitPathIn(buf[:0], path)
 	if err != nil {
-		return nil, err
+		return resolved{}, err
 	}
 	cur := types.RootIno
 	if len(parts) == 0 {
 		node, err := c.statDir(ctx, cur)
 		if err != nil {
-			return nil, err
+			return resolved{}, err
 		}
-		return &resolved{parent: cur, name: "", node: node}, nil
+		return resolved{parent: cur, name: "", node: node}, nil
 	}
 
 	var curNode *types.Inode // cur's inode as its parent holds it; the root has none
@@ -75,23 +79,24 @@ func (c *Client) walk(ctx context.Context, path string, followLast bool, depth i
 		// the lookup in the root checks the root.
 		if curNode != nil {
 			if err := curNode.Access(c.opts.Cred, types.MayExec); err != nil {
-				return nil, fmt.Errorf("core: search %q: %w", name, err)
+				return resolved{}, fmt.Errorf("core: search %q: %w", name, err)
 			}
 		}
 		last := i == len(parts)-1
 		var child *types.Inode
+		shared := false // child is the table's or the permission cache's: read-only
 		if len(ahead) > 0 {
 			child, ahead = ahead[0], ahead[1:]
 		} else if aheadErr == nil {
-			child, ahead, aheadErr = c.lookup(ctx, cur, parts[i:], open)
+			child, ahead, shared, aheadErr = c.lookup(ctx, cur, parts[i:], open)
 		}
 		if child == nil {
 			if last && isNotExist(aheadErr) {
 				// Parent exists; final entry does not — callers like Create
 				// need exactly this state.
-				return &resolved{parent: cur, name: name}, nil
+				return resolved{parent: cur, name: name}, nil
 			}
-			return nil, aheadErr
+			return resolved{}, aheadErr
 		}
 		if child.Type == types.TypeSymlink && (!last || followLast) {
 			// Re-walk with the target spliced in.
@@ -108,10 +113,13 @@ func (c *Client) walk(ctx context.Context, path string, followLast bool, depth i
 			return c.walk(ctx, target, followLast, depth+1, open)
 		}
 		if last {
-			return &resolved{parent: cur, name: name, node: child}, nil
+			if shared {
+				child = child.Clone()
+			}
+			return resolved{parent: cur, name: name, node: child}, nil
 		}
 		if !child.IsDir() {
-			return nil, fmt.Errorf("core: %q in %q: %w", name, path, types.ErrNotDir)
+			return resolved{}, fmt.Errorf("core: %q in %q: %w", name, path, types.ErrNotDir)
 		}
 		cur, curNode = child.Ino, child
 	}
@@ -125,7 +133,7 @@ func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, erro
 	if !ok {
 		if node, hit, _ := c.pcacheLookup(dir, ""); hit {
 			c.stats.PcacheHits.Add(1)
-			return node, nil
+			return node.Clone(), nil
 		}
 		// Acquire (become leader) or ask the remote leader.
 		var resp StatResp
@@ -155,7 +163,9 @@ func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, erro
 // leader of the last name's directory may grant the open or make the create
 // too: only an answer that resolved every name says so. A negative entry for
 // the last name does not answer a create, which the leader has to make.
-func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open *ride) (child *types.Inode, ahead []*types.Inode, err error) {
+// shared says child is the metatable's or the permission cache's inode, which
+// nobody may write; what a leader answered is the caller's own.
+func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open *ride) (child *types.Inode, ahead []*types.Inode, shared bool, err error) {
 	var cr *CreateReq
 	if open != nil {
 		cr = open.create
@@ -164,15 +174,15 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 	if !ok {
 		if node, hit, cached := c.pcacheLookup(dir, names[0]); hit && (node != nil || cr == nil || len(names) > 1) {
 			c.stats.PcacheHits.Add(1)
-			return node, nil, cached
+			return node, nil, true, cached
 		}
 		var resp WalkResp
 		var sp *obs.Span
-		req := WalkReq{Dir: dir, Names: names, Cred: c.opts.Cred, WantDirInode: c.opts.PermCache, Create: cr}
+		req := WalkReq{Dir: dir, Names: slices.Clone(names), Cred: c.opts.Cred, WantDirInode: c.opts.PermCache, Create: cr}
 		if open != nil { // what rides it makes the walk the call's own routing decision
 			sp, req.Holder, req.Write = obs.SpanFrom(ctx), open.holder, open.write
 			if open.made != nil {
-				c.aim(open.made, dir, names)
+				c.aim(open.made, dir, req.Names)
 			}
 		}
 		ld, resp, err = forward[WalkResp](ctx, c, sp, dir, req)
@@ -192,7 +202,7 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 			for i, enc := range resp.Inodes {
 				node, derr := wire.DecodeInode(enc)
 				if derr != nil {
-					return nil, nil, derr
+					return nil, nil, false, derr
 				}
 				c.pcachePut(dir, names[i], node)
 				ahead, dir = append(ahead, node), node.Ino // the next name is node's
@@ -205,14 +215,14 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 				err = fmt.Errorf("core: lookup %q: %w", name, err)
 			}
 			if len(ahead) == 0 {
-				return nil, nil, err
+				return nil, nil, false, err
 			}
-			return ahead[0], ahead[1:], err
+			return ahead[0], ahead[1:], false, err
 		}
 	}
 	if dir == types.RootIno { // no parent's copy of its inode for walk to have checked
-		if err := ld.table.DirInode().Access(c.opts.Cred, types.MayExec); err != nil {
-			return nil, nil, fmt.Errorf("core: search %q: %w", names[0], err)
+		if err := ld.table.Dir().Access(c.opts.Cred, types.MayExec); err != nil {
+			return nil, nil, false, fmt.Errorf("core: search %q: %w", names[0], err)
 		}
 	}
 	c.stats.LocalMetaOps.Add(1)
@@ -220,7 +230,7 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 	if leased {
 		open.leased, open.grant = true, dataGrant{via: dir}
 	}
-	return child, nil, err
+	return child, nil, true, err
 }
 
 // callLeader performs one leader RPC, refreshing the leader address through
@@ -279,10 +289,10 @@ func (c *Client) callLeader(ctx context.Context, leader rpc.Addr, dir types.Ino,
 
 // pcacheLookup answers name in dir from the permission cache; as in StatReq,
 // the empty name is dir itself. hit says an unexpired entry knows the name:
-// node is then a copy of the inode, or nil beside the error to report, which
-// is the leader's ENOENT remembered or, in the root (no parent's copy of its
-// inode for walk to check), what its cached inode refuses. The entry never
-// leaves c.mu.
+// node is then the cached inode (read-only), or nil beside the error to
+// report, which is the leader's ENOENT remembered or, in the root (no
+// parent's copy of its inode for walk to check), what its cached inode
+// refuses. The entry never leaves c.mu.
 func (c *Client) pcacheLookup(dir types.Ino, name string) (node *types.Inode, hit bool, err error) {
 	if !c.opts.PermCache {
 		return nil, false, nil
@@ -309,20 +319,31 @@ func (c *Client) pcacheLookup(dir types.Ino, name string) (node *types.Inode, hi
 	if node == nil {
 		return nil, true, fmt.Errorf("core: %q: %w", name, types.ErrNotExist)
 	}
-	return node.Clone(), true, nil
+	return node, true, nil
 }
 
 // pcachePut caches one lookup result in dir for what is left of the entry's
 // lease period: a nil node is a negative entry, the empty name dir's own inode.
+// At most once a lease period it drops every expired entry, so a client that
+// walks many directories once each holds only those of the last two periods.
 func (c *Client) pcachePut(dir types.Ino, name string, node *types.Inode) {
 	if !c.opts.PermCache {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := c.env.Now()
+	if now >= c.pcacheSweep {
+		for d, pe := range c.pcache {
+			if now >= pe.expiry {
+				delete(c.pcache, d)
+			}
+		}
+		c.pcacheSweep = now + c.opts.LeasePeriod
+	}
 	pe := c.pcache[dir]
-	if pe == nil || c.env.Now() >= pe.expiry {
-		pe = &permEntry{lookups: make(map[string]*types.Inode), expiry: c.env.Now() + c.opts.LeasePeriod}
+	if pe == nil || now >= pe.expiry {
+		pe = &permEntry{lookups: make(map[string]*types.Inode), expiry: now + c.opts.LeasePeriod}
 		c.pcache[dir] = pe
 	}
 	switch {

@@ -84,7 +84,7 @@ func TestRetryStormBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = calls.Value()
-	if _, _, err := c2.openDataLease(c2.withOpBudget(ctx), dir.Ino, "seed", seed, false); err == nil {
+	if _, _, err := c2.openDataLease(rpc.WithBudget(ctx, rpc.Meta{}, c2.opts.OpBudget), dir.Ino, "seed", seed, false); err == nil {
 		t.Fatal("open through a partition succeeded")
 	}
 	if wire := calls.Value() - before; wire == 0 || wire > bound {

@@ -21,14 +21,15 @@ func (c *Client) serve(ctx context.Context, req any) any {
 	if !known {
 		return ErrResp{Err: "EINVAL"}
 	}
-	sp := c.tracer.StartChild(obs.RemoteFrom(ctx), m.span, "")
+	meta := rpc.MetaFrom(ctx)
+	sp := c.tracer.StartChild(meta.Span, m.span, "")
 	if sp != nil {
 		sp.SetDir(m.dir)
-		sp.SetTenant(obs.TenantFrom(ctx))
-		sp.SetWait(obs.QueueWaitFrom(ctx))
+		sp.SetTenant(meta.Tenant)
+		sp.SetWait(meta.Wait)
 		ctx = obs.WithSpan(ctx, sp)
 	}
-	if err := c.admit(ctx, m); err != nil {
+	if err := c.admit(meta.Tenant, m); err != nil {
 		sp.End(err)
 		return rpc.ShedFor(err)
 	}
@@ -43,12 +44,12 @@ func (c *Client) serve(ctx context.Context, req any) any {
 // is a typed EAGAIN that serve answers with the fabric's Shed payload, so
 // the caller sees the same retry-after error as for an inbox or queue-wait
 // shed. Exempt messages (see msgInfo) are never refused.
-func (c *Client) admit(ctx context.Context, m msgInfo) error {
+func (c *Client) admit(tenant string, m msgInfo) error {
 	if m.exempt {
 		return nil
 	}
 	if c.opts.QoS != nil {
-		if ok, after := c.opts.QoS.Admit(obs.TenantFrom(ctx), c.qosNow()); !ok {
+		if ok, after := c.opts.QoS.Admit(tenant, c.qosNow()); !ok {
 			c.cShedAdmit.Inc()
 			return types.AgainAfter(after, "admission")
 		}
@@ -124,7 +125,7 @@ func (c *Client) serveWalk(ctx context.Context, ld *ledDir, r WalkReq) WalkResp 
 	resp := WalkResp{Inodes: make([][]byte, 0, len(r.Names))}
 	dir := r.Dir
 	for i := range r.Names {
-		dirNode := ld.table.DirInode()
+		dirNode := ld.table.Dir()
 		if i == 0 && r.WantDirInode {
 			resp.DirInode = wire.EncodeInode(dirNode)
 		}
@@ -158,7 +159,7 @@ func (c *Client) serveWalk(ctx context.Context, ld *ledDir, r WalkReq) WalkResp 
 // does not lead one of the directories on the way.
 func (c *Client) ledBelow(ld *ledDir, names []string) *ledDir {
 	for _, name := range names {
-		_, child, err := ld.table.Lookup(name)
+		child, err := ld.table.Peek(name)
 		if err != nil {
 			return nil
 		}

@@ -436,6 +436,79 @@ func TestPermCacheConcurrentStats(t *testing.T) {
 	}
 }
 
+// Walks read the directories they cross where the metatable or the
+// permission cache holds them, without a copy, while chmod, utimes, rename,
+// unlink and create replace those inodes. Under -race this is the test that
+// nothing writes to an inode once it is stored: once with the walker leading
+// every directory on the path, once with the walker resolving through its
+// permission cache and every write going to the leader.
+func TestWalksShareInodesWithWriters(t *testing.T) {
+	for _, viaPcache := range []bool{false, true} {
+		t.Run(map[bool]string{false: "led", true: "pcache"}[viaPcache], func(t *testing.T) {
+			tc := newTestCluster(t)
+			leader := tc.client(t, "leader")
+			c := leader
+			if viaPcache {
+				c = tc.client(t, "walker", func(o *Options) { o.PermCache = true })
+			}
+			ctx := context.Background()
+			for _, dir := range []string{"/p", "/p/q"} {
+				if err := leader.Mkdir(ctx, dir, 0777); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, err := leader.Create(ctx, "/p/q/f", 0644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = f.Close()
+			if _, err := leader.Readdir(ctx, "/p/q"); err != nil { // leader leads /, /p and /p/q
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			var writing atomic.Bool
+			writing.Store(true)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer writing.Store(false)
+				for i := 0; i < 100; i++ {
+					mode := types.Mode(0777 - 022*(i%2))
+					n, m, top := fmt.Sprintf("/p/q/n%d", i), fmt.Sprintf("/p/q/m%d", i), fmt.Sprintf("/t%d", i)
+					for _, err := range []error{
+						c.Chmod(ctx, "/p", mode),
+						c.Utimes(ctx, "/p/q", time.Duration(i)),
+						createFile(c, n),
+						c.Rename(ctx, n, m),
+						c.Unlink(ctx, m),
+						createFile(c, top), // and the root's own inode
+						c.Unlink(ctx, top),
+					} {
+						if err != nil {
+							t.Errorf("writer, round %d: %v", i, err)
+						}
+					}
+				}
+			}()
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for writing.Load() {
+						if _, err := c.Stat(ctx, "/p/q/f"); err != nil {
+							t.Errorf("stat: %v", err)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if viaPcache && c.StatCounters().PcacheHits.Load() == 0 {
+				t.Error("no permission-cache hits: the walks crossed nothing cached")
+			}
+		})
+	}
+}
+
 // The message sequence of each call at depth 3 under one remote leader. A
 // slide back to a lookup per component, or a round trip added to the open or
 // create path (the walk is the open of a file that exists, and the create of

@@ -55,6 +55,7 @@ import (
 	"arkfs/internal/crashpoint"
 	"arkfs/internal/obs"
 	"arkfs/internal/prt"
+	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
@@ -408,8 +409,8 @@ func (j *Journal) Log(ctx context.Context, dir types.Ino, ops []wire.Op) {
 	j.cOps.Add(int64(len(ops)))
 	dj.mu.Lock()
 	if len(dj.running) == 0 && ctx != nil {
-		dj.runSC = obs.SpanContextFrom(ctx)
-		dj.runTenant = obs.TenantFrom(ctx)
+		m := rpc.MetaFrom(ctx)
+		dj.runSC, dj.runTenant = m.Span, m.Tenant
 	}
 	before := len(dj.running)
 	for i := range ops {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"arkfs/internal/crashpoint"
-	"arkfs/internal/obs"
 	"arkfs/internal/prt"
+	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
@@ -42,11 +42,12 @@ func (j *Journal) WritePrepare(ctx context.Context, dir types.Ino, txid uint64, 
 		Stamp: j.env.Now(), Ops: ops,
 	}
 	key := prt.JournalKey(dir, seq)
-	sp := j.trace.StartChild(obs.SpanContextFrom(ctx), "journal.2pc.prepare", key)
+	meta := rpc.MetaFrom(ctx)
+	sp := j.trace.StartChild(meta.Span, "journal.2pc.prepare", key)
 	sp.SetDir(dir)
-	sp.SetTenant(obs.TenantFrom(ctx))
+	sp.SetTenant(meta.Tenant)
 	put := j.trace.StartChild(sp.Context(), "objstore.put", key)
-	put.SetTenant(obs.TenantFrom(ctx))
+	put.SetTenant(meta.Tenant)
 	err := j.tr.Store().Put(key, wire.EncodeTxn(txn))
 	put.End(err)
 	sp.End(err)
@@ -82,11 +83,12 @@ func (j *Journal) WriteDecision(ctx context.Context, dir types.Ino, txid uint64,
 	}
 	txn := &wire.Txn{ID: txid, Dir: dir, Kind: kind, Peer: peer, Stamp: j.env.Now()}
 	key := prt.JournalKey(dir, seq)
-	sp := j.trace.StartChild(obs.SpanContextFrom(ctx), "journal.2pc.decision", key)
+	meta := rpc.MetaFrom(ctx)
+	sp := j.trace.StartChild(meta.Span, "journal.2pc.decision", key)
 	sp.SetDir(dir)
-	sp.SetTenant(obs.TenantFrom(ctx))
+	sp.SetTenant(meta.Tenant)
 	put := j.trace.StartChild(sp.Context(), "objstore.put", key)
-	put.SetTenant(obs.TenantFrom(ctx))
+	put.SetTenant(meta.Tenant)
 	err := j.tr.Store().Put(key, wire.EncodeTxn(txn))
 	put.End(err)
 	sp.End(err)
@@ -154,7 +156,7 @@ func (j *Journal) ResolvePrepared(ctx context.Context, dir types.Ino, txid uint6
 		applied = []wire.Op{} // non-nil: still delete the records
 	}
 	done := sim.NewChan[error](j.env)
-	if !j.ckptQ(dir).Send(&ckptItem{dj: dj, ops: applied, del: del, sc: obs.SpanContextFrom(ctx), done: done}) {
+	if !j.ckptQ(dir).Send(&ckptItem{dj: dj, ops: applied, del: del, sc: rpc.MetaFrom(ctx).Span, done: done}) {
 		return fmt.Errorf("journal: shut down resolving txn %d: %w", txid, types.ErrIO)
 	}
 	err, ok := done.Recv()

@@ -390,7 +390,7 @@ func TestCorruptSnapshotDegradesToColdRestart(t *testing.T) {
 }
 
 // The stale-epoch redirect at the rpc layer: the epoch rides the envelope —
-// WithRingEpoch on the caller's context, RingEpochFrom on the handler's —
+// the caller's context's Meta.Epoch, and the handler's —
 // and a shard answers a request about territory it no longer owns with
 // StaleRing carrying its ring, never a grant.
 func TestStaleEpochRedirectAtRPCLayer(t *testing.T) {
@@ -406,7 +406,7 @@ func TestStaleEpochRedirectAtRPCLayer(t *testing.T) {
 		dirA := movedDirOn(t, r1, "lm-a")
 
 		// Correct-epoch request to the owner: granted.
-		ctx := rpc.WithRingEpoch(context.Background(), uint64(r1.Epoch))
+		ctx := rpc.WithMeta(context.Background(), rpc.Meta{Epoch: uint64(r1.Epoch)})
 		resp, err := net.CallFromCtx(ctx, "c1", "lm-a", AcquireReq{Dir: dirA, Client: "c1"})
 		if err != nil || !resp.(AcquireResp).Granted {
 			t.Fatalf("owner acquire: %+v, %v", resp, err)
@@ -425,7 +425,7 @@ func TestStaleEpochRedirectAtRPCLayer(t *testing.T) {
 
 		// A client claiming a FUTURE epoch gets a Wait (the shard knows it
 		// is behind), never a grant under a ring known to be stale.
-		future := rpc.WithRingEpoch(context.Background(), uint64(r1.Epoch)+5)
+		future := rpc.WithMeta(context.Background(), rpc.Meta{Epoch: uint64(r1.Epoch) + 5})
 		resp, err = net.CallFromCtx(future, "c3", "lm-a", AcquireReq{Dir: dirA, Client: "c3"})
 		if err != nil {
 			t.Fatal(err)

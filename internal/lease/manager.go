@@ -321,17 +321,15 @@ func (m *Manager) handle(ctx context.Context, req any) any {
 	// local root when the caller is untraced), so lease waits and redirects
 	// show up inside the operation that paid for them. The caller's ring
 	// epoch rides the rpc envelope, not the message.
-	parent := obs.RemoteFrom(ctx)
-	epoch := rpc.RingEpochFrom(ctx)
-	// The caller's tenant and this request's inbox wait ride the worker
-	// context; stamping them on the manager span attributes shard queueing
-	// to the tenant that paid for it.
-	tenant := obs.TenantFrom(ctx)
-	wait := obs.QueueWaitFrom(ctx)
+	// The caller's tenant and this request's inbox wait ride the envelope
+	// too; stamping them on the manager span attributes shard queueing to the
+	// tenant that paid for it.
+	meta := rpc.MetaFrom(ctx)
+	tenant, epoch := meta.Tenant, meta.Epoch
 	span := func(op string) *obs.Span {
-		sp := m.tracer.StartChild(parent, op, "")
+		sp := m.tracer.StartChild(meta.Span, op, "")
 		sp.SetTenant(tenant)
-		sp.SetWait(wait)
+		sp.SetWait(meta.Wait)
 		return sp
 	}
 	if m.serviceCost > 0 {
@@ -797,12 +795,14 @@ func (c *Client) target(dir types.Ino) (rpc.Addr, uint64) {
 	return c.Mgr, 0
 }
 
-// hop stamps ctx with the routing epoch for one attempt.
+// hop stamps ctx's envelope with the routing epoch for one attempt.
 func hop(ctx context.Context, epoch uint64) context.Context {
 	if epoch == 0 {
 		return ctx
 	}
-	return rpc.WithRingEpoch(ctx, epoch)
+	m := rpc.MetaFrom(ctx)
+	m.Epoch = epoch
+	return rpc.WithMeta(ctx, m)
 }
 
 // stale handles one StaleRing response: install the newer ring, or — when

@@ -21,6 +21,13 @@ import (
 // Table is one directory's metadata table. The owning client is the
 // directory leader; all mutations happen under the table lock and are
 // mirrored into the per-directory journal by the caller.
+//
+// An inode the table stores is never written again: every writer (NewEmpty,
+// Insert, UpdateChild, SetDirInode) stores a copy of its own and replaces the
+// stored pointer. So Dir, Peek and Child hand out the stored inode itself, and
+// a path walk reads the directories it crosses without copying them. Their
+// callers must not write to what they get; DirInode and Lookup return copies
+// for callers that build the next version from the current one.
 type Table struct {
 	mu       sync.RWMutex
 	dir      *types.Inode
@@ -114,10 +121,13 @@ func NewEmpty(dir *types.Inode) *Table {
 }
 
 // DirInode returns a copy of the directory's own inode.
-func (t *Table) DirInode() *types.Inode {
+func (t *Table) DirInode() *types.Inode { return t.Dir().Clone() }
+
+// Dir returns the directory's own inode as stored: read-only.
+func (t *Table) Dir() *types.Inode {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.dir.Clone()
+	return t.dir
 }
 
 // SetDirInode replaces the directory's own inode (chmod/chown/utimes on the
@@ -138,19 +148,37 @@ func (t *Table) Epoch() uint64 {
 	return t.epoch
 }
 
+// errMiss is the answer for a name the table does not hold. It is made once:
+// every create looks its name up first and expects to miss.
+var errMiss = fmt.Errorf("metatable: no such entry: %w", types.ErrNotExist)
+
 // Lookup resolves name to its dentry and a copy of the child inode.
 func (t *Table) Lookup(name string) (wire.Dentry, *types.Inode, error) {
+	de, child, err := t.peek(name)
+	if err != nil {
+		return de, nil, err
+	}
+	return de, child.Clone(), nil
+}
+
+// Peek resolves name to the child inode as stored: read-only.
+func (t *Table) Peek(name string) (*types.Inode, error) {
+	_, child, err := t.peek(name)
+	return child, err
+}
+
+func (t *Table) peek(name string) (wire.Dentry, *types.Inode, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	de, ok := t.entries[name]
 	if !ok {
-		return wire.Dentry{}, nil, fmt.Errorf("metatable: %q: %w", name, types.ErrNotExist)
+		return wire.Dentry{}, nil, errMiss
 	}
 	child := t.children[de.Ino]
 	if child == nil {
 		return de, nil, fmt.Errorf("metatable: %q: dangling dentry: %w", name, types.ErrIO)
 	}
-	return de, child.Clone(), nil
+	return de, child, nil
 }
 
 // Exists reports whether name is present.
@@ -174,13 +202,14 @@ func (t *Table) Insert(name string, child *types.Inode) error {
 	return nil
 }
 
-// Remove deletes a dentry, returning the removed child inode copy.
+// Remove deletes a dentry, returning the removed child inode: read-only, as a
+// walk that crossed it may still hold it.
 func (t *Table) Remove(name string) (*types.Inode, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	de, ok := t.entries[name]
 	if !ok {
-		return nil, fmt.Errorf("metatable: %q: %w", name, types.ErrNotExist)
+		return nil, errMiss
 	}
 	delete(t.entries, name)
 	child := t.children[de.Ino]
@@ -204,15 +233,12 @@ func (t *Table) UpdateChild(n *types.Inode) error {
 	return nil
 }
 
-// Child returns a copy of the child inode by number.
+// Child returns the child inode by number as stored: read-only.
 func (t *Table) Child(ino types.Ino) (*types.Inode, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n, ok := t.children[ino]
-	if !ok {
-		return nil, false
-	}
-	return n.Clone(), true
+	return n, ok
 }
 
 // List returns all dentries sorted by name (readdir).

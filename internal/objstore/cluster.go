@@ -59,6 +59,9 @@ type Cluster struct {
 	nodes  []*node
 	stats  Stats
 	closed atomic.Bool
+
+	trailerMu sync.Mutex
+	trailers  map[int64][wire.TrailerSize]byte // syntheticFrame's, by frame size
 }
 
 type opKind byte
@@ -121,7 +124,7 @@ func NewCluster(env sim.Env, prof Profile) *Cluster {
 	if prof.MaxObjectSize <= 0 {
 		prof.MaxObjectSize = 64 << 20
 	}
-	c := &Cluster{env: env, prof: prof}
+	c := &Cluster{env: env, prof: prof, trailers: make(map[int64][wire.TrailerSize]byte)}
 	for i := 0; i < prof.Nodes; i++ {
 		n := &node{
 			id:        i,
@@ -183,12 +186,24 @@ func (c *Cluster) placement(key string) []*node {
 // whose trailing 4 bytes are a valid CRC32C trailer over the rest (wire.Seal
 // framing). Every persisted ArkFS record is sealed, so a size-only read must
 // still verify — the bytes are fake, but the framing is honest. Objects too
-// small to carry a trailer are returned as plain zeros.
-func syntheticFrame(size int64) []byte {
-	if size < 4 {
-		return make([]byte, size)
+// small to carry a trailer are returned as plain zeros. The trailer depends
+// on the size alone, so each size's is computed once; the frame is made
+// afresh every time, as callers write into the chunks they fetch.
+func (c *Cluster) syntheticFrame(size int64) []byte {
+	frame := make([]byte, size)
+	if size < wire.TrailerSize {
+		return frame
 	}
-	return wire.Seal(make([]byte, size-4, size))
+	tail := frame[size-wire.TrailerSize:]
+	c.trailerMu.Lock()
+	defer c.trailerMu.Unlock()
+	if t, ok := c.trailers[size]; ok {
+		copy(tail, t[:])
+	} else {
+		wire.Seal(frame[:size-wire.TrailerSize]) // in place: the frame has room
+		c.trailers[size] = [wire.TrailerSize]byte(tail)
+	}
+	return frame
 }
 
 // serviceTime is the node-side cost of touching size bytes of media.
@@ -232,7 +247,7 @@ func (c *Cluster) serve(n *node, inbox *sim.Chan[*nodeReq]) {
 			c.env.Sleep(c.serviceTime(val.size))
 			resp.size = val.size
 			if c.prof.discards(req.key) {
-				resp.data = syntheticFrame(val.size)
+				resp.data = c.syntheticFrame(val.size)
 			} else {
 				resp.data = val.data
 			}
@@ -254,7 +269,7 @@ func (c *Cluster) serve(n *node, inbox *sim.Chan[*nodeReq]) {
 			c.env.Sleep(c.serviceTime(win))
 			resp.size = win
 			if c.prof.discards(req.key) {
-				resp.data = clipRange(syntheticFrame(val.size), req.off, req.len)
+				resp.data = clipRange(c.syntheticFrame(val.size), req.off, req.len)
 			} else {
 				resp.data = clipRange(val.data, req.off, req.len)
 			}

@@ -256,6 +256,15 @@ func TestSizeOnlyPrefixSelective(t *testing.T) {
 	if err != nil || string(tail) != string(got[3:]) {
 		t.Fatalf("ranged tail diverges from Get: %x vs %x (%v)", tail, got[3:], err)
 	}
+	// Every read gets a frame of its own: a caller that writes into what it
+	// fetched (the cache fills chunks in place) does not corrupt the next read.
+	for i := range got {
+		got[i] = 0xff
+	}
+	again, err := c.Get("d:chunk")
+	if _, uerr := wire.Unseal(again); err != nil || uerr != nil {
+		t.Fatalf("read after a caller wrote into the last one: %v, %v", err, uerr)
+	}
 }
 
 func TestClusterGetRangeClipping(t *testing.T) {

@@ -314,29 +314,6 @@ func TestTracerOnCommit(t *testing.T) {
 	}
 }
 
-// TestRemoteSpanContextCarrier: the wire context round-trips through a ctx,
-// and SpanContextFrom prefers a live local span over the incoming remote one.
-func TestRemoteSpanContextCarrier(t *testing.T) {
-	tr := NewTracer(4, nil)
-	remote := SpanContext{Trace: 5, Span: 9}
-	ctx := WithRemote(context.Background(), remote)
-	if got := RemoteFrom(ctx); got != remote {
-		t.Fatalf("RemoteFrom = %v, want %v", got, remote)
-	}
-	if got := SpanContextFrom(ctx); got != remote {
-		t.Fatalf("SpanContextFrom without local span = %v, want remote %v", got, remote)
-	}
-	sp := tr.StartChild(remote, "serve", "/x")
-	ctx = WithSpan(ctx, sp)
-	if got := SpanContextFrom(ctx); got != sp.Context() {
-		t.Fatalf("SpanContextFrom = %v, want local %v", got, sp.Context())
-	}
-	if got := RemoteFrom(context.Background()); got.Valid() {
-		t.Fatalf("RemoteFrom on empty ctx = %v, want zero", got)
-	}
-	sp.End(nil)
-}
-
 func TestSpanContextCarrier(t *testing.T) {
 	tr := NewTracer(4, nil)
 	sp := tr.Start("stat", "/x")

@@ -359,17 +359,9 @@ func (t *Tracer) Dump(limit int) string {
 	return b.String()
 }
 
-// spanKey carries the active local span in a context; remoteKey carries the
-// span context received over the wire when there is no local span object.
-// tenantKey carries the tenant the request is attributed to; waitKey carries
-// the queue wait the transport measured before handing the request to its
-// handler.
-type (
-	spanKey   struct{}
-	remoteKey struct{}
-	tenantKey struct{}
-	waitKey   struct{}
-)
+// spanKey carries the active local span in a context. What crosses the wire
+// (trace identity, tenant, queue wait) is the rpc envelope's (rpc.Meta).
+type spanKey struct{}
 
 // WithSpan returns ctx carrying span. A nil span is carried as-is; SpanFrom
 // will return nil and all span methods no-op.
@@ -384,67 +376,4 @@ func SpanFrom(ctx context.Context) *Span {
 	}
 	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
-}
-
-// WithRemote returns ctx carrying an incoming wire span context. Servers use
-// it so child spans they start parent under the caller's trace even though
-// the caller's *Span object lives in another process.
-func WithRemote(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, remoteKey{}, sc)
-}
-
-// RemoteFrom extracts the incoming wire span context, or the zero context.
-// Nil-ctx-safe.
-func RemoteFrom(ctx context.Context) SpanContext {
-	if ctx == nil {
-		return SpanContext{}
-	}
-	sc, _ := ctx.Value(remoteKey{}).(SpanContext)
-	return sc
-}
-
-// SpanContextFrom resolves the identity to propagate on an outgoing call:
-// the local active span if one exists, else whatever remote context arrived
-// with the request (so a relay that starts no spans of its own still
-// forwards the trace).
-func SpanContextFrom(ctx context.Context) SpanContext {
-	if s := SpanFrom(ctx); s != nil {
-		return s.Context()
-	}
-	return RemoteFrom(ctx)
-}
-
-// WithTenant returns ctx attributing subsequent work to tenant. An empty
-// tenant is carried as-is and reads back as "unattributed".
-func WithTenant(ctx context.Context, tenant string) context.Context {
-	return context.WithValue(ctx, tenantKey{}, tenant)
-}
-
-// TenantFrom extracts the tenant the request is attributed to, or "".
-// Nil-ctx-safe. The tenant survives process hops the same way the trace
-// does: CallFromCtx lifts it into the RPC envelope and the serving side
-// re-injects it, so a forwarded op keeps one tenant end to end.
-func TenantFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	t, _ := ctx.Value(tenantKey{}).(string)
-	return t
-}
-
-// WithQueueWait returns ctx carrying the queue wait the transport measured
-// between enqueue and the moment a worker picked the request up. Handlers
-// read it back to stamp Span.Wait and split wait from service time.
-func WithQueueWait(ctx context.Context, d time.Duration) context.Context {
-	return context.WithValue(ctx, waitKey{}, d)
-}
-
-// QueueWaitFrom extracts the transport-measured queue wait, or 0.
-// Nil-ctx-safe.
-func QueueWaitFrom(ctx context.Context) time.Duration {
-	if ctx == nil {
-		return 0
-	}
-	d, _ := ctx.Value(waitKey{}).(time.Duration)
-	return d
 }

@@ -18,7 +18,6 @@
 package qos
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 )
@@ -37,9 +36,13 @@ type Budget struct {
 // NewBudget creates a budget with n retry tokens.
 func NewBudget(n int) *Budget {
 	b := &Budget{}
-	b.remaining.Store(int64(n))
+	b.Init(n)
 	return b
 }
+
+// Init gives a budget not yet in use n retry tokens: it is NewBudget for a
+// Budget held inside another value.
+func (b *Budget) Init(n int) { b.remaining.Store(int64(n)) }
 
 // SetDeadline caps the budget in time: TrySpend calls at or after t fail even
 // if tokens remain.
@@ -99,29 +102,6 @@ func Wire(b *Budget) int64 {
 	return int64(b.Remaining())
 }
 
-// budgetKey carries a *Budget in a context.Context.
-type budgetKey struct{}
-
-// WithBudget attaches the operation's shared retry budget to ctx.
-func WithBudget(ctx context.Context, b *Budget) context.Context {
-	if b == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, budgetKey{}, b)
-}
-
-// BudgetFrom extracts the operation's retry budget (nil when none attached).
-func BudgetFrom(ctx context.Context) *Budget {
-	b, _ := ctx.Value(budgetKey{}).(*Budget)
-	return b
-}
-
-// RemainingFrom renders ctx's budget for the rpc envelope (NoBudget when no
-// budget is attached).
-func RemainingFrom(ctx context.Context) int64 {
-	return Wire(BudgetFrom(ctx))
-}
-
 // BudgetFromWire rehydrates a wire token count into a server-side budget.
 // The sentinel (or anything above it) means the caller carried no budget and
 // rehydrates to nil, keeping the nil-admits-everything contract end to end.
@@ -132,9 +112,7 @@ func BudgetFromWire(n int64) *Budget {
 	if n <= 0 || n >= unbudgeted {
 		return nil
 	}
-	b := &Budget{}
-	b.remaining.Store(n)
-	return b
+	return NewBudget(int(n))
 }
 
 // RetryBudget is a global (per-client, not per-op) retry-rate budget for

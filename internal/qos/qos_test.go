@@ -1,7 +1,6 @@
 package qos
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -169,13 +168,6 @@ func TestBudgetWireRoundTrip(t *testing.T) {
 	r := BudgetFromWire(Wire(b))
 	if r == nil || r.Remaining() != 4 {
 		t.Fatalf("round-trip lost the count: %v", r.Remaining())
-	}
-	ctx := WithBudget(context.Background(), b)
-	if BudgetFrom(ctx) != b {
-		t.Fatal("context round-trip lost the budget")
-	}
-	if RemainingFrom(context.Background()) != NoBudget {
-		t.Fatal("budget-free context must render the sentinel")
 	}
 }
 

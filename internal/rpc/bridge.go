@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-
-	"arkfs/internal/qos"
 )
 
 // TCP bridging lets the live cmd/ tools run ArkFS components in separate
@@ -25,9 +23,9 @@ const TCPPrefix = "tcp!"
 func TCPAddr(hostport string) Addr { return Addr(TCPPrefix + hostport) }
 
 // Bridge exposes the local listener at target on a TCP endpoint. Remote
-// peers reach it with TCPAddr(server.Addr()). The incoming trace identity is
-// relayed onto the local fabric, so a trace started in another process
-// continues through the bridged call.
+// peers reach it with TCPAddr(server.Addr()). The incoming Meta is relayed
+// onto the local fabric, so a trace started in another process continues
+// through the bridged call.
 func (n *Network) Bridge(bind string, target Addr) (*TCPServer, error) {
 	return ListenTCP(bind, func(ctx context.Context, req any) any {
 		resp, err := n.CallFromCtx(ctx, "", target, req)
@@ -50,8 +48,8 @@ var tcpPool = struct {
 }{conns: make(map[string]*TCPClient)}
 
 // callTCP performs a call to a "tcp!host:port" address, carrying the
-// caller's trace identity, ring epoch, and tenant in the wire envelope.
-func (n *Network) callTCP(meta callMeta, to Addr, req any) (any, error) {
+// caller's Meta in the wire envelope.
+func (n *Network) callTCP(meta Meta, to Addr, req any) (any, error) {
 	hostport := strings.TrimPrefix(string(to), TCPPrefix)
 	tcpPool.mu.Lock()
 	cli := tcpPool.conns[hostport]
@@ -71,7 +69,7 @@ func (n *Network) callTCP(meta callMeta, to Addr, req any) (any, error) {
 		}
 		tcpPool.mu.Unlock()
 	}
-	resp, err := cli.CallEnvelope(meta.sc, meta.epoch, meta.tenant, qos.Wire(meta.bud), req)
+	resp, err := cli.Call(meta, req)
 	if err != nil {
 		// Drop the broken connection so the next call re-dials.
 		tcpPool.mu.Lock()

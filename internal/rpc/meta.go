@@ -1,0 +1,69 @@
+package rpc
+
+import (
+	"context"
+	"time"
+
+	"arkfs/internal/obs"
+	"arkfs/internal/qos"
+)
+
+// Meta is the envelope of a call: what rides beside every message, in process
+// and across the TCP bridge, and what the serving side's handler context
+// carries. It travels by value. Only Budget is shared: in process, a server's
+// nested retries draw from the pool of the operation that sent the call.
+type Meta struct {
+	Span   obs.SpanContext // the trace a call continues, zero when untraced
+	Epoch  uint64          // the caller's lease-ring epoch, 0 when unsharded
+	Tenant string          // the tenant the op is attributed to, "" when unknown
+	Budget *qos.Budget     // the op's shared retry budget, nil when unbudgeted
+	Wait   time.Duration   // serving side: enqueue→pickup, as the fabric measured it
+}
+
+type metaKey struct{}
+
+// metaCtx carries a Meta, and the budget an operation mints for itself, in
+// one allocation.
+type metaCtx struct {
+	context.Context
+	meta Meta
+	bud  qos.Budget
+}
+
+func (c *metaCtx) Value(key any) any {
+	if _, ok := key.(metaKey); ok {
+		return &c.meta
+	}
+	return c.Context.Value(key)
+}
+
+// WithMeta returns ctx carrying m: the envelope of every call made under it.
+func WithMeta(ctx context.Context, m Meta) context.Context {
+	return &metaCtx{Context: ctx, meta: m}
+}
+
+// WithBudget is WithMeta with a fresh retry budget of n tokens in place of
+// m.Budget, held in the same allocation as the context.
+func WithBudget(ctx context.Context, m Meta, n int) context.Context {
+	c := &metaCtx{Context: ctx, meta: m}
+	c.bud.Init(n)
+	c.meta.Budget = &c.bud
+	return c
+}
+
+// MetaFrom returns the envelope ctx carries, the zero Meta when none. Span
+// names the local span when one is attached (obs.WithSpan): that is the span
+// a call made under ctx continues.
+func MetaFrom(ctx context.Context) Meta {
+	var m Meta
+	if ctx == nil {
+		return m
+	}
+	if p, ok := ctx.Value(metaKey{}).(*Meta); ok {
+		m = *p
+	}
+	if sp := obs.SpanFrom(ctx); sp != nil {
+		m.Span = sp.Context()
+	}
+	return m
+}

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"arkfs/internal/obs"
-	"arkfs/internal/qos"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
 )
@@ -70,11 +69,11 @@ type Addr string
 type Handler func(req any) any
 
 // CtxHandler is a Handler that also receives the server-side context. The
-// fabric populates it with the caller's trace identity (obs.RemoteFrom), so
-// handlers can parent their own spans under the caller's trace. The context
-// carries no deadline: the simulated network cannot interrupt in-flight
-// virtual-time waits, and a forwarded operation must not inherit the remote
-// caller's cancellation.
+// fabric populates it with the caller's envelope (MetaFrom), so handlers can
+// parent their own spans under the caller's trace. The context carries no
+// deadline: the simulated network cannot interrupt in-flight virtual-time
+// waits, and a forwarded operation must not inherit the remote caller's
+// cancellation.
 type CtxHandler func(ctx context.Context, req any) any
 
 // Sizer lets a message declare its wire size so bandwidth-limited links can
@@ -103,6 +102,9 @@ type Network struct {
 	hQWait      *obs.Histogram // enqueue→worker-pickup, all servers
 	hQSvc       *obs.Histogram // worker pickup→handler return, all servers
 	methodHists sync.Map       // method name -> *obs.Histogram
+
+	freeMu sync.Mutex
+	free   []*call // calls whose exchange is over, for reuse
 }
 
 // NewNetwork creates a fabric in env; model applies to every message.
@@ -181,56 +183,11 @@ func (n *Network) histFor(req any) *obs.Histogram {
 	return h
 }
 
-// ringEpochKey carries the caller's lease-ring epoch in a context. The epoch
-// is part of the rpc envelope, not any one message type: CallFromCtx lifts it
-// from the caller's context onto the wire, and the server side re-injects it
-// into the handler's context, in-process and across the TCP bridge alike.
-type ringEpochKey struct{}
-
-// WithRingEpoch stamps ctx with the caller's ring epoch; every subsequent
-// CallFromCtx carries it in the envelope. Epoch 0 means "no ring".
-func WithRingEpoch(ctx context.Context, epoch uint64) context.Context {
-	return context.WithValue(ctx, ringEpochKey{}, epoch)
-}
-
-// RingEpochFrom returns the ring epoch carried by ctx (0 when absent).
-func RingEpochFrom(ctx context.Context) uint64 {
-	if ctx == nil {
-		return 0
-	}
-	if v, ok := ctx.Value(ringEpochKey{}).(uint64); ok {
-		return v
-	}
-	return 0
-}
-
-// callMeta is the envelope metadata lifted from the caller's context onto
-// every outgoing call: trace identity, lease-ring epoch, and tenant. It is
-// what crosses process boundaries alongside the payload (in-process and over
-// the TCP bridge alike).
-type callMeta struct {
-	sc     obs.SpanContext // caller's trace identity, zero when untraced
-	epoch  uint64          // caller's ring epoch, 0 when unsharded
-	tenant string          // tenant the op is attributed to, "" when unknown
-	bud    *qos.Budget     // the op's shared retry budget, nil when unbudgeted
-}
-
-// metaFromCtx lifts the envelope metadata from a caller context.
-func metaFromCtx(ctx context.Context) callMeta {
-	if ctx == nil {
-		return callMeta{}
-	}
-	return callMeta{
-		sc:     obs.SpanContextFrom(ctx),
-		epoch:  RingEpochFrom(ctx),
-		tenant: obs.TenantFrom(ctx),
-		bud:    qos.BudgetFrom(ctx),
-	}
-}
-
+// call is one request on its way through a server: pooled per Network with
+// its reply channel, which carries exactly one answer per use.
 type call struct {
 	req   any
-	meta  callMeta
+	meta  Meta
 	enq   time.Duration // environment-clock time the request was enqueued
 	reply *sim.Chan[any]
 }
@@ -280,9 +237,8 @@ func (n *Network) Listen(addr Addr, workers int, h Handler, limits ...ServerLimi
 	return n.ListenCtx(addr, workers, func(_ context.Context, req any) any { return h(req) }, limits...)
 }
 
-// ListenCtx is Listen for trace-aware handlers: each request's handler
-// context carries the caller's span identity (retrieve with obs.RemoteFrom
-// or parent children via the ambient helpers).
+// ListenCtx is Listen for envelope-aware handlers: each request's handler
+// context carries the caller's Meta, its queue wait included (MetaFrom).
 func (n *Network) ListenCtx(addr Addr, workers int, h CtxHandler, limits ...ServerLimits) *Server {
 	if workers <= 0 {
 		workers = 1
@@ -309,7 +265,7 @@ func (n *Network) ListenCtx(addr Addr, workers int, h CtxHandler, limits ...Serv
 				// enqueue and this pickup is what the request spent waiting on
 				// the worker pool (the leader's forwarded-op queue, a lease
 				// shard's request queue); everything until the handler returns
-				// is service. The wait rides the handler context so the
+				// is service. The wait rides the handler's envelope so the
 				// serving layer can stamp it on its span.
 				start := n.env.Now()
 				wait := start - c.enq
@@ -319,35 +275,20 @@ func (n *Network) ListenCtx(addr Addr, workers int, h CtxHandler, limits ...Serv
 					// client how stale its wait already is.
 					n.cShedWait.Inc()
 					if n.reg != nil {
-						n.hQWait.ObserveTrace(wait, c.meta.sc.Trace)
-						n.reg.Tenants().ObserveWait(c.meta.tenant, wait, 0, c.meta.sc.Trace)
+						n.hQWait.ObserveTrace(wait, c.meta.Span.Trace)
+						n.reg.Tenants().ObserveWait(c.meta.Tenant, wait, 0, c.meta.Span.Trace)
 					}
 					c.reply.Send(&Shed{AfterNS: int64(wait), Reason: "queue-wait"})
 					continue
 				}
-				ctx := context.Background()
-				if c.meta.sc.Valid() {
-					ctx = obs.WithRemote(ctx, c.meta.sc)
-				}
-				if c.meta.epoch != 0 {
-					ctx = WithRingEpoch(ctx, c.meta.epoch)
-				}
-				if c.meta.tenant != "" {
-					ctx = obs.WithTenant(ctx, c.meta.tenant)
-				}
-				if c.meta.bud != nil {
-					// In-process the budget object itself is shared, so
-					// server-side retries draw from the same pool as the
-					// caller's loops.
-					ctx = qos.WithBudget(ctx, c.meta.bud)
-				}
-				ctx = obs.WithQueueWait(ctx, wait)
-				resp := h(ctx, c.req)
+				m := c.meta
+				m.Wait = wait
+				resp := h(WithMeta(context.Background(), m), c.req)
 				if n.reg != nil {
 					svc := n.env.Now() - start
-					n.hQWait.ObserveTrace(wait, c.meta.sc.Trace)
-					n.hQSvc.ObserveTrace(svc, c.meta.sc.Trace)
-					n.reg.Tenants().ObserveWait(c.meta.tenant, wait, svc, c.meta.sc.Trace)
+					n.hQWait.ObserveTrace(wait, m.Span.Trace)
+					n.hQSvc.ObserveTrace(svc, m.Span.Trace)
+					n.reg.Tenants().ObserveWait(m.Tenant, wait, svc, m.Span.Trace)
 				}
 				c.reply.Send(resp)
 			}
@@ -380,7 +321,7 @@ func (n *Network) Call(to Addr, req any) (any, error) {
 // plan apply per-link rules (partitions between address sets) in both the
 // request and the response direction.
 func (n *Network) CallFrom(from, to Addr, req any) (any, error) {
-	return n.dispatch(callMeta{}, from, to, req)
+	return n.dispatch(Meta{}, from, to, req)
 }
 
 // CallFromCtx is CallFrom gated on a context: a context that is already done
@@ -388,30 +329,29 @@ func (n *Network) CallFrom(from, to Addr, req any) (any, error) {
 // of a call already in flight is not modeled — virtual-time waits cannot be
 // interrupted by real channels — so ctx acts as a deadline checked at the
 // call boundary, which is where the retry loops in core re-enter. The
-// caller's trace identity (local span or relayed remote context), ring
-// epoch, and tenant ride the message so the server side can continue the
-// trace and keep the attribution.
+// envelope ctx carries (MetaFrom) rides the message, so the server side
+// continues the trace and keeps the attribution, epoch and budget.
 func (n *Network) CallFromCtx(ctx context.Context, from, to Addr, req any) (any, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	return n.dispatch(metaFromCtx(ctx), from, to, req)
+	return n.dispatch(MetaFrom(ctx), from, to, req)
 }
 
-func (n *Network) dispatch(meta callMeta, from, to Addr, req any) (any, error) {
+func (n *Network) dispatch(meta Meta, from, to Addr, req any) (any, error) {
 	if n.reg == nil {
 		return n.callFrom(meta, from, to, req)
 	}
 	start := n.env.Now()
 	resp, err := n.callFrom(meta, from, to, req)
 	n.cCalls.Inc()
-	n.histFor(req).ObserveTrace(n.env.Now()-start, meta.sc.Trace)
+	n.histFor(req).ObserveTrace(n.env.Now()-start, meta.Span.Trace)
 	return resp, err
 }
 
-func (n *Network) callFrom(meta callMeta, from, to Addr, req any) (any, error) {
+func (n *Network) callFrom(meta Meta, from, to Addr, req any) (any, error) {
 	fault := n.faultPlan()
 	if fault != nil {
 		if err := fault.apply(from, to, "request"); err != nil {
@@ -455,16 +395,20 @@ func (n *Network) callFrom(meta callMeta, from, to Addr, req any) (any, error) {
 		return nil, fmt.Errorf("rpc: server %q inbox full: %w", to,
 			types.AgainAfter(s.limits.retryAfter(), "inbox"))
 	}
-	c := &call{req: req, meta: meta, enq: n.env.Now(), reply: sim.NewChan[any](n.env)}
+	c := n.newCall(req, meta)
 	if !s.inbox.Send(c) {
+		n.freeCall(c)
 		n.cTimeouts.Inc()
 		return nil, fmt.Errorf("rpc: server %q closed: %w", to, types.ErrTimedOut)
 	}
 	resp, ok := c.reply.Recv()
 	if !ok {
+		// Shut down before the answer came: a worker may still send it, so
+		// the call is not reused.
 		n.cTimeouts.Inc()
 		return nil, fmt.Errorf("rpc: call to %q aborted: %w", to, types.ErrTimedOut)
 	}
+	n.freeCall(c)
 	if fault != nil {
 		// The handler ran; losing the response leaves its side effects in
 		// place while this caller times out.
@@ -482,4 +426,29 @@ func (n *Network) callFrom(meta callMeta, from, to Addr, req any) (any, error) {
 		return nil, sh.Err()
 	}
 	return resp, nil
+}
+
+// newCall takes a call from the pool, or makes one, for req.
+func (n *Network) newCall(req any, meta Meta) *call {
+	n.freeMu.Lock()
+	var c *call
+	if k := len(n.free) - 1; k >= 0 {
+		c, n.free[k] = n.free[k], nil
+		n.free = n.free[:k]
+	}
+	n.freeMu.Unlock()
+	if c == nil {
+		c = &call{reply: sim.NewChan[any](n.env)}
+	}
+	c.req, c.meta, c.enq = req, meta, n.env.Now()
+	return c
+}
+
+// freeCall returns a call whose answer has been received, or that never
+// reached a server, to the pool.
+func (n *Network) freeCall(c *call) {
+	*c = call{reply: c.reply}
+	n.freeMu.Lock()
+	n.free = append(n.free, c)
+	n.freeMu.Unlock()
 }

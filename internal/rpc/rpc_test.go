@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"arkfs/internal/obs"
+	"arkfs/internal/qos"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
 )
@@ -163,7 +164,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 25; j++ {
-				resp, err := cli.Call(obs.SpanContext{}, tcpMsg{S: "hi"})
+				resp, err := cli.Call(Meta{}, tcpMsg{S: "hi"})
 				if err != nil {
 					t.Error(err)
 					return
@@ -190,9 +191,9 @@ func TestTCPServerCloseUnblocksClients(t *testing.T) {
 	}
 	defer cli.Close()
 	srv.Close()
-	if _, err := cli.Call(obs.SpanContext{}, tcpMsg{S: "x"}); err == nil {
+	if _, err := cli.Call(Meta{}, tcpMsg{S: "x"}); err == nil {
 		// A race may let one call through; a second must fail.
-		if _, err := cli.Call(obs.SpanContext{}, tcpMsg{S: "y"}); err == nil {
+		if _, err := cli.Call(Meta{}, tcpMsg{S: "y"}); err == nil {
 			t.Fatal("calls to closed server keep succeeding")
 		}
 	}
@@ -209,7 +210,7 @@ func TestCallCtxCarriesSpanContext(t *testing.T) {
 	var seen []obs.SpanContext
 	srv := net.ListenCtx("srv", 1, func(ctx context.Context, req any) any {
 		mu.Lock()
-		seen = append(seen, obs.RemoteFrom(ctx))
+		seen = append(seen, MetaFrom(ctx).Span)
 		mu.Unlock()
 		return req
 	})
@@ -222,7 +223,7 @@ func TestCallCtxCarriesSpanContext(t *testing.T) {
 	if _, err := net.CallFromCtx(ctx, "cli", "srv", 1); err != nil {
 		t.Fatal(err)
 	}
-	relay := obs.WithRemote(context.Background(), sp.Context())
+	relay := WithMeta(context.Background(), Meta{Span: sp.Context()})
 	if _, err := net.CallFromCtx(relay, "cli", "srv", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -244,15 +245,16 @@ func TestCallCtxCarriesSpanContext(t *testing.T) {
 	}
 }
 
-// TestTCPTracePropagation: the envelope carries the span context across a
-// real socket.
+// TestTCPTracePropagation: the envelope carries the caller's Meta across a
+// real socket: the budget as the tokens it has left, and an unbudgeted,
+// untraced caller as the zero Meta.
 func TestTCPTracePropagation(t *testing.T) {
 	gob.Register(tcpMsg{})
 	var mu sync.Mutex
-	var seen []obs.SpanContext
+	var seen []Meta
 	srv, err := ListenTCP("127.0.0.1:0", func(ctx context.Context, req any) any {
 		mu.Lock()
-		seen = append(seen, obs.RemoteFrom(ctx))
+		seen = append(seen, MetaFrom(ctx))
 		mu.Unlock()
 		return req
 	})
@@ -265,16 +267,49 @@ func TestTCPTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	want := obs.SpanContext{Trace: 0xabc, Span: 0xdef}
+	want := Meta{Span: obs.SpanContext{Trace: 0xabc, Span: 0xdef}, Epoch: 7, Tenant: "t1", Budget: qos.NewBudget(5)}
 	if _, err := cli.Call(want, tcpMsg{S: "traced"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Call(obs.SpanContext{}, tcpMsg{S: "plain"}); err != nil {
+	if _, err := cli.Call(Meta{}, tcpMsg{S: "plain"}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seen) != 2 || seen[0] != want || seen[1].Valid() {
-		t.Fatalf("server saw %v, want [%v, zero]", seen, want)
+	if len(seen) != 2 {
+		t.Fatalf("server saw %d calls, want 2", len(seen))
+	}
+	got := seen[0]
+	if got.Span != want.Span || got.Epoch != 7 || got.Tenant != "t1" || got.Budget.Remaining() != 5 {
+		t.Fatalf("server saw %+v (budget %d), want %+v", got, got.Budget.Remaining(), want)
+	}
+	if seen[1] != (Meta{}) {
+		t.Fatalf("plain call arrived as %+v, want the zero Meta", seen[1])
+	}
+}
+
+// TestMetaCarrier: a context carries one Meta; MetaFrom prefers a local span
+// over the span the Meta names; WithBudget's budget is one pool for everyone
+// who reads the context.
+func TestMetaCarrier(t *testing.T) {
+	if m := MetaFrom(context.Background()); m != (Meta{}) {
+		t.Fatalf("empty ctx: %+v, want the zero Meta", m)
+	}
+	remote := obs.SpanContext{Trace: 5, Span: 9}
+	ctx := WithMeta(context.Background(), Meta{Span: remote, Epoch: 3, Tenant: "t"})
+	if m := MetaFrom(ctx); m.Span != remote || m.Epoch != 3 || m.Tenant != "t" || m.Budget != nil {
+		t.Fatalf("MetaFrom = %+v", m)
+	}
+	sp := obs.NewTracer(4, nil).StartChild(remote, "serve", "/x")
+	if got := MetaFrom(obs.WithSpan(ctx, sp)).Span; got != sp.Context() {
+		t.Fatalf("span = %v, want the local span %v", got, sp.Context())
+	}
+	ctx = WithBudget(ctx, MetaFrom(ctx), 2)
+	b := MetaFrom(ctx).Budget
+	if b == nil || MetaFrom(ctx).Epoch != 3 || !b.TrySpend(time.Time{}) {
+		t.Fatalf("WithBudget: %+v", MetaFrom(ctx))
+	}
+	if MetaFrom(ctx).Budget.Remaining() != 1 {
+		t.Fatal("a second read of the context sees a different budget")
 	}
 }

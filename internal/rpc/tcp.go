@@ -12,23 +12,32 @@ import (
 	"arkfs/internal/types"
 )
 
-// envelope frames one gob-encoded message on the wire. Trace/Span carry the
-// caller's trace identity across the process boundary (zero when untraced) —
-// the TCP analogue of the SpanContext the in-process fabric attaches to each
-// call. RingEpoch carries the caller's lease-ring epoch (0 when unsharded),
-// so a bridged lease shard can detect stale clients exactly like an
-// in-process one. Tenant carries the caller's tenant attribution ("" when
-// unknown), so per-tenant accounting survives the hop too. Budget carries the
-// caller's remaining retry-budget tokens (qos.NoBudget when unbudgeted): the
-// server side derives a budget from it, so nested retries in another process
-// still cannot exceed what the originating operation had left.
+// envelope frames one gob-encoded message on the wire: the payload and the
+// caller's Meta, which envelopeFor and meta convert to and from the fields
+// below. The budget crosses as the tokens it has left (qos.NoBudget when
+// unbudgeted), and the serving side derives a budget from it, so nested
+// retries in another process still cannot exceed what the originating
+// operation had left. The queue wait does not cross: the fabric that serves
+// the call measures its own.
 type envelope struct {
-	Trace     uint64
-	Span      uint64
-	RingEpoch uint64
-	Tenant    string
-	Budget    int64
-	Payload   any
+	Trace, Span, Epoch uint64
+	Tenant             string
+	Budget             int64
+	Payload            any
+}
+
+func envelopeFor(m Meta, payload any) *envelope {
+	return &envelope{
+		Trace: uint64(m.Span.Trace), Span: uint64(m.Span.Span), Epoch: m.Epoch,
+		Tenant: m.Tenant, Budget: qos.Wire(m.Budget), Payload: payload,
+	}
+}
+
+func (e *envelope) meta() Meta {
+	return Meta{
+		Span:  obs.SpanContext{Trace: obs.TraceID(e.Trace), Span: obs.SpanID(e.Span)},
+		Epoch: e.Epoch, Tenant: e.Tenant, Budget: qos.BudgetFromWire(e.Budget),
+	}
 }
 
 // TCPServer serves CtxHandler over a TCP listener using gob encoding, one
@@ -44,8 +53,7 @@ type TCPServer struct {
 }
 
 // ListenTCP starts a server on addr ("host:port", ":0" for ephemeral). The
-// handler context carries the remote caller's trace identity when the
-// envelope names one.
+// handler context carries the remote caller's Meta.
 func ListenTCP(addr string, h CtxHandler) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -114,21 +122,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err := dec.Decode(&in); err != nil {
 			return
 		}
-		ctx := context.Background()
-		sc := obs.SpanContext{Trace: obs.TraceID(in.Trace), Span: obs.SpanID(in.Span)}
-		if sc.Valid() {
-			ctx = obs.WithRemote(ctx, sc)
-		}
-		if in.RingEpoch != 0 {
-			ctx = WithRingEpoch(ctx, in.RingEpoch)
-		}
-		if in.Tenant != "" {
-			ctx = obs.WithTenant(ctx, in.Tenant)
-		}
-		if b := qos.BudgetFromWire(in.Budget); b != nil {
-			ctx = qos.WithBudget(ctx, b)
-		}
-		out := envelope{Trace: in.Trace, Span: in.Span, Payload: s.handler(ctx, in.Payload)}
+		out := envelope{Payload: s.handler(WithMeta(context.Background(), in.meta()), in.Payload)}
 		if err := enc.Encode(&out); err != nil {
 			return
 		}
@@ -153,22 +147,11 @@ func DialTCP(addr string) (*TCPClient, error) {
 	return &TCPClient{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
 }
 
-// Call performs one request/response exchange. sc is the caller's trace
-// identity; pass the zero SpanContext when untraced.
-func (c *TCPClient) Call(sc obs.SpanContext, req any) (any, error) {
-	return c.CallEnvelope(sc, 0, "", qos.NoBudget, req)
-}
-
-// CallEnvelope is Call with the full envelope metadata: the caller's
-// lease-ring epoch (0 when unsharded), tenant attribution ("" when unknown),
-// and remaining retry-budget tokens (qos.NoBudget when unbudgeted).
-func (c *TCPClient) CallEnvelope(sc obs.SpanContext, ringEpoch uint64, tenant string, budget int64, req any) (any, error) {
+// Call performs one request/response exchange; m is the caller's envelope.
+func (c *TCPClient) Call(m Meta, req any) (any, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(&envelope{
-		Trace: uint64(sc.Trace), Span: uint64(sc.Span),
-		RingEpoch: ringEpoch, Tenant: tenant, Budget: budget, Payload: req,
-	}); err != nil {
+	if err := c.enc.Encode(envelopeFor(m, req)); err != nil {
 		return nil, fmt.Errorf("rpc: send: %w: %w", err, types.ErrIO)
 	}
 	var resp envelope

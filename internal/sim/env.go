@@ -97,6 +97,17 @@ func cast[T any](v any) T {
 	return v.(T)
 }
 
+// popFront drops q's head. A queue that empties keeps its array, so a channel
+// used for one exchange after another (an rpc reply) stops allocating.
+func popFront[T any](q []T) []T {
+	var zero T
+	q[0] = zero
+	if len(q) == 1 {
+		return q[:0]
+	}
+	return q[1:]
+}
+
 // Close closes the channel. Pending values can still be received.
 func (c *Chan[T]) Close() { c.core.close() }
 

@@ -134,8 +134,7 @@ func (c *realChan) popLocked() (any, bool) {
 		return nil, false
 	}
 	v := c.queue[0]
-	c.queue[0] = nil
-	c.queue = c.queue[1:]
+	c.queue = popFront(c.queue)
 	return v, true
 }
 

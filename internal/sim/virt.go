@@ -308,7 +308,7 @@ func (c *virtChan) send(v any) bool {
 	}
 	for len(c.waiters) > 0 {
 		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+		c.waiters = popFront(c.waiters)
 		if w.done {
 			continue
 		}
@@ -361,8 +361,7 @@ func (c *virtChan) recvDeadline(d time.Duration) (any, bool) {
 
 func (c *virtChan) popLocked() any {
 	v := c.queue[0]
-	c.queue[0] = nil
-	c.queue = c.queue[1:]
+	c.queue = popFront(c.queue)
 	return v
 }
 

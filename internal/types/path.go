@@ -26,19 +26,27 @@ func ValidName(name string) error {
 // SplitPath cleans an absolute path and returns its components. "." and
 // empty components are dropped; ".." is resolved lexically (it cannot escape
 // the root). The empty slice denotes the root directory itself.
-func SplitPath(path string) ([]string, error) {
+func SplitPath(path string) ([]string, error) { return SplitPathIn(nil, path) }
+
+// SplitPathIn is SplitPath that keeps the components in buf's array when it
+// has room for one per '/' in path, so a caller can split into an array on its
+// own stack; otherwise it allocates once.
+func SplitPathIn(buf []string, path string) ([]string, error) {
 	if path == "" {
 		return nil, fmt.Errorf("types: empty path: %w", ErrInval)
 	}
-	if !strings.HasPrefix(path, "/") {
+	if path[0] != '/' {
 		return nil, fmt.Errorf("types: path %q is not absolute: %w", path, ErrInval)
 	}
-	raw := strings.Split(path, "/")
-	parts := make([]string, 0, len(raw))
-	for _, c := range raw {
+	parts := buf[:0]
+	if n := strings.Count(path, "/"); n > cap(parts) { // a component follows each '/'
+		parts = make([]string, 0, n)
+	}
+	for rest, more := path[1:], true; more; {
+		var c string
+		c, rest, more = strings.Cut(rest, "/")
 		switch c {
 		case "", ".":
-			continue
 		case "..":
 			if len(parts) > 0 {
 				parts = parts[:len(parts)-1]

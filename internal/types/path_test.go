@@ -109,3 +109,23 @@ func TestSplitPathComponentsCleanQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SplitPath allocates once, and SplitPathIn not at all when the caller's
+// buffer has room; without it, the result is the same.
+func TestSplitPathAllocations(t *testing.T) {
+	const path = "/a/./b/../c//d"
+	var buf [8]string
+	if n := testing.AllocsPerRun(100, func() { _, _ = SplitPath(path) }); n != 1 {
+		t.Errorf("SplitPath: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = SplitPathIn(buf[:0], path) }); n != 0 {
+		t.Errorf("SplitPathIn into room enough: %v allocations, want 0", n)
+	}
+	for _, p := range []string{path, "/a/b/c/d/e/f/g/h/i"} {
+		parts, err := SplitPathIn(buf[:0], p)
+		want, _ := SplitPath(p)
+		if err != nil || JoinPath(parts) != JoinPath(want) {
+			t.Errorf("SplitPathIn(%q) = %q, %v; want %q", p, parts, err, want)
+		}
+	}
+}
