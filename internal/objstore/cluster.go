@@ -2,8 +2,8 @@ package objstore
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,6 +62,9 @@ type Cluster struct {
 
 	trailerMu sync.Mutex
 	trailers  map[int64][wire.TrailerSize]byte // syntheticFrame's, by frame size
+
+	freeMu sync.Mutex
+	free   []*sim.Chan[nodeResp] // reply channels whose answers have all arrived
 }
 
 type opKind byte
@@ -82,7 +85,8 @@ type nodeReq struct {
 	key      string
 	data     []byte
 	size     int64
-	off, len int64 // opGetRange window
+	off, len int64   // opGetRange window
+	replicas []*node // key's placement, primary first (client requests)
 	reply    *sim.Chan[nodeResp]
 }
 
@@ -100,6 +104,7 @@ type objVal struct {
 
 type node struct {
 	id        int
+	idDigits  string              // id in decimal: its part of every placement hash
 	inbox     *sim.Chan[*nodeReq] // primary requests
 	replInbox *sim.Chan[*nodeReq] // replication requests (separate workers: no cyclic waits)
 	mu        sync.Mutex
@@ -128,6 +133,7 @@ func NewCluster(env sim.Env, prof Profile) *Cluster {
 	for i := 0; i < prof.Nodes; i++ {
 		n := &node{
 			id:        i,
+			idDigits:  strconv.Itoa(i),
 			inbox:     sim.NewChan[*nodeReq](env),
 			replInbox: sim.NewChan[*nodeReq](env),
 			data:      make(map[string]objVal),
@@ -160,26 +166,76 @@ func (c *Cluster) Stat() *Stats { return &c.stats }
 // Profile returns the cluster's configuration.
 func (c *Cluster) Profile() Profile { return c.prof }
 
-// placement returns the replica set for key (primary first) via rendezvous
-// hashing, which spreads keys evenly and keeps placement stable as the
-// cluster definition changes.
+// FNV-1a, 64-bit (hash/fnv's New64a), inlined so placement needs no hasher.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// placement returns the replica set for key, primary first, by rendezvous
+// (highest-random-weight) hashing: node n scores FNV-1a of "key|n" (n in
+// decimal), and the Replicas highest scores win, a tie going to the lower
+// node id. This spreads keys evenly and keeps placement stable as the cluster
+// definition changes. The key and the bar are hashed once; each node then
+// continues that state with its own digits, and the winners are kept by
+// insertion, so the one allocation is the returned slice.
 func (c *Cluster) placement(key string) []*node {
-	type scored struct {
-		score uint64
-		n     *node
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * fnvPrime64
 	}
-	s := make([]scored, len(c.nodes))
-	for i, n := range c.nodes {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%d", key, n.id)
-		s[i] = scored{h.Sum64(), n}
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i].score > s[j].score })
+	h = (h ^ '|') * fnvPrime64
 	out := make([]*node, c.prof.Replicas)
-	for i := range out {
-		out[i] = s[i].n
+	var buf [8]uint64
+	scores := buf[:0]
+	if len(out) > len(buf) {
+		scores = make([]uint64, 0, len(out))
+	}
+	for _, n := range c.nodes {
+		s := h
+		for i := 0; i < len(n.idDigits); i++ {
+			s = (s ^ uint64(n.idDigits[i])) * fnvPrime64
+		}
+		// Insert n behind every kept score at least as high as its own.
+		j := len(scores)
+		if j == len(out) {
+			if s <= scores[j-1] {
+				continue
+			}
+			j-- // n displaces the lowest kept score
+		} else {
+			scores = scores[:j+1]
+		}
+		for ; j > 0 && scores[j-1] < s; j-- {
+			scores[j], out[j] = scores[j-1], out[j-1]
+		}
+		scores[j], out[j] = s, n
 	}
 	return out
+}
+
+// replyChan takes a reply channel from the free list, or makes one.
+func (c *Cluster) replyChan() *sim.Chan[nodeResp] {
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	k := len(c.free) - 1
+	if k < 0 {
+		return sim.NewChan[nodeResp](c.env)
+	}
+	ch := c.free[k]
+	c.free[k] = nil
+	c.free = c.free[:k]
+	return ch
+}
+
+// freeReply returns a reply channel to the free list. Only a channel whose
+// every answer has been received may come back: one abandoned when the
+// cluster or the environment shut down mid-call may still get a late answer,
+// which would reach its next user.
+func (c *Cluster) freeReply(ch *sim.Chan[nodeResp]) {
+	c.freeMu.Lock()
+	c.free = append(c.free, ch)
+	c.freeMu.Unlock()
 }
 
 // syntheticFrame stands in for a discarded payload: zeros of the stored size
@@ -234,7 +290,7 @@ func (c *Cluster) serve(n *node, inbox *sim.Chan[*nodeReq]) {
 			n.data[req.key] = val
 			n.mu.Unlock()
 			if req.op == opPut {
-				resp.err = c.replicate(opReplPut, req.key, req.data, req.size)
+				resp.err = c.replicate(req.replicas[1:], opReplPut, req.key, req.data, req.size)
 			}
 		case opGet:
 			n.mu.Lock()
@@ -279,7 +335,7 @@ func (c *Cluster) serve(n *node, inbox *sim.Chan[*nodeReq]) {
 			delete(n.data, req.key)
 			n.mu.Unlock()
 			if req.op == opDelete {
-				resp.err = c.replicate(opReplDelete, req.key, nil, 0)
+				resp.err = c.replicate(req.replicas[1:], opReplDelete, req.key, nil, 0)
 			}
 		case opHead:
 			c.env.Sleep(c.serviceTime(0))
@@ -308,12 +364,11 @@ func (c *Cluster) serve(n *node, inbox *sim.Chan[*nodeReq]) {
 // replicate forwards a mutation from the primary to the other replicas and
 // waits for all acknowledgements (synchronous primary-copy replication, as
 // RADOS does).
-func (c *Cluster) replicate(op opKind, key string, data []byte, size int64) error {
-	replicas := c.placement(key)[1:]
+func (c *Cluster) replicate(replicas []*node, op opKind, key string, data []byte, size int64) error {
 	if len(replicas) == 0 {
 		return nil
 	}
-	reply := sim.NewChan[nodeResp](c.env)
+	reply := c.replyChan()
 	for _, r := range replicas {
 		c.env.Sleep(c.prof.ReplNet.TransferTime(size)) // serialize onto the wire
 		r.replInbox.Send(&nodeReq{op: op, key: key, data: data, size: size, reply: reply})
@@ -328,6 +383,7 @@ func (c *Cluster) replicate(op opKind, key string, data []byte, size int64) erro
 			firstErr = resp.err
 		}
 	}
+	c.freeReply(reply)
 	return firstErr
 }
 
@@ -336,18 +392,19 @@ func (c *Cluster) call(req *nodeReq, sendSize, recvResp bool) (nodeResp, error) 
 	if c.closed.Load() {
 		return nodeResp{}, fmt.Errorf("objstore: cluster closed: %w", types.ErrIO)
 	}
-	primary := c.placement(req.key)[0]
+	req.replicas = c.placement(req.key)
 	wire := int64(0)
 	if sendSize {
 		wire = req.size
 	}
 	c.env.Sleep(c.prof.ClientNet.TransferTime(wire)) // request propagation
-	req.reply = sim.NewChan[nodeResp](c.env)
-	primary.inbox.Send(req)
+	req.reply = c.replyChan()
+	req.replicas[0].inbox.Send(req)
 	resp, ok := req.reply.Recv()
 	if !ok {
 		return nodeResp{}, fmt.Errorf("objstore: cluster closed mid-call: %w", types.ErrIO)
 	}
+	c.freeReply(req.reply)
 	if recvResp {
 		c.env.Sleep(c.prof.ClientNet.TransferTime(resp.size)) // response payload
 	} else {
@@ -421,7 +478,7 @@ func (c *Cluster) List(prefix string) ([]string, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("objstore: cluster closed: %w", types.ErrIO)
 	}
-	reply := sim.NewChan[nodeResp](c.env)
+	reply := c.replyChan()
 	c.env.Sleep(c.prof.ClientNet.TransferTime(0))
 	for _, n := range c.nodes {
 		n.inbox.Send(&nodeReq{op: opList, key: prefix, reply: reply})
@@ -436,6 +493,7 @@ func (c *Cluster) List(prefix string) ([]string, error) {
 			seen[k] = true
 		}
 	}
+	c.freeReply(reply)
 	c.env.Sleep(c.prof.ClientNet.TransferTime(0))
 	keys := make([]string, 0, len(seen))
 	for k := range seen {

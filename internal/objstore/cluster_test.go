@@ -2,6 +2,11 @@ package objstore
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,6 +215,114 @@ func TestClusterPlacementStableAndSpread(t *testing.T) {
 			t.Errorf("node %d never primary", id)
 		}
 	}
+}
+
+// placementRef is placement as first written: FNV-1a of "key|id" through
+// fmt for every node, all scores sorted.
+func placementRef(c *Cluster, key string) []*node {
+	type scored struct {
+		score uint64
+		n     *node
+	}
+	s := make([]scored, len(c.nodes))
+	for i, n := range c.nodes {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|%d", key, n.id)
+		s[i] = scored{h.Sum64(), n}
+	}
+	sort.Slice(s, func(i, j int) bool { return s[i].score > s[j].score })
+	out := make([]*node, c.prof.Replicas)
+	for i := range out {
+		out[i] = s[i].n
+	}
+	return out
+}
+
+func TestClusterPlacementMatchesReference(t *testing.T) {
+	// Every stored object's home depends on placement: the inlined hash and
+	// the kept-by-insertion winners must pick what the fmt and sort form
+	// picked, in the same order, for every deployment profile.
+	rng := rand.New(rand.NewSource(29))
+	keys := []string{"", strings.Repeat("k", 1024), "ключ/日本語", "\x00|\xff", "d:0123:7"}
+	for len(keys) < 10000 {
+		b := make([]byte, rng.Intn(80))
+		rng.Read(b) // arbitrary bytes, mostly not valid UTF-8
+		keys = append(keys, string(b))
+	}
+	env := sim.NewRealEnv()
+	defer env.Shutdown()
+	for _, prof := range []Profile{RADOSProfile(), S3Profile(), TestProfile()} {
+		c := NewCluster(env, prof)
+		defer c.Close()
+		for _, k := range keys {
+			got, want := c.placement(k), placementRef(c, k)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s: placement(%q) = %v, want %v", prof.Name, k, ids(got), ids(want))
+				}
+			}
+		}
+	}
+}
+
+func ids(ns []*node) []int {
+	out := make([]int, len(ns))
+	for i, n := range ns {
+		out[i] = n.id
+	}
+	return out
+}
+
+func TestClusterPlacementAllocs(t *testing.T) {
+	env := sim.NewRealEnv()
+	defer env.Shutdown()
+	c := NewCluster(env, RADOSProfile())
+	defer c.Close()
+	key := "d:0123456789abcdef0123456789abcdef:42"
+	if n := testing.AllocsPerRun(100, func() { _ = c.placement(key) }); n > 1 {
+		t.Fatalf("placement makes %v allocations, want 1 (the replica set)", n)
+	}
+}
+
+// benchCluster runs fn against a RADOS-profile cluster in a virtual
+// environment, timing only fn.
+func benchCluster(b *testing.B, fn func(c *Cluster)) {
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		c := NewCluster(env, RADOSProfile())
+		defer c.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		fn(c)
+		b.StopTimer()
+	})
+}
+
+func BenchmarkClusterPut(b *testing.B) {
+	data := make([]byte, 4096)
+	benchCluster(b, func(c *Cluster) {
+		for i := 0; i < b.N; i++ {
+			if err := c.Put("i:0123456789abcdef0123456789abcdef", data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkClusterGetSizeOnly(b *testing.B) {
+	const key = "d:0123456789abcdef0123456789abcdef:0"
+	benchCluster(b, func(c *Cluster) {
+		b.StopTimer()
+		if err := c.Put(key, make([]byte, 2<<20)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Get(key); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestSizeOnlyPrefixSelective(t *testing.T) {

@@ -15,6 +15,7 @@ package prt
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strconv"
@@ -75,15 +76,38 @@ func DecodeSuperblock(frame []byte) (Superblock, error) {
 	return sb, nil
 }
 
+// keyBuf holds the longest key: a prefix, an inode in hex, a colon and a
+// decimal int64 with its sign. Keys are built in one on the stack, so each
+// costs the one allocation of its string.
+type keyBuf [2 + 2*len(types.Ino{}) + 1 + 20]byte
+
+// appendIno appends prefix and ino in lower-case hex (ino.String()).
+func appendIno(b []byte, prefix string, ino types.Ino) []byte {
+	return hex.AppendEncode(append(b, prefix...), ino[:])
+}
+
 // InodeKey returns the object key of an inode record.
-func InodeKey(ino types.Ino) string { return PrefixInode + ino.String() }
+func InodeKey(ino types.Ino) string {
+	var buf keyBuf
+	return string(appendIno(buf[:0], PrefixInode, ino))
+}
 
 // DentryKey returns the object key of a directory's dentry block.
-func DentryKey(dir types.Ino) string { return PrefixDentry + dir.String() }
+func DentryKey(dir types.Ino) string {
+	var buf keyBuf
+	return string(appendIno(buf[:0], PrefixDentry, dir))
+}
 
-// JournalKey returns the object key of one committed journal transaction.
+// JournalKey returns the object key of one committed journal transaction:
+// seq as 16 hex digits, so keys sort in sequence order.
 func JournalKey(dir types.Ino, seq uint64) string {
-	return fmt.Sprintf("%s%s:%016x", PrefixJournal, dir.String(), seq)
+	var buf keyBuf
+	b := append(appendIno(buf[:0], PrefixJournal, dir), ':')
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[seq>>shift&0xf])
+	}
+	return string(b)
 }
 
 // JournalPrefix returns the key prefix of every journal object of dir, for
@@ -101,7 +125,9 @@ func ParseJournalSeq(key string) (uint64, error) {
 
 // DataKey returns the object key of a file's idx-th data chunk.
 func DataKey(ino types.Ino, idx int64) string {
-	return fmt.Sprintf("%s%s:%d", PrefixData, ino.String(), idx)
+	var buf keyBuf
+	b := append(appendIno(buf[:0], PrefixData, ino), ':')
+	return string(strconv.AppendInt(b, idx, 10))
 }
 
 // Translator binds the key scheme and chunking policy to a registered object

@@ -2,6 +2,8 @@ package prt
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,6 +37,45 @@ func TestKeyScheme(t *testing.T) {
 	}
 	if got := DataKey(ino, 7); got != "d:"+ino.String()+":7" {
 		t.Errorf("DataKey = %q", got)
+	}
+}
+
+func TestKeysMatchFmtForm(t *testing.T) {
+	// The keys are built without fmt; they must be the bytes the fmt form
+	// wrote, for every inode, index and sequence number at the edges.
+	var ones types.Ino
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	inos := []types.Ino{{}, types.RootIno, ones, types.NewInoSource(7).Next()}
+	for _, ino := range inos {
+		if got, want := InodeKey(ino), fmt.Sprintf("i:%s", ino); got != want {
+			t.Errorf("InodeKey = %q, want %q", got, want)
+		}
+		if got, want := DentryKey(ino), fmt.Sprintf("e:%s", ino); got != want {
+			t.Errorf("DentryKey = %q, want %q", got, want)
+		}
+		for _, idx := range []int64{0, 1, 9, 10, math.MaxInt64, -1, math.MinInt64} {
+			if got, want := DataKey(ino, idx), fmt.Sprintf("d:%s:%d", ino, idx); got != want {
+				t.Errorf("DataKey(%d) = %q, want %q", idx, got, want)
+			}
+		}
+		for _, seq := range []uint64{0, 1, 0xab, 1 << 63, ^uint64(0)} {
+			if got, want := JournalKey(ino, seq), fmt.Sprintf("j:%s:%016x", ino, seq); got != want {
+				t.Errorf("JournalKey(%d) = %q, want %q", seq, got, want)
+			}
+		}
+	}
+	ino := inos[3]
+	for name, fn := range map[string]func(){
+		"InodeKey":   func() { _ = InodeKey(ino) },
+		"DentryKey":  func() { _ = DentryKey(ino) },
+		"DataKey":    func() { _ = DataKey(ino, math.MaxInt64) },
+		"JournalKey": func() { _ = JournalKey(ino, ^uint64(0)) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n > 1 {
+			t.Errorf("%s makes %v allocations, want 1 (its string)", name, n)
+		}
 	}
 }
 

@@ -24,11 +24,15 @@ type VirtEnv struct {
 	now     time.Duration
 	cur     *vGoroutine   // holds the baton; nil when nothing runs
 	runq    []*vGoroutine // runnable, waiting for the baton, in wake order
-	parked  int           // goroutines blocked in chan recv (not represented by events)
 	events  eventHeap
 	seq     int64
 	stopped bool
-	chans   []*virtChan // registry so Shutdown can wake every parked receiver
+	// Receivers blocked in chan recv, in park order: the registry Shutdown
+	// wakes. A channel nobody waits on is not in it, so it holds at most one
+	// entry per tracked goroutine, however many channels the run makes.
+	parked      int
+	firstParked *vWaiter
+	lastParked  *vWaiter
 }
 
 // vGoroutine is one tracked goroutine. It blocks on wake whenever it does not
@@ -163,8 +167,8 @@ func (e *VirtEnv) Shutdown() {
 			e.fireLocked(ev)
 		}
 	}
-	for _, c := range e.chans {
-		c.wakeAllLocked(false)
+	for e.firstParked != nil {
+		e.wakeLocked(e.firstParked, nil, false)
 	}
 }
 
@@ -233,9 +237,7 @@ func (e *VirtEnv) fireLocked(ev *event) {
 		e.readyLocked(ev.g)
 	case ev.w != nil:
 		if !ev.w.done {
-			ev.w.done = true
-			e.parked--
-			e.readyLocked(ev.w.g)
+			e.wakeLocked(ev.w, nil, false)
 		}
 	default:
 		e.startLocked(ev.fn)
@@ -275,12 +277,37 @@ func (e *VirtEnv) advanceLocked() bool {
 	return true
 }
 
-func (e *VirtEnv) newChanCore() chanCore {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c := &virtChan{env: e}
-	e.chans = append(e.chans, c)
-	return c
+func (e *VirtEnv) newChanCore() chanCore { return &virtChan{env: e} }
+
+// parkLocked registers w, whose goroutine is about to block in a receive.
+func (e *VirtEnv) parkLocked(w *vWaiter) {
+	w.prev = e.lastParked
+	if w.prev != nil {
+		w.prev.next = w
+	} else {
+		e.firstParked = w
+	}
+	e.lastParked = w
+	e.parked++
+}
+
+// wakeLocked ends w's wait with (v, ok): it leaves the registry and its
+// goroutine becomes runnable.
+func (e *VirtEnv) wakeLocked(w *vWaiter, v any, ok bool) {
+	w.done, w.v, w.ok = true, v, ok
+	if w.prev != nil {
+		w.prev.next = w.next
+	} else {
+		e.firstParked = w.next
+	}
+	if w.next != nil {
+		w.next.prev = w.prev
+	} else {
+		e.lastParked = w.prev
+	}
+	w.prev, w.next = nil, nil
+	e.parked--
+	e.readyLocked(w.g)
 }
 
 // virtChan shares the env lock so that park/wake and clock advancement are
@@ -293,10 +320,11 @@ type virtChan struct {
 }
 
 type vWaiter struct {
-	g    *vGoroutine
-	v    any
-	ok   bool
-	done bool
+	g          *vGoroutine
+	v          any
+	ok         bool
+	done       bool
+	prev, next *vWaiter // neighbours in the env's registry while parked
 }
 
 func (c *virtChan) send(v any) bool {
@@ -312,9 +340,7 @@ func (c *virtChan) send(v any) bool {
 		if w.done {
 			continue
 		}
-		w.done, w.v, w.ok = true, v, true
-		e.parked--
-		e.readyLocked(w.g)
+		e.wakeLocked(w, v, true)
 		return true
 	}
 	c.queue = append(c.queue, v)
@@ -349,7 +375,7 @@ func (c *virtChan) recvDeadline(d time.Duration) (any, bool) {
 	}
 	w := &vWaiter{g: e.cur}
 	c.waiters = append(c.waiters, w)
-	e.parked++
+	e.parkLocked(w)
 	if d >= 0 {
 		e.pushLocked(&event{at: e.now + d, w: w, onShutdown: true})
 	}
@@ -373,18 +399,10 @@ func (c *virtChan) close() {
 		return
 	}
 	c.closed = true
-	c.wakeAllLocked(false)
-}
-
-// wakeAllLocked releases every parked receiver with the given ok value.
-func (c *virtChan) wakeAllLocked(ok bool) {
 	for _, w := range c.waiters {
-		if w.done {
-			continue
+		if !w.done {
+			e.wakeLocked(w, nil, false)
 		}
-		w.done, w.ok = true, ok
-		c.env.parked--
-		c.env.readyLocked(w.g)
 	}
 	c.waiters = nil
 }

@@ -184,6 +184,72 @@ func TestVirtShutdownStopsBackgroundLoops(t *testing.T) {
 	}
 }
 
+func TestVirtShutdownWakesParkedReceivers(t *testing.T) {
+	// Receivers still parked when the simulation ends, with and without a
+	// deadline, are released by Shutdown as closed, not timed out.
+	type outcome struct{ ok, timedOut bool }
+	got := make(chan outcome, 2)
+	env := NewVirtEnv()
+	env.Run(func() {
+		a, b := NewChan[int](env), NewChan[int](env)
+		env.Go(func() {
+			_, ok := a.Recv()
+			got <- outcome{ok, false}
+		})
+		env.Go(func() {
+			_, ok, timedOut := b.RecvTimeout(time.Hour)
+			got <- outcome{ok, timedOut}
+		})
+		env.Sleep(time.Millisecond)
+	})
+	for i := 0; i < 2; i++ {
+		select {
+		case o := <-got:
+			if o.ok || o.timedOut {
+				t.Errorf("receiver released with ok=%v timedOut=%v, want closed", o.ok, o.timedOut)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Shutdown left a receiver parked")
+		}
+	}
+}
+
+func TestVirtRegistryHoldsOnlyParkedReceivers(t *testing.T) {
+	// Shutdown needs only the receivers that are parked, so a run that makes
+	// 10^5 channels and uses each once leaves the registry no larger than
+	// its tracked goroutines: here the four still parked.
+	const parkedForGood = 4
+	env := NewVirtEnv()
+	var registered, counted int
+	env.Run(func() {
+		for i := 0; i < parkedForGood; i++ {
+			ch := NewChan[int](env)
+			env.Go(func() { ch.Recv() })
+		}
+		for i := 0; i < 100000; i++ {
+			ch := NewChan[int](env)
+			if i%2 == 0 { // the receiver parks, then a sender wakes it
+				env.Go(func() { ch.Send(i) })
+			} else {
+				ch.Send(i)
+			}
+			if v, ok := ch.Recv(); !ok || v != i {
+				t.Fatalf("recv %d = %d, %v", i, v, ok)
+			}
+		}
+		env.mu.Lock()
+		registered = env.parked
+		for w := env.firstParked; w != nil; w = w.next {
+			counted++
+		}
+		env.mu.Unlock()
+	})
+	if registered != parkedForGood || counted != parkedForGood {
+		t.Fatalf("registry holds %d (counted %d) waiters, want the %d parked receivers",
+			registered, counted, parkedForGood)
+	}
+}
+
 func TestVirtDeterministicOrdering(t *testing.T) {
 	// Two runs of the same event program produce identical completion times.
 	run := func() []time.Duration {
