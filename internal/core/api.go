@@ -325,7 +325,7 @@ func (c *Client) setAttr(ctx context.Context, path string, patch AttrPatch) (*ty
 	// holds the authoritative inode copy of every child, directories
 	// included. Only the root, which has no parent entry, is handled by its
 	// own leader (name "").
-	node, err := c.setAttrIno(ctx, res.parent, res.name, patch, false)
+	node, err := c.setAttrIno(ctx, res.parent, res.name, patch, types.Ino{})
 	if err != nil {
 		return nil, err
 	}
@@ -345,9 +345,10 @@ func (c *Client) setAttr(ctx context.Context, path string, patch AttrPatch) (*ty
 	return node, nil
 }
 
-// setAttrIno routes a SetAttrReq for (dir, name) to its leader.
-func (c *Client) setAttrIno(ctx context.Context, dir types.Ino, name string, patch AttrPatch, implicit bool) (*types.Inode, error) {
-	req := SetAttrReq{Dir: dir, Name: name, Cred: c.opts.Cred, Patch: patch, Implicit: implicit}
+// setAttrIno routes a SetAttrReq for (dir, name) to its leader; a write-back's
+// names the inode it belongs to (SetAttrReq.Ino).
+func (c *Client) setAttrIno(ctx context.Context, dir types.Ino, name string, patch AttrPatch, wroteIno types.Ino) (*types.Inode, error) {
+	req := SetAttrReq{Dir: dir, Name: name, Cred: c.opts.Cred, Patch: patch, Ino: wroteIno}
 	ld, resp, err := forward[SetAttrResp](ctx, c, obs.SpanFrom(ctx), dir, req)
 	if ld != nil {
 		return c.localSetAttr(ctx, ld, dir, req)

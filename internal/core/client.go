@@ -217,9 +217,8 @@ type ledDir struct {
 	// verification at load: it is served read-only from the last valid
 	// state until the scrubber repairs the underlying objects.
 	degraded bool
-	// dataLeases tracks per-child-file read/write leases issued by this
-	// leader (paper §III-D).
-	dataLeases map[types.Ino]*dataLease
+	// leases is this leader's side of its files' data leases (paper §III-D).
+	leases leaseTable
 	// durableEpoch is the metatable epoch covered by the last successful
 	// durability barrier (guarded by c.mu). An fsync that finds the table
 	// epoch unchanged has nothing new to make durable and skips the journal
@@ -236,14 +235,6 @@ func (ld *ledDir) writable() error {
 		return fmt.Errorf("core: directory degraded by detected corruption, serving read-only: %w", types.ErrReadOnly)
 	}
 	return nil
-}
-
-// dataLease is the lease state of one child file.
-type dataLease struct {
-	readers map[rpc.Addr]bool
-	grants  map[rpc.Addr]uint64 // the number of each remote reader's latest grant; none for a create's
-	writer  rpc.Addr
-	direct  bool // conflict detected: everyone does direct I/O
 }
 
 // permEntry is one permission-cache record: a remote directory's resolved
@@ -909,12 +900,12 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		return nil, fmt.Errorf("core: access %s: %w", dir.Short(), err)
 	}
 	return &ledDir{
-		opMu:       sim.NewMutex(c.env),
-		table:      tbl,
-		leaseID:    grant.LeaseID,
-		expiry:     grant.Expiry,
-		degraded:   degraded,
-		dataLeases: make(map[types.Ino]*dataLease),
+		opMu:     sim.NewMutex(c.env),
+		table:    tbl,
+		leaseID:  grant.LeaseID,
+		expiry:   grant.Expiry,
+		degraded: degraded,
+		leases:   make(leaseTable),
 	}, nil
 }
 

@@ -21,13 +21,11 @@ func leaseOf(t *testing.T, leader *Client, dir, ino types.Ino) (holders []rpc.Ad
 	}
 	ld.opMu.Lock()
 	defer ld.opMu.Unlock()
-	if dl := ld.dataLeases[ino]; dl != nil {
-		for h := range dl.readers {
-			holders = append(holders, h)
-		}
-		writer = dl.writer
+	fl := ld.leases[ino]
+	for h := range fl.holders {
+		holders = append(holders, h)
 	}
-	return holders, writer, len(ld.dataLeases)
+	return holders, fl.writer, len(ld.leases)
 }
 
 func statIno(t *testing.T, c *Client, path string) types.Ino {

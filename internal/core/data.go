@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,7 +29,7 @@ type File struct {
 
 // openFile is the one record a client keeps per inode it has open, in
 // Client.open. It owns the client's side of the inode's data lease (paper
-// §III-D; the leader's side is grantLease), the one size this client
+// §III-D; the leader's side is leaseTable), the one size this client
 // believes, and the close-time write-back. The invariant it keeps: while this
 // client has a live handle or dirty cached bytes for the inode, it is in the
 // leader's holder set and no release invalidates its cache.
@@ -165,8 +165,8 @@ func (c *Client) Create(ctx context.Context, path string, mode types.Mode) (*Fil
 // as it stands, cache and lease included, and that release stands down when
 // it sees the reference: Open never waits for a write-back PUT. It waits only
 // for a lease return already decided, and only for that one message, so that
-// its OpenReq cannot overtake the CloseFileReq and have the leader drop a
-// holder that has a live handle.
+// its walk cannot overtake the CloseFileReq and have the leader drop a holder
+// that has a live handle.
 func (c *Client) ref(parent, ino types.Ino) *openFile {
 	c.mu.Lock()
 	for {
@@ -304,8 +304,7 @@ func (c *Client) awaitReturns() {
 }
 
 // dataGrant is one listing of this client for a file's data lease, as the
-// message that asked for it reports it: an OpenResp, or the WalkResp of a walk
-// that carried the open.
+// WalkResp of the walk that carried the open reports it.
 type dataGrant struct {
 	via    types.Ino // the directory whose route the message took: its leader listed, this client if it has none
 	seq    uint64    // that leader's number for the listing
@@ -313,17 +312,17 @@ type dataGrant struct {
 }
 
 // adopt makes of the owner of grant g: whatever becomes of the Open that got
-// it, the record's release gives it back. For a walk's grant it also reports
-// whether g still says what its leader holds (after an OpenReq or a create
-// there is nothing to ask: the record was there before the request left, so a
-// recall found it and no return could be decided). A walk learns its inode
-// from the answer. A recall that overtook the answer found no record to flip
-// (recalls is the caller's reading of Client.recalls from before the walk),
-// and a return decided meanwhile may reach the leader after the grant, or
-// have taken a newer grant with it: the leader drops a return older than the
-// listing it holds, and a grant no newer than one already given back to its
-// leader is not believed here. The caller then asks with an OpenReq, which is
-// behind all of that.
+// it, the record's release gives it back. For the grant of the walk that found
+// the file it also reports whether g still says what its leader holds (after
+// attach's walk or a create there is nothing to ask: the record was there
+// before the request left, so a recall found it and no return could be
+// decided). That walk learns its inode from the answer. A recall that
+// overtook the answer found no record to flip (recalls is the caller's reading
+// of Client.recalls from before the walk), and a return decided meanwhile may
+// reach the leader after the grant, or have taken a newer grant with it: the
+// leader drops a return older than the listing it holds, and a grant no newer
+// than one already given back to its leader is not believed here. The caller
+// then asks again (attach), behind all of that.
 func (c *Client) adopt(of *openFile, g dataGrant, recalls uint64) (current bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -368,7 +367,7 @@ func (f *File) attach(ctx context.Context, node *types.Inode, walked *dataGrant)
 	of.mu.Unlock()
 	if f.flags.Has(types.OTrunc) && f.flags.WantsWrite() && size > 0 {
 		// O_TRUNC goes through the parent's leader, like truncate(2).
-		res, err := f.c.setAttrIno(context.Background(), f.parent, f.name, AttrPatch{SetSize: true, Size: 0}, false)
+		res, err := f.c.setAttrIno(context.Background(), f.parent, f.name, AttrPatch{SetSize: true, Size: 0}, types.Ino{})
 		if err != nil {
 			return err
 		}
@@ -383,21 +382,31 @@ func (f *File) attach(ctx context.Context, node *types.Inode, walked *dataGrant)
 	return nil
 }
 
-// openDataLease registers a read lease at the parent's leader and returns
-// the grant (whether the file is in direct-I/O mode) plus its current size.
+// openDataLease registers a read lease for node at the parent's leader and
+// returns the grant plus the file's current size. A remote leader is sent a
+// one-name walk that carries the open: an answer without a grant fails it
+// with the walk's error, or ENOENT if name now leads to another inode.
 func (c *Client) openDataLease(ctx context.Context, parent types.Ino, name string, node *types.Inode, write bool) (dataGrant, int64, error) {
 	ld, ok := c.ledDirFor(parent)
 	if !ok {
-		var resp OpenResp
+		var resp WalkResp
 		var err error
-		req := OpenReq{Dir: parent, Name: name, Cred: c.opts.Cred, Client: c.addr, Write: write}
-		if ld, resp, err = forward[OpenResp](ctx, c, nil, parent, req); err != nil {
+		req := WalkReq{Dir: parent, Names: []string{name}, Cred: c.opts.Cred, Holder: c.addr, Write: write}
+		if ld, resp, err = forward[WalkResp](ctx, c, nil, parent, req); err != nil {
 			return dataGrant{}, 0, err
 		}
 		if ld == nil {
-			fresh, err := wire.DecodeInode(resp.Inode)
-			if err != nil {
+			var fresh *types.Inode
+			if len(resp.Inodes) == 1 {
+				fresh, err = wire.DecodeInode(resp.Inodes[0])
+			}
+			switch {
+			case err != nil:
 				return dataGrant{}, 0, err
+			case fresh == nil || fresh.Ino != node.Ino:
+				return dataGrant{}, 0, fmt.Errorf("core: open %q: %w", name, types.ErrNotExist)
+			case !resp.Leased: // the leader's access check refused it
+				return dataGrant{}, 0, fmt.Errorf("core: open %q: %w", name, types.ErrAccess)
 			}
 			return dataGrant{via: parent, seq: resp.Grant, direct: resp.Direct}, fresh.Size, nil
 		}
@@ -570,7 +579,7 @@ func (f *File) publish(ctx context.Context) error {
 		return nil
 	}
 	patch := AttrPatch{SetSize: true, Size: size, SetTimes: true, Mtime: f.c.env.Now()}
-	_, err := f.c.setAttrIno(ctx, f.parent, f.name, patch, true)
+	_, err := f.c.setAttrIno(ctx, f.parent, f.name, patch, of.ino)
 	of.mu.Lock()
 	if err == nil && of.ver == ver {
 		of.wrote = false // nothing was written meanwhile
@@ -626,49 +635,16 @@ func (c *Client) DropAllCaches() { c.data.Clear() }
 
 // --- leader-side data lease service ------------------------------------------
 
-// grantLease lists client as a holder of ino's data lease and, with write,
-// tries to make it the exclusive writer; it reports whether the file is in
-// direct mode. The paper's conflict rule (§III-D): a reader that finds another
-// client holding the write lease, or a writer that finds any other holder,
-// has those caches recalled (flush broadcast) first, and the file stays in
-// direct mode until every holder has left. An open's grant to another client
-// (not a write upgrade, and not this client's own, which no message carries)
-// gets seq, a number no earlier grant of this leader has: a return names the
-// highest its client knows, and one that a newer listing has overtaken on the
-// way is ignored (releaseData). Listing stays idempotent: a request served
-// twice leaves one entry, under the later number.
+// grantLease is leaseTable.grant under ld's opMu, followed by the recalls it
+// asks for, one round trip each. An open's grant to another client (not a
+// write upgrade, and not this client's own, which no message carries) gets
+// seq, a number no earlier grant of this leader has.
 func (c *Client) grantLease(ld *ledDir, ino types.Ino, client rpc.Addr, write bool) (direct bool, seq uint64) {
 	ld.opMu.Lock()
-	dl := ld.dataLeases[ino]
-	if dl == nil {
-		dl = &dataLease{readers: make(map[rpc.Addr]bool)}
-		ld.dataLeases[ino] = dl
-	}
-	dl.readers[client] = true
 	if !write && client != c.addr {
-		if dl.grants == nil {
-			dl.grants = make(map[rpc.Addr]uint64)
-		}
 		seq = c.grantSeq.Add(1)
-		dl.grants[client] = seq
 	}
-	var recall []rpc.Addr
-	switch {
-	case dl.direct:
-	case write && len(dl.readers) == 1:
-		dl.writer = client
-	case write:
-		for h := range dl.readers {
-			recall = append(recall, h)
-		}
-		slices.Sort(recall) // one recall per round trip, in a replayable order
-	case dl.writer != "" && dl.writer != client:
-		recall = append(recall, dl.writer)
-	}
-	if recall != nil {
-		dl.direct, dl.writer = true, ""
-	}
-	direct = dl.direct
+	direct, recall := ld.leases.grant(ino, client, write, seq)
 	ld.opMu.Unlock()
 	for _, h := range recall {
 		if h == c.addr {
@@ -680,52 +656,11 @@ func (c *Client) grantLease(ld *ledDir, ino types.Ino, client rpc.Addr, write bo
 	return direct, seq
 }
 
-// releaseData drops client's lease on ino, unless the client has been listed
-// again since it knew of grant: that listing's owner returns it. When the last
-// holder leaves, the direct flag clears so future opens may cache again.
+// releaseData is leaseTable.release under ld's opMu.
 func (c *Client) releaseData(ld *ledDir, ino types.Ino, client rpc.Addr, grant uint64) {
 	ld.opMu.Lock()
-	defer ld.opMu.Unlock()
-	dl := ld.dataLeases[ino]
-	if dl == nil || dl.grants[client] > grant {
-		return
-	}
-	delete(dl.readers, client)
-	delete(dl.grants, client)
-	if dl.writer == client {
-		dl.writer = ""
-	}
-	if len(dl.readers) == 0 {
-		delete(ld.dataLeases, ino)
-	}
-}
-
-func (c *Client) serveOpen(ld *ledDir, r OpenReq) OpenResp {
-	node, err := c.localStat(ld, StatReq{Dir: r.Dir, Name: r.Name, Cred: r.Cred})
-	if err != nil {
-		return OpenResp{Err: errString(err)}
-	}
-	node, direct, grant, err := c.openAt(ld, node, r.Cred, r.Client, r.Write)
-	if err != nil {
-		return OpenResp{Err: errString(err)}
-	}
-	return OpenResp{Inode: wire.EncodeInode(node), Direct: direct, Grant: grant}
-}
-
-// openAt is the leader's half of an open of node, a child of ld, whichever
-// message brought it (OpenReq, or a walk that ends at node): the access check
-// on the requester's credentials, the grant, and the inode as the table has it
-// once the grant, which may have recalled a writer, is made.
-func (c *Client) openAt(ld *ledDir, node *types.Inode, cred types.Cred, holder rpc.Addr, write bool) (fresh *types.Inode, direct bool, grant uint64, err error) {
-	want := uint8(types.MayRead)
-	if write {
-		want = types.MayWrite
-	}
-	if err := node.Access(cred, want); err != nil {
-		return nil, false, 0, err
-	}
-	direct, grant = c.grantLease(ld, node.Ino, holder, false)
-	return ld.child(node), direct, grant, nil
+	ld.leases.release(ino, client, grant)
+	ld.opMu.Unlock()
 }
 
 // child is node as ld's table has it now; node itself if the table has lost it.

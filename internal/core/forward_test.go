@@ -59,7 +59,7 @@ func BenchmarkForwardedStat(b *testing.B) {
 // admission gate charges on the open path.
 func admittedCalls(reg *obs.Registry) int64 {
 	calls := leaderCalls(reg)
-	return calls["Stat"] + calls["Walk"] + calls["Open"]
+	return calls["Walk"]
 }
 
 // TestForwardedOpenHonorsPushback: a leader whose admission gate refuses the
@@ -197,13 +197,11 @@ func TestMessageTable(t *testing.T) {
 	requests := map[string]row{
 		"WalkReq":          {"serve.walk", "Dir", qos.CostCheap, false, true},
 		"UnlinkReq":        {"serve.unlink", "Dir", qos.CostNormal, false, true},
-		"StatReq":          {"serve.stat", "Dir", qos.CostCheap, false, false},
 		"SetAttrReq":       {"serve.setattr", "Dir", qos.CostNormal, false, true},
 		"ReaddirReq":       {"serve.readdir", "Dir", qos.CostExpensive, false, true},
 		"RenameReq":        {"serve.rename", "SrcDir", qos.CostExpensive, false, true},
 		"PrepareRenameReq": {"serve.rename.prepare", "DstDir", qos.CostExpensive, false, false},
 		"DecideRenameReq":  {"serve.rename.decide", "DstDir", qos.CostNormal, true, false},
-		"OpenReq":          {"serve.open", "Dir", qos.CostNormal, false, false},
 		"WriteLeaseReq":    {"serve.writelease", "Dir", qos.CostNormal, false, false},
 		"CloseFileReq":     {"serve.close", "Dir", qos.CostNormal, true, false},
 		"FlushCacheReq":    {"serve.flushcache", "", qos.CostNormal, true, false},
@@ -275,7 +273,7 @@ func TestMessageTable(t *testing.T) {
 	}
 	// A request for a directory this client does not lead is ESTALE, before
 	// any handler runs.
-	if resp, ok := c.serve(ctx, StatReq{Dir: types.Ino{0xee}}).(ErrResp); !ok || resp.Err != "ESTALE" {
+	if resp, ok := c.serve(ctx, WalkReq{Dir: types.Ino{0xee}}).(ErrResp); !ok || resp.Err != "ESTALE" {
 		t.Errorf("request for an unled directory answered %+v, want ErrResp ESTALE", resp)
 	}
 }

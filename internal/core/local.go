@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"arkfs/internal/rpc"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
 )
@@ -58,8 +57,7 @@ func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, nam
 	if existing, err := ld.table.Peek(name); err == nil {
 		if existing.Ino == req.NewIno {
 			// This very create, sent again after its answer was lost.
-			dl := ld.dataLeases[existing.Ino]
-			return existing, dl != nil && dl.readers[req.Holder], nil
+			return existing, ld.leases.holds(existing.Ino, req.Holder), nil
 		}
 		if req.Exclusive {
 			return nil, false, fmt.Errorf("core: create %q: %w", name, types.ErrExist)
@@ -93,12 +91,7 @@ func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, nam
 	dirNode.Mtime, dirNode.Ctime = now, now
 	ld.table.SetDirInode(dirNode)
 	if req.Holder != "" {
-		// The one row of grantLease's table a new inode can hit: no other holder.
-		dl := &dataLease{readers: map[rpc.Addr]bool{req.Holder: true}}
-		if req.Write {
-			dl.writer = req.Holder
-		}
-		ld.dataLeases[child.Ino] = dl
+		ld.leases.made(child.Ino, req.Holder, req.Write)
 	}
 
 	if req.Type == types.TypeDir {
@@ -154,12 +147,7 @@ func (c *Client) localUnlink(ctx context.Context, ld *ledDir, dir types.Ino, req
 	now := c.env.Now()
 	dirNode.Mtime, dirNode.Ctime = now, now
 	ld.table.SetDirInode(dirNode)
-	// What the victim's writer still caches (a close-time write-back may be
-	// in flight) goes to the store first: a PUT that landed after the
-	// checkpoint's delete would leak the object.
-	c.recallWriter(ctx, ld, victim.Ino)
-	c.data.Invalidate(victim.Ino)
-	delete(ld.dataLeases, victim.Ino)
+	c.retire(ctx, ld, victim.Ino)
 	c.jrnl.Log(ctx, dir, []wire.Op{
 		{Kind: wire.OpDelDentry, Name: req.Name},
 		{Kind: wire.OpDelInode, Ino: victim.Ino, Size: victim.Size, FType: victim.Type},
@@ -168,24 +156,20 @@ func (c *Client) localUnlink(ctx context.Context, ld *ledDir, dir types.Ino, req
 	return nil
 }
 
-// localStat returns the inode of name within a led directory (or the
-// directory's own inode when name is empty), read-only.
-func (c *Client) localStat(ld *ledDir, req StatReq) (*types.Inode, error) {
-	ld.opMu.Lock()
-	defer ld.opMu.Unlock()
-	c.chargeMetaOp()
-	c.stats.LocalMetaOps.Add(1)
-	if req.Name == "" {
-		return ld.table.Dir(), nil
-	}
-	if err := ld.table.Dir().Access(req.Cred, types.MayExec); err != nil {
-		return nil, err
-	}
-	return ld.table.Peek(req.Name)
+// retire ends the data lease of ino, whose last name is going (an unlink, or
+// a rename over it). What its writer still caches (a close-time write-back
+// may be in flight) goes to the store first: a PUT that landed after the
+// checkpoint's delete would leak the object.
+func (c *Client) retire(ctx context.Context, ld *ledDir, ino types.Ino) {
+	c.recallWriter(ctx, ld, ino)
+	c.data.Invalidate(ino)
+	ld.leases.drop(ino)
 }
 
 // localSetAttr applies an attribute patch to name (or the directory itself)
-// in a led directory, enforcing POSIX ownership rules.
+// in a led directory, enforcing POSIX ownership rules. A patch a handle's
+// write-back sends (req.Ino) goes to that inode or nowhere: the name may lead
+// to another file by now.
 func (c *Client) localSetAttr(ctx context.Context, ld *ledDir, dir types.Ino, req SetAttrReq) (*types.Inode, error) {
 	ld.opMu.Lock()
 	defer ld.opMu.Unlock()
@@ -195,16 +179,23 @@ func (c *Client) localSetAttr(ctx context.Context, ld *ledDir, dir types.Ino, re
 		return nil, err
 	}
 	var node *types.Inode
-	if req.Name == "" {
+	switch {
+	case !req.Ino.IsNil():
+		cur, ok := ld.table.Child(req.Ino)
+		if !ok {
+			return nil, fmt.Errorf("core: setattr %q: %w", req.Name, types.ErrNotExist)
+		}
+		node = cur.Clone()
+	case req.Name == "":
 		node = ld.table.DirInode()
-	} else {
+	default:
 		var err error
 		if _, node, err = ld.table.Lookup(req.Name); err != nil {
 			return nil, err
 		}
 	}
 	cred, p := req.Cred, req.Patch
-	if !req.Implicit {
+	if req.Ino.IsNil() {
 		isOwner := cred.Uid == 0 || cred.Uid == node.Uid
 		if (p.SetMode || p.SetTimes || p.SetACL) && !isOwner {
 			return nil, fmt.Errorf("core: setattr: %w", types.ErrPerm)
@@ -273,19 +264,15 @@ func (c *Client) localSetAttr(ctx context.Context, ld *ledDir, dir types.Ino, re
 // Callers may hold ld.opMu (it is env-aware); the remote flush handler never
 // takes another client's opMu, so there is no lock cycle.
 func (c *Client) recallWriter(ctx context.Context, ld *ledDir, ino types.Ino) {
-	dl := ld.dataLeases[ino]
-	if dl == nil || dl.writer == "" {
-		return
-	}
-	writer := dl.writer
-	dl.writer = ""
-	if writer == c.addr {
+	switch writer := ld.leases.takeWriter(ino); writer {
+	case "":
+	case c.addr:
 		// On failure the cache keeps the entries dirty; record the error so
 		// FlushAll/Close report it instead of silently losing the recall.
 		c.recordWBErr(c.data.Flush(ino))
-		return
+	default:
+		_, _ = c.net.CallFromCtx(ctx, c.addr, writer, FlushCacheReq{Ino: ino})
 	}
-	_, _ = c.net.CallFromCtx(ctx, c.addr, writer, FlushCacheReq{Ino: ino})
 }
 
 // localReaddir lists a led directory.
@@ -337,6 +324,7 @@ func (c *Client) localRenameSameDir(ctx context.Context, ld *ledDir, dir types.I
 		if _, err := ld.table.Remove(dstName); err != nil {
 			return err
 		}
+		c.retire(ctx, ld, existing.Ino)
 		ops = append(ops,
 			wire.Op{Kind: wire.OpDelDentry, Name: dstName},
 			wire.Op{Kind: wire.OpDelInode, Ino: existing.Ino, Size: existing.Size})

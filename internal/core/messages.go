@@ -25,7 +25,8 @@ import (
 // WalkReq resolves Names[0] inside Dir, which the receiver leads, and then
 // each following name inside the directory the one before it named, for as
 // long as the receiver leads that directory too: one message per leader on a
-// path, not one per component.
+// path, not one per component. With no Names it resolves nothing and is how
+// a client fetches a directory's own inode (WantDirInode).
 type WalkReq struct {
 	Dir   types.Ino
 	Names []string
@@ -35,8 +36,8 @@ type WalkReq struct {
 	WantDirInode bool
 	// Holder (set by Open) makes the walk the open as well: if the last of
 	// Names is a regular file in a directory the receiver leads and Cred may
-	// open it (for writing, with Write), Holder is listed for its data lease as
-	// an OpenReq would list it (§III-D).
+	// open it (for writing, with Write), Holder is listed for its data lease
+	// (§III-D).
 	Holder rpc.Addr
 	Write  bool
 	// Create (set by Open with O_CREAT, Mkdir and Symlink) makes the walk the
@@ -54,9 +55,10 @@ type WalkResp struct {
 	DirInode []byte   // wire-encoded inode of Dir (if requested)
 	Inodes   [][]byte // wire-encoded inode per resolved name
 	// Leased: Holder is listed for the last inode, which is as the table has it
-	// after the grant; Direct and Grant are what an OpenResp would say. If the
-	// last inode is Create.NewIno the walk made it, and Leased says that the
-	// create listed Create.Holder, with no number.
+	// after the grant. Direct says the file is in direct mode (no caching), and
+	// Grant numbers the listing; the leader's numbers only grow. If the last
+	// inode is Create.NewIno the walk made it, and Leased says that the create
+	// listed Create.Holder, with no number.
 	Leased bool
 	Direct bool
 	Grant  uint64
@@ -89,30 +91,17 @@ type UnlinkResp struct {
 	Err string
 }
 
-// StatReq fetches the inode of a named entry (or of the directory itself
-// when Name is empty).
-type StatReq struct {
-	Dir  types.Ino
-	Name string
-	Cred types.Cred
-}
-
-// StatResp answers StatReq.
-type StatResp struct {
-	Err   string
-	Inode []byte
-}
-
 // SetAttrReq updates child inode attributes in a led directory.
 type SetAttrReq struct {
 	Dir   types.Ino
 	Name  string // empty: the directory itself
 	Cred  types.Cred
 	Patch AttrPatch
-	// Implicit marks size/mtime updates generated by write-back (fsync of
-	// written data): ownership checks do not apply, exactly as write(2)
-	// updates mtime without owning the file.
-	Implicit bool
+	// Ino marks a size/mtime update generated by write-back (fsync or close of
+	// written data) and names the inode it belongs to: ownership checks do not
+	// apply, exactly as write(2) updates mtime without owning the file, and
+	// the patch applies to that child only, wherever Name now leads.
+	Ino types.Ino
 }
 
 // AttrPatch selects which attributes to change.
@@ -193,25 +182,6 @@ type DecideRenameResp struct {
 	Err string
 }
 
-// OpenReq opens a child file at its parent's leader: it returns the inode
-// and registers a data read lease for the caller (paper §III-D).
-type OpenReq struct {
-	Dir    types.Ino
-	Name   string
-	Cred   types.Cred
-	Client rpc.Addr
-	Write  bool // intent to write (permission check)
-}
-
-// OpenResp answers OpenReq.
-type OpenResp struct {
-	Err    string
-	Inode  []byte
-	Direct bool // caching disallowed; perform direct object I/O
-	// Grant numbers this listing of the caller; the leader's numbers only grow.
-	Grant uint64
-}
-
 // WriteLeaseReq upgrades the caller's read lease to an exclusive write lease.
 type WriteLeaseReq struct {
 	Dir    types.Ino
@@ -267,13 +237,22 @@ type ErrResp struct {
 // forwarded message joins this list, describe (requests) or the errno
 // methods (responses), and dispatch; TestMessageTable fails if it skips one.
 var wireMessages = []any{
-	WalkReq{}, WalkResp{}, UnlinkReq{}, UnlinkResp{}, StatReq{}, StatResp{},
+	WalkReq{}, WalkResp{}, UnlinkReq{}, UnlinkResp{},
 	SetAttrReq{}, SetAttrResp{}, ReaddirReq{}, ReaddirResp{},
 	RenameReq{}, RenameResp{}, PrepareRenameReq{}, PrepareRenameResp{},
-	DecideRenameReq{}, DecideRenameResp{}, OpenReq{}, OpenResp{},
+	DecideRenameReq{}, DecideRenameResp{},
 	WriteLeaseReq{}, WriteLeaseResp{}, CloseFileReq{}, CloseFileResp{},
 	FlushCacheReq{}, FlushCacheResp{}, ErrResp{},
 }
+
+// StatReq and StatResp are no messages of the protocol, which fetches a
+// directory's own inode with a zero-name WalkReq: they name two small
+// registered types for bench/probes.go, which times a bare round trip of the
+// fabric, in process and over TCP, with them.
+type (
+	StatReq  = UnlinkReq
+	StatResp = UnlinkResp
+)
 
 func init() {
 	for _, m := range wireMessages {
@@ -298,8 +277,7 @@ type msgInfo struct {
 	// into stuck transactions.
 	exempt bool
 	// namespace marks the operations core.meta.remote counts when forwarded;
-	// the directory-inode fetch of path resolution and the data-lease
-	// traffic are not in it.
+	// the data-lease traffic and the 2PC legs are not in it.
 	namespace bool
 }
 
@@ -310,7 +288,7 @@ func describe(req any) (m msgInfo, ok bool) {
 	case WalkReq:
 		m := msgInfo{span: "serve.walk", dir: r.Dir, cost: qos.CostCheap, namespace: true}
 		if r.Holder != "" {
-			m.cost = qos.CostNormal // it may do an OpenReq's work
+			m.cost = qos.CostNormal // it may grant a data lease
 		}
 		if r.Create != nil {
 			m.span, m.cost = "serve.create", qos.CostNormal // it may make the file
@@ -318,8 +296,6 @@ func describe(req any) (m msgInfo, ok bool) {
 		return m, true
 	case UnlinkReq:
 		return msgInfo{span: "serve.unlink", dir: r.Dir, cost: qos.CostNormal, namespace: true}, true
-	case StatReq:
-		return msgInfo{span: "serve.stat", dir: r.Dir, cost: qos.CostCheap}, true
 	case SetAttrReq:
 		return msgInfo{span: "serve.setattr", dir: r.Dir, cost: qos.CostNormal, namespace: true}, true
 	case ReaddirReq:
@@ -330,8 +306,6 @@ func describe(req any) (m msgInfo, ok bool) {
 		return msgInfo{span: "serve.rename.prepare", dir: r.DstDir, cost: qos.CostExpensive}, true
 	case DecideRenameReq:
 		return msgInfo{span: "serve.rename.decide", dir: r.DstDir, cost: qos.CostNormal, exempt: true}, true
-	case OpenReq:
-		return msgInfo{span: "serve.open", dir: r.Dir, cost: qos.CostNormal}, true
 	case WriteLeaseReq:
 		return msgInfo{span: "serve.writelease", dir: r.Dir, cost: qos.CostNormal}, true
 	case CloseFileReq:
@@ -349,13 +323,11 @@ type response interface{ errno() string }
 
 func (r WalkResp) errno() string          { return r.Err }
 func (r UnlinkResp) errno() string        { return r.Err }
-func (r StatResp) errno() string          { return r.Err }
 func (r SetAttrResp) errno() string       { return r.Err }
 func (r ReaddirResp) errno() string       { return r.Err }
 func (r RenameResp) errno() string        { return r.Err }
 func (r PrepareRenameResp) errno() string { return r.Err }
 func (r DecideRenameResp) errno() string  { return r.Err }
-func (r OpenResp) errno() string          { return r.Err }
 func (r WriteLeaseResp) errno() string    { return r.Err }
 func (r CloseFileResp) errno() string     { return r.Err }
 func (r FlushCacheResp) errno() string    { return r.Err }

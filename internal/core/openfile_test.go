@@ -43,8 +43,7 @@ func holdsLease(t *testing.T, leader *Client, dir, ino types.Ino, client rpc.Add
 	}
 	ld.opMu.Lock()
 	defer ld.opMu.Unlock()
-	dl := ld.dataLeases[ino]
-	return dl != nil && dl.readers[client]
+	return ld.leases.holds(ino, client)
 }
 
 // leaderOf makes a client that leads path, a new directory.

@@ -189,16 +189,31 @@ func (c *Client) callParticipant(ctx context.Context, r RenameReq, leg any) erro
 }
 
 type pendingRename struct {
-	dir   types.Ino
-	name  string
-	child *types.Inode
-	coord types.Ino // coordinating directory, whose journal holds the decision
-	txid  uint64
-	at    time.Duration // when the prepare was accepted (env clock)
+	dir      types.Ino
+	name     string
+	child    *types.Inode
+	replaced *types.Inode // the entry name held before, if any
+	coord    types.Ino    // coordinating directory, whose journal holds the decision
+	txid     uint64
+	at       time.Duration // when the prepare was accepted (env clock)
+}
+
+// undo takes the tentative insert out of ld again and puts back the entry it
+// replaced.
+func (pr pendingRename) undo(ld *ledDir) {
+	ld.opMu.Lock()
+	defer ld.opMu.Unlock()
+	_, _ = ld.table.Remove(pr.name) // gone already if a decision came twice
+	if pr.replaced != nil {
+		_ = ld.table.Insert(pr.name, pr.replaced) // the name is free: this hold freed it
+	}
 }
 
 // prepareRenameLocal is the participant half of phase 1: validate, write the
-// prepare record, and tentatively insert the dentry.
+// prepare record, and tentatively insert the dentry. An entry it replaces is
+// treated as an unlink would treat it: its writer's cache goes to the store
+// before the prepare record logs its delete, and its data lease ends when the
+// rename commits.
 func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRenameReq) error {
 	child, err := wire.DecodeInode(r.Child)
 	if err != nil {
@@ -217,6 +232,10 @@ func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRe
 		ld.opMu.Unlock()
 		return err
 	}
+	pr := pendingRename{
+		dir: r.DstDir, name: r.DstName, child: child,
+		coord: r.CoordDir, txid: r.TxID,
+	}
 	var dstOps []wire.Op
 	if existing, lerr := ld.table.Peek(r.DstName); lerr == nil {
 		// Replace target (emptiness of directories was checked upstream).
@@ -231,6 +250,8 @@ func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRe
 			ld.opMu.Unlock()
 			return rerr
 		}
+		pr.replaced = existing
+		c.recallWriter(ctx, ld, existing.Ino)
 		dstOps = append(dstOps,
 			wire.Op{Kind: wire.OpDelDentry, Name: r.DstName},
 			wire.Op{Kind: wire.OpDelInode, Ino: existing.Ino, Size: existing.Size})
@@ -245,16 +266,11 @@ func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRe
 	ld.opMu.Unlock()
 
 	if err := c.jrnl.WritePrepare(ctx, r.DstDir, r.TxID, r.CoordDir, dstOps); err != nil {
-		// Roll the tentative insert back.
-		ld.opMu.Lock()
-		_, _ = ld.table.Remove(r.DstName)
-		ld.opMu.Unlock()
+		pr.undo(ld)
 		return err
 	}
-	c.pending2pc.Store(r.TxID, pendingRename{
-		dir: r.DstDir, name: r.DstName, child: child,
-		coord: r.CoordDir, txid: r.TxID, at: c.env.Now(),
-	})
+	pr.at = c.env.Now()
+	c.pending2pc.Store(r.TxID, pr)
 	return nil
 }
 
@@ -325,9 +341,12 @@ func (c *Client) decideRenameLocal(ctx context.Context, ld *ledDir, r DecideRena
 		return nil
 	}
 	pr := v.(pendingRename)
-	if !r.Commit {
+	switch {
+	case !r.Commit:
+		pr.undo(ld)
+	case pr.replaced != nil:
 		ld.opMu.Lock()
-		_, _ = ld.table.Remove(pr.name)
+		c.retire(ctx, ld, pr.replaced.Ino)
 		ld.opMu.Unlock()
 	}
 	if err := c.jrnl.ResolvePrepared(ctx, pr.dir, r.TxID, r.Commit); err != nil {

@@ -37,7 +37,7 @@ func (c *Client) resolvePath(ctx context.Context, path string, followLast bool) 
 // ride is what a call sends along with its walk, for the leader of the
 // directory of the path's last name to do there, and what the walk brings back
 // (DESIGN.md §5.7). An open lists the client for the data lease of a regular
-// file it may open, and grant is then what an OpenResp would have said. A
+// file it may open, and grant is then the listing the leader made. A
 // create makes the name if it is missing (lookupAt); Open's lists the client
 // for the new inode too, and made is the record Open took for it.
 type ride struct {
@@ -135,14 +135,14 @@ func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, erro
 			c.stats.PcacheHits.Add(1)
 			return node.Clone(), nil
 		}
-		// Acquire (become leader) or ask the remote leader.
-		var resp StatResp
+		// Acquire (become leader) or ask the remote leader: a walk of no names.
+		var resp WalkResp
 		var err error
-		if ld, resp, err = forward[StatResp](ctx, c, nil, dir, StatReq{Dir: dir, Cred: c.opts.Cred}); err != nil {
+		if ld, resp, err = forward[WalkResp](ctx, c, nil, dir, WalkReq{Dir: dir, Cred: c.opts.Cred, WantDirInode: true}); err != nil {
 			return nil, err
 		}
 		if ld == nil {
-			node, err := wire.DecodeInode(resp.Inode)
+			node, err := wire.DecodeInode(resp.DirInode)
 			if err != nil {
 				return nil, err
 			}
@@ -287,8 +287,8 @@ func (c *Client) callLeader(ctx context.Context, leader rpc.Addr, dir types.Ino,
 
 // --- permission cache -------------------------------------------------------
 
-// pcacheLookup answers name in dir from the permission cache; as in StatReq,
-// the empty name is dir itself. hit says an unexpired entry knows the name:
+// pcacheLookup answers name in dir from the permission cache; the empty name
+// is dir itself. hit says an unexpired entry knows the name:
 // node is then the cached inode (read-only), or nil beside the error to
 // report, which is the leader's ENOENT remembered or, in the root (no
 // parent's copy of its inode for walk to check), what its cached inode

@@ -77,8 +77,6 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 		return c.serveWalk(ctx, ld, r)
 	case UnlinkReq:
 		return UnlinkResp{Err: errString(c.localUnlink(ctx, ld, r.Dir, r))}
-	case StatReq:
-		return c.serveStat(ld, r)
 	case SetAttrReq:
 		return c.serveSetAttr(ctx, ld, r)
 	case ReaddirReq:
@@ -93,8 +91,6 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 		return PrepareRenameResp{Err: errString(c.prepareRenameLocal(ctx, ld, r))}
 	case DecideRenameReq:
 		return DecideRenameResp{Err: errString(c.decideRenameLocal(ctx, ld, r))}
-	case OpenReq:
-		return c.serveOpen(ld, r)
 	case WriteLeaseReq:
 		direct, _ := c.grantLease(ld, r.Ino, r.Client, true)
 		return WriteLeaseResp{Direct: direct}
@@ -118,17 +114,18 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 // step alone would; no lock is held from one step to the next. A walk that
 // carries a create serves the last name with it (lookupAt). One that carries
 // an open (r.Holder) and ends at a regular file it did not make is that open
-// too: the grant serveOpen would make, and the inode as the table has it
-// afterwards. A refusal grants nothing and is the walker's own access check to
+// too: the access check on the requester's credentials, the grant, and the
+// inode as the table has it once the grant, which may have recalled a writer,
+// is made. A refusal grants nothing and is the walker's own access check to
 // report.
 func (c *Client) serveWalk(ctx context.Context, ld *ledDir, r WalkReq) WalkResp {
 	resp := WalkResp{Inodes: make([][]byte, 0, len(r.Names))}
+	if r.WantDirInode {
+		resp.DirInode = wire.EncodeInode(ld.table.Dir())
+	}
 	dir := r.Dir
 	for i := range r.Names {
 		dirNode := ld.table.Dir()
-		if i == 0 && r.WantDirInode {
-			resp.DirInode = wire.EncodeInode(dirNode)
-		}
 		if err := dirNode.Access(r.Cred, types.MayExec); err != nil {
 			resp.Err = errString(err)
 			return resp
@@ -141,8 +138,13 @@ func (c *Client) serveWalk(ctx context.Context, ld *ledDir, r WalkReq) WalkResp 
 		resp.Leased = leased
 		made := r.Create != nil && child.Ino == r.Create.NewIno
 		if i == len(r.Names)-1 && r.Holder != "" && child.Type == types.TypeRegular && !made {
-			if fresh, direct, grant, err := c.openAt(ld, child, r.Cred, r.Holder, r.Write); err == nil {
-				child, resp.Leased, resp.Direct, resp.Grant = fresh, true, direct, grant
+			want := uint8(types.MayRead)
+			if r.Write {
+				want = types.MayWrite
+			}
+			if child.Access(r.Cred, want) == nil {
+				resp.Direct, resp.Grant = c.grantLease(ld, child.Ino, r.Holder, false)
+				child, resp.Leased = ld.child(child), true
 			}
 		}
 		resp.Inodes = append(resp.Inodes, wire.EncodeInode(child))
@@ -168,14 +170,6 @@ func (c *Client) ledBelow(ld *ledDir, names []string) *ledDir {
 		}
 	}
 	return ld
-}
-
-func (c *Client) serveStat(ld *ledDir, r StatReq) StatResp {
-	node, err := c.localStat(ld, r)
-	if err != nil {
-		return StatResp{Err: errString(err)}
-	}
-	return StatResp{Inode: wire.EncodeInode(node)}
 }
 
 func (c *Client) serveSetAttr(ctx context.Context, ld *ledDir, r SetAttrReq) SetAttrResp {

@@ -60,8 +60,8 @@ func isDirect(f *File) bool {
 // A recall that reaches the opener between the leader's grant and the
 // WalkResp finds no record to flip: the walk did not know its inode. The
 // opener notices that a recall ran, does not believe the answer's Direct=false
-// and asks again with an OpenReq, so its handle ends direct and reads what the
-// writer writes, then and later.
+// and asks again with a one-name walk, so its handle ends direct and reads what
+// the writer writes, then and later.
 func TestRecallOvertakesWalkResp(t *testing.T) {
 	tc := newTestCluster(t)
 	reg := obs.NewRegistry()
@@ -103,8 +103,8 @@ func TestRecallOvertakesWalkResp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if got["Open"] != 1 {
-		t.Errorf("the open sent %v, want an OpenReq after the overtaken walk", got)
+	if got["Walk"] != 3 { // the opener's, the writer's, and the opener's second
+		t.Errorf("the open sent %v, want a second walk after the overtaken one", got)
 	}
 	if !isDirect(f) {
 		t.Fatal("the opener caches a file its leader has in direct mode")
@@ -288,7 +288,7 @@ func TestLateWalkRespKeepsPublishedSize(t *testing.T) {
 	}
 }
 
-// What a walk grants is what an OpenReq would: nothing for a symlink (the
+// What a walk grants is what an open would: nothing for a symlink (the
 // leader of its target's directory grants), a directory, a file the
 // credentials may not read, or an open that can only succeed by creating; and
 // a granted handle truncates as any other.
@@ -321,8 +321,8 @@ func TestWalkGrantsOnlyWhatOpenWould(t *testing.T) {
 		ld, _ := leader.ledDirFor(dir)
 		ld.opMu.Lock()
 		defer ld.opMu.Unlock()
-		for _, dl := range ld.dataLeases {
-			if dl.readers[c.Addr()] {
+		for ino := range ld.leases {
+			if ld.leases.holds(ino, c.Addr()) {
 				n++
 			}
 		}
