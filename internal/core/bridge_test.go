@@ -16,70 +16,68 @@ import (
 	"arkfs/internal/types"
 )
 
+// tcpManager starts a lease manager in its own "process" (separate
+// rpc.Network on env) bridged over TCP, as cmd/leasemgr does, and returns the
+// address clients dial.
+func tcpManager(t *testing.T, env *sim.RealEnv, period time.Duration) rpc.Addr {
+	t.Helper()
+	t.Cleanup(env.Shutdown)
+	net := rpc.NewNetwork(env, sim.NetModel{})
+	mgr := lease.NewManager(net, lease.Options{Period: period})
+	t.Cleanup(mgr.Close)
+	bridge, err := net.Bridge("127.0.0.1:0", mgr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bridge.Close() })
+	return rpc.TCPAddr(bridge.Addr())
+}
+
+// tcpClient starts a client in its own "process" on env, reaching the store
+// over HTTP at storeURL and the manager and its peers only through TCP
+// bridges. Advertise needs the bridge address before the client talks to the
+// manager, so it binds its bridge first, as cmd/arkfs -serve does, and then
+// creates the client that advertises it.
+func tcpClient(t *testing.T, env *sim.RealEnv, storeURL, id string, mgr rpc.Addr, period time.Duration) *Client {
+	t.Helper()
+	t.Cleanup(env.Shutdown)
+	net := rpc.NewNetwork(env, sim.NetModel{})
+	b, err := net.Bridge("127.0.0.1:0", ServiceName(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	c := New(net, prt.New(objstore.NewHTTPStore(storeURL), 64<<10), Options{
+		ID: id, Cred: types.Cred{Uid: 1000, Gid: 1000},
+		LeaseMgr: mgr, LeasePeriod: period,
+		Journal:   journal.Config{CommitInterval: 20 * time.Millisecond, CommitWorkers: 2, CheckpointWorkers: 2},
+		Advertise: rpc.TCPAddr(b.Addr()),
+	})
+	t.Cleanup(func() { _ = c.Close() })
+	return c
+}
+
+// tcpStore starts the HTTP object gateway the "processes" share, formatted.
+func tcpStore(t *testing.T) string {
+	t.Helper()
+	gw := httptest.NewServer(objstore.NewGateway(objstore.NewMemStore()))
+	t.Cleanup(gw.Close)
+	if err := Format(prt.New(objstore.NewHTTPStore(gw.URL), 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	return gw.URL
+}
+
 // TestMultiProcessDeploymentOverTCP wires the full multi-process topology
 // inside one test: an HTTP object gateway, a lease manager in its own
-// "process" (separate rpc.Network) bridged over TCP, and two clients in two
-// further "processes" that reach the manager and each other only through
-// TCP bridges. It is the cmd/objstored + cmd/leasemgr + cmd/arkfs topology.
+// "process" bridged over TCP, and two clients in two further "processes"
+// that reach the manager and each other only through TCP bridges. It is the
+// cmd/objstored + cmd/leasemgr + cmd/arkfs topology.
 func TestMultiProcessDeploymentOverTCP(t *testing.T) {
-	// Shared object store over real HTTP.
-	gw := httptest.NewServer(objstore.NewGateway(objstore.NewMemStore()))
-	defer gw.Close()
-
-	// "Process" 1: the lease manager.
-	mgrEnv := sim.NewRealEnv()
-	defer mgrEnv.Shutdown()
-	mgrNet := rpc.NewNetwork(mgrEnv, sim.NetModel{})
-	mgr := lease.NewManager(mgrNet, lease.Options{Period: time.Second})
-	defer mgr.Close()
-	mgrBridge, err := mgrNet.Bridge("127.0.0.1:0", mgr.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgrBridge.Close()
-	mgrAddr := rpc.TCPAddr(mgrBridge.Addr())
-
-	// Advertise needs the bridge address before the client talks to the
-	// manager, so each client process binds its bridge first, as cmd/arkfs
-	// -serve does, and then creates the client that advertises it.
-	env1 := sim.NewRealEnv()
-	defer env1.Shutdown()
-	net1 := rpc.NewNetwork(env1, sim.NetModel{})
-	store1 := objstore.NewHTTPStore(gw.URL)
-	tr1 := prt.New(store1, 64<<10)
-	if err := Format(tr1); err != nil {
-		t.Fatal(err)
-	}
-	b1, err := net1.Bridge("127.0.0.1:0", ServiceName("p1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b1.Close()
-	c1 := New(net1, tr1, Options{
-		ID: "p1", Cred: types.Cred{Uid: 1000, Gid: 1000},
-		LeaseMgr: mgrAddr, LeasePeriod: time.Second,
-		Journal:   journal.Config{CommitInterval: 20 * time.Millisecond, CommitWorkers: 2, CheckpointWorkers: 2},
-		Advertise: rpc.TCPAddr(b1.Addr()),
-	})
-	defer c1.Close()
-
-	env2 := sim.NewRealEnv()
-	defer env2.Shutdown()
-	net2 := rpc.NewNetwork(env2, sim.NetModel{})
-	store2 := objstore.NewHTTPStore(gw.URL)
-	tr2 := prt.New(store2, 64<<10)
-	b2, err := net2.Bridge("127.0.0.1:0", ServiceName("p2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
-	c2 := New(net2, tr2, Options{
-		ID: "p2", Cred: types.Cred{Uid: 1000, Gid: 1000},
-		LeaseMgr: mgrAddr, LeasePeriod: time.Second,
-		Journal:   journal.Config{CommitInterval: 20 * time.Millisecond, CommitWorkers: 2, CheckpointWorkers: 2},
-		Advertise: rpc.TCPAddr(b2.Addr()),
-	})
-	defer c2.Close()
+	url := tcpStore(t)
+	mgrAddr := tcpManager(t, sim.NewRealEnv(), time.Second)
+	c1 := tcpClient(t, sim.NewRealEnv(), url, "p1", mgrAddr, time.Second)
+	c2 := tcpClient(t, sim.NewRealEnv(), url, "p2", mgrAddr, time.Second)
 
 	// p1 builds a tree; it leads / and /shared.
 	if err := c1.Mkdir(context.Background(), "/shared", 0777); err != nil {
@@ -129,6 +127,61 @@ func TestMultiProcessDeploymentOverTCP(t *testing.T) {
 	ents, err := c1.Readdir(context.Background(), "/shared")
 	if err != nil || len(ents) != 2 {
 		t.Fatalf("p1 sees %v, %v", ents, err)
+	}
+}
+
+// The manager's and the client's clocks count from their own process starts,
+// a second apart in either order. A grant is a duration the client counts
+// from its own send, so it never believes in more lease than was granted
+// (with the manager first, an instant on the wire read as 1.3 s of a 300 ms
+// lease), and it can lead at all (with the client first, every grant read as
+// lapsed and the mkdir ended in ETIMEDOUT).
+func TestDirLeaseSurvivesClockSkew(t *testing.T) {
+	const period = 300 * time.Millisecond
+	for _, managerFirst := range []bool{true, false} {
+		name := map[bool]string{true: "manager_first", false: "client_first"}[managerFirst]
+		t.Run(name, func(t *testing.T) {
+			url := tcpStore(t)
+			first := sim.NewRealEnv()
+			time.Sleep(time.Second)
+			second := sim.NewRealEnv()
+			mgrEnv, clientEnv := first, second
+			if !managerFirst {
+				mgrEnv, clientEnv = second, first
+			}
+			c := tcpClient(t, clientEnv, url, "skew", tcpManager(t, mgrEnv, period), period)
+			believed := func() {
+				t.Helper()
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				now := c.env.Now()
+				for dir, ld := range c.led {
+					if left := ld.lease.until - now; left > period {
+						t.Fatalf("%s: the client believes %v of a %v lease is left", dir.Short(), left, period)
+					}
+				}
+			}
+			if err := c.Mkdir(bgCtx, "/d", 0777); err != nil {
+				t.Fatalf("mkdir: %v", err)
+			}
+			f, err := c.Create(bgCtx, "/d/f", 0666)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte("skewed")); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Across a few periods of extensions by the keeper and by use.
+			for end := time.Now().Add(2 * period); time.Now().Before(end); time.Sleep(period / 10) {
+				believed()
+				if st, err := c.Stat(bgCtx, "/d/f"); err != nil || st.Size != 6 {
+					t.Fatalf("stat: %+v, %v", st, err)
+				}
+			}
+		})
 	}
 }
 

@@ -51,8 +51,6 @@ type Options struct {
 	Cache cache.Config
 	// RPCWorkers sizes the leader-side service pool.
 	RPCWorkers int
-	// LeaseMargin: extend held leases when within this margin of expiry.
-	LeaseMargin time.Duration
 	// LeasePeriod mirrors the manager's lease duration; it bounds the
 	// lifetime of permission-cache entries (default lease.DefaultPeriod).
 	LeasePeriod time.Duration
@@ -209,10 +207,9 @@ type ledDir struct {
 	// sequences) across the client's own calls and RPC service workers. It
 	// is env-aware because leader-side operations charge simulated time and
 	// perform store I/O while holding it.
-	opMu    *sim.Mutex
-	table   *metatable.Table
-	leaseID uint64
-	expiry  time.Duration
+	opMu  *sim.Mutex
+	table *metatable.Table
+	lease dirLease // guarded by c.mu
 	// degraded marks a directory whose checkpointed state failed
 	// verification at load: it is served read-only from the last valid
 	// state until the scrubber repairs the underlying objects.
@@ -263,9 +260,6 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 	}
 	if opts.LeasePeriod <= 0 {
 		opts.LeasePeriod = lease.DefaultPeriod
-	}
-	if opts.LeaseMargin <= 0 {
-		opts.LeaseMargin = opts.LeasePeriod / 4
 	}
 	if opts.AcquireRetries <= 0 {
 		opts.AcquireRetries = 16
@@ -421,7 +415,7 @@ func (c *Client) leaseKeeper() {
 		var due []types.Ino
 		now := c.env.Now()
 		for ino, ld := range c.led {
-			if ld.expiry-now < c.opts.LeasePeriod/2 {
+			if ld.lease.due(now) {
 				due = append(due, ino)
 			}
 		}
@@ -520,7 +514,7 @@ func (c *Client) Close() error {
 		// An in-flight leaseKeeper extension may still be writing ld, so the
 		// ID must be read under the lock (and freshest-ID wins).
 		c.mu.Lock()
-		id := held[ino].leaseID
+		id := held[ino].lease.id
 		c.mu.Unlock()
 		clean := err == nil
 		_ = c.lm.Release(context.Background(), ino, id, clean)
@@ -567,13 +561,15 @@ func (c *Client) chargeMetaOp() {
 	}
 }
 
-// routeFor resolves who serves metadata for dir, preferring what the client
+// routeFor resolves who serves metadata for dir: this client (a live
+// *ledDir) or a remote leader (its address). It prefers what the client
 // already knows: its own leadership, then the cached remote-leader pointer
 // (the "remote metatable" entry of Fig. 3c), and only then the lease
-// manager. This keeps steady-state forwarding free of manager round trips.
+// manager, through acquireLease, which also extends a lease near its end.
+// This keeps steady-state forwarding free of manager round trips.
 func (c *Client) routeFor(ctx context.Context, dir types.Ino) (*ledDir, rpc.Addr, error) {
 	c.mu.Lock()
-	if ld, ok := c.led[dir]; ok && c.env.Now() < ld.expiry-c.opts.LeaseMargin {
+	if ld, ok := c.led[dir]; ok && ld.lease.serves(c.env.Now()) {
 		c.mu.Unlock()
 		return ld, "", nil
 	}
@@ -582,7 +578,7 @@ func (c *Client) routeFor(ctx context.Context, dir types.Ino) (*ledDir, rpc.Addr
 		return nil, addr, nil
 	}
 	c.mu.Unlock()
-	return c.leaderFor(ctx, dir)
+	return c.acquireLease(ctx, dir)
 }
 
 // invalidateLeader drops the cached remote-leader pointer for dir, forcing
@@ -652,26 +648,6 @@ func forward[R response, Q any](ctx context.Context, c *Client, sp *obs.Span, di
 	}
 }
 
-// leaderFor resolves who serves metadata for dir: this client (returns a
-// live *ledDir) or a remote leader (returns its address). It acquires or
-// extends the directory lease as needed and runs journal recovery when the
-// manager signals a predecessor crash.
-func (c *Client) leaderFor(ctx context.Context, dir types.Ino) (*ledDir, rpc.Addr, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, "", fmt.Errorf("core: client closed: %w", types.ErrIO)
-	}
-	if ld, ok := c.led[dir]; ok && c.env.Now() < ld.expiry-c.opts.LeaseMargin {
-		c.mu.Unlock()
-		return ld, "", nil
-	}
-	c.mu.Unlock()
-	// Not ours, or ours but near or past expiry: acquire or extend, outside
-	// the lock.
-	return c.acquireLease(ctx, dir)
-}
-
 // acquireLease obtains (or extends) the lease for dir, building the
 // metatable when this client becomes a fresh leader. It refuses outright on
 // a closed (or crashed) client: the leaseKeeper calls it directly, and a
@@ -707,7 +683,7 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 		c.mu.Unlock()
 	}()
 	c.mu.Lock()
-	if ld := c.led[dir]; ld != nil && ld != prev && c.env.Now() < ld.expiry-c.opts.LeaseMargin {
+	if ld := c.led[dir]; ld != nil && ld != prev && ld.lease.serves(c.env.Now()) {
 		c.mu.Unlock()
 		return ld, "", nil
 	}
@@ -718,7 +694,7 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 	// their own (larger) budget instead of consuming acquire retries.
 	quiesceWaits := 0
 	// taken is a directory this call has recovered and loaded but not
-	// installed, because the takeover ran its lease into the margin: the
+	// installed, because the takeover ran its lease past serves: the
 	// manager is asked again, and only its re-grant of the same chain in place
 	// (nobody led the directory in between) puts the table to use.
 	var taken *ledDir
@@ -727,6 +703,7 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 		if err := ctx.Err(); err != nil {
 			return nil, "", fmt.Errorf("core: lease acquire for %s: %w", dir.Short(), err)
 		}
+		sent := c.env.Now()
 		resp, err := c.lm.Acquire(ctx, dir)
 		if err != nil {
 			// A lost or timed-out manager round trip is not fatal: burn one
@@ -747,24 +724,17 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 		}
 		switch {
 		case resp.Granted:
-			// A lease no longer than the margin (a manager whose period is
-			// shorter than this client assumes) is good until it lapses: every
-			// operation extends it first, as routeFor has always had it.
-			margin := c.opts.LeaseMargin
-			if resp.Expiry-c.env.Now() <= margin {
-				margin = 0
-			}
 			if taken == nil {
-				if taken, err = c.becomeLeader(ctx, dir, resp); err != nil {
+				if taken, err = c.becomeLeader(ctx, dir, resp, sent); err != nil {
 					return nil, "", err
 				}
 				chain = resp.LeaseID
 			} else {
 				c.mu.Lock()
-				taken.expiry = resp.Expiry // the same chain, re-granted in place
+				taken.lease.grant(sent, resp.Period, resp.LeaseID) // the same chain, re-granted in place
 				c.mu.Unlock()
 			}
-			if installed, err := c.install(dir, taken, margin); err != nil {
+			if installed, err := c.install(dir, taken); err != nil {
 				return nil, "", err
 			} else if installed {
 				return taken, "", nil
@@ -794,7 +764,7 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 			} else {
 				attempt++
 			}
-			delay := resp.RetryAfter - c.env.Now()
+			delay := resp.RetryAfter
 			if delay < time.Millisecond {
 				delay = time.Millisecond
 			}
@@ -814,11 +784,12 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 	return nil, "", fmt.Errorf("core: lease acquire retries exhausted for %s: %w", dir.Short(), types.ErrTimedOut)
 }
 
-// becomeLeader builds leadership state after a granted lease: it runs
-// journal recovery if required and (re)builds the metadata table unless the
-// manager confirmed our copy is still current. The directory it returns is
-// not yet served from: install publishes it, if its lease still allows.
-func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.AcquireResp) (*ledDir, error) {
+// becomeLeader builds leadership state after a lease granted to a request
+// sent at sent: it runs journal recovery if required and (re)builds the
+// metadata table unless the manager confirmed our copy is still current. The
+// directory it returns is not yet served from: install publishes it, if its
+// lease still allows.
+func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.AcquireResp, sent time.Duration) (*ledDir, error) {
 	if grant.NeedRecovery {
 		c.crashHit(crashpoint.RecoveryPreReplay)
 		meta := rpc.MetaFrom(ctx)
@@ -841,11 +812,12 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 			return nil, fmt.Errorf("core: recovery of %s: %w", dir.Short(), err)
 		}
 		c.crashHit(crashpoint.RecoveryPostReplay)
+		sent = c.env.Now()
 		done, err := c.lm.RecoveryDone(ctx, dir, grant.LeaseID)
 		if err != nil || !done.OK {
 			return nil, fmt.Errorf("core: recovery handshake for %s failed: %w", dir.Short(), types.ErrIO)
 		}
-		grant.Expiry = done.Expiry
+		grant.Period = done.Period
 	}
 
 	c.mu.Lock()
@@ -859,8 +831,7 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 	}
 	if ld, ok := c.led[dir]; ok && grant.SameLeader {
 		// Extension of a lease we already hold: keep the table.
-		ld.leaseID = grant.LeaseID
-		ld.expiry = grant.Expiry
+		ld.lease.grant(sent, grant.Period, grant.LeaseID)
 		c.mu.Unlock()
 		return ld, nil
 	}
@@ -899,27 +870,21 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		_ = c.lm.Release(ctx, dir, grant.LeaseID, true)
 		return nil, fmt.Errorf("core: access %s: %w", dir.Short(), err)
 	}
-	return &ledDir{
-		opMu:     sim.NewMutex(c.env),
-		table:    tbl,
-		leaseID:  grant.LeaseID,
-		expiry:   grant.Expiry,
-		degraded: degraded,
-		leases:   make(leaseTable),
-	}, nil
+	ld := &ledDir{opMu: sim.NewMutex(c.env), table: tbl, degraded: degraded, leases: make(leaseTable)}
+	ld.lease.grant(sent, grant.Period, grant.LeaseID)
+	return ld, nil
 }
 
 // install publishes ld as the directory this client leads, provided its
-// lease is still outside the margin operations are served within (routeFor).
-// Nothing of unbounded length lies between this check and the operation that
-// asked for the lease.
-func (c *Client) install(dir types.Ino, ld *ledDir, margin time.Duration) (bool, error) {
+// lease still serves operations (routeFor). Nothing of unbounded length lies
+// between this check and the operation that asked for the lease.
+func (c *Client) install(dir types.Ino, ld *ledDir) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return false, fmt.Errorf("core: client closed: %w", types.ErrIO)
 	}
-	if c.env.Now() >= ld.expiry-margin {
+	if !ld.lease.serves(c.env.Now()) {
 		return false, nil
 	}
 	c.led[dir] = ld
@@ -977,7 +942,7 @@ func (c *Client) ledDirFor(dir types.Ino) (*ledDir, bool) {
 // ledLocked is ledDirFor for a caller that holds c.mu.
 func (c *Client) ledLocked(dir types.Ino) (*ledDir, bool) {
 	ld, ok := c.led[dir]
-	if !ok || c.env.Now() >= ld.expiry {
+	if !ok || !ld.lease.live(c.env.Now()) {
 		return nil, false
 	}
 	return ld, true
@@ -1000,7 +965,7 @@ func (c *Client) ReleaseDir(dir types.Ino) error {
 	}
 	err := c.jrnl.Flush(dir)
 	c.jrnl.DropDir(dir)
-	_ = c.lm.Release(context.Background(), dir, ld.leaseID, err == nil)
+	_ = c.lm.Release(context.Background(), dir, ld.lease.id, err == nil)
 	return err
 }
 

@@ -54,7 +54,6 @@ func (tc *testCluster) client(t testing.TB, id string, opts ...func(*Options)) *
 		ID:          id,
 		Cred:        types.Cred{Uid: 1000, Gid: 1000},
 		LeasePeriod: tc.mgr.Period(),
-		LeaseMargin: tc.mgr.Period() / 4,
 		Journal:     journal.Config{CommitInterval: 20 * time.Millisecond, CommitWorkers: 2, CheckpointWorkers: 2},
 	}
 	for _, f := range opts {

@@ -259,7 +259,7 @@ func (c *Client) callLeader(ctx context.Context, leader rpc.Addr, dir types.Ino,
 	}
 	// The leader may have vanished; invalidate and rediscover once.
 	c.invalidateLeader(dir)
-	ld, newLeader, lerr := c.leaderFor(ctx, dir)
+	ld, newLeader, lerr := c.routeFor(ctx, dir)
 	if lerr != nil {
 		return nil, lerr
 	}

@@ -299,18 +299,10 @@ func (c *Cluster) reshard(prev, nr Ring, losers, gainers map[rpc.Addr]*Manager) 
 			grants := moved[to]
 			if err := c.transfer(a, to, nr.Epoch, grants); err != nil {
 				// The grants are gone from the loser and never reached the
-				// gainer: mark the loser's old range suspect, bounded by the
-				// highest expiry that was in flight.
-				var bound time.Duration
-				for _, g := range grants {
-					if g.Expiry > bound {
-						bound = g.Expiry
-					}
-				}
-				if floor := c.env.Now() + c.Period(); bound < floor {
-					bound = floor
-				}
-				lost = append(lost, suspect{prev: prev, from: a, expiry: bound})
+				// gainer: mark the loser's old range suspect for one period.
+				// Every expiry a shard sets is at most its setting time plus
+				// the period, so none in flight lies past now + period.
+				lost = append(lost, suspect{prev: prev, from: a, expiry: c.env.Now() + c.Period()})
 				c.cLost.Add(int64(len(grants)))
 			} else {
 				c.cMoved.Add(int64(len(grants)))

@@ -13,6 +13,13 @@
 //     acquirer is told to run journal recovery, and everyone else waits;
 //   - quiesces for one lease period after its own restart so that no two
 //     clients can ever hold the same directory simultaneously.
+//
+// A grant is a duration, never an instant: processes' clocks have different
+// zeros. The manager counts the period from its answer; the holder counts it
+// from its own send of the request, so the holder's lease ends first. A Wait
+// names a delay counted from the answer. A restarted manager trusts none of
+// its predecessor's instants: it counts every resumed lease from its own
+// start.
 package lease
 
 import (
@@ -34,12 +41,14 @@ type AcquireReq struct {
 
 // AcquireResp is the manager's answer to an AcquireReq.
 type AcquireResp struct {
-	// Granted: the caller is now the directory leader until Expiry.
+	// Granted: the caller is now the directory leader for Period.
 	Granted bool
 	// LeaseID is a fencing token, unique per grant chain; extensions keep it.
 	LeaseID uint64
-	// Expiry is the absolute environment time at which the lease lapses.
-	Expiry time.Duration
+	// Period is how long the grant lasts, counted from the manager's answer.
+	// The holder counts it from its own send of the request, which comes
+	// first, so no instant of either clock crosses the wire.
+	Period time.Duration
 	// SameLeader: the caller held this directory last and nobody else has
 	// touched it since, so its in-memory metatable is still valid.
 	SameLeader bool
@@ -50,13 +59,13 @@ type AcquireResp struct {
 	Redirect bool
 	Leader   rpc.Addr
 	// Wait: the directory is under recovery or the manager is quiescing
-	// after a restart; retry after RetryAfter.
+	// after a restart; retry RetryAfter after the answer arrives.
 	Wait       bool
 	RetryAfter time.Duration
 	// Quiesce: the Wait is the manager's own post-restart quiesce window,
 	// not contention on this directory. Clients should not charge it
 	// against their per-directory retry budget — RetryAfter is a firm
-	// "come back then" hint, and every directory is affected equally.
+	// "come back then" delay, and every directory is affected equally.
 	Quiesce bool
 	// StaleRing: the caller's ring epoch is behind (or it asked a shard that
 	// no longer owns Dir); Ring is the shard's current membership. The client
@@ -90,10 +99,11 @@ type RecoveryDoneReq struct {
 	Client  rpc.Addr
 }
 
-// RecoveryDoneResp carries the renewed lease.
+// RecoveryDoneResp carries the renewed lease: Period as in AcquireResp,
+// counted from the RecoveryDoneReq's send.
 type RecoveryDoneResp struct {
 	OK      bool
-	Expiry  time.Duration
+	Period  time.Duration
 	LeaseID uint64
 	// StaleRing: Dir moved to another shard (see AcquireResp.StaleRing).
 	StaleRing bool
@@ -102,7 +112,8 @@ type RecoveryDoneResp struct {
 
 // DirGrant is one directory's live lease chain on the wire: everything a
 // gaining shard needs to continue granting without a grace-period stall —
-// holder, fencing token, expiry, and the recovery flags.
+// holder, fencing token, expiry, and the recovery flags. It passes between
+// shards of one Cluster, which share a clock, so Expiry may be an instant.
 type DirGrant struct {
 	Dir        types.Ino
 	Holder     rpc.Addr

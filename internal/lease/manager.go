@@ -92,8 +92,8 @@ type Manager struct {
 	// mutation — grant, release, recovery transition, handoff — is snapshotted
 	// to one sealed object before the response is sent, so a restarted shard
 	// resumes its grants instead of stalling every directory behind the
-	// amnesia grace. Extensions are deliberately not persisted: the resume
-	// path pads every loaded expiry by one period, which covers them.
+	// amnesia grace. Expiries, and so extensions, are not persisted: the
+	// resume path counts every lease one period from its own start.
 	store    objstore.Store
 	snapKey  string
 	pmu      *sim.Mutex // serializes snapshot PUTs; store I/O blocks in env time
@@ -265,16 +265,18 @@ func (m *Manager) resume(opts Options) bool {
 		conservative()
 		return true
 	}
-	// Every loaded expiry is padded to now+period: the true holder may have
-	// extended after the last persisted chain event, and its believed expiry
-	// is bounded by (crash time + period) <= (now + period). A live holder
-	// resumes through an ordinary extension; a dead one lapses into the
-	// normal crashed-holder grace.
+	// Every expiry and suspect bound starts at now+period: the true holder may
+	// have extended after the last persisted chain event, and its lease ends
+	// within one period of the predecessor's last answer, which came before
+	// now. The snapshot holds no instant: the dead process's clock had
+	// another zero. A live holder resumes through an ordinary extension; a
+	// dead one lapses into the normal crashed-holder grace.
 	for ino, d := range st.dirs {
-		if d.holder != "" && d.expiry < now+m.period {
-			d.expiry = now + m.period
-		}
+		d.expiry = now + m.period
 		m.dirs[ino] = d
+	}
+	for i := range st.suspects {
+		st.suspects[i].expiry = now + m.period
 	}
 	m.nextID = st.nextID
 	m.suspects = st.suspects
@@ -347,7 +349,7 @@ func (m *Manager) handle(ctx context.Context, req any) any {
 		if m.qos != nil {
 			if ok, after := m.qos.Admit(tenant, time.Unix(0, int64(m.env.Now()))); !ok {
 				m.cShed.Inc()
-				resp := AcquireResp{Wait: true, RetryAfter: m.env.Now() + after}
+				resp := AcquireResp{Wait: true, RetryAfter: after}
 				sp.End(nil)
 				return resp
 			}
@@ -454,12 +456,12 @@ func (m *Manager) acquireLocked(r AcquireReq, reqEpoch uint64) (AcquireResp, []b
 		return AcquireResp{StaleRing: true, Ring: m.ring}, nil, 0
 	} else if wait {
 		m.cWaits.Inc()
-		return AcquireResp{Wait: true, Quiesce: true, RetryAfter: now + m.period/16}, nil, 0
+		return AcquireResp{Wait: true, Quiesce: true, RetryAfter: m.period / 16}, nil, 0
 	}
 
 	if now < m.readyAt {
 		m.cWaits.Inc()
-		return AcquireResp{Wait: true, Quiesce: true, RetryAfter: m.readyAt}, nil, 0
+		return AcquireResp{Wait: true, Quiesce: true, RetryAfter: m.readyAt - now}, nil, 0
 	}
 
 	d := m.dirs[r.Dir]
@@ -490,10 +492,10 @@ func (m *Manager) acquireLocked(r AcquireReq, reqEpoch uint64) (AcquireResp, []b
 		// A recovery is in flight; its owner may extend, others wait.
 		if d.holder == r.Client && d.leaseID == d.recoverID {
 			d.expiry = now + m.period
-			return AcquireResp{Granted: true, LeaseID: d.leaseID, Expiry: d.expiry, SameLeader: true}, nil, 0
+			return AcquireResp{Granted: true, LeaseID: d.leaseID, Period: m.period, SameLeader: true}, nil, 0
 		}
 		m.cWaits.Inc()
-		return AcquireResp{Wait: true, RetryAfter: now + m.period/2}, nil, 0
+		return AcquireResp{Wait: true, RetryAfter: m.period / 2}, nil, 0
 
 	case d.recovering:
 		// The recoverer itself died: its lease lapsed a full grace period ago
@@ -506,16 +508,16 @@ func (m *Manager) acquireLocked(r AcquireReq, reqEpoch uint64) (AcquireResp, []b
 		d.recovering, d.recoverID = true, m.nextID
 		d.clean = false
 		snap, seq := m.persistLocked()
-		return AcquireResp{Granted: true, LeaseID: d.leaseID, Expiry: d.expiry, NeedRecovery: true}, snap, seq
+		return AcquireResp{Granted: true, LeaseID: d.leaseID, Period: m.period, NeedRecovery: true}, snap, seq
 
 	case d.holder != "" && now < d.expiry:
 		if d.holder == r.Client {
 			// Extension: same chain, metadata stays valid. Not persisted —
-			// the resume path's one-period expiry pad covers extensions.
+			// the resume path's one-period expiry covers extensions.
 			m.stats.Extensions.Add(1)
 			m.cExtensions.Inc()
 			d.expiry = now + m.period
-			return AcquireResp{Granted: true, LeaseID: d.leaseID, Expiry: d.expiry, SameLeader: true}, nil, 0
+			return AcquireResp{Granted: true, LeaseID: d.leaseID, Period: m.period, SameLeader: true}, nil, 0
 		}
 		m.stats.Redirects.Add(1)
 		m.cRedirects.Inc()
@@ -528,7 +530,7 @@ func (m *Manager) acquireLocked(r AcquireReq, reqEpoch uint64) (AcquireResp, []b
 		m.stats.Extensions.Add(1)
 		m.cExtensions.Inc()
 		d.expiry = now + m.period
-		return AcquireResp{Granted: true, LeaseID: d.leaseID, Expiry: d.expiry, SameLeader: true}, nil, 0
+		return AcquireResp{Granted: true, LeaseID: d.leaseID, Period: m.period, SameLeader: true}, nil, 0
 
 	case d.holder != "" && !d.clean:
 		// The lease lapsed without a clean release: the holder crashed.
@@ -536,7 +538,7 @@ func (m *Manager) acquireLocked(r AcquireReq, reqEpoch uint64) (AcquireResp, []b
 		// data read/write leases the dead leader issued have lapsed too.
 		if now < d.expiry+m.period {
 			m.cWaits.Inc()
-			return AcquireResp{Wait: true, RetryAfter: d.expiry + m.period}, nil, 0
+			return AcquireResp{Wait: true, RetryAfter: d.expiry + m.period - now}, nil, 0
 		}
 		m.stats.Recoveries.Add(1)
 		m.cRecoveries.Inc()
@@ -545,7 +547,7 @@ func (m *Manager) acquireLocked(r AcquireReq, reqEpoch uint64) (AcquireResp, []b
 		d.recovering, d.recoverID = true, m.nextID
 		d.clean = false
 		snap, seq := m.persistLocked()
-		return AcquireResp{Granted: true, LeaseID: d.leaseID, Expiry: d.expiry, NeedRecovery: true}, snap, seq
+		return AcquireResp{Granted: true, LeaseID: d.leaseID, Period: m.period, NeedRecovery: true}, snap, seq
 
 	default:
 		// Free (never held, cleanly released, or expired after a clean
@@ -556,7 +558,7 @@ func (m *Manager) acquireLocked(r AcquireReq, reqEpoch uint64) (AcquireResp, []b
 		d.holder, d.leaseID, d.expiry = r.Client, m.nextID, now+m.period
 		d.clean = false // not clean until released; expiry without release = crash
 		snap, seq := m.persistLocked()
-		return AcquireResp{Granted: true, LeaseID: d.leaseID, Expiry: d.expiry, SameLeader: same}, snap, seq
+		return AcquireResp{Granted: true, LeaseID: d.leaseID, Period: m.period, SameLeader: same}, snap, seq
 	}
 }
 
@@ -634,7 +636,7 @@ func (m *Manager) recoveryDoneLocked(r RecoveryDoneReq, reqEpoch uint64) (Recove
 	d.recovering = false
 	d.expiry = m.env.Now() + m.period
 	snap, seq := m.persistLocked()
-	return RecoveryDoneResp{OK: true, Expiry: d.expiry, LeaseID: d.leaseID}, snap, seq
+	return RecoveryDoneResp{OK: true, Period: m.period, LeaseID: d.leaseID}, snap, seq
 }
 
 // StartGain freezes the territory this shard is about to win: nr is
@@ -854,7 +856,7 @@ func (c *Client) Release(ctx context.Context, dir types.Ino, id uint64, clean bo
 }
 
 // RecoveryDone reports a finished journal recovery and returns the renewed
-// expiry.
+// lease.
 func (c *Client) RecoveryDone(ctx context.Context, dir types.Ino, id uint64) (RecoveryDoneResp, error) {
 	for h := 0; h < maxRingHops; h++ {
 		addr, epoch := c.target(dir)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"arkfs/internal/objstore"
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
@@ -31,8 +32,8 @@ func TestAcquireExtendRelease(t *testing.T) {
 		if err != nil || !ext.Granted || !ext.SameLeader || ext.LeaseID != id {
 			t.Fatalf("extension: %+v, %v", ext, err)
 		}
-		if ext.Expiry <= resp.Expiry {
-			t.Fatalf("extension did not push expiry: %v <= %v", ext.Expiry, resp.Expiry)
+		if resp.Period != time.Second || ext.Period != time.Second {
+			t.Fatalf("grant and extension last %v and %v, want the period", resp.Period, ext.Period)
 		}
 
 		// Clean release; re-acquire by the same client keeps the metatable.
@@ -129,7 +130,7 @@ func TestCrashTriggersRecoveryFlow(t *testing.T) {
 		if !w.Wait {
 			t.Fatalf("expected Wait during grace window: %+v", w)
 		}
-		env.Sleep(w.RetryAfter - env.Now() + time.Millisecond)
+		env.Sleep(w.RetryAfter + time.Millisecond)
 
 		// Past the grace window: the next acquirer is told to recover.
 		r2, _ := c2.Acquire(context.Background(), dir)
@@ -168,7 +169,7 @@ func TestManagerRestartQuiesce(t *testing.T) {
 		if err != nil || !w.Wait || !w.Quiesce {
 			t.Fatalf("acquire during quiesce: %+v, %v", w, err)
 		}
-		env.Sleep(w.RetryAfter - env.Now() + time.Millisecond)
+		env.Sleep(w.RetryAfter + time.Millisecond)
 		// The restart lost the chain state, so the manager cannot know whether
 		// the directory's last leader crashed mid-journal: the first grant
 		// waits out the data-lease grace and then forces a recovery.
@@ -176,11 +177,51 @@ func TestManagerRestartQuiesce(t *testing.T) {
 		if err != nil || !g.Wait || g.Quiesce {
 			t.Fatalf("first acquire after quiesce should wait out the grace: %+v, %v", g, err)
 		}
-		env.Sleep(g.RetryAfter - env.Now() + time.Millisecond)
+		env.Sleep(g.RetryAfter + time.Millisecond)
 		r, err := c.Acquire(context.Background(), types.RootIno)
 		if err != nil || !r.Granted || !r.NeedRecovery {
 			t.Fatalf("post-restart grant must carry NeedRecovery: %+v, %v", r, err)
 		}
+	})
+}
+
+// A manager resumed from its predecessor's snapshot trusts no instant of the
+// predecessor's clock, which had another zero: a holder granted 100 periods
+// into the old clock's life and dead since is treated as a crashed holder
+// whose lease ends one period after the resume, so the next client gets its
+// recovery grant two periods in.
+func TestResumeCountsFromItsOwnStart(t *testing.T) {
+	const period = time.Second
+	store := objstore.NewMemStore()
+	dir := types.RootIno
+	old := sim.NewVirtEnv()
+	old.Run(func() {
+		m := NewManager(rpc.NewNetwork(old, sim.NetModel{}), Options{Period: period, Store: store})
+		defer m.Close()
+		old.Sleep(100 * period)
+		if r := m.acquire(AcquireReq{Dir: dir, Client: "dead"}, 0); !r.Granted {
+			t.Fatalf("grant before the restart: %+v", r)
+		}
+	})
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		m := NewManager(rpc.NewNetwork(env, sim.NetModel{}), Options{Period: period, Store: store, Restarted: true})
+		defer m.Close()
+		for env.Now() <= 2*period {
+			r := m.acquire(AcquireReq{Dir: dir, Client: "next"}, 0)
+			switch {
+			case r.Granted:
+				if !r.NeedRecovery {
+					t.Fatalf("the dead holder's successor must recover: %+v", r)
+				}
+				return
+			case r.Wait:
+				env.Sleep(r.RetryAfter)
+			default: // redirected to the dead holder
+				env.Sleep(period / 10)
+			}
+		}
+		t.Fatalf("no recovery grant within two periods of the resume")
 	})
 }
 
@@ -347,7 +388,7 @@ func TestUncleanReleaseForcesRecovery(t *testing.T) {
 		if w.Granted || !w.Wait {
 			t.Fatalf("unclean release must impose the recovery grace: %+v", w)
 		}
-		env.Sleep(w.RetryAfter - env.Now() + time.Millisecond)
+		env.Sleep(w.RetryAfter + time.Millisecond)
 		r2, _ := c2.Acquire(context.Background(), dir)
 		if !r2.Granted || !r2.NeedRecovery {
 			t.Fatalf("grant after unclean release must carry NeedRecovery: %+v", r2)

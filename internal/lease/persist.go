@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"time"
 
 	"arkfs/internal/rpc"
 	"arkfs/internal/types"
@@ -21,7 +20,9 @@ import (
 
 // snapVersion guards the layout; a decoder seeing another version treats the
 // snapshot as unusable (same path as corruption: conservative restart).
-const snapVersion = 1
+// Version 2 dropped the expiries: an instant on a dead process's clock means
+// nothing to its successor.
+const snapVersion = 2
 
 // snapshotState is the decoded form of a persisted grant table.
 type snapshotState struct {
@@ -67,7 +68,6 @@ func encodeSnapshot(dirs map[types.Ino]*dirState, nextID uint64, suspects []susp
 	for _, s := range suspects {
 		buf = appendRing(buf, s.prev)
 		buf = appendString(buf, string(s.from))
-		buf = binary.AppendVarint(buf, int64(s.expiry))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(inos)))
 	for _, ino := range inos {
@@ -75,7 +75,6 @@ func encodeSnapshot(dirs map[types.Ino]*dirState, nextID uint64, suspects []susp
 		buf = append(buf, ino[:]...)
 		buf = appendString(buf, string(d.holder))
 		buf = binary.AppendUvarint(buf, d.leaseID)
-		buf = binary.AppendVarint(buf, int64(d.expiry))
 		var flags byte
 		if d.clean {
 			flags |= 1
@@ -109,19 +108,6 @@ func (d *snapDecoder) uvarint(what string) uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *snapDecoder) varint(what string) int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
 	if n <= 0 {
 		d.fail(what)
 		return 0
@@ -189,7 +175,6 @@ func decodeSnapshot(frame []byte) (snapshotState, error) {
 		var s suspect
 		s.prev = d.ring("suspect ring")
 		s.from = rpc.Addr(d.string("suspect from"))
-		s.expiry = time.Duration(d.varint("suspect expiry"))
 		st.suspects = append(st.suspects, s)
 	}
 	ndirs := d.uvarint("dir count")
@@ -203,7 +188,6 @@ func decodeSnapshot(frame []byte) (snapshotState, error) {
 		ds := &dirState{}
 		ds.holder = rpc.Addr(d.string("holder"))
 		ds.leaseID = d.uvarint("leaseID")
-		ds.expiry = time.Duration(d.varint("expiry"))
 		flags := d.bytes(1, "flags")
 		if d.err == nil {
 			ds.clean = flags[0]&1 != 0

@@ -3,7 +3,6 @@ package lease
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"arkfs/internal/rpc"
 	"arkfs/internal/types"
@@ -129,14 +128,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		dirs[inoFor(i)] = &dirState{
 			holder:     rpc.Addr(fmt.Sprintf("c%d", i%7)),
 			leaseID:    uint64(100 + i),
-			expiry:     time.Duration(1e9 + i*1e6),
 			clean:      i%3 == 0,
 			prevHolder: rpc.Addr(fmt.Sprintf("p%d", i%5)),
 			recovering: i%11 == 0,
 			recoverID:  uint64(i),
 		}
 	}
-	sus := []suspect{{prev: NewRing("lm-0", "lm-1"), from: "lm-1", expiry: 5e9}}
+	sus := []suspect{{prev: NewRing("lm-0", "lm-1"), from: "lm-1"}}
 	frame := encodeSnapshot(dirs, 999, sus)
 	if string(frame) != string(encodeSnapshot(dirs, 999, sus)) {
 		t.Fatal("encoding is not deterministic")
