@@ -144,17 +144,12 @@ type Client struct {
 	closed      bool
 	// acquiring runs one lease acquisition per directory at a time. An entry
 	// lives only while an acquisition holds or waits for it.
-	acquiring map[types.Ino]*acquisition
-	// Data-lease returns on their way to remote leaders (release): how many,
-	// the channel a FlushAll or Close that waits for them made, and per leader
-	// the highest grant number given back, which a walk's grant must exceed to
-	// be believed (adopt).
-	returns  int
-	quiet    *sim.Chan[struct{}]
-	returned map[rpc.Addr]uint64
+	acquiring  map[types.Ino]*acquisition
+	hold       leaseHolder         // as a holder: the client's side of its data leases
+	quiet      *sim.Chan[struct{}] // made by a FlushAll or Close that waits for hold's returns
+	keepPeriod time.Duration       // what the leaseKeeper wakes for
 
 	grantSeq atomic.Uint64 // as a leader: the last number a data-lease grant was given
-	recalls  atomic.Uint64 // as a holder: recalls run; bumped under mu
 
 	// pending2pc tracks this client's participant-side prepared renames
 	// awaiting the coordinator's decision (txid -> pendingRename).
@@ -330,8 +325,8 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 		open:    make(map[types.Ino]*openFile),
 		inoSrc:  types.NewInoSource(opts.Seed),
 
-		acquiring: make(map[types.Ino]*acquisition),
-		returned:  make(map[rpc.Addr]uint64),
+		acquiring:  make(map[types.Ino]*acquisition),
+		keepPeriod: opts.LeasePeriod,
 	}
 	c.jrnl.SetTxnIDBase(uint64(opts.Seed) & 0xFFFFFFFF)
 	if opts.Obs != nil {
@@ -396,9 +391,14 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 
 // leaseKeeper extends the leases of led directories before they lapse, so an
 // active leader is never mistaken for a crashed one (paper §III-B: "if there
-// is not enough time ... the leader tries to extend the lease").
+// is not enough time ... the leader tries to extend the lease"). It wakes at
+// a third of keepPeriod, the shortest period granted (Options.LeasePeriod
+// before any); a shorter grant starts a keeper that replaces it (install).
 func (c *Client) leaseKeeper() {
-	interval := c.opts.LeasePeriod / 3
+	c.mu.Lock()
+	period := c.keepPeriod
+	c.mu.Unlock()
+	interval := period / 3
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -408,7 +408,7 @@ func (c *Client) leaseKeeper() {
 			return
 		}
 		c.mu.Lock()
-		if c.closed {
+		if c.closed || c.keepPeriod != period {
 			c.mu.Unlock()
 			return
 		}
@@ -889,6 +889,10 @@ func (c *Client) install(dir types.Ino, ld *ledDir) (bool, error) {
 	}
 	c.led[dir] = ld
 	delete(c.remote, dir)
+	if ld.lease.period < c.keepPeriod {
+		c.keepPeriod = ld.lease.period
+		c.env.Go(c.leaseKeeper)
+	}
 	return true, nil
 }
 

@@ -149,7 +149,7 @@ func TestRecallOvertakesCreateResp(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.of.mu.Lock()
-	direct, hasWrite := f.of.direct, f.of.hasWrite
+	direct, hasWrite := f.of.lease.mode()
 	f.of.mu.Unlock()
 	if !direct || hasWrite {
 		t.Fatalf("the opener has direct=%v hasWrite=%v, want direct and no write lease", direct, hasWrite)

@@ -27,31 +27,21 @@ type File struct {
 	offset atomic.Int64 // the cursor of Read, Write and Seek
 }
 
-// openFile is the one record a client keeps per inode it has open, in
-// Client.open. It owns the client's side of the inode's data lease (paper
-// §III-D; the leader's side is leaseTable), the one size this client
-// believes, and the close-time write-back. The invariant it keeps: while this
-// client has a live handle or dirty cached bytes for the inode, it is in the
-// leader's holder set and no release invalidates its cache.
+// openFile is a client's one record per inode it has open, in Client.open:
+// its side of the data lease, the one size it believes, the write-back.
 type openFile struct {
-	ino    types.Ino
-	leased atomic.Bool // set once a leader lists this client as a holder
+	ino types.Ino
 
-	// Guarded by Client.mu; once returning is set nothing changes them (giveBack).
-	parent    types.Ino           // whose leader the latest Open registered with
-	below     []string            // from parent down to the file's directory, if a create never learned it (aim)
-	leader    rpc.Addr            // who listed this client last ("": itself); until then, parent's route when the record was made
-	grant     uint64              // the highest number leader listed it under
-	refs      int                 // live handles and Opens in flight
-	returning bool                // the lease is on its way back: the record is dead, Open waits
-	returned  *sim.Chan[struct{}] // made by an Open that waits; closed once the lease is back
+	// Guarded by Client.mu; once the lease is returning nothing changes them.
+	parent   types.Ino           // whose leader the latest Open registered with
+	below    []string            // from parent down to the file's directory, if a create never learned it
+	lease    heldLease           // its mode under mu too
+	returned *sim.Chan[struct{}] // made by an Open that waits; closed once the lease is back
 
-	mu       sync.Mutex
-	size     int64
-	ver      uint64 // bumped by every write, truncate and publish through this client
-	direct   bool   // lease conflict: no caching, direct object I/O
-	hasWrite bool   // holds the exclusive write lease
-	wrote    bool   // size/mtime need pushing at Sync/Close
+	mu    sync.Mutex
+	size  int64
+	ver   uint64 // bumped by every write, truncate and publish through this client
+	wrote bool   // size/mtime need pushing at Sync/Close
 }
 
 // Open opens (and with OCreate, creates) a file.
@@ -65,7 +55,9 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 			Exclusive: flags.Has(types.OExcl), Holder: c.addr, Write: flags.WantsWrite()}
 		walked.made = c.ref(types.Ino{}, walked.create.NewIno)
 	}
-	recalls := c.recalls.Load()
+	c.mu.Lock()
+	since := c.hold.mark()
+	c.mu.Unlock()
 	res, err := c.walk(ctx, path, true, 0, walked)
 	f := &File{c: c, path: path, flags: flags}
 	if walked.made != nil {
@@ -91,8 +83,7 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 	case node.IsDir():
 		return nil, op.end(errnoWrap("open", path, types.ErrIsDir))
 	}
-	// The file existed: check the requested access, then attach. A grant the
-	// walk brought is the record's from here on, whatever comes of the open.
+	// The file existed: check the requested access, then attach.
 	var want uint8
 	if flags.WantsRead() {
 		want |= types.MayRead
@@ -106,12 +97,9 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 		return nil, op.end(errnoWrap("open", path, err))
 	}
 	f.of = c.ref(res.parent, node.Ino)
-	var grant *dataGrant
-	if granted && c.adopt(f.of, walked.grant, recalls) {
-		grant = &walked.grant
-	}
+	believed := granted && c.adopt(f.of, walked.grant, &since)
 	if err == nil {
-		err = f.attach(ctx, node, grant)
+		err = f.attach(ctx, node, believed)
 	}
 	if err != nil {
 		c.unref(f.of)
@@ -120,39 +108,30 @@ func (c *Client) Open(ctx context.Context, path string, flags types.OpenFlag, mo
 	return f, op.end(nil)
 }
 
-// created settles w.made, the record Open took for the inode its create would
-// make before the walk left, so that a recall overtaking the answer finds it.
-// If the walk made the inode, the leader granted its data lease with it
-// (DESIGN.md §5.7) and the record holds it for the handle. A file that existed
-// and a refusal drop it silently; a walk that got no answer may have made the
-// file, and the record returns the lease to where that walk went (aim).
+// created settles w.made, the record Open took before the walk left for the
+// inode its create would make: it holds the lease the create granted, none,
+// or one a walk with no answer may have left listed, which it returns.
 func (c *Client) created(w *ride, res resolved, err error) *openFile {
 	of := w.made
 	if err != nil || res.node == nil || res.node.Ino != of.ino || !w.leased {
-		of.leased.Store(err != nil && w.lost)
+		if err != nil && w.lost {
+			c.mu.Lock()
+			c.hold.adopt(&of.lease, w.route, dataGrant{}, nil)
+			c.mu.Unlock()
+		}
 		c.unref(of)
 		return nil
 	}
 	c.mu.Lock()
 	of.parent, of.below = res.parent, nil
 	c.mu.Unlock()
-	c.adopt(of, w.grant, 0)
 	if w.write {
 		c.data.Created(of.ino)
-		of.mu.Lock()
-		of.hasWrite = !of.direct
-		of.mu.Unlock()
 	}
+	g := w.grant
+	g.write = w.write
+	c.adopt(of, g, nil)
 	return of
-}
-
-// aim points of, the record of a create about to ride a walk from dir with
-// names, at where that walk goes: if no answer comes, the create may have been
-// made below dir, and its lease listed at dir's leader.
-func (c *Client) aim(of *openFile, dir types.Ino, names []string) {
-	c.mu.Lock()
-	of.parent, of.below, of.leader = dir, names[:len(names)-1], c.remote[dir]
-	c.mu.Unlock()
 }
 
 // Create is the creat(2) shorthand: O_WRONLY|O_CREATE|O_TRUNC.
@@ -160,206 +139,137 @@ func (c *Client) Create(ctx context.Context, path string, mode types.Mode) (*Fil
 	return c.Open(ctx, path, types.OWronly|types.OCreate|types.OTrunc, mode)
 }
 
-// ref takes a reference on ino's record for an Open, making the record if the
-// client has none. A record whose last Close is still writing back is adopted
-// as it stands, cache and lease included, and that release stands down when
-// it sees the reference: Open never waits for a write-back PUT. It waits only
-// for a lease return already decided, and only for that one message, so that
-// its walk cannot overtake the CloseFileReq and have the leader drop a holder
-// that has a live handle.
+// ref takes a reference on ino's record for an Open, making it if need be: a
+// record still writing back is taken as it stands, and only a decided return
+// is waited for.
 func (c *Client) ref(parent, ino types.Ino) *openFile {
 	c.mu.Lock()
 	for {
 		of := c.open[ino]
 		if of == nil {
-			of = &openFile{ino: ino, leader: c.remote[parent]}
+			of = &openFile{ino: ino}
 			c.open[ino] = of
 		}
-		if !of.returning {
+		if c.hold.open(&of.lease) {
 			of.parent, of.below = parent, nil
-			of.refs++
 			c.mu.Unlock()
 			return of
 		}
-		if of.returned == nil {
-			of.returned = sim.NewChan[struct{}](c.env)
-		}
-		returned := of.returned
-		c.mu.Unlock()
-		returned.Recv()
-		c.mu.Lock()
+		c.waitOn(&of.returned)
 	}
 }
 
-// unref drops a reference; the last one out releases the record. close(2)
-// does not fsync: dirty data is written back in the background, and the data
-// lease is held until that completes, so any new reader triggers a recall
-// (flush broadcast) first and never sees stale objects. On failure the
-// entries stay dirty and resident, the error is recorded for FlushAll/Close,
-// and the lease is kept so the data cannot be invalidated out from under the
-// pending retry. A clean close decides the release here and waits for nothing:
-// the message that returns the lease to a remote leader leaves on a goroutine.
+// waitOn waits for *ch, made if need be, to close; Client.mu is let go meanwhile.
+func (c *Client) waitOn(ch **sim.Chan[struct{}]) {
+	if *ch == nil {
+		*ch = sim.NewChan[struct{}](c.env)
+	}
+	wait := *ch
+	c.mu.Unlock()
+	wait.Recv()
+	c.mu.Lock()
+}
+
+// unref drops a reference; the last one out releases the record, after a
+// background write-back under the lease if dirty (a failed one keeps both).
 func (c *Client) unref(of *openFile) {
 	c.mu.Lock()
-	of.refs--
-	last := of.refs == 0
+	last := c.hold.close(&of.lease)
 	c.mu.Unlock()
-	switch {
-	case !last: // another handle shares the data lease; keep it (and the cache)
-	case c.data.Dirty(of.ino):
-		c.env.Go(func() {
-			if err := c.data.Flush(of.ino); err != nil {
-				c.recordWBErr(err)
-				return
-			}
-			if c.release(of) {
-				c.giveBack(of)
-			}
-		})
-	default:
-		if c.release(of) {
-			c.env.Go(func() { c.giveBack(of) })
-		}
+	if !last || !c.data.Dirty(of.ino) {
+		c.release(of, false) // which stands down while a handle holds the record
+		return
 	}
+	c.env.Go(func() {
+		if err := c.data.Flush(of.ino); err != nil {
+			c.recordWBErr(err)
+			return
+		}
+		c.release(of, true)
+	})
 }
 
-// release invalidates the inode's cache and gives its data lease back, if at
-// this moment the record is still unreferenced and clean. A handle that came
-// since the last Close keeps both, and its own last Close releases in turn.
-// The decision is made here, in one hold of Client.mu. A record no leader
-// listed, or one this client lists itself, is finished before release returns;
-// for a remote leader's what remains is one message, and release reports that
-// its caller has giveBack to run. Until that message is answered the record
-// stays, returning, and an Open of the inode waits (ref).
-func (c *Client) release(of *openFile) (remote bool) {
+// release invalidates the cache and gives the lease back if leaseHolder.release
+// decides so; a remote leader's return leaves on a goroutine unless inline.
+func (c *Client) release(of *openFile, inline bool) {
 	c.mu.Lock()
-	if of.refs > 0 || of.returning || c.data.Dirty(of.ino) {
-		c.mu.Unlock()
-		return false
-	}
-	// Giving the lease back forfeits the right to cache: a later open must
-	// not trust entries that predate other clients' writes.
-	c.data.Invalidate(of.ino)
-	of.returning = true
 	ld, leads := c.ledLocked(of.parent)
-	leased := of.leased.Load() // else every Open failed before a leader listed this client
-	if leased && !leads && of.leader != "" {
-		c.returns++
-		if of.grant > c.returned[of.leader] {
-			c.returned[of.leader] = of.grant
-		}
-		c.mu.Unlock()
-		return true
+	back, ok := c.hold.release(&of.lease, c.data.Dirty(of.ino), leads)
+	if ok {
+		c.data.Invalidate(of.ino)
 	}
 	c.mu.Unlock()
-	if leased && leads {
-		c.releaseData(ld, of.ino, c.addr, of.grant)
+	if back.self {
+		ld.opMu.Lock()
+		ld.leases.release(of.ino, c.addr, back.grant)
+		ld.opMu.Unlock()
 	}
-	c.mu.Lock()
-	c.forget(of)
-	c.mu.Unlock()
-	return false
+	switch {
+	case !ok:
+	case back.to == "" || inline:
+		c.giveBack(of, back)
+	default:
+		c.env.Go(func() { c.giveBack(of, back) })
+	}
 }
 
-// giveBack sends the message release left: the CloseFileReq of a returning
-// record, whose fields nothing changes any more. It goes to the process that
-// listed this client and nowhere else: asking the lease manager who leads the
-// directory now could end with this client leading it, to tell itself a lease
-// is back, and a new leader never had the entry. Best effort: if the call
-// fails the leader keeps a stale holder entry until its own lease on the
-// directory turns over.
-func (c *Client) giveBack(of *openFile) {
-	_, _ = c.net.CallFrom(c.addr, of.leader, CloseFileReq{Dir: of.parent, Below: of.below, Ino: of.ino, Client: c.addr, Grant: of.grant})
+// giveBack ends a release. A remote return goes to whoever listed this client,
+// not through the lease manager, which could make this client the leader;
+// a lost one leaves a stale holder until the directory's lease turns over.
+func (c *Client) giveBack(of *openFile, back leaseReturn) {
+	if back.to != "" {
+		_, _ = c.net.CallFrom(c.addr, back.to, CloseFileReq{Dir: of.parent, Below: of.below, Ino: of.ino, Client: c.addr, Grant: back.grant})
+	}
 	c.mu.Lock()
-	c.forget(of)
-	if c.returns--; c.returns == 0 && c.quiet != nil {
+	defer c.mu.Unlock()
+	if delete(c.open, of.ino); of.returned != nil {
+		of.returned.Close()
+	}
+	if back.to != "" && c.hold.answered() && c.quiet != nil {
 		c.quiet.Close()
 		c.quiet = nil
-	}
-	c.mu.Unlock()
-}
-
-// forget ends a release, under Client.mu: the record is gone and whoever
-// waited for its lease to be back goes on.
-func (c *Client) forget(of *openFile) {
-	delete(c.open, of.ino)
-	if of.returned != nil {
-		of.returned.Close()
 	}
 }
 
 // awaitReturns waits until no lease return is on its way to a remote leader.
 func (c *Client) awaitReturns() {
 	c.mu.Lock()
-	if c.returns == 0 {
-		c.mu.Unlock()
-		return
+	if !c.hold.quiet() {
+		c.waitOn(&c.quiet)
 	}
-	if c.quiet == nil {
-		c.quiet = sim.NewChan[struct{}](c.env)
-	}
-	quiet := c.quiet
 	c.mu.Unlock()
-	quiet.Recv()
 }
 
-// dataGrant is one listing of this client for a file's data lease, as the
-// WalkResp of the walk that carried the open reports it.
-type dataGrant struct {
-	via    types.Ino // the directory whose route the message took: its leader listed, this client if it has none
-	seq    uint64    // that leader's number for the listing
-	direct bool      // the file is in direct mode
-}
-
-// adopt makes of the owner of grant g: whatever becomes of the Open that got
-// it, the record's release gives it back. For the grant of the walk that found
-// the file it also reports whether g still says what its leader holds (after
-// attach's walk or a create there is nothing to ask: the record was there
-// before the request left, so a recall found it and no return could be
-// decided). That walk learns its inode from the answer. A recall that
-// overtook the answer found no record to flip (recalls is the caller's reading
-// of Client.recalls from before the walk), and a return decided meanwhile may
-// reach the leader after the grant, or have taken a newer grant with it: the
-// leader drops a return older than the listing it holds, and a grant no newer
-// than one already given back to its leader is not believed here. The caller
-// then asks again (attach), behind all of that.
-func (c *Client) adopt(of *openFile, g dataGrant, recalls uint64) (current bool) {
+// adopt is leaseHolder.adopt of g, listed by g.via's leader.
+func (c *Client) adopt(of *openFile, g dataGrant, since *uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if leader := c.remote[g.via]; leader != of.leader {
-		of.leader, of.grant = leader, 0 // another leader's numbers
-	}
-	if g.seq > of.grant {
-		of.grant = g.seq
-	}
-	of.leased.Store(true)
-	return c.recalls.Load() == recalls && g.seq > c.returned[of.leader]
+	of.mu.Lock()
+	defer of.mu.Unlock()
+	return c.hold.adopt(&of.lease, c.remote[g.via], g, since)
 }
 
-// attach registers the data lease at the parent's leader, unless the walk has
-// (walked, with node as that leader had it after the grant), brings the record
-// up to date with the answer, and applies O_TRUNC and O_APPEND.
-func (f *File) attach(ctx context.Context, node *types.Inode, walked *dataGrant) error {
+// attach registers the data lease at the parent's leader unless the walk has
+// (walked), takes the fresher size, and applies O_TRUNC and O_APPEND.
+func (f *File) attach(ctx context.Context, node *types.Inode, walked bool) error {
 	of := f.of
 	of.mu.Lock()
 	ver := of.ver
 	of.mu.Unlock()
-	grant, size := walked, node.Size
-	// A walk was under way before this record was known: if a size has gone
-	// through the record since it was made, the walk's may be the older one.
-	if grant == nil || ver != 0 {
+	size := node.Size
+	// A size gone through the record since it was made may be newer than the
+	// walk's, which left before.
+	if !walked || ver != 0 {
 		g, fresh, err := f.c.openDataLease(ctx, f.parent, f.name, node, f.flags.WantsWrite())
 		if err != nil {
 			return err
 		}
-		f.c.adopt(of, g, 0)
-		grant, size = &g, fresh
+		f.c.adopt(of, g, nil)
+		size = fresh
 	}
 	of.mu.Lock()
-	of.direct = of.direct || grant.direct
 	// The leader's size is the fresher one (close-to-open) unless this client
-	// has bytes it has not published, or changed or published the size while
-	// the request was in flight: the answer may predate that.
+	// has bytes it has not published, or a size went through since it asked.
 	if !of.wrote && of.ver == ver {
 		of.size = size
 	}
@@ -383,9 +293,8 @@ func (f *File) attach(ctx context.Context, node *types.Inode, walked *dataGrant)
 }
 
 // openDataLease registers a read lease for node at the parent's leader and
-// returns the grant plus the file's current size. A remote leader is sent a
-// one-name walk that carries the open: an answer without a grant fails it
-// with the walk's error, or ENOENT if name now leads to another inode.
+// returns the grant and the file's size. A remote leader is sent a one-name
+// walk carrying the open; if name now leads to another inode it is ENOENT.
 func (c *Client) openDataLease(ctx context.Context, parent types.Ino, name string, node *types.Inode, write bool) (dataGrant, int64, error) {
 	ld, ok := c.ledDirFor(parent)
 	if !ok {
@@ -404,6 +313,11 @@ func (c *Client) openDataLease(ctx context.Context, parent types.Ino, name strin
 			case err != nil:
 				return dataGrant{}, 0, err
 			case fresh == nil || fresh.Ino != node.Ino:
+				if resp.Leased { // a grant for that other inode: give it back
+					other := c.ref(parent, fresh.Ino)
+					c.adopt(other, dataGrant{via: parent, seq: resp.Grant, direct: resp.Direct}, nil)
+					c.unref(other)
+				}
 				return dataGrant{}, 0, fmt.Errorf("core: open %q: %w", name, types.ErrNotExist)
 			case !resp.Leased: // the leader's access check refused it
 				return dataGrant{}, 0, fmt.Errorf("core: open %q: %w", name, types.ErrAccess)
@@ -434,7 +348,8 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	of := f.of
 	of.mu.Lock()
-	size, direct := of.size, of.direct
+	size := of.size
+	direct, _ := of.lease.mode()
 	of.mu.Unlock()
 
 	var n int
@@ -527,15 +442,14 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	return base + offset, nil
 }
 
-// ensureWritable acquires the exclusive write lease on this client's first
-// write to the inode, through whichever handle, and reports whether to write
-// direct: a conflict flips this record (and everyone else's) to direct I/O.
+// ensureWritable acquires the write lease on this client's first write to
+// the inode, through whichever handle, and reports whether to write direct.
 func (f *File) ensureWritable() (direct bool, err error) {
 	c, of := f.c, f.of
 	of.mu.Lock()
-	settled, direct := of.hasWrite || of.direct, of.direct
+	direct, write := of.lease.mode()
 	of.mu.Unlock()
-	if settled {
+	if direct || write {
 		return direct, nil
 	}
 	ld, ok := c.ledDirFor(f.parent)
@@ -560,11 +474,8 @@ func (f *File) ensureWritable() (direct bool, err error) {
 		// The flush broadcast reaches this client too; this covers a lost one.
 		return true, c.recall(of.ino)
 	}
-	of.mu.Lock()
-	of.hasWrite = true
-	direct = of.direct // a recall may have got in since the grant
-	of.mu.Unlock()
-	return direct, nil
+	c.adopt(of, dataGrant{via: f.parent, write: true}, nil)
+	return f.ensureWritable() // settled, direct if a recall has got in since
 }
 
 // publish pushes the size and mtime this client's writes gave the inode to
@@ -633,34 +544,31 @@ func (f *File) Close() error {
 // step between write and read phases).
 func (c *Client) DropAllCaches() { c.data.Clear() }
 
-// --- leader-side data lease service ------------------------------------------
-
-// grantLease is leaseTable.grant under ld's opMu, followed by the recalls it
-// asks for, one round trip each. An open's grant to another client (not a
-// write upgrade, and not this client's own, which no message carries) gets
-// seq, a number no earlier grant of this leader has.
+// grantLease is leaseTable.grant and the recalls it asks for, under ld's opMu.
+// An open's grant to another client gets seq, a number never given before.
 func (c *Client) grantLease(ld *ledDir, ino types.Ino, client rpc.Addr, write bool) (direct bool, seq uint64) {
 	ld.opMu.Lock()
+	defer ld.opMu.Unlock()
 	if !write && client != c.addr {
 		seq = c.grantSeq.Add(1)
 	}
+	// No other grant may find the file direct before every holder recalled is.
 	direct, recall := ld.leases.grant(ino, client, write, seq)
-	ld.opMu.Unlock()
-	for _, h := range recall {
-		if h == c.addr {
-			c.recordWBErr(c.recall(ino))
-		} else {
-			_, _ = c.net.CallFrom(c.addr, h, FlushCacheReq{Ino: ino})
-		}
-	}
+	c.recallHolders(context.Background(), ino, recall)
 	return direct, seq
 }
 
-// releaseData is leaseTable.release under ld's opMu.
-func (c *Client) releaseData(ld *ledDir, ino types.Ino, client rpc.Addr, grant uint64) {
-	ld.opMu.Lock()
-	ld.leases.release(ino, client, grant)
-	ld.opMu.Unlock()
+// recallHolders sends each holder that leaseTable.grant or takeWriter names a
+// FlushCacheReq for ino, one round trip each, and recalls this client in line.
+func (c *Client) recallHolders(ctx context.Context, ino types.Ino, recall []rpc.Addr) {
+	for _, h := range recall {
+		if h == c.addr {
+			// A failed flush keeps the entries dirty; FlushAll and Close report it.
+			c.recordWBErr(c.recall(ino))
+		} else {
+			_, _ = c.net.CallFromCtx(ctx, c.addr, h, FlushCacheReq{Ino: ino})
+		}
+	}
 }
 
 // child is node as ld's table has it now; node itself if the table has lost it.
@@ -671,22 +579,18 @@ func (ld *ledDir) child(node *types.Inode) *types.Inode {
 	return node
 }
 
-// recall is a holder's half of a lease conflict, run for a FlushCacheReq and
-// when the leader recalls itself. The record flips first, so no request that
-// starts afterwards caches again. Invalidate only after a successful flush: a
-// failed write-back keeps the entries dirty for a later retry instead of
-// dropping them, and the caller records the error for FlushAll/Close or
-// returns it on the wire.
+// recall is a holder's half of a recall: the record flips first, so nothing
+// that starts afterwards caches; a failed flush keeps the entries dirty.
 func (c *Client) recall(ino types.Ino) error {
 	c.mu.Lock()
-	c.recalls.Add(1) // a walk whose grant is still on its way has no record yet (adopt)
-	of := c.open[ino]
-	c.mu.Unlock()
-	if of != nil {
+	if of := c.open[ino]; of != nil {
 		of.mu.Lock()
-		of.direct, of.hasWrite = true, false
+		c.hold.recall(&of.lease)
 		of.mu.Unlock()
+	} else {
+		c.hold.recall(nil) // a walk whose grant is on its way has no record yet
 	}
+	c.mu.Unlock()
 	err := c.data.Flush(ino)
 	if err == nil {
 		c.data.Invalidate(ino)

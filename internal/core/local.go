@@ -157,11 +157,10 @@ func (c *Client) localUnlink(ctx context.Context, ld *ledDir, dir types.Ino, req
 }
 
 // retire ends the data lease of ino, whose last name is going (an unlink, or
-// a rename over it). What its writer still caches (a close-time write-back
-// may be in flight) goes to the store first: a PUT that landed after the
-// checkpoint's delete would leak the object.
+// a rename over it). What its writer caches goes to the store first: a PUT
+// that landed after the checkpoint's delete would leak the object.
 func (c *Client) retire(ctx context.Context, ld *ledDir, ino types.Ino) {
-	c.recallWriter(ctx, ld, ino)
+	c.recallHolders(ctx, ino, ld.leases.takeWriter(ino))
 	c.data.Invalidate(ino)
 	ld.leases.drop(ino)
 }
@@ -251,28 +250,13 @@ func (c *Client) localSetAttr(ctx context.Context, ld *ledDir, dir types.Ino, re
 	if p.SetSize && p.Size < oldSize {
 		// Shrinking: recall any outstanding write lease so buffered data is
 		// flushed (or discarded consistently) before the dead chunks go.
-		c.recallWriter(ctx, ld, node.Ino)
+		c.recallHolders(ctx, node.Ino, ld.leases.takeWriter(node.Ino))
 		c.data.Invalidate(node.Ino)
 		if err := c.tr.Truncate(node.Ino, oldSize, p.Size); err != nil {
 			return nil, err
 		}
 	}
 	return node, nil
-}
-
-// recallWriter flushes the write-lease holder's cache for ino, if any.
-// Callers may hold ld.opMu (it is env-aware); the remote flush handler never
-// takes another client's opMu, so there is no lock cycle.
-func (c *Client) recallWriter(ctx context.Context, ld *ledDir, ino types.Ino) {
-	switch writer := ld.leases.takeWriter(ino); writer {
-	case "":
-	case c.addr:
-		// On failure the cache keeps the entries dirty; record the error so
-		// FlushAll/Close report it instead of silently losing the recall.
-		c.recordWBErr(c.data.Flush(ino))
-	default:
-		_, _ = c.net.CallFromCtx(ctx, c.addr, writer, FlushCacheReq{Ino: ino})
-	}
 }
 
 // localReaddir lists a led directory.

@@ -54,11 +54,9 @@ type WalkResp struct {
 	Err      string
 	DirInode []byte   // wire-encoded inode of Dir (if requested)
 	Inodes   [][]byte // wire-encoded inode per resolved name
-	// Leased: Holder is listed for the last inode, which is as the table has it
-	// after the grant. Direct says the file is in direct mode (no caching), and
-	// Grant numbers the listing; the leader's numbers only grow. If the last
-	// inode is Create.NewIno the walk made it, and Leased says that the create
-	// listed Create.Holder, with no number.
+	// Leased: Holder is listed for the last inode, as the table has it after
+	// the grant, under number Grant and in direct mode if Direct; if that is
+	// Create.NewIno the walk made it, and listed Create.Holder with no number.
 	Leased bool
 	Direct bool
 	Grant  uint64
@@ -189,19 +187,16 @@ type WriteLeaseReq struct {
 	Client rpc.Addr
 }
 
-// WriteLeaseResp answers WriteLeaseReq. If Direct is true the lease was not
-// granted: other clients hold leases, caches were flushed by broadcast, and
-// everyone must perform direct object I/O.
+// WriteLeaseResp answers WriteLeaseReq; with Direct the file is in direct
+// mode and nobody caches it.
 type WriteLeaseResp struct {
 	Err    string
 	Direct bool
 }
 
-// CloseFileReq releases the caller's data lease on a child file. Grant is the
-// highest number the caller was listed under; the leader ignores a return
-// older than the listing it holds, whose owner returns it in turn. Below names
-// the way from Dir down to the file's directory when the caller never learned
-// that directory: a create whose walk got no answer.
+// CloseFileReq releases the caller's data lease on a child file, listed under
+// Grant at most (leaseTable.release). Below names the way from Dir down to
+// the file's directory for a create whose walk got no answer.
 type CloseFileReq struct {
 	Dir    types.Ino
 	Below  []string
@@ -215,9 +210,8 @@ type CloseFileResp struct {
 	Err string
 }
 
-// FlushCacheReq is broadcast by a leader to data-lease holders when a write
-// conflict arises: recipients flush dirty data and invalidate the file's
-// cache entries, then switch the file to direct I/O.
+// FlushCacheReq recalls a data-lease holder (leaseTable.grant, takeWriter): it
+// switches the file to direct I/O, flushes and invalidates its cache.
 type FlushCacheReq struct {
 	Ino types.Ino
 }

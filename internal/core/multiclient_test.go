@@ -388,7 +388,7 @@ func TestDataLeaseConflictFallsBackToDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	f2.of.mu.Lock()
-	direct2 := f2.of.direct
+	direct2, _ := f2.of.lease.mode()
 	f2.of.mu.Unlock()
 	if !direct2 {
 		t.Fatal("c2 write with concurrent lease holders should be direct")

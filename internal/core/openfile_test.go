@@ -253,7 +253,7 @@ func TestRecallRacesOpenClose(t *testing.T) {
 		}
 		for _, f := range []*File{h, late} {
 			f.of.mu.Lock()
-			direct := f.of.direct
+			direct, _ := f.of.lease.mode()
 			f.of.mu.Unlock()
 			if !direct {
 				t.Fatalf("round %d: a handle of the recalled client still caches", round)

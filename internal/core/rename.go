@@ -106,7 +106,7 @@ func (c *Client) coordinateRename(ctx context.Context, r RenameReq) error {
 	// A data lease does not move with its file: the new parent's leader will
 	// have no holder to recall, so what the writer still caches goes to the
 	// store now, before anyone can open the file there.
-	c.recallWriter(ctx, ld, moving.Ino)
+	c.recallHolders(ctx, moving.Ino, ld.leases.takeWriter(moving.Ino))
 	ld.opMu.Unlock()
 
 	txid := c.jrnl.NewTxnID()
@@ -251,7 +251,7 @@ func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRe
 			return rerr
 		}
 		pr.replaced = existing
-		c.recallWriter(ctx, ld, existing.Ino)
+		c.recallHolders(ctx, existing.Ino, ld.leases.takeWriter(existing.Ino))
 		dstOps = append(dstOps,
 			wire.Op{Kind: wire.OpDelDentry, Name: r.DstName},
 			wire.Op{Kind: wire.OpDelInode, Ino: existing.Ino, Size: existing.Size})

@@ -34,12 +34,9 @@ func (c *Client) resolvePath(ctx context.Context, path string, followLast bool) 
 	return c.walk(ctx, path, followLast, 0, nil)
 }
 
-// ride is what a call sends along with its walk, for the leader of the
-// directory of the path's last name to do there, and what the walk brings back
-// (DESIGN.md §5.7). An open lists the client for the data lease of a regular
-// file it may open, and grant is then the listing the leader made. A
-// create makes the name if it is missing (lookupAt); Open's lists the client
-// for the new inode too, and made is the record Open took for it.
+// ride is what a call sends along with its walk, for the last name's leader
+// to do there, and what comes back (DESIGN.md §5.7): an open's grant, a
+// create (lookupAt), and Open's record of the inode its create makes.
 type ride struct {
 	holder rpc.Addr   // Open: this client, to list for the file's data lease
 	write  bool       // the open wants to write
@@ -48,6 +45,7 @@ type ride struct {
 	lost   bool       // the last walk message sent got no answer: it may have made the file
 	leased bool
 	grant  dataGrant
+	route  rpc.Addr // the leader made's last walk message went to
 }
 
 // walk is resolvePath; open, if not nil, rides the lookup of the last name.
@@ -181,8 +179,10 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 		req := WalkReq{Dir: dir, Names: slices.Clone(names), Cred: c.opts.Cred, WantDirInode: c.opts.PermCache, Create: cr}
 		if open != nil { // what rides it makes the walk the call's own routing decision
 			sp, req.Holder, req.Write = obs.SpanFrom(ctx), open.holder, open.write
-			if open.made != nil {
-				c.aim(open.made, dir, req.Names)
+			if open.made != nil { // where the create is if no answer comes
+				c.mu.Lock()
+				open.made.parent, open.made.below, open.route = dir, req.Names[:len(names)-1], c.remote[dir]
+				c.mu.Unlock()
 			}
 		}
 		ld, resp, err = forward[WalkResp](ctx, c, sp, dir, req)

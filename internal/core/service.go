@@ -96,7 +96,9 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 		return WriteLeaseResp{Direct: direct}
 	case CloseFileReq:
 		if ld = c.ledBelow(ld, r.Below); ld != nil {
-			c.releaseData(ld, r.Ino, r.Client, r.Grant)
+			ld.opMu.Lock()
+			ld.leases.release(r.Ino, r.Client, r.Grant)
+			ld.opMu.Unlock()
 		}
 		return CloseFileResp{}
 	case FlushCacheReq:
@@ -114,10 +116,8 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 // step alone would; no lock is held from one step to the next. A walk that
 // carries a create serves the last name with it (lookupAt). One that carries
 // an open (r.Holder) and ends at a regular file it did not make is that open
-// too: the access check on the requester's credentials, the grant, and the
-// inode as the table has it once the grant, which may have recalled a writer,
-// is made. A refusal grants nothing and is the walker's own access check to
-// report.
+// too: the access check, the grant, and the inode as it is after the grant.
+// A refusal grants nothing and is the walker's own access check to report.
 func (c *Client) serveWalk(ctx context.Context, ld *ledDir, r WalkReq) WalkResp {
 	resp := WalkResp{Inodes: make([][]byte, 0, len(r.Names))}
 	if r.WantDirInode {

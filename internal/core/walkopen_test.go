@@ -54,7 +54,8 @@ func carriesCreate(req any) bool {
 func isDirect(f *File) bool {
 	f.of.mu.Lock()
 	defer f.of.mu.Unlock()
-	return f.of.direct
+	direct, _ := f.of.lease.mode()
+	return direct
 }
 
 // A recall that reaches the opener between the leader's grant and the
