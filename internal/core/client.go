@@ -49,7 +49,7 @@ type Options struct {
 	Journal journal.Config
 	// Cache configures the data object cache.
 	Cache cache.Config
-	// RPCWorkers sizes the leader-side service pool.
+	// RPCWorkers is how many forwarded requests run at once (default 16).
 	RPCWorkers int
 	// LeasePeriod mirrors the manager's lease duration; it bounds the
 	// lifetime of permission-cache entries (default lease.DefaultPeriod).
@@ -103,8 +103,8 @@ type Options struct {
 	// replacing the multiplicative per-loop caps that amplify retry storms.
 	// Zero applies DefaultOpBudget; negative disables budgeting.
 	OpBudget int
-	// ServerLimits bounds the leader-side RPC service: inbox depth and
-	// queue-wait shedding (see rpc.ServerLimits). Zero value means no limits.
+	// ServerLimits bounds the requests waiting for an RPCWorkers slot and
+	// their wait (see rpc.ServerLimits). Zero value means no limits.
 	ServerLimits rpc.ServerLimits
 	// Breaker, when non-nil, mounts a circuit breaker under the client's
 	// store retry layer: repeated transient backend failures trip it open

@@ -119,7 +119,7 @@ type Manager struct {
 type Options struct {
 	Addr    rpc.Addr      // network address to listen on (default "leasemgr")
 	Period  time.Duration // lease duration (default DefaultPeriod)
-	Workers int           // server worker goroutines (default 4)
+	Workers int           // requests served at once; the rest wait (default 4)
 	// Advertise is this shard's identity in Ring.Members when it differs from
 	// Addr — a bridged deployment lists dialable "tcp!host:port" members in
 	// the ring while each shard listens under a local name (a manager cannot
@@ -157,8 +157,8 @@ type Options struct {
 	// budgeted wait loop absorbs it without new protocol. Release, recovery
 	// handshakes, and handoffs are never limited — they shrink load.
 	QoS *qos.Limiter
-	// Limits bounds the manager's RPC inbox and queue wait (see
-	// rpc.ServerLimits). Zero value means no limits.
+	// Limits bounds the requests waiting for one of the Workers slots and
+	// their wait (see rpc.ServerLimits). Zero value means no limits.
 	Limits rpc.ServerLimits
 }
 
@@ -323,7 +323,7 @@ func (m *Manager) handle(ctx context.Context, req any) any {
 	// local root when the caller is untraced), so lease waits and redirects
 	// show up inside the operation that paid for them. The caller's ring
 	// epoch rides the rpc envelope, not the message.
-	// The caller's tenant and this request's inbox wait ride the envelope
+	// The caller's tenant and this request's slot wait ride the envelope
 	// too; stamping them on the manager span attributes shard queueing to the
 	// tenant that paid for it.
 	meta := rpc.MetaFrom(ctx)
@@ -335,7 +335,7 @@ func (m *Manager) handle(ctx context.Context, req any) any {
 		return sp
 	}
 	if m.serviceCost > 0 {
-		// Charged inside the worker goroutine: Workers requests are serviced
+		// Charged inside the server's slot: Workers requests are serviced
 		// concurrently, the rest queue — a real server's CPU, not a delay.
 		m.env.Sleep(m.serviceCost)
 	}

@@ -17,7 +17,7 @@ type Meta struct {
 	Epoch  uint64          // the caller's lease-ring epoch, 0 when unsharded
 	Tenant string          // the tenant the op is attributed to, "" when unknown
 	Budget *qos.Budget     // the op's shared retry budget, nil when unbudgeted
-	Wait   time.Duration   // serving side: enqueue→pickup, as the fabric measured it
+	Wait   time.Duration   // serving side: arrival→slot, as the fabric measured it
 }
 
 type metaKey struct{}

@@ -31,14 +31,14 @@ func TestInboxBoundSheds(t *testing.T) {
 	defer srv.Close()
 
 	done := make(chan error, 2)
-	go func() { _, err := net.Call("srv", 1); done <- err }() // occupies the worker
+	go func() { _, err := net.Call("srv", 1); done <- err }() // occupies the slot
 	<-entered
-	go func() { _, err := net.Call("srv", 2); done <- err }() // fills the inbox
-	// Wait for the second call to actually be queued before probing the bound.
+	go func() { _, err := net.Call("srv", 2); done <- err }() // waits for the slot
+	// Wait for the second call to actually wait before probing the bound.
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.inbox.Len() < 1 {
+	for srv.waiting.Load() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("second call never reached the inbox")
+			t.Fatal("second call never waited for the slot")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -61,8 +61,9 @@ func TestInboxBoundSheds(t *testing.T) {
 	}
 }
 
-// TestQueueWaitShed: a request whose enqueue→pickup wait exceeds ShedWait is
-// shed at pickup — the handler never runs for it — with a typed EAGAIN.
+// TestQueueWaitShed: a request whose arrival→slot wait exceeds ShedWait is
+// shed when it gets the slot — the handler never runs for it — with a typed
+// EAGAIN.
 func TestQueueWaitShed(t *testing.T) {
 	env := sim.NewRealEnv()
 	defer env.Shutdown()
@@ -86,7 +87,7 @@ func TestQueueWaitShed(t *testing.T) {
 	<-entered
 	stale := make(chan error, 1)
 	go func() { _, err := net.Call("srv", 2); stale <- err }()
-	// Let the queued request age well past ShedWait, then free the worker.
+	// Let the waiting request age well past ShedWait, then free the slot.
 	time.Sleep(50 * time.Millisecond)
 	close(release)
 	if err := <-first; err != nil {

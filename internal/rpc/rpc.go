@@ -18,6 +18,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"arkfs/internal/obs"
@@ -63,9 +64,10 @@ func ShedFor(err error) *Shed {
 // Addr names an endpoint on a Network, e.g. "leasemgr" or "client-7".
 type Addr string
 
-// Handler processes one request and returns the response. Handlers run on
-// server worker goroutines and may block through the environment (sleep,
-// nested Calls), but must not hold locks across such blocking.
+// Handler processes one request and returns the response. A handler runs on
+// its caller's goroutine, in one of its server's slots, and may block through
+// the environment (sleep, nested Calls), but must not hold locks across such
+// blocking.
 type Handler func(req any) any
 
 // CtxHandler is a Handler that also receives the server-side context. The
@@ -97,14 +99,11 @@ type Network struct {
 	cCalls      *obs.Counter
 	cDrops      *obs.Counter
 	cTimeouts   *obs.Counter
-	cShedInbox  *obs.Counter   // requests refused at the inbox bound
-	cShedWait   *obs.Counter   // requests shed at pickup for excessive wait
-	hQWait      *obs.Histogram // enqueue→worker-pickup, all servers
-	hQSvc       *obs.Histogram // worker pickup→handler return, all servers
+	cShedInbox  *obs.Counter   // requests refused at the bound on waiting calls
+	cShedWait   *obs.Counter   // requests shed at their slot for excessive wait
+	hQWait      *obs.Histogram // arrival→slot, all servers
+	hQSvc       *obs.Histogram // slot→handler return, all servers
 	methodHists sync.Map       // method name -> *obs.Histogram
-
-	freeMu sync.Mutex
-	free   []*call // calls whose exchange is over, for reuse
 }
 
 // NewNetwork creates a fabric in env; model applies to every message.
@@ -132,10 +131,11 @@ func (n *Network) faultPlan() *FaultPlan {
 // SetObs attaches a metrics registry: every Call records rpc.calls, a
 // per-method latency histogram (rpc.call.<Method>, environment-clock time
 // including fault-plan delays), and rpc.drops / rpc.timeouts on failure.
-// Server workers additionally split each delivered request into queue wait
-// (rpc.queue.wait: enqueue→pickup) and service time (rpc.queue.service:
-// pickup→handler return), attributed per tenant in the registry's tenant
-// table. Call before serving traffic; nil detaches.
+// Servers additionally split each delivered request into queue wait
+// (rpc.queue.wait: arrival→slot, the wait for one of the handlers the server
+// runs at once) and service time (rpc.queue.service: slot→handler return),
+// attributed per tenant in the registry's tenant table. Call before serving
+// traffic; nil detaches.
 func (n *Network) SetObs(reg *obs.Registry) {
 	n.reg = reg
 	n.cCalls = reg.Counter("rpc.calls")
@@ -183,27 +183,19 @@ func (n *Network) histFor(req any) *obs.Histogram {
 	return h
 }
 
-// call is one request on its way through a server: pooled per Network with
-// its reply channel, which carries exactly one answer per use.
-type call struct {
-	req   any
-	meta  Meta
-	enq   time.Duration // environment-clock time the request was enqueued
-	reply *sim.Chan[any]
-}
-
-// ServerLimits bounds a server's inbox and queue wait; the zero value keeps
-// the historical unbounded behavior.
+// ServerLimits bounds the calls waiting for a server's slots and how long
+// they wait; the zero value keeps the historical unbounded behavior.
 type ServerLimits struct {
-	// MaxInbox caps the requests queued awaiting a worker; excess calls are
-	// refused immediately with a typed EAGAIN (0: unbounded). A bounded
-	// inbox turns queue growth — the collapse mode under overload — into
-	// prompt pushback the client's retry budget absorbs.
+	// MaxInbox caps the calls waiting for a slot, while the server already
+	// runs as many handlers at once as it has slots; excess calls are
+	// refused immediately with a typed EAGAIN (0: unbounded). A bound turns
+	// queue growth — the collapse mode under overload — into prompt
+	// pushback the client's retry budget absorbs.
 	MaxInbox int
-	// ShedWait sheds a request at worker pickup when its measured
-	// enqueue→pickup wait already exceeds this threshold: by then the
-	// caller has likely timed out or retried, so running the handler only
-	// burns service capacity on a dead request (0: never shed).
+	// ShedWait sheds a call when it gets its slot if its arrival→slot wait
+	// already exceeds this threshold: by then the caller has likely timed
+	// out or retried, so running the handler only burns service capacity on
+	// a dead request (0: never shed).
 	ShedWait time.Duration
 	// RetryAfter is the hint attached to inbox-bound refusals (default:
 	// ShedWait when set, else 5ms).
@@ -221,18 +213,23 @@ func (l *ServerLimits) retryAfter() time.Duration {
 	}
 }
 
-// Server is a registered endpoint with a pool of worker goroutines.
+// Server is a registered endpoint: a handler and the slots it runs in. A
+// call runs the handler on its own goroutine once it holds a slot, so a
+// server starts no goroutine, and a call that finds every slot taken waits.
 type Server struct {
-	net    *Network
-	addr   Addr
-	inbox  *sim.Chan[*call]
-	limits ServerLimits
-	closed sync.Once
+	net     *Network
+	addr    Addr
+	h       CtxHandler
+	slots   *sim.Chan[struct{}] // one token per handler that may run at once
+	waiting atomic.Int64        // calls waiting for a slot
+	limits  ServerLimits
+	closed  sync.Once
 }
 
-// Listen registers addr with workers goroutines running h. It panics on a
-// duplicate address, which is always a wiring bug. Optional limits bound the
-// inbox and queue wait (at most one ServerLimits applies).
+// Listen registers addr with h, which at most workers calls run at once. It
+// panics on a duplicate address, which is always a wiring bug. Optional
+// limits bound the calls waiting for a slot and their wait (at most one
+// ServerLimits applies).
 func (n *Network) Listen(addr Addr, workers int, h Handler, limits ...ServerLimits) *Server {
 	return n.ListenCtx(addr, workers, func(_ context.Context, req any) any { return h(req) }, limits...)
 }
@@ -240,12 +237,12 @@ func (n *Network) Listen(addr Addr, workers int, h Handler, limits ...ServerLimi
 // ListenCtx is Listen for envelope-aware handlers: each request's handler
 // context carries the caller's Meta, its queue wait included (MetaFrom).
 func (n *Network) ListenCtx(addr Addr, workers int, h CtxHandler, limits ...ServerLimits) *Server {
-	if workers <= 0 {
-		workers = 1
-	}
-	s := &Server{net: n, addr: addr, inbox: sim.NewChan[*call](n.env)}
+	s := &Server{net: n, addr: addr, h: h, slots: sim.NewChan[struct{}](n.env)}
 	if len(limits) > 0 {
 		s.limits = limits[0]
+	}
+	for i := 0; i < max(workers, 1); i++ {
+		s.slots.Send(struct{}{})
 	}
 	n.mu.Lock()
 	if _, dup := n.servers[addr]; dup {
@@ -254,58 +251,66 @@ func (n *Network) ListenCtx(addr Addr, workers int, h CtxHandler, limits ...Serv
 	}
 	n.servers[addr] = s
 	n.mu.Unlock()
-	for i := 0; i < workers; i++ {
-		n.env.Go(func() {
-			for {
-				c, ok := s.inbox.Recv()
-				if !ok {
-					return
-				}
-				// Queue-wait vs service-time decomposition: the time between
-				// enqueue and this pickup is what the request spent waiting on
-				// the worker pool (the leader's forwarded-op queue, a lease
-				// shard's request queue); everything until the handler returns
-				// is service. The wait rides the handler's envelope so the
-				// serving layer can stamp it on its span.
-				start := n.env.Now()
-				wait := start - c.enq
-				if sw := s.limits.ShedWait; sw > 0 && wait > sw {
-					// The request aged out in the queue; shed it without
-					// spending handler service time. The hint tells the
-					// client how stale its wait already is.
-					n.cShedWait.Inc()
-					if n.reg != nil {
-						n.hQWait.ObserveTrace(wait, c.meta.Span.Trace)
-						n.reg.Tenants().ObserveWait(c.meta.Tenant, wait, 0, c.meta.Span.Trace)
-					}
-					c.reply.Send(&Shed{AfterNS: int64(wait), Reason: "queue-wait"})
-					continue
-				}
-				m := c.meta
-				m.Wait = wait
-				resp := h(WithMeta(context.Background(), m), c.req)
-				if n.reg != nil {
-					svc := n.env.Now() - start
-					n.hQWait.ObserveTrace(wait, m.Span.Trace)
-					n.hQSvc.ObserveTrace(svc, m.Span.Trace)
-					n.reg.Tenants().ObserveWait(m.Tenant, wait, svc, m.Span.Trace)
-				}
-				c.reply.Send(resp)
-			}
-		})
-	}
 	return s
 }
 
-// Close unregisters the server and stops its workers. In-flight calls
-// complete; subsequent calls fail.
+// Close unregisters the server. Handlers already running complete; calls
+// waiting for a slot, and subsequent calls, fail with ErrTimedOut.
 func (s *Server) Close() {
 	s.closed.Do(func() {
 		s.net.mu.Lock()
 		delete(s.net.servers, s.addr)
 		s.net.mu.Unlock()
-		s.inbox.Close()
+		s.slots.Close()
 	})
+}
+
+// serve runs req's handler on the calling goroutine once it holds a slot,
+// the request having arrived at environment-clock time arrived. Queue-wait
+// vs service-time decomposition: the time from arrival to the slot is what
+// the request spent waiting on the server (the leader's forwarded-op queue,
+// a lease shard's request queue); everything until the handler returns is
+// service. The wait rides the handler's envelope so the serving layer can
+// stamp it on its span.
+func (s *Server) serve(meta Meta, req any, arrived time.Duration) (any, error) {
+	n := s.net
+	if bound := s.limits.MaxInbox; bound > 0 && s.waiting.Load() >= int64(bound) {
+		// Bounded wait: refuse at the door instead of queueing without
+		// bound. The refusal is typed EAGAIN so budgeted clients back off.
+		n.cShedInbox.Inc()
+		return nil, fmt.Errorf("rpc: server %q inbox full: %w", s.addr,
+			types.AgainAfter(s.limits.retryAfter(), "inbox"))
+	}
+	s.waiting.Add(1)
+	_, ok := s.slots.Recv()
+	s.waiting.Add(-1)
+	if !ok {
+		n.cTimeouts.Inc()
+		return nil, fmt.Errorf("rpc: server %q closed: %w", s.addr, types.ErrTimedOut)
+	}
+	start := n.env.Now()
+	meta.Wait = start - arrived
+	if sw := s.limits.ShedWait; sw > 0 && meta.Wait > sw {
+		// The request aged out waiting; shed it without spending handler
+		// service time. The hint tells the client how stale its wait
+		// already is.
+		s.slots.Send(struct{}{})
+		n.cShedWait.Inc()
+		if n.reg != nil {
+			n.hQWait.ObserveTrace(meta.Wait, meta.Span.Trace)
+			n.reg.Tenants().ObserveWait(meta.Tenant, meta.Wait, 0, meta.Span.Trace)
+		}
+		return &Shed{AfterNS: int64(meta.Wait), Reason: "queue-wait"}, nil
+	}
+	resp := s.h(WithMeta(context.Background(), meta), req)
+	s.slots.Send(struct{}{})
+	if n.reg != nil {
+		svc := n.env.Now() - start
+		n.hQWait.ObserveTrace(meta.Wait, meta.Span.Trace)
+		n.hQSvc.ObserveTrace(svc, meta.Span.Trace)
+		n.reg.Tenants().ObserveWait(meta.Tenant, meta.Wait, svc, meta.Span.Trace)
+	}
+	return resp, nil
 }
 
 // Call sends req to the server at addr and waits for its response, charging
@@ -388,27 +393,10 @@ func (n *Network) callFrom(meta Meta, from, to Addr, req any) (any, error) {
 		size = sz.WireSize()
 	}
 	n.env.Sleep(n.model.TransferTime(size))
-	if max := s.limits.MaxInbox; max > 0 && s.inbox.Len() >= max {
-		// Bounded inbox: refuse at the door instead of queueing without
-		// bound. The refusal is typed EAGAIN so budgeted clients back off.
-		n.cShedInbox.Inc()
-		return nil, fmt.Errorf("rpc: server %q inbox full: %w", to,
-			types.AgainAfter(s.limits.retryAfter(), "inbox"))
+	resp, err := s.serve(meta, req, n.env.Now())
+	if err != nil {
+		return nil, err
 	}
-	c := n.newCall(req, meta)
-	if !s.inbox.Send(c) {
-		n.freeCall(c)
-		n.cTimeouts.Inc()
-		return nil, fmt.Errorf("rpc: server %q closed: %w", to, types.ErrTimedOut)
-	}
-	resp, ok := c.reply.Recv()
-	if !ok {
-		// Shut down before the answer came: a worker may still send it, so
-		// the call is not reused.
-		n.cTimeouts.Inc()
-		return nil, fmt.Errorf("rpc: call to %q aborted: %w", to, types.ErrTimedOut)
-	}
-	n.freeCall(c)
 	if fault != nil {
 		// The handler ran; losing the response leaves its side effects in
 		// place while this caller times out.
@@ -426,29 +414,4 @@ func (n *Network) callFrom(meta Meta, from, to Addr, req any) (any, error) {
 		return nil, sh.Err()
 	}
 	return resp, nil
-}
-
-// newCall takes a call from the pool, or makes one, for req.
-func (n *Network) newCall(req any, meta Meta) *call {
-	n.freeMu.Lock()
-	var c *call
-	if k := len(n.free) - 1; k >= 0 {
-		c, n.free[k] = n.free[k], nil
-		n.free = n.free[:k]
-	}
-	n.freeMu.Unlock()
-	if c == nil {
-		c = &call{reply: sim.NewChan[any](n.env)}
-	}
-	c.req, c.meta, c.enq = req, meta, n.env.Now()
-	return c
-}
-
-// freeCall returns a call whose answer has been received, or that never
-// reached a server, to the pool.
-func (n *Network) freeCall(c *call) {
-	*c = call{reply: c.reply}
-	n.freeMu.Lock()
-	n.free = append(n.free, c)
-	n.freeMu.Unlock()
 }

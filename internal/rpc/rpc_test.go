@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,6 +142,111 @@ func TestNetworkNestedCalls(t *testing.T) {
 	if err != nil || resp.(int) != 16 {
 		t.Fatalf("resp = %v, %v", resp, err)
 	}
+}
+
+// TestServerSlots: a server is a handler and its slots, under the wall clock
+// and the virtual one alike. Listening starts no goroutine; a one-slot server
+// runs one handler at a time, serving waiting calls in arrival order; Close
+// fails the calls waiting for a slot and lets the running handler finish.
+func TestServerSlots(t *testing.T) {
+	body := func(t *testing.T, env sim.Env) {
+		net := NewNetwork(env, sim.NetModel{})
+		before := runtime.NumGoroutine()
+		for i := 0; i < 64; i++ {
+			net.Listen(Addr(fmt.Sprint("idle-", i)), 16, func(req any) any { return req })
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("64 listeners started %d goroutines, want 0", after-before)
+		}
+
+		// waitFor polls cond through the environment, so a virtual clock
+		// lets the callers it waits on run.
+		waitFor := func(what string, cond func() bool) bool {
+			for i := 0; !cond(); i++ {
+				if i == 5000 {
+					t.Errorf("never: %s", what)
+					return false
+				}
+				env.Sleep(time.Millisecond)
+			}
+			return true
+		}
+		gate := sim.NewChan[struct{}](env)
+		var running atomic.Int32
+		var mu sync.Mutex
+		var order []int
+		srv := net.Listen("one", 1, func(req any) any {
+			if running.Add(1) > 1 {
+				t.Errorf("call %d: two handlers ran at once", req)
+			}
+			mu.Lock()
+			order = append(order, req.(int))
+			mu.Unlock()
+			if req == 0 {
+				gate.Recv()
+			} else {
+				env.Sleep(100 * time.Microsecond)
+			}
+			running.Add(-1)
+			return req
+		})
+		started := func() bool { mu.Lock(); defer mu.Unlock(); return len(order) > 0 }
+		errs := make([]error, 8)
+		g := sim.NewGroup(env)
+		call := func(i int) { g.Go(func() { _, errs[i] = net.Call("one", i) }) }
+		call(0)
+		if !waitFor("call 0 ran", started) {
+			return
+		}
+		for i := 1; i < len(errs); i++ {
+			call(i)
+			if !waitFor(fmt.Sprint("call ", i, " waited"), func() bool { return srv.waiting.Load() == int64(i) }) {
+				return
+			}
+		}
+		gate.Send(struct{}{})
+		g.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("call %d: %v", i, err)
+			}
+		}
+		if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Errorf("served in order %v, want %v", order, want)
+		}
+
+		order = nil
+		g = sim.NewGroup(env)
+		call(0)
+		if !waitFor("call 0 ran", started) {
+			return
+		}
+		call(1)
+		if !waitFor("call 1 waited", func() bool { return srv.waiting.Load() == 1 }) {
+			return
+		}
+		srv.Close()
+		if !waitFor("call 1 failed", func() bool { return srv.waiting.Load() == 0 }) {
+			return
+		}
+		gate.Send(struct{}{})
+		g.Wait()
+		if errs[0] != nil {
+			t.Errorf("running call: %v, want its answer", errs[0])
+		}
+		if !errors.Is(errs[1], types.ErrTimedOut) {
+			t.Errorf("waiting call: %v, want ErrTimedOut", errs[1])
+		}
+	}
+	t.Run("RealEnv", func(t *testing.T) {
+		env := sim.NewRealEnv()
+		defer env.Shutdown()
+		body(t, env)
+	})
+	t.Run("VirtEnv", func(t *testing.T) {
+		env := sim.NewVirtEnv()
+		env.Run(func() { body(t, env) })
+	})
 }
 
 type tcpMsg struct{ S string }

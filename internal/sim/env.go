@@ -97,15 +97,36 @@ func cast[T any](v any) T {
 	return v.(T)
 }
 
-// popFront drops q's head. A queue that empties keeps its array, so a channel
-// used for one exchange after another (an rpc reply) stops allocating.
-func popFront[T any](q []T) []T {
-	var zero T
-	q[0] = zero
-	if len(q) == 1 {
-		return q[:0]
+// fifo is a queue that keeps its array: a pop advances the head, and a push
+// that finds the array full moves the values left to its front once the
+// popped ones fill at least half of it. A channel whose length holds steady
+// (an rpc server's slots, a reply used for one exchange after another) stops
+// allocating.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
 	}
-	return q[1:]
+	q.buf = append(q.buf, v)
+}
+
+// pop removes and returns the head; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }
 
 // Close closes the channel. Pending values can still be received.

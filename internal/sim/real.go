@@ -74,14 +74,14 @@ func (e *RealEnv) newChanCore() chanCore { return newRealChan() }
 // realChan is an unbounded queue with cond-based blocking.
 type realChan struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []any
+	cond   sync.Cond
+	queue  fifo[any]
 	closed bool
 }
 
 func newRealChan() *realChan {
 	c := &realChan{}
-	c.cond = sync.NewCond(&c.mu)
+	c.cond.L = &c.mu
 	return c
 }
 
@@ -91,7 +91,7 @@ func (c *realChan) send(v any) bool {
 	if c.closed {
 		return false
 	}
-	c.queue = append(c.queue, v)
+	c.queue.push(v)
 	c.cond.Signal()
 	return true
 }
@@ -99,7 +99,7 @@ func (c *realChan) send(v any) bool {
 func (c *realChan) recv() (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.queue) == 0 && !c.closed {
+	for c.queue.len() == 0 && !c.closed {
 		c.cond.Wait()
 	}
 	return c.popLocked()
@@ -117,7 +117,7 @@ func (c *realChan) recvTimeout(d time.Duration) (any, bool, bool) {
 	defer timer.Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.queue) == 0 && !c.closed {
+	for c.queue.len() == 0 && !c.closed {
 		if timedOut || !time.Now().Before(deadline) {
 			return nil, false, true
 		}
@@ -130,12 +130,10 @@ func (c *realChan) recvTimeout(d time.Duration) (any, bool, bool) {
 // popLocked removes the queue head; callers hold c.mu and have ensured the
 // queue is non-empty or the channel closed.
 func (c *realChan) popLocked() (any, bool) {
-	if len(c.queue) == 0 {
+	if c.queue.len() == 0 {
 		return nil, false
 	}
-	v := c.queue[0]
-	c.queue = popFront(c.queue)
-	return v, true
+	return c.queue.pop(), true
 }
 
 func (c *realChan) close() {
@@ -148,5 +146,5 @@ func (c *realChan) close() {
 func (c *realChan) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.queue)
+	return c.queue.len()
 }

@@ -314,8 +314,8 @@ func (e *VirtEnv) wakeLocked(w *vWaiter, v any, ok bool) {
 // one atomic step — there is no lost-wakeup window.
 type virtChan struct {
 	env     *VirtEnv
-	queue   []any
-	waiters []*vWaiter
+	queue   fifo[any]
+	waiters fifo[*vWaiter]
 	closed  bool
 }
 
@@ -334,16 +334,15 @@ func (c *virtChan) send(v any) bool {
 	if c.closed {
 		return false
 	}
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = popFront(c.waiters)
+	for c.waiters.len() > 0 {
+		w := c.waiters.pop()
 		if w.done {
 			continue
 		}
 		e.wakeLocked(w, v, true)
 		return true
 	}
-	c.queue = append(c.queue, v)
+	c.queue.push(v)
 	return true
 }
 
@@ -364,8 +363,8 @@ func (c *virtChan) recvTimeout(d time.Duration) (any, bool, bool) {
 func (c *virtChan) recvDeadline(d time.Duration) (any, bool) {
 	e := c.env
 	e.mu.Lock()
-	if len(c.queue) > 0 {
-		v := c.popLocked()
+	if c.queue.len() > 0 {
+		v := c.queue.pop()
 		e.mu.Unlock()
 		return v, true
 	}
@@ -374,7 +373,7 @@ func (c *virtChan) recvDeadline(d time.Duration) (any, bool) {
 		return nil, false
 	}
 	w := &vWaiter{g: e.cur}
-	c.waiters = append(c.waiters, w)
+	c.waiters.push(w)
 	e.parkLocked(w)
 	if d >= 0 {
 		e.pushLocked(&event{at: e.now + d, w: w, onShutdown: true})
@@ -385,12 +384,6 @@ func (c *virtChan) recvDeadline(d time.Duration) (any, bool) {
 	return w.v, w.ok
 }
 
-func (c *virtChan) popLocked() any {
-	v := c.queue[0]
-	c.queue = popFront(c.queue)
-	return v
-}
-
 func (c *virtChan) close() {
 	e := c.env
 	e.mu.Lock()
@@ -399,12 +392,11 @@ func (c *virtChan) close() {
 		return
 	}
 	c.closed = true
-	for _, w := range c.waiters {
-		if !w.done {
+	for c.waiters.len() > 0 {
+		if w := c.waiters.pop(); !w.done {
 			e.wakeLocked(w, nil, false)
 		}
 	}
-	c.waiters = nil
 }
 
 func (c *virtChan) isClosed() bool {
@@ -416,5 +408,5 @@ func (c *virtChan) isClosed() bool {
 func (c *virtChan) len() int {
 	c.env.mu.Lock()
 	defer c.env.mu.Unlock()
-	return len(c.queue)
+	return c.queue.len()
 }

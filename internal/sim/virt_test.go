@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,6 +92,37 @@ func TestVirtChanFIFO(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFifoKeepsOrderAndArray: the channel queue pops in push order across
+// the moves that reuse its array, and a queue whose length holds steady (an
+// rpc server's slot tokens) stops allocating.
+func TestFifoKeepsOrderAndArray(t *testing.T) {
+	var q fifo[int]
+	var ref []int
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		if rng.Intn(3) > 0 || len(ref) == 0 {
+			q.push(i)
+			ref = append(ref, i)
+		} else if v := q.pop(); v != ref[0] {
+			t.Fatalf("op %d: popped %d, want %d", i, v, ref[0])
+		} else {
+			ref = ref[1:]
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("op %d: len %d, want %d", i, q.len(), len(ref))
+		}
+	}
+
+	var slots fifo[int]
+	for i := 0; i < 16; i++ {
+		slots.push(i)
+	}
+	slots.push(slots.pop()) // the one growth a steady length needs
+	if n := testing.AllocsPerRun(1000, func() { slots.push(slots.pop()) }); n != 0 {
+		t.Fatalf("a steady queue allocates %.2f times per pop and push, want 0", n)
+	}
 }
 
 func TestVirtChanCloseWakesReceiver(t *testing.T) {
