@@ -21,7 +21,7 @@ type Profile struct {
 	Name           string
 	Nodes          int
 	Replicas       int           // total copies including the primary
-	WorkersPerNode int           // primary-request concurrency per node
+	WorkersPerNode int           // slots per node: verbs served at once as primary, and replica copies apart
 	ClientNet      sim.NetModel  // client <-> storage node
 	ReplNet        sim.NetModel  // node <-> node replication traffic
 	OpOverhead     time.Duration // per-request software overhead at a node
@@ -49,10 +49,13 @@ type Stats struct {
 	BytesIn, BytesOut                 atomic.Int64
 }
 
-// Cluster is a simulated distributed object store: a set of storage nodes
-// with worker loops, rendezvous-hash placement, and synchronous primary-copy
-// replication. It implements Store; every call charges simulated network and
-// service time against the environment's clock.
+// Cluster is a simulated distributed object store: a set of storage nodes,
+// each a number of slots, with rendezvous-hash placement and synchronous
+// primary-copy replication. It implements Store; every call charges
+// simulated network and service time against the environment's clock. A verb
+// runs on its caller's goroutine once it holds a slot at the key's primary,
+// and a replica's copy or a List's scan runs on a short-lived worker, so a
+// cluster starts no goroutine of its own.
 type Cluster struct {
 	env    sim.Env
 	prof   Profile
@@ -62,39 +65,26 @@ type Cluster struct {
 
 	trailerMu sync.Mutex
 	trailers  map[int64][wire.TrailerSize]byte // syntheticFrame's, by frame size
-
-	freeMu sync.Mutex
-	free   []*sim.Chan[nodeResp] // reply channels whose answers have all arrived
 }
 
 type opKind byte
 
 const (
 	opPut opKind = iota
-	opGet
-	opGetRange
 	opDelete
 	opList
-	opHead
-	opReplPut
-	opReplDelete
 )
 
-type nodeReq struct {
-	op       opKind
-	key      string
-	data     []byte
-	size     int64
-	off, len int64   // opGetRange window
-	replicas []*node // key's placement, primary first (client requests)
-	reply    *sim.Chan[nodeResp]
-}
-
-type nodeResp struct {
+// A job is work a node does on a worker rather than on its caller's
+// goroutine: a replica's copy of a put or a delete, or a List's scan. Its
+// answer, the keys a scan found or a copy's nil, goes to done. A job with no
+// done stands for a verb parked on its node's turn channel.
+type job struct {
+	op   opKind
+	key  string // a list's prefix
 	data []byte
 	size int64
-	keys []string
-	err  error
+	done *sim.Chan[[]string]
 }
 
 type objVal struct {
@@ -102,17 +92,25 @@ type objVal struct {
 	data []byte // nil when the cluster is SizeOnly
 }
 
-type node struct {
-	id        int
-	idDigits  string              // id in decimal: its part of every placement hash
-	inbox     *sim.Chan[*nodeReq] // primary requests
-	replInbox *sim.Chan[*nodeReq] // replication requests (separate workers: no cyclic waits)
-	mu        sync.Mutex
-	data      map[string]objVal
+// slots are one side of a node: how many of its slots are free and, in
+// arrival order, the jobs and parked verbs waiting for one.
+type slots struct {
+	free int
+	wait []job
 }
 
-// NewCluster builds and starts a cluster in env. Callers should Close it (or
-// shut the environment down) when finished.
+type node struct {
+	id       int
+	idDigits string // id in decimal: its part of every placement hash
+	mu       sync.Mutex
+	data     map[string]objVal
+	prim     slots               // verbs for which the node is primary, and List scans
+	repl     slots               // replica copies (slots apart from prim: no cyclic waits)
+	turn     *sim.Chan[struct{}] // where a verb waiting for a prim slot parks
+}
+
+// NewCluster builds a cluster in env. Callers should Close it (or shut the
+// environment down) when finished.
 func NewCluster(env sim.Env, prof Profile) *Cluster {
 	if prof.Nodes <= 0 {
 		prof.Nodes = 1
@@ -131,36 +129,30 @@ func NewCluster(env sim.Env, prof Profile) *Cluster {
 	}
 	c := &Cluster{env: env, prof: prof, trailers: make(map[int64][wire.TrailerSize]byte)}
 	for i := 0; i < prof.Nodes; i++ {
-		n := &node{
-			id:        i,
-			idDigits:  strconv.Itoa(i),
-			inbox:     sim.NewChan[*nodeReq](env),
-			replInbox: sim.NewChan[*nodeReq](env),
-			data:      make(map[string]objVal),
-		}
-		c.nodes = append(c.nodes, n)
-		for w := 0; w < prof.WorkersPerNode; w++ {
-			env.Go(func() { c.serve(n, n.inbox) })
-		}
-		for w := 0; w < prof.WorkersPerNode; w++ {
-			env.Go(func() { c.serve(n, n.replInbox) })
-		}
+		c.nodes = append(c.nodes, &node{
+			id:       i,
+			idDigits: strconv.Itoa(i),
+			data:     make(map[string]objVal),
+			prim:     slots{free: prof.WorkersPerNode},
+			repl:     slots{free: prof.WorkersPerNode},
+			turn:     sim.NewChan[struct{}](env),
+		})
 	}
 	return c
 }
 
-// Close stops all node workers.
+// Close fails every verb waiting for a slot, and every later call, with
+// ErrIO. Verbs already in a slot, and the copies and scans they sent, finish.
 func (c *Cluster) Close() {
 	if c.closed.Swap(true) {
 		return
 	}
 	for _, n := range c.nodes {
-		n.inbox.Close()
-		n.replInbox.Close()
+		n.turn.Close()
 	}
 }
 
-// Stats returns the cluster's traffic counters.
+// Stat returns the cluster's traffic counters.
 func (c *Cluster) Stat() *Stats { return &c.stats }
 
 // Profile returns the cluster's configuration.
@@ -214,30 +206,6 @@ func (c *Cluster) placement(key string) []*node {
 	return out
 }
 
-// replyChan takes a reply channel from the free list, or makes one.
-func (c *Cluster) replyChan() *sim.Chan[nodeResp] {
-	c.freeMu.Lock()
-	defer c.freeMu.Unlock()
-	k := len(c.free) - 1
-	if k < 0 {
-		return sim.NewChan[nodeResp](c.env)
-	}
-	ch := c.free[k]
-	c.free[k] = nil
-	c.free = c.free[:k]
-	return ch
-}
-
-// freeReply returns a reply channel to the free list. Only a channel whose
-// every answer has been received may come back: one abandoned when the
-// cluster or the environment shut down mid-call may still get a late answer,
-// which would reach its next user.
-func (c *Cluster) freeReply(ch *sim.Chan[nodeResp]) {
-	c.freeMu.Lock()
-	c.free = append(c.free, ch)
-	c.freeMu.Unlock()
-}
-
 // syntheticFrame stands in for a discarded payload: zeros of the stored size
 // whose trailing 4 bytes are a valid CRC32C trailer over the rest (wire.Seal
 // framing). Every persisted ArkFS record is sealed, so a size-only read must
@@ -271,146 +239,145 @@ func (c *Cluster) serviceTime(size int64) time.Duration {
 	return d
 }
 
-// serve is a node worker loop.
-func (c *Cluster) serve(n *node, inbox *sim.Chan[*nodeReq]) {
+// enter sends a request of wire bytes to key's primary and takes one of its
+// slots. A verb that finds a slot free yields once before it runs; one that
+// waits is handed its slot and runs at once (the order rules, DESIGN.md §3).
+func (c *Cluster) enter(key string, wire int64) ([]*node, error) {
+	if c.closed.Load() {
+		return nil, fmt.Errorf("objstore: cluster closed: %w", types.ErrIO)
+	}
+	replicas := c.placement(key)
+	c.env.Sleep(c.prof.ClientNet.TransferTime(wire)) // request propagation
+	n := replicas[0]
+	n.mu.Lock()
+	if n.prim.free > 0 {
+		n.prim.free--
+		n.mu.Unlock()
+		c.env.Yield()
+		return replicas, nil
+	}
+	n.prim.wait = append(n.prim.wait, job{})
+	n.mu.Unlock()
+	if _, ok := n.turn.Recv(); !ok {
+		return nil, fmt.Errorf("objstore: cluster closed mid-call: %w", types.ErrIO)
+	}
+	return replicas, nil
+}
+
+// leave gives n's slot to whatever waits for it, yields, and sends back a
+// response of wire bytes.
+func (c *Cluster) leave(n *node, wire int64) {
+	if j, ok := n.next(&n.prim); ok {
+		// A scan waits: its worker starts as the service time it is owed ends.
+		c.env.After(c.serviceTime(0), func() { c.work(n, &n.prim, j) })
+	}
+	c.env.Yield()
+	c.env.Sleep(c.prof.ClientNet.TransferTime(wire))
+}
+
+// next passes a slot of s on to the first in line. A parked verb gets it and
+// runs before every other runnable goroutine. A job is returned for the
+// caller to serve. With nobody waiting, the slot is free again.
+func (n *node) next(s *slots) (job, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for len(s.wait) > 0 {
+		j := s.wait[0]
+		s.wait[0] = job{}
+		s.wait = s.wait[1:]
+		if j.done != nil {
+			return j, true
+		}
+		if n.turn.SendNext(struct{}{}) { // false: Close failed the verb
+			return job{}, false
+		}
+	}
+	s.free++
+	return job{}, false
+}
+
+// send gives j to one of s's slots at n: a free slot starts a worker for it,
+// and a busy node queues it.
+func (c *Cluster) send(n *node, s *slots, j job) {
+	n.mu.Lock()
+	if s.free > 0 {
+		s.free--
+		n.mu.Unlock()
+		c.env.Go(func() {
+			c.env.Sleep(c.serviceTime(j.size))
+			c.work(n, s, j)
+		})
+		return
+	}
+	s.wait = append(s.wait, j)
+	n.mu.Unlock()
+}
+
+// work finishes j, whose service time has passed, on a worker in one of s's
+// slots at n. It then serves, in the same turn, each job queued behind it,
+// and exits once the slot has gone to a parked verb or is free.
+func (c *Cluster) work(n *node, s *slots, j job) {
 	for {
-		req, ok := inbox.Recv()
-		if !ok {
+		j.done.Send(n.apply(j))
+		var ok bool
+		if j, ok = n.next(s); !ok {
 			return
 		}
-		var resp nodeResp
-		switch req.op {
-		case opPut, opReplPut:
-			c.env.Sleep(c.serviceTime(req.size))
-			val := objVal{size: req.size}
-			if !c.prof.discards(req.key) {
-				val.data = req.data
-			}
-			n.mu.Lock()
-			n.data[req.key] = val
-			n.mu.Unlock()
-			if req.op == opPut {
-				resp.err = c.replicate(req.replicas[1:], opReplPut, req.key, req.data, req.size)
-			}
-		case opGet:
-			n.mu.Lock()
-			val, exists := n.data[req.key]
-			n.mu.Unlock()
-			if !exists {
-				resp.err = fmt.Errorf("get %q: %w", req.key, ErrNotExist)
-				break
-			}
-			c.env.Sleep(c.serviceTime(val.size))
-			resp.size = val.size
-			if c.prof.discards(req.key) {
-				resp.data = c.syntheticFrame(val.size)
-			} else {
-				resp.data = val.data
-			}
-		case opGetRange:
-			n.mu.Lock()
-			val, exists := n.data[req.key]
-			n.mu.Unlock()
-			if !exists {
-				resp.err = fmt.Errorf("getrange %q: %w", req.key, ErrNotExist)
-				break
-			}
-			// Clip the window to the object size.
-			win := req.len
-			if req.off >= val.size {
-				win = 0
-			} else if req.off+win > val.size {
-				win = val.size - req.off
-			}
-			c.env.Sleep(c.serviceTime(win))
-			resp.size = win
-			if c.prof.discards(req.key) {
-				resp.data = clipRange(c.syntheticFrame(val.size), req.off, req.len)
-			} else {
-				resp.data = clipRange(val.data, req.off, req.len)
-			}
-		case opDelete, opReplDelete:
-			c.env.Sleep(c.serviceTime(0))
-			n.mu.Lock()
-			delete(n.data, req.key)
-			n.mu.Unlock()
-			if req.op == opDelete {
-				resp.err = c.replicate(req.replicas[1:], opReplDelete, req.key, nil, 0)
-			}
-		case opHead:
-			c.env.Sleep(c.serviceTime(0))
-			n.mu.Lock()
-			val, exists := n.data[req.key]
-			n.mu.Unlock()
-			if !exists {
-				resp.err = fmt.Errorf("head %q: %w", req.key, ErrNotExist)
-			} else {
-				resp.size = val.size
-			}
-		case opList:
-			c.env.Sleep(c.serviceTime(0))
-			n.mu.Lock()
-			for k := range n.data {
-				if hasPrefix(k, req.key) {
-					resp.keys = append(resp.keys, k)
-				}
-			}
-			n.mu.Unlock()
-		}
-		req.reply.Send(resp)
+		c.env.Sleep(c.serviceTime(j.size))
 	}
 }
 
-// replicate forwards a mutation from the primary to the other replicas and
-// waits for all acknowledgements (synchronous primary-copy replication, as
-// RADOS does).
-func (c *Cluster) replicate(replicas []*node, op opKind, key string, data []byte, size int64) error {
-	if len(replicas) == 0 {
-		return nil
-	}
-	reply := c.replyChan()
-	for _, r := range replicas {
-		c.env.Sleep(c.prof.ReplNet.TransferTime(size)) // serialize onto the wire
-		r.replInbox.Send(&nodeReq{op: op, key: key, data: data, size: size, reply: reply})
-	}
-	var firstErr error
-	for range replicas {
-		resp, ok := reply.Recv()
-		if !ok {
-			return fmt.Errorf("objstore: cluster closed during replication: %w", types.ErrIO)
-		}
-		if resp.err != nil && firstErr == nil {
-			firstErr = resp.err
+// apply stores, deletes or scans for j's key at n.
+func (n *node) apply(j job) (keys []string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	switch j.op {
+	case opPut:
+		n.data[j.key] = objVal{size: j.size, data: j.data}
+	case opDelete:
+		delete(n.data, j.key)
+	case opList:
+		for k := range n.data {
+			if hasPrefix(k, j.key) {
+				keys = append(keys, k)
+			}
 		}
 	}
-	c.freeReply(reply)
-	return firstErr
+	return keys
 }
 
-// call performs one client-side request against the primary for key.
-func (c *Cluster) call(req *nodeReq, sendSize, recvResp bool) (nodeResp, error) {
-	if c.closed.Load() {
-		return nodeResp{}, fmt.Errorf("objstore: cluster closed: %w", types.ErrIO)
+func (n *node) lookup(key string) (objVal, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	val, ok := n.data[key]
+	return val, ok
+}
+
+// mutate applies j, a put or a delete, at its key's primary and then at every
+// other replica, and waits for all acknowledgements (synchronous
+// primary-copy replication, as RADOS does).
+func (c *Cluster) mutate(j job) error {
+	replicas, err := c.enter(j.key, j.size)
+	if err != nil {
+		return err
 	}
-	req.replicas = c.placement(req.key)
-	wire := int64(0)
-	if sendSize {
-		wire = req.size
+	n := replicas[0]
+	c.env.Sleep(c.serviceTime(j.size))
+	n.apply(j)
+	if len(replicas) > 1 {
+		j.done = sim.NewChan[[]string](c.env)
+		for _, r := range replicas[1:] {
+			c.env.Sleep(c.prof.ReplNet.TransferTime(j.size)) // serialize onto the wire
+			c.send(r, &r.repl, j)
+		}
+		for range replicas[1:] {
+			if _, ok := j.done.Recv(); !ok && err == nil {
+				err = fmt.Errorf("objstore: environment shut down during replication: %w", types.ErrIO)
+			}
+		}
 	}
-	c.env.Sleep(c.prof.ClientNet.TransferTime(wire)) // request propagation
-	req.reply = c.replyChan()
-	req.replicas[0].inbox.Send(req)
-	resp, ok := req.reply.Recv()
-	if !ok {
-		return nodeResp{}, fmt.Errorf("objstore: cluster closed mid-call: %w", types.ErrIO)
-	}
-	c.freeReply(req.reply)
-	if recvResp {
-		c.env.Sleep(c.prof.ClientNet.TransferTime(resp.size)) // response payload
-	} else {
-		c.env.Sleep(c.prof.ClientNet.TransferTime(0)) // bare acknowledgement
-	}
-	return resp, resp.err
+	c.leave(n, 0)
+	return err
 }
 
 // Put implements Store.
@@ -425,50 +392,81 @@ func (c *Cluster) Put(key string, data []byte) error {
 	if !c.prof.discards(key) {
 		stored = append([]byte(nil), data...)
 	}
-	_, err := c.call(&nodeReq{op: opPut, key: key, data: stored, size: int64(len(data))}, true, false)
-	return err
+	return c.mutate(job{op: opPut, key: key, data: stored, size: int64(len(data))})
 }
 
 // Get implements Store.
 func (c *Cluster) Get(key string) ([]byte, error) {
 	c.stats.Gets.Add(1)
-	resp, err := c.call(&nodeReq{op: opGet, key: key}, false, true)
+	replicas, err := c.enter(key, 0)
 	if err != nil {
 		return nil, err
 	}
-	c.stats.BytesOut.Add(resp.size)
-	if c.prof.discards(key) {
-		return resp.data, nil
+	n := replicas[0]
+	val, ok := n.lookup(key)
+	if !ok {
+		c.leave(n, 0)
+		return nil, fmt.Errorf("get %q: %w", key, ErrNotExist)
 	}
-	return append([]byte(nil), resp.data...), nil
+	c.env.Sleep(c.serviceTime(val.size))
+	c.leave(n, val.size)
+	c.stats.BytesOut.Add(val.size)
+	if c.prof.discards(key) {
+		return c.syntheticFrame(val.size), nil
+	}
+	return append([]byte(nil), val.data...), nil
 }
 
 // GetRange implements Store.
 func (c *Cluster) GetRange(key string, off, n int64) ([]byte, error) {
 	c.stats.Gets.Add(1)
-	resp, err := c.call(&nodeReq{op: opGetRange, key: key, off: off, len: n}, false, true)
+	replicas, err := c.enter(key, 0)
 	if err != nil {
 		return nil, err
 	}
-	c.stats.BytesOut.Add(resp.size)
-	if c.prof.discards(key) {
-		return resp.data, nil
+	p := replicas[0]
+	val, ok := p.lookup(key)
+	if !ok {
+		c.leave(p, 0)
+		return nil, fmt.Errorf("getrange %q: %w", key, ErrNotExist)
 	}
-	return append([]byte(nil), resp.data...), nil
+	// Clip the window to the object size.
+	win := n
+	if off >= val.size {
+		win = 0
+	} else if off+win > val.size {
+		win = val.size - off
+	}
+	c.env.Sleep(c.serviceTime(win))
+	c.leave(p, win)
+	c.stats.BytesOut.Add(win)
+	if c.prof.discards(key) {
+		return clipRange(c.syntheticFrame(val.size), off, n), nil
+	}
+	return clipRange(val.data, off, n), nil
 }
 
 // Delete implements Store.
 func (c *Cluster) Delete(key string) error {
 	c.stats.Deletes.Add(1)
-	_, err := c.call(&nodeReq{op: opDelete, key: key}, false, false)
-	return err
+	return c.mutate(job{op: opDelete, key: key})
 }
 
 // Head implements Store.
 func (c *Cluster) Head(key string) (int64, error) {
 	c.stats.Heads.Add(1)
-	resp, err := c.call(&nodeReq{op: opHead, key: key}, false, false)
-	return resp.size, err
+	replicas, err := c.enter(key, 0)
+	if err != nil {
+		return 0, err
+	}
+	n := replicas[0]
+	c.env.Sleep(c.serviceTime(0))
+	val, ok := n.lookup(key)
+	c.leave(n, 0)
+	if !ok {
+		return 0, fmt.Errorf("head %q: %w", key, ErrNotExist)
+	}
+	return val.size, nil
 }
 
 // List implements Store. It fans out to every node (keys live on their
@@ -478,22 +476,21 @@ func (c *Cluster) List(prefix string) ([]string, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("objstore: cluster closed: %w", types.ErrIO)
 	}
-	reply := c.replyChan()
+	done := sim.NewChan[[]string](c.env)
 	c.env.Sleep(c.prof.ClientNet.TransferTime(0))
 	for _, n := range c.nodes {
-		n.inbox.Send(&nodeReq{op: opList, key: prefix, reply: reply})
+		c.send(n, &n.prim, job{op: opList, key: prefix, done: done})
 	}
 	seen := map[string]bool{}
 	for range c.nodes {
-		resp, ok := reply.Recv()
+		keys, ok := done.Recv()
 		if !ok {
-			return nil, fmt.Errorf("objstore: cluster closed mid-list: %w", types.ErrIO)
+			return nil, fmt.Errorf("objstore: environment shut down mid-list: %w", types.ErrIO)
 		}
-		for _, k := range resp.keys {
+		for _, k := range keys {
 			seen[k] = true
 		}
 	}
-	c.freeReply(reply)
 	c.env.Sleep(c.prof.ClientNet.TransferTime(0))
 	keys := make([]string, 0, len(seen))
 	for k := range seen {

@@ -1,10 +1,13 @@
 package objstore
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -157,6 +160,209 @@ func TestClusterParallelClientsShareVirtualTime(t *testing.T) {
 	if elapsed >= serial {
 		t.Fatalf("parallel fetches took %v, not faster than serial %v", elapsed, serial)
 	}
+}
+
+// TestClusterOrderMatchesServeLoop pins the order in which contended calls
+// finish at one virtual instant. 64 goroutines make seeded, random calls on
+// 4 nodes of 2 slots with RADOS-like costs, so calls queue for slots, collide
+// at the same instants and replicate onto busy nodes. Each call's (goroutine,
+// index, start, end, outcome) is hashed in completion order. The constant is
+// the log of nodes served by one worker goroutine per slot, the order every
+// committed figure and benchmark point was measured with (DESIGN.md §3): a
+// change to the order of goroutines at one instant fails here in a second.
+func TestClusterOrderMatchesServeLoop(t *testing.T) {
+	const want = "ddcefbe30c8e1c32c6efaff7586842d9456cf1d8d7114ba0c5bc9deb4a01e4ce"
+	env := sim.NewVirtEnv()
+	h := sha256.New()
+	calls := 0
+	env.Run(func() {
+		prof := RADOSProfile()
+		prof.Nodes, prof.WorkersPerNode = 4, 2
+		c := NewCluster(env, prof)
+		defer c.Close()
+		zeros := make([]byte, 1<<20)
+		g := sim.NewGroup(env)
+		for w := 0; w < 64; w++ {
+			rng := rand.New(rand.NewSource(int64(w)))
+			g.Go(func() {
+				for i := 0; i < 40; i++ {
+					env.Sleep(time.Duration(rng.Intn(3)) * 50 * time.Microsecond)
+					key := fmt.Sprintf("%s%d", [2]string{"d:", "i:"}[rng.Intn(2)], rng.Intn(24))
+					start := env.Now()
+					var out any
+					switch r := rng.Intn(100); {
+					case r < 35:
+						size := [3]int{0, 4 << 10, 64 << 10}[rng.Intn(3)]
+						if key[0] == 'd' {
+							size *= 16
+						}
+						out = c.Put(key, zeros[:size])
+					case r < 55:
+						b, err := c.Get(key)
+						out = fmt.Sprint(len(b), err)
+					case r < 65:
+						b, err := c.GetRange(key, int64(rng.Intn(8<<10)), 8<<10)
+						out = fmt.Sprint(len(b), err)
+					case r < 80:
+						out = c.Delete(key)
+					case r < 97:
+						size, err := c.Head(key)
+						out = fmt.Sprint(size, err)
+					default:
+						keys, err := c.List(key[:2])
+						out = fmt.Sprint(keys, err)
+					}
+					fmt.Fprintf(h, "%d %d %d %d %v\n", w, i, start, env.Now(), out)
+					calls++
+				}
+			})
+		}
+		g.Wait()
+	})
+	if calls != 64*40 {
+		t.Fatalf("%d calls finished, want %d", calls, 64*40)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("completion log hashes to %s, want %s: the order of calls at one virtual instant changed", got, want)
+	}
+}
+
+func TestCloseReturnsCallsInFlight(t *testing.T) {
+	// A Put that Close catches in its request's flight or in its
+	// replication returns: the running call finishes, or one still waiting
+	// for a slot fails.
+	for _, tc := range []struct {
+		name         string
+		client, repl time.Duration
+	}{
+		{"request", 50 * time.Millisecond, 0},
+		{"replication", 0, 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewRealEnv()
+			defer env.Shutdown()
+			prof := TestProfile()
+			prof.Nodes, prof.Replicas = 3, 3
+			prof.ClientNet.Latency, prof.ReplNet.Latency = tc.client, tc.repl
+			c := NewCluster(env, prof)
+			done := make(chan error, 1)
+			go func() { done <- c.Put("k", []byte("v")) }()
+			time.Sleep(10 * time.Millisecond)
+			c.Close()
+			select {
+			case err := <-done:
+				if err != nil && !errors.Is(err, types.ErrIO) {
+					t.Fatalf("Put across Close: %v", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Put still blocked 2s after Close")
+			}
+		})
+	}
+}
+
+func TestClusterSlots(t *testing.T) {
+	t.Run("no goroutines", func(t *testing.T) {
+		env := sim.NewRealEnv()
+		defer env.Shutdown()
+		before := runtime.NumGoroutine()
+		c := NewCluster(env, RADOSProfile())
+		defer c.Close()
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("NewCluster started %d goroutines", after-before)
+		}
+	})
+
+	// ends runs fn(i) for i in [0, n) on goroutines started together on a
+	// cluster of one slot per node and 10 ms of service per request, and
+	// returns which i finished at which virtual time, in completion order.
+	ends := func(t *testing.T, prof Profile, n int, fn func(c *Cluster, i int) error) (order []int, at []time.Duration) {
+		env := sim.NewVirtEnv()
+		env.Run(func() {
+			prof.WorkersPerNode, prof.OpOverhead = 1, 10*time.Millisecond
+			c := NewCluster(env, prof)
+			defer c.Close()
+			g := sim.NewGroup(env)
+			for i := 0; i < n; i++ {
+				g.Go(func() {
+					if err := fn(c, i); err != nil {
+						t.Error(err)
+					}
+					order, at = append(order, i), append(at, env.Now())
+				})
+			}
+			g.Wait()
+		})
+		return order, at
+	}
+	check := func(t *testing.T, order []int, at []time.Duration, first time.Duration) {
+		t.Helper()
+		for i := range order {
+			if want := first + time.Duration(i)*10*time.Millisecond; order[i] != i || at[i] != want {
+				t.Fatalf("finished %v at %v: want arrival order, 10ms apart from %v", order, at, first)
+			}
+		}
+	}
+
+	t.Run("primary", func(t *testing.T) {
+		// Five Heads at one primary of one slot are served one at a time,
+		// first come first served.
+		prof := TestProfile()
+		prof.Nodes, prof.Replicas = 1, 1
+		order, at := ends(t, prof, 5, func(c *Cluster, i int) error {
+			_, err := c.Head("k")
+			if errors.Is(err, ErrNotExist) {
+				err = nil
+			}
+			return err
+		})
+		check(t, order, at, 10*time.Millisecond)
+	})
+
+	t.Run("replica", func(t *testing.T) {
+		// Two Puts with two primaries and one replica in common: the
+		// primaries store at once, and the copies queue at the replica.
+		prof := TestProfile()
+		prof.Nodes, prof.Replicas = 3, 2
+		env := sim.NewRealEnv()
+		defer env.Shutdown()
+		probe := NewCluster(env, prof)
+		keys := map[int]string{} // by primary, keys replicated to node 0
+		for k := 0; len(keys) < 2; k++ {
+			key := fmt.Sprint("k", k)
+			if p := probe.placement(key); p[1].id == 0 {
+				keys[p[0].id] = key
+			}
+		}
+		order, at := ends(t, prof, 2, func(c *Cluster, i int) error { return c.Put(keys[i+1], nil) })
+		check(t, order, at, 20*time.Millisecond)
+	})
+
+	t.Run("close", func(t *testing.T) {
+		// Close fails the verb waiting for the slot and lets the one in it
+		// finish.
+		env := sim.NewVirtEnv()
+		var running, waiting, later error
+		env.Run(func() {
+			prof := TestProfile()
+			prof.Nodes, prof.Replicas, prof.WorkersPerNode = 1, 1, 1
+			prof.OpOverhead = 10 * time.Millisecond
+			c := NewCluster(env, prof)
+			if err := c.Put("k", []byte("v")); err != nil {
+				t.Error(err)
+			}
+			g := sim.NewGroup(env)
+			g.Go(func() { _, running = c.Get("k") })
+			g.Go(func() { _, waiting = c.Get("k") })
+			env.Sleep(5 * time.Millisecond)
+			c.Close()
+			g.Wait()
+			_, later = c.Get("k")
+		})
+		if running != nil || !errors.Is(waiting, types.ErrIO) || !errors.Is(later, types.ErrIO) {
+			t.Fatalf("across Close: running %v, waiting %v, later %v", running, waiting, later)
+		}
+	})
 }
 
 func keyN(i int) string {

@@ -23,6 +23,10 @@ type Env interface {
 	// Sleep pauses the calling goroutine for d. In a VirtEnv that has been
 	// shut down, Sleep returns immediately.
 	Sleep(d time.Duration)
+	// Yield lets every goroutine that is already runnable run first, then
+	// returns. A RealEnv returns at once, and so does a VirtEnv in which
+	// nothing else is runnable.
+	Yield()
 	// Go runs fn on a tracked goroutine. Every goroutine that uses Env
 	// blocking calls must be started via Go (or be the one inside Run).
 	Go(fn func())
@@ -44,7 +48,8 @@ type Env interface {
 // Sends never block (the queue is unbounded), which keeps the virtual-clock
 // scheduler simple; bounded behavior, where needed, is built above this.
 type chanCore interface {
-	send(v any) bool // false if the channel is closed
+	send(v any) bool     // false if the channel is closed
+	sendNext(v any) bool // send, the woken receiver running next
 	recv() (v any, ok bool)
 	recvTimeout(d time.Duration) (v any, ok bool, timedOut bool)
 	close()
@@ -65,6 +70,11 @@ func NewChan[T any](env Env) *Chan[T] {
 // Send enqueues v. It never blocks. It reports false if the channel is
 // closed (the value is dropped).
 func (c *Chan[T]) Send(v T) bool { return c.core.send(v) }
+
+// SendNext is Send, except that in a VirtEnv the receiver it wakes runs
+// before every goroutine that is already runnable, as if the sender had gone
+// on to do the receiver's work itself. In a RealEnv it is Send.
+func (c *Chan[T]) SendNext(v T) bool { return c.core.sendNext(v) }
 
 // Recv blocks until a value is available or the channel is closed and
 // drained; ok is false in the latter case.
@@ -116,6 +126,17 @@ func (q *fifo[T]) push(v T) {
 		q.buf, q.head = q.buf[:n], 0
 	}
 	q.buf = append(q.buf, v)
+}
+
+// pushFront puts v before the head.
+func (q *fifo[T]) pushFront(v T) {
+	if q.head == 0 {
+		q.buf = append(q.buf, v) // room for one more; everything shifts up
+		copy(q.buf[1:], q.buf)
+		q.head = 1
+	}
+	q.head--
+	q.buf[q.head] = v
 }
 
 // pop removes and returns the head; the queue must not be empty.

@@ -44,6 +44,9 @@ func (e *RealEnv) Sleep(d time.Duration) {
 	e.mu.Unlock()
 }
 
+// Yield implements Env: the Go scheduler needs no turn given up.
+func (e *RealEnv) Yield() {}
+
 // Go implements Env.
 func (e *RealEnv) Go(fn func()) { go fn() }
 
@@ -95,6 +98,8 @@ func (c *realChan) send(v any) bool {
 	c.cond.Signal()
 	return true
 }
+
+func (c *realChan) sendNext(v any) bool { return c.send(v) }
 
 func (c *realChan) recv() (any, bool) {
 	c.mu.Lock()

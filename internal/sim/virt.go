@@ -22,8 +22,8 @@ import (
 type VirtEnv struct {
 	mu      sync.Mutex // guards every field below and all virtChan state
 	now     time.Duration
-	cur     *vGoroutine   // holds the baton; nil when nothing runs
-	runq    []*vGoroutine // runnable, waiting for the baton, in wake order
+	cur     *vGoroutine       // holds the baton; nil when nothing runs
+	runq    fifo[*vGoroutine] // runnable, waiting for the baton, in wake order
 	events  eventHeap
 	seq     int64
 	stopped bool
@@ -90,7 +90,7 @@ func (e *VirtEnv) Run(fn func()) {
 		panic("sim: Run on a shut-down VirtEnv")
 	}
 	g := newVGoroutine()
-	e.readyLocked(g)
+	e.readyLocked(g, false)
 	e.mu.Unlock()
 	<-g.wake
 	defer func() {
@@ -121,6 +121,21 @@ func (e *VirtEnv) Sleep(d time.Duration) {
 	}
 	g := e.cur
 	e.pushLocked(&event{at: e.now + d, g: g, onShutdown: true})
+	e.passLocked()
+	e.mu.Unlock()
+	<-g.wake
+}
+
+// Yield implements Env: the caller goes to the tail of the run queue and
+// carries on when the baton comes back; alone, it returns at once.
+func (e *VirtEnv) Yield() {
+	e.mu.Lock()
+	if e.runq.len() == 0 {
+		e.mu.Unlock()
+		return
+	}
+	g := e.cur
+	e.runq.push(g)
 	e.passLocked()
 	e.mu.Unlock()
 	<-g.wake
@@ -168,7 +183,7 @@ func (e *VirtEnv) Shutdown() {
 		}
 	}
 	for e.firstParked != nil {
-		e.wakeLocked(e.firstParked, nil, false)
+		e.wakeLocked(e.firstParked, nil, false, false)
 	}
 }
 
@@ -182,7 +197,7 @@ func (e *VirtEnv) Stopped() bool {
 // startLocked runs fn on a new tracked goroutine that waits for the baton.
 func (e *VirtEnv) startLocked(fn func()) {
 	g := newVGoroutine()
-	e.readyLocked(g)
+	e.readyLocked(g, false)
 	go func() {
 		<-g.wake
 		defer func() {
@@ -195,14 +210,17 @@ func (e *VirtEnv) startLocked(fn func()) {
 }
 
 // readyLocked makes g runnable: it takes the baton at once if nothing holds
-// it, and otherwise joins the run queue.
-func (e *VirtEnv) readyLocked(g *vGoroutine) {
-	if e.cur == nil {
+// it, and otherwise joins the run queue, at its head if next is set.
+func (e *VirtEnv) readyLocked(g *vGoroutine, next bool) {
+	switch {
+	case e.cur == nil:
 		e.cur = g
 		g.wake <- struct{}{}
-		return
+	case next:
+		e.runq.pushFront(g)
+	default:
+		e.runq.push(g)
 	}
-	e.runq = append(e.runq, g)
 }
 
 // passLocked gives up the caller's baton: to the head of the run queue, or,
@@ -210,15 +228,13 @@ func (e *VirtEnv) readyLocked(g *vGoroutine) {
 // nothing is runnable and no event is pending, the simulation has quiesced
 // and the baton is free.
 func (e *VirtEnv) passLocked() {
-	for len(e.runq) == 0 {
+	for e.runq.len() == 0 {
 		if !e.advanceLocked() {
 			e.cur = nil
 			return
 		}
 	}
-	g := e.runq[0]
-	e.runq[0] = nil
-	e.runq = e.runq[1:]
+	g := e.runq.pop()
 	e.cur = g
 	g.wake <- struct{}{}
 }
@@ -234,10 +250,10 @@ func (e *VirtEnv) pushLocked(ev *event) {
 func (e *VirtEnv) fireLocked(ev *event) {
 	switch {
 	case ev.g != nil:
-		e.readyLocked(ev.g)
+		e.readyLocked(ev.g, false)
 	case ev.w != nil:
 		if !ev.w.done {
-			e.wakeLocked(ev.w, nil, false)
+			e.wakeLocked(ev.w, nil, false, false)
 		}
 	default:
 		e.startLocked(ev.fn)
@@ -292,8 +308,8 @@ func (e *VirtEnv) parkLocked(w *vWaiter) {
 }
 
 // wakeLocked ends w's wait with (v, ok): it leaves the registry and its
-// goroutine becomes runnable.
-func (e *VirtEnv) wakeLocked(w *vWaiter, v any, ok bool) {
+// goroutine becomes runnable, ahead of all others if next is set.
+func (e *VirtEnv) wakeLocked(w *vWaiter, v any, ok, next bool) {
 	w.done, w.v, w.ok = true, v, ok
 	if w.prev != nil {
 		w.prev.next = w.next
@@ -307,7 +323,7 @@ func (e *VirtEnv) wakeLocked(w *vWaiter, v any, ok bool) {
 	}
 	w.prev, w.next = nil, nil
 	e.parked--
-	e.readyLocked(w.g)
+	e.readyLocked(w.g, next)
 }
 
 // virtChan shares the env lock so that park/wake and clock advancement are
@@ -327,7 +343,12 @@ type vWaiter struct {
 	prev, next *vWaiter // neighbours in the env's registry while parked
 }
 
-func (c *virtChan) send(v any) bool {
+func (c *virtChan) send(v any) bool     { return c.deliver(v, false) }
+func (c *virtChan) sendNext(v any) bool { return c.deliver(v, true) }
+
+// deliver hands v to the first live waiter, which runs next if next is set,
+// or queues it when nobody waits.
+func (c *virtChan) deliver(v any, next bool) bool {
 	e := c.env
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -339,7 +360,7 @@ func (c *virtChan) send(v any) bool {
 		if w.done {
 			continue
 		}
-		e.wakeLocked(w, v, true)
+		e.wakeLocked(w, v, true, next)
 		return true
 	}
 	c.queue.push(v)
@@ -394,7 +415,7 @@ func (c *virtChan) close() {
 	c.closed = true
 	for c.waiters.len() > 0 {
 		if w := c.waiters.pop(); !w.done {
-			e.wakeLocked(w, nil, false)
+			e.wakeLocked(w, nil, false, false)
 		}
 	}
 }

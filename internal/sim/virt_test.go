@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -102,7 +103,10 @@ func TestFifoKeepsOrderAndArray(t *testing.T) {
 	var ref []int
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100000; i++ {
-		if rng.Intn(3) > 0 || len(ref) == 0 {
+		if r := rng.Intn(6); r == 0 {
+			q.pushFront(i)
+			ref = append([]int{i}, ref...)
+		} else if r > 2 || len(ref) == 0 {
 			q.push(i)
 			ref = append(ref, i)
 		} else if v := q.pop(); v != ref[0] {
@@ -330,6 +334,91 @@ func TestVirtOneBatonFIFO(t *testing.T) {
 		if order[i] != i || order[20+i] != 100+i {
 			t.Fatalf("run order %v", order)
 		}
+	}
+}
+
+func TestYield(t *testing.T) {
+	// A yielding goroutine runs on after every goroutine already runnable,
+	// and ahead of one made runnable later. With nothing else runnable it
+	// returns at once: the clock stays put and no pending wake fires first.
+	env := NewVirtEnv()
+	var order []string
+	env.Run(func() {
+		g := NewGroup(env)
+		g.Go(func() {
+			order = append(order, "a1")
+			env.Yield()
+			order = append(order, "a2")
+		})
+		g.Go(func() { order = append(order, "b") })
+		g.Go(func() {
+			order = append(order, "c")
+			env.Go(func() { order = append(order, "d") })
+		})
+		g.Wait()
+		env.Go(func() {
+			env.Sleep(time.Millisecond)
+			order = append(order, "sleeper")
+		})
+		env.Sleep(0) // the sleeper starts and parks
+		start := env.Now()
+		env.Yield()
+		if env.Now() != start {
+			t.Errorf("a lone Yield moved the clock %v", env.Now()-start)
+		}
+		order = append(order, "alone")
+		env.Sleep(time.Second)
+	})
+	if got := strings.Join(order, " "); got != "a1 b c a2 d alone sleeper" {
+		t.Fatalf("run order %q", got)
+	}
+	NewRealEnv().Yield() // returns
+}
+
+func TestSendNext(t *testing.T) {
+	// The receiver SendNext wakes runs before every goroutine already
+	// runnable, while Send puts it behind them. The sender keeps the baton
+	// until it parks. With no receiver waiting, the value is queued.
+	for _, next := range []bool{true, false} {
+		env := NewVirtEnv()
+		var order []string
+		env.Run(func() {
+			ch := NewChan[string](env)
+			g := NewGroup(env)
+			g.Go(func() {
+				v, _ := ch.Recv()
+				order = append(order, v)
+			})
+			env.Sleep(0) // the receiver parks
+			g.Go(func() { order = append(order, "b") })
+			g.Go(func() { order = append(order, "c") })
+			if next {
+				ch.SendNext("r")
+			} else {
+				ch.Send("r")
+			}
+			order = append(order, "s")
+			g.Wait()
+			ch.SendNext("queued")
+			if v, ok := ch.Recv(); !ok || v != "queued" {
+				t.Errorf("SendNext with no receiver: got %q, %v", v, ok)
+			}
+		})
+		want := map[bool]string{true: "s r b c", false: "s b c r"}[next]
+		if got := strings.Join(order, " "); got != want {
+			t.Fatalf("SendNext=%v: run order %q, want %q", next, got, want)
+		}
+	}
+	// In a RealEnv SendNext is Send.
+	env := NewRealEnv()
+	ch := NewChan[int](env)
+	env.Go(func() { ch.SendNext(7) })
+	if v, ok := ch.Recv(); !ok || v != 7 {
+		t.Fatalf("real SendNext: got %d, %v", v, ok)
+	}
+	ch.Close()
+	if ch.SendNext(8) {
+		t.Fatal("SendNext on a closed channel reported delivery")
 	}
 }
 
