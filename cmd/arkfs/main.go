@@ -137,6 +137,7 @@ func main() {
 		LeaseMgr:    leaseAddr,
 		LeaseRouter: router,
 		OpBudget:    *opBudget,
+		Brownout:    *brownout,
 		ServerLimits: rpc.ServerLimits{
 			MaxInbox: *maxInbox,
 			ShedWait: *shedWait,
@@ -144,9 +145,6 @@ func main() {
 	}
 	if *qosRate > 0 {
 		opts.QoS = qos.NewLimiter(qos.Limits{Rate: *qosRate, Burst: *qosBurst})
-	}
-	if *brownout {
-		opts.Brownout = &qos.BrownoutLadder{}
 	}
 	if *breaker {
 		opts.Breaker = &qos.BreakerConfig{}

@@ -181,8 +181,6 @@ type mdsOp struct {
 type patch struct {
 	SetSize  bool
 	Size     int64
-	SetMode  bool
-	Mode     types.Mode
 	SetTimes bool
 	Mtime    time.Duration
 }
@@ -322,9 +320,6 @@ func (c *Cluster) apply(op mdsOp) mdsResp {
 		}
 		if op.Patch.SetSize {
 			node.Size = op.Patch.Size
-		}
-		if op.Patch.SetMode {
-			node.Mode = op.Patch.Mode & 07777
 		}
 		if op.Patch.SetTimes {
 			node.Mtime = op.Patch.Mtime

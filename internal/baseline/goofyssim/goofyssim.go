@@ -30,8 +30,7 @@ type Options struct {
 	// FUSEOverhead per request (goofys is FUSE-based).
 	FUSEOverhead time.Duration
 	// Net models the client↔S3 link for prefetch pipelining.
-	Net  sim.NetModel
-	Cred types.Cred
+	Net sim.NetModel
 }
 
 // DefaultOptions mirrors goofys v0.24 defaults.

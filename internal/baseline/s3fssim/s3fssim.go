@@ -32,8 +32,6 @@ type Options struct {
 	DiskBandwidth int64
 	// FUSEOverhead is charged per request (S3FS is FUSE-only).
 	FUSEOverhead time.Duration
-	// Cred is nominal; S3FS does not check permissions rigorously.
-	Cred types.Cred
 }
 
 // DefaultOptions models an EBS gp2-class staging volume.
@@ -141,7 +139,7 @@ func (m *Mount) Stat(ctx context.Context, path string) (*types.Inode, error) {
 
 // synthInode fabricates an inode; s3fs has no real inode store.
 func (m *Mount) synthInode(key string, size int64, dir bool) *types.Inode {
-	n := &types.Inode{Mode: 0666, Size: size, Uid: m.opts.Cred.Uid, Gid: m.opts.Cred.Gid, Nlink: 1}
+	n := &types.Inode{Mode: 0666, Size: size, Nlink: 1}
 	// Derive a stable pseudo-ino from the key.
 	copy(n.Ino[:], key)
 	n.Ino[15] = 1

@@ -92,11 +92,11 @@ type Options struct {
 	// refusals answer with typed EAGAIN pushback carrying a retry-after
 	// hint. Nil admits everything.
 	QoS *qos.Limiter
-	// Brownout, when non-nil, enables graceful leader brownout: when the
-	// journal's commit pipeline backs up past the ladder's thresholds,
-	// expensive forwarded operations (readdir, rename 2PC) are shed with
-	// typed EAGAIN before cheap ones (stat, lookup), which are never shed.
-	Brownout *qos.BrownoutLadder
+	// Brownout enables graceful leader brownout: when the journal's commit
+	// pipeline backs up past the ladder's thresholds (qos.Sheds), expensive
+	// forwarded operations (readdir, rename 2PC) are shed with typed EAGAIN
+	// before cheap ones (stat, lookup), which are never shed.
+	Brownout bool
 	// OpBudget is the shared retry budget of one public operation: the total
 	// retries every loop under it — op-level ESTALE retries, leader
 	// rediscovery, lease-acquire waits, EAGAIN backoff — may spend together,
@@ -369,13 +369,6 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 			opts.Obs.Func("qos.breaker.trips", bs.Tripped.Load)
 			opts.Obs.Func("qos.breaker.fastfails", bs.FastFails.Load)
 			opts.Obs.Func("qos.breaker.probes", bs.Probes.Load)
-		}
-		if opts.Retry != nil && opts.Retry.Budget != nil {
-			rb := opts.Retry.Budget
-			opts.Obs.Func("qos.retry.budget.retries", func() int64 {
-				_, retries := rb.Stats()
-				return retries
-			})
 		}
 	}
 	listen := c.addr

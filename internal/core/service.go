@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"arkfs/internal/obs"
+	"arkfs/internal/qos"
 	"arkfs/internal/rpc"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
@@ -54,8 +55,8 @@ func (c *Client) admit(tenant string, m msgInfo) error {
 			return types.AgainAfter(after, "admission")
 		}
 	}
-	if c.opts.Brownout != nil {
-		if shed, after := c.opts.Brownout.Sheds(c.jrnl.Pressure(), m.cost); shed {
+	if c.opts.Brownout {
+		if shed, after := qos.Sheds(c.jrnl.Pressure(), m.cost); shed {
 			c.cShedBrownout.Inc()
 			return types.AgainAfter(after, "brownout")
 		}

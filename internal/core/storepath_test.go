@@ -18,7 +18,7 @@ import (
 // (DESIGN.md §7.3) by what a caller sees, one subtest per adjacency. Each
 // fails if its two layers are swapped.
 func TestStoreLayerOrder(t *testing.T) {
-	retry := &objstore.RetryPolicy{MaxAttempts: 8, InitialBackoff: 20 * time.Microsecond, MaxBackoff: 40 * time.Microsecond}
+	retry := &objstore.RetryPolicy{MaxAttempts: 8, InitialBackoff: 20 * time.Microsecond}
 
 	t.Run("breaker under retry", func(t *testing.T) {
 		tc := newTestCluster(t)

@@ -40,91 +40,30 @@ import (
 	"arkfs/internal/types"
 )
 
-// ChaosConfig parameterizes one chaos run. The zero value of any field is
-// replaced by the default noted on it.
+// ChaosConfig parameterizes one chaos run.
 type ChaosConfig struct {
-	Seed          int64
-	Slots         int           // concurrent client slots (default 3)
-	Rounds        int           // workload rounds per slot (default 6)
-	FilesPerRound int           // files created per slot per round (default 4)
-	LeasePeriod   time.Duration // directory lease duration (default 200ms)
+	Seed int64
 	// DataWrites: write file contents too; durable files must read back
 	// byte-exact through a fresh client after the run.
 	DataWrites bool
-	// Fault mix (counts of scripted events; defaults 3/1/2/1/1).
-	Crashes     int
-	MgrRestarts int
-	Partitions  int
-	DropWindows int
-	FlakyFlips  int
 	// LeaseShards > 1 runs the scenario against an elastic lease-manager
 	// cluster (consistent-hash ring, grant-table persistence on) instead of
-	// the single manager. Reshards scripted membership changes run
-	// mid-workload: AddShard events grow the ring and hand live grants over;
-	// RemoveShard events shrink it back, tombstoning the removed shard.
-	// ShardRestarts kill-and-replace a ring member, which must resume from
-	// its persisted grant table instead of stalling behind restart amnesia.
-	// All three default when LeaseShards > 1 (2 reshards, 1 restart);
-	// negative disables.
-	LeaseShards   int
-	Reshards      int
-	ShardRestarts int
-	// Corruption drill. CorruptWindows scripted windows flip bits on reads in
-	// flight (transient: the stored object is untouched, a retry reads clean
-	// bytes), exercising the verify-on-read paths live. After the oracle
-	// verification, CorruptObjects live objects are bit-flipped at rest, the
-	// scrubber must detect and repair every one, and the image must re-check
-	// clean modulo the tolerated leak classes. Defaults 1 and 2; negative
-	// disables.
-	CorruptWindows int
-	CorruptObjects int
+	// the single manager. Two scripted membership changes then run
+	// mid-workload: an AddShard grows the ring and hands live grants over, a
+	// RemoveShard shrinks it back, tombstoning the removed shard. One shard
+	// restart kills and replaces a ring member, which must resume from its
+	// persisted grant table instead of stalling behind restart amnesia.
+	LeaseShards int
 }
 
-func (c *ChaosConfig) fill() {
-	if c.Slots <= 0 {
-		c.Slots = 3
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 6
-	}
-	if c.FilesPerRound <= 0 {
-		c.FilesPerRound = 4
-	}
-	if c.LeasePeriod <= 0 {
-		c.LeasePeriod = 200 * time.Millisecond
-	}
-	if c.Crashes < 0 {
-		c.Crashes = 0
-	} else if c.Crashes == 0 {
-		c.Crashes = 3
-	}
-	if c.MgrRestarts == 0 {
-		c.MgrRestarts = 1
-	}
-	if c.Partitions == 0 {
-		c.Partitions = 2
-	}
-	if c.DropWindows == 0 {
-		c.DropWindows = 1
-	}
-	if c.FlakyFlips == 0 {
-		c.FlakyFlips = 1
-	}
-	if c.CorruptWindows == 0 {
-		c.CorruptWindows = 1
-	}
-	if c.CorruptObjects == 0 {
-		c.CorruptObjects = 2
-	}
-	if c.LeaseShards > 1 {
-		if c.Reshards == 0 {
-			c.Reshards = 2
-		}
-		if c.ShardRestarts == 0 {
-			c.ShardRestarts = 1
-		}
-	}
-}
+// The scenario every seed runs: three client slots, each creating four files
+// a round for six rounds, under a 200ms directory lease.
+const (
+	chaosSlots         = 3
+	chaosRounds        = 6
+	chaosFilesPerRound = 4
+	chaosLeasePeriod   = 200 * time.Millisecond
+)
 
 // ChaosEvent is one scripted fault, scheduled before the run starts.
 type ChaosEvent struct {
@@ -344,8 +283,8 @@ func (r *chaosRun) router() lease.Router {
 // cadence.
 func (r *chaosRun) options(id string, seed int64) core.Options {
 	return core.Options{
-		ID: id, Cred: types.Cred{Uid: 1000, Gid: 1000}, LeaseRouter: r.router(), LeasePeriod: r.cfg.LeasePeriod,
-		Journal: journal.Config{CommitInterval: r.cfg.LeasePeriod / 4, CommitWorkers: 2, CheckpointWorkers: 2},
+		ID: id, Cred: types.Cred{Uid: 1000, Gid: 1000}, LeaseRouter: r.router(), LeasePeriod: chaosLeasePeriod,
+		Journal: journal.Config{CommitInterval: chaosLeasePeriod / 4, CommitWorkers: 2, CheckpointWorkers: 2},
 		Seed:    seed,
 	}
 }
@@ -366,7 +305,6 @@ func (r *chaosRun) errf(format string, args ...any) {
 // environment and returns its report. It never panics on invariant
 // violations; they are collected in the report's Errors.
 func RunChaos(cfg ChaosConfig) *ChaosReport {
-	cfg.fill()
 	rep := &ChaosReport{Seed: cfg.Seed}
 	env := sim.NewVirtEnv()
 	env.Run(func() {
@@ -400,7 +338,7 @@ func (r *chaosRun) newClient(slot *slotState, idx int) {
 func (r *chaosRun) run() {
 	cfg := r.cfg
 	env := r.env
-	lp := cfg.LeasePeriod
+	const lp = chaosLeasePeriod
 
 	// --- Deployment: cluster, fault layers, lease manager, client slots.
 	prof := objstore.TestProfile() // real payloads, so read-back verifies content
@@ -436,7 +374,7 @@ func (r *chaosRun) run() {
 	// any fault fires; the root directory is never mutated again, so chaos
 	// cannot lose a working directory itself.
 	setup := core.New(r.net, prt.New(r.cluster, r.chunk), r.options("setup", 0))
-	r.slots = make([]*slotState, cfg.Slots)
+	r.slots = make([]*slotState, chaosSlots)
 	for i := range r.slots {
 		s := &slotState{path: fmt.Sprintf("/w%d", i)}
 		if err := setup.Mkdir(context.Background(), s.path, 0777); err != nil {
@@ -467,7 +405,7 @@ func (r *chaosRun) run() {
 	base := env.Now()
 	stepGap := lp / 8
 	scriptStart := 2 * lp
-	scriptEnd := scriptStart + time.Duration(cfg.Rounds*cfg.FilesPerRound)*stepGap
+	scriptEnd := scriptStart + chaosRounds*chaosFilesPerRound*stepGap
 	window := scriptEnd - scriptStart
 	at := func() time.Duration { return scriptStart + time.Duration(rng.Int63n(int64(window))) }
 	addEvent := func(t time.Duration, what string, fire func()) {
@@ -482,9 +420,12 @@ func (r *chaosRun) run() {
 		crashpoint.MidCheckpoint, crashpoint.PostCheckpoint,
 		crashpoint.TwoPCPostPrepare, crashpoint.TwoPCPostDecision,
 	}
-	for i := 0; i < cfg.Crashes; i++ {
+	// The fault mix: three armed crash points, two partitions, one drop
+	// window, one flaky window, one corrupt-reads window, and one manager
+	// restart (sharded: one shard restart and two reshards).
+	for range 3 {
 		t := at()
-		slot := rng.Intn(cfg.Slots)
+		slot := rng.Intn(chaosSlots)
 		site := crashSites[rng.Intn(len(crashSites))]
 		addEvent(t, fmt.Sprintf("arm-crash slot=%d site=%s", slot, site), func() {
 			s := r.slots[slot]
@@ -496,7 +437,7 @@ func (r *chaosRun) run() {
 			r.logf("armed crash at %s on slot %d gen %d", site, slot, s.gen)
 		})
 	}
-	for i := 0; i < cfg.Partitions; i++ {
+	for range 2 {
 		t := at()
 		dur := lp/2 + time.Duration(rng.Int63n(int64(2*lp)))
 		// One-way wildcard partition: nobody reaches the lease manager (or,
@@ -513,14 +454,14 @@ func (r *chaosRun) run() {
 		addEvent(t, fmt.Sprintf("partition *->%s for %v", target, dur), nil)
 		addEvent(t+dur, fmt.Sprintf("heal *->%s", target), nil)
 	}
-	for i := 0; i < cfg.DropWindows; i++ {
+	{ // the fabric drops messages
 		t := at()
 		dur := lp/2 + time.Duration(rng.Int63n(int64(lp)))
 		prob := 0.02 + rng.Float64()*0.08
 		addEvent(t, fmt.Sprintf("drop-on p=%.3f", prob), func() { r.plan.SetDrop(prob) })
 		addEvent(t+dur, "drop-off", func() { r.plan.SetDrop(0) })
 	}
-	for i := 0; i < cfg.FlakyFlips; i++ {
+	{ // the store fails ops
 		t := at()
 		dur := lp/2 + time.Duration(rng.Int63n(int64(lp)))
 		prob := 0.01 + rng.Float64()*0.04
@@ -528,11 +469,14 @@ func (r *chaosRun) run() {
 		addEvent(t, fmt.Sprintf("flaky-on p=%.3f", prob), func() { r.fault.SetFlaky(prob, seed) })
 		addEvent(t+dur, "flaky-off", func() { r.fault.SetFlaky(0, 0) })
 	}
-	for i := 0; i < cfg.CorruptWindows; i++ {
+	{ // the store corrupts reads
 		t := at()
 		dur := lp/2 + time.Duration(rng.Int63n(int64(lp)))
-		// Kept low: every verify-on-read path re-reads once before reacting
-		// destructively, so only a double flip on the same object can do harm.
+		// Reads in flight come back bit-flipped (the stored object is
+		// untouched, a retry reads clean bytes), exercising the
+		// verify-on-read paths live. Kept low: every verify-on-read path
+		// re-reads once before reacting destructively, so only a double
+		// flip on the same object can do harm.
 		prob := 0.005 + rng.Float64()*0.015
 		seed := rng.Int63()
 		addEvent(t, fmt.Sprintf("corrupt-reads-on p=%.3f", prob), func() { r.fault.SetCorruptReads("", prob, seed) })
@@ -540,52 +484,42 @@ func (r *chaosRun) run() {
 	}
 	var mgrDownUntil time.Duration
 	if r.leases == nil {
-		for i := 0; i < cfg.MgrRestarts; i++ {
-			t := at()
-			down := lp / 2
-			if t+down > mgrDownUntil {
-				mgrDownUntil = t + down
-			}
-			addEvent(t, "mgr-stop", func() {
-				r.mgrMu.Lock()
-				r.mgr.Close()
-				r.mgrMu.Unlock()
-			})
-			addEvent(t+down, "mgr-restart (quiesce)", func() {
-				r.mgrMu.Lock()
-				r.mgr = lease.NewManager(r.net, lease.Options{Period: lp, Workers: 8, Restarted: true, Obs: r.reg})
-				r.mgrMu.Unlock()
-			})
-		}
+		t := at()
+		mgrDownUntil = t + lp/2
+		addEvent(t, "mgr-stop", func() {
+			r.mgrMu.Lock()
+			r.mgr.Close()
+			r.mgrMu.Unlock()
+		})
+		addEvent(mgrDownUntil, "mgr-restart (quiesce)", func() {
+			r.mgrMu.Lock()
+			r.mgr = lease.NewManager(r.net, lease.Options{Period: lp, Workers: 8, Restarted: true, Obs: r.reg})
+			r.mgrMu.Unlock()
+		})
 	} else {
 		// Shard failover: kill a ring member mid-workload and replace it
 		// half a period later. With the persisted grant table the
 		// replacement resumes granting; its territory must not pay the full
 		// restart-amnesia grace.
 		initial := r.leases.Ring().Members
-		for i := 0; i < cfg.ShardRestarts; i++ {
-			t := at()
-			down := lp / 2
-			victim := initial[rng.Intn(len(initial))]
-			if t+down > mgrDownUntil {
-				mgrDownUntil = t + down
+		t := at()
+		victim := initial[rng.Intn(len(initial))]
+		mgrDownUntil = t + lp/2
+		addEvent(t, fmt.Sprintf("shard-stop %s", victim), func() {
+			if err := r.leases.KillShard(victim); err != nil {
+				r.logf("shard-stop %s: %v", victim, err)
 			}
-			addEvent(t, fmt.Sprintf("shard-stop %s", victim), func() {
-				if err := r.leases.KillShard(victim); err != nil {
-					r.logf("shard-stop %s: %v", victim, err)
-				}
-			})
-			addEvent(t+down, fmt.Sprintf("shard-restart %s (resume)", victim), func() {
-				if err := r.leases.RestartShard(victim); err != nil {
-					r.logf("shard-restart %s: %v", victim, err)
-				}
-			})
-		}
+		})
+		addEvent(mgrDownUntil, fmt.Sprintf("shard-restart %s (resume)", victim), func() {
+			if err := r.leases.RestartShard(victim); err != nil {
+				r.logf("shard-restart %s: %v", victim, err)
+			}
+		})
 		// Runtime resharding: grow the ring mid-workload (handing live
 		// grants to the new shard), and shrink it back by removing the most
 		// recently added shard (tombstoning it). A remove scheduled before
 		// any add has landed is a no-op.
-		for i := 0; i < cfg.Reshards; i++ {
+		for i := range 2 {
 			t := at()
 			if i%2 == 0 {
 				addEvent(t, "lease-addshard", func() {
@@ -688,7 +622,7 @@ func (r *chaosRun) run() {
 			r.logf("slot %d closed unclean: %v", i, err)
 		}
 	}
-	env.Sleep(3 * cfg.LeasePeriod) // expiry + recovery grace for lapsed leases
+	env.Sleep(3 * lp) // expiry + recovery grace for lapsed leases
 
 	r.verify()
 	r.integrityEpilogue()
@@ -699,18 +633,17 @@ func (r *chaosRun) run() {
 
 // workload runs one slot's rounds.
 func (r *chaosRun) workload(idx int, rng *rand.Rand, stepGap time.Duration) {
-	cfg := r.cfg
 	s := r.slots[idx]
 	var durable []string // own durable files, fodder for deletes and renames
-	for round := 0; round < cfg.Rounds; round++ {
-		for f := 0; f < cfg.FilesPerRound; f++ {
+	for round := 0; round < chaosRounds; round++ {
+		for f := 0; f < chaosFilesPerRound; f++ {
 			r.env.Sleep(stepGap)
 			// Mostly work in the slot's own directory; every few files hit a
 			// neighbour's directory to exercise forwarding under faults.
 			target := s
-			cross := cfg.Slots > 1 && rng.Intn(4) == 0
+			cross := rng.Intn(4) == 0
 			if cross {
-				target = r.slots[(idx+1+rng.Intn(cfg.Slots-1))%cfg.Slots]
+				target = r.slots[(idx+1+rng.Intn(chaosSlots-1))%chaosSlots]
 			}
 			path := fmt.Sprintf("%s/s%d-r%02d-f%02d", target.path, idx, round, f)
 			if r.createFile(s, path, target.dirIn) && !cross {
@@ -723,11 +656,11 @@ func (r *chaosRun) workload(idx int, rng *rand.Rand, stepGap time.Duration) {
 				victim := durable[0]
 				durable = durable[1:]
 				r.deleteFile(s, victim)
-			case cfg.Slots > 1 && len(durable) > 2 && rng.Intn(6) == 0:
+			case len(durable) > 2 && rng.Intn(6) == 0:
 				// Cross-directory rename of a durable file (2PC).
 				victim := durable[0]
 				durable = durable[1:]
-				other := r.slots[(idx+1+rng.Intn(cfg.Slots-1))%cfg.Slots]
+				other := r.slots[(idx+1+rng.Intn(chaosSlots-1))%chaosSlots]
 				dst := fmt.Sprintf("%s/mv-s%d-r%02d-f%02d", other.path, idx, round, f)
 				r.renameFile(s, victim, dst)
 			}
@@ -839,7 +772,7 @@ func (r *chaosRun) verify() {
 			if _, err = v.Readdir(context.Background(), s.path); err == nil {
 				break
 			}
-			r.env.Sleep(r.cfg.LeasePeriod / 2)
+			r.env.Sleep(chaosLeasePeriod / 2)
 		}
 		if err != nil {
 			r.errf("verifier cannot list %s: %v", s.path, err)
@@ -907,7 +840,7 @@ func (r *chaosRun) verify() {
 	if err := v.Close(); err != nil {
 		r.errf("verifier close: %v", err)
 	}
-	r.env.Sleep(r.cfg.LeasePeriod / 4) // let released leases settle
+	r.env.Sleep(chaosLeasePeriod / 4) // let released leases settle
 
 	rep, err := fsck.Check(r.cluster)
 	if err != nil {
@@ -953,13 +886,10 @@ func (r *chaosRun) checkContent(v *core.Client, p string) {
 
 // integrityEpilogue is the at-rest corruption drill, run after the oracle
 // verification so it cannot disturb those checks: flip one byte in
-// CorruptObjects live objects chosen deterministically from the converged
+// two live objects chosen deterministically from the converged
 // image, then demand the scrubber detect and act on every one, and that the
 // repaired image re-checks clean modulo the tolerated leak classes.
 func (r *chaosRun) integrityEpilogue() {
-	if r.cfg.CorruptObjects <= 0 {
-		return
-	}
 	// Data chunks, dentry blocks, and journal records: every class the
 	// scrubber repairs or quarantines without leaving structural damage.
 	// Inode objects are excluded — quarantining one whose journaled copy was
@@ -967,16 +897,13 @@ func (r *chaosRun) integrityEpilogue() {
 	// The superblock is excluded because its rewrite assumes the default
 	// chunk size and chaos runs format with a smaller one.
 	var err error
-	r.rep.Corrupted, err = flipAtRest(r.cluster, r.cfg.CorruptObjects, r.cfg.Seed*104729+11, 0x20,
+	r.rep.Corrupted, err = flipAtRest(r.cluster, 2, r.cfg.Seed*104729+11, 0x20,
 		prt.PrefixData, prt.PrefixDentry, prt.PrefixJournal)
 	for _, k := range r.rep.Corrupted {
 		r.logf("epilogue: flipped one bit at rest in %s", k)
 	}
 	if err != nil {
 		r.errf("epilogue corrupt: %v", err)
-		return
-	}
-	if len(r.rep.Corrupted) == 0 {
 		return
 	}
 

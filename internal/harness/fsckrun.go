@@ -15,38 +15,13 @@ import (
 )
 
 // FsckConfig parameterizes a seeded corruption/scrub drill (arkbench -fsck):
-// deploy ArkFS, populate it, shut down cleanly, bit-flip a few objects at
-// rest, and run the offline checker — with Repair, the scrubber too, and a
-// final re-check. The same seed yields the same population, the same flipped
-// objects, and the same verdict.
+// deploy ArkFS on two clients, populate it, shut down cleanly, bit-flip three
+// objects at rest, and run the offline checker — with Repair, the scrubber
+// too, and a final re-check. The same seed yields the same population, the
+// same flipped objects, and the same verdict.
 type FsckConfig struct {
 	Seed   int64
 	Repair bool
-	// Corrupt is how many objects to bit-flip at rest after the clean
-	// shutdown (0: default 3; negative: none — the drill then checks a
-	// healthy image).
-	Corrupt int
-	Clients int // default 2
-	Dirs    int // default 3
-	Files   int // files per directory, default 6
-}
-
-func (c *FsckConfig) fill() {
-	if c.Corrupt == 0 {
-		c.Corrupt = 3
-	}
-	if c.Corrupt < 0 {
-		c.Corrupt = 0
-	}
-	if c.Clients <= 0 {
-		c.Clients = 2
-	}
-	if c.Dirs <= 0 {
-		c.Dirs = 3
-	}
-	if c.Files <= 0 {
-		c.Files = 6
-	}
 }
 
 // FsckReport is the drill's outcome.
@@ -125,13 +100,12 @@ func (r *FsckReport) Summary() string {
 
 // RunFsck executes one seeded corruption/scrub drill.
 func RunFsck(cfg FsckConfig) *FsckReport {
-	cfg.fill()
 	rep := &FsckReport{Seed: cfg.Seed, Repair: cfg.Repair}
 	prof := objstore.RADOSProfile()
 	prof.SizeOnlyPrefix = "" // keep data payloads: the drill flips their bytes
 	o := ArkFSOptions{PermCache: true, Seed: cfg.Seed}
-	err := simulate(cfg.Clients, arkfs(DefaultCalibration(), prof, o), func(env sim.Env, d *Deployment) (err error) {
-		if err := fsckPopulate(env, d, cfg); err != nil {
+	err := simulate(2, arkfs(DefaultCalibration(), prof, o), func(env sim.Env, d *Deployment) (err error) {
+		if err := fsckPopulate(env, d, cfg.Seed); err != nil {
 			return fmt.Errorf("populate: %w", err)
 		}
 		// Clean shutdown: journals checkpointed, leases released — whatever
@@ -147,7 +121,7 @@ func RunFsck(cfg FsckConfig) *FsckReport {
 		// a dangling dentry behind; the superblock is excluded because the
 		// drill formats with the default chunk size anyway, making its
 		// corruption trivially repairable noise.
-		if rep.Corrupted, err = flipAtRest(d.Cluster, cfg.Corrupt, cfg.Seed*104729+29, 0x10,
+		if rep.Corrupted, err = flipAtRest(d.Cluster, 3, cfg.Seed*104729+29, 0x10,
 			prt.PrefixData, prt.PrefixDentry); err != nil {
 			return fmt.Errorf("corrupt: %w", err)
 		}
@@ -166,19 +140,19 @@ func RunFsck(cfg FsckConfig) *FsckReport {
 	return rep
 }
 
-// fsckPopulate builds a small deterministic namespace: Dirs directories of
-// Files data-bearing files each, plus one cross-directory rename so 2PC
-// records pass through the image.
-func fsckPopulate(env sim.Env, d *Deployment, cfg FsckConfig) error {
+// fsckPopulate builds a small deterministic namespace: three directories of
+// six data-bearing files each, plus one cross-directory rename so 2PC records
+// pass through the image.
+func fsckPopulate(env sim.Env, d *Deployment, seed int64) error {
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(cfg.Seed*7919 + 5))
-	for di := 0; di < cfg.Dirs; di++ {
+	rng := rand.New(rand.NewSource(seed*7919 + 5))
+	for di := 0; di < 3; di++ {
 		m := d.Mounts[di%len(d.Mounts)]
 		dir := fmt.Sprintf("/drill-%02d", di)
 		if err := m.Mkdir(ctx, dir, 0o755); err != nil {
 			return err
 		}
-		for fi := 0; fi < cfg.Files; fi++ {
+		for fi := 0; fi < 6; fi++ {
 			path := fmt.Sprintf("%s/f%03d", dir, fi)
 			f, err := fsapi.Create(ctx, m, path, 0o644)
 			if err != nil {
@@ -195,10 +169,8 @@ func fsckPopulate(env sim.Env, d *Deployment, cfg FsckConfig) error {
 			}
 		}
 	}
-	if cfg.Dirs >= 2 {
-		if err := d.Mounts[0].Rename(ctx, "/drill-00/f000", "/drill-01/renamed"); err != nil {
-			return err
-		}
+	if err := d.Mounts[0].Rename(ctx, "/drill-00/f000", "/drill-01/renamed"); err != nil {
+		return err
 	}
 	for _, m := range d.Mounts {
 		if err := m.FlushAll(ctx); err != nil {
@@ -214,9 +186,6 @@ func fsckPopulate(env sim.Env, d *Deployment, cfg FsckConfig) error {
 // seeded shuffle of the objects under prefixes, and returns the flipped keys
 // in order. Empty objects are skipped: they have no byte to flip.
 func flipAtRest(store objstore.Store, n int, seed int64, mask byte, prefixes ...string) ([]string, error) {
-	if n <= 0 {
-		return nil, nil
-	}
 	var candidates []string
 	for _, prefix := range prefixes {
 		keys, err := store.List(prefix)

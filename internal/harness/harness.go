@@ -209,11 +209,6 @@ type ArkFSOptions struct {
 	// shards by rendezvous hashing, and the deployment's Leases handle
 	// reshards it at runtime.
 	LeaseShards int
-	// LeasePersist gives every lease shard grant-table persistence through
-	// the object store (sealed snapshots under "lm:"), so a killed and
-	// restarted shard resumes its grants instead of stalling a full grace
-	// period. Only meaningful with LeaseShards > 1.
-	LeasePersist bool
 	// FlakyProb > 0 inserts a FaultStore between the clients and the
 	// cluster that fails every store op with this probability (seeded by
 	// FlakySeed), for fault-injection experiments. Formatting bypasses it.
@@ -238,10 +233,9 @@ type ArkFSOptions struct {
 	// every client's leader serve path: each serving client admits at most
 	// QoSRate forwarded operations per second per tenant, with QoSBurst
 	// bucket depth (default 8). Refusals surface as typed retry-after
-	// pushback. QoSTenants pins per-tenant overrides on every limiter.
-	QoSRate    float64
-	QoSBurst   float64
-	QoSTenants map[string]qos.Limits
+	// pushback.
+	QoSRate  float64
+	QoSBurst float64
 	// LeaseQoSRate > 0 applies the same per-tenant admission control to the
 	// lease manager's Acquire path, answered through the existing
 	// Wait/RetryAfter protocol.
@@ -313,13 +307,9 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 	d.close = append(d.close, cluster.Close)
 	lo := lease.Options{Period: cal.LeasePeriod, Workers: 8, ServiceCost: cal.LeaseOp, Obs: o.Obs,
 		Limits: rpc.ServerLimits{MaxInbox: o.MaxInbox, ShedWait: o.ShedWait},
-		QoS:    o.limiter(o.LeaseQoSRate, o.LeaseQoSBurst)}
+		QoS:    limiter(o.LeaseQoSRate, o.LeaseQoSBurst)}
 	if o.LeaseShards > 1 {
-		co := lease.ClusterOptions{Shards: o.LeaseShards, Manager: lo}
-		if o.LeasePersist {
-			co.Store = store
-		}
-		d.Leases = lease.NewCluster(net, co)
+		d.Leases = lease.NewCluster(net, lease.ClusterOptions{Shards: o.LeaseShards, Manager: lo})
 		d.close = append(d.close, d.Leases.Close)
 	} else {
 		mgr := lease.NewManager(net, lo)
@@ -335,10 +325,6 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 		var tenant string
 		if o.Tenants > 0 {
 			tenant = fmt.Sprintf("tenant-%02d", i%o.Tenants)
-		}
-		var ladder *qos.BrownoutLadder
-		if o.Brownout {
-			ladder = &qos.BrownoutLadder{}
 		}
 		var breaker *qos.BreakerConfig
 		if o.Breaker {
@@ -374,8 +360,8 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 			Retry:        o.Retry,
 			Obs:          o.Obs,
 			Seed:         o.Seed + int64(1000+i),
-			QoS:          o.limiter(o.QoSRate, o.QoSBurst),
-			Brownout:     ladder,
+			QoS:          limiter(o.QoSRate, o.QoSBurst),
+			Brownout:     o.Brownout,
 			OpBudget:     o.OpBudget,
 			Breaker:      breaker,
 			ServerLimits: rpc.ServerLimits{MaxInbox: o.MaxInbox, ShedWait: o.ShedWait},
@@ -387,20 +373,16 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 	return d, nil
 }
 
-// limiter is a per-tenant admission controller at rate (burst default 8)
-// with the QoSTenants overrides pinned; nil when rate is zero.
-func (o *ArkFSOptions) limiter(rate, burst float64) *qos.Limiter {
+// limiter is a per-tenant admission controller at rate (burst default 8);
+// nil when rate is zero.
+func limiter(rate, burst float64) *qos.Limiter {
 	if rate <= 0 {
 		return nil
 	}
 	if burst <= 0 {
 		burst = 8
 	}
-	l := qos.NewLimiter(qos.Limits{Rate: rate, Burst: burst})
-	for t, lim := range o.QoSTenants {
-		l.SetTenant(t, lim)
-	}
-	return l
+	return qos.NewLimiter(qos.Limits{Rate: rate, Burst: burst})
 }
 
 // CephOptions selects CephFS variants.

@@ -30,45 +30,20 @@ import (
 	"arkfs/internal/workload"
 )
 
-// OverloadConfig parameterizes one seeded overload scenario. The zero value
-// of any field is replaced by the default noted on it.
+// OverloadConfig parameterizes one seeded overload scenario.
 type OverloadConfig struct {
-	Seed         int64
-	Tenants      int     // polite tenants (default 3)
-	OpsPerTenant int     // submissions per polite tenant (default 60)
-	Dirs         int     // zipfian shared directory pool (default 4)
-	Rate         float64 // per-tenant admitted ops/sec at each leader (default 400)
-	Burst        float64 // token-bucket depth (default 8)
-	// HostileStreams is the hostile tenant's concurrency: it offers
-	// HostileStreams× a polite tenant's load (default 8 — with polite
-	// pacing at half the admitted charge rate, ~4× its own admitted rate).
-	HostileStreams int
-	OpBudget       int // per-operation retry budget (default 8)
+	Seed int64
 }
 
-func (c *OverloadConfig) fill() {
-	if c.Tenants <= 0 {
-		c.Tenants = 3
-	}
-	if c.OpsPerTenant <= 0 {
-		c.OpsPerTenant = 60
-	}
-	if c.Dirs <= 0 {
-		c.Dirs = 4
-	}
-	if c.Rate <= 0 {
-		c.Rate = 400
-	}
-	if c.Burst <= 0 {
-		c.Burst = 8
-	}
-	if c.HostileStreams <= 0 {
-		c.HostileStreams = 8
-	}
-	if c.OpBudget == 0 {
-		c.OpBudget = 8
-	}
-}
+// The scenario every seed runs: three polite tenants of 60 submissions each
+// over a zipfian pool of four shared directories, each tenant admitted 400
+// ops/s with a burst of 8 at every leader and a retry budget of 8 per op.
+const (
+	overloadTenants      = 3
+	overloadOpsPerTenant = 60
+	overloadDirs         = 4
+	overloadRate         = 400
+)
 
 // OverloadReport is the outcome of one overload scenario: the contended run's
 // per-tenant results, the polite-only isolated baseline they are judged
@@ -170,7 +145,7 @@ type overloadPass struct {
 func runOverloadPass(cfg OverloadConfig, hostile bool) *overloadPass {
 	p := &overloadPass{}
 	reg := obs.NewRegistry()
-	n := 1 + cfg.Tenants // service mount + one per polite tenant
+	n := 1 + overloadTenants // service mount + one per polite tenant
 	if hostile {
 		n++
 	}
@@ -178,25 +153,26 @@ func runOverloadPass(cfg OverloadConfig, hostile bool) *overloadPass {
 	// charges its path-resolution lookups against the same admission
 	// bucket as the create itself, and even polite pacing overdraws.
 	o := ArkFSOptions{
-		Obs: reg, Seed: cfg.Seed, OpBudget: cfg.OpBudget, PermCache: true,
-		QoSRate: cfg.Rate, QoSBurst: cfg.Burst, Brownout: true, Breaker: true,
+		Obs: reg, Seed: cfg.Seed, OpBudget: 8, PermCache: true,
+		QoSRate: overloadRate, QoSBurst: 8, Brownout: true, Breaker: true,
 		MaxInbox: 256, ShedWait: 2 * time.Millisecond, LeaseQoSRate: 200, LeaseQoSBurst: 16,
 	}
 	p.err = simulate(n, arkfs(DefaultCalibration(), objstore.TestProfile(), o), func(env sim.Env, d *Deployment) error {
-		// Rate is admission charges per second, and one logical create costs
-		// about three charged RPCs at the leader (create, open, write-lease).
-		// Polite pacing of Rate/6 ops therefore offers half the admitted
-		// charge rate — comfortably entitled, so any polite goodput lost
-		// under contention is collateral damage from the hostile flood, which
-		// is exactly what the protection must bound. The hostile tenant's 8
-		// concurrent streams at the same pacing offer ~4x its admitted rate.
-		interval := time.Duration(6 * float64(time.Second) / cfg.Rate)
+		// overloadRate is admission charges per second, and one logical
+		// create costs about three charged RPCs at the leader (create, open,
+		// write-lease). Polite pacing of overloadRate/6 ops therefore offers
+		// half the admitted charge rate — comfortably entitled, so any polite
+		// goodput lost under contention is collateral damage from the hostile
+		// flood, which is exactly what the protection must bound. The hostile
+		// tenant's 8 concurrent streams at the same pacing offer ~4x its
+		// admitted rate.
+		interval := time.Duration(6 * float64(time.Second) / overloadRate)
 		bc := workload.BurstConfig{
-			OpsPerProc:     cfg.OpsPerTenant,
+			OpsPerProc:     overloadOpsPerTenant,
 			Interval:       interval,
-			Dirs:           cfg.Dirs,
+			Dirs:           overloadDirs,
 			Seed:           cfg.Seed,
-			HostileStreams: cfg.HostileStreams,
+			HostileStreams: 8,
 		}
 		if hostile {
 			bc.HostileProcs = 1
@@ -228,10 +204,10 @@ func runOverloadPass(cfg OverloadConfig, hostile bool) *overloadPass {
 		}
 		// Convergence: with the burst over, fresh polite work at the polite
 		// pace must be admitted again on every tenant.
-		for t := 0; t < cfg.Tenants; t++ {
-			for dir := 0; dir < cfg.Dirs; dir++ {
+		for t := 0; t < overloadTenants; t++ {
+			for dir := 0; dir < overloadDirs; dir++ {
 				env.Sleep(interval)
-				path := fmt.Sprintf("/overload/p%03d/conv-t%02d", dir, t)
+				path := fmt.Sprintf("%s/p%03d/conv-t%02d", workload.BurstRoot, dir, t)
 				f, err := fsapi.Create(ctx, d.Mounts[1+t], path, 0644)
 				if err != nil {
 					p.convErrs = append(p.convErrs, fmt.Sprintf("convergence create %s: %v", path, err))
@@ -251,7 +227,6 @@ func runOverloadPass(cfg OverloadConfig, hostile bool) *overloadPass {
 // returns its report. Invariant violations are collected in Errors, never
 // panicked.
 func RunOverload(cfg OverloadConfig) *OverloadReport {
-	cfg.fill()
 	rep := &OverloadReport{Seed: cfg.Seed}
 	iso := runOverloadPass(cfg, false)
 	if iso.err != nil {

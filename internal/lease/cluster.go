@@ -35,10 +35,9 @@ import (
 // Clients are not notified: they learn the new ring lazily from StaleRing
 // redirects (the epoch they used rides each request's rpc envelope).
 type Cluster struct {
-	env    sim.Env
-	net    *rpc.Network
-	prefix string
-	opts   Options
+	env  sim.Env
+	net  *rpc.Network
+	opts Options
 
 	// reshardMu serializes membership changes; handoff transfers block
 	// through the environment, so this must be a sim mutex.
@@ -62,8 +61,6 @@ type Cluster struct {
 type ClusterOptions struct {
 	// Shards is the initial shard count (default 1).
 	Shards int
-	// Prefix names the shards "<prefix>-0" … (default "leasemgr").
-	Prefix string
 	// Store, when non-nil, gives every shard grant-table persistence: each
 	// chain mutation is snapshotted (sealed, CRC-trailed) before it is
 	// acknowledged, and a restarted shard resumes instead of quiescing.
@@ -78,14 +75,10 @@ func NewCluster(net *rpc.Network, o ClusterOptions) *Cluster {
 	if o.Shards <= 0 {
 		o.Shards = 1
 	}
-	if o.Prefix == "" {
-		o.Prefix = "leasemgr"
-	}
 	o.Manager.Store = o.Store
 	c := &Cluster{
 		env:       net.Env(),
 		net:       net,
-		prefix:    o.Prefix,
 		opts:      o.Manager,
 		reshardMu: sim.NewMutex(net.Env()),
 		mu:        sim.NewMutex(net.Env()),
@@ -115,7 +108,7 @@ func NewCluster(net *rpc.Network, o ClusterOptions) *Cluster {
 }
 
 func (c *Cluster) addrFor(i int) rpc.Addr {
-	return rpc.Addr(fmt.Sprintf("%s-%d", c.prefix, i))
+	return rpc.Addr(fmt.Sprintf("leasemgr-%d", i))
 }
 
 // Router returns a fresh per-client router seeded with the current ring.

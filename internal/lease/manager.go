@@ -149,9 +149,6 @@ type Options struct {
 	// snapshot time and enables the manager's trace ring: every handled
 	// request becomes a child span under the caller's trace.
 	Obs *obs.Registry
-	// TraceSeed overrides the trace-ID stream seed (default: a hash of the
-	// manager's address, deterministic across replays).
-	TraceSeed uint64
 	// QoS, when non-nil, rate-limits Acquire requests per tenant: a refusal
 	// answers with the existing Wait/RetryAfter mechanism, so the client's
 	// budgeted wait loop absorbs it without new protocol. Release, recovery
@@ -225,11 +222,7 @@ func NewManager(net *rpc.Network, opts Options) *Manager {
 	if opts.Obs != nil {
 		m.tracer = obs.NewTracer(0, m.env.Now)
 		m.tracer.SetProc(string(opts.Addr))
-		seed := opts.TraceSeed
-		if seed == 0 {
-			seed = addrSeed(opts.Addr)
-		}
-		m.tracer.SetSeed(seed)
+		m.tracer.SetSeed(addrSeed(opts.Addr))
 		opts.Obs.Func("obs.trace.spans", m.tracer.Total)
 	}
 	m.server = net.ListenCtx(opts.Addr, opts.Workers, m.handle, opts.Limits)

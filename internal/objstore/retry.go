@@ -8,52 +8,37 @@ import (
 	"sync/atomic"
 	"time"
 
-	"arkfs/internal/qos"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
 )
 
-// RetryPolicy tunes the RetryStore: exponential backoff with jitter and a
-// per-operation attempt/deadline budget. All waits run through the
+// RetryPolicy tunes the RetryStore: how many tries an operation gets and how
+// long it waits after its first failure. All waits run through the
 // environment clock, so virtual-time tests observe deterministic backoff.
 type RetryPolicy struct {
 	// MaxAttempts bounds the tries per operation (first try included).
 	MaxAttempts int
 	// InitialBackoff is the wait after the first failure; each further
-	// failure multiplies it by Multiplier up to MaxBackoff.
+	// failure doubles it, up to maxBackoff or InitialBackoff, whichever is
+	// longer.
 	InitialBackoff time.Duration
-	MaxBackoff     time.Duration
-	Multiplier     float64
-	// Jitter randomizes each wait by ±Jitter (0.25 = ±25%), decorrelating
-	// clients that fail at the same instant.
-	Jitter float64
-	// AttemptBudget is the per-operation deadline across all attempts;
-	// zero means attempts alone bound the operation.
-	AttemptBudget time.Duration
-	// Seed seeds the jitter RNG so virtual-time runs are reproducible.
-	Seed int64
-	// Budget, when non-nil, is a client-wide retry-rate budget shared by
-	// every operation on this store: once retries-so-far reach its
-	// burst + ratio × attempts ceiling, further retries are refused even if
-	// the per-operation attempt budget has room. This is the store-layer
-	// arm of the shared-budget rule — the Store API carries no context, so
-	// the global rate budget stands in for the per-op token pool.
-	Budget *qos.RetryBudget
 }
 
 // DefaultRetryPolicy mirrors common object-store client defaults (e.g. the
 // AWS SDK): a handful of attempts, millisecond-scale initial backoff.
 func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:    6,
-		InitialBackoff: 2 * time.Millisecond,
-		MaxBackoff:     500 * time.Millisecond,
-		Multiplier:     2,
-		Jitter:         0.25,
-		AttemptBudget:  10 * time.Second,
-		Seed:           1,
-	}
+	return RetryPolicy{MaxAttempts: 6, InitialBackoff: 2 * time.Millisecond}
 }
+
+// The rest of the retry schedule. Each wait is stretched by up to ±25% from
+// a seeded stream, which decorrelates clients that fail at the same instant
+// yet replays exactly under virtual time; an operation gives up once its next
+// wait would end retryDeadline or more after its first try.
+const (
+	maxBackoff    = 500 * time.Millisecond
+	retryJitter   = 0.25
+	retryDeadline = 10 * time.Second
+)
 
 // RetryStats counts retries per verb plus operations that exhausted their
 // budget. A retry is a re-issued attempt, so a Put that fails twice and then
@@ -93,9 +78,9 @@ func Retryable(err error) bool {
 
 // RetryStore wraps any Store and re-issues operations that fail with a
 // retryable error, with exponential backoff + jitter under the policy's
-// attempt and deadline budget. It is the robustness layer every ArkFS store
-// round-trip (journal commit, cache write-back, metatable load, recovery
-// scan) can be mounted on.
+// attempt budget and retryDeadline. It is the robustness layer every ArkFS
+// store round-trip (journal commit, cache write-back, metatable load,
+// recovery scan) can be mounted on.
 type RetryStore struct {
 	Verbs
 	inner  Store
@@ -117,23 +102,11 @@ func NewRetryStore(env sim.Env, inner Store, p RetryPolicy) *RetryStore {
 	if p.InitialBackoff <= 0 {
 		p.InitialBackoff = def.InitialBackoff
 	}
-	if p.MaxBackoff < p.InitialBackoff {
-		p.MaxBackoff = def.MaxBackoff
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = def.Multiplier
-	}
-	if p.Jitter < 0 || p.Jitter >= 1 {
-		p.Jitter = def.Jitter
-	}
-	if p.Seed == 0 {
-		p.Seed = def.Seed
-	}
 	r := &RetryStore{
 		inner:  inner,
 		env:    env,
 		policy: p,
-		rng:    rand.New(rand.NewSource(p.Seed)),
+		rng:    rand.New(rand.NewSource(1)),
 	}
 	r.Verbs = r.do
 	return r
@@ -144,18 +117,15 @@ func (r *RetryStore) RetryStats() *RetryStats { return &r.stats }
 
 // backoff returns the jittered wait before re-attempt number retry (0-based).
 func (r *RetryStore) backoff(retry int) time.Duration {
+	limit := float64(max(maxBackoff, r.policy.InitialBackoff))
 	d := float64(r.policy.InitialBackoff)
-	for i := 0; i < retry && d < float64(r.policy.MaxBackoff); i++ {
-		d *= r.policy.Multiplier
+	for i := 0; i < retry && d < limit; i++ {
+		d *= 2
 	}
-	if max := float64(r.policy.MaxBackoff); d > max {
-		d = max
-	}
-	if j := r.policy.Jitter; j > 0 {
-		r.mu.Lock()
-		d *= 1 + j*(2*r.rng.Float64()-1)
-		r.mu.Unlock()
-	}
+	d = min(d, limit)
+	r.mu.Lock()
+	d *= 1 + retryJitter*(2*r.rng.Float64()-1)
+	r.mu.Unlock()
 	if d < 1 {
 		d = 1
 	}
@@ -169,11 +139,7 @@ func (s *RetryStats) of(v Verb) *atomic.Int64 {
 
 // do runs op under the retry budget, counting re-issues against its verb.
 func (r *RetryStore) do(op Op) (Result, error) {
-	r.policy.Budget.OnAttempt()
-	deadline := time.Duration(-1)
-	if r.policy.AttemptBudget > 0 {
-		deadline = r.env.Now() + r.policy.AttemptBudget
-	}
+	deadline := r.env.Now() + retryDeadline
 	for attempt := 1; ; attempt++ {
 		res, err := Do(r.inner, op)
 		if err == nil || !Retryable(err) {
@@ -182,11 +148,8 @@ func (r *RetryStore) do(op Op) (Result, error) {
 		if attempt < r.policy.MaxAttempts && !r.env.Stopped() {
 			wait := r.backoff(attempt - 1)
 			// Sleeping past the deadline only delays the failure report, so
-			// the budget check includes the upcoming backoff. The global
-			// retry-rate budget is consulted last: when the fleet-wide retry
-			// ratio is already at its ceiling, adding more retry load would
-			// deepen the overload that caused the failures.
-			if (deadline < 0 || r.env.Now()+wait < deadline) && r.policy.Budget.Allow() {
+			// the deadline check includes the upcoming backoff.
+			if r.env.Now()+wait < deadline {
 				r.stats.of(op.Verb).Add(1)
 				r.env.Sleep(wait)
 				continue

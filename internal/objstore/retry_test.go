@@ -11,15 +11,7 @@ import (
 
 // fastPolicy keeps real-time tests snappy.
 func fastPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:    5,
-		InitialBackoff: 50 * time.Microsecond,
-		MaxBackoff:     400 * time.Microsecond,
-		Multiplier:     2,
-		Jitter:         0.25,
-		AttemptBudget:  time.Second,
-		Seed:           1,
-	}
+	return RetryPolicy{MaxAttempts: 5, InitialBackoff: 50 * time.Microsecond}
 }
 
 func TestRetryStoreContract(t *testing.T) {
@@ -145,26 +137,46 @@ func TestRetryStoreVirtualTimeBackoffDeterministic(t *testing.T) {
 	}
 }
 
+// TestRetryStoreAttemptBudgetDeadline: with attempts to spare, an op that
+// keeps failing gives up at retryDeadline. Waits grow from 100ms to the
+// 500ms cap, each stretched by up to 25%, so the op stops once its next wait
+// would end past the deadline: no earlier than one maximal wait before it.
 func TestRetryStoreAttemptBudgetDeadline(t *testing.T) {
 	env := sim.NewVirtEnv()
 	env.Run(func() {
 		fs := NewFaultStore(NewMemStore())
-		p := fastPolicy()
-		p.MaxAttempts = 1000
-		p.Jitter = 0 // exact backoff arithmetic
-		p.InitialBackoff = 100 * time.Millisecond
-		p.MaxBackoff = 100 * time.Millisecond
-		p.AttemptBudget = 250 * time.Millisecond
-		rs := NewRetryStore(env, fs, p)
+		rs := NewRetryStore(env, fs, RetryPolicy{MaxAttempts: 1000, InitialBackoff: 100 * time.Millisecond})
 		fs.FailNext("k", 1000)
+		start := env.Now()
 		err := rs.Put("k1", []byte("v"))
+		elapsed := env.Now() - start
 		if !errors.Is(err, types.ErrIO) {
 			t.Errorf("want ErrIO, got %v", err)
 		}
-		// Attempts at t=0, 100ms, 200ms; the 300ms attempt would pass the
-		// 250ms deadline, so the op gives up after 3 tries.
-		if got := fs.Ops(); got != 3 {
-			t.Errorf("inner attempts = %d, want 3 (deadline-bounded)", got)
+		if maxWait := maxBackoff * 5 / 4; elapsed >= retryDeadline || elapsed < retryDeadline-maxWait {
+			t.Errorf("gave up after %v, want within %v before the %v deadline", elapsed, maxWait, retryDeadline)
+		}
+		if fs.Ops() >= 1000 {
+			t.Errorf("inner attempts = %d: the attempt budget, not the deadline, ended the op", fs.Ops())
+		}
+	})
+}
+
+// TestRetryStoreHonorsLongInitialBackoff: an initial backoff above
+// maxBackoff is waited in full (give or take the jitter), not cut to the cap.
+func TestRetryStoreHonorsLongInitialBackoff(t *testing.T) {
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		fs := NewFaultStore(NewMemStore())
+		const initial = 2 * time.Second
+		rs := NewRetryStore(env, fs, RetryPolicy{MaxAttempts: 2, InitialBackoff: initial})
+		fs.FailNext("k", 1)
+		start := env.Now()
+		if err := rs.Put("k1", []byte("v")); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if waited := env.Now() - start; waited < initial*3/4 || waited > initial*5/4 {
+			t.Errorf("waited %v after the first failure, want %v ± 25%%", waited, initial)
 		}
 	})
 }

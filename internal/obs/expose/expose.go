@@ -31,9 +31,6 @@ type Options struct {
 	// Tracers are the span rings queried by /traces — one per in-process
 	// participant (each arkfs client and lease manager owns a ring).
 	Tracers []*obs.Tracer
-	// Health, when non-nil, is consulted by /healthz; a non-nil return means
-	// 503. Nil reports healthy.
-	Health func() error
 }
 
 // Server is a running debug endpoint.
@@ -129,12 +126,6 @@ func Handler(o Options) http.Handler {
 		fmt.Fprint(w, RenderTraces(collect(o.Tracers), f))
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if o.Health != nil {
-			if err := o.Health(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -166,17 +166,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("core.meta.local").Inc()
 	a, b, rc := newTestSpans(t)
-	healthy := true
-	h := Handler(Options{
-		Reg:     reg,
-		Tracers: []*obs.Tracer{a, b},
-		Health: func() error {
-			if !healthy {
-				return errors.New("degraded")
-			}
-			return nil
-		},
-	})
+	h := Handler(Options{Reg: reg, Tracers: []*obs.Tracer{a, b}})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -215,8 +205,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	if out := get("/healthz", 200); !strings.Contains(out, "ok") {
 		t.Fatalf("/healthz: %s", out)
 	}
-	healthy = false
-	get("/healthz", 503)
 	if out := get("/", 200); !strings.Contains(out, "/metrics") {
 		t.Fatalf("index: %s", out)
 	}

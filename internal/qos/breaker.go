@@ -39,10 +39,8 @@ type BreakerConfig struct {
 	Threshold int
 	// Cooldown is the initial open interval before the half-open probe
 	// (default 100ms). Re-tripping from half-open doubles it, capped at
-	// MaxCooldown.
+	// maxCooldown.
 	Cooldown time.Duration
-	// MaxCooldown caps the exponential open interval (default 5s).
-	MaxCooldown time.Duration
 	// Seed feeds the deterministic probe jitter: each open interval is
 	// stretched by up to 25% from a seeded stream, so a fleet of breakers
 	// tripped by one outage does not probe in lockstep, yet a same-seed run
@@ -57,10 +55,10 @@ func (c *BreakerConfig) fill() {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 100 * time.Millisecond
 	}
-	if c.MaxCooldown <= 0 {
-		c.MaxCooldown = 5 * time.Second
-	}
 }
+
+// maxCooldown caps a breaker's doubling open interval.
+const maxCooldown = 5 * time.Second
 
 // Breaker is a deterministic closed/open/half-open circuit breaker. All
 // timing flows through caller-supplied clock readings; all jitter comes from
@@ -153,10 +151,7 @@ func (b *Breaker) OnFailure(now time.Time) {
 		}
 	case BreakerHalfOpen:
 		b.probing = false
-		b.cooldown *= 2
-		if b.cooldown > b.cfg.MaxCooldown {
-			b.cooldown = b.cfg.MaxCooldown
-		}
+		b.cooldown = min(2*b.cooldown, maxCooldown)
 		b.trip(now)
 	}
 }

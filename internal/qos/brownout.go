@@ -19,50 +19,33 @@ const (
 	CostExpensive
 )
 
-// BrownoutLadder maps journal-pipeline pressure to the op classes shed.
-// Pressure is a unitless backlog ratio (1.0 = the pipeline's in-flight window
-// is exactly full); the zero value is filled with the noted defaults.
-type BrownoutLadder struct {
-	// Expensive is the pressure at which CostExpensive ops shed (default 1).
-	Expensive float64
-	// Normal is the pressure at which CostNormal ops also shed (default 3):
-	// by then even single-record mutations would only deepen the backlog.
-	Normal float64
-	// RetryAfter is the hint handed to shed clients (default 10ms) — roughly
-	// the time one pipeline window takes to drain, scaled by overload depth
-	// at the call site.
-	RetryAfter time.Duration
-}
+// The brownout ladder. Pressure is a unitless backlog ratio (1.0 = the
+// journal pipeline's in-flight window is exactly full). Expensive ops shed
+// from pressure 1; normal ones also shed from pressure 3, by when even
+// single-record mutations would only deepen the backlog.
+const (
+	shedExpensive = 1
+	shedNormal    = 3
+	// shedAfter is the retry-after hint at the threshold: roughly the time
+	// one pipeline window takes to drain. It grows with the overload depth.
+	shedAfter = 10 * time.Millisecond
+)
 
 // Sheds reports whether an op of class c is shed at pressure p, and the
-// retry-after hint when so. Cheap ops are never shed. Sheds never mutates the
-// ladder (defaults are resolved per call), so one ladder value is safe to
-// share across concurrent server workers.
-func (l *BrownoutLadder) Sheds(p float64, c OpCost) (bool, time.Duration) {
-	if l == nil || c == CostCheap {
+// retry-after hint when so. Cheap ops are never shed.
+func Sheds(p float64, c OpCost) (bool, time.Duration) {
+	threshold := float64(shedNormal)
+	switch c {
+	case CostCheap:
 		return false, 0
-	}
-	threshold := l.Normal
-	if c == CostExpensive {
-		threshold = l.Expensive
-		if threshold <= 0 {
-			threshold = 1
-		}
-	} else if threshold <= 0 {
-		threshold = 3
+	case CostExpensive:
+		threshold = shedExpensive
 	}
 	if p < threshold {
 		return false, 0
 	}
-	after := l.RetryAfter
-	if after <= 0 {
-		after = 10 * time.Millisecond
-	}
 	// Deeper overload ⇒ longer hint, so pushback spreads retries out rather
 	// than synchronizing them at one horizon.
-	depth := p / threshold
-	if depth > 8 {
-		depth = 8
-	}
-	return true, time.Duration(float64(after) * depth)
+	depth := min(p/threshold, 8)
+	return true, time.Duration(float64(shedAfter) * depth)
 }

@@ -10,8 +10,8 @@
 //     (the sim.Env virtual clock in benchmarks and chaos runs) and seeded
 //     state, so a same-seed run replays every admit/shed decision exactly and
 //     the qos.* counters fold into the deterministic metrics fingerprint.
-//   - Nil is the no-op sink. A nil *Limiter, *Budget, *RetryBudget, or
-//     *Breaker admits everything, so call sites never branch on "qos on?".
+//   - Nil is the no-op sink. A nil *Limiter, *Budget, or *Breaker admits
+//     everything, so call sites never branch on "qos on?".
 //
 // The package is a leaf: it depends only on the standard library, so rpc,
 // core, lease, and objstore can all import it without cycles.
@@ -113,55 +113,4 @@ func BudgetFromWire(n int64) *Budget {
 		return nil
 	}
 	return NewBudget(int(n))
-}
-
-// RetryBudget is a global (per-client, not per-op) retry-rate budget for
-// context-free layers like the object-store retry path: retries are allowed
-// while the retries-so-far stay under Burst + Ratio×attempts-so-far, the
-// SRE-style "retries may add at most Ratio of load" rule. Deterministic by
-// construction — no clock involved — and nil-safe (nil always allows).
-type RetryBudget struct {
-	attempts atomic.Int64
-	retries  atomic.Int64
-	ratio    float64
-	burst    int64
-}
-
-// NewRetryBudget builds a retry-rate budget. ratio is the steady-state
-// retries-per-attempt ceiling (e.g. 0.1); burst is the allowance floor so
-// cold starts and small runs can still retry.
-func NewRetryBudget(ratio float64, burst int) *RetryBudget {
-	return &RetryBudget{ratio: ratio, burst: int64(burst)}
-}
-
-// OnAttempt records one first attempt (not a retry).
-func (b *RetryBudget) OnAttempt() {
-	if b != nil {
-		b.attempts.Add(1)
-	}
-}
-
-// Allow reports whether another retry fits the budget, consuming it when so.
-func (b *RetryBudget) Allow() bool {
-	if b == nil {
-		return true
-	}
-	for {
-		r := b.retries.Load()
-		limit := b.burst + int64(b.ratio*float64(b.attempts.Load()))
-		if r >= limit {
-			return false
-		}
-		if b.retries.CompareAndSwap(r, r+1) {
-			return true
-		}
-	}
-}
-
-// Stats returns (attempts, retries) recorded so far.
-func (b *RetryBudget) Stats() (attempts, retries int64) {
-	if b == nil {
-		return 0, 0
-	}
-	return b.attempts.Load(), b.retries.Load()
 }

@@ -27,7 +27,7 @@ func TestInboxBoundSheds(t *testing.T) {
 		entered <- struct{}{}
 		<-release
 		return req
-	}, ServerLimits{MaxInbox: 1, RetryAfter: 7 * time.Millisecond})
+	}, ServerLimits{MaxInbox: 1})
 	defer srv.Close()
 
 	done := make(chan error, 2)
@@ -47,8 +47,8 @@ func TestInboxBoundSheds(t *testing.T) {
 	if !errors.Is(err, types.ErrAgain) {
 		t.Fatalf("over-bound call: err = %v, want EAGAIN", err)
 	}
-	if after, ok := types.RetryAfter(err); !ok || after != 7*time.Millisecond {
-		t.Fatalf("retry-after hint = %v/%v, want 7ms", after, ok)
+	if after, ok := types.RetryAfter(err); !ok || after != 5*time.Millisecond {
+		t.Fatalf("retry-after hint = %v/%v, want the 5ms default", after, ok)
 	}
 	close(release)
 	for i := 0; i < 2; i++ {

@@ -197,20 +197,15 @@ type ServerLimits struct {
 	// out or retried, so running the handler only burns service capacity on
 	// a dead request (0: never shed).
 	ShedWait time.Duration
-	// RetryAfter is the hint attached to inbox-bound refusals (default:
-	// ShedWait when set, else 5ms).
-	RetryAfter time.Duration
 }
 
+// retryAfter is the hint attached to inbox-bound refusals: ShedWait when
+// set, else 5ms.
 func (l *ServerLimits) retryAfter() time.Duration {
-	switch {
-	case l.RetryAfter > 0:
-		return l.RetryAfter
-	case l.ShedWait > 0:
+	if l.ShedWait > 0 {
 		return l.ShedWait
-	default:
-		return 5 * time.Millisecond
 	}
+	return 5 * time.Millisecond
 }
 
 // Server is a registered endpoint: a handler and the slots it runs in. A

@@ -23,12 +23,9 @@ func (m NetModel) TransferTime(size int64) time.Duration {
 }
 
 // CostModel bundles the per-operation CPU charges the simulation applies on
-// the client side. These stand in for the costs the paper attributes to the
-// FUSE framework and to local metadata work.
+// the client side. These stand in for the costs the paper attributes to
+// local metadata work and memory copies.
 type CostModel struct {
-	// FUSEOverhead is the user/kernel round-trip charged per FUSE request
-	// (zero when modelling a kernel mount).
-	FUSEOverhead time.Duration
 	// LocalMetaOp is the in-memory metadata table operation cost.
 	LocalMetaOp time.Duration
 	// MemCopyPerByte charges for cache memcpy work.

@@ -133,9 +133,6 @@ type ArchiveConfig struct {
 	Root string
 	// External is the burst-buffer/EBS model.
 	External *ExternalStore
-	// Payload fills file contents; tiny payload patterns keep memory modest
-	// while exercising real tar framing.
-	Seed int64
 }
 
 // BuildTarImage renders the dataset as a tar stream (the form in which the

@@ -16,7 +16,6 @@ import (
 type FioConfig struct {
 	FileSize int64
 	ReqSize  int64
-	Root     string
 	// DropCaches is invoked between the write and read passes so reads hit
 	// the storage path, not the local cache (system-specific hook).
 	DropCaches func()
@@ -44,20 +43,17 @@ func (r BandwidthResult) GiBps() float64 { return r.BytesPerSec() / (1 << 30) }
 // the aggregate WRITE and READ bandwidth.
 func Fio(env sim.Env, mounts []fsapi.FileSystem, cfg FioConfig) (write, read BandwidthResult, err error) {
 	ctx := context.Background()
-	if cfg.Root == "" {
-		cfg.Root = "/fio"
-	}
 	if cfg.ReqSize <= 0 {
 		cfg.ReqSize = 128 << 10
 	}
-	if err := mounts[0].Mkdir(ctx, cfg.Root, 0777); err != nil {
+	if err := mounts[0].Mkdir(ctx, "/fio", 0777); err != nil {
 		return write, read, fmt.Errorf("workload: fio setup: %w", err)
 	}
 	if err := mounts[0].FlushAll(ctx); err != nil {
 		return write, read, err
 	}
 	totalBytes := cfg.FileSize * int64(len(mounts))
-	path := func(p int) string { return fmt.Sprintf("%s/file-%03d", cfg.Root, p) }
+	path := func(p int) string { return fmt.Sprintf("/fio/file-%03d", p) }
 
 	// WRITE pass: sequential writes, fsync at the end (as fio does).
 	req := make([]byte, cfg.ReqSize)

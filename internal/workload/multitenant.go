@@ -21,9 +21,6 @@ type MultiTenantConfig struct {
 	OpsPerProc int
 	// Dirs is the shared directory pool the zipfian popularity draws from.
 	Dirs int
-	// ZipfS is the zipf skew exponent (> 1). Default 1.2: a few hot
-	// directories absorb most traffic, the tail stays warm.
-	ZipfS float64
 	// Seed feeds the per-process PRNGs; the same seed yields byte-identical
 	// path sequences and therefore byte-identical per-tenant accounting.
 	Seed int64
@@ -38,13 +35,14 @@ func (c *MultiTenantConfig) fill() {
 	if c.Dirs <= 0 {
 		c.Dirs = 8
 	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
 	if c.Root == "" {
 		c.Root = "/multitenant"
 	}
 }
+
+// zipfS is the skew of the directory popularity both multi-tenant workloads
+// draw: a few hot directories absorb most traffic, the tail stays warm.
+const zipfS = 1.2
 
 // MultiTenant drives a tenant-colored mixed metadata workload: every process
 // (each mount is one tenant's client — the harness assigns core.Options.Tenant)
@@ -65,7 +63,7 @@ func MultiTenant(env sim.Env, mounts []fsapi.FileSystem, cfg MultiTenantConfig) 
 	draws := make([][]int, len(mounts))
 	for p := range mounts {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(p)*7919))
-		z := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Dirs-1))
+		z := rand.NewZipf(rng, zipfS, 1, uint64(cfg.Dirs-1))
 		draws[p] = make([]int, cfg.OpsPerProc)
 		for i := range draws[p] {
 			draws[p][i] = int(z.Uint64())
@@ -114,11 +112,10 @@ type BurstConfig struct {
 	// Interval is the polite think time between submissions; a polite
 	// process offers 1/Interval ops per second. Default 5ms.
 	Interval time.Duration
-	// Dirs, ZipfS, Seed, Root: shared directory pool as in MultiTenantConfig.
-	Dirs  int
-	ZipfS float64
-	Seed  int64
-	Root  string
+	// Dirs, Seed: shared directory pool, under BurstRoot, as in
+	// MultiTenantConfig.
+	Dirs int
+	Seed int64
 	// HostileProcs marks the last N non-service mounts as hostile: each runs
 	// HostileStreams concurrent submission loops (default 8) at the polite
 	// Interval, each submitting OpsPerProc creates, so one hostile tenant
@@ -137,16 +134,13 @@ func (c *BurstConfig) fill() {
 	if c.Dirs <= 0 {
 		c.Dirs = 4
 	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
-	if c.Root == "" {
-		c.Root = "/overload"
-	}
 	if c.HostileStreams <= 0 {
 		c.HostileStreams = 8
 	}
 }
+
+// BurstRoot is the directory MultiTenantBurst's pool lives under.
+const BurstRoot = "/overload"
 
 // BurstResult is one process's outcome from MultiTenantBurst.
 type BurstResult struct {
@@ -184,14 +178,14 @@ func (r *BurstResult) P99() time.Duration {
 func MultiTenantBurst(env sim.Env, mounts []fsapi.FileSystem, cfg BurstConfig) ([]BurstResult, error) {
 	ctx := context.Background()
 	cfg.fill()
-	if err := setupTree(ctx, mounts[0], cfg.Root, cfg.Dirs); err != nil {
+	if err := setupTree(ctx, mounts[0], BurstRoot, cfg.Dirs); err != nil {
 		return nil, err
 	}
 	// Pin leadership of every pool directory on the service mount: the first
 	// operation inside a directory acquires its lease, and the mkdirs above
 	// only claimed the parent.
 	for d := 0; d < cfg.Dirs; d++ {
-		p := fmt.Sprintf("%s/p%03d/.lead", cfg.Root, d)
+		p := fmt.Sprintf("%s/p%03d/.lead", BurstRoot, d)
 		f, err := mounts[0].Open(ctx, p, types.OWronly|types.OCreate|types.OExcl, 0644)
 		if err != nil {
 			return nil, fmt.Errorf("workload: pin leader %s: %w", p, err)
@@ -203,7 +197,7 @@ func MultiTenantBurst(env sim.Env, mounts []fsapi.FileSystem, cfg BurstConfig) (
 	draws := make([][]int, procs)
 	for p := 0; p < procs; p++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(p)*7919))
-		z := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Dirs-1))
+		z := rand.NewZipf(rng, zipfS, 1, uint64(cfg.Dirs-1))
 		n := cfg.OpsPerProc
 		if p >= procs-cfg.HostileProcs {
 			n = cfg.OpsPerProc * cfg.HostileStreams // upper bound per stream set
@@ -241,7 +235,7 @@ func MultiTenantBurst(env sim.Env, mounts []fsapi.FileSystem, cfg BurstConfig) (
 				for i := 0; i < cfg.OpsPerProc; i++ {
 					env.Sleep(cfg.Interval)
 					dir := draws[proc][(stream*cfg.OpsPerProc+i)%len(draws[proc])]
-					path := fmt.Sprintf("%s/p%03d/t%02d.s%d.%05d", cfg.Root, dir, proc, stream, i)
+					path := fmt.Sprintf("%s/p%03d/t%02d.s%d.%05d", BurstRoot, dir, proc, stream, i)
 					t0 := env.Now()
 					f, err := m.Open(ctx, path, types.OWronly|types.OCreate|types.OExcl, 0644)
 					if err == nil {
