@@ -294,7 +294,7 @@ func (m *Mount) Open(ctx context.Context, path string, flags types.OpenFlag, mod
 		f.size = 0
 	}
 	if flags.Has(types.OAppend) {
-		f.offset = f.size
+		f.cur.Store(f.size)
 	}
 	return f, nil
 }
@@ -306,10 +306,10 @@ type file struct {
 	name  string
 	ino   types.Ino
 	flags types.OpenFlag
+	cur   types.Cursor
 
 	mu     sync.Mutex
 	size   int64
-	offset int64
 	wrote  bool
 	closed bool
 }
@@ -335,16 +335,7 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func (f *file) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.offset
-	f.mu.Unlock()
-	n, err := f.ReadAt(p, off)
-	f.mu.Lock()
-	f.offset = off + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
+func (f *file) Read(p []byte) (int, error) { return f.cur.Read(f, p) }
 
 func (f *file) WriteAt(p []byte, off int64) (int, error) {
 	f.m.charge()
@@ -363,35 +354,9 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-func (f *file) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.offset
-	if f.flags.Has(types.OAppend) {
-		off = f.size
-	}
-	f.mu.Unlock()
-	n, err := f.WriteAt(p, off)
-	f.mu.Lock()
-	f.offset = off + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
+func (f *file) Write(p []byte) (int, error) { return f.cur.Write(f, p, f.flags.Has(types.OAppend)) }
 
-func (f *file) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	switch whence {
-	case io.SeekStart:
-		f.offset = offset
-	case io.SeekCurrent:
-		f.offset += offset
-	case io.SeekEnd:
-		f.offset = f.size + offset
-	default:
-		return 0, types.ErrInval
-	}
-	return f.offset, nil
-}
+func (f *file) Seek(offset int64, whence int) (int64, error) { return f.cur.Seek(f, offset, whence) }
 
 func (f *file) Sync() error {
 	f.m.charge()
@@ -436,13 +401,6 @@ func (f *file) Close() error {
 		f.m.env.Go(func() { _ = f.m.data.Flush(ino) })
 	}
 	return nil
-}
-
-// DropCaches empties the mount's page cache (benchmark barrier).
-func (m *Mount) DropCaches(inos ...types.Ino) {
-	for _, ino := range inos {
-		m.data.Invalidate(ino)
-	}
 }
 
 // DropAllCaches empties the whole page cache.

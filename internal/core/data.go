@@ -24,7 +24,7 @@ type File struct {
 	name   string    // and the file's name in it
 	flags  types.OpenFlag
 	closed atomic.Bool
-	offset atomic.Int64 // the cursor of Read, Write and Seek
+	cur    types.Cursor
 }
 
 // openFile is a client's one record per inode it has open, in Client.open:
@@ -287,7 +287,7 @@ func (f *File) attach(ctx context.Context, node *types.Inode, walked bool) error
 		of.mu.Unlock()
 		f.c.data.Invalidate(of.ino)
 	} else if f.flags.Has(types.OAppend) {
-		f.offset.Store(size)
+		f.cur.Store(size)
 	}
 	return nil
 }
@@ -372,12 +372,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // Read reads from the cursor position.
-func (f *File) Read(p []byte) (int, error) {
-	off := f.offset.Load()
-	n, err := f.ReadAt(p, off)
-	f.offset.Store(off + int64(n))
-	return n, err
-}
+func (f *File) Read(p []byte) (int, error) { return f.cur.Read(f, p) }
 
 // WriteAt writes p at offset off.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
@@ -412,35 +407,10 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // Write writes at the cursor (honoring O_APPEND).
-func (f *File) Write(p []byte) (int, error) {
-	off := f.offset.Load()
-	if f.flags.Has(types.OAppend) {
-		off = f.Size()
-	}
-	n, err := f.WriteAt(p, off)
-	f.offset.Store(off + int64(n))
-	return n, err
-}
+func (f *File) Write(p []byte) (int, error) { return f.cur.Write(f, p, f.flags.Has(types.OAppend)) }
 
 // Seek repositions the cursor.
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = f.offset.Load()
-	case io.SeekEnd:
-		base = f.Size()
-	default:
-		return 0, types.ErrInval
-	}
-	if base+offset < 0 {
-		return 0, types.ErrInval
-	}
-	f.offset.Store(base + offset)
-	return base + offset, nil
-}
+func (f *File) Seek(offset int64, whence int) (int64, error) { return f.cur.Seek(f, offset, whence) }
 
 // ensureWritable acquires the write lease on this client's first write to
 // the inode, through whichever handle, and reports whether to write direct.

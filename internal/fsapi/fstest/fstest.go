@@ -22,8 +22,8 @@ const (
 	// LevelPOSIX: directory semantics, error codes, rename, the works
 	// (ArkFS, cephsim, marfssim).
 	LevelPOSIX Level = iota
-	// LevelObject: path-as-key systems with relaxed semantics (s3fssim,
-	// goofyssim): no strict error-code guarantees on edge cases.
+	// LevelObject: path-as-key systems with relaxed semantics (pathfs's
+	// S3FS and Goofys): no strict error-code guarantees on edge cases.
 	LevelObject
 )
 
@@ -161,6 +161,28 @@ func Run(t *testing.T, fs fsapi.FileSystem, level Level) {
 	}
 	if err := fs.Rmdir(ctx, "/dir"); err != nil {
 		t.Fatalf("rmdir: %v", err)
+	}
+
+	// The cursor: SeekEnd counts an unflushed write; a position before 0 is
+	// EINVAL.
+	c, err := fsapi.Create(ctx, fs, "/cursor", 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write([]byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	if pos, err := c.Seek(0, io.SeekEnd); err != nil || pos != 10 {
+		t.Fatalf("seek end after an unflushed write: %d, %v", pos, err)
+	}
+	if pos, err := c.Seek(-100, io.SeekCurrent); !errors.Is(err, types.ErrInval) {
+		t.Fatalf("seek before 0: %d, %v", pos, err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unlink(ctx, "/cursor"); err != nil {
+		t.Fatal(err)
 	}
 
 	// Overwrite shrinks with O_TRUNC.

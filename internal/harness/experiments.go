@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"arkfs/internal/baseline/pathfs"
 	"arkfs/internal/fsapi"
 	"arkfs/internal/objstore"
 	"arkfs/internal/sim"
@@ -185,12 +186,8 @@ func (h *Runner) Fig6b() (*Experiment, error) {
 		"ArkFS-ra400MB raises the max read-ahead to goofys's 400 MiB window"}}, []sysBuilder{
 		{"ArkFS-ra8MB", arkfs(cal, s3, h.ark(ArkFSOptions{PermCache: true, Readahead: 8 << 20}))},
 		{"ArkFS-ra400MB", arkfs(cal, s3, h.ark(ArkFSOptions{PermCache: true, Readahead: 400 << 20, CacheEntries: 250}))},
-		{"S3FS", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildS3FS(env, cal, s3, n)
-		}},
-		{"goofys", func(env sim.Env, n int) (*Deployment, error) {
-			return BuildGoofys(env, cal, s3, n)
-		}},
+		{"S3FS", pathFS(cal, s3, pathfs.S3FS)},
+		{"goofys", pathFS(cal, s3, pathfs.Goofys)},
 	})
 }
 

@@ -8,9 +8,8 @@ import (
 	"time"
 
 	"arkfs/internal/baseline/cephsim"
-	"arkfs/internal/baseline/goofyssim"
 	"arkfs/internal/baseline/marfssim"
-	"arkfs/internal/baseline/s3fssim"
+	"arkfs/internal/baseline/pathfs"
 	"arkfs/internal/cache"
 	"arkfs/internal/core"
 	"arkfs/internal/fsapi"
@@ -160,6 +159,11 @@ func arkfs(cal Calibration, prof objstore.Profile, o ArkFSOptions) builder {
 // ceph is BuildCeph as a builder.
 func ceph(cal Calibration, prof objstore.Profile, o CephOptions) builder {
 	return func(env sim.Env, n int) (*Deployment, error) { return BuildCeph(env, cal, prof, n, o) }
+}
+
+// pathFS is BuildPathFS as a builder.
+func pathFS(cal Calibration, prof objstore.Profile, p pathfs.Policy) builder {
+	return func(env sim.Env, n int) (*Deployment, error) { return BuildPathFS(env, cal, prof, n, p) }
 }
 
 // newCluster starts the object store of a deployment whose data path stores
@@ -455,33 +459,16 @@ func BuildMarFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, read
 	return d, nil
 }
 
-// BuildS3FS deploys the S3FS-like baseline on the S3 profile.
-func BuildS3FS(env sim.Env, cal Calibration, prof objstore.Profile, n int) (*Deployment, error) {
+// BuildPathFS deploys a path-as-key baseline, S3FS or goofys, on the S3
+// profile.
+func BuildPathFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, p pathfs.Policy) (*Deployment, error) {
 	prof.SizeOnlyPrefix = "" // path-keyed objects carry the data
 	prof.SizeOnly = true     // fio reads don't parse payloads
 	cluster := objstore.NewCluster(env, prof)
 	d := &Deployment{Cluster: cluster}
 	d.close = append(d.close, cluster.Close)
 	for i := 0; i < n; i++ {
-		opts := s3fssim.DefaultOptions()
-		opts.FUSEOverhead = cal.FUSEOverhead
-		d.Mounts = append(d.Mounts, s3fssim.New(env, cluster, opts))
-	}
-	return d, nil
-}
-
-// BuildGoofys deploys the goofys-like baseline on the S3 profile.
-func BuildGoofys(env sim.Env, cal Calibration, prof objstore.Profile, n int) (*Deployment, error) {
-	prof.SizeOnlyPrefix = ""
-	prof.SizeOnly = true
-	cluster := objstore.NewCluster(env, prof)
-	d := &Deployment{Cluster: cluster}
-	d.close = append(d.close, cluster.Close)
-	for i := 0; i < n; i++ {
-		opts := goofyssim.DefaultOptions()
-		opts.FUSEOverhead = cal.FUSEOverhead
-		opts.Net = prof.ClientNet
-		d.Mounts = append(d.Mounts, goofyssim.New(env, cluster, opts))
+		d.Mounts = append(d.Mounts, pathfs.New(env, cluster, p, cal.FUSEOverhead))
 	}
 	return d, nil
 }

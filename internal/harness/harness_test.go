@@ -3,6 +3,13 @@ package harness
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"arkfs/internal/baseline/pathfs"
+	"arkfs/internal/fsapi/fstest"
+	"arkfs/internal/objstore"
+	"arkfs/internal/sim"
+	"arkfs/internal/workload"
 )
 
 // quickRunner runs experiments at smoke-test scale.
@@ -242,5 +249,41 @@ func TestRenderFormats(t *testing.T) {
 	m := series.MetricsOf()
 	if m[0] != "1" || m[1] != "2" || m[2] != "16" {
 		t.Errorf("numeric metrics unsorted: %v", m)
+	}
+}
+
+// TestArkFSConformance runs the fstest suite on one ArkFS client under the
+// virtual clock. The RADOS profile keeps every object's bytes, so data reads
+// back as written.
+func TestArkFSConformance(t *testing.T) {
+	rados := objstore.RADOSProfile()
+	rados.SizeOnlyPrefix = ""
+	err := simulate(1, arkfs(DefaultCalibration(), rados, ArkFSOptions{}), func(env sim.Env, d *Deployment) error {
+		fstest.Run(t, d.Mounts[0], fstest.LevelPOSIX)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPathFSFig6bPinned pins the virtual time of Fig. 6(b)'s S3FS and goofys
+// cells at a small scale: two clients, 16 MiB files, 128 KiB requests.
+func TestPathFSFig6bPinned(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		p           pathfs.Policy
+		write, read time.Duration
+	}{
+		{"S3FS", pathfs.S3FS, 247_975_000, 201_650_000},
+		{"goofys", pathfs.Goofys, 120_975_000, 59_650_000},
+	} {
+		w, r, err := fio(2, pathFS(DefaultCalibration(), objstore.S3Profile(), c.p), workload.FioConfig{FileSize: 16 << 20, ReqSize: 128 << 10})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if w.Elapsed != c.write || r.Elapsed != c.read {
+			t.Errorf("%s: write %d ns, read %d ns; want %d, %d", c.name, w.Elapsed, r.Elapsed, c.write, c.read)
+		}
 	}
 }

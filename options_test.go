@@ -28,11 +28,8 @@ var optionsWithoutCaller = map[string]string{
 	"baseline/cephsim.ClusterOptions.DeleteSlowCost": calibration,
 	"baseline/cephsim.ClusterOptions.DeleteSlowProb": calibration,
 	"baseline/cephsim.ClusterOptions.SlowPathCost":   calibration,
-	"baseline/goofyssim.Options.PartSize":            calibration,
-	"baseline/goofyssim.Options.Readahead":           calibration,
 	"baseline/marfssim.Options.MetadataNodes":        calibration,
 	"baseline/marfssim.Options.ServiceTime":          calibration,
-	"baseline/s3fssim.Options.DiskBandwidth":         calibration,
 	"baseline/marfssim.Options.Name":                 "a deployment's address prefix; DefaultOptions takes it from its caller",
 	"harness.CephOptions.CacheEntries":               calibration,
 	"harness.CephOptions.ChunkSize":                  calibration,
@@ -61,10 +58,14 @@ const (
 // fails on an exported field of an *Options, *Config, *Policy, *Limits or
 // *Ladder type that no non-test code outside its own file sets, as a
 // composite-literal key or an assignment target, unless the allowlist above
-// gives its reason. It also fails on an allowlist entry that is stale.
+// gives its reason. It also fails on an allowlist entry that is stale, and on
+// a field that no non-test code reads.
 func TestEveryOptionHasACaller(t *testing.T) {
-	fields, noCaller := optionCensus(t)
+	fields, noCaller, unread := optionCensus(t)
 	t.Logf("options: %d fields, %d without a caller outside their file", len(fields), len(noCaller))
+	for _, f := range unread {
+		t.Errorf("%s: no code reads it; delete it", f)
+	}
 	for _, f := range noCaller {
 		if _, ok := optionsWithoutCaller[f]; !ok {
 			t.Errorf("%s: no caller sets it; make it a constant, or list it with its reason", f)
@@ -91,9 +92,9 @@ type goPackage struct {
 	DepOnly    bool
 }
 
-// optionCensus returns every counted field as "pkg.Type.Field", sorted, and
-// those without a caller.
-func optionCensus(t *testing.T) (fields, noCaller []string) {
+// optionCensus returns every counted field as "pkg.Type.Field", sorted,
+// those without a caller and those nothing reads.
+func optionCensus(t *testing.T) (fields, noCaller, unread []string) {
 	t.Helper()
 	out, err := exec.Command("go", "list", "-export", "-deps", "-json", "./...").Output()
 	if err != nil {
@@ -123,6 +124,7 @@ func optionCensus(t *testing.T) (fields, noCaller []string) {
 
 	declFile := map[string]string{} // field -> file that declares it
 	setOutside := map[string]bool{}
+	read := map[string]bool{}
 	var sets []struct{ field, file string }
 	for _, p := range pkgs {
 		var files []*ast.File
@@ -166,8 +168,15 @@ func optionCensus(t *testing.T) (fields, noCaller []string) {
 					sets = append(sets, struct{ field, file string }{k, file})
 				}
 			}
+			assigned := map[*ast.SelectorExpr]bool{} // targets of a plain =
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !assigned[n] {
+						if k := fieldKey(fieldOwner(s), n.Sel.Name); k != "" {
+							read[k] = true
+						}
+					}
 				case *ast.CompositeLit:
 					tv, ok := info.Types[n]
 					if !ok {
@@ -187,6 +196,7 @@ func optionCensus(t *testing.T) (fields, noCaller []string) {
 						if sel, ok := lhs.(*ast.SelectorExpr); ok {
 							if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
 								record(fieldOwner(s), sel.Sel.Name)
+								assigned[sel] = n.Tok == token.ASSIGN
 							}
 						}
 					}
@@ -205,10 +215,14 @@ func optionCensus(t *testing.T) (fields, noCaller []string) {
 		if !setOutside[f] {
 			noCaller = append(noCaller, f)
 		}
+		if !read[f] {
+			unread = append(unread, f)
+		}
 	}
 	sort.Strings(fields)
 	sort.Strings(noCaller)
-	return fields, noCaller
+	sort.Strings(unread)
+	return fields, noCaller, unread
 }
 
 func isOptionType(name string) bool {
