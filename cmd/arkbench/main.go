@@ -17,7 +17,7 @@
 //
 // Bench mode: arkbench -bench-json out.json -seed N writes the seeded
 // benchmark trajectory (mdtest, fio, scalability, sharded sweep, takeover,
-// metrics fingerprint) in the stable arkfs-bench/v5 schema; the same seed
+// metrics fingerprint) in the stable arkfs-bench/v6 schema; the same seed
 // yields a byte-identical file.
 //
 // Fsck mode: arkbench -fsck -seed N deploys and populates a file system,
@@ -117,8 +117,8 @@ func main() {
 		fsckMode   = flag.Bool("fsck", false, "run a seeded corruption/scrub drill instead of an experiment")
 		fsckRepair = flag.Bool("repair", false, "fsck: scrub-repair the corrupted image and fail unless it re-checks clean")
 
-		benchJSON     = flag.String("bench-json", "", "run the seeded benchmark trajectory and write the arkfs-bench/v5 report to this file (- for stdout)")
-		benchBaseline = flag.String("bench-baseline", "", "bench: compare the run against this committed arkfs-bench/v5 report and fail on a regression of its headline rates or takeover times")
+		benchJSON     = flag.String("bench-json", "", "run the seeded benchmark trajectory and write the arkfs-bench/v6 report to this file (- for stdout)")
+		benchBaseline = flag.String("bench-baseline", "", "bench: compare the run against this committed arkfs-bench/v6 report and fail on a regression of its headline rates or takeover times")
 		debugAddr     = flag.String("debug-addr", "", "serve /metrics, /stats.json, /healthz and pprof on this address while running (empty: off)")
 	)
 	flag.Usage = func() {
@@ -315,7 +315,8 @@ func main() {
 // checkBaseline guards the committed benchmark trajectory: the regenerated
 // report's headline rates (mdtest-easy CREATE, mdtest-hard WRITE in ops/s,
 // fio WRITE in GiB/s, the sharded 512-client ACQUIRE rate) must not fall
-// below the committed baseline. Both runs
+// below the committed baseline, and no takeover point's first op or full
+// table may take longer. Both runs
 // are deterministic on the virtual clock, so an equal-seed comparison is
 // exact — any drop is a real regression on the commit or write-back path,
 // not measurement noise.
@@ -351,17 +352,25 @@ func checkBaseline(rep *harness.BenchReport, path string) error {
 		}
 	}
 	// The takeover curve is virtual time like the mdtest phases: exact, and
-	// lower is better.
+	// lower is better, for the first op and for the full table alike.
 	for _, want := range base.Takeover {
-		got := int64(-1)
-		for _, p := range rep.Takeover {
+		var got *harness.BenchTakeover
+		for i, p := range rep.Takeover {
 			if p.Store == want.Store && p.Entries == want.Entries && p.Crashed == want.Crashed {
-				got = p.ElapsedNS
+				got = &rep.Takeover[i]
 			}
 		}
-		if got < 0 || got > want.ElapsedNS {
-			return fmt.Errorf("takeover %s/%d entries (crashed: %v) regressed: %d ns above committed baseline %d ns",
-				want.Store, want.Entries, want.Crashed, got, want.ElapsedNS)
+		if got == nil {
+			return fmt.Errorf("takeover %s/%d entries (crashed: %v) missing", want.Store, want.Entries, want.Crashed)
+		}
+		for _, c := range []struct {
+			label     string
+			got, want int64
+		}{{"first op", got.ElapsedNS, want.ElapsedNS}, {"full table", got.LoadedNS, want.LoadedNS}} {
+			if c.got > c.want {
+				return fmt.Errorf("takeover %s/%d entries (crashed: %v) %s regressed: %d ns above committed baseline %d ns",
+					want.Store, want.Entries, want.Crashed, c.label, c.got, c.want)
+			}
 		}
 	}
 	// The elastic ring is pointless if it does not beat the single manager

@@ -205,10 +205,6 @@ type ledDir struct {
 	opMu  *sim.Mutex
 	table *metatable.Table
 	lease dirLease // guarded by c.mu
-	// degraded marks a directory whose checkpointed state failed
-	// verification at load: it is served read-only from the last valid
-	// state until the scrubber repairs the underlying objects.
-	degraded bool
 	// leases is this leader's side of its files' data leases (paper §III-D).
 	leases leaseTable
 	// durableEpoch is the metatable epoch covered by the last successful
@@ -219,11 +215,12 @@ type ledDir struct {
 }
 
 // writable gates every mutating operation on a led directory: a directory
-// degraded by detected corruption is served read-only until repaired.
-// Callers hold ld.opMu or tolerate a stale read of the flag (it is set once,
-// before the ledDir is published).
+// whose table lost entries to detected corruption (its dentry block at load,
+// or a child whenever it is fetched) is served read-only from the last valid
+// state until the scrubber repairs the objects and the next leadership
+// change reloads it.
 func (ld *ledDir) writable() error {
-	if ld.degraded {
+	if ld.table.Lost() > 0 {
 		return fmt.Errorf("core: directory degraded by detected corruption, serving read-only: %w", types.ErrReadOnly)
 	}
 	return nil
@@ -504,6 +501,7 @@ func (c *Client) Close() error {
 	err := errors.Join(c.data.FlushAll(), c.jrnl.FlushAll(), c.takeWBErr())
 	c.awaitReturns()
 	for _, ino := range inos {
+		held[ino].table.Stop()
 		// An in-flight leaseKeeper extension may still be writing ld, so the
 		// ID must be read under the lock (and freshest-ID wins).
 		c.mu.Lock()
@@ -529,14 +527,30 @@ func (c *Client) Close() error {
 func (c *Client) Crash() {
 	c.mu.Lock()
 	c.closed = true
+	led := c.led
 	c.led = make(map[types.Ino]*ledDir)
 	c.mu.Unlock()
 	if c.opts.Crash != nil {
 		// Dead processes issue no I/O: fail everything behind the gate.
 		c.opts.Crash.Kill()
 	}
+	c.stopTables(led)
 	c.jrnl.Close()
 	c.server.Close()
+}
+
+// stopTables stops the tables of directories this client no longer leads,
+// in inode order: a stop waits for its loader's GETs in flight, and the
+// order of those waits must not depend on map order.
+func (c *Client) stopTables(dropped map[types.Ino]*ledDir) {
+	inos := make([]types.Ino, 0, len(dropped))
+	for ino := range dropped {
+		inos = append(inos, ino)
+	}
+	slices.SortFunc(inos, types.Ino.Compare)
+	for _, ino := range inos {
+		dropped[ino].table.Stop()
+	}
 }
 
 // chargeFUSE models the FUSE request overhead for one application-visible
@@ -692,6 +706,11 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 	// (nobody led the directory in between) puts the table to use.
 	var taken *ledDir
 	var chain uint64 // the lease ID taken was built under
+	defer func() {
+		if taken != nil {
+			c.abandon(dir, taken)
+		}
+	}()
 	for attempt := 0; attempt < c.opts.AcquireRetries; {
 		if err := ctx.Err(); err != nil {
 			return nil, "", fmt.Errorf("core: lease acquire for %s: %w", dir.Short(), err)
@@ -713,7 +732,8 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 			return nil, "", fmt.Errorf("core: lease acquire: %w", err)
 		}
 		if taken != nil && !(resp.Granted && resp.SameLeader && resp.LeaseID == chain) {
-			taken = nil // any other answer: the table is stale, follow the answer
+			c.abandon(dir, taken) // any other answer: the table is stale, follow the answer
+			taken = nil
 		}
 		switch {
 		case resp.Granted:
@@ -730,7 +750,9 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 			if installed, err := c.install(dir, taken); err != nil {
 				return nil, "", err
 			} else if installed {
-				return taken, "", nil
+				ld := taken
+				taken = nil
+				return ld, "", nil
 			}
 			// Recovery and load outlasted the lease that permits them. Serving
 			// now would be serving from a lapsed lease, and past the manager's
@@ -743,9 +765,13 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 			// drop the stale table (its journal was flushed at the last
 			// clean hand-off or will be recovered by the new leader).
 			c.mu.Lock()
+			stale := c.led[dir]
 			delete(c.led, dir)
 			c.remote[dir] = resp.Leader
 			c.mu.Unlock()
+			if stale != nil {
+				stale.table.Stop()
+			}
 			c.jrnl.DropDir(dir)
 			return nil, resp.Leader, nil
 		case resp.Wait:
@@ -775,6 +801,17 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 		}
 	}
 	return nil, "", fmt.Errorf("core: lease acquire retries exhausted for %s: %w", dir.Short(), types.ErrTimedOut)
+}
+
+// abandon stops the table of ld, which this call built for dir, unless it is
+// the one this client leads dir from.
+func (c *Client) abandon(dir types.Ino, ld *ledDir) {
+	c.mu.Lock()
+	led := c.led[dir] == ld
+	c.mu.Unlock()
+	if !led {
+		ld.table.Stop()
+	}
 }
 
 // becomeLeader builds leadership state after a lease granted to a request
@@ -832,9 +869,17 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 
 	// Fresh leadership (or re-grant after release): load the metadata table
 	// from the object store. The paper's SameLeader shortcut only helps when
-	// the client also kept its table; after Close we always reload.
-	degraded := false
-	tbl, _, err := c.jrnl.LoadTable(dir, false)
+	// the client also kept its table; after Close we always reload. The table
+	// comes back holding the directory inode and the dentry block; its child
+	// inodes load behind it (metatable.LoadWith), and one that fails
+	// verification then degrades the directory as a bad block does here.
+	dropped := func(lost int) {
+		if lost == 1 {
+			c.obsReg.Counter("integrity.degraded").Inc()
+		}
+		c.obsReg.Counter("integrity.degraded.entries.lost").Inc()
+	}
+	tbl, _, err := c.jrnl.LoadTable(dir, false, dropped)
 	if err != nil && errors.Is(err, types.ErrIntegrity) {
 		// The checkpointed state is rotten but the lease is ours: serve the
 		// directory read-only from whatever still verifies rather than
@@ -845,10 +890,9 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		dsp := c.tracer.StartChild(meta.Span, "integrity.degraded", dir.Short())
 		dsp.SetDir(dir)
 		dsp.SetTenant(meta.Tenant)
-		tbl, lost, err = c.jrnl.LoadTable(dir, true)
+		tbl, lost, err = c.jrnl.LoadTable(dir, true, dropped)
 		dsp.End(err)
-		if err == nil {
-			degraded = true
+		if err == nil && lost > 0 {
 			c.obsReg.Counter("integrity.degraded").Inc()
 			c.obsReg.Counter("integrity.degraded.entries.lost").Add(int64(lost))
 		}
@@ -860,10 +904,11 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 	// Check our own access to the directory (paper: release and report a
 	// permission error if the leader-to-be cannot access it).
 	if err := tbl.Dir().Access(c.opts.Cred, types.MayExec); err != nil {
+		tbl.Stop()
 		_ = c.lm.Release(ctx, dir, grant.LeaseID, true)
 		return nil, fmt.Errorf("core: access %s: %w", dir.Short(), err)
 	}
-	ld := &ledDir{opMu: sim.NewMutex(c.env), table: tbl, degraded: degraded, leases: make(leaseTable)}
+	ld := &ledDir{opMu: sim.NewMutex(c.env), table: tbl, leases: make(leaseTable)}
 	ld.lease.grant(sent, grant.Period, grant.LeaseID)
 	return ld, nil
 }
@@ -873,18 +918,24 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 // between this check and the operation that asked for the lease.
 func (c *Client) install(dir types.Ino, ld *ledDir) (bool, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return false, fmt.Errorf("core: client closed: %w", types.ErrIO)
 	}
 	if !ld.lease.serves(c.env.Now()) {
+		c.mu.Unlock()
 		return false, nil
 	}
+	old := c.led[dir]
 	c.led[dir] = ld
 	delete(c.remote, dir)
 	if ld.lease.period < c.keepPeriod {
 		c.keepPeriod = ld.lease.period
 		c.env.Go(c.leaseKeeper)
+	}
+	c.mu.Unlock()
+	if old != nil && old != ld {
+		old.table.Stop()
 	}
 	return true, nil
 }
@@ -945,6 +996,17 @@ func (c *Client) ledLocked(dir types.Ino) (*ledDir, bool) {
 	return ld, true
 }
 
+// AwaitLoad waits until the table of dir, if this client leads dir, holds
+// every child its background loader could fetch, and reports whether this
+// client leads dir. A leader serves before that; the takeover curve times both.
+func (c *Client) AwaitLoad(dir types.Ino) bool {
+	ld, ok := c.ledDirFor(dir)
+	if ok {
+		ld.table.Await()
+	}
+	return ok
+}
+
 // ReleaseDir flushes and gives up leadership of dir, e.g. when an archiving
 // job finishes a directory. This is the strong (commit + checkpoint) flush:
 // a clean release tells the next leader it may load the metatable without
@@ -960,6 +1022,7 @@ func (c *Client) ReleaseDir(dir types.Ino) error {
 	if !ok {
 		return nil
 	}
+	ld.table.Stop()
 	err := c.jrnl.Flush(dir)
 	c.jrnl.DropDir(dir)
 	_ = c.lm.Release(context.Background(), dir, ld.lease.id, err == nil)

@@ -541,9 +541,10 @@ func (c *Client) recallHolders(ctx context.Context, ino types.Ino, recall []rpc.
 	}
 }
 
-// child is node as ld's table has it now; node itself if the table has lost it.
+// child is node as ld's table has it now; node itself if the table has lost
+// it or cannot load it.
 func (ld *ledDir) child(node *types.Inode) *types.Inode {
-	if cur, ok := ld.table.Child(node.Ino); ok {
+	if cur, err := ld.table.Child(node.Ino); err == nil {
 		return cur
 	}
 	return node

@@ -180,9 +180,9 @@ func (c *Client) localSetAttr(ctx context.Context, ld *ledDir, dir types.Ino, re
 	var node *types.Inode
 	switch {
 	case !req.Ino.IsNil():
-		cur, ok := ld.table.Child(req.Ino)
-		if !ok {
-			return nil, fmt.Errorf("core: setattr %q: %w", req.Name, types.ErrNotExist)
+		cur, err := ld.table.Child(req.Ino)
+		if err != nil {
+			return nil, fmt.Errorf("core: setattr %q: %w", req.Name, err)
 		}
 		node = cur.Clone()
 	case req.Name == "":

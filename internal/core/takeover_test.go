@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,12 +19,16 @@ import (
 	"arkfs/internal/types"
 )
 
-// slowInodes delays every inode GET by delay while armed: a directory load
-// through it takes (children + 1) × delay when the GETs are not overlapped.
+// slowInodes delays, while armed, the inode GETs that slow picks by delay:
+// the GET of the directory's own inode, which comes before a takeover
+// installs its table, or those of its children, which come after. Every
+// other inode GET takes a millisecond, as a store that is not in memory
+// does.
 type slowInodes struct {
 	objstore.Store
 	env   sim.Env
 	delay time.Duration
+	slow  func(key string) bool
 	armed atomic.Bool
 	gets  atomic.Int64 // inode GETs while armed
 }
@@ -30,18 +36,24 @@ type slowInodes struct {
 func (s *slowInodes) Get(key string) ([]byte, error) {
 	if s.armed.Load() && strings.HasPrefix(key, prt.PrefixInode) {
 		s.gets.Add(1)
-		s.env.Sleep(s.delay)
+		if s.slow(key) {
+			s.env.Sleep(s.delay)
+		} else {
+			s.env.Sleep(time.Millisecond)
+		}
 	}
 	return s.Store.Get(key)
 }
 
-// lapsedTakeover is the common part of the two tests below: /d with four
+// lapsedTakeover is the common part of the three tests below: /d with four
 // files, released cleanly by a set-up client that goes on leading the root;
-// client a, whose store makes the load of /d take five lease periods; client
+// client a, whose store makes its load of /d take five lease periods; client
 // b with a store of normal speed. a runs in permission-caching mode and has
 // resolved /d/from-a (not there) while the set-up client still led /d, so
 // a's mkdir needs no leader to resolve its path: the mkdir itself is the
-// operation that takes /d over.
+// operation that takes /d over. With children false the slow GET is that
+// of /d's own inode, before a installs the table; with children true it is
+// each child's, after.
 type lapsedTakeover struct {
 	slow *slowInodes
 	a, b *Client
@@ -52,7 +64,7 @@ const lapsedLP = 200 * time.Millisecond
 
 var bgCtx = context.Background()
 
-func newLapsedTakeover(t *testing.T, env *sim.VirtEnv) *lapsedTakeover {
+func newLapsedTakeover(t *testing.T, env *sim.VirtEnv, children bool) *lapsedTakeover {
 	t.Helper()
 	mem := objstore.NewMemStore()
 	if err := Format(prt.New(mem, 4096)); err != nil {
@@ -75,7 +87,7 @@ func newLapsedTakeover(t *testing.T, env *sim.VirtEnv) *lapsedTakeover {
 			t.Fatal(err)
 		}
 	}
-	lt := &lapsedTakeover{slow: &slowInodes{Store: mem, env: env, delay: lapsedLP}}
+	lt := &lapsedTakeover{slow: &slowInodes{Store: mem, env: env, delay: 5 * lapsedLP}}
 	lt.a, lt.b = mount("a", lt.slow, true), mount("b", mem, false)
 	if _, err := lt.a.Stat(bgCtx, "/d/from-a"); !isNotExist(err) {
 		t.Fatalf("stat of a file not yet created: %v", err)
@@ -87,6 +99,11 @@ func newLapsedTakeover(t *testing.T, env *sim.VirtEnv) *lapsedTakeover {
 	lt.dir = node.Ino
 	if err := setup.ReleaseDir(lt.dir); err != nil {
 		t.Fatal(err)
+	}
+	dirKey := prt.InodeKey(lt.dir)
+	lt.slow.slow = func(key string) bool { return (key == dirKey) != children }
+	if children {
+		lt.slow.delay = 5 * lapsedLP / 4 // four children, one after another (below FanOut's floor)
 	}
 	lt.slow.armed.Store(true)
 	return lt
@@ -110,8 +127,8 @@ func installed(c *Client, dir types.Ino) (led, lapsed bool) {
 }
 
 // A takeover that ends after its lease has lapsed must not install
-// leadership. Client a's mkdir takes /d over, and the load takes five lease
-// periods; one and a half periods in, client b asks for /d, waits out the
+// leadership. Client a's mkdir takes /d over, and the GET of /d's inode
+// takes five lease periods; one and a half periods in, client b asks for /d, waits out the
 // grace and is granted the directory with recovery. When a's load ends, a
 // holds a table for a directory b leads: it has to ask the manager again,
 // follow the redirect and have b serve the mkdir. Served from the lapsed
@@ -120,7 +137,7 @@ func installed(c *Client, dir types.Ino) (led, lapsed bool) {
 func TestLoadOutlivingItsLeaseDoesNotInstallLeadership(t *testing.T) {
 	env := sim.NewVirtEnv()
 	env.Run(func() {
-		lt := newLapsedTakeover(t, env)
+		lt := newLapsedTakeover(t, env, false)
 		a, b, dir := lt.a, lt.b, lt.dir
 
 		var done atomic.Bool
@@ -204,7 +221,7 @@ func TestLoadOutlivingItsLeaseDoesNotInstallLeadership(t *testing.T) {
 func TestLoadOutlivingItsLeaseIsRegrantedInPlace(t *testing.T) {
 	env := sim.NewVirtEnv()
 	env.Run(func() {
-		lt := newLapsedTakeover(t, env)
+		lt := newLapsedTakeover(t, env, false)
 		a, dir := lt.a, lt.dir
 		start := env.Now()
 		if err := a.Mkdir(bgCtx, "/d/from-a", 0755); err != nil {
@@ -215,6 +232,9 @@ func TestLoadOutlivingItsLeaseIsRegrantedInPlace(t *testing.T) {
 		}
 		if led, lapsed := installed(a, dir); !led || lapsed {
 			t.Fatalf("after the in-place re-grant: installed %v, lapsed %v", led, lapsed)
+		}
+		if !a.AwaitLoad(dir) {
+			t.Fatal("a does not lead /d")
 		}
 		if n := lt.slow.gets.Load(); n != 5 {
 			t.Fatalf("%d inode GETs for one directory inode and four children: the table was loaded more than once", n)
@@ -228,17 +248,102 @@ func TestLoadOutlivingItsLeaseIsRegrantedInPlace(t *testing.T) {
 	})
 }
 
+// A load that outlives its lease after install: a serves /d from its inode
+// and dentry block while the four children load behind, one after another,
+// for five lease periods. The keeper extends the lease meanwhile, as for any
+// led directory, so a never stops serving; b, asking for /d one and a half
+// periods in, is redirected to a and served at once.
+func TestLoadOutlivingItsLeaseAfterInstallKeepsServing(t *testing.T) {
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		lt := newLapsedTakeover(t, env, true)
+		a, b, dir := lt.a, lt.b, lt.dir
+		start := env.Now()
+		if err := a.Mkdir(bgCtx, "/d/from-a", 0755); err != nil {
+			t.Fatal(err)
+		}
+		if took := env.Now() - start; took > lapsedLP/4 {
+			t.Fatalf("a's mkdir took %v: it waited for the children", took)
+		}
+		var done atomic.Bool
+		var aLapsed, bLed atomic.Int64
+		watch := sim.NewGroup(env)
+		watch.Go(func() {
+			for !done.Load() {
+				if led, lapsed := installed(a, dir); !led || lapsed {
+					aLapsed.Add(1)
+				}
+				if led, _ := installed(b, dir); led {
+					bLed.Add(1)
+				}
+				env.Sleep(lapsedLP / 16)
+			}
+		})
+		env.Sleep(lapsedLP + lapsedLP/2)
+		t0 := env.Now()
+		if err := createFile(b, "/d/from-b"); err != nil {
+			t.Fatal(err)
+		}
+		bTook := env.Now() - t0
+		if !a.AwaitLoad(dir) {
+			t.Fatal("a stopped leading /d")
+		}
+		loaded := env.Now() - start
+		done.Store(true)
+		watch.Wait()
+
+		if loaded < 5*lapsedLP {
+			t.Fatalf("the children were in memory at +%v: the load did not outlive its lease", loaded)
+		}
+		if bTook > lapsedLP/4 {
+			t.Errorf("b's create took %v: it waited for the load", bTook)
+		}
+		if n := aLapsed.Load(); n > 0 {
+			t.Errorf("a's lease of /d was not serving at %d sampled instants: the keeper did not extend it", n)
+		}
+		if n := bLed.Load(); n > 0 {
+			t.Errorf("b had /d installed at %d sampled instants", n)
+		}
+		b.mu.Lock()
+		via := b.remote[dir]
+		b.mu.Unlock()
+		if via != a.Addr() {
+			t.Errorf("b reaches /d via %q, want a at %q", via, a.Addr())
+		}
+		if n := lt.slow.gets.Load(); n != 5 {
+			t.Errorf("%d inode GETs for one directory inode and four children", n)
+		}
+		lt.slow.armed.Store(false)
+		for _, c := range []*Client{a, b} {
+			for _, name := range []string{"/d/old0", "/d/old3", "/d/from-a", "/d/from-b"} {
+				if _, err := c.Stat(bgCtx, name); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+		}
+		_ = a.Close()
+		_ = b.Close()
+	})
+}
+
 // TestTakeoverLatency pins what a leadership change costs in virtual time on
-// the simulated stores: a fresh client's first stat into a 500-entry
-// directory, released cleanly or left behind by a crash. The bounds hold with
-// the default fan-out and are all exceeded with CheckpointFanout 1, which is
-// one GET after another; both ways the store sees the same requests, so the
-// time is not bought with extra ones.
+// the simulated stores, a fresh client's first stat into a 500-entry
+// directory released cleanly or left behind by a crash, as two times:
+//   - first: until the stat returns. The leader serves once it holds the
+//     directory inode and the dentry block and has fetched the one child, so
+//     this does not depend on the fan-out (measured: 0.86 ms on RADOS, 1.18
+//     ms after a crash, 27.1 ms on S3; the bounds leave about 1.7×).
+//   - loaded: until the table holds every child. Its bounds are those the
+//     first stat had when it waited for the whole table: met at the default
+//     fan-out, all exceeded with CheckpointFanout 1, one GET after another.
+//
+// Once the load is complete, the two runs have made the same store requests:
+// the time is not bought with extra ones.
 func TestTakeoverLatency(t *testing.T) {
 	const files = 500
 	const lp = 5 * time.Second
 	type reading struct {
-		took                time.Duration
+		first, loaded       time.Duration
 		gets, puts, deletes int64
 	}
 	takeover := func(prof objstore.Profile, crash bool, fanout int) (r reading) {
@@ -277,7 +382,8 @@ func TestTakeoverLatency(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := mount("b", fanout)
-			if _, err := b.Stat(bgCtx, "/t"); err != nil { // b leads the root
+			dir, err := b.Stat(bgCtx, "/t") // b leads the root
+			if err != nil {
 				t.Fatal(err)
 			}
 			st := cluster.Stat()
@@ -286,33 +392,200 @@ func TestTakeoverLatency(t *testing.T) {
 			if _, err := b.Stat(bgCtx, "/t/f0250"); err != nil {
 				t.Fatal(err)
 			}
-			r = reading{env.Now() - t0, st.Gets.Load() - g0, st.Puts.Load() - p0, st.Deletes.Load() - d0}
+			r.first = env.Now() - t0
+			if !b.AwaitLoad(dir.Ino) {
+				t.Fatal("b does not lead /t")
+			}
+			r.loaded = env.Now() - t0
+			r.gets, r.puts, r.deletes = st.Gets.Load()-g0, st.Puts.Load()-p0, st.Deletes.Load()-d0
 			_ = b.Close()
 		})
 		return r
 	}
 	for _, c := range []struct {
-		name  string
-		prof  objstore.Profile
-		crash bool
-		bound time.Duration
+		name          string
+		prof          objstore.Profile
+		crash         bool
+		first, loaded time.Duration
 	}{
-		{"rados/clean", objstore.RADOSProfile(), false, 25 * time.Millisecond},
-		{"rados/crashed", objstore.RADOSProfile(), true, 30 * time.Millisecond},
-		{"s3/clean", objstore.S3Profile(), false, 600 * time.Millisecond},
+		{"rados/clean", objstore.RADOSProfile(), false, 1500 * time.Microsecond, 25 * time.Millisecond},
+		{"rados/crashed", objstore.RADOSProfile(), true, 2 * time.Millisecond, 30 * time.Millisecond},
+		{"s3/clean", objstore.S3Profile(), false, 45 * time.Millisecond, 600 * time.Millisecond},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			fanned, serial := takeover(c.prof, c.crash, 0), takeover(c.prof, c.crash, 1)
-			t.Logf("first stat: %v fanned out, %v one GET after another; %d GETs", fanned.took, serial.took, fanned.gets)
-			if fanned.took > c.bound {
-				t.Errorf("first stat took %v, bound %v", fanned.took, c.bound)
+			t.Logf("first stat: %v fanned out, %v one GET after another; table loaded: %v fanned out, %v one after another; %d GETs",
+				fanned.first, serial.first, fanned.loaded, serial.loaded, fanned.gets)
+			if fanned.first > c.first || serial.first > c.first {
+				t.Errorf("first stat took %v fanned out, %v one GET after another; bound %v", fanned.first, serial.first, c.first)
 			}
-			if serial.took <= c.bound {
-				t.Errorf("with CheckpointFanout 1 the first stat took %v: the bound %v does not tell the two apart", serial.took, c.bound)
+			if fanned.loaded > c.loaded {
+				t.Errorf("the table was loaded after %v, bound %v", fanned.loaded, c.loaded)
+			}
+			if serial.loaded <= c.loaded {
+				t.Errorf("with CheckpointFanout 1 the table was loaded after %v: the bound %v does not tell the two apart", serial.loaded, c.loaded)
 			}
 			if fanned.gets < files || fanned.gets != serial.gets || fanned.puts != serial.puts || fanned.deletes != serial.deletes {
 				t.Errorf("store requests differ: fanned out %+v, serial %+v", fanned, serial)
 			}
 		})
+	}
+}
+
+// childGets records, per client store, when each inode GET of a directory's
+// children started, and makes every inode GET take delay.
+type childGets struct {
+	objstore.Store
+	env      sim.Env
+	delay    time.Duration
+	children map[string]bool
+
+	mu      sync.Mutex
+	started []time.Duration
+}
+
+func (s *childGets) Get(key string) ([]byte, error) {
+	if s.children[key] {
+		s.mu.Lock()
+		s.started = append(s.started, s.env.Now())
+		s.mu.Unlock()
+	}
+	if strings.HasPrefix(key, prt.PrefixInode) {
+		s.env.Sleep(s.delay)
+	}
+	return s.Store.Get(key)
+}
+
+func (s *childGets) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.started)
+}
+
+// bigDir makes /d with n files through a set-up client that then closes,
+// and returns /d's inode number and its children's inode keys.
+func bigDir(t *testing.T, net *rpc.Network, mem objstore.Store, lp time.Duration, n int) (types.Ino, map[string]bool) {
+	t.Helper()
+	if err := Format(prt.New(mem, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	setup := New(net, prt.New(mem, 4096), Options{ID: "setup", Cred: types.Cred{Uid: 1, Gid: 1}, LeasePeriod: lp})
+	if err := setup.Mkdir(bgCtx, "/d", 0777); err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string]bool, n)
+	for i := 0; i < n; i++ {
+		f, err := setup.Create(bgCtx, fmt.Sprintf("/d/f%03d", i), 0644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[prt.InodeKey(f.Ino())] = true
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir, err := setup.Stat(bgCtx, "/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir.Ino, keys
+}
+
+// A table no longer led stops its loader. Client a takes /d (100 children,
+// each GET 20 ms, one at a time) over with a stat, and drops it before the
+// load is done: by ReleaseDir, by a crash, or by a redirect (a is cut off
+// from the manager until b has the directory; a's next acquire is told to go
+// to b). No GET of a child starts afterwards.
+func TestDroppedTableStopsItsLoader(t *testing.T) {
+	const lp = 200 * time.Millisecond
+	for _, how := range []string{"release", "crash", "redirect"} {
+		t.Run(how, func(t *testing.T) {
+			env := sim.NewVirtEnv()
+			env.Run(func() {
+				mem := objstore.NewMemStore()
+				net := rpc.NewNetwork(env, sim.NetModel{})
+				mgr := lease.NewManager(net, lease.Options{Period: lp})
+				defer mgr.Close()
+				dir, keys := bigDir(t, net, mem, lp, 100)
+				st := &childGets{Store: mem, env: env, delay: 20 * time.Millisecond, children: keys}
+				a := New(net, prt.New(st, 4096), Options{ID: "a", Cred: types.Cred{Uid: 1, Gid: 1}, LeasePeriod: lp,
+					Journal: journal.Config{CheckpointFanout: 1}})
+				if _, err := a.Stat(bgCtx, "/d/f050"); err != nil {
+					t.Fatal(err)
+				}
+				switch how {
+				case "release":
+					if err := a.ReleaseDir(dir); err != nil {
+						t.Fatal(err)
+					}
+				case "crash":
+					a.Crash()
+				case "redirect":
+					fp := rpc.NewFaultPlan(env, 1)
+					net.SetFaultPlan(fp)
+					cut := fp.Partition([]rpc.Addr{a.Addr()}, []rpc.Addr{"leasemgr"})
+					env.Sleep(2*lp + lp/2) // a's leases and their grace run out
+					b := New(net, prt.New(mem, 4096), Options{ID: "b", Cred: types.Cred{Uid: 1, Gid: 1}, LeasePeriod: lp})
+					defer b.Close()
+					if _, err := b.Stat(bgCtx, "/d/f001"); err != nil {
+						t.Fatal(err)
+					}
+					if !b.Leads(dir) {
+						t.Fatal("b did not take /d over")
+					}
+					cut.Heal()
+					if _, leader, err := a.routeFor(bgCtx, dir); err != nil || leader != b.Addr() {
+						t.Fatalf("a's route to /d: %q, %v; want a redirect to b", leader, err)
+					}
+				}
+				dropped := env.Now()
+				n := st.count()
+				env.Sleep(5 * time.Second)
+				if n >= len(keys) {
+					t.Fatalf("the load had ended (%d GETs) before the table was dropped at +%v", n, dropped)
+				}
+				if got := st.count(); got != n {
+					t.Fatalf("%d child GETs started after the table was dropped (%d before)", got-n, n)
+				}
+				_ = a.Close()
+			})
+		})
+	}
+}
+
+// Under RealEnv, Close returns only after the loader of every table has
+// ended: no goroutine is left running one, and the count is back where it
+// was before the takeover.
+func TestCloseWaitsForTheLoader(t *testing.T) {
+	env := sim.NewRealEnv()
+	defer env.Shutdown()
+	const lp = 5 * time.Second
+	mem := objstore.NewMemStore()
+	net := rpc.NewNetwork(env, sim.NetModel{})
+	mgr := lease.NewManager(net, lease.Options{Period: lp})
+	defer mgr.Close()
+	_, keys := bigDir(t, net, mem, lp, 200)
+	st := &childGets{Store: mem, env: env, delay: 5 * time.Millisecond, children: keys}
+	a := New(net, prt.New(st, 4096), Options{ID: "a", Cred: types.Cred{Uid: 1, Gid: 1}, LeasePeriod: lp,
+		Journal: journal.Config{CheckpointFanout: 2}})
+	base := runtime.NumGoroutine()
+	if _, err := a.Stat(bgCtx, "/d/f100"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.count(); n >= len(keys) {
+		t.Fatalf("the load had ended (%d GETs) before Close", n)
+	}
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "metatable.(*Table).loadAll") {
+		t.Fatalf("a loader is still running after Close:\n%s", stacks)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Close, %d before the takeover", n, base)
 	}
 }

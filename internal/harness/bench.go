@@ -21,8 +21,9 @@ import (
 // tables) keys on it. v2 added the sharded lease-cluster scalability sweep;
 // v3 added the tenant-isolation (overload protection on/off) comparison; v4
 // added the directory-takeover curve; v5 dropped the isolation comparison,
-// whose two sides agreed on everything but the pushback count.
-const BenchSchema = "arkfs-bench/v5"
+// whose two sides agreed on everything but the pushback count; v6 added the
+// takeover curve's loaded_ns, once a leader served before its table was full.
+const BenchSchema = "arkfs-bench/v6"
 
 // BenchConfig parameterizes one benchmark trajectory. The zero value runs the
 // committed BENCH_seed.json configuration.
@@ -128,17 +129,20 @@ type BenchShardPoint struct {
 	CreatePerSec float64 `json:"create_per_sec"`
 }
 
-// BenchTakeover is one point of the directory-takeover curve: the virtual
-// time of a fresh client's first stat into a directory of Entries files on
-// the Store profile, which is a lease acquire plus the load of the metatable
-// (ROADMAP item 5). The previous leader either released the directory cleanly
-// or (Crashed) died behind a FlushAll, so the lease is a recovery grant and
-// the journal scan comes first.
+// BenchTakeover is one point of the directory-takeover curve: what a fresh
+// client's first stat into a directory of Entries files costs on the Store
+// profile, in virtual time. ElapsedNS runs until the stat returns: a lease
+// acquire, the directory inode, the dentry block and the one child inode.
+// LoadedNS runs until the table holds every child, which the background
+// loader fetches (DESIGN.md §5.9). The previous leader either released the
+// directory cleanly or (Crashed) died behind a FlushAll, so the lease is a
+// recovery grant and the journal scan comes first.
 type BenchTakeover struct {
 	Store     string `json:"store"`
 	Entries   int    `json:"entries"`
 	Crashed   bool   `json:"crashed"`
 	ElapsedNS int64  `json:"elapsed_ns"`
+	LoadedNS  int64  `json:"loaded_ns"`
 }
 
 // BenchReport is the stable -bench-json output. Every number derives from the
@@ -307,11 +311,11 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 	points = append(points, BenchTakeover{Store: "rados", Crashed: true,
 		Entries: cfg.TakeoverEntries[len(cfg.TakeoverEntries)/2]})
 	for _, p := range points {
-		took, err := TakeoverPoint(cal, p, 0)
+		first, loaded, err := TakeoverPoint(cal, p, 0)
 		if err != nil {
 			return nil, fmt.Errorf("bench: takeover %+v: %w", p, err)
 		}
-		p.ElapsedNS = took.Nanoseconds()
+		p.ElapsedNS, p.LoadedNS = first.Nanoseconds(), loaded.Nanoseconds()
 		rep.Takeover = append(rep.Takeover, p)
 	}
 	return rep, nil
@@ -319,8 +323,9 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 
 // TakeoverPoint measures one point of the takeover curve with the journal's
 // defaults and the given CheckpointFanout (0: the default; 1 is one GET after
-// another, the curve before the load fanned out).
-func TakeoverPoint(cal Calibration, p BenchTakeover, fanout int) (took time.Duration, err error) {
+// another, the load before it fanned out): the time until the first stat
+// returns, and until the table holds every child.
+func TakeoverPoint(cal Calibration, p BenchTakeover, fanout int) (first, loaded time.Duration, err error) {
 	prof := objstore.RADOSProfile()
 	if p.Store == "s3" {
 		prof = objstore.S3Profile()
@@ -363,9 +368,15 @@ func TakeoverPoint(cal Calibration, p BenchTakeover, fanout int) (took time.Dura
 			return
 		}
 		t0 := env.Now()
-		_, err = fresh.Stat(ctx, "/t/f000000")
-		took = env.Now() - t0
-		return err
+		if _, err = fresh.Stat(ctx, "/t/f000000"); err != nil {
+			return err
+		}
+		first = env.Now() - t0
+		if !fresh.AwaitLoad(dir.Ino) {
+			return fmt.Errorf("takeover: the fresh client does not lead /t")
+		}
+		loaded = env.Now() - t0
+		return nil
 	})
-	return took, err
+	return first, loaded, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 )
 
 func quickBench() BenchConfig {
@@ -61,7 +62,7 @@ func TestRunBenchSchemaStable(t *testing.T) {
 		t.Fatalf("takeover section: %+v", rep.Takeover)
 	}
 	for _, p := range rep.Takeover {
-		if p.Entries != 40 || p.ElapsedNS <= 0 {
+		if p.Entries != 40 || p.ElapsedNS <= 0 || p.LoadedNS < p.ElapsedNS {
 			t.Fatalf("takeover point %+v", p)
 		}
 	}
@@ -113,27 +114,40 @@ func TestRunBenchDeterministic(t *testing.T) {
 }
 
 // TestTakeoverCurve: at every size and on both store models, and after a
-// crash, a fresh client's first stat into a directory is faster with the
-// load fanned out than with CheckpointFanout 1 (one GET after another, the
-// curve before the fan-out), and both see the directory.
+// crash, a fresh client's first stat into a directory waits for the
+// directory inode, the dentry block and one child, not for the table: it
+// takes the same time fanned out as with CheckpointFanout 1 (one GET after
+// another), and the same at 1,000 entries as at 100. The full table loads at
+// least 4x faster fanned out, and both ways the client sees the directory.
 func TestTakeoverCurve(t *testing.T) {
 	cal := DefaultCalibration()
+	firsts := map[BenchTakeover]time.Duration{}
 	for _, p := range []BenchTakeover{
 		{Store: "rados", Entries: 100}, {Store: "rados", Entries: 1000}, {Store: "s3", Entries: 100},
 		{Store: "s3", Entries: 1000}, {Store: "rados", Entries: 1000, Crashed: true},
 	} {
-		fanned, err := TakeoverPoint(cal, p, 0)
+		first, fanned, err := TakeoverPoint(cal, p, 0)
 		if err != nil {
 			t.Fatalf("%+v: %v", p, err)
 		}
-		serial, err := TakeoverPoint(cal, p, 1)
+		serialFirst, serial, err := TakeoverPoint(cal, p, 1)
 		if err != nil {
 			t.Fatalf("%+v serial: %v", p, err)
 		}
-		t.Logf("%-5s %6d entries crashed=%-5v %12v fanned out %12v serial (%.1fx)",
-			p.Store, p.Entries, p.Crashed, fanned, serial, float64(serial)/float64(fanned))
+		t.Logf("%-5s %6d entries crashed=%-5v first stat %12v; table %12v fanned out %12v serial (%.1fx)",
+			p.Store, p.Entries, p.Crashed, first, fanned, serial, float64(serial)/float64(fanned))
+		if first != serialFirst || first > fanned {
+			t.Errorf("%+v: first stat %v fanned out, %v serial, table loaded at %v: the stat waited for the load", p, first, serialFirst, fanned)
+		}
 		if fanned*4 > serial {
-			t.Errorf("%+v: %v fanned out against %v serial, want at least 4x", p, fanned, serial)
+			t.Errorf("%+v: table loaded in %v fanned out against %v serial, want at least 4x", p, fanned, serial)
+		}
+		firsts[p] = first
+	}
+	for _, store := range []string{"rados", "s3"} {
+		small, big := firsts[BenchTakeover{Store: store, Entries: 100}], firsts[BenchTakeover{Store: store, Entries: 1000}]
+		if big > small*11/10 {
+			t.Errorf("%s: first stat %v at 1,000 entries, %v at 100: it grows with the directory", store, big, small)
 		}
 	}
 }

@@ -72,10 +72,11 @@ func (j *Journal) Recover(dir types.Ino) (Report, error) {
 }
 
 // LoadTable builds dir's metatable for its new leader: metatable.LoadWith on
-// the journal's environment and store, the child-inode GETs overlapped under
-// the same bound as the checkpoint writes that put those inodes there.
-func (j *Journal) LoadTable(dir types.Ino, degraded bool) (*metatable.Table, int, error) {
-	return metatable.LoadWith(j.env, j.cfg.CheckpointFanout, j.tr, dir, degraded)
+// the journal's environment and store, the child-inode GETs in the background
+// under the same bound as the checkpoint writes that put those inodes there.
+// dropped (may be nil) hears of each child dropped after it returns.
+func (j *Journal) LoadTable(dir types.Ino, degraded bool, dropped func(lost int)) (*metatable.Table, int, error) {
+	return metatable.LoadWith(j.env, j.cfg.CheckpointFanout, j.tr, dir, degraded, dropped)
 }
 
 // recoverDir is the recovery pass itself. It uses j's store, environment,

@@ -1,9 +1,16 @@
 // Package metatable implements ArkFS's per-directory metadata table (paper
-// §III-C): the in-memory structure a directory leader builds after acquiring
-// the lease. It holds the directory's own inode, its dentries, and the inodes
-// of all child files, so that every metadata operation — lookup, permission
-// check, create, unlink, stat, readdir — is a local memory operation with no
-// remote communication.
+// §III-C): the in-memory structure a directory leader serves from. It holds
+// the directory's own inode, its dentries, and the inodes of its child files,
+// so that every metadata operation — lookup, permission check, create,
+// unlink, stat, readdir — is a local memory operation with no remote
+// communication once the child it names is in memory.
+//
+// The paper loads the whole table before the leader serves anything. Here a
+// leader serves as soon as it holds the directory inode and the dentry block
+// (DESIGN.md §5.9): each child inode is fetched on first touch, or by one
+// background loader in dentry order, whichever reaches it first, and is
+// fetched once. Load and LoadDegraded, which tools and tests call, still
+// return only when every child is in memory.
 package metatable
 
 import (
@@ -11,6 +18,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"arkfs/internal/prt"
 	"arkfs/internal/sim"
@@ -28,6 +37,13 @@ import (
 // a path walk reads the directories it crosses without copying them. Their
 // callers must not write to what they get; DirInode and Lookup return copies
 // for callers that build the next version from the current one.
+//
+// A child named by a dentry is in one of four states, all kept in children:
+// pending (a nil inode), in flight (the inFlight marker: one goroutine's GET
+// is out for it), loaded, or dropped (no key, and no dentry: it failed
+// verification or was missing, and lost counts it). Every method that reads
+// or replaces a child loads it first (need); the name-only methods (Exists,
+// Insert, List, Len, Dir, Epoch) never wait.
 type Table struct {
 	mu       sync.RWMutex
 	dir      *types.Inode
@@ -38,14 +54,44 @@ type Table struct {
 	// barrier that completed at epoch E covers every mutation up to E, so a
 	// later fsync with an unchanged epoch has nothing new to make durable.
 	epoch uint64
+
+	// What loading the children takes; unused by a table made by NewEmpty.
+	env     sim.Env
+	tr      *prt.Translator
+	strict  bool         // a child that fails verification or is missing fails the load (Load)
+	stopped bool         // Stop was called: no GET starts any more
+	lost    atomic.Int32 // entries dropped: the directory is served read-only
+	dropped func(lost int)
+	// waiters holds, per child in flight that someone waits for, the channel
+	// the GET's owner closes when it ends. Made on first wait.
+	waiters map[types.Ino]*sim.Chan[struct{}]
+	// loading is closed when the background loader ends; nil without one.
+	loading *sim.Chan[struct{}]
 }
 
+// inFlight marks a child whose GET is out; it is never handed out.
+var inFlight = new(types.Inode)
+
+// loaded reports whether n, a value of children, is an inode in memory.
+func loaded(n *types.Inode) bool { return n != nil && n != inFlight }
+
+// inlineGet is the directory inode's GET time below which LoadWith loads the
+// children before it returns. A store that fast is in memory: there a child's
+// GET costs less than handing it to the loader goroutine, and the leader's
+// touches and the loader would contend for the table over GETs that take no
+// time (DESIGN.md §5.9).
+const inlineGet = 10 * time.Microsecond
+
+// errStopped is what a touch of a child not yet loaded gets once the table
+// has been stopped: the directory is no longer led from this table.
+var errStopped = fmt.Errorf("metatable: table dropped: %w", types.ErrStale)
+
 // Load builds the metatable for dir from the object store: the directory
-// inode, the dentry block, and every child inode (eager, as in the paper —
-// after this, operations never touch the store until checkpoint). It fetches
-// one object after another; a leader taking a directory over uses LoadWith.
+// inode, the dentry block, and every child inode, one object after another.
+// It returns once every child is in memory; a child that fails verification
+// or is missing fails it. A leader taking a directory over uses LoadWith.
 func Load(tr *prt.Translator, dir types.Ino) (*Table, error) {
-	t, _, err := LoadWith(nil, 1, tr, dir, false)
+	t, _, err := LoadWith(nil, 1, tr, dir, false, nil)
 	return t, err
 }
 
@@ -56,59 +102,207 @@ func Load(tr *prt.Translator, dir types.Ino) (*Table, error) {
 // entries were lost. Only integrity failures are tolerated; infrastructure
 // errors (including an unreadable directory inode) still fail the load.
 func LoadDegraded(tr *prt.Translator, dir types.Ino) (*Table, int, error) {
-	return LoadWith(nil, 1, tr, dir, true)
+	return LoadWith(nil, 1, tr, dir, true, nil)
 }
 
-// LoadWith is the loader behind Load and LoadDegraded. The child inodes are
-// independent objects, so their GETs overlap, at most limit at a time on
-// goroutines of env (sim.FanOut: the table built and the error reported are
-// those of the one-by-one loop, whatever order the GETs complete in; limit 1
-// is that loop, and then env may be nil). degraded selects the rule for a
-// dentry block or a child that fails verification, or a child that is
-// missing: fail the load, or drop it and count it in lost.
-func LoadWith(env sim.Env, limit int, tr *prt.Translator, dir types.Ino, degraded bool) (t *Table, lost int, err error) {
+// LoadWith is the loader behind Load and LoadDegraded and a leader's
+// takeover. It reads the directory inode and the dentry block; degraded
+// selects the rule for a dentry block that fails verification: fail the
+// load, or serve no entries and count the block in lost.
+//
+// The child inodes are then loaded by one loader that walks the dentries in
+// order, at most limit GETs at a time (sim.FanOut), skipping any child a
+// toucher has claimed. With env nil the loader runs inline before LoadWith
+// returns (limit is then 1): the eager serial load, whose error is the one
+// of the first bad child in dentry order, and whose lost count is final.
+// With an env the loader runs on a goroutine of env and LoadWith returns at
+// once with the lost count so far, unless the store answered the directory
+// inode's GET within inlineGet: then the loader runs inline, one GET after
+// another, as without an env. Either way a child that fails verification or
+// is missing is dropped whoever finds it, and dropped (which may be nil) is
+// called after each such drop with the entries lost so far. A child whose
+// GET fails otherwise goes back to pending: the touch that needed it gets
+// the error, and the next touch retries.
+func LoadWith(env sim.Env, limit int, tr *prt.Translator, dir types.Ino, degraded bool, dropped func(lost int)) (*Table, int, error) {
+	inline := env == nil
+	var sent time.Duration
+	if !inline {
+		sent = env.Now()
+	}
 	dirInode, err := tr.LoadInode(dir)
 	if err != nil {
 		return nil, 0, fmt.Errorf("metatable: load dir inode: %w", err)
 	}
+	inline = inline || env.Now()-sent < inlineGet
 	if !dirInode.IsDir() {
 		return nil, 0, fmt.Errorf("metatable: %s: %w", dir.Short(), types.ErrNotDir)
 	}
+	t := &Table{dir: dirInode, env: env, tr: tr, strict: !degraded && env == nil, dropped: dropped}
 	dentries, err := tr.LoadDentries(dir)
 	if err != nil {
 		if !degraded || !errors.Is(err, types.ErrIntegrity) {
 			return nil, 0, fmt.Errorf("metatable: load dentries: %w", err)
 		}
-		lost++ // the whole block; entries are uncountable
+		t.lost.Add(1) // the whole block; entries are uncountable
 		dentries = nil
 	}
-	children := make([]*types.Inode, len(dentries)) // nil: dropped
-	err = sim.FanOut(env, len(dentries), limit, func(i int) error {
-		child, err := tr.LoadInode(dentries[i].Ino)
-		if err != nil && !(degraded && (errors.Is(err, types.ErrIntegrity) || errors.Is(err, types.ErrNotExist))) {
-			return fmt.Errorf("metatable: load child %q: %w", dentries[i].Name, err)
+	t.entries = make(map[string]wire.Dentry, len(dentries))
+	t.children = make(map[types.Ino]*types.Inode, len(dentries))
+	for _, de := range dentries {
+		t.entries[de.Name] = de
+		t.children[de.Ino] = nil // pending
+	}
+	if inline {
+		if err := t.loadAll(1, dentries); err != nil {
+			return nil, 0, err
 		}
-		children[i] = child
+		return t, t.Lost(), nil
+	}
+	if len(dentries) > 0 {
+		t.loading = sim.NewChan[struct{}](env)
+		env.Go(func() {
+			_ = t.loadAll(limit, dentries)
+			t.loading.Close()
+		})
+	}
+	return t, t.Lost(), nil
+}
+
+// loadAll is the loader: every dentry's child, in dentry order, at most limit
+// at a time. It stops claiming once the table is stopped. Without an env a
+// child's error ends it; with one the error is the next toucher's to meet.
+func (t *Table) loadAll(limit int, dentries []wire.Dentry) error {
+	return sim.FanOut(t.env, len(dentries), limit, func(i int) error {
+		t.mu.Lock()
+		if t.stopped {
+			t.mu.Unlock()
+			return errStopped
+		}
+		ino := dentries[i].Ino
+		if n, ok := t.children[ino]; !ok || n != nil {
+			t.mu.Unlock()
+			return nil // loaded, in flight, removed or dropped
+		}
+		t.children[ino] = inFlight
+		t.mu.Unlock()
+		if err := t.fetch(ino, dentries[i].Name); err != nil && t.env == nil {
+			return err
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	t = &Table{
-		dir:      dirInode,
-		entries:  make(map[string]wire.Dentry, len(dentries)),
-		children: make(map[types.Ino]*types.Inode, len(dentries)),
-	}
-	for i, de := range dentries {
-		if children[i] == nil {
-			lost++
-			continue
-		}
-		t.entries[de.Name] = de
-		t.children[de.Ino] = children[i]
-	}
-	return t, lost, nil
 }
+
+// fetch GETs the child ino, named name ("" if the caller does not know),
+// which the caller has marked in flight, and settles it: loaded, dropped, or
+// pending again. A Remove or replace that came first wins: the result is
+// installed only into a child still in flight. The error is the one the
+// touch that needed the child gets; a drop is not one (the name is gone, as
+// if it had never been there).
+func (t *Table) fetch(ino types.Ino, name string) error {
+	n, err := t.tr.LoadInode(ino)
+	drop := !t.strict && (errors.Is(err, types.ErrIntegrity) || errors.Is(err, types.ErrNotExist))
+	t.mu.Lock()
+	if err != nil && name == "" {
+		for nm, de := range t.entries {
+			if de.Ino == ino {
+				name = nm
+				break
+			}
+		}
+	}
+	lost := 0
+	if t.children[ino] == inFlight {
+		switch {
+		case err == nil:
+			t.children[ino] = n
+		case drop:
+			delete(t.children, ino)
+			delete(t.entries, name)
+			lost = int(t.lost.Add(1))
+		default:
+			t.children[ino] = nil // pending: the next touch retries
+		}
+	}
+	w := t.waiters[ino]
+	delete(t.waiters, ino)
+	t.mu.Unlock()
+	if w != nil {
+		w.Close()
+	}
+	if lost > 0 && t.dropped != nil {
+		t.dropped(lost)
+	}
+	if err != nil && !drop {
+		return fmt.Errorf("metatable: load child %q: %w", name, err)
+	}
+	return nil
+}
+
+// need returns the child ino, named name ("" if unknown), as stored once it
+// is loaded. A pending child is claimed and fetched on the caller's
+// goroutine, with no queue in between; one in flight is waited for, alone. A
+// child not in the table (never there, removed, or dropped by the fetch) is
+// a miss.
+func (t *Table) need(ino types.Ino, name string) (*types.Inode, error) {
+	for {
+		t.mu.Lock()
+		n, ok := t.children[ino]
+		switch {
+		case !ok:
+			t.mu.Unlock()
+			return nil, errMiss
+		case loaded(n):
+			t.mu.Unlock()
+			return n, nil
+		case t.stopped:
+			t.mu.Unlock()
+			return nil, errStopped
+		case n == nil:
+			t.children[ino] = inFlight
+			t.mu.Unlock()
+			if err := t.fetch(ino, name); err != nil {
+				return nil, err
+			}
+		default:
+			w := t.waiters[ino]
+			if w == nil {
+				w = sim.NewChan[struct{}](t.env)
+				if t.waiters == nil {
+					t.waiters = make(map[types.Ino]*sim.Chan[struct{}])
+				}
+				t.waiters[ino] = w
+			}
+			t.mu.Unlock()
+			w.Recv()
+			if t.env.Stopped() {
+				return nil, errStopped
+			}
+		}
+	}
+}
+
+// Stop ends the table's load, when the directory is no longer led from it:
+// no GET starts afterwards, a touch of a child not yet loaded gets ESTALE,
+// and Stop returns once the background loader has ended.
+func (t *Table) Stop() {
+	t.mu.Lock()
+	t.stopped = true
+	t.mu.Unlock()
+	t.Await()
+}
+
+// Await returns once the background loader has ended: every child is loaded
+// or dropped then, except one whose GET failed and awaits its next touch.
+func (t *Table) Await() {
+	if t.loading != nil {
+		t.loading.Recv()
+	}
+}
+
+// Lost returns the number of entries dropped because their objects failed
+// verification or were missing: the dentry block counts as one. A table that
+// lost any is the last valid state the store can prove, served read-only.
+func (t *Table) Lost() int { return int(t.lost.Load()) }
 
 // NewEmpty builds a table for a directory that was just created in memory
 // (its objects may not exist yet; the journal will materialize them).
@@ -169,14 +363,20 @@ func (t *Table) Peek(name string) (*types.Inode, error) {
 
 func (t *Table) peek(name string) (wire.Dentry, *types.Inode, error) {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
 	de, ok := t.entries[name]
+	var child *types.Inode
+	if ok {
+		child = t.children[de.Ino]
+	}
+	t.mu.RUnlock()
 	if !ok {
 		return wire.Dentry{}, nil, errMiss
 	}
-	child := t.children[de.Ino]
-	if child == nil {
-		return de, nil, fmt.Errorf("metatable: %q: dangling dentry: %w", name, types.ErrIO)
+	if !loaded(child) {
+		var err error
+		if child, err = t.need(de.Ino, name); err != nil {
+			return de, nil, err
+		}
 	}
 	return de, child, nil
 }
@@ -205,41 +405,50 @@ func (t *Table) Insert(name string, child *types.Inode) error {
 // Remove deletes a dentry, returning the removed child inode: read-only, as a
 // walk that crossed it may still hold it.
 func (t *Table) Remove(name string) (*types.Inode, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	de, ok := t.entries[name]
-	if !ok {
-		return nil, errMiss
+	for {
+		t.mu.Lock()
+		de, ok := t.entries[name]
+		if !ok {
+			t.mu.Unlock()
+			return nil, errMiss
+		}
+		if child := t.children[de.Ino]; loaded(child) {
+			delete(t.entries, name)
+			delete(t.children, de.Ino)
+			t.epoch++
+			t.mu.Unlock()
+			return child, nil
+		}
+		t.mu.Unlock()
+		if _, err := t.need(de.Ino, name); err != nil {
+			return nil, err
+		}
 	}
-	delete(t.entries, name)
-	child := t.children[de.Ino]
-	delete(t.children, de.Ino)
-	t.epoch++
-	if child == nil {
-		return nil, fmt.Errorf("metatable: %q: dangling dentry: %w", name, types.ErrIO)
-	}
-	return child, nil
 }
 
 // UpdateChild replaces a child inode in place (setattr, size changes).
 func (t *Table) UpdateChild(n *types.Inode) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.children[n.Ino]; !ok {
-		return fmt.Errorf("metatable: inode %s not in table: %w", n.Ino.Short(), types.ErrStale)
+	for {
+		t.mu.Lock()
+		if loaded(t.children[n.Ino]) {
+			t.children[n.Ino] = n.Clone()
+			t.epoch++
+			t.mu.Unlock()
+			return nil
+		}
+		t.mu.Unlock()
+		if _, err := t.need(n.Ino, ""); err != nil {
+			if errors.Is(err, types.ErrNotExist) {
+				return fmt.Errorf("metatable: inode %s not in table: %w", n.Ino.Short(), types.ErrStale)
+			}
+			return err
+		}
 	}
-	t.children[n.Ino] = n.Clone()
-	t.epoch++
-	return nil
 }
 
-// Child returns the child inode by number as stored: read-only.
-func (t *Table) Child(ino types.Ino) (*types.Inode, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n, ok := t.children[ino]
-	return n, ok
-}
+// Child returns the child inode by number as stored: read-only. An inode the
+// table does not hold is ENOENT.
+func (t *Table) Child(ino types.Ino) (*types.Inode, error) { return t.need(ino, "") }
 
 // List returns all dentries sorted by name (readdir).
 func (t *Table) List() []wire.Dentry {
@@ -262,8 +471,22 @@ func (t *Table) Len() int {
 
 // FlushTo writes the table's full state to the object store through the
 // translator — used when handing a directory over outside the journal path
-// (tests and bulk imports; normal operation checkpoints via the journal).
+// (tests and bulk imports; normal operation checkpoints via the journal). It
+// loads every child first.
 func (t *Table) FlushTo(tr *prt.Translator) error {
+	t.mu.RLock()
+	var unloaded []types.Ino
+	for ino, n := range t.children {
+		if !loaded(n) {
+			unloaded = append(unloaded, ino)
+		}
+	}
+	t.mu.RUnlock()
+	for _, ino := range unloaded {
+		if _, err := t.need(ino, ""); err != nil && !errors.Is(err, types.ErrNotExist) {
+			return err
+		}
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if err := tr.SaveInode(t.dir); err != nil {

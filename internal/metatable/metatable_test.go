@@ -145,11 +145,11 @@ func TestChildByIno(t *testing.T) {
 	if err := tbl.Insert("f", f); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := tbl.Child(f.Ino)
-	if !ok || got.Ino != f.Ino {
-		t.Fatalf("Child: %+v %v", got, ok)
+	got, err := tbl.Child(f.Ino)
+	if err != nil || got.Ino != f.Ino {
+		t.Fatalf("Child: %+v %v", got, err)
 	}
-	if _, ok := tbl.Child(src.Next()); ok {
+	if _, err := tbl.Child(src.Next()); !errors.Is(err, types.ErrNotExist) {
 		t.Fatal("Child found a ghost")
 	}
 }
