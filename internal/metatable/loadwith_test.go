@@ -18,8 +18,9 @@ import (
 
 // scrambledStore delays every GET by a hash of its key, so GETs issued
 // together complete in an order that has nothing to do with the order they
-// were issued in (and a leader's load goes behind it, not inline), fails the GETs of the keys in fail, and holds the GET of a
-// key in hold until that channel is closed.
+// were issued in (and a leader's load goes behind it, not inline). It fails
+// the GETs of the keys in fail, and holds the GET of a key in hold until that
+// channel is closed.
 type scrambledStore struct {
 	objstore.Store
 	env  sim.Env

@@ -148,9 +148,14 @@ func LoadWith(env sim.Env, limit int, tr *prt.Translator, dir types.Ino, degrade
 	}
 	t.entries = make(map[string]wire.Dentry, len(dentries))
 	t.children = make(map[types.Ino]*types.Inode, len(dentries))
+	// An inline loader has every child to itself: it claims them all here.
+	claim := inFlight
+	if !inline {
+		claim = nil // pending
+	}
 	for _, de := range dentries {
 		t.entries[de.Name] = de
-		t.children[de.Ino] = nil // pending
+		t.children[de.Ino] = claim
 	}
 	if inline {
 		if err := t.loadAll(1, dentries); err != nil {
@@ -169,22 +174,27 @@ func LoadWith(env sim.Env, limit int, tr *prt.Translator, dir types.Ino, degrade
 }
 
 // loadAll is the loader: every dentry's child, in dentry order, at most limit
-// at a time. It stops claiming once the table is stopped. Without an env a
-// child's error ends it; with one the error is the next toucher's to meet.
+// at a time. In the background it claims each child that is still pending,
+// and stops claiming once the table is stopped; inline it holds every claim
+// already. Without an env a child's error ends it; with one the error is the
+// next toucher's to meet.
 func (t *Table) loadAll(limit int, dentries []wire.Dentry) error {
+	background := t.loading != nil
 	return sim.FanOut(t.env, len(dentries), limit, func(i int) error {
-		t.mu.Lock()
-		if t.stopped {
-			t.mu.Unlock()
-			return errStopped
-		}
 		ino := dentries[i].Ino
-		if n, ok := t.children[ino]; !ok || n != nil {
+		if background {
+			t.mu.Lock()
+			if t.stopped {
+				t.mu.Unlock()
+				return errStopped
+			}
+			if n, ok := t.children[ino]; !ok || n != nil {
+				t.mu.Unlock()
+				return nil // loaded, in flight, removed or dropped
+			}
+			t.children[ino] = inFlight
 			t.mu.Unlock()
-			return nil // loaded, in flight, removed or dropped
 		}
-		t.children[ino] = inFlight
-		t.mu.Unlock()
 		if err := t.fetch(ino, dentries[i].Name); err != nil && t.env == nil {
 			return err
 		}
