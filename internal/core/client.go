@@ -226,6 +226,24 @@ func (ld *ledDir) writable() error {
 	return nil
 }
 
+// target looks up name, under which a create or a rename is about to put an
+// entry: the child there, or nil if the name is free. A fetch that finds the
+// child corrupt or missing drops it, and the name reads as free; but the
+// directory turned read-only with the drop, so writable, asked again after
+// the lookup, refuses the operation, and no new entry replaces the lost one
+// in the store. Any other lookup error (EIO from the child's GET, ESTALE from
+// a dropped table) is the operation's.
+func (ld *ledDir) target(name string) (*types.Inode, error) {
+	existing, err := ld.table.Peek(name)
+	if err == nil {
+		return existing, nil
+	}
+	if !isNotExist(err) {
+		return nil, err
+	}
+	return nil, ld.writable()
+}
+
 // permEntry is one permission-cache record: a remote directory's resolved
 // lookups (nil: the leader said ENOENT) and, under the empty name, its own
 // inode, valid for one lease period.
@@ -484,13 +502,10 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	held := make(map[types.Ino]*ledDir, len(c.led))
-	inos := make([]types.Ino, 0, len(c.led))
 	for ino, ld := range c.led {
 		held[ino] = ld
-		inos = append(inos, ino)
 	}
 	c.mu.Unlock()
-	slices.SortFunc(inos, types.Ino.Compare)
 
 	// Close is a lease-handoff barrier: the journal FlushAll is the strong
 	// (commit + checkpoint) form, because a cleanly released directory is
@@ -500,8 +515,8 @@ func (c *Client) Close() error {
 	// rather than first-one-wins.
 	err := errors.Join(c.data.FlushAll(), c.jrnl.FlushAll(), c.takeWBErr())
 	c.awaitReturns()
+	inos := c.stopTables(held)
 	for _, ino := range inos {
-		held[ino].table.Stop()
 		// An in-flight leaseKeeper extension may still be writing ld, so the
 		// ID must be read under the lock (and freshest-ID wins).
 		c.mu.Lock()
@@ -539,18 +554,21 @@ func (c *Client) Crash() {
 	c.server.Close()
 }
 
-// stopTables stops the tables of directories this client no longer leads,
-// in inode order: a stop waits for its loader's GETs in flight, and the
-// order of those waits must not depend on map order.
-func (c *Client) stopTables(dropped map[types.Ino]*ledDir) {
+// stopTables stops the tables of directories this client no longer leads
+// and waits for their loaders to end, so that no GET of theirs outlives the
+// client. It goes in inode order, returned: the order of the waits must not
+// depend on map order.
+func (c *Client) stopTables(dropped map[types.Ino]*ledDir) []types.Ino {
 	inos := make([]types.Ino, 0, len(dropped))
 	for ino := range dropped {
 		inos = append(inos, ino)
+		dropped[ino].table.Stop()
 	}
 	slices.SortFunc(inos, types.Ino.Compare)
 	for _, ino := range inos {
-		dropped[ino].table.Stop()
+		dropped[ino].table.Await()
 	}
+	return inos
 }
 
 // chargeFUSE models the FUSE request overhead for one application-visible

@@ -54,7 +54,11 @@ func (c *Client) localCreate(ctx context.Context, ld *ledDir, dir types.Ino, nam
 	}
 	now := c.env.Now()
 
-	if existing, err := ld.table.Peek(name); err == nil {
+	existing, err := ld.target(name)
+	if err != nil {
+		return nil, false, err
+	}
+	if existing != nil {
 		if existing.Ino == req.NewIno {
 			// This very create, sent again after its answer was lost.
 			return existing, ld.leases.holds(existing.Ino, req.Holder), nil
@@ -296,7 +300,11 @@ func (c *Client) localRenameSameDir(ctx context.Context, ld *ledDir, dir types.I
 		return nil
 	}
 	ops := []wire.Op{{Kind: wire.OpDelDentry, Name: srcName}}
-	if existing, err := ld.table.Peek(dstName); err == nil {
+	existing, err := ld.target(dstName)
+	if err != nil {
+		return err
+	}
+	if existing != nil {
 		// Destination exists: POSIX rename replaces it (directories only if
 		// empty — checked by the caller).
 		if existing.IsDir() != moving.IsDir() {

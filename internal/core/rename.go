@@ -237,7 +237,12 @@ func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRe
 		coord: r.CoordDir, txid: r.TxID,
 	}
 	var dstOps []wire.Op
-	if existing, lerr := ld.table.Peek(r.DstName); lerr == nil {
+	existing, err := ld.target(r.DstName)
+	if err != nil {
+		ld.opMu.Unlock()
+		return err
+	}
+	if existing != nil {
 		// Replace target (emptiness of directories was checked upstream).
 		if existing.IsDir() != child.IsDir() {
 			ld.opMu.Unlock()

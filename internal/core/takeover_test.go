@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -17,6 +19,7 @@ import (
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
+	"arkfs/internal/wire"
 )
 
 // slowInodes delays, while armed, the inode GETs that slow picks by delay:
@@ -588,4 +591,181 @@ func TestCloseWaitsForTheLoader(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after Close, %d before the takeover", n, base)
 	}
+}
+
+// failKey fails, while armed, every GET of one key with EIO.
+type failKey struct {
+	objstore.Store
+	key   string
+	armed atomic.Bool
+}
+
+func (s *failKey) Get(key string) ([]byte, error) {
+	if key == s.key && s.armed.Load() {
+		return nil, fmt.Errorf("failKey %s: %w", key, types.ErrIO)
+	}
+	return s.Store.Get(key)
+}
+
+// targetDir is the common part of the two tests below: /d with 100 files and
+// a file /x at the root, written by set-up clients that then close; spoil is
+// then called with /d/f050's inode key. Client a, whose store is st, its
+// child GETs taking 20 ms one after another, takes /d over with a stat of
+// /d/f001: its loader is far from /d/f050 when the test touches it. It
+// returns a, a's led /d and /d's dentry block as the set-up clients left it.
+func targetDir(t *testing.T, env *sim.VirtEnv, spoil func(mem objstore.Store, key string), st func(objstore.Store) objstore.Store) (*Client, *ledDir, []byte) {
+	t.Helper()
+	const lp = 200 * time.Millisecond
+	cred := types.Cred{Uid: 1, Gid: 1}
+	mem := objstore.NewMemStore()
+	net := rpc.NewNetwork(env, sim.NetModel{})
+	lease.NewManager(net, lease.Options{Period: lp})
+	dir, keys := bigDir(t, net, mem, lp, 100)
+	probe := New(net, prt.New(mem, 4096), Options{ID: "probe", Cred: cred, LeasePeriod: lp})
+	victim, err := probe.Stat(bgCtx, "/d/f050")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := createFile(probe, "/x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	block, err := mem.Get(prt.DentryKey(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spoil(mem, prt.InodeKey(victim.Ino))
+	a := New(net, prt.New(st(&childGets{Store: mem, env: env, delay: 20 * time.Millisecond, children: keys}), 4096),
+		Options{ID: "a", Cred: cred, LeasePeriod: lp, Journal: journal.Config{CheckpointFanout: 1}})
+	if _, err := a.Stat(bgCtx, "/d/f001"); err != nil {
+		t.Fatal(err)
+	}
+	ld, ok := a.ledDirFor(dir)
+	if !ok {
+		t.Fatal("a did not take /d over")
+	}
+	return a, ld, block
+}
+
+// targetOps are the three leader-side operations that put an entry under a
+// name of the led directory ld, each onto /d/f050: a create, a rename within
+// /d (of f002), and the participant half of a rename into /d. They are
+// called directly: a walk through the client API looks the name up first,
+// and an operation that finds the directory read-only at its start refuses
+// anyway. A remote client that resolves names from its permission cache, or
+// a rename's coordinator, reaches them with the name not yet fetched.
+func targetOps(a *Client, ld *ledDir, moved *types.Inode) map[string]func() error {
+	dir := ld.table.Dir().Ino
+	cred := types.Cred{Uid: 1, Gid: 1}
+	return map[string]func() error{
+		"create": func() error {
+			_, _, err := a.localCreate(bgCtx, ld, dir, "f050",
+				CreateReq{Type: types.TypeRegular, Mode: 0644, Cred: cred, NewIno: a.inoSrc.Next()})
+			return err
+		},
+		"rename": func() error { return a.localRenameSameDir(bgCtx, ld, dir, "f002", "f050", cred) },
+		"rename-2pc": func() error {
+			return a.prepareRenameLocal(bgCtx, ld, PrepareRenameReq{TxID: 1, CoordDir: types.RootIno,
+				DstDir: dir, DstName: "f050", Child: wire.EncodeInode(moved), Cred: cred})
+		},
+	}
+}
+
+var targetOpNames = []string{"create", "rename", "rename-2pc"}
+
+// A create or a rename onto the name of a child that turns out corrupt or
+// missing when the new leader first fetches it is refused with EROFS. The
+// fetch drops the child, so the name reads as free; but the directory turned
+// read-only with the drop, and an entry put under the name would replace the
+// lost one in the store and leave its inode an orphan. The dentry block in
+// the store stays the one the set-up clients wrote.
+func TestWriteOntoADroppedChildIsRefused(t *testing.T) {
+	spoils := map[string]func(mem objstore.Store, key string){
+		"corrupt": func(mem objstore.Store, key string) {
+			raw, err := mem.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = append([]byte(nil), raw...)
+			raw[len(raw)/2] ^= 0x10
+			if err := mem.Put(key, raw); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"missing": func(mem objstore.Store, key string) {
+			if err := mem.Delete(key); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for _, bad := range []string{"corrupt", "missing"} {
+		for _, op := range targetOpNames {
+			t.Run(bad+"/"+op, func(t *testing.T) {
+				env := sim.NewVirtEnv()
+				env.Run(func() {
+					var mem objstore.Store
+					a, ld, block := targetDir(t, env, func(m objstore.Store, key string) {
+						mem = m
+						spoils[bad](m, key)
+					}, func(st objstore.Store) objstore.Store { return st })
+					moved := &types.Inode{Ino: a.inoSrc.Next(), Type: types.TypeRegular, Mode: 0644, Nlink: 1}
+					if err := targetOps(a, ld, moved)[op](); !errors.Is(err, types.ErrReadOnly) {
+						t.Fatalf("%s onto the %s child: %v, want EROFS", op, bad, err)
+					}
+					if ld.table.Lost() != 1 {
+						t.Fatalf("lost %d, want 1", ld.table.Lost())
+					}
+					if err := a.Close(); err != nil {
+						t.Fatal(err)
+					}
+					after, err := mem.Get(prt.DentryKey(ld.table.Dir().Ino))
+					if err != nil || !bytes.Equal(after, block) {
+						t.Fatalf("/d's dentry block changed in the store (%v)", err)
+					}
+				})
+			})
+		}
+	}
+}
+
+// A create or a rename whose lookup of the target name fails for a reason
+// other than a missing name (here EIO from the child's GET) returns that
+// error and changes nothing: the name is not taken to be free, which would
+// end in a spurious EEXIST, or, for a rename, in its source taken out of the
+// table. Once the store answers again, both names are as they were.
+func TestTargetLookupErrorIsTheOperations(t *testing.T) {
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		var fail *failKey
+		a, ld, _ := targetDir(t, env, func(_ objstore.Store, key string) { fail = &failKey{key: key} },
+			func(st objstore.Store) objstore.Store {
+				fail.Store = st
+				return fail
+			})
+		want, err := ld.table.Peek("f002")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fail.armed.Store(true)
+		moved := &types.Inode{Ino: a.inoSrc.Next(), Type: types.TypeRegular, Mode: 0644, Nlink: 1}
+		ops := targetOps(a, ld, moved)
+		for _, op := range targetOpNames {
+			if err := ops[op](); !errors.Is(err, types.ErrIO) {
+				t.Errorf("%s onto a child whose GET fails: %v, want EIO", op, err)
+			}
+		}
+		fail.armed.Store(false)
+		if got, err := ld.table.Peek("f002"); err != nil || got != want {
+			t.Errorf("f002 after the failed renames: %v, %v", got, err)
+		}
+		if got, err := ld.table.Peek("f050"); err != nil || got.Ino == moved.Ino {
+			t.Errorf("f050 after the failed operations: %+v, %v", got, err)
+		}
+		if n := ld.table.Len(); n != 100 || ld.writable() != nil {
+			t.Errorf("%d entries, writable %v", n, ld.writable())
+		}
+		_ = a.Close()
+	})
 }

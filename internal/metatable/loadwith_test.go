@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -414,6 +415,45 @@ func TestLoadWithTouchesPendingInFlightAndDroppedChildren(t *testing.T) {
 			env.Sleep(time.Second)
 			if len(st.started) != before || before >= n+2 {
 				t.Fatalf("GETs: %d at Stop, %d after; the loader ran to the end", before, len(st.started))
+			}
+		})
+	})
+	// Stop does not wait for a GET already out: a leader stops a table on
+	// its lease keeper's path, where a GET held for the store's whole retry
+	// deadline would let the leases of its other directories lapse. Await
+	// waits for it.
+	t.Run("StopDoesNotWait", func(t *testing.T) {
+		env := sim.NewVirtEnv()
+		env.Run(func() {
+			gate := sim.NewChan[struct{}](env)
+			held := prt.InodeKey(inos[0])
+			st := &scrambledStore{Store: mem, env: env, hold: map[string]*sim.Chan[struct{}]{held: gate}}
+			tbl, _, err := LoadWith(env, 1, prt.New(st, 0), dir, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for st.gets(held) == 0 {
+				env.Sleep(time.Microsecond)
+			}
+			at := env.Now()
+			tbl.Stop()
+			if env.Now() != at {
+				t.Fatalf("Stop took %v: it waited for the held GET", env.Now()-at)
+			}
+			var ended atomic.Bool
+			done := sim.NewGroup(env)
+			done.Go(func() {
+				tbl.Await()
+				ended.Store(true)
+			})
+			env.Sleep(time.Second)
+			if ended.Load() {
+				t.Fatal("Await returned while the loader's GET was held")
+			}
+			gate.Close()
+			done.Wait()
+			if len(st.started) != 3 {
+				t.Fatalf("%d GETs, want the directory inode, the dentry block and the held child", len(st.started))
 			}
 		})
 	})

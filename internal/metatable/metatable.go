@@ -292,13 +292,12 @@ func (t *Table) need(ino types.Ino, name string) (*types.Inode, error) {
 }
 
 // Stop ends the table's load, when the directory is no longer led from it:
-// no GET starts afterwards, a touch of a child not yet loaded gets ESTALE,
-// and Stop returns once the background loader has ended.
+// no GET starts afterwards, and a touch of a child not yet loaded gets
+// ESTALE. It does not wait for the GETs already out; Await does.
 func (t *Table) Stop() {
 	t.mu.Lock()
 	t.stopped = true
 	t.mu.Unlock()
-	t.Await()
 }
 
 // Await returns once the background loader has ended: every child is loaded
