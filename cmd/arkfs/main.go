@@ -43,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"arkfs/internal/cache"
 	"arkfs/internal/core"
 	"arkfs/internal/lease"
 	"arkfs/internal/objstore"
@@ -134,6 +135,7 @@ func main() {
 		Seed:        int64(binary.LittleEndian.Uint64(seed[:]) | 1),
 		Tenant:      *tenant,
 		Cred:        types.Cred{Uid: uint32(*uid), Gid: uint32(*gid)},
+		Cache:       cache.DefaultConfig(),
 		LeaseMgr:    leaseAddr,
 		LeaseRouter: router,
 		OpBudget:    *opBudget,

@@ -21,8 +21,8 @@ type Config struct {
 	EntrySize int64
 	// MaxEntries bounds the cache; LRU eviction writes dirty entries back.
 	MaxEntries int
-	// MaxReadahead bounds the sequential read-ahead window (8 MiB default,
-	// as in CephFS; the paper's goofys comparison raises it to 400 MiB).
+	// MaxReadahead bounds the sequential read-ahead window, zero is off;
+	// DefaultConfig's is the paper's 8 MiB, as CephFS's (goofys's: 400 MiB).
 	MaxReadahead int64
 	// FlushParallelism bounds the concurrent write-backs one Flush issues
 	// (the write-back thread pool); default 8.

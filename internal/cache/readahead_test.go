@@ -72,6 +72,34 @@ func TestReadaheadLeavesTheRequestToTheReader(t *testing.T) {
 	}
 }
 
+// A zero Config reads nothing ahead; DefaultConfig, what cmd/arkfs mounts
+// with, reads the paper's 8 MiB window ahead.
+func TestReadaheadOffByZeroOnByDefault(t *testing.T) {
+	if ra := DefaultConfig().MaxReadahead; ra != 8<<20 {
+		t.Fatalf("DefaultConfig().MaxReadahead = %d, want the paper's 8 MiB", ra)
+	}
+	for _, tt := range []struct {
+		name string
+		cfg  Config
+		want int64
+	}{{"zero", Config{}, 0}, {"default", DefaultConfig(), 3}} {
+		env := sim.NewRealEnv()
+		t.Cleanup(env.Shutdown)
+		tr := prt.New(objstore.NewMemStore(), 64)
+		ino := types.NewInoSource(22).Next()
+		if err := tr.WriteAt(ino, make([]byte, 4*64), 0); err != nil {
+			t.Fatal(err)
+		}
+		c := New(env, tr, tt.cfg)
+		if _, err := c.Read(ino, make([]byte, 64), 0, 4*64); err != nil {
+			t.Fatal(err)
+		}
+		if ra := c.Stat().Readaheads.Load(); ra != tt.want {
+			t.Errorf("%s config: %d read-aheads reading the first of 4 chunks, want %d", tt.name, ra, tt.want)
+		}
+	}
+}
+
 // parkStore parks the first GET of key until release is closed, then answers
 // it with err, or with what the store held when the GET arrived.
 type parkStore struct {

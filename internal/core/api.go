@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"arkfs/internal/obs"
@@ -223,28 +224,28 @@ func (c *Client) Readdir(ctx context.Context, path string) ([]wire.Dentry, error
 // Chmod changes permission bits.
 func (c *Client) Chmod(ctx context.Context, path string, mode types.Mode) error {
 	ctx, op := c.startOp(ctx, "chmod", path)
-	_, err := c.setAttr(ctx, path, AttrPatch{SetMode: true, Mode: mode})
+	err := c.setAttr(ctx, path, AttrPatch{SetMode: true, Mode: mode})
 	return op.end(errnoWrap("chmod", path, err))
 }
 
 // Chown changes ownership (root only, as in POSIX without CAP_CHOWN games).
 func (c *Client) Chown(ctx context.Context, path string, uid, gid uint32) error {
 	ctx, op := c.startOp(ctx, "chown", path)
-	_, err := c.setAttr(ctx, path, AttrPatch{SetOwner: true, Uid: uid, Gid: gid})
+	err := c.setAttr(ctx, path, AttrPatch{SetOwner: true, Uid: uid, Gid: gid})
 	return op.end(errnoWrap("chown", path, err))
 }
 
 // SetACL installs a POSIX.1e-style access control list.
 func (c *Client) SetACL(ctx context.Context, path string, acl types.ACL) error {
 	ctx, op := c.startOp(ctx, "setfacl", path)
-	_, err := c.setAttr(ctx, path, AttrPatch{SetACL: true, ACL: acl})
+	err := c.setAttr(ctx, path, AttrPatch{SetACL: true, ACL: acl})
 	return op.end(errnoWrap("setfacl", path, err))
 }
 
 // Utimes sets the modification time.
 func (c *Client) Utimes(ctx context.Context, path string, mtime time.Duration) error {
 	ctx, op := c.startOp(ctx, "utimes", path)
-	_, err := c.setAttr(ctx, path, AttrPatch{SetTimes: true, Mtime: mtime})
+	err := c.setAttr(ctx, path, AttrPatch{SetTimes: true, Mtime: mtime})
 	return op.end(errnoWrap("utimes", path, err))
 }
 
@@ -254,7 +255,7 @@ func (c *Client) Truncate(ctx context.Context, path string, size int64) error {
 	if size < 0 {
 		return op.end(errnoWrap("truncate", path, types.ErrInval))
 	}
-	_, err := c.setAttr(ctx, path, AttrPatch{SetSize: true, Size: size})
+	err := c.setAttr(ctx, path, AttrPatch{SetSize: true, Size: size})
 	return op.end(errnoWrap("truncate", path, err))
 }
 
@@ -312,14 +313,14 @@ func (c *Client) unlink(ctx context.Context, parent types.Ino, req UnlinkReq) er
 }
 
 // setAttr resolves path and routes the patch to the right leader.
-func (c *Client) setAttr(ctx context.Context, path string, patch AttrPatch) (*types.Inode, error) {
+func (c *Client) setAttr(ctx context.Context, path string, patch AttrPatch) error {
 	c.chargeFUSE()
 	res, err := c.resolvePath(ctx, path, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if res.node == nil {
-		return nil, types.ErrNotExist
+		return types.ErrNotExist
 	}
 	// Attribute ownership follows the dentry: the parent directory's leader
 	// holds the authoritative inode copy of every child, directories
@@ -327,7 +328,7 @@ func (c *Client) setAttr(ctx context.Context, path string, patch AttrPatch) (*ty
 	// own leader (name "").
 	node, err := c.setAttrIno(ctx, res.parent, res.name, patch, types.Ino{})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.pcacheInvalidate(res.parent)
 	if node.IsDir() {
@@ -335,18 +336,20 @@ func (c *Client) setAttr(ctx context.Context, path string, patch AttrPatch) (*ty
 		// If we lead the directory whose attributes changed, refresh the
 		// snapshot its own metatable uses for access checks. Other leaders
 		// refresh at their next lease turnover (bounded staleness, like the
-		// permission-cache relaxation).
+		// permission-cache relaxation). SetDirInode stores a copy of its own:
+		// node is the leader's.
 		if ld, ok := c.ledDirFor(node.Ino); ok {
 			ld.opMu.Lock()
 			ld.table.SetDirInode(node)
 			ld.opMu.Unlock()
 		}
 	}
-	return node, nil
+	return nil
 }
 
 // setAttrIno routes a SetAttrReq for (dir, name) to its leader; a write-back's
-// names the inode it belongs to (SetAttrReq.Ino).
+// names the inode it belongs to (SetAttrReq.Ino). The inode it returns is the
+// leader's, which its journal holds too: read-only.
 func (c *Client) setAttrIno(ctx context.Context, dir types.Ino, name string, patch AttrPatch, wroteIno types.Ino) (*types.Inode, error) {
 	req := SetAttrReq{Dir: dir, Name: name, Cred: c.opts.Cred, Patch: patch, Ino: wroteIno}
 	ld, resp, err := forward[SetAttrResp](ctx, c, obs.SpanFrom(ctx), dir, req)
@@ -356,7 +359,10 @@ func (c *Client) setAttrIno(ctx context.Context, dir types.Ino, name string, pat
 	if err != nil {
 		return nil, err
 	}
-	return wire.DecodeInode(resp.Inode)
+	if resp.Inode == nil {
+		return nil, fmt.Errorf("core: setattr %q: leader answered no inode: %w", name, types.ErrIO)
+	}
+	return resp.Inode, nil
 }
 
 // readdirIno lists a directory by inode through its leader.

@@ -185,7 +185,7 @@ func TestCreateDuringOwnRecoveryIsKept(t *testing.T) {
 		created := sim.NewChan[error](env)
 		crash.Arm(crashpoint.RecoveryPreReplay, func() {
 			env.Go(func() {
-				_, _, _, err := c.lookup(ctx, dir, []string{"b"}, &ride{create: &CreateReq{Type: types.TypeRegular,
+				_, _, err := c.lookup(ctx, dir, []string{"b"}, &ride{create: &CreateReq{Type: types.TypeRegular,
 					Mode: 0644, Cred: types.Cred{Uid: 1, Gid: 1}, NewIno: types.NewInoSource(9).Next(), Exclusive: true}})
 				created.Send(err)
 			})

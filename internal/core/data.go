@@ -10,7 +10,6 @@ import (
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
-	"arkfs/internal/wire"
 )
 
 // File is one open descriptor of an ArkFS file: the flags and path it was
@@ -305,14 +304,12 @@ func (c *Client) openDataLease(ctx context.Context, parent types.Ino, name strin
 			return dataGrant{}, 0, err
 		}
 		if ld == nil {
-			var fresh *types.Inode
-			if len(resp.Inodes) == 1 {
-				fresh, err = wire.DecodeInode(resp.Inodes[0])
+			if len(resp.Inodes) != 1 || resp.Inodes[0] == nil {
+				return dataGrant{}, 0, fmt.Errorf("core: open %q: leader answered no inode: %w", name, types.ErrIO)
 			}
+			fresh := resp.Inodes[0]
 			switch {
-			case err != nil:
-				return dataGrant{}, 0, err
-			case fresh == nil || fresh.Ino != node.Ino:
+			case fresh.Ino != node.Ino:
 				if resp.Leased { // a grant for that other inode: give it back
 					other := c.ref(parent, fresh.Ino)
 					c.adopt(other, dataGrant{via: parent, seq: resp.Grant, direct: resp.Direct}, nil)

@@ -50,10 +50,12 @@ type WalkReq struct {
 // WalkResp answers WalkReq with the inodes of the names resolved, in order.
 // The receiver stops after a symlink or non-directory, at a directory it
 // does not lead, or at the first error, which belongs to Names[len(Inodes)].
+// Its inodes are the leader's own, read-only: shared in process, copied field
+// for field by gob over the TCP bridge (DESIGN.md §7.1).
 type WalkResp struct {
 	Err      string
-	DirInode []byte   // wire-encoded inode of Dir (if requested)
-	Inodes   [][]byte // wire-encoded inode per resolved name
+	DirInode *types.Inode   // Dir's own inode (if requested)
+	Inodes   []*types.Inode // the inode of each resolved name
 	// Leased: Holder is listed for the last inode, as the table has it after
 	// the grant, under number Grant and in direct mode if Direct; if that is
 	// Create.NewIno the walk made it, and listed Create.Holder with no number.
@@ -116,10 +118,10 @@ type AttrPatch struct {
 	ACL      types.ACL
 }
 
-// SetAttrResp answers SetAttrReq.
+// SetAttrResp answers SetAttrReq with the leader's new inode: read-only.
 type SetAttrResp struct {
 	Err   string
-	Inode []byte
+	Inode *types.Inode
 }
 
 // ReaddirReq lists a led directory.
@@ -159,7 +161,7 @@ type PrepareRenameReq struct {
 	CoordDir types.Ino // coordinator's directory (journal holding the decision)
 	DstDir   types.Ino
 	DstName  string
-	Child    []byte // wire-encoded inode being moved
+	Child    *types.Inode // the inode being moved, as the source's table stores it: read-only
 	Cred     types.Cred
 }
 

@@ -118,7 +118,7 @@ func (c *Client) coordinateRename(ctx context.Context, r RenameReq) error {
 	}
 	prep := PrepareRenameReq{
 		TxID: txid, CoordDir: r.SrcDir, DstDir: r.DstDir, DstName: r.DstName,
-		Child: wire.EncodeInode(moving), Cred: r.Cred,
+		Child: moving, Cred: r.Cred,
 	}
 	var prepErr error
 	if dstLd, ok := c.ledDirFor(r.DstDir); ok {
@@ -215,9 +215,9 @@ func (pr pendingRename) undo(ld *ledDir) {
 // before the prepare record logs its delete, and its data lease ends when the
 // rename commits.
 func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRenameReq) error {
-	child, err := wire.DecodeInode(r.Child)
-	if err != nil {
-		return err
+	child := r.Child
+	if child == nil {
+		return fmt.Errorf("core: prepare rename %q: no inode: %w", r.DstName, types.ErrIO)
 	}
 	ld.opMu.Lock()
 	if err := ld.writable(); err != nil {

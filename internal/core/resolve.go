@@ -9,7 +9,6 @@ import (
 	"arkfs/internal/obs"
 	"arkfs/internal/rpc"
 	"arkfs/internal/types"
-	"arkfs/internal/wire"
 )
 
 // maxSymlinkDepth bounds symlink chains during resolution (ELOOP).
@@ -49,8 +48,8 @@ type ride struct {
 }
 
 // walk is resolvePath; open, if not nil, rides the lookup of the last name.
-// The directories it crosses are read where the metatable or the permission
-// cache holds them, and only the last name's inode is copied.
+// The directories it crosses are read where the metatable, the permission
+// cache or a leader's answer holds them; only the last name's is copied.
 func (c *Client) walk(ctx context.Context, path string, followLast bool, depth int, open *ride) (resolved, error) {
 	if depth > maxSymlinkDepth {
 		return resolved{}, fmt.Errorf("core: %q: %w", path, types.ErrLoop)
@@ -81,12 +80,11 @@ func (c *Client) walk(ctx context.Context, path string, followLast bool, depth i
 			}
 		}
 		last := i == len(parts)-1
-		var child *types.Inode
-		shared := false // child is the table's or the permission cache's: read-only
+		var child *types.Inode // the table's, the permission cache's or a leader's: read-only
 		if len(ahead) > 0 {
 			child, ahead = ahead[0], ahead[1:]
 		} else if aheadErr == nil {
-			child, ahead, shared, aheadErr = c.lookup(ctx, cur, parts[i:], open)
+			child, ahead, aheadErr = c.lookup(ctx, cur, parts[i:], open)
 		}
 		if child == nil {
 			if last && isNotExist(aheadErr) {
@@ -111,10 +109,7 @@ func (c *Client) walk(ctx context.Context, path string, followLast bool, depth i
 			return c.walk(ctx, target, followLast, depth+1, open)
 		}
 		if last {
-			if shared {
-				child = child.Clone()
-			}
-			return resolved{parent: cur, name: name, node: child}, nil
+			return resolved{parent: cur, name: name, node: child.Clone()}, nil
 		}
 		if !child.IsDir() {
 			return resolved{}, fmt.Errorf("core: %q in %q: %w", name, path, types.ErrNotDir)
@@ -140,12 +135,11 @@ func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, erro
 			return nil, err
 		}
 		if ld == nil {
-			node, err := wire.DecodeInode(resp.DirInode)
-			if err != nil {
-				return nil, err
+			if resp.DirInode == nil {
+				return nil, fmt.Errorf("core: leader of %s answered no inode: %w", dir.Short(), types.ErrIO)
 			}
-			c.pcachePut(dir, "", node)
-			return node, nil
+			c.pcachePut(dir, "", resp.DirInode)
+			return resp.DirInode.Clone(), nil
 		}
 	}
 	c.stats.LocalMetaOps.Add(1)
@@ -161,9 +155,9 @@ func (c *Client) statDir(ctx context.Context, dir types.Ino) (*types.Inode, erro
 // leader of the last name's directory may grant the open or make the create
 // too: only an answer that resolved every name says so. A negative entry for
 // the last name does not answer a create, which the leader has to make.
-// shared says child is the metatable's or the permission cache's inode, which
-// nobody may write; what a leader answered is the caller's own.
-func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open *ride) (child *types.Inode, ahead []*types.Inode, shared bool, err error) {
+// Every inode it returns is the metatable's, the permission cache's or the
+// leader's: nobody may write to it.
+func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open *ride) (child *types.Inode, ahead []*types.Inode, err error) {
 	var cr *CreateReq
 	if open != nil {
 		cr = open.create
@@ -172,7 +166,7 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 	if !ok {
 		if node, hit, cached := c.pcacheLookup(dir, names[0]); hit && (node != nil || cr == nil || len(names) > 1) {
 			c.stats.PcacheHits.Add(1)
-			return node, nil, true, cached
+			return node, nil, cached
 		}
 		var resp WalkResp
 		var sp *obs.Span
@@ -192,20 +186,17 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 				open.leased, open.grant = true, dataGrant{via: dir, seq: resp.Grant, direct: resp.Direct}
 			}
 		}
-		if c.opts.PermCache && len(resp.DirInode) > 0 {
-			if dn, derr := wire.DecodeInode(resp.DirInode); derr == nil {
-				c.pcachePut(dir, "", dn)
-			}
+		if resp.DirInode != nil {
+			c.pcachePut(dir, "", resp.DirInode)
 		}
 		if ld == nil {
-			ahead = make([]*types.Inode, 0, len(resp.Inodes))
-			for i, enc := range resp.Inodes {
-				node, derr := wire.DecodeInode(enc)
-				if derr != nil {
-					return nil, nil, false, derr
+			ahead = resp.Inodes
+			for i, node := range ahead {
+				if node == nil {
+					return nil, nil, fmt.Errorf("core: lookup %q: leader answered no inode: %w", names[i], types.ErrIO)
 				}
 				c.pcachePut(dir, names[i], node)
-				ahead, dir = append(ahead, node), node.Ino // the next name is node's
+				dir = node.Ino // the next name is node's
 			}
 			if err != nil {
 				name := names[len(ahead)]
@@ -215,14 +206,14 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 				err = fmt.Errorf("core: lookup %q: %w", name, err)
 			}
 			if len(ahead) == 0 {
-				return nil, nil, false, err
+				return nil, nil, err
 			}
-			return ahead[0], ahead[1:], false, err
+			return ahead[0], ahead[1:], err
 		}
 	}
 	if dir == types.RootIno { // no parent's copy of its inode for walk to have checked
 		if err := ld.table.Dir().Access(c.opts.Cred, types.MayExec); err != nil {
-			return nil, nil, false, fmt.Errorf("core: search %q: %w", names[0], err)
+			return nil, nil, fmt.Errorf("core: search %q: %w", names[0], err)
 		}
 	}
 	c.stats.LocalMetaOps.Add(1)
@@ -230,7 +221,7 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 	if leased {
 		open.leased, open.grant = true, dataGrant{via: dir}
 	}
-	return child, nil, true, err
+	return child, nil, err
 }
 
 // callLeader performs one leader RPC, refreshing the leader address through

@@ -7,7 +7,6 @@ import (
 	"arkfs/internal/qos"
 	"arkfs/internal/rpc"
 	"arkfs/internal/types"
-	"arkfs/internal/wire"
 )
 
 // serve dispatches one forwarded operation on a directory this client leads
@@ -120,9 +119,9 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 // too: the access check, the grant, and the inode as it is after the grant.
 // A refusal grants nothing and is the walker's own access check to report.
 func (c *Client) serveWalk(ctx context.Context, ld *ledDir, r WalkReq) WalkResp {
-	resp := WalkResp{Inodes: make([][]byte, 0, len(r.Names))}
+	resp := WalkResp{Inodes: make([]*types.Inode, 0, len(r.Names))}
 	if r.WantDirInode {
-		resp.DirInode = wire.EncodeInode(ld.table.Dir())
+		resp.DirInode = ld.table.Dir()
 	}
 	dir := r.Dir
 	for i := range r.Names {
@@ -148,7 +147,7 @@ func (c *Client) serveWalk(ctx context.Context, ld *ledDir, r WalkReq) WalkResp 
 				child, resp.Leased = ld.child(child), true
 			}
 		}
-		resp.Inodes = append(resp.Inodes, wire.EncodeInode(child))
+		resp.Inodes = append(resp.Inodes, child)
 		var leads bool
 		if ld, leads = c.ledDirFor(child.Ino); !leads {
 			break // not a directory, or not ours: the walker asks its leader
@@ -178,7 +177,7 @@ func (c *Client) serveSetAttr(ctx context.Context, ld *ledDir, r SetAttrReq) Set
 	if err != nil {
 		return SetAttrResp{Err: errString(err)}
 	}
-	return SetAttrResp{Inode: wire.EncodeInode(node)}
+	return SetAttrResp{Inode: node}
 }
 
 func (c *Client) serveReaddir(ld *ledDir, r ReaddirReq) ReaddirResp {

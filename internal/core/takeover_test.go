@@ -19,7 +19,6 @@ import (
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
-	"arkfs/internal/wire"
 )
 
 // slowInodes delays, while armed, the inode GETs that slow picks by delay:
@@ -668,7 +667,7 @@ func targetOps(a *Client, ld *ledDir, moved *types.Inode) map[string]func() erro
 		"rename": func() error { return a.localRenameSameDir(bgCtx, ld, dir, "f002", "f050", cred) },
 		"rename-2pc": func() error {
 			return a.prepareRenameLocal(bgCtx, ld, PrepareRenameReq{TxID: 1, CoordDir: types.RootIno,
-				DstDir: dir, DstName: "f050", Child: wire.EncodeInode(moved), Cred: cred})
+				DstDir: dir, DstName: "f050", Child: moved, Cred: cred})
 		},
 	}
 }

@@ -436,20 +436,26 @@ func TestPermCacheConcurrentStats(t *testing.T) {
 	}
 }
 
-// Walks read the directories they cross where the metatable or the
-// permission cache holds them, without a copy, while chmod, utimes, rename,
-// unlink and create replace those inodes. Under -race this is the test that
-// nothing writes to an inode once it is stored: once with the walker leading
-// every directory on the path, once with the walker resolving through its
-// permission cache and every write going to the leader.
+// Walks read the inodes they cross where the metatable, the permission cache
+// or a leader's answer holds them, without a copy, while chmod, utimes,
+// truncate, rename, unlink and create replace those inodes. Under -race this
+// is the test that nothing writes to an inode once it is stored: once with
+// the walker leading every directory on the path, once with the walker
+// resolving through its permission cache and every write going to the
+// leader, and once with the walker sending every stat, open and walk to the
+// leader while the leader writes.
 func TestWalksShareInodesWithWriters(t *testing.T) {
-	for _, viaPcache := range []bool{false, true} {
-		t.Run(map[bool]string{false: "led", true: "pcache"}[viaPcache], func(t *testing.T) {
+	for _, mode := range []string{"led", "pcache", "forwarded"} {
+		t.Run(mode, func(t *testing.T) {
 			tc := newTestCluster(t)
 			leader := tc.client(t, "leader")
-			c := leader
-			if viaPcache {
-				c = tc.client(t, "walker", func(o *Options) { o.PermCache = true })
+			walker, writer := leader, leader
+			switch mode {
+			case "pcache":
+				walker = tc.client(t, "walker", func(o *Options) { o.PermCache = true })
+				writer = walker
+			case "forwarded":
+				walker = tc.client(t, "walker")
 			}
 			ctx := context.Background()
 			for _, dir := range []string{"/p", "/p/q"} {
@@ -457,7 +463,7 @@ func TestWalksShareInodesWithWriters(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			f, err := leader.Create(ctx, "/p/q/f", 0644)
+			f, err := leader.Create(ctx, "/p/q/f", 0666)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,13 +482,14 @@ func TestWalksShareInodesWithWriters(t *testing.T) {
 					mode := types.Mode(0777 - 022*(i%2))
 					n, m, top := fmt.Sprintf("/p/q/n%d", i), fmt.Sprintf("/p/q/m%d", i), fmt.Sprintf("/t%d", i)
 					for _, err := range []error{
-						c.Chmod(ctx, "/p", mode),
-						c.Utimes(ctx, "/p/q", time.Duration(i)),
-						createFile(c, n),
-						c.Rename(ctx, n, m),
-						c.Unlink(ctx, m),
-						createFile(c, top), // and the root's own inode
-						c.Unlink(ctx, top),
+						writer.Chmod(ctx, "/p", mode),
+						writer.Utimes(ctx, "/p/q", time.Duration(i)),
+						writer.Truncate(ctx, "/p/q/f", int64(i)),
+						createFile(writer, n),
+						writer.Rename(ctx, n, m),
+						writer.Unlink(ctx, m),
+						createFile(writer, top), // and the root's own inode
+						writer.Unlink(ctx, top),
 					} {
 						if err != nil {
 							t.Errorf("writer, round %d: %v", i, err)
@@ -495,17 +502,120 @@ func TestWalksShareInodesWithWriters(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for writing.Load() {
-						if _, err := c.Stat(ctx, "/p/q/f"); err != nil {
+						if _, err := walker.Stat(ctx, "/p/q/f"); err != nil {
 							t.Errorf("stat: %v", err)
+						}
+						if _, err := walker.Lstat(ctx, "/p/q"); err != nil {
+							t.Errorf("lstat: %v", err)
+						}
+						f, err := walker.Open(ctx, "/p/q/f", types.ORdonly, 0)
+						if err != nil {
+							t.Errorf("open: %v", err)
+							continue
+						}
+						if err := f.Close(); err != nil {
+							t.Errorf("close: %v", err)
 						}
 					}
 				}()
 			}
 			wg.Wait()
-			if viaPcache && c.StatCounters().PcacheHits.Load() == 0 {
+			if mode == "pcache" && walker.StatCounters().PcacheHits.Load() == 0 {
 				t.Error("no permission-cache hits: the walks crossed nothing cached")
 			}
+			if mode == "forwarded" && walker.StatCounters().RemoteMetaOps.Load() == 0 {
+				t.Error("no forwarded calls: the walker led what it walked")
+			}
 		})
+	}
+}
+
+// A caller owns the inode a call returns to it: writing to it changes neither
+// the leader's table nor what the next call returns, whichever client asks.
+// A forwarded answer is the leader's own inode, so the forwarding client
+// copies what it hands on; that includes a forwarded chmod of a directory the
+// caller leads, whose answer it also stores as the directory's own inode.
+func TestReturnedInodeIsTheCallersOwn(t *testing.T) {
+	tc := newTestCluster(t)
+	leader, walker := tc.client(t, "leader"), tc.client(t, "walker")
+	ctx := context.Background()
+	if err := leader.Mkdir(ctx, "/p", 0777); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Symlink(ctx, "/p/f", "/p/l"); err != nil {
+		t.Fatal(err)
+	}
+	if err := createFile(leader, "/p/f"); err != nil {
+		t.Fatal(err)
+	}
+	ledBy := func(c *Client, path string) *ledDir {
+		t.Helper()
+		node, err := c.Lstat(ctx, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ld, ok := c.ledDirFor(node.Ino)
+		if !ok {
+			t.Fatalf("setup: %s does not lead %s", c.Addr(), path)
+		}
+		return ld
+	}
+	pld, rld := ledBy(leader, "/p"), ledBy(leader, "/")
+	scribble := func(n *types.Inode) {
+		n.Mode, n.Uid, n.Size, n.Target, n.Mtime = 0, 4242, 99, "elsewhere", -1
+		n.ACL = append(n.ACL, types.ACLEntry{Tag: types.TagOther})
+	}
+	stored := map[string]func() *types.Inode{
+		"/":    rld.table.Dir,
+		"/p/f": func() *types.Inode { n, _ := pld.table.Peek("f"); return n },
+		"/p/l": func() *types.Inode { n, _ := pld.table.Peek("l"); return n },
+	}
+	want := map[string]*types.Inode{}
+	for path, get := range stored {
+		want[path] = get().Clone()
+	}
+	for _, call := range []struct {
+		path string
+		fn   func() (*types.Inode, error)
+	}{
+		{"/p/f", func() (*types.Inode, error) { return walker.Stat(ctx, "/p/f") }},
+		{"/p/l", func() (*types.Inode, error) { return walker.Lstat(ctx, "/p/l") }},
+		{"/p/f", func() (*types.Inode, error) { return walker.Stat(ctx, "/p/l") }},
+		{"/", func() (*types.Inode, error) { return walker.Stat(ctx, "/") }},
+	} {
+		node, err := call.fn()
+		if err != nil || !reflect.DeepEqual(node, want[call.path]) {
+			t.Fatalf("%s: %+v, %v; want %+v", call.path, node, err, want[call.path])
+		}
+		scribble(node)
+		for path, get := range stored {
+			if got := get(); !reflect.DeepEqual(got, want[path]) {
+				t.Errorf("after the caller wrote to its answer, the leader stores %s as %+v; want %+v", path, got, want[path])
+			}
+			for _, c := range []*Client{walker, leader} {
+				if again, err := c.Lstat(ctx, path); err != nil || !reflect.DeepEqual(again, want[path]) {
+					t.Errorf("%s's next lstat of %s: %+v, %v; want %+v", c.Addr(), path, again, err, want[path])
+				}
+			}
+		}
+	}
+
+	// The walker leads /p/d; its inode is the leader's to change, as /p's
+	// child. The walker's chmod goes there and stores the answer as /p/d's
+	// own inode, which is the walker's copy, not the leader's.
+	if err := walker.Mkdir(ctx, "/p/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	if err := createFile(walker, "/p/d/g"); err != nil { // the walker takes /p/d's lease
+		t.Fatal(err)
+	}
+	dld := ledBy(walker, "/p/d")
+	if err := walker.Chmod(ctx, "/p/d", 0700); err != nil {
+		t.Fatal(err)
+	}
+	mine, theirs := dld.table.Dir(), func() *types.Inode { n, _ := pld.table.Peek("d"); return n }()
+	if mine == theirs || !reflect.DeepEqual(mine, theirs) || mine.Mode != 0700 {
+		t.Errorf("after a forwarded chmod, the walker's /p/d is %p %+v and the leader's %p %+v; want equal copies with mode 0700", mine, mine, theirs, theirs)
 	}
 }
 
@@ -607,7 +717,10 @@ func TestMessagesPerCall(t *testing.T) {
 }
 
 // A multi-name walk and its answer cross the TCP bridge's gob encoding as
-// they cross the in-process fabric.
+// they cross the in-process fabric: every inode in a message arrives field for
+// field what the leader serves in process, with ACL entries, a symlink target,
+// an ACL set empty and one never set, in a walk's and a set-attr's answer and
+// in a 2PC prepare's request.
 func TestWalkSurvivesTCPBridge(t *testing.T) {
 	wt := newWalkTree(t)
 	bridge, err := wt.tc.net.Bridge("127.0.0.1:0", wt.a.Addr())
@@ -618,21 +731,76 @@ func TestWalkSurvivesTCPBridge(t *testing.T) {
 	env := sim.NewRealEnv()
 	defer env.Shutdown()
 	far := rpc.NewNetwork(env, sim.NetModel{})
+	call := func(req any) (any, error) { return far.Call(rpc.TCPAddr(bridge.Addr()), req) }
 
 	ctx := context.Background()
-	req := WalkReq{Dir: wt.y, Names: []string{"z", "f", "unreached"}, Cred: wt.a.opts.Cred, WantDirInode: true}
-	want := wt.a.serve(ctx, req).(WalkResp)
-	if len(want.Inodes) != 2 || len(want.DirInode) == 0 || want.Err != "" {
-		t.Fatalf("served directly: %d inodes, %d bytes of directory inode, err %q", len(want.Inodes), len(want.DirInode), want.Err)
+	acl := types.ACL{{Tag: types.TagUserObj, Perms: 7}, {Tag: types.TagUser, ID: 7, Perms: 5},
+		{Tag: types.TagGroupObj, Perms: 5}, {Tag: types.TagMask, Perms: 5}, {Tag: types.TagOther, Perms: 1}}
+	if err := wt.a.SetACL(ctx, "/x/y/z", acl); err != nil {
+		t.Fatal(err)
 	}
-	got, err := far.Call(rpc.TCPAddr(bridge.Addr()), req)
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("over the bridge: %+v, %v; want what the leader serves directly", got, err)
+	if err := wt.a.Symlink(ctx, "/x/y/z/f", "/x/y/z/l"); err != nil {
+		t.Fatal(err)
 	}
-	req.Names = []string{"z", "nope", "f"}
-	got, err = far.Call(rpc.TCPAddr(bridge.Addr()), req)
+	for _, names := range [][]string{{"z", "f", "unreached"}, {"z", "l"}} {
+		req := WalkReq{Dir: wt.y, Names: names, Cred: wt.a.opts.Cred, WantDirInode: true}
+		want := wt.a.serve(ctx, req).(WalkResp)
+		if len(want.Inodes) != 2 || want.DirInode == nil || want.Err != "" {
+			t.Fatalf("%v served directly: %d inodes, directory inode %v, err %q", names, len(want.Inodes), want.DirInode, want.Err)
+		}
+		if len(want.Inodes[0].ACL) != len(acl) || want.Inodes[1].ACL != nil {
+			t.Fatalf("%v served directly: ACLs %v and %v; want z's five entries and none", names, want.Inodes[0].ACL, want.Inodes[1].ACL)
+		}
+		got, err := call(req)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%v over the bridge: %+v, %v; want what the leader serves directly", names, got, err)
+		}
+	}
+	got, err := call(WalkReq{Dir: wt.z, Names: []string{"l"}, Cred: wt.a.opts.Cred})
+	if resp, ok := got.(WalkResp); err != nil || !ok || len(resp.Inodes) != 1 || resp.Inodes[0].Target != "/x/y/z/f" {
+		t.Errorf("a symlink over the bridge: %+v, %v; want its target", got, err)
+	}
+	req := WalkReq{Dir: wt.y, Names: []string{"z", "nope", "f"}, Cred: wt.a.opts.Cred}
+	got, err = call(req)
 	if resp, ok := got.(WalkResp); err != nil || !ok || len(resp.Inodes) != 1 || resp.Err != types.Errno(types.ErrNotExist) {
 		t.Errorf("a failing walk over the bridge: %+v, %v; want z, then ENOENT", got, err)
+	}
+
+	// A set-attr's answer is the inode the leader stored. An ACL set empty is
+	// stored as none, so gob, which drops an empty slice, carries it exactly.
+	zld, _ := wt.a.ledDirFor(wt.z)
+	for _, set := range []types.ACL{acl, {}, nil} {
+		got, err := call(SetAttrReq{Dir: wt.z, Name: "f", Cred: wt.a.opts.Cred, Patch: AttrPatch{SetACL: true, ACL: set}})
+		stored, _ := zld.table.Peek("f")
+		resp, ok := got.(SetAttrResp)
+		if err != nil || !ok || resp.Err != "" || !reflect.DeepEqual(resp.Inode, stored) {
+			t.Errorf("set-attr of ACL %#v over the bridge: %+v, %v; want the stored %+v", set, got, err, stored)
+		}
+		if len(set) == 0 && stored.ACL != nil {
+			t.Errorf("ACL %#v stored as %#v; want nil", set, stored.ACL)
+		}
+	}
+
+	// A 2PC prepare's request arrives with the moving inode as the source's
+	// table holds it, and the participant stores that; the abort takes it out.
+	for i, moving := range []*types.Inode{
+		{Ino: wt.a.inoSrc.Next(), Type: types.TypeSymlink, Mode: 0777, Uid: 1000, Gid: 1000, Nlink: 1, Target: "../f", Mtime: 5, Ctime: 6},
+		{Ino: wt.a.inoSrc.Next(), Type: types.TypeRegular, Mode: 0640, Uid: 1000, Gid: 1000, Nlink: 1, Size: 3901, ACL: acl},
+	} {
+		name := fmt.Sprintf("moved%d", i)
+		prep := PrepareRenameReq{TxID: uint64(100 + i), CoordDir: types.RootIno, DstDir: wt.z, DstName: name, Child: moving, Cred: wt.a.opts.Cred}
+		if got, err := call(prep); err != nil || got != (PrepareRenameResp{}) {
+			t.Fatalf("prepare of %s over the bridge: %+v, %v", name, got, err)
+		}
+		if stored, err := zld.table.Peek(name); err != nil || !reflect.DeepEqual(stored, moving) {
+			t.Errorf("prepared %s: stored %+v, %v; want %+v", name, stored, err, moving)
+		}
+		if got, err := call(DecideRenameReq{TxID: prep.TxID, DstDir: wt.z}); err != nil || got != (DecideRenameResp{}) {
+			t.Fatalf("abort of %s over the bridge: %+v, %v", name, got, err)
+		}
+		if zld.table.Exists(name) {
+			t.Errorf("%s still there after the abort", name)
+		}
 	}
 
 	// A walk that carries an open: Holder and Write arrive, and Leased, Direct

@@ -52,9 +52,10 @@ type ACLEntry struct {
 // A non-empty ACL must be valid per Validate before being stored.
 type ACL []ACLEntry
 
-// Clone returns a copy that does not alias the receiver.
+// Clone returns a copy that does not alias the receiver; an empty ACL clones
+// to nil, as the stored format and gob decode it.
 func (a ACL) Clone() ACL {
-	if a == nil {
+	if len(a) == 0 {
 		return nil
 	}
 	c := make(ACL, len(a))
