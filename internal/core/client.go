@@ -151,10 +151,6 @@ type Client struct {
 
 	grantSeq atomic.Uint64 // as a leader: the last number a data-lease grant was given
 
-	// pending2pc tracks this client's participant-side prepared renames
-	// awaiting the coordinator's decision (txid -> pendingRename).
-	pending2pc sync.Map
-
 	// wbErr records the first background write-back failure (lease-recall or
 	// close-path flushes run off the caller's stack); FlushAll and Close
 	// surface it instead of dropping it.
@@ -207,6 +203,9 @@ type ledDir struct {
 	lease dirLease // guarded by c.mu
 	// leases is this leader's side of its files' data leases (paper §III-D).
 	leases leaseTable
+	// renames are the cross-directory renames this table holds a tentative
+	// entry of, as their participant, until each resolves (guarded by c.mu).
+	renames map[uint64]journal.Rename
 	// durableEpoch is the metatable epoch covered by the last successful
 	// durability barrier (guarded by c.mu). An fsync that finds the table
 	// epoch unchanged has nothing new to make durable and skips the journal
@@ -838,13 +837,15 @@ func (c *Client) abandon(dir types.Ino, ld *ledDir) {
 // directory it returns is not yet served from: install publishes it, if its
 // lease still allows.
 func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.AcquireResp, sent time.Duration) (*ledDir, error) {
+	var rep journal.Report
 	if grant.NeedRecovery {
 		c.crashHit(crashpoint.RecoveryPreReplay)
 		meta := rpc.MetaFrom(ctx)
 		rsp := c.tracer.StartChild(meta.Span, "journal.recover", "")
 		rsp.SetDir(dir)
 		rsp.SetTenant(meta.Tenant)
-		_, err := c.jrnl.Recover(dir)
+		var err error
+		rep, err = c.jrnl.Recover(dir)
 		rsp.End(err)
 		if err != nil {
 			// A dead process is silent: if the failure is our own crash, do
@@ -926,8 +927,9 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		_ = c.lm.Release(ctx, dir, grant.LeaseID, true)
 		return nil, fmt.Errorf("core: access %s: %w", dir.Short(), err)
 	}
-	ld := &ledDir{opMu: sim.NewMutex(c.env), table: tbl, leases: make(leaseTable)}
+	ld := &ledDir{opMu: sim.NewMutex(c.env), table: tbl, leases: make(leaseTable), renames: make(map[uint64]journal.Rename)}
 	ld.lease.grant(sent, grant.Period, grant.LeaseID)
+	c.adoptRenames(ld, rep.Pending)
 	return ld, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"arkfs/internal/prt"
 	"arkfs/internal/types"
+	"arkfs/internal/wire"
 )
 
 // TestCrashDuringCrossClientRenameRecovers exercises the full §III-E story
@@ -176,4 +177,87 @@ func TestRecoveryReplaysUnlink(t *testing.T) {
 		t.Fatalf("victim data survived recovery: %v", keys)
 	}
 	_ = types.ErrNotExist
+}
+
+// The destination's leader dies after both prepares, while the coordinator
+// has not decided yet. The successor that recovers the destination must not
+// presume the rename aborted: it serves the moved entry tentatively, as the
+// participant did, and its resolver commits it once the decision lands.
+func TestSuccessorHoldsUndecidedRename(t *testing.T) {
+	tc := newTestCluster(t)
+	ctx := context.Background()
+	coord := tc.client(t, "coord")
+	part := tc.client(t, "part")
+	for _, dir := range []string{"/src", "/dst"} {
+		if err := coord.Mkdir(ctx, dir, 0777); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ino := seedFile(t, coord, "/src/f", "moving", 0666)
+	seedFile(t, part, "/dst/other", "", 0666)
+	srcDir, dstDir := statIno(t, coord, "/src"), statIno(t, part, "/dst")
+	if !part.Leads(dstDir) {
+		t.Fatal("setup: part should lead /dst")
+	}
+	for _, c := range []*Client{coord, part} {
+		if err := c.jrnl.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moving, err := tc.tr.LoadInode(ino)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The two prepare records of /src/f -> /dst/f, as the legs write them,
+	// in slots far past anything either journal uses.
+	const txid, seq = 1<<40 | 1, 1 << 20
+	plant := func(dir types.Ino, txn *wire.Txn) {
+		t.Helper()
+		if err := tc.store.Put(prt.JournalKey(dir, seq+uint64(txn.Kind)), wire.EncodeTxn(txn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plant(srcDir, &wire.Txn{ID: txid, Dir: srcDir, Kind: wire.TxnCoordPrepare, Peer: dstDir,
+		Ops: []wire.Op{{Kind: wire.OpDelDentry, Name: "f"}}})
+	plant(dstDir, &wire.Txn{ID: txid, Dir: dstDir, Kind: wire.TxnPrepare, Peer: srcDir, Ops: []wire.Op{
+		{Kind: wire.OpAddDentry, Name: "f", Ino: ino, FType: types.TypeRegular},
+		{Kind: wire.OpSetInode, Inode: moving}}})
+	part.Crash()
+
+	succ := tc.client(t, "succ")
+	for end := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		node, err := succ.Stat(ctx, "/dst/f")
+		if err == nil && node.Ino == ino {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("the successor stats /dst/f as %+v, %v; want the moved file held tentatively", node, err)
+		}
+	}
+	if keys, _ := tc.store.List(prt.JournalPrefix(dstDir)); len(keys) != 1 {
+		t.Fatalf("the successor kept %v of the destination's journal, want the prepare", keys)
+	}
+	plant(srcDir, &wire.Txn{ID: txid, Dir: srcDir, Kind: wire.TxnCommit, Peer: dstDir})
+	for end := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if keys, _ := tc.store.List(prt.JournalPrefix(dstDir)); len(keys) == 0 {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatal("the successor's resolver never committed the rename")
+		}
+	}
+	if err := succ.FlushAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := tc.tr.LoadDentries(dstDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, e := range ents {
+		found = found || e.Name == "f" && e.Ino == ino
+	}
+	if !found {
+		t.Fatalf("the committed rename is not in /dst: %v", ents)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -109,15 +110,17 @@ func (c *Client) coordinateRename(ctx context.Context, r RenameReq) error {
 	c.recallHolders(ctx, moving.Ino, ld.leases.takeWriter(moving.Ino))
 	ld.opMu.Unlock()
 
-	txid := c.jrnl.NewTxnID()
-	srcOps := []wire.Op{{Kind: wire.OpDelDentry, Name: r.SrcName}}
+	cr := journal.Rename{
+		TxID: c.jrnl.NewTxnID(), Dir: r.SrcDir, Peer: r.DstDir, Coord: true,
+		Ops: []wire.Op{{Kind: wire.OpDelDentry, Name: r.SrcName}},
+	}
 
 	// --- Phase 1: prepare both journals (source first).
-	if err := c.jrnl.WritePrepare(ctx, r.SrcDir, txid, r.DstDir, srcOps); err != nil {
+	if err := c.jrnl.WritePrepare(ctx, &cr); err != nil {
 		return err
 	}
 	prep := PrepareRenameReq{
-		TxID: txid, CoordDir: r.SrcDir, DstDir: r.DstDir, DstName: r.DstName,
+		TxID: cr.TxID, CoordDir: r.SrcDir, DstDir: r.DstDir, DstName: r.DstName,
 		Child: moving, Cred: r.Cred,
 	}
 	var prepErr error
@@ -128,11 +131,16 @@ func (c *Client) coordinateRename(ctx context.Context, r RenameReq) error {
 	}
 
 	// --- Phase 2: decide, record the decision, apply both sides.
-	commit := prepErr == nil
-	if err := c.jrnl.WriteDecision(ctx, r.SrcDir, txid, r.DstDir, commit); err != nil {
+	cur, leads := c.ledDirFor(r.SrcDir)
+	commit, write := cr.Decide(prepErr == nil, leads && cur == ld)
+	if !write {
+		_ = c.jrnl.ResolvePrepared(ctx, cr, false)
+		return fmt.Errorf("core: rename: lease on %s lapsed before the decision: %w", r.SrcDir.Short(), types.ErrStale)
+	}
+	if err := c.jrnl.WriteDecision(ctx, &cr, commit); err != nil {
 		// Could not persist the decision: abort locally; the participant
-		// will presume abort during recovery.
-		_ = c.jrnl.ResolvePrepared(ctx, r.SrcDir, txid, false)
+		// finds no trace of the rename and presumes abort.
+		_ = c.jrnl.ResolvePrepared(ctx, cr, false)
 		return fmt.Errorf("core: rename decision: %w", err)
 	}
 	if commit {
@@ -147,12 +155,12 @@ func (c *Client) coordinateRename(ctx context.Context, r RenameReq) error {
 		}
 		ld.opMu.Unlock()
 	}
-	if err := c.jrnl.ResolvePrepared(ctx, r.SrcDir, txid, commit); err != nil {
+	if err := c.jrnl.ResolvePrepared(ctx, cr, commit); err != nil {
 		return err
 	}
 	// Tell the participant the decision; once it has resolved its prepare,
 	// the decision record can be garbage-collected.
-	decide := DecideRenameReq{TxID: txid, DstDir: r.DstDir, Commit: commit}
+	decide := DecideRenameReq{TxID: cr.TxID, DstDir: r.DstDir, Commit: commit}
 	var decideErr error
 	if dstLd, ok := c.ledDirFor(r.DstDir); ok {
 		decideErr = c.decideRenameLocal(ctx, dstLd, decide)
@@ -160,7 +168,7 @@ func (c *Client) coordinateRename(ctx context.Context, r RenameReq) error {
 		decideErr = c.callParticipant(ctx, r, decide)
 	}
 	if decideErr == nil {
-		_ = c.jrnl.DeleteDecision(r.SrcDir, txid)
+		_ = c.jrnl.DeleteDecision(cr)
 	}
 	if !commit {
 		return fmt.Errorf("core: rename prepare failed: %w", prepErr)
@@ -188,25 +196,39 @@ func (c *Client) callParticipant(ctx context.Context, r RenameReq, leg any) erro
 	return err
 }
 
-type pendingRename struct {
-	dir      types.Ino
-	name     string
-	child    *types.Inode
-	replaced *types.Inode // the entry name held before, if any
-	coord    types.Ino    // coordinating directory, whose journal holds the decision
-	txid     uint64
-	at       time.Duration // when the prepare was accepted (env clock)
-}
-
-// undo takes the tentative insert out of ld again and puts back the entry it
-// replaced.
-func (pr pendingRename) undo(ld *ledDir) {
+// undo takes a participant's tentative insert out of ld again and puts back
+// the entry it replaced.
+func undo(ld *ledDir, pr journal.Rename) {
+	name, _ := pr.Entry()
 	ld.opMu.Lock()
 	defer ld.opMu.Unlock()
-	_, _ = ld.table.Remove(pr.name) // gone already if a decision came twice
-	if pr.replaced != nil {
-		_ = ld.table.Insert(pr.name, pr.replaced) // the name is free: this hold freed it
+	_, _ = ld.table.Remove(name) // gone already if a decision came twice
+	if pr.Replaced != nil {
+		_ = ld.table.Insert(name, pr.Replaced) // the name is free: this hold freed it
 	}
+}
+
+// adoptRenames holds the prepares a recovery of dir retained, as the participant
+// this leader succeeds held them: each one's entry goes into ld tentatively,
+// in place of the entry its name has, until the decision leg or the resolver
+// resolves it.
+func (c *Client) adoptRenames(ld *ledDir, pending []journal.Rename) {
+	for _, pr := range pending {
+		name, child := pr.Entry()
+		if existing, err := ld.table.Remove(name); err == nil {
+			pr.Replaced = existing
+		}
+		_ = ld.table.Insert(name, child)
+		pr.At = c.env.Now()
+		c.holdRename(ld, pr)
+	}
+}
+
+// holdRename keeps pr beside ld's table until decideRenameLocal takes it.
+func (c *Client) holdRename(ld *ledDir, pr journal.Rename) {
+	c.mu.Lock()
+	ld.renames[pr.TxID] = pr
+	c.mu.Unlock()
 }
 
 // prepareRenameLocal is the participant half of phase 1: validate, write the
@@ -232,11 +254,7 @@ func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRe
 		ld.opMu.Unlock()
 		return err
 	}
-	pr := pendingRename{
-		dir: r.DstDir, name: r.DstName, child: child,
-		coord: r.CoordDir, txid: r.TxID,
-	}
-	var dstOps []wire.Op
+	pr := journal.Rename{TxID: r.TxID, Dir: r.DstDir, Peer: r.CoordDir}
 	existing, err := ld.target(r.DstName)
 	if err != nil {
 		ld.opMu.Unlock()
@@ -255,13 +273,13 @@ func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRe
 			ld.opMu.Unlock()
 			return rerr
 		}
-		pr.replaced = existing
+		pr.Replaced = existing
 		c.recallHolders(ctx, existing.Ino, ld.leases.takeWriter(existing.Ino))
-		dstOps = append(dstOps,
+		pr.Ops = append(pr.Ops,
 			wire.Op{Kind: wire.OpDelDentry, Name: r.DstName},
 			wire.Op{Kind: wire.OpDelInode, Ino: existing.Ino, Size: existing.Size})
 	}
-	dstOps = append(dstOps,
+	pr.Ops = append(pr.Ops,
 		wire.Op{Kind: wire.OpAddDentry, Name: r.DstName, Ino: child.Ino, FType: child.Type},
 		wire.Op{Kind: wire.OpSetInode, Inode: child})
 	if err := ld.table.Insert(r.DstName, child); err != nil {
@@ -270,21 +288,21 @@ func (c *Client) prepareRenameLocal(ctx context.Context, ld *ledDir, r PrepareRe
 	}
 	ld.opMu.Unlock()
 
-	if err := c.jrnl.WritePrepare(ctx, r.DstDir, r.TxID, r.CoordDir, dstOps); err != nil {
-		pr.undo(ld)
+	if err := c.jrnl.WritePrepare(ctx, &pr); err != nil {
+		undo(ld, pr)
 		return err
 	}
-	pr.at = c.env.Now()
-	c.pending2pc.Store(r.TxID, pr)
+	pr.At = c.env.Now()
+	c.holdRename(ld, pr)
 	return nil
 }
 
 // twopcResolver is the participant's safety net: a coordinator that crashes
 // between prepare and decide leaves this client holding a tentative insert
-// it cannot unilaterally resolve. Once the decision is overdue, the resolver
-// consults the coordinator directory's journal (paper §III-E: the decision
-// record, or its absence after the coordinator's recovery, is authoritative)
-// and applies or rolls back the tentative entry.
+// it cannot unilaterally resolve. Once a rename is Due, the resolver reads
+// the coordinator directory's journal (paper §III-E: the decision record, or
+// no trace of the rename, is authoritative) and applies or rolls back the
+// tentative entry.
 func (c *Client) twopcResolver() {
 	interval := c.opts.LeasePeriod / 2
 	if interval <= 0 {
@@ -295,43 +313,34 @@ func (c *Client) twopcResolver() {
 		if c.env.Stopped() {
 			return
 		}
+		// In transaction order, not the maps': each resolution is a round
+		// trip, and a seeded run must make them in the same order every time.
+		var due []journal.Rename
 		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
+		if c.closed {
+			c.mu.Unlock()
 			return
 		}
 		now := c.env.Now()
-		// In transaction order, not the map's: each resolution is a round
-		// trip, and a seeded run must make them in the same order every time.
-		var txids []uint64
-		c.pending2pc.Range(func(k, _ any) bool {
-			txids = append(txids, k.(uint64))
-			return true
-		})
-		slices.Sort(txids)
-		for _, txid := range txids {
-			v, ok := c.pending2pc.Load(txid)
-			if !ok {
-				continue
+		for _, ld := range c.led {
+			for _, pr := range ld.renames {
+				if pr.Due(now, c.opts.LeasePeriod, ld.lease.live(now)) {
+					due = append(due, pr)
+				}
 			}
-			pr := v.(pendingRename)
-			if now-pr.at < c.opts.LeasePeriod {
-				continue // give the live coordinator time to decide
-			}
-			ld, leads := c.ledDirFor(pr.dir)
+		}
+		c.mu.Unlock()
+		slices.SortFunc(due, func(a, b journal.Rename) int { return cmp.Compare(a.TxID, b.TxID) })
+		for _, pr := range due {
+			ld, leads := c.ledDirFor(pr.Dir)
 			if !leads {
-				// Our lease on the destination lapsed; the next leader's
-				// recovery resolves the durable prepare record, and our
-				// in-memory table is gone with the lease.
-				c.pending2pc.Delete(txid)
 				continue
 			}
-			decided, commit, err := journal.PendingDecision(c.tr, pr.coord, pr.txid)
-			if err != nil || !decided {
-				continue // transient store error or genuinely undecided
+			f, err := c.jrnl.Probe(pr)
+			if err != nil || !f.Decided() {
+				continue // transient store error, or the rename is not decided yet
 			}
-			c.decideRenameLocal(context.Background(), ld, DecideRenameReq{TxID: pr.txid, DstDir: pr.dir, Commit: commit})
+			c.decideRenameLocal(context.Background(), ld, DecideRenameReq{TxID: pr.TxID, DstDir: pr.Dir, Commit: f == journal.Commit})
 		}
 	}
 }
@@ -341,23 +350,25 @@ func (c *Client) twopcResolver() {
 // its decision record, or a crashed participant's recovery would flip the
 // committed rename into a presumed abort — losing the file from both sides.
 func (c *Client) decideRenameLocal(ctx context.Context, ld *ledDir, r DecideRenameReq) error {
-	v, ok := c.pending2pc.LoadAndDelete(r.TxID)
+	c.mu.Lock()
+	pr, ok := ld.renames[r.TxID]
+	delete(ld.renames, r.TxID)
+	c.mu.Unlock()
 	if !ok {
 		return nil
 	}
-	pr := v.(pendingRename)
 	switch {
 	case !r.Commit:
-		pr.undo(ld)
-	case pr.replaced != nil:
+		undo(ld, pr)
+	case pr.Replaced != nil:
 		ld.opMu.Lock()
-		c.retire(ctx, ld, pr.replaced.Ino)
+		c.retire(ctx, ld, pr.Replaced.Ino)
 		ld.opMu.Unlock()
 	}
-	if err := c.jrnl.ResolvePrepared(ctx, pr.dir, r.TxID, r.Commit); err != nil {
-		// Dead process or store fault: put the pending entry back so the
-		// resolver (or the next leader's recovery) finishes the job.
-		c.pending2pc.Store(r.TxID, pr)
+	if err := c.jrnl.ResolvePrepared(ctx, pr, r.Commit); err != nil {
+		// Dead process or store fault: hold the rename again so the resolver
+		// (or the next leader's recovery) finishes the job.
+		c.holdRename(ld, pr)
 		return err
 	}
 	return nil

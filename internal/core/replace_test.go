@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -127,8 +128,9 @@ func TestAbortedRenameRestoresReplacedEntry(t *testing.T) {
 				t.Fatalf("the rename succeeded with its %s PUT failing", fault)
 			}
 			for end := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-				prepared := false
-				part.pending2pc.Range(func(_, _ any) bool { prepared = true; return false })
+				part.mu.Lock()
+				prepared := len(table.renames) > 0
+				part.mu.Unlock()
 				if !prepared {
 					break
 				}
@@ -146,5 +148,61 @@ func TestAbortedRenameRestoresReplacedEntry(t *testing.T) {
 				t.Fatalf("the aborted rename lost its source: %v", err)
 			}
 		})
+	}
+}
+
+// A coordinator whose lease on the source lapsed between the prepares and
+// its decision writes no decision: a successor may already have presumed the
+// rename aborted and loaded the source with the file still in it. The
+// coordinator resolves its own side as an abort and answers ESTALE; the
+// participant's resolver then finds no trace of the rename in the source's
+// journal and takes its tentative entry out again.
+func TestLapsedCoordinatorWritesNoDecision(t *testing.T) {
+	tc := newTestCluster(t)
+	ctx := context.Background()
+	crash := crashpoint.NewSet()
+	coord := tc.client(t, "coord", func(o *Options) { o.Crash = crash })
+	part := tc.client(t, "part")
+	for _, dir := range []string{"/src", "/dst"} {
+		if err := coord.Mkdir(ctx, dir, 0777); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seedFile(t, coord, "/src/f", "moving", 0666)
+	seedFile(t, part, "/dst/other", "", 0666)
+	srcDir, dstDir := statIno(t, coord, "/src"), statIno(t, part, "/dst")
+	if !coord.Leads(srcDir) || !part.Leads(dstDir) {
+		t.Fatal("setup: coord should lead /src, part /dst")
+	}
+	// After the coordinator's own prepare, its leadership of /src is gone,
+	// as a redirect leaves it.
+	crash.Arm(crashpoint.TwoPCPostPrepare, func() {
+		coord.mu.Lock()
+		delete(coord.led, srcDir)
+		coord.mu.Unlock()
+	})
+	table, _ := part.ledDirFor(dstDir)
+	if err := coord.Rename(ctx, "/src/f", "/dst/f"); !errors.Is(err, types.ErrStale) {
+		t.Fatalf("the rename returned %v, want ESTALE", err)
+	}
+	if keys, _ := tc.store.List(prt.JournalPrefix(srcDir)); len(keys) != 0 {
+		t.Fatalf("the lapsed coordinator left %v in the source's journal", keys)
+	}
+	for end := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		part.mu.Lock()
+		prepared := len(table.renames) > 0
+		part.mu.Unlock()
+		if !prepared {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatal("the participant never resolved its prepare")
+		}
+	}
+	if _, err := part.Stat(ctx, "/dst/f"); !errors.Is(err, types.ErrNotExist) {
+		t.Fatalf("the participant stats /dst/f: %v; want ENOENT", err)
+	}
+	if _, err := coord.Stat(ctx, "/src/f"); err != nil {
+		t.Fatalf("the aborted rename lost its source: %v", err)
 	}
 }

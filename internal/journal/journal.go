@@ -162,10 +162,7 @@ type dirJournal struct {
 	durableTo uint64             // every seq < durableTo is durable (or a tolerated hole)
 	waiters   []durWaiter
 
-	prepared  map[uint64]uint64 // txid -> journal seq of the prepare record
-	prepOps   map[uint64][]wire.Op
-	decisions map[uint64]uint64 // txid -> journal seq of the decision record
-	err       error             // first async commit/checkpoint error, surfaced at a barrier
+	err error // first async commit/checkpoint error, surfaced at a barrier
 
 	// ckptStuck is set when a checkpoint failed to apply its transaction.
 	// Unlike err it is never consumed by a barrier: the unapplied record is
@@ -323,12 +320,7 @@ func (j *Journal) dirJournal(dir types.Ino) *dirJournal {
 func (j *Journal) dirJournalLocked(dir types.Ino) *dirJournal {
 	dj := j.dirs[dir]
 	if dj == nil {
-		dj = &dirJournal{
-			dir:      dir,
-			landed:   make(map[uint64]*record),
-			prepared: make(map[uint64]uint64),
-			prepOps:  make(map[uint64][]wire.Op),
-		}
+		dj = &dirJournal{dir: dir, landed: make(map[uint64]*record)}
 		j.dirs[dir] = dj
 	}
 	return dj

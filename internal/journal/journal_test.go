@@ -147,9 +147,8 @@ func TestCrashBeforeCheckpointRecovers(t *testing.T) {
 	if err := tr.Store().Put(prt.JournalKey(dir, 0), wire.EncodeTxn(txn)); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := HasValidEntries(tr, dir)
-	if err != nil || !ok {
-		t.Fatalf("HasValidEntries = %v, %v", ok, err)
+	if keys, err := tr.Store().List(prt.JournalPrefix(dir)); err != nil || len(keys) != 1 {
+		t.Fatalf("journal before recovery: %v, %v", keys, err)
 	}
 	rep, err := Recover(tr, dir)
 	if err != nil {
@@ -165,8 +164,8 @@ func TestCrashBeforeCheckpointRecovers(t *testing.T) {
 	if len(ents) != 1 || ents[0].Name != "lost" {
 		t.Fatalf("replayed dentries: %v", ents)
 	}
-	if ok, _ := HasValidEntries(tr, dir); ok {
-		t.Fatal("journal not cleared after recovery")
+	if keys, _ := tr.Store().List(prt.JournalPrefix(dir)); len(keys) != 0 {
+		t.Fatalf("journal not cleared after recovery: %v", keys)
 	}
 }
 

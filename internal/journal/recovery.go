@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"arkfs/internal/metatable"
-	"arkfs/internal/obs"
 	"arkfs/internal/prt"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
@@ -23,6 +22,11 @@ type Report struct {
 	Committed2PC int
 	Aborted2PC   int
 	Undecided2PC int
+	// Pending lists the participant's prepares retained unresolved: their
+	// coordinator may still decide (fate Wait), or a corrupt record hides its
+	// decision (Undecided). The new leader holds them as the participant it
+	// succeeds did, and the decision leg or its resolver resolves them.
+	Pending []Rename
 	// Corrupt counts records that failed CRC/decode (torn or bit-rotted).
 	Corrupt int
 	// Truncated counts records discarded by the truncation rule: the first
@@ -36,8 +40,9 @@ type Report struct {
 // Recover scans dir's journal after a leadership change. Valid transactions
 // remaining in the journal mean the previous leader crashed before
 // checkpointing (paper §III-E-1); they are replayed in sequence order.
-// Prepared transactions are resolved through the coordinator's journal with
-// presumed abort. All of dir's journal objects are removed on success.
+// Prepared transactions are resolved by fate, through the coordinator's
+// journal. All of dir's journal objects are removed on success, except the
+// prepares Report.Pending retains and the decisions a participant still needs.
 //
 // Corruption follows the truncation rule: the journal is cut at the first
 // record that fails verification, and every later record is discarded
@@ -45,17 +50,10 @@ type Report struct {
 // intact, exactly like a single-file write-ahead log. Replaying past a gap
 // could apply operations whose prerequisites were in the lost record.
 //
-// Recover and RecoverWith do one round trip after another; a client taking a
-// directory over calls its journal's Recover method.
+// Recover does one round trip after another; a client taking a directory over
+// calls its journal's Recover method.
 func Recover(tr *prt.Translator, dir types.Ino) (Report, error) {
-	return RecoverWith(tr, dir, nil)
-}
-
-// RecoverWith is Recover with integrity counters registered on reg
-// (integrity.detected, integrity.truncated, integrity.repaired). A nil
-// registry is inert.
-func RecoverWith(tr *prt.Translator, dir types.Ino, reg *obs.Registry) (Report, error) {
-	return (&Journal{tr: tr, cfg: Config{Obs: reg}}).recoverDir(dir)
+	return (&Journal{tr: tr}).recoverDir(dir)
 }
 
 // Recover is the package's Recover as the new leader of dir runs it: the
@@ -148,36 +146,40 @@ func (j *Journal) recoverDir(dir types.Ino) (Report, error) {
 				return rep, fmt.Errorf("journal: recovery replay %s: %w", r.key, err)
 			}
 			rep.Replayed++
-		case wire.TxnPrepare:
-			committed, undecided, err := j.decisionFor(r.txn)
-			if err != nil {
-				return rep, err
+		case wire.TxnPrepare, wire.TxnCoordPrepare:
+			// A coordinator's decision is in its own journal, which is this
+			// one for a coordinator's prepare.
+			coord := live
+			if r.txn.Kind == wire.TxnPrepare {
+				if coord, err = j.scan(r.txn.Peer); err != nil {
+					return rep, err
+				}
 			}
-			if undecided {
-				// A corrupt record in the coordinator's journal may be the
-				// decision: neither commit nor presume abort. Retain the
-				// prepare; the coordinator's own recovery truncates the bad
-				// record and a later pass resolves it.
-				rep.Undecided2PC++
-				continue
-			}
-			if committed {
+			switch fate(coord, r.txn.ID, r.txn.Kind == wire.TxnCoordPrepare) {
+			case Commit:
 				if err := j.applyOpsRepair(dir, r.txn.Ops); err != nil {
 					return rep, fmt.Errorf("journal: recovery 2pc apply txn %d: %w", r.txn.ID, err)
 				}
 				rep.Committed2PC++
-			} else {
+			case Abort:
 				rep.Aborted2PC++
+			case Undecided:
+				rep.Undecided2PC++
+				fallthrough
+			case Wait:
+				seq, _ := prt.ParseJournalSeq(r.key)
+				rep.Pending = append(rep.Pending, Rename{TxID: r.txn.ID, Dir: dir, Peer: r.txn.Peer, Ops: r.txn.Ops, prep: seq})
+				continue // retained
 			}
 		case wire.TxnCommit, wire.TxnAbort:
-			// Decision records are consumed by the peer's recovery. Keep the
-			// record while the participant's prepare is still outstanding —
-			// deleting it early would flip a committed rename into a
-			// presumed abort on the participant's side.
-			if outstanding, err := j.hasPrepare(r.txn.Peer, r.txn.ID); err != nil {
+			// Decision records are consumed by the peer's recovery or its
+			// resolver: keep the record while they still need it.
+			recs, err := j.scan(r.txn.Peer)
+			if err != nil {
 				return rep, err
-			} else if outstanding {
-				continue // retain; the participant's recovery needs it
+			}
+			if keepDecision(recs, r.txn.ID) {
+				continue
 			}
 		default:
 			rep.Corrupt++
@@ -248,104 +250,4 @@ func readTxn(tr *prt.Translator, key string) (*wire.Txn, bool, error) {
 		}
 	}
 	return nil, true, nil
-}
-
-// verdict is what one journal's records say about transaction txid: whether
-// it was decided and how, whether its prepare record is there, and whether a
-// corrupt record (which may be either of them) is.
-func verdict(recs []scanned, txid uint64) (decided, commit, sawCorrupt, sawPrepare bool) {
-	for _, r := range recs {
-		switch {
-		case r.corrupt():
-			sawCorrupt = true
-		case r.missing || r.txn.ID != txid:
-		case r.txn.Kind == wire.TxnCommit:
-			decided, commit = true, true
-		case r.txn.Kind == wire.TxnAbort:
-			decided = true
-		case r.txn.Kind == wire.TxnPrepare:
-			sawPrepare = true
-		}
-	}
-	return decided, commit, sawCorrupt, sawPrepare
-}
-
-// hasPrepare reports whether dir's journal still holds a prepare record for
-// txid. A record that cannot be decoded is conservatively treated as the
-// prepare: retaining a decision record longer than necessary is harmless,
-// while dropping one early flips a committed rename into a presumed abort.
-func (j *Journal) hasPrepare(dir types.Ino, txid uint64) (bool, error) {
-	if dir.IsNil() {
-		return false, nil
-	}
-	recs, err := j.scan(dir)
-	if err != nil {
-		return false, err
-	}
-	_, _, sawCorrupt, sawPrepare := verdict(recs, txid)
-	return sawCorrupt || sawPrepare, nil
-}
-
-// decisionFor locates the coordinator's decision for a prepared transaction.
-// For a coordinator's own prepare (peer journal holds no decision), its own
-// journal is scanned too. Missing decision = presumed abort — but only when
-// every record scanned was readable: a corrupt record could be the commit
-// decision, so its presence makes the outcome undecided rather than abort.
-func (j *Journal) decisionFor(prepare *wire.Txn) (committed, undecided bool, err error) {
-	sawCorrupt := false
-	for _, dir := range []types.Ino{prepare.Peer, prepare.Dir} {
-		if dir.IsNil() {
-			continue
-		}
-		recs, err := j.scan(dir)
-		if err != nil {
-			return false, false, err
-		}
-		decided, commit, corrupt, _ := verdict(recs, prepare.ID)
-		if decided {
-			return commit, false, nil
-		}
-		sawCorrupt = sawCorrupt || corrupt
-	}
-	// With a corrupt record the decision may be inside it; without one,
-	// presumed abort.
-	return false, sawCorrupt, nil
-}
-
-// PendingDecision consults the coordinator directory's journal for the fate
-// of a prepared transaction a live participant is still holding in memory.
-// Outcomes:
-//   - a decision record for txid exists: decided, with its commit/abort;
-//   - the coordinator's own prepare record for txid still exists: the
-//     coordinator has not decided (alive but slow, or crashed and not yet
-//     recovered) — keep waiting;
-//   - neither exists: the coordinator's recovery ran and resolved the
-//     transaction by presumed abort (a retained commit decision would still
-//     be present while our prepare is outstanding), so the answer is abort.
-//
-// The coordinator always journals its own prepare before contacting the
-// participant, so "no trace of txid" can only mean a completed recovery.
-func PendingDecision(tr *prt.Translator, coordDir types.Ino, txid uint64) (decided, commit bool, err error) {
-	recs, err := (&Journal{tr: tr}).scan(coordDir)
-	if err != nil {
-		return false, false, err
-	}
-	decided, commit, sawCorrupt, sawPrepare := verdict(recs, txid)
-	if decided {
-		return true, commit, nil
-	}
-	// A corrupt record may be the decision for txid (the coordinator's
-	// recovery truncates it; probe again later), and a prepare means the
-	// coordinator has yet to decide: undecided. No trace: presumed abort.
-	return !sawCorrupt && !sawPrepare, false, nil
-}
-
-// HasValidEntries reports whether dir's journal contains any records — the
-// check a new leader performs to decide if recovery is needed.
-func HasValidEntries(tr *prt.Translator, dir types.Ino) (bool, error) {
-	keys, err := tr.Store().List(prt.JournalPrefix(dir))
-	if err != nil {
-		return false, fmt.Errorf("journal: entry check: %w", err)
-	}
-	return len(keys) > 0, nil
 }

@@ -60,7 +60,7 @@ func TestRecoveryTruncatesAtMidJournalBitFlip(t *testing.T) {
 	flipStoredByte(t, tr.Store(), prt.JournalKey(dir, 1))
 
 	reg := obs.NewRegistry()
-	rep, err := RecoverWith(tr, dir, reg)
+	rep, err := (&Journal{tr: tr, cfg: Config{Obs: reg}}).recoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRecoveryRebuildsCorruptCheckpointFromJournal(t *testing.T) {
 		Ops: createOps(dir, "fresh", mkFileInode(src, 1))})
 
 	reg := obs.NewRegistry()
-	rep, err := RecoverWith(tr, dir, reg)
+	rep, err := (&Journal{tr: tr, cfg: Config{Obs: reg}}).recoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRecoveryTransientCheckpointFlipDoesNotRebuild(t *testing.T) {
 	fs.CorruptNextRead(prt.PrefixDentry, 1)
 
 	reg := obs.NewRegistry()
-	rep, err := RecoverWith(tr, dir, reg)
+	rep, err := (&Journal{tr: tr, cfg: Config{Obs: reg}}).recoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

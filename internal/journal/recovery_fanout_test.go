@@ -138,7 +138,7 @@ func TestRecoverFetchesOutOfOrderReplaysInOrder(t *testing.T) {
 		}
 
 		rep, st := recoverFanned(t, mem, dir, fanout)
-		if rep != want || rep.Replayed != n || rep.NextSeq != n {
+		if !reflect.DeepEqual(rep, want) || rep.Replayed != n || rep.NextSeq != n {
 			t.Fatalf("fanout %d: report %+v, serial recovery reports %+v", fanout, rep, want)
 		}
 		if !reflect.DeepEqual(dumpStore(t, mem), dumpStore(t, serial)) {
@@ -177,7 +177,7 @@ func TestRecoverTruncatesAtCorruptRecordThoughLaterOnesWereFetched(t *testing.T)
 	}
 
 	rep, st := recoverFanned(t, mem, dir, 16)
-	if rep != want || rep.Replayed != k || rep.Corrupt != 1 || rep.Truncated != n-k || rep.NextSeq != n {
+	if !reflect.DeepEqual(rep, want) || rep.Replayed != k || rep.Corrupt != 1 || rep.Truncated != n-k || rep.NextSeq != n {
 		t.Fatalf("report %+v, serial recovery reports %+v", rep, want)
 	}
 	if !reflect.DeepEqual(dumpStore(t, mem), dumpStore(t, serial)) {

@@ -38,6 +38,21 @@ func newRenameFixture(t *testing.T, tr *prt.Translator) *renameFixture {
 	return fx
 }
 
+// prepare writes the rename's two prepare records, the coordinator's (src)
+// first, and returns both sides.
+func (fx *renameFixture) prepare(t *testing.T, j *Journal) (src, dst *Rename) {
+	t.Helper()
+	txid := j.NewTxnID()
+	src = &Rename{TxID: txid, Dir: fx.src, Peer: fx.dst, Coord: true, Ops: fx.srcOps}
+	dst = &Rename{TxID: txid, Dir: fx.dst, Peer: fx.src, Ops: fx.dstOps}
+	for _, r := range []*Rename{src, dst} {
+		if err := j.WritePrepare(context.Background(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return src, dst
+}
+
 func (fx *renameFixture) assertRenamed(t *testing.T) {
 	t.Helper()
 	srcEnts, _ := fx.tr.LoadDentries(fx.src)
@@ -70,28 +85,27 @@ func twoPCSetup(t *testing.T) (*prt.Translator, *Journal, func()) {
 	return tr, j, func() { j.Close(); env.Shutdown() }
 }
 
+// decide writes the coordinator's decision and resolves the coordinator's side.
+func decide(t *testing.T, j *Journal, src *Rename, commit bool) {
+	t.Helper()
+	if err := j.WriteDecision(context.Background(), src, commit); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.ResolvePrepared(context.Background(), *src, commit); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTwoPCHappyPath(t *testing.T) {
 	tr, j, stop := twoPCSetup(t)
 	defer stop()
 	fx := newRenameFixture(t, tr)
-	txid := j.NewTxnID()
-
-	if err := j.WritePrepare(context.Background(), fx.src, txid, fx.dst, fx.srcOps); err != nil {
+	src, dst := fx.prepare(t, j)
+	decide(t, j, src, true)
+	if err := j.ResolvePrepared(context.Background(), *dst, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.WritePrepare(context.Background(), fx.dst, txid, fx.src, fx.dstOps); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.WriteDecision(context.Background(), fx.src, txid, fx.dst, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.ResolvePrepared(context.Background(), fx.src, txid, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.ResolvePrepared(context.Background(), fx.dst, txid, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.DeleteDecision(fx.src, txid); err != nil {
+	if err := j.DeleteDecision(*src); err != nil {
 		t.Fatal(err)
 	}
 	fx.assertRenamed(t)
@@ -107,23 +121,12 @@ func TestTwoPCAbortDiscardsOps(t *testing.T) {
 	tr, j, stop := twoPCSetup(t)
 	defer stop()
 	fx := newRenameFixture(t, tr)
-	txid := j.NewTxnID()
-	if err := j.WritePrepare(context.Background(), fx.src, txid, fx.dst, fx.srcOps); err != nil {
+	src, dst := fx.prepare(t, j)
+	decide(t, j, src, false)
+	if err := j.ResolvePrepared(context.Background(), *dst, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.WritePrepare(context.Background(), fx.dst, txid, fx.src, fx.dstOps); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.WriteDecision(context.Background(), fx.src, txid, fx.dst, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.ResolvePrepared(context.Background(), fx.src, txid, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.ResolvePrepared(context.Background(), fx.dst, txid, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.DeleteDecision(fx.src, txid); err != nil {
+	if err := j.DeleteDecision(*src); err != nil {
 		t.Fatal(err)
 	}
 	fx.assertUnrenamed(t)
@@ -137,14 +140,8 @@ func TestTwoPCRecoveryCommitted(t *testing.T) {
 		t.Run(order[0]+"-first", func(t *testing.T) {
 			tr, j, stop := twoPCSetup(t)
 			fx := newRenameFixture(t, tr)
-			txid := j.NewTxnID()
-			if err := j.WritePrepare(context.Background(), fx.src, txid, fx.dst, fx.srcOps); err != nil {
-				t.Fatal(err)
-			}
-			if err := j.WritePrepare(context.Background(), fx.dst, txid, fx.src, fx.dstOps); err != nil {
-				t.Fatal(err)
-			}
-			if err := j.WriteDecision(context.Background(), fx.src, txid, fx.dst, true); err != nil {
+			src, _ := fx.prepare(t, j)
+			if err := j.WriteDecision(context.Background(), src, true); err != nil {
 				t.Fatal(err)
 			}
 			stop() // crash: nothing applied
@@ -167,30 +164,61 @@ func TestTwoPCRecoveryCommitted(t *testing.T) {
 	}
 }
 
+// Both sides prepared but the coordinator crashed before writing any
+// decision. While the coordinator's prepare stands, the participant's
+// successor waits: the coordinator's leader may still decide. The
+// coordinator's successor presumes abort, and then so does the participant.
 func TestTwoPCRecoveryPresumedAbort(t *testing.T) {
-	// Both sides prepared but the coordinator crashed before writing any
-	// decision: recovery must abort on both sides.
 	tr, j, stop := twoPCSetup(t)
 	fx := newRenameFixture(t, tr)
-	txid := j.NewTxnID()
-	if err := j.WritePrepare(context.Background(), fx.src, txid, fx.dst, fx.srcOps); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.WritePrepare(context.Background(), fx.dst, txid, fx.src, fx.dstOps); err != nil {
-		t.Fatal(err)
-	}
+	fx.prepare(t, j)
 	stop()
 
-	for _, dir := range []types.Ino{fx.dst, fx.src} {
+	rep, err := Recover(tr, fx.dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Aborted2PC != 0 || len(rep.Pending) != 1 {
+		t.Fatalf("dst recovered before src: %+v, want its prepare pending", rep)
+	}
+	for _, dir := range []types.Ino{fx.src, fx.dst} {
 		rep, err := Recover(tr, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Aborted2PC != 1 {
+		if rep.Aborted2PC != 1 || len(rep.Pending) != 0 {
 			t.Fatalf("dir %s: %+v", dir.Short(), rep)
 		}
 	}
 	fx.assertUnrenamed(t)
+}
+
+// The participant's leader loses its lease after both prepares; its
+// successor recovers the destination while the coordinator's leader is alive
+// and has not decided. The successor must not presume abort: the coordinator
+// then commits and removes the file from the source. The successor holds the
+// prepare, and the decision leg (or its resolver) commits it.
+func TestTwoPCSuccessorWaitsForLiveCoordinator(t *testing.T) {
+	tr, j, stop := twoPCSetup(t)
+	defer stop()
+	fx := newRenameFixture(t, tr)
+	src, _ := fx.prepare(t, j)
+
+	rep, err := Recover(tr, fx.dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Aborted2PC != 0 || len(rep.Pending) != 1 {
+		t.Fatalf("successor recovery: %+v, want the prepare pending", rep)
+	}
+	if keys, _ := tr.Store().List(prt.JournalPrefix(fx.dst)); len(keys) != 1 {
+		t.Fatalf("successor dropped the prepare record: %v", keys)
+	}
+	decide(t, j, src, true)
+	if err := j.ResolvePrepared(context.Background(), rep.Pending[0], true); err != nil {
+		t.Fatal(err)
+	}
+	fx.assertRenamed(t)
 }
 
 func TestTwoPCRecoveryOneSideApplied(t *testing.T) {
@@ -199,19 +227,8 @@ func TestTwoPCRecoveryOneSideApplied(t *testing.T) {
 	// and commit.
 	tr, j, stop := twoPCSetup(t)
 	fx := newRenameFixture(t, tr)
-	txid := j.NewTxnID()
-	if err := j.WritePrepare(context.Background(), fx.src, txid, fx.dst, fx.srcOps); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.WritePrepare(context.Background(), fx.dst, txid, fx.src, fx.dstOps); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.WriteDecision(context.Background(), fx.src, txid, fx.dst, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.ResolvePrepared(context.Background(), fx.src, txid, true); err != nil {
-		t.Fatal(err)
-	}
+	src, _ := fx.prepare(t, j)
+	decide(t, j, src, true)
 	stop() // participant crashes before applying
 
 	// Coordinator recovery first: it must retain the decision record
@@ -248,8 +265,8 @@ func TestPrepareFlushesRunningTxnFirst(t *testing.T) {
 		{Kind: wire.OpSetInode, Inode: extra},
 		{Kind: wire.OpAddDentry, Name: "pending", Ino: extra.Ino, FType: types.TypeRegular},
 	})
-	txid := j.NewTxnID()
-	if err := j.WritePrepare(context.Background(), fx.src, txid, fx.dst, fx.srcOps); err != nil {
+	r := &Rename{TxID: j.NewTxnID(), Dir: fx.src, Peer: fx.dst, Coord: true, Ops: fx.srcOps}
+	if err := j.WritePrepare(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 	stop()

@@ -27,10 +27,11 @@ type TxnKind byte
 
 // Transaction kinds.
 const (
-	TxnNormal  TxnKind = 1 // self-contained compound transaction
-	TxnPrepare TxnKind = 2 // 2PC participant: ops valid only if coordinator committed
-	TxnCommit  TxnKind = 3 // 2PC coordinator decision marker (no ops)
-	TxnAbort   TxnKind = 4 // 2PC explicit abort marker (no ops)
+	TxnNormal       TxnKind = 1 // self-contained compound transaction
+	TxnPrepare      TxnKind = 2 // 2PC participant: ops valid only if coordinator committed
+	TxnCommit       TxnKind = 3 // 2PC coordinator decision marker (no ops)
+	TxnAbort        TxnKind = 4 // 2PC explicit abort marker (no ops)
+	TxnCoordPrepare TxnKind = 5 // 2PC coordinator's own prepare: ops valid only once it committed
 )
 
 // Op is one logged mutation. Fields are used according to Kind.
@@ -50,7 +51,7 @@ type Txn struct {
 	ID    uint64    // unique per (client, directory) stream
 	Dir   types.Ino // the owning directory
 	Kind  TxnKind
-	Peer  types.Ino     // 2PC: the other directory (coordinator for prepares)
+	Peer  types.Ino     // 2PC: the other directory of the rename
 	Stamp time.Duration // virtual time of commit, for diagnostics
 	Ops   []Op
 }

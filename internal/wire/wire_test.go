@@ -149,7 +149,7 @@ func TestEncodeTxnPresizeFitsCoalescedCreates(t *testing.T) {
 
 func TestTxn2PCKindsRoundTrip(t *testing.T) {
 	src := types.NewInoSource(11)
-	for _, kind := range []TxnKind{TxnPrepare, TxnCommit, TxnAbort} {
+	for _, kind := range []TxnKind{TxnPrepare, TxnCoordPrepare, TxnCommit, TxnAbort} {
 		in := &Txn{ID: 7, Dir: src.Next(), Kind: kind, Peer: src.Next(), Ops: []Op{}}
 		out, err := DecodeTxn(EncodeTxn(in))
 		if err != nil {
