@@ -18,6 +18,7 @@ import (
 	"arkfs/internal/core"
 	"arkfs/internal/lease"
 	"arkfs/internal/objstore"
+	"arkfs/internal/obs"
 	"arkfs/internal/prt"
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
@@ -31,7 +32,8 @@ func main() {
 	tr := prt.New(store, 0)
 	must(core.Format(tr))
 	net := rpc.NewNetwork(env, sim.NetModel{})
-	mgr := lease.NewManager(net, lease.Options{})
+	reg := obs.NewRegistry()
+	mgr := lease.NewManager(net, lease.Options{Obs: reg})
 	defer mgr.Close()
 
 	// Three clients, as in Figure 3: C1 will lead / and /home, C2 will lead
@@ -90,9 +92,8 @@ func main() {
 	fmt.Println("after C1 released /home:")
 	report(c3, "C3")
 
-	mstats := mgr.Stats()
 	fmt.Printf("lease manager: %d acquires, %d redirects, %d extensions\n",
-		mstats.Acquires.Load(), mstats.Redirects.Load(), mstats.Extensions.Load())
+		reg.Counter("lease.acquires").Value(), reg.Counter("lease.redirects").Value(), reg.Counter("lease.extensions").Value())
 }
 
 func report(c *core.Client, name string) {

@@ -156,8 +156,8 @@ func TestDirLeaseSurvivesClockSkew(t *testing.T) {
 				defer c.mu.Unlock()
 				now := c.env.Now()
 				for dir, ld := range c.led {
-					if left := ld.lease.until - now; left > period {
-						t.Fatalf("%s: the client believes %v of a %v lease is left", dir.Short(), left, period)
+					if ld.lease.Live(now + period) {
+						t.Fatalf("%s: the client believes more than the %v lease is left", dir.Short(), period)
 					}
 				}
 			}

@@ -200,7 +200,7 @@ type ledDir struct {
 	// perform store I/O while holding it.
 	opMu  *sim.Mutex
 	table *metatable.Table
-	lease dirLease // guarded by c.mu
+	lease lease.DirLease // guarded by c.mu
 	// leases is this leader's side of its files' data leases (paper §III-D).
 	leases leaseTable
 	// renames are the cross-directory renames this table holds a tentative
@@ -422,7 +422,7 @@ func (c *Client) leaseKeeper() {
 		var due []types.Ino
 		now := c.env.Now()
 		for ino, ld := range c.led {
-			if ld.lease.due(now) {
+			if ld.lease.Due(now) {
 				due = append(due, ino)
 			}
 		}
@@ -517,11 +517,11 @@ func (c *Client) Close() error {
 	inos := c.stopTables(held)
 	for _, ino := range inos {
 		// An in-flight leaseKeeper extension may still be writing ld, so the
-		// ID must be read under the lock (and freshest-ID wins).
+		// ID must be read under the lock (and freshest-ID wins). A table that
+		// holds a prepared rename releases uncleanly, as in ReleaseDir.
 		c.mu.Lock()
-		id := held[ino].lease.id
+		clean, id := err == nil && len(held[ino].renames) == 0, held[ino].lease.ID()
 		c.mu.Unlock()
-		clean := err == nil
 		_ = c.lm.Release(context.Background(), ino, id, clean)
 	}
 	c.mu.Lock()
@@ -593,7 +593,7 @@ func (c *Client) chargeMetaOp() {
 // This keeps steady-state forwarding free of manager round trips.
 func (c *Client) routeFor(ctx context.Context, dir types.Ino) (*ledDir, rpc.Addr, error) {
 	c.mu.Lock()
-	if ld, ok := c.led[dir]; ok && ld.lease.serves(c.env.Now()) {
+	if ld, ok := c.led[dir]; ok && ld.lease.Serves(c.env.Now()) {
 		c.mu.Unlock()
 		return ld, "", nil
 	}
@@ -707,7 +707,7 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 		c.mu.Unlock()
 	}()
 	c.mu.Lock()
-	if ld := c.led[dir]; ld != nil && ld != prev && ld.lease.serves(c.env.Now()) {
+	if ld := c.led[dir]; ld != nil && ld != prev && ld.lease.Serves(c.env.Now()) {
 		c.mu.Unlock()
 		return ld, "", nil
 	}
@@ -761,7 +761,7 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 				chain = resp.LeaseID
 			} else {
 				c.mu.Lock()
-				taken.lease.grant(sent, resp.Period, resp.LeaseID) // the same chain, re-granted in place
+				taken.lease.Grant(sent, resp.Period, resp.LeaseID) // the same chain, re-granted in place
 				c.mu.Unlock()
 			}
 			if installed, err := c.install(dir, taken); err != nil {
@@ -880,7 +880,7 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 	}
 	if ld, ok := c.led[dir]; ok && grant.SameLeader {
 		// Extension of a lease we already hold: keep the table.
-		ld.lease.grant(sent, grant.Period, grant.LeaseID)
+		ld.lease.Grant(sent, grant.Period, grant.LeaseID)
 		c.mu.Unlock()
 		return ld, nil
 	}
@@ -928,7 +928,7 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		return nil, fmt.Errorf("core: access %s: %w", dir.Short(), err)
 	}
 	ld := &ledDir{opMu: sim.NewMutex(c.env), table: tbl, leases: make(leaseTable), renames: make(map[uint64]journal.Rename)}
-	ld.lease.grant(sent, grant.Period, grant.LeaseID)
+	ld.lease.Grant(sent, grant.Period, grant.LeaseID)
 	c.adoptRenames(ld, rep.Pending)
 	return ld, nil
 }
@@ -942,15 +942,15 @@ func (c *Client) install(dir types.Ino, ld *ledDir) (bool, error) {
 		c.mu.Unlock()
 		return false, fmt.Errorf("core: client closed: %w", types.ErrIO)
 	}
-	if !ld.lease.serves(c.env.Now()) {
+	if !ld.lease.Serves(c.env.Now()) {
 		c.mu.Unlock()
 		return false, nil
 	}
 	old := c.led[dir]
 	c.led[dir] = ld
 	delete(c.remote, dir)
-	if ld.lease.period < c.keepPeriod {
-		c.keepPeriod = ld.lease.period
+	if ld.lease.Period() < c.keepPeriod {
+		c.keepPeriod = ld.lease.Period()
 		c.env.Go(c.leaseKeeper)
 	}
 	c.mu.Unlock()
@@ -1010,7 +1010,7 @@ func (c *Client) ledDirFor(dir types.Ino) (*ledDir, bool) {
 // ledLocked is ledDirFor for a caller that holds c.mu.
 func (c *Client) ledLocked(dir types.Ino) (*ledDir, bool) {
 	ld, ok := c.led[dir]
-	if !ok || !ld.lease.live(c.env.Now()) {
+	if !ok || !ld.lease.Live(c.env.Now()) {
 		return nil, false
 	}
 	return ld, true
@@ -1031,7 +1031,9 @@ func (c *Client) AwaitLoad(dir types.Ino) bool {
 // job finishes a directory. This is the strong (commit + checkpoint) flush:
 // a clean release tells the next leader it may load the metatable without
 // journal replay, so nothing may be left in the journal. Only fsync-style
-// barriers are durability-only; handoff never is.
+// barriers are durability-only; handoff never is. A prepared rename the
+// table still holds is in the journal whatever the flush did, so its release
+// is unclean: the next leader recovers and holds it.
 func (c *Client) ReleaseDir(dir types.Ino) error {
 	c.mu.Lock()
 	ld, ok := c.led[dir]
@@ -1045,7 +1047,10 @@ func (c *Client) ReleaseDir(dir types.Ino) error {
 	ld.table.Stop()
 	err := c.jrnl.Flush(dir)
 	c.jrnl.DropDir(dir)
-	_ = c.lm.Release(context.Background(), dir, ld.lease.id, err == nil)
+	c.mu.Lock()
+	clean, id := err == nil && len(ld.renames) == 0, ld.lease.ID()
+	c.mu.Unlock()
+	_ = c.lm.Release(context.Background(), dir, id, clean)
 	return err
 }
 

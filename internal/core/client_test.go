@@ -11,6 +11,7 @@ import (
 	"arkfs/internal/journal"
 	"arkfs/internal/lease"
 	"arkfs/internal/objstore"
+	"arkfs/internal/obs"
 	"arkfs/internal/prt"
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
@@ -24,6 +25,7 @@ type testCluster struct {
 	net   *rpc.Network
 	tr    *prt.Translator
 	mgr   *lease.Manager
+	mgrs  *obs.Registry // the manager's counters
 	store *objstore.MemStore
 	fault *objstore.FaultStore
 }
@@ -43,9 +45,10 @@ func newTestClusterAt(t testing.TB, chunk int64) *testCluster {
 	if err := Format(tr); err != nil {
 		t.Fatal(err)
 	}
-	mgr := lease.NewManager(net, lease.Options{Period: 500 * time.Millisecond, Workers: 4})
+	reg := obs.NewRegistry()
+	mgr := lease.NewManager(net, lease.Options{Period: 500 * time.Millisecond, Workers: 4, Obs: reg})
 	t.Cleanup(mgr.Close)
-	return &testCluster{env: env, net: net, tr: tr, mgr: mgr, store: store, fault: fault}
+	return &testCluster{env: env, net: net, tr: tr, mgr: mgr, mgrs: reg, store: store, fault: fault}
 }
 
 func (tc *testCluster) client(t testing.TB, id string, opts ...func(*Options)) *Client {

@@ -306,3 +306,65 @@ func TestPcacheForgetsExpiredDirs(t *testing.T) {
 		}
 	})
 }
+
+// A leader dies right after a create's journal PUT, and its successor's first
+// recovery fails on one store fault: the successor renounces the directory
+// uncleanly. When it asks again it must recover again, not load the table
+// the acknowledged create never reached.
+func TestRecoveryRetriedAfterAFailedRecover(t *testing.T) {
+	const lp = 200 * time.Millisecond
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		ctx := context.Background()
+		fault := objstore.NewFaultStore(objstore.NewMemStore())
+		tr := prt.New(fault, 4096)
+		if err := Format(tr); err != nil {
+			t.Fatal(err)
+		}
+		net := rpc.NewNetwork(env, sim.NetModel{})
+		mgr := lease.NewManager(net, lease.Options{Period: lp})
+		defer mgr.Close()
+		opts := func(id string, crash *crashpoint.Set) Options {
+			return Options{ID: id, Cred: types.Cred{Uid: 1, Gid: 1}, LeasePeriod: lp, Crash: crash, AcquireRetries: 64,
+				Journal: journal.Config{CommitInterval: lp / 4, CommitWorkers: 2, CheckpointWorkers: 2}}
+		}
+		set := crashpoint.NewSet()
+		leader := New(net, tr, opts("leader", set))
+		if err := leader.Mkdir(ctx, "/d", 0777); err != nil {
+			t.Fatal(err)
+		}
+		if err := leader.FlushAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		node, err := leader.Stat(ctx, "/d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.Arm(crashpoint.PostJournalPut, leader.Crash)
+		if f, err := leader.Create(ctx, "/d/f", 0644); err != nil {
+			t.Fatal(err)
+		} else if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_ = leader.Fsync(ctx, "/d/f") // the commit's PUT kills the leader
+		if !set.Killed() {
+			t.Fatal("the leader did not die at the journal PUT")
+		}
+
+		fault.FailNextRead(prt.JournalPrefix(node.Ino), 1) // the successor's first recovery list
+		succ := New(net, tr, opts("succ", nil))
+		defer func() { _ = succ.Close() }()
+		for attempt := 0; ; attempt++ {
+			if _, err = succ.Stat(ctx, "/d/f"); err == nil {
+				break
+			}
+			if attempt == 20 {
+				t.Fatalf("the acknowledged create is gone after a failed recovery: %v", err)
+			}
+			env.Sleep(lp / 2)
+		}
+		if fault.Injected() != 1 {
+			t.Fatalf("%d faults injected, want the one recovery list", fault.Injected())
+		}
+	})
+}

@@ -467,7 +467,7 @@ func TestLeaseExtensionKeepsLeadershipAcrossExpiry(t *testing.T) {
 		_ = f.Close()
 		time.Sleep(tc.mgr.Period() / 3)
 	}
-	if got := tc.mgr.Stats().Extensions.Load(); got == 0 {
+	if got := tc.mgrs.Counter("lease.extensions").Value(); got == 0 {
 		t.Fatal("no lease extensions recorded")
 	}
 	ents, err := c.Readdir(context.Background(), "/long")

@@ -261,3 +261,82 @@ func TestSuccessorHoldsUndecidedRename(t *testing.T) {
 		t.Fatalf("the committed rename is not in /dst: %v", ents)
 	}
 }
+
+// The destination's leader gives the directory up (ReleaseDir) after it
+// prepared a rename and before the decision reaches it. Its successor must
+// hold the prepared rename, as a crashed participant's successor does, and
+// the commit must show the file at the destination.
+func TestReleasedParticipantKeepsItsRename(t *testing.T) {
+	tc := newTestCluster(t)
+	ctx := context.Background()
+	coord := tc.client(t, "coord")
+	part := tc.client(t, "part")
+	for _, dir := range []string{"/src", "/dst"} {
+		if err := coord.Mkdir(ctx, dir, 0777); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ino := seedFile(t, coord, "/src/f", "moving", 0666)
+	seedFile(t, part, "/dst/other", "", 0666)
+	srcDir, dstDir := statIno(t, coord, "/src"), statIno(t, part, "/dst")
+	ld, ok := part.ledDirFor(dstDir)
+	if !ok {
+		t.Fatal("setup: part should lead /dst")
+	}
+	for _, c := range []*Client{coord, part} {
+		if err := c.jrnl.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moving, err := tc.tr.LoadInode(ino)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The coordinator's prepare of /src/f -> /dst/f, as its leg writes it,
+	// then the participant's leg itself.
+	const txid, seq = 1<<40 | 1, 1 << 20
+	plant := func(kind wire.TxnKind, ops []wire.Op) {
+		t.Helper()
+		txn := &wire.Txn{ID: txid, Dir: srcDir, Kind: kind, Peer: dstDir, Ops: ops}
+		if err := tc.store.Put(prt.JournalKey(srcDir, seq+uint64(kind)), wire.EncodeTxn(txn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plant(wire.TxnCoordPrepare, []wire.Op{{Kind: wire.OpDelDentry, Name: "f"}})
+	prep := PrepareRenameReq{TxID: txid, CoordDir: srcDir, DstDir: dstDir, DstName: "f", Child: moving, Cred: types.Cred{Uid: 1000, Gid: 1000}}
+	if err := part.prepareRenameLocal(ctx, ld, prep); err != nil {
+		t.Fatal(err)
+	}
+	if err := part.ReleaseDir(dstDir); err != nil {
+		t.Fatal(err)
+	}
+
+	succ := tc.client(t, "succ")
+	for end := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if _, err := succ.Stat(ctx, "/dst/other"); err == nil && succ.Leads(dstDir) {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatal("the successor never led /dst")
+		}
+	}
+	held, _ := succ.ledDirFor(dstDir)
+	succ.mu.Lock()
+	_, holds := held.renames[txid]
+	succ.mu.Unlock()
+	if !holds {
+		t.Fatal("the successor of a participant that released holds no prepared rename")
+	}
+	plant(wire.TxnCommit, nil)
+	for end := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if keys, _ := tc.store.List(prt.JournalPrefix(dstDir)); len(keys) == 0 {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatal("the successor's resolver never committed the rename")
+		}
+	}
+	if node, err := succ.Stat(ctx, "/dst/f"); err != nil || node.Ino != ino {
+		t.Fatalf("the committed rename is not in /dst: %+v, %v", node, err)
+	}
+}

@@ -324,7 +324,7 @@ func (c *Client) twopcResolver() {
 		now := c.env.Now()
 		for _, ld := range c.led {
 			for _, pr := range ld.renames {
-				if pr.Due(now, c.opts.LeasePeriod, ld.lease.live(now)) {
+				if pr.Due(now, c.opts.LeasePeriod, ld.lease.Live(now)) {
 					due = append(due, pr)
 				}
 			}

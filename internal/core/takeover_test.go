@@ -125,7 +125,7 @@ func installed(c *Client, dir types.Ino) (led, lapsed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ld, ok := c.led[dir]
-	return ok, ok && !ld.lease.live(c.env.Now())
+	return ok, ok && !ld.lease.Live(c.env.Now())
 }
 
 // A takeover that ends after its lease has lapsed must not install

@@ -136,66 +136,6 @@ func (c *Cluster) Period() time.Duration {
 	return DefaultPeriod
 }
 
-// Shard returns the manager at addr (nil if absent or tombstoned).
-func (c *Cluster) Shard(addr rpc.Addr) *Manager {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mgrs[addr]
-}
-
-// ShardSnapshot describes one live shard for observability.
-type ShardSnapshot struct {
-	Addr       rpc.Addr
-	Dirs       int
-	Acquires   int64
-	Extensions int64
-	Redirects  int64
-	Recoveries int64
-}
-
-// ClusterSnapshot is a point-in-time view of the cluster for obs and the
-// bench reports.
-type ClusterSnapshot struct {
-	Epoch      Epoch
-	Members    []rpc.Addr
-	Tombstones int
-	Shards     []ShardSnapshot
-}
-
-// Snapshot captures the cluster's membership and per-shard counters.
-func (c *Cluster) Snapshot() ClusterSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	snap := ClusterSnapshot{Epoch: c.ring.Epoch, Tombstones: len(c.tombs)}
-	snap.Members = append(snap.Members, c.ring.Members...)
-	for _, a := range c.ring.Members {
-		m := c.mgrs[a]
-		if m == nil {
-			continue
-		}
-		st := m.Stats()
-		snap.Shards = append(snap.Shards, ShardSnapshot{
-			Addr:       a,
-			Dirs:       m.DirCount(),
-			Acquires:   st.Acquires.Load(),
-			Extensions: st.Extensions.Load(),
-			Redirects:  st.Redirects.Load(),
-			Recoveries: st.Recoveries.Load(),
-		})
-	}
-	return snap
-}
-
-// Stats aggregates the shard counters.
-func (c *Cluster) Stats() (acquires, redirects, extensions int64) {
-	for _, s := range c.Snapshot().Shards {
-		acquires += s.Acquires
-		redirects += s.Redirects
-		extensions += s.Extensions
-	}
-	return
-}
-
 // AddShard grows the cluster by one shard and hands the territory the new
 // ring assigns to it over from the losing shards. It returns the new shard's
 // address. Directories whose grant state transfers successfully never pay a
@@ -292,10 +232,10 @@ func (c *Cluster) reshard(prev, nr Ring, losers, gainers map[rpc.Addr]*Manager) 
 			grants := moved[to]
 			if err := c.transfer(a, to, nr.Epoch, grants); err != nil {
 				// The grants are gone from the loser and never reached the
-				// gainer: mark the loser's old range suspect for one period.
-				// Every expiry a shard sets is at most its setting time plus
-				// the period, so none in flight lies past now + period.
-				lost = append(lost, suspect{prev: prev, from: a, expiry: c.env.Now() + c.Period()})
+				// gainer: mark the loser's old range suspect for one period
+				// from the gainer's receipt. Every lease a shard grants ends
+				// within a period of its answer, so none lost ends later.
+				lost = append(lost, suspect{prev: prev, from: a, expiry: c.Period()})
 				c.cLost.Add(int64(len(grants)))
 			} else {
 				c.cMoved.Add(int64(len(grants)))

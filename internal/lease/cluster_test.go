@@ -59,10 +59,10 @@ func TestClusterRoutesAndGrants(t *testing.T) {
 				t.Fatalf("dir %d FCFS violated: %+v, %v", i, r2, err)
 			}
 		}
-		// Every shard saw some of the traffic.
-		for _, s := range cl.Snapshot().Shards {
-			if s.Acquires == 0 {
-				t.Fatalf("shard %s idle; routing is degenerate", s.Addr)
+		// Every shard holds some of the chains.
+		for addr, m := range cl.mgrs {
+			if len(m.rule.dirs) == 0 {
+				t.Fatalf("shard %s idle; routing is degenerate", addr)
 			}
 		}
 	})
@@ -292,8 +292,7 @@ func TestShardFailoverResumesFromSnapshot(t *testing.T) {
 				t.Fatalf("dir %d rival after failover: %+v, %v", i, r2, err)
 			}
 		}
-		m := cl.Shard(victim)
-		if m == nil {
+		if cl.mgrs[victim] == nil {
 			t.Fatal("victim gone after restart")
 		}
 	})
@@ -323,14 +322,14 @@ func TestShardFailoverWithoutSnapshotStaysConservative(t *testing.T) {
 			t.Fatal(err)
 		}
 		// First answer during the quiesce window is a Wait, not a grant.
-		m := cl.Shard(victim)
-		resp := m.acquire(AcquireReq{Dir: dir, Client: "holder"}, uint64(ring.Epoch))
+		m := cl.mgrs[victim]
+		resp := acquire(m, dir, "holder", uint64(ring.Epoch))
 		if !resp.Wait || !resp.Quiesce {
 			t.Fatalf("amnesiac restart must quiesce: %+v", resp)
 		}
 		env.Sleep(time.Second + time.Millisecond) // quiesce + unknown-holder lapse
 		env.Sleep(time.Second)                    // crashed-holder grace
-		resp = m.acquire(AcquireReq{Dir: dir, Client: "holder"}, uint64(ring.Epoch))
+		resp = acquire(m, dir, "holder", uint64(ring.Epoch))
 		if !resp.Granted || !resp.NeedRecovery {
 			t.Fatalf("post-grace grant must carry NeedRecovery: %+v", resp)
 		}
@@ -381,8 +380,8 @@ func TestCorruptSnapshotDegradesToColdRestart(t *testing.T) {
 		if err := cl.RestartShard(victim); err != nil {
 			t.Fatal(err)
 		}
-		m := cl.Shard(victim)
-		resp := m.acquire(AcquireReq{Dir: dir, Client: "holder"}, uint64(ring.Epoch))
+		m := cl.mgrs[victim]
+		resp := acquire(m, dir, "holder", uint64(ring.Epoch))
 		if !resp.Wait || !resp.Quiesce {
 			t.Fatalf("corrupt snapshot must fall back to quiesce: %+v", resp)
 		}

@@ -17,9 +17,10 @@
 // A grant is a duration, never an instant: processes' clocks have different
 // zeros. The manager counts the period from its answer; the holder counts it
 // from its own send of the request, so the holder's lease ends first. A Wait
-// names a delay counted from the answer. A restarted manager trusts none of
-// its predecessor's instants: it counts every resumed lease from its own
-// start.
+// names a delay counted from the answer, and a handoff the time each lease
+// has left. A restarted manager trusts none of its predecessor's instants: it
+// counts every resumed lease from its own start. Both sides of the rule are
+// in rule.go.
 package lease
 
 import (
@@ -110,10 +111,10 @@ type RecoveryDoneResp struct {
 	Ring      Ring
 }
 
-// DirGrant is one directory's live lease chain on the wire: everything a
-// gaining shard needs to continue granting without a grace-period stall —
-// holder, fencing token, expiry, and the recovery flags. It passes between
-// shards of one Cluster, which share a clock, so Expiry may be an instant.
+// DirGrant is one directory's lease chain: the manager's record of it (see
+// grants), and what a handoff ships to the shard that gains the directory.
+// In a table Expiry is an instant on that manager's clock; on the wire it is
+// the time left at the send, which the gainer counts from its receipt.
 type DirGrant struct {
 	Dir        types.Ino
 	Holder     rpc.Addr

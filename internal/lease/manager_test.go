@@ -6,10 +6,17 @@ import (
 	"time"
 
 	"arkfs/internal/objstore"
+	"arkfs/internal/obs"
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
 )
+
+// acquire asks m for dir on client's behalf, as a request whose envelope
+// carries epoch would.
+func acquire(m *Manager, dir types.Ino, client rpc.Addr, epoch uint64) AcquireResp {
+	return m.decide(AcquireReq{Dir: dir, Client: client}, epoch).(AcquireResp)
+}
 
 func TestAcquireExtendRelease(t *testing.T) {
 	env := sim.NewVirtEnv()
@@ -54,7 +61,8 @@ func TestFCFSRedirect(t *testing.T) {
 	env := sim.NewVirtEnv()
 	env.Run(func() {
 		net := rpc.NewNetwork(env, sim.NetModel{})
-		m := NewManager(net, Options{Period: time.Second})
+		reg := obs.NewRegistry()
+		m := NewManager(net, Options{Period: time.Second, Obs: reg})
 		defer m.Close()
 		c1 := &Client{Net: net, Mgr: m.Addr(), Self: "c1"}
 		c2 := &Client{Net: net, Mgr: m.Addr(), Self: "c2"}
@@ -67,8 +75,8 @@ func TestFCFSRedirect(t *testing.T) {
 		if err != nil || r2.Granted || !r2.Redirect || r2.Leader != "c1" {
 			t.Fatalf("c2 should be redirected to c1: %+v, %v", r2, err)
 		}
-		if m.Stats().Redirects.Load() != 1 {
-			t.Fatalf("redirects = %d", m.Stats().Redirects.Load())
+		if n := reg.Counter("lease.redirects").Value(); n != 1 {
+			t.Fatalf("redirects = %d", n)
 		}
 	})
 }
@@ -112,7 +120,8 @@ func TestCrashTriggersRecoveryFlow(t *testing.T) {
 	env := sim.NewVirtEnv()
 	env.Run(func() {
 		net := rpc.NewNetwork(env, sim.NetModel{})
-		m := NewManager(net, Options{Period: time.Second})
+		reg := obs.NewRegistry()
+		m := NewManager(net, Options{Period: time.Second, Obs: reg})
 		defer m.Close()
 		c1 := &Client{Net: net, Mgr: m.Addr(), Self: "c1"}
 		c2 := &Client{Net: net, Mgr: m.Addr(), Self: "c2"}
@@ -152,8 +161,8 @@ func TestCrashTriggersRecoveryFlow(t *testing.T) {
 		if !r3.Redirect || r3.Leader != "c2" {
 			t.Fatalf("post-recovery: %+v", r3)
 		}
-		if m.Stats().Recoveries.Load() != 1 {
-			t.Fatalf("recoveries = %d", m.Stats().Recoveries.Load())
+		if n := reg.Counter("lease.recoveries").Value(); n != 1 {
+			t.Fatalf("recoveries = %d", n)
 		}
 	})
 }
@@ -199,7 +208,7 @@ func TestResumeCountsFromItsOwnStart(t *testing.T) {
 		m := NewManager(rpc.NewNetwork(old, sim.NetModel{}), Options{Period: period, Store: store})
 		defer m.Close()
 		old.Sleep(100 * period)
-		if r := m.acquire(AcquireReq{Dir: dir, Client: "dead"}, 0); !r.Granted {
+		if r := acquire(m, dir, "dead", 0); !r.Granted {
 			t.Fatalf("grant before the restart: %+v", r)
 		}
 	})
@@ -208,7 +217,7 @@ func TestResumeCountsFromItsOwnStart(t *testing.T) {
 		m := NewManager(rpc.NewNetwork(env, sim.NetModel{}), Options{Period: period, Store: store, Restarted: true})
 		defer m.Close()
 		for env.Now() <= 2*period {
-			r := m.acquire(AcquireReq{Dir: dir, Client: "next"}, 0)
+			r := acquire(m, dir, "next", 0)
 			switch {
 			case r.Granted:
 				if !r.NeedRecovery {
@@ -255,7 +264,8 @@ func TestManyDirectoriesIndependent(t *testing.T) {
 	env := sim.NewVirtEnv()
 	env.Run(func() {
 		net := rpc.NewNetwork(env, sim.NetModel{})
-		m := NewManager(net, Options{Period: time.Second})
+		reg := obs.NewRegistry()
+		m := NewManager(net, Options{Period: time.Second, Obs: reg})
 		defer m.Close()
 		src := types.NewInoSource(1)
 		g := sim.NewGroup(env)
@@ -275,29 +285,8 @@ func TestManyDirectoriesIndependent(t *testing.T) {
 			})
 		}
 		g.Wait()
-		if got := m.Stats().Acquires.Load(); got != 64 {
+		if got := reg.Counter("lease.acquires").Value(); got != 64 {
 			t.Fatalf("acquires = %d", got)
-		}
-	})
-}
-
-func TestExpireForTestHelper(t *testing.T) {
-	env := sim.NewVirtEnv()
-	env.Run(func() {
-		net := rpc.NewNetwork(env, sim.NetModel{})
-		m := NewManager(net, Options{Period: time.Hour})
-		defer m.Close()
-		c1 := &Client{Net: net, Mgr: m.Addr(), Self: "c1"}
-		c2 := &Client{Net: net, Mgr: m.Addr(), Self: "c2"}
-		r1, _ := c1.Acquire(context.Background(), types.RootIno)
-		if !r1.Granted {
-			t.Fatal("grant failed")
-		}
-		m.expireForTest(types.RootIno)
-		// Lapsed without clean release → crash path (grace window first).
-		w, _ := c2.Acquire(context.Background(), types.RootIno)
-		if !w.Wait && !w.NeedRecovery {
-			t.Fatalf("expected crash handling: %+v", w)
 		}
 	})
 }
@@ -392,6 +381,20 @@ func TestUncleanReleaseForcesRecovery(t *testing.T) {
 		r2, _ := c2.Acquire(context.Background(), dir)
 		if !r2.Granted || !r2.NeedRecovery {
 			t.Fatalf("grant after unclean release must carry NeedRecovery: %+v", r2)
+		}
+		// The recoverer fails and renounces uncleanly in turn; asking again,
+		// it takes the same path as anyone: the grace, then a recovery.
+		if err := c2.Release(context.Background(), dir, r2.LeaseID, false); err != nil {
+			t.Fatal(err)
+		}
+		w, _ = c2.Acquire(context.Background(), dir)
+		if w.Granted || !w.Wait {
+			t.Fatalf("the unclean releaser itself must wait out the grace: %+v", w)
+		}
+		env.Sleep(w.RetryAfter + time.Millisecond)
+		r3, _ := c2.Acquire(context.Background(), dir)
+		if !r3.Granted || !r3.NeedRecovery || r3.SameLeader || r3.LeaseID == r2.LeaseID {
+			t.Fatalf("the unclean releaser's next grant must be a new chain that recovers: %+v", r3)
 		}
 	})
 }

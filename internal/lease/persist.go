@@ -3,7 +3,7 @@ package lease
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"arkfs/internal/rpc"
 	"arkfs/internal/types"
@@ -24,13 +24,6 @@ import (
 // nothing to its successor.
 const snapVersion = 2
 
-// snapshotState is the decoded form of a persisted grant table.
-type snapshotState struct {
-	nextID   uint64
-	suspects []suspect
-	dirs     map[types.Ino]*dirState
-}
-
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -45,46 +38,38 @@ func appendRing(buf []byte, r Ring) []byte {
 	return buf
 }
 
-// encodeSnapshot serializes the grant table. Callers hold the manager lock;
-// the result is sealed and ready for one store.Put.
-func encodeSnapshot(dirs map[types.Ino]*dirState, nextID uint64, suspects []suspect) []byte {
-	inos := make([]types.Ino, 0, len(dirs))
-	for ino := range dirs {
+// encodeSnapshot serializes t's chains, without their expiries. Callers hold
+// the manager lock; the result is sealed and ready for one store.Put.
+func encodeSnapshot(t *grants) []byte {
+	inos := make([]types.Ino, 0, len(t.dirs))
+	for ino := range t.dirs {
 		inos = append(inos, ino)
 	}
-	sort.Slice(inos, func(i, j int) bool {
-		a, b := inos[i], inos[j]
-		for k := 0; k < len(a); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	buf := make([]byte, 0, 64+len(dirs)*64)
+	slices.SortFunc(inos, types.Ino.Compare)
+	buf := make([]byte, 0, 64+len(t.dirs)*64)
 	buf = append(buf, snapVersion)
-	buf = binary.AppendUvarint(buf, nextID)
-	buf = binary.AppendUvarint(buf, uint64(len(suspects)))
-	for _, s := range suspects {
+	buf = binary.AppendUvarint(buf, t.nextID)
+	buf = binary.AppendUvarint(buf, uint64(len(t.suspects)))
+	for _, s := range t.suspects {
 		buf = appendRing(buf, s.prev)
 		buf = appendString(buf, string(s.from))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(inos)))
 	for _, ino := range inos {
-		d := dirs[ino]
+		d := t.dirs[ino]
 		buf = append(buf, ino[:]...)
-		buf = appendString(buf, string(d.holder))
-		buf = binary.AppendUvarint(buf, d.leaseID)
+		buf = appendString(buf, string(d.Holder))
+		buf = binary.AppendUvarint(buf, d.LeaseID)
 		var flags byte
-		if d.clean {
+		if d.Clean {
 			flags |= 1
 		}
-		if d.recovering {
+		if d.Recovering {
 			flags |= 2
 		}
 		buf = append(buf, flags)
-		buf = appendString(buf, string(d.prevHolder))
-		buf = binary.AppendUvarint(buf, d.recoverID)
+		buf = appendString(buf, string(d.PrevHolder))
+		buf = binary.AppendUvarint(buf, d.RecoverID)
 	}
 	return wire.Seal(buf)
 }
@@ -153,18 +138,19 @@ func (d *snapDecoder) ring(what string) Ring {
 	return r
 }
 
-// decodeSnapshot parses a sealed grant-table object. Any failure — CRC, short
+// decodeSnapshot parses a sealed grant-table object into a table whose
+// expiries are all zero (grants.resume sets them). Any failure — CRC, short
 // buffer, unknown version — returns an error wrapping wire.ErrCorrupt, and
 // the caller falls back to conservative cold-restart semantics.
-func decodeSnapshot(frame []byte) (snapshotState, error) {
-	var st snapshotState
+func decodeSnapshot(frame []byte) (*grants, error) {
 	body, err := wire.Unseal(frame)
 	if err != nil {
-		return st, err
+		return nil, err
 	}
 	if len(body) < 1 || body[0] != snapVersion {
-		return st, fmt.Errorf("%w: unsupported lease snapshot version", wire.ErrCorrupt)
+		return nil, fmt.Errorf("%w: unsupported lease snapshot version", wire.ErrCorrupt)
 	}
+	st := newGrants(0)
 	d := &snapDecoder{buf: body, off: 1}
 	st.nextID = d.uvarint("nextID")
 	nsus := d.uvarint("suspect count")
@@ -181,26 +167,24 @@ func decodeSnapshot(frame []byte) (snapshotState, error) {
 	if d.err == nil && ndirs > uint64(len(body)) {
 		d.fail("dir count")
 	}
-	st.dirs = make(map[types.Ino]*dirState, ndirs)
 	for i := uint64(0); i < ndirs && d.err == nil; i++ {
-		var ino types.Ino
-		copy(ino[:], d.bytes(len(ino), "ino"))
-		ds := &dirState{}
-		ds.holder = rpc.Addr(d.string("holder"))
-		ds.leaseID = d.uvarint("leaseID")
+		g := &DirGrant{}
+		copy(g.Dir[:], d.bytes(len(g.Dir), "ino"))
+		g.Holder = rpc.Addr(d.string("holder"))
+		g.LeaseID = d.uvarint("leaseID")
 		flags := d.bytes(1, "flags")
 		if d.err == nil {
-			ds.clean = flags[0]&1 != 0
-			ds.recovering = flags[0]&2 != 0
+			g.Clean = flags[0]&1 != 0
+			g.Recovering = flags[0]&2 != 0
 		}
-		ds.prevHolder = rpc.Addr(d.string("prevHolder"))
-		ds.recoverID = d.uvarint("recoverID")
+		g.PrevHolder = rpc.Addr(d.string("prevHolder"))
+		g.RecoverID = d.uvarint("recoverID")
 		if d.err == nil {
-			st.dirs[ino] = ds
+			st.dirs[g.Dir] = g
 		}
 	}
 	if d.err != nil {
-		return snapshotState{}, d.err
+		return nil, d.err
 	}
 	return st, nil
 }

@@ -123,30 +123,32 @@ func TestRingRouterMonotonic(t *testing.T) {
 // Snapshot codec: a populated grant table round-trips byte-exactly, and a
 // flipped byte is detected as corruption rather than half-applied.
 func TestSnapshotRoundTrip(t *testing.T) {
-	dirs := map[types.Ino]*dirState{}
+	tab := newGrants(0)
 	for i := 0; i < 64; i++ {
-		dirs[inoFor(i)] = &dirState{
-			holder:     rpc.Addr(fmt.Sprintf("c%d", i%7)),
-			leaseID:    uint64(100 + i),
-			clean:      i%3 == 0,
-			prevHolder: rpc.Addr(fmt.Sprintf("p%d", i%5)),
-			recovering: i%11 == 0,
-			recoverID:  uint64(i),
+		tab.dirs[inoFor(i)] = &DirGrant{
+			Dir:        inoFor(i),
+			Holder:     rpc.Addr(fmt.Sprintf("c%d", i%7)),
+			LeaseID:    uint64(100 + i),
+			Clean:      i%3 == 0,
+			PrevHolder: rpc.Addr(fmt.Sprintf("p%d", i%5)),
+			Recovering: i%11 == 0,
+			RecoverID:  uint64(i),
 		}
 	}
-	sus := []suspect{{prev: NewRing("lm-0", "lm-1"), from: "lm-1"}}
-	frame := encodeSnapshot(dirs, 999, sus)
-	if string(frame) != string(encodeSnapshot(dirs, 999, sus)) {
+	tab.nextID = 999
+	tab.suspects = []suspect{{prev: NewRing("lm-0", "lm-1"), from: "lm-1"}}
+	frame := encodeSnapshot(tab)
+	if string(frame) != string(encodeSnapshot(tab)) {
 		t.Fatal("encoding is not deterministic")
 	}
 	st, err := decodeSnapshot(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.nextID != 999 || len(st.dirs) != len(dirs) || len(st.suspects) != 1 {
+	if st.nextID != 999 || len(st.dirs) != len(tab.dirs) || len(st.suspects) != 1 {
 		t.Fatalf("decode mismatch: %d dirs, nextID %d", len(st.dirs), st.nextID)
 	}
-	for ino, want := range dirs {
+	for ino, want := range tab.dirs {
 		got := st.dirs[ino]
 		if got == nil || *got != *want {
 			t.Fatalf("dir %v: got %+v want %+v", ino, got, want)
