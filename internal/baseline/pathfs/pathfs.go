@@ -66,8 +66,22 @@ type Mount struct {
 // goofys's prefetch buffer, object-sized and filled up to fetched.
 type object struct {
 	data    []byte
+	lent    bool  // S3FS: data is the store's (fetched, or uploaded): writes move it
 	dirty   bool  // S3FS: written since the last upload
 	fetched int64 // goofys: the prefix of data already transferred
+}
+
+// writeInto writes p at off into buf and returns the buffer written. It
+// moves to a new buffer when p runs past buf's end, or when buf is lent:
+// returned by a Get or handed to a Put, the store's and never written again.
+func writeInto(buf []byte, lent bool, p []byte, off int64) []byte {
+	if end := off + int64(len(p)); end > int64(len(buf)) || lent {
+		grown := make([]byte, max(end, int64(len(buf))))
+		copy(grown, buf)
+		buf = grown
+	}
+	copy(buf[off:], p)
+	return buf
 }
 
 // New creates a mount on the store that charges fuse per request.

@@ -35,7 +35,7 @@ func (m *Mount) openStaged(path, key string, flags types.OpenFlag) (fsapi.File, 
 				return nil, types.ErrExist
 			}
 			m.diskTime(int64(len(data)))
-			o = &object{data: data}
+			o = &object{data: data, lent: true}
 		case flags.Has(types.OCreate):
 			o = &object{}
 		default:
@@ -64,6 +64,7 @@ func (m *Mount) openStaged(path, key string, flags types.OpenFlag) (fsapi.File, 
 func (m *Mount) upload(key string, o *object) error {
 	m.mu.Lock()
 	data := o.data
+	o.lent = true
 	m.mu.Unlock()
 	m.diskTime(int64(len(data)))
 	if err := m.store.Put(key, data); err != nil {
@@ -113,13 +114,8 @@ func (f *stagedFile) WriteAt(p []byte, off int64) (int, error) {
 	f.m.diskTime(int64(len(p)))
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()
-	if end := off + int64(len(p)); end > int64(len(f.o.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.o.data)
-		f.o.data = grown
-	}
-	copy(f.o.data[off:], p)
-	f.o.dirty = true
+	f.o.data = writeInto(f.o.data, f.o.lent, p, off)
+	f.o.lent, f.o.dirty = false, true
 	return len(p), nil
 }
 

@@ -33,7 +33,7 @@ func (m *Mount) openStream(path, key string, flags types.OpenFlag) (fsapi.File, 
 			if err != nil {
 				return nil, err
 			}
-			f.wbuf = data
+			f.wbuf, f.lent = data, true
 		}
 	}
 	if flags.Has(types.OAppend) {
@@ -114,6 +114,7 @@ type streamFile struct {
 
 	mu    sync.Mutex
 	wbuf  []byte // a writer's: the whole object
+	lent  bool   // wbuf is the store's (fetched, or synced): writes move it
 	dirty bool
 }
 
@@ -158,13 +159,8 @@ func (f *streamFile) WriteAt(p []byte, off int64) (int, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if end := off + int64(len(p)); end > int64(len(f.wbuf)) {
-		grown := make([]byte, end)
-		copy(grown, f.wbuf)
-		f.wbuf = grown
-	}
-	copy(f.wbuf[off:], p)
-	f.dirty = true
+	f.wbuf = writeInto(f.wbuf, f.lent, p, off)
+	f.lent, f.dirty = false, true
 	return len(p), nil
 }
 
@@ -185,6 +181,7 @@ func (f *streamFile) Sync() error {
 	f.mu.Lock()
 	dirty := f.dirty
 	data := f.wbuf
+	f.lent = true
 	f.mu.Unlock()
 	if !dirty {
 		return nil

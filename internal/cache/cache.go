@@ -95,27 +95,28 @@ const noWatermark = ^uint64(0) // any file this client did not create
 type entry struct {
 	ino     types.Ino
 	idx     uint64
-	data    []byte // valid prefix of the chunk; Write owns it unless held
+	data    []byte // valid prefix of the chunk; len == cap once lent (fetched, or handed to a write-back)
 	dirty   bool
 	ver     uint64              // bumped by every mutation; write-backs detect concurrent writes
 	loading *sim.Chan[struct{}] // non-nil while a fetch is in flight; Close = ready
 	wb      *sim.Chan[struct{}] // non-nil while a write-back (eviction or Flush) is in flight; Close = done
-	held    bool                // the in-flight write-back still has data: Write must replace it, not mutate it
 	lruElem *list.Element
 }
 
-// holdLocked starts a write-back of e and lends it e.data, spare capacity
-// included, until releaseLocked: no copy is taken, so until then nobody may
-// write the buffer (Write replaces it instead). Callers hold c.mu.
+// holdLocked starts a write-back of e and hands it e.data, spare capacity
+// included, for the store to keep: no copy is taken. The buffer is lent from
+// then on and never written again; e.data stays on it, clipped to
+// len == cap, so the next Write moves the entry to a new buffer. Callers
+// hold c.mu.
 func (c *Cache) holdLocked(e *entry) (data []byte, ver uint64) {
 	e.wb = sim.NewChan[struct{}](c.env)
-	e.held = true
-	return e.data, e.ver
+	data = e.data
+	e.data = data[:len(data):len(data)]
+	return data, e.ver
 }
 
 // releaseLocked ends e's write-back and wakes whoever waits for it.
 func (e *entry) releaseLocked() {
-	e.held = false
 	e.wb.Close()
 	e.wb = nil
 }
@@ -209,10 +210,13 @@ func (c *Cache) Read(ino types.Ino, buf []byte, off, size int64) (int, error) {
 			return read, err
 		}
 		// Copy out; bytes beyond the entry's valid prefix are zero (hole).
+		// Under c.mu: a Write replaces e.data and writes into it under it.
 		n := 0
+		c.mu.Lock()
 		if inOff < int64(len(e.data)) {
 			n = copy(buf[read:read+int(want)], e.data[inOff:])
 		}
+		c.mu.Unlock()
 		for i := n; int64(i) < want; i++ {
 			buf[read+i] = 0
 		}
@@ -228,7 +232,7 @@ func (c *Cache) Read(ino types.Ino, buf []byte, off, size int64) (int, error) {
 const streamRequest = 128 << 10
 
 // capacity is the size of the buffer Write moves an entry to when it holds
-// none it may write (first write, outgrown, or lent to a write-back): need
+// none it may write (first write, outgrown, or lent): need
 // bytes and, always, wire.TrailerSize spare ones for the write-back to seal
 // in place. In a file's first chunk below a stream request it is the power
 // of two that fits, 4 KiB at least and at least double the buffer replaced,
@@ -279,13 +283,13 @@ func (c *Cache) Write(ino types.Ino, buf []byte, off int64) error {
 		}
 		have := int64(len(e.data))
 		need := max(inOff+want, have)
-		if e.held || int64(cap(e.data)) < need+wire.TrailerSize {
-			// First write, outgrown, or a write-back has the buffer: move to
-			// one this entry owns (ver keeps the entry dirty past that
-			// write-back).
+		if int64(cap(e.data)) < need+wire.TrailerSize {
+			// First write, outgrown, or lent (fetched, or handed to a
+			// write-back, clipped either way): move to a buffer of the
+			// entry's own (ver keeps the entry dirty past a write-back).
 			own := make([]byte, have, c.capacity(idx, need, cap(e.data)))
 			copy(own, e.data)
-			e.data, e.held = own, false
+			e.data = own
 		}
 		if have < need {
 			e.data = e.data[:need]
@@ -366,7 +370,7 @@ func (c *Cache) load(e *entry, fetch bool) error {
 		data, err = c.fetchChunk(e.ino, e.idx)
 	}
 	c.mu.Lock()
-	e.data = data
+	e.data = data // lent by GetChunk, clipped: Write moves off it
 	ready := e.loading
 	e.loading = nil
 	if err != nil {
@@ -481,7 +485,7 @@ func (c *Cache) evictLocked(keep *entry) {
 			// Write back while the entry is still visible, so concurrent
 			// readers never fall through to pre-writeback store state. The
 			// dirty bit stays set until the PUT succeeds, and a concurrent
-			// Write replaces the held buffer, so it cannot tear the
+			// Write moves off the handed-over buffer, so it cannot tear the
 			// in-flight PUT. The wb marker keeps other evictors off this
 			// entry and lets Flush wait for the write-back to settle.
 			data, ver := c.holdLocked(victim)
@@ -570,8 +574,8 @@ func (c *Cache) Flush(ino types.Ino) error {
 				// and re-examine (it leaves the entry dirty on failure).
 				inflight = append(inflight, e.wb)
 			case e.dirty:
-				// Hold, not copy: a concurrent Write moves the entry to a new
-				// buffer, so the PUT below cannot be torn.
+				// Hand over, not copy: a concurrent Write moves the entry to
+				// a new buffer, so the PUT below cannot be torn.
 				data, ver := c.holdLocked(e)
 				work = append(work, pending{e: e, ver: ver, data: data})
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"arkfs/internal/objstore"
+	"arkfs/internal/objstore/storetest"
 	"arkfs/internal/prt"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
@@ -15,7 +16,7 @@ func cacheSetup(t *testing.T, chunk int64, maxEntries int, ra int64) (*Cache, *p
 	t.Helper()
 	env := sim.NewRealEnv()
 	t.Cleanup(env.Shutdown)
-	tr := prt.New(objstore.NewMemStore(), chunk)
+	tr := prt.New(storetest.Guard(t, objstore.NewMemStore()), chunk)
 	c := New(env, tr, Config{EntrySize: chunk, MaxEntries: maxEntries, MaxReadahead: ra})
 	return c, tr, env
 }

@@ -552,3 +552,89 @@ func BenchmarkFlush(b *testing.B) {
 		}
 	}
 }
+
+// Reads and Writes of one chunk at once: a Write grows the entry in place,
+// moves it to a new buffer, or moves it off the buffer a Flush handed over,
+// while Reads copy out of it. Under -race this fails if a Read looks at
+// e.data without c.mu (a torn slice header pairs a new length with the old
+// buffer). Every Read sees a prefix of what was written: 0xA5 up to some
+// length and zeros beyond it.
+func TestConcurrentReadWriteOneChunk(t *testing.T) {
+	const chunk = 64 << 10
+	c, _, _ := cacheSetup(t, chunk, 4, 0)
+	ino := types.NewInoSource(16).Next()
+	req := bytes.Repeat([]byte{0xA5}, 1000)
+	done := make(chan error, 2)
+	go func() {
+		for off := int64(0); off+int64(len(req)) <= chunk; off += int64(len(req)) {
+			if err := c.Write(ino, req, off); err != nil {
+				done <- err
+				return
+			}
+			if off%(8*int64(len(req))) == 0 {
+				if err := c.Flush(ino); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	go func() {
+		buf := make([]byte, chunk)
+		for i := 0; i < 200; i++ {
+			if _, err := c.Read(ino, buf, 0, chunk); err != nil {
+				done <- err
+				return
+			}
+			end := bytes.IndexByte(buf, 0)
+			if end < 0 {
+				end = len(buf)
+			}
+			if bytes.Count(buf[:end], []byte{0xA5}) != end || bytes.Count(buf[end:], []byte{0}) != chunk-end {
+				done <- fmt.Errorf("read %d: not the written bytes up to %d and zeros after", i, end)
+				return
+			}
+		}
+		done <- nil
+	}()
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A write-back hands a full chunk's buffer to the store, which keeps it: the
+// next Write to the chunk moves the entry to a new buffer and leaves the
+// stored frame as it was put.
+func TestWriteAfterWritebackMovesOffTheStoredBuffer(t *testing.T) {
+	const chunk = 64
+	c, tr, _ := cacheSetup(t, chunk, 100, 0)
+	ino := types.NewInoSource(17).Next()
+	first := bytes.Repeat([]byte{0x11}, chunk)
+	if err := c.Write(ino, first, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(ino); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := tr.Store().Get(prt.DataKey(ino, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(ino, []byte{0x22}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := wire.Unseal(kept); err != nil || !bytes.Equal(got, first) {
+		t.Fatalf("the stored frame after a Write to its chunk: %x, %v", got, err)
+	}
+	if err := c.Flush(ino); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), first...)
+	want[5] = 0x22
+	if got := storedChunk(t, tr.Store(), ino, 0); !bytes.Equal(got, want) {
+		t.Fatalf("second write-back stored %x, want %x", got, want)
+	}
+}

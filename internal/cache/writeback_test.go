@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"arkfs/internal/objstore"
+	"arkfs/internal/objstore/storetest"
 	"arkfs/internal/prt"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
@@ -17,7 +18,7 @@ func faultCacheSetup(t *testing.T, chunk int64, maxEntries int) (*Cache, *prt.Tr
 	t.Helper()
 	env := sim.NewRealEnv()
 	t.Cleanup(env.Shutdown)
-	fs := objstore.NewFaultStore(objstore.NewMemStore())
+	fs := objstore.NewFaultStore(storetest.Guard(t, objstore.NewMemStore()))
 	tr := prt.New(fs, chunk)
 	c := New(env, tr, Config{EntrySize: chunk, MaxEntries: maxEntries})
 	return c, tr, fs, env

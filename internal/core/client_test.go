@@ -11,6 +11,7 @@ import (
 	"arkfs/internal/journal"
 	"arkfs/internal/lease"
 	"arkfs/internal/objstore"
+	"arkfs/internal/objstore/storetest"
 	"arkfs/internal/obs"
 	"arkfs/internal/prt"
 	"arkfs/internal/rpc"
@@ -40,7 +41,7 @@ func newTestClusterAt(t testing.TB, chunk int64) *testCluster {
 	t.Cleanup(env.Shutdown)
 	net := rpc.NewNetwork(env, sim.NetModel{})
 	store := objstore.NewMemStore()
-	fault := objstore.NewFaultStore(store)
+	fault := objstore.NewFaultStore(storetest.Guard(t, store))
 	tr := prt.New(fault, chunk)
 	if err := Format(tr); err != nil {
 		t.Fatal(err)

@@ -301,6 +301,11 @@ func (r *chaosRun) errf(format string, args ...any) {
 	r.logMu.Unlock()
 }
 
+// guardStore, when set, wraps the store under a chaos run's fault layer, and
+// what its check reports at the run's end joins the run's errors. The
+// package's tests set it to a guard of the store's ownership rule.
+var guardStore func(objstore.Store) (objstore.Store, func() error)
+
 // RunChaos executes one seeded chaos scenario under a fresh virtual-time
 // environment and returns its report. It never panics on invariant
 // violations; they are collected in the report's Errors.
@@ -348,7 +353,17 @@ func (r *chaosRun) run() {
 		r.errf("format: %v", err)
 		return
 	}
-	r.fault = objstore.NewFaultStore(r.cluster)
+	var data objstore.Store = r.cluster
+	if guardStore != nil {
+		var check func() error
+		data, check = guardStore(r.cluster)
+		defer func() {
+			if err := check(); err != nil {
+				r.errf("store ownership: %v", err)
+			}
+		}()
+	}
+	r.fault = objstore.NewFaultStore(data)
 	r.reg = obs.NewRegistry()
 	r.net = rpc.NewNetwork(env, sim.NetModel{Latency: 20 * time.Microsecond, Bandwidth: 1 << 30})
 	r.net.SetObs(r.reg)

@@ -16,12 +16,22 @@ import (
 	"arkfs/internal/journal"
 	"arkfs/internal/lease"
 	"arkfs/internal/objstore"
+	"arkfs/internal/objstore/storetest"
 	"arkfs/internal/prt"
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
 )
+
+// Every chaos run in this package's tests checks that no buffer is written
+// after it changed hands through the store (objstore.Store's ownership rule).
+func init() {
+	guardStore = func(s objstore.Store) (objstore.Store, func() error) {
+		g := storetest.New(s)
+		return g, g.Close
+	}
+}
 
 // chaosSeeds returns the seed matrix: CHAOS_SEEDS (comma-separated) when set
 // (the CI chaos job sweeps it), else a small default.

@@ -184,9 +184,11 @@ func (t *grants) acquire(dir types.Ino, client rpc.Addr, now time.Duration) (Acq
 		return resp, extended
 	case d.Recovering && now < grace:
 		return AcquireResp{Wait: true, RetryAfter: t.period / 2}, kept
-	case now < d.Expiry:
+	case now < d.Expiry && d.Holder != unknownHolder:
 		return AcquireResp{Redirect: true, Leader: d.Holder}, kept
 	case now < grace:
+		// A lapsed holder's grace, or a stand-in's lease and grace: nobody
+		// to send the client to, so it waits for the recovering grant.
 		return AcquireResp{Wait: true, RetryAfter: grace - now}, kept
 	default:
 		// The chain ended uncleanly (a silent lapse, an unclean release, a

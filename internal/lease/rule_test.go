@@ -81,6 +81,36 @@ func TestLapsedLeaseTakesTheCrashPath(t *testing.T) {
 	}
 }
 
+// A table resumed from a snapshot that lacks a directory stands an unknown
+// holder in for it, whose lease ends one period after the resume. No client
+// is that holder, so an Acquire meanwhile waits out the lease and its grace
+// instead of being sent to an address nobody listens on, then recovers.
+func TestStandInHolderIsWaitedOut(t *testing.T) {
+	const p = time.Hour
+	src := types.NewInoSource(3)
+	known, dir := src.Next(), src.Next()
+	before := newGrants(p)
+	if g, _ := before.acquire(known, "c1", 0); !g.Granted {
+		t.Fatalf("first grant: %+v", g)
+	}
+	snap, err := decodeSnapshot(encodeSnapshot(before))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 10 * p
+	tab := newGrants(p)
+	tab.resume(snap, at)
+	if w, _ := tab.acquire(dir, "c2", at+1); !w.Wait || w.Redirect || w.Leader != "" || w.RetryAfter != 2*p-1 {
+		t.Fatalf("during the stand-in's lease: %+v, want a wait to the end of its grace", w)
+	}
+	if w, _ := tab.acquire(dir, "c2", at+p); !w.Wait || w.RetryAfter != p {
+		t.Fatalf("during the stand-in's grace: %+v", w)
+	}
+	if r, v := tab.acquire(dir, "c2", at+2*p); !r.Granted || !r.NeedRecovery || v != changed {
+		t.Fatalf("past the grace: %+v, want a grant that recovers", r)
+	}
+}
+
 // The model below composes the manager's rule with two holders' DirLeases.
 // Time is in ticks of true time; each party's clock reads zero + rate·tick,
 // at 3 units a tick (rate 1) or 4 (rate 4/3, DESIGN.md §5.9's bound), and a

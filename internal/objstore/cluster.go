@@ -63,8 +63,9 @@ type Cluster struct {
 	stats  Stats
 	closed atomic.Bool
 
-	trailerMu sync.Mutex
-	trailers  map[int64][wire.TrailerSize]byte // syntheticFrame's, by frame size
+	framesMu   sync.Mutex
+	frames     map[int64][]byte // syntheticFrame's, by size
+	frameBytes int64            // their total size, at most frameBudget
 }
 
 type opKind byte
@@ -127,7 +128,7 @@ func NewCluster(env sim.Env, prof Profile) *Cluster {
 	if prof.MaxObjectSize <= 0 {
 		prof.MaxObjectSize = 64 << 20
 	}
-	c := &Cluster{env: env, prof: prof, trailers: make(map[int64][wire.TrailerSize]byte)}
+	c := &Cluster{env: env, prof: prof, frames: make(map[int64][]byte)}
 	for i := 0; i < prof.Nodes; i++ {
 		c.nodes = append(c.nodes, &node{
 			id:       i,
@@ -210,25 +211,30 @@ func (c *Cluster) placement(key string) []*node {
 // whose trailing 4 bytes are a valid CRC32C trailer over the rest (wire.Seal
 // framing). Every persisted ArkFS record is sealed, so a size-only read must
 // still verify — the bytes are fake, but the framing is honest. Objects too
-// small to carry a trailer are returned as plain zeros. The trailer depends
-// on the size alone, so each size's is computed once; the frame is made
-// afresh every time, as callers write into the chunks they fetch.
+// small to carry a trailer are returned as plain zeros. A frame depends on
+// the size alone and is lent like any stored value, so each size's is made
+// once and shared by every read of it, until frameBudget bytes of frames are
+// kept; past that a read makes one of its own.
 func (c *Cluster) syntheticFrame(size int64) []byte {
-	frame := make([]byte, size)
-	if size < wire.TrailerSize {
-		return frame
+	c.framesMu.Lock()
+	defer c.framesMu.Unlock()
+	if f, ok := c.frames[size]; ok {
+		return f
 	}
-	tail := frame[size-wire.TrailerSize:]
-	c.trailerMu.Lock()
-	defer c.trailerMu.Unlock()
-	if t, ok := c.trailers[size]; ok {
-		copy(tail, t[:])
-	} else {
+	frame := make([]byte, size)
+	if size >= wire.TrailerSize {
 		wire.Seal(frame[:size-wire.TrailerSize]) // in place: the frame has room
-		c.trailers[size] = [wire.TrailerSize]byte(tail)
+	}
+	if c.frameBytes+size <= frameBudget {
+		c.frames[size] = frame
+		c.frameBytes += size
 	}
 	return frame
 }
+
+// frameBudget bounds the bytes of synthetic frames a cluster keeps: a
+// workload of many object sizes would otherwise keep a frame of each.
+const frameBudget = 64 << 20
 
 // serviceTime is the node-side cost of touching size bytes of media.
 func (c *Cluster) serviceTime(size int64) time.Duration {
@@ -390,12 +396,12 @@ func (c *Cluster) Put(key string, data []byte) error {
 	c.stats.BytesIn.Add(int64(len(data)))
 	var stored []byte
 	if !c.prof.discards(key) {
-		stored = append([]byte(nil), data...)
+		stored = owned(data)
 	}
 	return c.mutate(job{op: opPut, key: key, data: stored, size: int64(len(data))})
 }
 
-// Get implements Store.
+// Get implements Store: it lends the primary's stored value.
 func (c *Cluster) Get(key string) ([]byte, error) {
 	c.stats.Gets.Add(1)
 	replicas, err := c.enter(key, 0)
@@ -414,7 +420,7 @@ func (c *Cluster) Get(key string) ([]byte, error) {
 	if c.prof.discards(key) {
 		return c.syntheticFrame(val.size), nil
 	}
-	return append([]byte(nil), val.data...), nil
+	return val.data, nil
 }
 
 // GetRange implements Store.

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
@@ -575,14 +576,18 @@ func TestSizeOnlyPrefixSelective(t *testing.T) {
 	if err != nil || string(tail) != string(got[3:]) {
 		t.Fatalf("ranged tail diverges from Get: %x vs %x (%v)", tail, got[3:], err)
 	}
-	// Every read gets a frame of its own: a caller that writes into what it
-	// fetched (the cache fills chunks in place) does not corrupt the next read.
-	for i := range got {
-		got[i] = 0xff
-	}
+	// A size's frame is made once and lent to every read of that size,
+	// clipped, as a stored value is; another size gets a frame of its own.
 	again, err := c.Get("d:chunk")
-	if _, uerr := wire.Unseal(again); err != nil || uerr != nil {
-		t.Fatalf("read after a caller wrote into the last one: %v, %v", err, uerr)
+	if err != nil || unsafe.SliceData(again) != unsafe.SliceData(got) || cap(again) != len(again) {
+		t.Fatalf("second size-only read: cap %d, %v; want the first read's frame", cap(again), err)
+	}
+	if err := c.Put("d:other", make([]byte, 9)); err != nil {
+		t.Fatal(err)
+	}
+	other, err := c.Get("d:other")
+	if _, uerr := wire.Unseal(other); err != nil || uerr != nil || len(other) != 9 {
+		t.Fatalf("size-only read of another size: %d bytes, %v, %v", len(other), err, uerr)
 	}
 }
 

@@ -253,14 +253,17 @@ func (f *FaultStore) tearOnRead(key string, size int64) (int64, bool) {
 	return 0, false
 }
 
-// flipBit returns data with one bit inverted at pos (reduced modulo the
-// length). The input is assumed to be a caller-owned copy.
+// flipBit returns a copy of data with one bit inverted at pos (reduced
+// modulo the length). data itself is not written: it may be a stored value,
+// lent by a Get.
 func flipBit(data []byte, pos int) []byte {
 	if len(data) == 0 {
 		return data
 	}
-	data[pos%len(data)] ^= 0x01
-	return data
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	cp[pos%len(cp)] ^= 0x01
+	return cp
 }
 
 func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
@@ -276,8 +279,7 @@ func (f *FaultStore) do(op Op) (Result, error) {
 		if f.shouldTear(op.Key) {
 			op.Data = op.Data[:len(op.Data)/2]
 		} else if f.shouldCorrupt(op.Key) {
-			cp := append([]byte(nil), op.Data...)
-			op.Data = flipBit(cp, len(cp)/2)
+			op.Data = flipBit(op.Data, len(op.Data)/2)
 		}
 	}
 	r, err := Do(f.Inner, op)
@@ -287,7 +289,7 @@ func (f *FaultStore) do(op Op) (Result, error) {
 	switch op.Verb {
 	case VerbGet:
 		if tlen, torn := f.tearOnRead(op.Key, int64(len(r.Data))); torn && int64(len(r.Data)) > tlen {
-			r.Data = r.Data[:tlen]
+			r.Data = r.Data[:tlen:tlen]
 		}
 	case VerbGetRange:
 		// A key torn by TearNextRead is served as the same short object Get
@@ -300,7 +302,7 @@ func (f *FaultStore) do(op Op) (Result, error) {
 				if op.Off >= tlen {
 					r.Data = nil
 				} else if op.Off+int64(len(r.Data)) > tlen {
-					r.Data = r.Data[:tlen-op.Off]
+					r.Data = r.Data[: tlen-op.Off : tlen-op.Off]
 				}
 			}
 		}

@@ -163,3 +163,31 @@ func TestCorruptNextReadOneShot(t *testing.T) {
 		t.Fatalf("injected = %d, want 2", fs.Injected())
 	}
 }
+
+// A read-side flip lands in a copy: the store lends what it keeps, so a flip
+// in the lent bytes would be rot at rest. After a corrupted Get, the next Get
+// returns the bytes as put, whether the store kept the buffer or copied it.
+func TestCorruptReadLeavesTheObjectAtRest(t *testing.T) {
+	want := []byte("intact-payload")
+	for name, put := range map[string][]byte{
+		"kept":   append([]byte(nil), want...)[:len(want):len(want)],
+		"copied": append(make([]byte, 0, 64), want...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := NewFaultStore(NewMemStore())
+			if err := fs.Put("d:c", put); err != nil {
+				t.Fatal(err)
+			}
+			fs.CorruptNextRead("d:", 2)
+			if got, err := fs.Get("d:c"); err != nil || bytes.Equal(got, want) {
+				t.Fatalf("armed Get: %q, %v; want flipped bytes", got, err)
+			}
+			if got, err := fs.GetRange("d:c", 0, 6); err != nil || bytes.Equal(got, want[:6]) {
+				t.Fatalf("armed GetRange: %q, %v; want flipped bytes", got, err)
+			}
+			if got, err := fs.Get("d:c"); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("Get after the corrupted reads: %q, %v; want %q", got, err, want)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -221,7 +222,7 @@ func (s *HTTPStore) roundTrip(method, rawURL string, body io.Reader) (*http.Resp
 
 // Put implements Store.
 func (s *HTTPStore) Put(key string, data []byte) error {
-	resp, err := s.roundTrip(http.MethodPut, s.objURL(key), strings.NewReader(string(data)))
+	resp, err := s.roundTrip(http.MethodPut, s.objURL(key), bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("httpstore put %q: %w", key, err)
 	}
@@ -239,7 +240,8 @@ func (s *HTTPStore) Get(key string) ([]byte, error) {
 	if err := statusErr("get", key, resp); err != nil {
 		return nil, err
 	}
-	return io.ReadAll(resp.Body)
+	data, err := io.ReadAll(resp.Body)
+	return data[:len(data):len(data)], err
 }
 
 // GetRange implements Store. The gateway has no ranged endpoint; the window

@@ -17,13 +17,20 @@ import (
 // Store is the object storage interface: what ArkFS's PRT module requires
 // from any backend (Ceph RADOS, S3, ...). Keys are flat strings; values are
 // immutable blobs replaced wholesale by Put.
+//
+// The bytes move once in each direction, and a buffer that has changed hands
+// is never written again (DESIGN.md §5.8). Put takes ownership of data: the
+// caller does not write it afterwards, and the store may keep it as the
+// stored value. Get and GetRange lend: the slice they return may be the
+// stored value itself, clipped to len == cap, and the caller only reads it.
 type Store interface {
-	// Put stores data under key, replacing any previous value.
+	// Put stores data under key, replacing any previous value. The store
+	// owns data from the call on.
 	Put(key string, data []byte) error
-	// Get returns the value stored under key, or ErrNotExist.
+	// Get returns the value stored under key, read-only, or ErrNotExist.
 	Get(key string) ([]byte, error)
 	// GetRange returns n bytes starting at off (clipped to the object size),
-	// so clients can fetch large objects in parallel parts.
+	// read-only, so clients can fetch large objects in parallel parts.
 	GetRange(key string, off, n int64) ([]byte, error)
 	// Delete removes key. Deleting a missing key is not an error, matching
 	// object-store semantics (DELETE is idempotent).
@@ -50,16 +57,29 @@ func NewMemStore() *MemStore {
 	return &MemStore{data: make(map[string][]byte)}
 }
 
-// Put implements Store.
+// Put implements Store: it keeps data itself.
 func (s *MemStore) Put(key string, data []byte) error {
-	cp := append([]byte(nil), data...)
+	data = owned(data)
 	s.mu.Lock()
-	s.data[key] = cp
+	s.data[key] = data
 	s.mu.Unlock()
 	return nil
 }
 
-// Get implements Store.
+// owned is what a store keeps of a buffer handed to Put: the buffer itself
+// when it is tight (cap == len), else a copy of exactly its length. Keeping
+// a buffer's spare capacity would pin it for as long as the object lives: a
+// small file's power-of-two cache buffer, or an encoder's doubled one.
+func owned(data []byte) []byte {
+	if cap(data) == len(data) {
+		return data
+	}
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	return cp
+}
+
+// Get implements Store: it lends the stored value.
 func (s *MemStore) Get(key string) ([]byte, error) {
 	s.mu.RLock()
 	v, ok := s.data[key]
@@ -67,7 +87,7 @@ func (s *MemStore) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("get %q: %w", key, ErrNotExist)
 	}
-	return append([]byte(nil), v...), nil
+	return v, nil
 }
 
 // GetRange implements Store.
@@ -81,16 +101,14 @@ func (s *MemStore) GetRange(key string, off, n int64) ([]byte, error) {
 	return clipRange(v, off, n), nil
 }
 
-// clipRange copies the [off, off+n) window of v, clipped to its bounds.
+// clipRange is the [off, off+n) window of v, clipped to its bounds and to
+// len == cap: a lent window, not a copy.
 func clipRange(v []byte, off, n int64) []byte {
 	if off < 0 || off >= int64(len(v)) || n <= 0 {
 		return nil
 	}
-	end := off + n
-	if end > int64(len(v)) {
-		end = int64(len(v))
-	}
-	return append([]byte(nil), v[off:end]...)
+	end := min(off+n, int64(len(v)))
+	return v[off:end:end]
 }
 
 // Delete implements Store.

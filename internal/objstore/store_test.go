@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
@@ -81,21 +82,44 @@ func storeContract(t *testing.T, s Store) {
 
 func TestMemStoreContract(t *testing.T) { storeContract(t, NewMemStore()) }
 
-func TestMemStorePutCopiesData(t *testing.T) {
-	s := NewMemStore()
-	buf := []byte("abc")
-	if err := s.Put("k", buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 'Z'
-	got, _ := s.Get("k")
-	if string(got) != "abc" {
-		t.Fatal("Put aliased the caller's buffer")
-	}
-	got[0] = 'Y'
-	again, _ := s.Get("k")
-	if string(again) != "abc" {
-		t.Fatal("Get aliased the stored buffer")
+// The ownership rule on both base stores: Put keeps a tight buffer as it is
+// and an exact copy of a slack one, and Get and GetRange lend what is stored,
+// clipped to len == cap.
+func TestPutKeepsAndGetLends(t *testing.T) {
+	env := sim.NewRealEnv()
+	defer env.Shutdown()
+	cluster := NewCluster(env, TestProfile())
+	defer cluster.Close()
+	for name, s := range map[string]Store{"mem": NewMemStore(), "cluster": cluster} {
+		t.Run(name, func(t *testing.T) {
+			tight := []byte("tight-value")[:11:11]
+			if err := s.Put("tight", tight); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Get("tight")
+			if err != nil || unsafe.SliceData(got) != unsafe.SliceData(tight) || cap(got) != len(got) {
+				t.Fatalf("Get of a tight buffer: %q (cap %d), %v; want the buffer handed to Put", got, cap(got), err)
+			}
+			again, _ := s.Get("tight")
+			if unsafe.SliceData(again) != unsafe.SliceData(got) {
+				t.Fatal("a second Get lent a different buffer")
+			}
+
+			slack := make([]byte, 5, 64)
+			copy(slack, "slack")
+			if err := s.Put("slack", slack); err != nil {
+				t.Fatal(err)
+			}
+			got, err = s.Get("slack")
+			if err != nil || string(got) != "slack" || unsafe.SliceData(got) == unsafe.SliceData(slack) || cap(got) != 5 {
+				t.Fatalf("Get of a slack buffer: %q (cap %d), %v; want an exact copy", got, cap(got), err)
+			}
+
+			part, err := s.GetRange("tight", 2, 3)
+			if err != nil || string(part) != "ght" || cap(part) != 3 || unsafe.SliceData(part) != &tight[2] {
+				t.Fatalf("GetRange: %q (cap %d), %v; want a lent, clipped window", part, cap(part), err)
+			}
+		})
 	}
 }
 

@@ -232,6 +232,9 @@ func (t *Translator) DeleteDentries(dir types.Ino) error {
 // GetChunk fetches, CRC-verifies, and returns the payload of one data chunk.
 // A missing chunk propagates ErrNotExist (a hole); a chunk that fails
 // verification returns a typed integrity error — never silently wrong bytes.
+// The payload is lent, as the store lends the frame: it is clipped to
+// len == cap, so nothing can append into the stored trailer, and the caller
+// only reads it.
 func (t *Translator) GetChunk(ino types.Ino, idx int64) ([]byte, error) {
 	raw, err := t.store.Get(DataKey(ino, idx))
 	if err != nil {
@@ -241,21 +244,23 @@ func (t *Translator) GetChunk(ino types.Ino, idx int64) ([]byte, error) {
 	if err != nil {
 		return nil, t.noteIntegrity(fmt.Errorf("prt: chunk %d of %s: %w", idx, ino.Short(), err))
 	}
-	return payload, nil
+	return payload[:len(payload):len(payload)], nil
 }
 
 // PutChunk seals and stores the payload of one data chunk. The payload is not
-// mutated: the CRC trailer is appended to a fresh frame.
+// mutated, and stays the caller's: the frame is a new one of exactly the
+// chunk's size, which the store keeps as it is.
 func (t *Translator) PutChunk(ino types.Ino, idx int64, payload []byte) error {
-	// Full slice expression so Seal's append cannot scribble past the
-	// payload into a caller-owned buffer.
-	return t.PutChunkOwned(ino, idx, payload[:len(payload):len(payload)])
+	frame := make([]byte, len(payload), len(payload)+wire.TrailerSize)
+	copy(frame, payload)
+	return t.PutChunkOwned(ino, idx, frame)
 }
 
-// PutChunkOwned is PutChunk for a caller that owns payload's spare capacity
-// and keeps the buffer unwritten until the call returns (the cache's
-// write-back): with wire.TrailerSize bytes to spare the trailer is written
-// there and the chunk goes to the store without being copied here.
+// PutChunkOwned is PutChunk for a caller that hands payload over (the
+// cache's write-back): with wire.TrailerSize bytes to spare the trailer is
+// written there and the chunk goes to the store without being copied here.
+// The buffer is the store's from the call on, spare capacity included: the
+// caller writes none of it again (objstore.Store's Put).
 func (t *Translator) PutChunkOwned(ino types.Ino, idx int64, payload []byte) error {
 	if err := t.store.Put(DataKey(ino, idx), wire.Seal(payload)); err != nil {
 		return fmt.Errorf("prt: write chunk %d of %s: %w", idx, ino.Short(), err)
@@ -322,25 +327,24 @@ func (t *Translator) WriteAt(ino types.Ino, buf []byte, off int64) error {
 		if r := t.chunkSize - inChunk; want > r {
 			want = r
 		}
-		var chunk []byte
+		var err error
 		if inChunk == 0 && want == t.chunkSize {
 			// Full-chunk overwrite: no read needed.
-			chunk = buf[written : written+int(want)]
+			err = t.PutChunk(ino, idx, buf[written:written+int(want)])
 		} else {
-			old, err := t.GetChunk(ino, idx)
-			if err != nil && !errors.Is(err, types.ErrNotExist) {
-				return fmt.Errorf("prt: rmw chunk %d of %s: %w", idx, ino.Short(), err)
+			old, gerr := t.GetChunk(ino, idx)
+			if gerr != nil && !errors.Is(gerr, types.ErrNotExist) {
+				return fmt.Errorf("prt: rmw chunk %d of %s: %w", idx, ino.Short(), gerr)
 			}
-			need := inChunk + want
-			if int64(len(old)) >= need {
-				chunk = old
-			} else {
-				chunk = make([]byte, need)
-				copy(chunk, old)
-			}
+			// old is lent: the chunk is rebuilt in a buffer of its own, with
+			// room for the trailer, and handed over.
+			n := max(int64(len(old)), inChunk+want)
+			chunk := make([]byte, n, n+wire.TrailerSize)
+			copy(chunk, old)
 			copy(chunk[inChunk:], buf[written:written+int(want)])
+			err = t.PutChunkOwned(ino, idx, chunk)
 		}
-		if err := t.PutChunk(ino, idx, chunk); err != nil {
+		if err != nil {
 			return err
 		}
 		written += int(want)

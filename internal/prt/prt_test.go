@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"arkfs/internal/objstore"
+	"arkfs/internal/objstore/storetest"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
 )
@@ -16,7 +17,7 @@ import (
 func newT(t *testing.T, chunk int64) (*Translator, *objstore.MemStore) {
 	t.Helper()
 	s := objstore.NewMemStore()
-	return New(s, chunk), s
+	return New(storetest.Guard(t, s), chunk), s
 }
 
 func TestKeyScheme(t *testing.T) {
@@ -348,10 +349,42 @@ func TestPutChunkLeavesBytesAfterPayload(t *testing.T) {
 	}
 }
 
+// PutChunk's frame is exactly the chunk's size, so the store keeps it as it
+// is. GetChunk lends the payload clipped: handed straight back to
+// PutChunkOwned, it is sealed into a new frame, not into the trailer of the
+// frame the store lent.
+func TestChunksChangeHandsOnce(t *testing.T) {
+	tr, s := newT(t, 64)
+	ino := types.NewInoSource(33).Next()
+	if err := tr.PutChunk(ino, 0, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := s.Get(DataKey(ino, 0))
+	if err != nil || len(stored) != 7+wire.TrailerSize || cap(stored) != len(stored) {
+		t.Fatalf("stored frame: %d bytes, cap %d, %v; want a tight frame", len(stored), cap(stored), err)
+	}
+	got, err := tr.GetChunk(ino, 0)
+	if err != nil || string(got) != "payload" || cap(got) != len(got) {
+		t.Fatalf("GetChunk = %q (cap %d), %v; want the payload clipped", got, cap(got), err)
+	}
+	if err := tr.PutChunkOwned(ino, 1, got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.Unseal(stored); err != nil {
+		t.Fatalf("chunk 0's stored frame after its payload was put again: %v", err)
+	}
+	if again, err := tr.GetChunk(ino, 1); err != nil || string(again) != "payload" {
+		t.Fatalf("chunk 1 = %q, %v", again, err)
+	}
+}
+
 func benchmarkPut(b *testing.B, put func(*Translator, types.Ino, int64, []byte) error) {
 	const chunk = 2 << 20
 	tr := New(objstore.NewMemStore(), chunk)
 	ino := types.NewInoSource(32).Next()
+	// One payload for every put: PutChunkOwned's store keeps it, and each
+	// later hand-over rewrites the trailer with the bytes it already holds,
+	// so the frames stored stay intact.
 	payload := make([]byte, chunk, chunk+wire.TrailerSize)
 	b.SetBytes(chunk)
 	b.ReportAllocs()
