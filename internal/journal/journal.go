@@ -11,28 +11,12 @@
 // be in flight at once, each written by any put worker, so record N+1 is
 // encoded and sent while record N is still on the wire.
 //
-// Sequence order is preserved not by serializing the PUTs but by the
-// per-directory durability watermark: durableTo is the lowest sequence not
-// yet known durable, and it only advances contiguously. Checkpoints — the
-// application of a committed record to the original inode/dentry objects —
-// are dispatched strictly in sequence order as the watermark passes each
-// record, so the originals always reflect a prefix of the journal. An
-// operation externalizes (becomes visible to another client via lease
-// handoff, fsync, or 2PC) only once every record it depends on is under the
-// watermark:
-//
-//   - Barrier waits for durability only (the fsync path): a durable record
-//     is recoverable by the next leader's replay, which is all fsync
-//     promises.
-//   - Flush waits for durability and checkpoint (the lease-handoff path): a
-//     cleanly released directory is loaded without journal replay, so its
-//     journal must be empty.
-//
-// If a journal PUT fails permanently, the pipeline for that directory is
-// poisoned: records that landed above the gap are deleted (the journal must
-// stay a replayable prefix), queued records are dropped, and the error
-// surfaces at the next barrier — acknowledgements are tentative until a
-// barrier confirms them, exactly the contract fsync(2) has always had.
+// Sequence order, durability and what each barrier promises are one rule
+// per directory, the pipe type (pipe.go): the watermark advances only
+// contiguously, checkpoints follow it in sequence order, and a lost record
+// poisons the directory's pipeline until a barrier reports it. Barrier waits
+// for durability (fsync); Flush also for the checkpoints (a clean lease
+// handoff, whose successor loads without replay).
 //
 // Operations spanning two directories (RENAME) use a two-phase commit: both
 // journals receive a prepare record, the coordinating directory's journal
@@ -101,8 +85,8 @@ type Journal struct {
 	tr  *prt.Translator
 	cfg Config
 
-	putQs  []*sim.Chan[*putItem]
-	ckptQs []*sim.Chan[*ckptItem]
+	putQs  []*sim.Chan[slot[*record]]
+	ckptQs []*sim.Chan[*record]
 
 	// Metric sinks (nil-safe no-ops when cfg.Obs is nil).
 	cAppends     *obs.Counter
@@ -148,71 +132,25 @@ type dirJournal struct {
 	runInode  map[types.Ino]int // where running holds each inode's one inode op
 	runSC     obs.SpanContext   // trace of the op that opened the running txn
 	runTenant string            // tenant of the op that opened the running txn
-	scheduled bool              // a timed commit is already armed
-	cancel    func() bool
-	nextSeq   uint64
+	cancel    func() bool       // the armed commit timer; nil when none is
 
-	// Pipeline state. Sequences in [durableTo, nextSeq) are sealed and either
-	// queued, in flight, or landed out of order; durableTo advances only
-	// contiguously, and checkpoints dispatch in sequence order as it does.
-	gen       uint64             // bumped on failure; stale completions self-delete
-	queued    []*record          // sealed, waiting for a pipeline slot
-	inflight  int                // PUTs currently in flight
-	landed    map[uint64]*record // durable out of order, awaiting the watermark
-	durableTo uint64             // every seq < durableTo is durable (or a tolerated hole)
-	waiters   []durWaiter
-
-	err error // first async commit/checkpoint error, surfaced at a barrier
-
-	// ckptStuck is set when a checkpoint failed to apply its transaction.
-	// Unlike err it is never consumed by a barrier: the unapplied record is
-	// persistent state (it sits in the journal awaiting ordered replay), so
-	// every Flush must keep failing — forcing an unclean release and a
-	// NeedRecovery grant for the next leader — until recovery resets the
-	// directory. Later records are left unapplied too (see ckptLoop): applying
-	// around the gap could reorder same-name mutations.
-	ckptStuck error
-	// stale holds journal keys whose transactions applied but whose
-	// invalidation failed. Replaying them is idempotent, so they are not an
-	// error — but a clean release promises an empty journal, so Flush retries
-	// the deletes and fails the flush if any survive.
-	stale []string
+	p pipe[*record, *sim.Chan[error]]
+	// What j.gInflight and j.backlog count of p: its PUTs in flight, and
+	// those plus its queue.
+	inflight, backlog int
 }
 
-// record is one sealed journal transaction moving through the PUT pipeline.
-// A record with a nil txn is a sequence hole: a slot consumed by a
-// synchronously written 2PC record or abandoned by a failed PUT, which the
-// watermark passes without dispatching a checkpoint.
+// record is one sealed journal transaction on its way to the store and then
+// to its checkpoint. A rename's resolve and a Flush's drain queue for the
+// checkpoint worker as records too, with done set: a resolve's txn carries
+// only the ops it applies, and a drain has none.
 type record struct {
-	seq    uint64
-	gen    uint64
+	dj     *dirJournal
 	key    string
 	txn    *wire.Txn
-	ops    []wire.Op
 	sc     obs.SpanContext
 	tenant string        // tenant of the op that opened the batch, for span attribution
 	sealAt time.Duration // env clock at seal; decomposes commit latency into queue wait vs PUT
-}
-
-// durWaiter is a parked durability barrier: woken once durableTo >= target.
-type durWaiter struct {
-	target uint64
-	ch     *sim.Chan[struct{}]
-}
-
-type putItem struct {
-	dj  *dirJournal
-	rec *record
-}
-
-type ckptItem struct {
-	dj     *dirJournal
-	txn    *wire.Txn
-	seq    uint64
-	ops    []wire.Op       // ops to apply (may differ from txn.Ops for 2PC applies)
-	del    []string        // journal object keys to delete after applying
-	sc     obs.SpanContext // trace the checkpoint span parents under
-	tenant string          // tenant attribution inherited from the record
 	done   *sim.Chan[error]
 }
 
@@ -253,12 +191,12 @@ func New(env sim.Env, tr *prt.Translator, cfg Config) *Journal {
 	j.c2pcCommits = cfg.Obs.Counter("journal.2pc.commits")
 	j.c2pcAborts = cfg.Obs.Counter("journal.2pc.aborts")
 	for i := 0; i < cfg.CommitWorkers; i++ {
-		q := sim.NewChan[*putItem](env)
+		q := sim.NewChan[slot[*record]](env)
 		j.putQs = append(j.putQs, q)
 		env.Go(func() { j.putLoop(q) })
 	}
 	for i := 0; i < cfg.CheckpointWorkers; i++ {
-		q := sim.NewChan[*ckptItem](env)
+		q := sim.NewChan[*record](env)
 		j.ckptQs = append(j.ckptQs, q)
 		env.Go(func() { j.ckptLoop(q) })
 	}
@@ -267,7 +205,7 @@ func New(env sim.Env, tr *prt.Translator, cfg Config) *Journal {
 
 // Close stops the workers. Buffered but uncommitted mutations are dropped and
 // later Log calls are ignored — call FlushAll first for a clean shutdown.
-// Parked barriers are woken with a shutdown error.
+// Parked barriers are answered with a shutdown error.
 func (j *Journal) Close() {
 	j.mu.Lock()
 	if j.closed {
@@ -275,13 +213,8 @@ func (j *Journal) Close() {
 		return
 	}
 	j.closed = true
-	djs := make([]*dirJournal, 0, len(j.dirs))
-	for _, dj := range j.dirs {
-		djs = append(djs, dj)
-	}
+	djs := j.sortedLocked()
 	j.mu.Unlock()
-	// Inode order, as in groupCommit: the barriers woken below queue up in it.
-	slices.SortFunc(djs, func(a, b *dirJournal) int { return a.dir.Compare(b.dir) })
 	for _, q := range j.putQs {
 		q.Close()
 	}
@@ -290,23 +223,27 @@ func (j *Journal) Close() {
 	}
 	for _, dj := range djs {
 		dj.mu.Lock()
-		if dj.cancel != nil {
-			dj.cancel()
-			dj.scheduled, dj.cancel = false, nil
-		}
-		ws := dj.waiters
-		dj.waiters = nil
-		dj.mu.Unlock()
-		for _, w := range ws {
-			w.ch.Close() // Recv returns !ok: the barrier reports shutdown
-		}
+		dj.disarm()
+		j.settle(dj, dj.p.shut(fmt.Errorf("journal: shut down during barrier: %w", types.ErrIO)))
 	}
+}
+
+// sortedLocked returns the directories in inode order, so that virtual-clock
+// runs of the same seed schedule what each does identically. Caller holds
+// j.mu.
+func (j *Journal) sortedLocked() []*dirJournal {
+	djs := make([]*dirJournal, 0, len(j.dirs))
+	for _, dj := range j.dirs {
+		djs = append(djs, dj)
+	}
+	slices.SortFunc(djs, func(a, b *dirJournal) int { return a.dir.Compare(b.dir) })
+	return djs
 }
 
 // ckptQ returns the checkpoint queue statically assigned to dir: one
 // directory's checkpoints always serialize through the same worker, which is
 // what keeps them applied in sequence order.
-func (j *Journal) ckptQ(dir types.Ino) *sim.Chan[*ckptItem] {
+func (j *Journal) ckptQ(dir types.Ino) *sim.Chan[*record] {
 	return j.ckptQs[int(dir.Lo()%uint64(len(j.ckptQs)))]
 }
 
@@ -320,34 +257,77 @@ func (j *Journal) dirJournal(dir types.Ino) *dirJournal {
 func (j *Journal) dirJournalLocked(dir types.Ino) *dirJournal {
 	dj := j.dirs[dir]
 	if dj == nil {
-		dj = &dirJournal{dir: dir, landed: make(map[uint64]*record)}
+		dj = &dirJournal{dir: dir}
+		dj.p.init(dir, j.cfg.PipelineDepth)
 		j.dirs[dir] = dj
 	}
 	return dj
 }
 
-// setNextSeq primes the journal sequence for dir after recovery (Recover)
-// with one past the highest sequence it observed. Everything below that
-// sequence was either replayed or discarded, so the durability watermark
-// starts there too.
-func (j *Journal) setNextSeq(dir types.Ino, seq uint64) {
-	dj := j.dirJournal(dir)
-	dj.mu.Lock()
-	dj.nextSeq = seq
-	dj.durableTo = seq
-	// Recovery replayed (and invalidated) everything below seq, so any stuck
-	// or stale pipeline state from the previous leadership is obsolete. The
-	// generation bump makes in-flight completions of old PUTs self-delete.
-	dj.ckptStuck = nil
-	dj.stale = nil
-	dj.err = nil
-	dj.gen++
-	j.backlog.Add(-int64(len(dj.queued)))
-	dj.queued = nil
-	for s := range dj.landed {
-		delete(dj.landed, s)
+// run carries out what a transition of dj's pipe asks, in its order:
+// checkpoints, then barrier answers, then PUTs. A PUT or checkpoint the
+// closed journal cannot queue fails like one the store refused. The caller
+// holds dj.mu, and deletes the returned keys once it dropped it.
+func (j *Journal) run(dj *dirJournal, fx *pipeFx[*record, *sim.Chan[error]]) (doomed []string) {
+	var failed []slot[*record]
+	for fx != nil {
+		for _, r := range fx.ckpts {
+			// Time to watermark: seal → contiguous durability. This is what a
+			// barrier waiting on this record actually experiences.
+			j.hWatermark.ObserveTrace(j.env.Now()-r.sealAt, r.sc.Trace)
+			if !j.ckptQ(dj.dir).Send(r) {
+				dj.p.ckptDone(fmt.Errorf("journal: shut down before checkpoint of %s: %w", r.key, types.ErrIO))
+			}
+		}
+		for _, b := range fx.wake {
+			b.w.Send(b.err)
+		}
+		for _, r := range fx.doomed {
+			doomed = append(doomed, r.key)
+		}
+		for _, s := range fx.puts {
+			q := j.putQs[int((dj.dir.Lo()+s.seq)%uint64(len(j.putQs)))]
+			if !q.Send(s) {
+				failed = append(failed, s)
+			}
+		}
+		fx = nil
+		if len(failed) > 0 {
+			s := failed[0]
+			failed = failed[1:]
+			fx = dj.p.putFailed(s, fmt.Errorf("journal: shut down during commit of %s: %w", s.rec.key, types.ErrIO))
+		}
 	}
+	dj.p.begin()
+	inflight, backlog := dj.p.inflight, dj.p.inflight+len(dj.p.queued)
+	j.gInflight.Add(int64(inflight - dj.inflight))
+	j.backlog.Add(int64(backlog - dj.backlog))
+	dj.inflight, dj.backlog = inflight, backlog
+	return doomed
+}
+
+// settle is run, then drops dj.mu and deletes the doomed records.
+func (j *Journal) settle(dj *dirJournal, fx *pipeFx[*record, *sim.Chan[error]]) {
+	doomed := j.run(dj, fx)
 	dj.mu.Unlock()
+	j.remove(doomed)
+}
+
+func (j *Journal) remove(keys []string) {
+	for _, key := range keys {
+		_ = j.tr.Store().Delete(key)
+	}
+}
+
+// disarm cancels the armed commit timer, reporting whether one was armed.
+// Caller holds dj.mu.
+func (dj *dirJournal) disarm() bool {
+	if dj.cancel == nil {
+		return false
+	}
+	dj.cancel()
+	dj.cancel = nil
+	return true
 }
 
 // Pressure reports how far the commit pipeline is backed up: the number of
@@ -418,13 +398,12 @@ func (j *Journal) Log(ctx context.Context, dir types.Ino, ops []wire.Op) {
 		}
 		dj.running = append(dj.running, ops[i])
 	}
-	// The gauge counts what the running transaction holds (sealLocked takes
+	// The gauge counts what the running transaction holds (seal takes
 	// len(running) back off), the counter what it absorbed.
 	grown := len(dj.running) - before
 	j.gBuffer.Add(int64(grown))
 	j.cCoalesced.Add(int64(len(ops) - grown))
-	if !dj.scheduled {
-		dj.scheduled = true
+	if dj.cancel == nil {
 		dj.cancel = j.env.After(j.cfg.CommitInterval, j.groupCommit)
 	}
 	dj.mu.Unlock()
@@ -451,48 +430,37 @@ func (j *Journal) groupCommit() {
 		j.mu.Unlock()
 		return
 	}
-	djs := make([]*dirJournal, 0, len(j.dirs))
-	for _, dj := range j.dirs {
-		djs = append(djs, dj)
-	}
+	djs := j.sortedLocked()
 	j.mu.Unlock()
-	// Map order is randomized; seal in inode order so virtual-clock runs of
-	// the same seed schedule identically.
-	slices.SortFunc(djs, func(a, b *dirJournal) int { return a.dir.Compare(b.dir) })
 	sealed := 0
 	for _, dj := range djs {
 		dj.mu.Lock()
-		if dj.scheduled {
-			if dj.cancel != nil {
-				dj.cancel()
-			}
-			dj.scheduled, dj.cancel = false, nil
-			if j.sealLocked(dj) {
+		var fx *pipeFx[*record, *sim.Chan[error]]
+		if dj.disarm() {
+			if fx = j.seal(dj); fx != nil {
 				sealed++
 			}
 		}
-		dj.mu.Unlock()
+		j.settle(dj, fx)
 	}
 	if sealed > 1 {
 		j.cGroupSeals.Add(int64(sealed - 1)) // records that rode a shared tick
 	}
 }
 
-// sealLocked turns dir's running transaction into a sealed record, assigns
-// its sequence, and feeds the PUT pipeline. Caller holds dj.mu. Reports
-// whether a record was sealed (false for an empty running transaction).
-func (j *Journal) sealLocked(dj *dirJournal) bool {
+// seal turns dir's running transaction into a sealed record for the PUT
+// pipeline, and returns what the pipe asks for it: nil when nothing runs.
+// Caller holds dj.mu.
+func (j *Journal) seal(dj *dirJournal) *pipeFx[*record, *sim.Chan[error]] {
 	if len(dj.running) == 0 {
-		return false
+		return nil
 	}
 	ops, sc, tenant := dj.running, dj.runSC, dj.runTenant
 	dj.running, dj.runInode, dj.runSC, dj.runTenant = nil, nil, obs.SpanContext{}, ""
 	j.gBuffer.Add(-int64(len(ops)))
-	seq := dj.nextSeq
-	dj.nextSeq++
+	seq := dj.p.reserve()
 	rec := &record{
-		seq:    seq,
-		gen:    dj.gen,
+		dj:     dj,
 		sealAt: j.env.Now(),
 		key:    prt.JournalKey(dj.dir, seq),
 		txn: &wire.Txn{
@@ -502,44 +470,21 @@ func (j *Journal) sealLocked(dj *dirJournal) bool {
 			Stamp: j.env.Now(),
 			Ops:   ops,
 		},
-		ops:    ops,
 		sc:     sc,
 		tenant: tenant,
 	}
-	j.dispatchLocked(dj, rec)
-	return true
-}
-
-// dispatchLocked hands a sealed record to a put worker, or parks it in the
-// backlog when the directory's pipeline window is full. Caller holds dj.mu.
-// Records of one directory spread over the put workers by sequence, which is
-// what lets record N+1's PUT start while N's is still in flight.
-func (j *Journal) dispatchLocked(dj *dirJournal, rec *record) {
-	j.backlog.Add(1)
-	if dj.inflight >= j.cfg.PipelineDepth {
-		dj.queued = append(dj.queued, rec)
-		return
-	}
-	dj.inflight++
-	j.gInflight.Add(1)
-	q := j.putQs[int((dj.dir.Lo()+rec.seq)%uint64(len(j.putQs)))]
-	if !q.Send(&putItem{dj: dj, rec: rec}) {
-		dj.inflight--
-		j.gInflight.Add(-1)
-		j.backlog.Add(-1)
-		j.poisonLocked(dj, fmt.Errorf("journal: shut down during commit of %s: %w", rec.key, types.ErrIO))
-	}
+	return dj.p.seal(seq, rec)
 }
 
 // putLoop is a put worker: it writes sealed records to the object store and
-// reports their durability to the owning directory's watermark.
-func (j *Journal) putLoop(q *sim.Chan[*putItem]) {
+// reports each outcome to the owning directory's pipe.
+func (j *Journal) putLoop(q *sim.Chan[slot[*record]]) {
 	for {
-		it, ok := q.Recv()
+		s, ok := q.Recv()
 		if !ok {
 			return
 		}
-		dj, rec := it.dj, it.rec
+		rec, dj := s.rec, s.rec.dj
 		j.cfg.Crash.Hit(crashpoint.PreJournalPut)
 		start := j.env.Now()
 		// Queue wait: seal → PUT start. Separates time spent behind the
@@ -556,7 +501,9 @@ func (j *Journal) putLoop(q *sim.Chan[*putItem]) {
 		put.End(err)
 		sp.End(err)
 		if err != nil {
-			j.putFailed(dj, rec, err)
+			j.cCommitErrs.Inc()
+			dj.mu.Lock()
+			j.settle(dj, dj.p.putFailed(s, fmt.Errorf("journal: commit %s: %w", rec.key, err)))
 			continue
 		}
 		j.cCommits.Inc()
@@ -564,134 +511,9 @@ func (j *Journal) putLoop(q *sim.Chan[*putItem]) {
 		// The record is durable: from here on a crash must be recoverable by
 		// the next leader's journal replay.
 		j.cfg.Crash.Hit(crashpoint.PostJournalPut)
-		j.putLanded(dj, rec)
+		dj.mu.Lock()
+		j.settle(dj, dj.p.putLanded(s))
 	}
-}
-
-// putLanded marks one record durable, advances the contiguous watermark, and
-// refills the pipeline window from the backlog. A record whose generation is
-// stale landed after its pipeline was poisoned; its object is deleted so the
-// journal stays a replayable prefix.
-func (j *Journal) putLanded(dj *dirJournal, rec *record) {
-	var doomed []string
-	dj.mu.Lock()
-	dj.inflight--
-	j.gInflight.Add(-1)
-	j.backlog.Add(-1)
-	if rec.gen != dj.gen {
-		doomed = append(doomed, rec.key)
-	} else {
-		dj.landed[rec.seq] = rec
-		j.advanceLocked(dj)
-		for len(dj.queued) > 0 && dj.inflight < j.cfg.PipelineDepth {
-			next := dj.queued[0]
-			dj.queued = dj.queued[1:]
-			j.backlog.Add(-1) // re-counted by dispatchLocked
-			j.dispatchLocked(dj, next)
-		}
-	}
-	dj.mu.Unlock()
-	for _, key := range doomed {
-		_ = j.tr.Store().Delete(key)
-	}
-}
-
-// putFailed poisons dir's pipeline after a permanent PUT failure.
-func (j *Journal) putFailed(dj *dirJournal, rec *record, err error) {
-	j.cCommitErrs.Inc()
-	var doomed []string
-	dj.mu.Lock()
-	dj.inflight--
-	j.gInflight.Add(-1)
-	j.backlog.Add(-1)
-	if rec.gen == dj.gen {
-		doomed = j.poisonLocked(dj, fmt.Errorf("journal: commit %s: %w", rec.key, err))
-	}
-	dj.mu.Unlock()
-	for _, key := range doomed {
-		_ = j.tr.Store().Delete(key)
-	}
-}
-
-// poisonLocked handles a lost record: the error is recorded for the next
-// barrier, records landed above the gap are scheduled for deletion (returned
-// for the caller to delete outside the lock — replaying them without their
-// predecessor could apply ops whose prerequisites were lost), the backlog is
-// dropped, in-flight PUTs are invalidated via the generation counter, and the
-// watermark jumps over the wreckage so future records start clean. Caller
-// holds dj.mu.
-func (j *Journal) poisonLocked(dj *dirJournal, err error) (doomed []string) {
-	if dj.err == nil {
-		dj.err = err
-	}
-	dj.gen++
-	for seq, r := range dj.landed {
-		if r.txn != nil {
-			doomed = append(doomed, r.key)
-		}
-		delete(dj.landed, seq)
-	}
-	slices.Sort(doomed)
-	j.backlog.Add(-int64(len(dj.queued)))
-	dj.queued = nil
-	dj.durableTo = dj.nextSeq
-	j.wakeLocked(dj)
-	return doomed
-}
-
-// advanceLocked walks the watermark over contiguously landed records,
-// dispatching each one's checkpoint in sequence order, then wakes any
-// barriers the new watermark satisfies. Caller holds dj.mu.
-func (j *Journal) advanceLocked(dj *dirJournal) {
-	for {
-		r, ok := dj.landed[dj.durableTo]
-		if !ok {
-			break
-		}
-		delete(dj.landed, dj.durableTo)
-		dj.durableTo++
-		if r.txn == nil {
-			continue // sequence hole: nothing to checkpoint
-		}
-		// Time to watermark: seal → contiguous durability. This is what a
-		// barrier waiting on this record actually experiences.
-		j.hWatermark.ObserveTrace(j.env.Now()-r.sealAt, r.sc.Trace)
-		if !j.ckptQ(dj.dir).Send(&ckptItem{
-			dj: dj, txn: r.txn, seq: r.seq, ops: r.ops, del: []string{r.key},
-			sc: r.sc, tenant: r.tenant,
-		}) {
-			if dj.err == nil {
-				dj.err = fmt.Errorf("journal: shut down before checkpoint of %s: %w", r.key, types.ErrIO)
-			}
-		}
-	}
-	j.wakeLocked(dj)
-}
-
-// wakeLocked releases every barrier whose target the watermark has reached.
-// Caller holds dj.mu.
-func (j *Journal) wakeLocked(dj *dirJournal) {
-	kept := dj.waiters[:0]
-	for _, w := range dj.waiters {
-		if dj.durableTo >= w.target {
-			w.ch.Send(struct{}{})
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	dj.waiters = kept
-}
-
-// markSeqResolved records a sequence slot that was written (or abandoned)
-// outside the pipeline — 2PC prepare and decision records are PUT
-// synchronously — so the durability watermark can pass it.
-func (j *Journal) markSeqResolved(dj *dirJournal, seq uint64) {
-	dj.mu.Lock()
-	if seq >= dj.durableTo {
-		dj.landed[seq] = &record{seq: seq, gen: dj.gen}
-		j.advanceLocked(dj)
-	}
-	dj.mu.Unlock()
 }
 
 // Barrier seals dir's running transaction — cancelling the armed commit
@@ -712,26 +534,20 @@ func (j *Journal) Barrier(dir types.Ino) error {
 	j.mu.Unlock()
 
 	dj.mu.Lock()
-	if dj.scheduled {
-		if dj.cancel != nil {
-			dj.cancel() // the forced commit supersedes the timed one
-		}
-		dj.scheduled, dj.cancel = false, nil
+	dj.disarm() // the forced commit supersedes the timed one
+	doomed := j.run(dj, j.seal(dj))
+	done, err := dj.p.barrier()
+	var ch *sim.Chan[error]
+	if !done {
+		ch = sim.NewChan[error](j.env)
+		dj.p.park(ch)
 	}
-	j.sealLocked(dj)
-	if dj.durableTo >= dj.nextSeq {
-		err := dj.err
-		dj.err = nil
-		dj.mu.Unlock()
-		return err
-	}
-	w := durWaiter{target: dj.nextSeq, ch: sim.NewChan[struct{}](j.env)}
-	dj.waiters = append(dj.waiters, w)
 	dj.mu.Unlock()
-	if _, ok := w.ch.Recv(); !ok {
-		return fmt.Errorf("journal: shut down during barrier: %w", types.ErrIO)
+	j.remove(doomed)
+	if !done {
+		err, _ = ch.Recv() // Close answers too, so it is never closed
 	}
-	return dj.takeErr()
+	return err
 }
 
 // Flush is the strong barrier: it commits dir's running transaction and
@@ -739,27 +555,24 @@ func (j *Journal) Barrier(dir types.Ino) error {
 // objects, leaving the journal empty. Lease handoff requires it — a cleanly
 // released directory is loaded by the next leader without journal replay.
 func (j *Journal) Flush(dir types.Ino) error {
-	barrierErr := j.Barrier(dir)
+	err := j.Barrier(dir)
 	// Even after a commit failure the records that did land have checkpoints
-	// in flight; drain them so the handoff invariant (empty journal) holds.
-	dj := j.dirJournal(dir)
-	done := sim.NewChan[error](j.env)
-	if !j.ckptQ(dir).Send(&ckptItem{dj: dj, done: done}) {
-		if barrierErr != nil {
-			return barrierErr
-		}
-		return fmt.Errorf("journal: shut down during flush: %w", types.ErrIO)
+	// queued; drain them so the handoff invariant (empty journal) holds.
+	derr := j.await(&record{dj: j.dirJournal(dir)})
+	if err != nil {
+		return err
 	}
-	err, ok := done.Recv()
-	if !ok {
-		if barrierErr != nil {
-			return barrierErr
-		}
-		return fmt.Errorf("journal: shut down during flush: %w", types.ErrIO)
+	return derr
+}
+
+// await queues r behind its directory's checkpoints and waits for the
+// answer. A closed worker still answers what was queued before.
+func (j *Journal) await(r *record) error {
+	r.done = sim.NewChan[error](j.env)
+	if !j.ckptQ(r.dj.dir).Send(r) {
+		return fmt.Errorf("journal: shut down before %s's checkpoint worker answered: %w", r.dj.dir.Short(), types.ErrIO)
 	}
-	if barrierErr != nil {
-		return barrierErr
-	}
+	err, _ := r.done.Recv()
 	return err
 }
 
@@ -801,83 +614,92 @@ func (j *Journal) sweep(fn func(types.Ino) error) error {
 	}
 }
 
-// DropDir forgets dir's journal state (after a clean flush + lease release).
+// DropDir forgets dir's journal state after this client gave the directory
+// up. None of its checkpoints starts from now on: the records still queued
+// stay in the journal, and the next leader's recovery replays them, as after
+// a crash.
 func (j *Journal) DropDir(dir types.Ino) {
 	j.mu.Lock()
+	dj := j.dirs[dir]
 	delete(j.dirs, dir)
 	j.mu.Unlock()
+	if dj != nil {
+		dj.mu.Lock()
+		dj.p.drop()
+		dj.mu.Unlock()
+	}
 }
 
 // ckptLoop is a checkpoint worker: it applies committed transactions to the
-// original objects and invalidates the journal entries.
-func (j *Journal) ckptLoop(q *sim.Chan[*ckptItem]) {
+// original objects and invalidates the journal entries, and answers a
+// Flush's drain.
+func (j *Journal) ckptLoop(q *sim.Chan[*record]) {
 	for {
-		it, ok := q.Recv()
+		r, ok := q.Recv()
 		if !ok {
 			return
 		}
-		if it.ops != nil {
-			it.dj.mu.Lock()
-			stuck := it.dj.ckptStuck
-			it.dj.mu.Unlock()
-			if stuck != nil {
-				// An earlier record of this directory failed to apply.
-				// Applying this one around the gap could reorder same-name
-				// mutations, so leave it (and its journal object) for the
-				// ordered replay a NeedRecovery grant runs.
-				j.cCkptErrs.Inc()
-			} else {
-				ckptStart := j.env.Now()
-				sp := j.trace.StartChild(it.sc, "journal.checkpoint", "")
-				sp.SetDir(it.dj.dir)
-				sp.SetTenant(it.tenant)
-				if err := j.applyOps(it.dj.dir, it.ops, j.cfg.Crash); err != nil {
-					j.cCkptErrs.Inc()
-					it.dj.mu.Lock()
-					it.dj.ckptStuck = err
-					it.dj.mu.Unlock()
-					j.recordErr(it.dj, err)
-					sp.End(err)
-				} else {
-					// Fully applied; the journal record still exists, so a crash
-					// here makes recovery replay the transaction a second time.
-					j.cfg.Crash.Hit(crashpoint.PostCheckpoint)
-					for _, key := range it.del {
-						del := j.trace.StartChild(sp.Context(), "objstore.delete", key)
-						del.SetTenant(it.tenant)
-						err := j.tr.Store().Delete(key)
-						del.End(err)
-						if err != nil {
-							// Applied but not invalidated: replay is idempotent,
-							// so this is not a barrier error — but the key must
-							// go before a clean release (see drainErr).
-							it.dj.mu.Lock()
-							it.dj.stale = append(it.dj.stale, key)
-							it.dj.mu.Unlock()
-						}
-					}
-					j.cCkpts.Inc()
-					j.hCkpt.Observe(j.env.Now() - ckptStart)
-					sp.End(nil)
-				}
-			}
+		if r.txn == nil {
+			r.done.Send(j.drain(r.dj))
+			continue
 		}
-		if it.done != nil {
-			it.done.Send(j.drainErr(it.dj))
+		err := j.checkpoint(r)
+		if r.done != nil {
+			r.done.Send(err)
 		}
 	}
 }
 
-// drainErr computes the outcome of a flush drain: stale invalidations are
-// retried (faults may have healed), and a stuck checkpoint is reported as a
-// persistent error — unlike dj.err it cannot be consumed by an intermediate
-// barrier, so a directory with an unapplied journal record can never be
-// released clean. Only a recovery replay (Recover) clears it.
-func (j *Journal) drainErr(dj *dirJournal) error {
+// checkpoint applies one record, or a resolve's ops, if dj's pipe lets it
+// start, and deletes its journal object. It returns what a resolve answers.
+func (j *Journal) checkpoint(r *record) error {
+	dj := r.dj
 	dj.mu.Lock()
-	stale := dj.stale
-	dj.stale = nil
-	stuck := dj.ckptStuck
+	err := dj.p.ckptStart()
+	dj.mu.Unlock()
+	if err != nil {
+		j.cCkptErrs.Inc()
+		return err
+	}
+	ckptStart := j.env.Now()
+	sp := j.trace.StartChild(r.sc, "journal.checkpoint", "")
+	sp.SetDir(dj.dir)
+	sp.SetTenant(r.tenant)
+	err = j.applyOps(dj.dir, r.txn.Ops, j.cfg.Crash)
+	dj.mu.Lock()
+	answer := dj.p.ckptDone(err)
+	dj.mu.Unlock()
+	if err != nil {
+		j.cCkptErrs.Inc()
+		sp.End(err)
+		return answer
+	}
+	// Fully applied; the journal record still exists, so a crash here makes
+	// recovery replay the transaction a second time.
+	j.cfg.Crash.Hit(crashpoint.PostCheckpoint)
+	del := j.trace.StartChild(sp.Context(), "objstore.delete", r.key)
+	del.SetTenant(r.tenant)
+	err = j.tr.Store().Delete(r.key)
+	del.End(err)
+	if err != nil {
+		// Applied but not invalidated: replay is idempotent, so this is no
+		// error, but the key must go before a clean release (see drain).
+		dj.mu.Lock()
+		dj.p.invalidateFailed(r.key)
+		dj.mu.Unlock()
+	}
+	j.cCkpts.Inc()
+	j.hCkpt.Observe(j.env.Now() - ckptStart)
+	sp.End(nil)
+	return answer
+}
+
+// drain is a Flush's last step, behind every checkpoint queued before it:
+// the stale invalidations are retried (faults may have healed), and dj's
+// pipe answers.
+func (j *Journal) drain(dj *dirJournal) error {
+	dj.mu.Lock()
+	stale := dj.p.takeStale()
 	dj.mu.Unlock()
 	var kept []string
 	var staleErr error
@@ -889,34 +711,9 @@ func (j *Journal) drainErr(dj *dirJournal) error {
 			}
 		}
 	}
-	if len(kept) > 0 {
-		dj.mu.Lock()
-		dj.stale = append(dj.stale, kept...)
-		dj.mu.Unlock()
-	}
-	if stuck != nil {
-		return fmt.Errorf("journal: unapplied record for %s awaits replay: %w", dj.dir.Short(), stuck)
-	}
-	if staleErr != nil {
-		return staleErr
-	}
-	return dj.takeErr()
-}
-
-func (j *Journal) recordErr(dj *dirJournal, err error) {
-	dj.mu.Lock()
-	if dj.err == nil {
-		dj.err = err
-	}
-	dj.mu.Unlock()
-}
-
-func (dj *dirJournal) takeErr() error {
 	dj.mu.Lock()
 	defer dj.mu.Unlock()
-	err := dj.err
-	dj.err = nil
-	return err
+	return dj.p.drained(kept, staleErr)
 }
 
 // ApplyOps checkpoints a transaction's operations one object after another

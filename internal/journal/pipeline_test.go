@@ -14,9 +14,9 @@ import (
 	"arkfs/internal/wire"
 )
 
-// A forced commit (Barrier/Flush) must cancel the armed group-commit timer
-// and clear the scheduled flag; otherwise the stale timer fires later and
-// enqueues a redundant empty commit for a batch that was already written.
+// A forced commit (Barrier/Flush) must cancel the armed group-commit timer;
+// otherwise the stale timer fires later and enqueues a redundant empty
+// commit for a batch that was already written.
 func TestBarrierCancelsArmedCommitTimer(t *testing.T) {
 	env := sim.NewRealEnv()
 	defer env.Shutdown()
@@ -36,10 +36,10 @@ func TestBarrierCancelsArmedCommitTimer(t *testing.T) {
 	dj := j.dirs[dir]
 	j.mu.Unlock()
 	dj.mu.Lock()
-	scheduled, cancel := dj.scheduled, dj.cancel
+	cancel := dj.cancel
 	dj.mu.Unlock()
-	if scheduled || cancel != nil {
-		t.Fatalf("forced commit left the timer armed: scheduled=%v cancel=%p", scheduled, cancel)
+	if cancel != nil {
+		t.Fatalf("forced commit left the timer armed: cancel=%p", cancel)
 	}
 
 	// Let the original interval elapse: the superseded tick must not touch
@@ -258,6 +258,72 @@ func TestGroupCommitSealsAllDirtyDirs(t *testing.T) {
 			if err != nil || len(ents) != 1 {
 				t.Fatalf("dir %s not checkpointed by the shared tick: %v, %v", d.Short(), ents, err)
 			}
+		}
+	})
+}
+
+// A resolve answers with its own apply. A timed commit whose PUT fails
+// between a rename's prepare and its resolve lost a record: that error is
+// the next barrier's, and the resolve of a rename that committed succeeds.
+func TestResolveLeavesTheLostRecordToTheBarrier(t *testing.T) {
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		fault := objstore.NewFaultStore(objstore.NewMemStore())
+		fault.InjectLatency(env, time.Millisecond)
+		tr := prt.New(fault, 64)
+		j := New(env, tr, Config{CommitInterval: 10 * time.Millisecond, CommitWorkers: 1, CheckpointWorkers: 1})
+		defer j.Close()
+		ctx := context.Background()
+		src := types.NewInoSource(27)
+		dir, peer := src.Next(), src.Next()
+		moved := mkFileInode(src, 1)
+		r := &Rename{TxID: j.NewTxnID(), Dir: dir, Peer: peer, Ops: createOps(dir, "moved", moved)}
+		if err := j.WritePrepare(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+		fault.FailNext(prt.PrefixJournal, 1) // the timed commit's PUT
+		j.Log(ctx, dir, createOps(dir, "lost", mkFileInode(src, 1)))
+		env.Sleep(50 * time.Millisecond)
+		if err := j.ResolvePrepared(ctx, *r, true); err != nil {
+			t.Fatalf("the resolve of a committed rename answered the lost record's error: %v", err)
+		}
+		if got, err := tr.LoadInode(moved.Ino); err != nil || got.Ino != moved.Ino {
+			t.Fatalf("the resolve did not apply: %v, %v", got, err)
+		}
+		if err := j.Barrier(dir); !errors.Is(err, types.ErrIO) {
+			t.Fatalf("the barrier after a lost record answered %v, want its PUT error", err)
+		}
+	})
+}
+
+// After DropDir no checkpoint of the directory starts: one still queued
+// would write the originals, with no lease, over what a successor wrote.
+// Its record stays in the journal for the successor's recovery.
+func TestDroppedDirStopsCheckpointing(t *testing.T) {
+	env := sim.NewVirtEnv()
+	env.Run(func() {
+		fault := objstore.NewFaultStore(objstore.NewMemStore())
+		fault.InjectLatency(env, time.Millisecond)
+		tr := prt.New(fault, 64)
+		j := New(env, tr, Config{CommitInterval: time.Hour, CommitWorkers: 2, CheckpointWorkers: 1})
+		defer j.Close()
+		ctx := context.Background()
+		src := types.NewInoSource(28)
+		dir := src.Next()
+		a, b := mkFileInode(src, 1), mkFileInode(src, 1)
+		for i, child := range []*types.Inode{a, b} {
+			j.Log(ctx, dir, createOps(dir, string(rune('a'+i)), child))
+			if err := j.Barrier(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.DropDir(dir) // a's checkpoint is applying, b's waits behind it
+		env.Sleep(100 * time.Millisecond)
+		if _, err := tr.LoadInode(b.Ino); !errors.Is(err, types.ErrNotExist) {
+			t.Fatalf("a dropped directory checkpointed its queued record: %v", err)
+		}
+		if keys, _ := tr.Store().List(prt.JournalPrefix(dir)); len(keys) != 1 {
+			t.Fatalf("journal after the drop: %v, want the unapplied record", keys)
 		}
 	})
 }

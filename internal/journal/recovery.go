@@ -64,7 +64,10 @@ func Recover(tr *prt.Translator, dir types.Ino) (Report, error) {
 func (j *Journal) Recover(dir types.Ino) (Report, error) {
 	rep, err := j.recoverDir(dir)
 	if err == nil {
-		j.setNextSeq(dir, rep.NextSeq)
+		// Everything below NextSeq was replayed or discarded.
+		dj := j.dirJournal(dir)
+		dj.mu.Lock()
+		j.settle(dj, dj.p.reset(rep.NextSeq))
 	}
 	return rep, err
 }

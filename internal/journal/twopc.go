@@ -9,7 +9,6 @@ import (
 	"arkfs/internal/obs"
 	"arkfs/internal/prt"
 	"arkfs/internal/rpc"
-	"arkfs/internal/sim"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
 )
@@ -148,8 +147,7 @@ func (r Rename) Due(now, period time.Duration, leads bool) bool {
 func (j *Journal) writeRecord(ctx context.Context, txn *wire.Txn, what string, count *obs.Counter, site crashpoint.Site) (uint64, error) {
 	dj := j.dirJournal(txn.Dir)
 	dj.mu.Lock()
-	seq := dj.nextSeq
-	dj.nextSeq++
+	seq := dj.p.reserve()
 	dj.mu.Unlock()
 	txn.Stamp = j.env.Now()
 	key := prt.JournalKey(txn.Dir, seq)
@@ -162,7 +160,8 @@ func (j *Journal) writeRecord(ctx context.Context, txn *wire.Txn, what string, c
 	err := j.tr.Store().Put(key, wire.EncodeTxn(txn))
 	put.End(err)
 	sp.End(err)
-	j.markSeqResolved(dj, seq)
+	dj.mu.Lock()
+	j.settle(dj, dj.p.hole(seq))
 	if err != nil {
 		return 0, fmt.Errorf("journal: write %s %s: %w", what, key, err)
 	}
@@ -219,21 +218,14 @@ func (j *Journal) DeleteDecision(r Rename) error {
 // removes its prepare record. The coordinator's decision record is GC'd
 // separately via DeleteDecision. It runs through the directory's checkpoint
 // worker to stay serialized with normal checkpoints; the checkpoint span
-// parents under the trace in ctx.
+// parents under the trace in ctx. It answers for its own apply only: an
+// earlier record's loss is the next barrier's error.
 func (j *Journal) ResolvePrepared(ctx context.Context, r Rename, commit bool) error {
-	applied := r.Ops
-	if !commit || applied == nil {
-		applied = []wire.Op{} // non-nil: still delete the record
+	applied := &wire.Txn{}
+	if commit {
+		applied.Ops = r.Ops
 	}
-	dj := j.dirJournal(r.Dir)
-	done := sim.NewChan[error](j.env)
-	item := &ckptItem{dj: dj, ops: applied, del: []string{prt.JournalKey(r.Dir, r.prep)}, sc: rpc.MetaFrom(ctx).Span, done: done}
-	if j.ckptQ(r.Dir).Send(item) {
-		if err, ok := done.Recv(); ok {
-			return err
-		}
-	}
-	return fmt.Errorf("journal: shut down resolving txn %d: %w", r.TxID, types.ErrIO)
+	return j.await(&record{dj: j.dirJournal(r.Dir), key: prt.JournalKey(r.Dir, r.prep), txn: applied, sc: rpc.MetaFrom(ctx).Span})
 }
 
 // Probe reads the coordinator's journal for a participant's rename r, one
