@@ -11,7 +11,7 @@
 // Chaos mode: arkbench -chaos -seed N replays the seeded fault scenario
 // exactly; a failing run prints its seed so the sequence can be reproduced.
 // With -overload it instead replays the seeded overload-protection scenario
-// (hostile-tenant flood against the admission/brownout/breaker stack) and
+// (hostile-tenant flood against leader admission) and
 // asserts its contract: no acked-op loss, polite goodput within 80% of the
 // isolated baseline, typed pushback for the hostile tenant, convergence.
 //

@@ -71,11 +71,6 @@ func main() {
 
 		qosRate  = flag.Float64("qos-rate", 0, "per-tenant admission rate for forwarded ops this client serves as leader, ops/sec (0: no admission control)")
 		qosBurst = flag.Float64("qos-burst", 8, "per-tenant admission burst depth (with -qos-rate)")
-		opBudget = flag.Int("op-budget", 0, "shared retry budget per operation (0: default, negative: unlimited)")
-		maxInbox = flag.Int("max-inbox", 0, "bound the leader-side RPC inbox; excess requests get typed EAGAIN (0: unbounded)")
-		shedWait = flag.Duration("shed-wait", 0, "shed queued requests older than this at pickup (0: never)")
-		breaker  = flag.Bool("breaker", false, "mount a circuit breaker under the object-store retry layer")
-		brownout = flag.Bool("brownout", false, "shed expensive forwarded ops with typed EAGAIN when the journal pipeline backs up")
 
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /stats.json, /traces, /healthz and pprof on this address (empty: off)")
 		slowOp    = flag.Duration("slow-op", 0, "log operations slower than this with their trace IDs (0: off; needs -debug-addr)")
@@ -138,18 +133,9 @@ func main() {
 		Cache:       cache.DefaultConfig(),
 		LeaseMgr:    leaseAddr,
 		LeaseRouter: router,
-		OpBudget:    *opBudget,
-		Brownout:    *brownout,
-		ServerLimits: rpc.ServerLimits{
-			MaxInbox: *maxInbox,
-			ShedWait: *shedWait,
-		},
 	}
 	if *qosRate > 0 {
 		opts.QoS = qos.NewLimiter(qos.Limits{Rate: *qosRate, Burst: *qosBurst})
-	}
-	if *breaker {
-		opts.Breaker = &qos.BreakerConfig{}
 	}
 	if *retries > 1 {
 		pol := objstore.DefaultRetryPolicy()

@@ -22,8 +22,6 @@ import (
 
 	"arkfs/internal/fsck"
 	"arkfs/internal/objstore"
-	"arkfs/internal/qos"
-	"arkfs/internal/sim"
 )
 
 func main() {
@@ -31,7 +29,6 @@ func main() {
 	scrub := flag.Bool("scrub", false, "plan repairs without modifying the store")
 	repair := flag.Bool("repair", false, "repair the image (implies -scrub)")
 	tenant := flag.String("tenant", "fsck", "tenant stamped on every store request, so a QoS-enabled gateway accounts and rate-limits the scan under its own bucket")
-	breaker := flag.Bool("breaker", false, "mount a circuit breaker on the store: a dying gateway trips fast instead of timing out every scan read")
 	flag.Parse()
 	if *storeURL == "" {
 		fmt.Fprintln(os.Stderr, "arkfsck: -store is required (an objstored URL)")
@@ -40,11 +37,6 @@ func main() {
 	hs := objstore.NewHTTPStore(*storeURL)
 	hs.SetTenant(*tenant)
 	var store objstore.Store = hs
-	if *breaker {
-		env := sim.NewRealEnv()
-		defer env.Shutdown()
-		store = objstore.NewBreakerStore(env, store, qos.BreakerConfig{})
-	}
 
 	if !*scrub && !*repair {
 		rep, err := fsck.Check(store)

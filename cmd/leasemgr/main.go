@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	leasemgr [-listen :7400] [-shards 1] [-period 5s] [-restarted] [-debug-addr :7500] [-slow-op 50ms] [-qos-rate 200] [-max-inbox 256]
+//	leasemgr [-listen :7400] [-shards 1] [-period 5s] [-restarted] [-debug-addr :7500] [-slow-op 50ms]
 package main
 
 import (
@@ -27,7 +27,6 @@ import (
 	"arkfs/internal/lease"
 	"arkfs/internal/obs"
 	"arkfs/internal/obs/expose"
-	"arkfs/internal/qos"
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 )
@@ -39,10 +38,6 @@ func main() {
 	restarted := flag.Bool("restarted", false, "start in the post-crash quiesce state")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /stats.json, /traces, /healthz and pprof on this address (empty: off)")
 	slowOp := flag.Duration("slow-op", 0, "log lease operations slower than this (0: off; needs -debug-addr)")
-	qosRate := flag.Float64("qos-rate", 0, "per-tenant lease-acquire admission rate, ops/sec; refusals answer typed EAGAIN with a retry hint (0: no admission control)")
-	qosBurst := flag.Float64("qos-burst", 8, "per-tenant admission burst depth (with -qos-rate)")
-	maxInbox := flag.Int("max-inbox", 0, "bound each shard's RPC inbox; excess requests get typed EAGAIN (0: unbounded)")
-	shedWait := flag.Duration("shed-wait", 0, "shed queued requests older than this at pickup (0: never)")
 	flag.Parse()
 	if *shards < 1 {
 		log.Fatalf("leasemgr: -shards must be >= 1, got %d", *shards)
@@ -91,12 +86,6 @@ func main() {
 			Workers:   8,
 			Restarted: *restarted,
 			Obs:       reg,
-			Limits:    rpc.ServerLimits{MaxInbox: *maxInbox, ShedWait: *shedWait},
-		}
-		// Each shard owns a disjoint slice of the namespace, so per-shard
-		// limiters still give every tenant one global rate per path.
-		if *qosRate > 0 {
-			opts.QoS = qos.NewLimiter(qos.Limits{Rate: *qosRate, Burst: *qosBurst})
 		}
 		if *shards > 1 {
 			opts.Addr = rpc.Addr(fmt.Sprintf("shard%d", i))

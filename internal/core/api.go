@@ -35,29 +35,19 @@ type opTrack struct {
 // startOp opens a span for op and attaches it to ctx. With observability off
 // it returns a nil tracker; end is nil-safe, so call sites never branch. This
 // is where the tenant attribution is minted: the root span carries it and the
-// envelope (rpc.Meta) carries it through every forward. The operation's
-// shared retry budget is minted here too, in the same allocation as the
-// envelope, so every retry loop under this call — and, via the envelope,
-// under its forwarded hops — draws from one pool. A forwarded operation
-// executing leader-side keeps the budget its envelope brought.
+// envelope (rpc.Meta) carries it through every forward.
 func (c *Client) startOp(ctx context.Context, op, path string) (context.Context, *opTrack) {
+	if c.obsReg == nil {
+		return ctx, nil
+	}
 	m := rpc.MetaFrom(ctx)
-	var t *opTrack
-	if c.obsReg != nil {
-		t = &opTrack{c: c, hist: c.opHists[op], span: c.tracer.Start(op, path), start: c.env.Now()}
-		t.span.SetTenant(c.opts.Tenant)
-		m.Tenant = c.opts.Tenant
-		if t.span != nil {
-			ctx = obs.WithSpan(ctx, t.span)
-		}
+	m.Tenant = c.opts.Tenant
+	t := &opTrack{c: c, hist: c.opHists[op], span: c.tracer.Start(op, path), start: c.env.Now()}
+	t.span.SetTenant(c.opts.Tenant)
+	if t.span != nil {
+		ctx = obs.WithSpan(ctx, t.span)
 	}
-	switch {
-	case c.opts.OpBudget > 0 && m.Budget == nil:
-		ctx = rpc.WithBudget(ctx, m, c.opts.OpBudget)
-	case t != nil:
-		ctx = rpc.WithMeta(ctx, m)
-	}
-	return ctx, t
+	return rpc.WithMeta(ctx, m), t
 }
 
 // end closes the span and records the operation latency — globally and in the

@@ -92,47 +92,21 @@ type Options struct {
 	// refusals answer with typed EAGAIN pushback carrying a retry-after
 	// hint. Nil admits everything.
 	QoS *qos.Limiter
-	// Brownout enables graceful leader brownout: when the journal's commit
-	// pipeline backs up past the ladder's thresholds (qos.Sheds), expensive
-	// forwarded operations (readdir, rename 2PC) are shed with typed EAGAIN
-	// before cheap ones (stat, lookup), which are never shed.
-	Brownout bool
-	// OpBudget is the shared retry budget of one public operation: the total
-	// retries every loop under it — op-level ESTALE retries, leader
-	// rediscovery, lease-acquire waits, EAGAIN backoff — may spend together,
-	// replacing the multiplicative per-loop caps that amplify retry storms.
-	// Zero applies DefaultOpBudget; negative disables budgeting.
-	OpBudget int
-	// ServerLimits bounds the requests waiting for an RPCWorkers slot and
-	// their wait (see rpc.ServerLimits). Zero value means no limits.
-	ServerLimits rpc.ServerLimits
-	// Breaker, when non-nil, mounts a circuit breaker under the client's
-	// store retry layer: repeated transient backend failures trip it open
-	// and round-trips fast-fail with typed EAGAIN until a seeded half-open
-	// probe succeeds.
-	Breaker *qos.BreakerConfig
 }
-
-// DefaultOpBudget is the per-operation retry budget when Options.OpBudget is
-// zero: generous enough that fault-recovery retries (leadership moves, lease
-// waits) converge as before, small enough that the multiplied worst case —
-// every loop maxing out at once — cannot happen.
-const DefaultOpBudget = 64
 
 // Client is one ArkFS mount: the public near-POSIX API plus the leader-side
 // metadata service for the directories this client leads.
 type Client struct {
-	env     sim.Env
-	net     *rpc.Network
-	tr      *prt.Translator
-	retry   *objstore.RetryStore   // non-nil when Options.Retry is set
-	breaker *objstore.BreakerStore // non-nil when Options.Breaker is set
-	jrnl    *journal.Journal
-	data    *cache.Cache
-	lm      *lease.Client
-	addr    rpc.Addr
-	opts    Options
-	server  *rpc.Server
+	env    sim.Env
+	net    *rpc.Network
+	tr     *prt.Translator
+	retry  *objstore.RetryStore // non-nil when Options.Retry is set
+	jrnl   *journal.Journal
+	data   *cache.Cache
+	lm     *lease.Client
+	addr   rpc.Addr
+	opts   Options
+	server *rpc.Server
 
 	mu     sync.Mutex
 	led    map[types.Ino]*ledDir
@@ -172,8 +146,6 @@ type Client struct {
 
 	// Overload-protection sinks (nil-safe no-ops when Options.Obs is nil).
 	cShedAdmit      *obs.Counter // leader admission refusals
-	cShedBrownout   *obs.Counter // brownout sheds
-	cBudgetExhaust  *obs.Counter // retries refused by an exhausted op budget
 	cPushbackHonors *obs.Counter // EAGAIN hints honored (slept and retried)
 }
 
@@ -273,9 +245,6 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 	if opts.AcquireRetries <= 0 {
 		opts.AcquireRetries = 16
 	}
-	if opts.OpBudget == 0 {
-		opts.OpBudget = DefaultOpBudget
-	}
 	if opts.Seed == 0 {
 		opts.Seed = int64(len(opts.ID)) + 7919
 		for _, r := range opts.ID {
@@ -287,16 +256,11 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 	}
 	env := net.Env()
 	// The client's store path, innermost first: the caller's store, then
-	// instrument, breaker, retry, kill gate, each only if its option is set.
+	// instrument, retry, kill gate, each only if its option is set.
 	// DESIGN.md §7.3 gives the reason for each adjacency and
 	// TestStoreLayerOrder asserts them. The translator over it is this
 	// client's own: the caller's is shared by every client of a deployment.
 	store := objstore.Instrument(tr.Store(), opts.Obs)
-	var breaker *objstore.BreakerStore
-	if opts.Breaker != nil {
-		breaker = objstore.NewBreakerStore(env, store, *opts.Breaker)
-		store = breaker
-	}
 	var retry *objstore.RetryStore
 	if opts.Retry != nil {
 		retry = objstore.NewRetryStore(env, store, *opts.Retry)
@@ -324,20 +288,19 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 	jcfg.Obs = opts.Obs
 	jcfg.Trace = tracer
 	c := &Client{
-		env:     env,
-		net:     net,
-		tr:      tr,
-		retry:   retry,
-		breaker: breaker,
-		jrnl:    journal.New(env, tr, jcfg),
-		data:    cache.New(env, tr, opts.Cache),
-		addr:    rpc.Addr("arkfs-" + opts.ID),
-		opts:    opts,
-		led:     make(map[types.Ino]*ledDir),
-		remote:  make(map[types.Ino]rpc.Addr),
-		pcache:  make(map[types.Ino]*permEntry),
-		open:    make(map[types.Ino]*openFile),
-		inoSrc:  types.NewInoSource(opts.Seed),
+		env:    env,
+		net:    net,
+		tr:     tr,
+		retry:  retry,
+		jrnl:   journal.New(env, tr, jcfg),
+		data:   cache.New(env, tr, opts.Cache),
+		addr:   rpc.Addr("arkfs-" + opts.ID),
+		opts:   opts,
+		led:    make(map[types.Ino]*ledDir),
+		remote: make(map[types.Ino]rpc.Addr),
+		pcache: make(map[types.Ino]*permEntry),
+		open:   make(map[types.Ino]*openFile),
+		inoSrc: types.NewInoSource(opts.Seed),
 
 		acquiring:  make(map[types.Ino]*acquisition),
 		keepPeriod: opts.LeasePeriod,
@@ -375,22 +338,14 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 			opts.Obs.Func("objstore.retries.exhausted", rs.Exhausted.Load)
 		}
 		c.cShedAdmit = opts.Obs.Counter("qos.shed.core.admission")
-		c.cShedBrownout = opts.Obs.Counter("qos.shed.core.brownout")
-		c.cBudgetExhaust = opts.Obs.Counter("qos.budget.exhausted")
 		c.cPushbackHonors = opts.Obs.Counter("qos.pushback.honored")
-		if breaker != nil {
-			bs := breaker.BreakerStats()
-			opts.Obs.Func("qos.breaker.trips", bs.Tripped.Load)
-			opts.Obs.Func("qos.breaker.fastfails", bs.FastFails.Load)
-			opts.Obs.Func("qos.breaker.probes", bs.Probes.Load)
-		}
 	}
 	listen := c.addr
 	if opts.Advertise != "" {
 		listen, c.addr = ServiceName(opts.ID), opts.Advertise
 	}
 	c.lm = &lease.Client{Net: net, Mgr: opts.LeaseMgr, Self: c.addr, Router: opts.LeaseRouter}
-	c.server = net.ListenCtx(listen, opts.RPCWorkers, c.serve, opts.ServerLimits)
+	c.server = net.ListenCtx(listen, opts.RPCWorkers, c.serve)
 	env.Go(c.leaseKeeper)
 	env.Go(c.twopcResolver)
 	return c
@@ -715,7 +670,7 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 	c.stats.LeaseAcquires.Add(1)
 	// The manager's quiesce window after its own restart affects every
 	// directory and comes with a firm retry-after hint, so those waits get
-	// their own (larger) budget instead of consuming acquire retries.
+	// their own (larger) allowance instead of consuming acquire retries.
 	quiesceWaits := 0
 	// taken is a directory this call has recovered and loaded but not
 	// installed, because the takeover ran its lease past serves: the
@@ -738,9 +693,8 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 			// A lost or timed-out manager round trip is not fatal: burn one
 			// acquire attempt and ask again. The retry stays inside the
 			// operation's span, so a flaky link shows up as a retry count on
-			// one trace, not a failed op (or a second trace). It also spends
-			// one token of the operation's shared retry budget.
-			if errors.Is(err, types.ErrTimedOut) && attempt < c.opts.AcquireRetries-1 && c.spendRetry(ctx) {
+			// one trace, not a failed op (or a second trace).
+			if errors.Is(err, types.ErrTimedOut) && attempt < c.opts.AcquireRetries-1 {
 				obs.SpanFrom(ctx).AddRetry()
 				attempt++
 				c.retryBackoff(attempt)
@@ -803,13 +757,6 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 			delay := resp.RetryAfter
 			if delay < time.Millisecond {
 				delay = time.Millisecond
-			}
-			// Waiting out the manager's hint is a retry like any other: it
-			// draws on the operation's shared budget, and once that is gone
-			// the wait surfaces as typed pushback instead of blocking on.
-			if !c.spendRetry(ctx) {
-				return nil, "", fmt.Errorf("core: lease acquire for %s: %w",
-					dir.Short(), types.AgainAfter(delay, "lease"))
 			}
 			c.hAcquireWait.Observe(delay)
 			c.env.Sleep(delay)
@@ -1065,29 +1012,11 @@ func (c *Client) retryBackoff(attempt int) {
 // primitives expect; only differences matter, so the origin is arbitrary.
 func (c *Client) qosNow() time.Time { return time.Unix(0, int64(c.env.Now())) }
 
-// spendRetry charges one retry to the operation's shared budget, reporting
-// whether the retry may proceed. Unbudgeted contexts (no budget attached, or
-// budgeting disabled) always proceed — the per-loop attempt caps still bound
-// them, as before this layer existed.
-func (c *Client) spendRetry(ctx context.Context) bool {
-	b := rpc.MetaFrom(ctx).Budget
-	if b == nil {
-		return true
-	}
-	if !b.TrySpend(c.qosNow()) {
-		c.cBudgetExhaust.Inc()
-		return false
-	}
-	return true
-}
-
 // shouldRetry decides whether forward may go around again after err:
 // leadership moves (ESTALE) re-resolve after the standard backoff, and typed
-// EAGAIN pushback — leader admission refusals, brownout sheds, fabric queue
-// sheds — retries after honoring the server's retry-after hint. Every retry
-// spends one token of the op's shared budget; an exhausted budget stops the
-// loop so the typed pushback surfaces to the caller instead of feeding the
-// retry storm.
+// EAGAIN pushback — a leader's admission refusal — retries after honoring
+// the server's retry-after hint. After maxOpRetries the error surfaces to the
+// caller instead of feeding a retry storm.
 func (c *Client) shouldRetry(ctx context.Context, dir types.Ino, err error, attempt int) bool {
 	if err == nil || attempt >= maxOpRetries || ctx.Err() != nil {
 		return false
@@ -1095,9 +1024,6 @@ func (c *Client) shouldRetry(ctx context.Context, dir types.Ino, err error, atte
 	stale := errors.Is(err, types.ErrStale)
 	if !stale && !errors.Is(err, types.ErrAgain) {
 		return false // neither a moved leader nor pushback: final
-	}
-	if !c.spendRetry(ctx) {
-		return false
 	}
 	obs.SpanFrom(ctx).AddRetry()
 	if stale {
@@ -1112,24 +1038,6 @@ func (c *Client) shouldRetry(ctx context.Context, dir types.Ino, err error, atte
 		c.retryBackoff(attempt)
 	}
 	return true
-}
-
-// BreakerState reports the store-path circuit breaker's state; BreakerClosed
-// when no breaker is mounted.
-func (c *Client) BreakerState() qos.BreakerState {
-	if c.breaker == nil {
-		return qos.BreakerClosed
-	}
-	return c.breaker.State()
-}
-
-// BreakerStats exposes the circuit breaker's counters; nil when
-// Options.Breaker was not set.
-func (c *Client) BreakerStats() *objstore.BreakerStats {
-	if c.breaker == nil {
-		return nil
-	}
-	return c.breaker.BreakerStats()
 }
 
 // errnoWrap adds operation context while preserving errors.Is matching.

@@ -422,14 +422,9 @@ func (f *File) ensureWritable() (direct bool, err error) {
 	ld, ok := c.ledDirFor(f.parent)
 	var resp WriteLeaseResp
 	if !ok {
-		// File I/O paths carry no caller context, so the upgrade mints its
-		// own retry budget.
-		ctx := context.Background()
-		if c.opts.OpBudget > 0 {
-			ctx = rpc.WithBudget(ctx, rpc.Meta{}, c.opts.OpBudget)
-		}
+		// File I/O paths carry no caller context.
 		req := WriteLeaseReq{Dir: f.parent, Ino: of.ino, Client: c.addr}
-		if ld, resp, err = forward[WriteLeaseResp](ctx, c, nil, f.parent, req); err != nil {
+		if ld, resp, err = forward[WriteLeaseResp](context.Background(), c, nil, f.parent, req); err != nil {
 			return false, err
 		}
 	}

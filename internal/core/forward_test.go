@@ -134,7 +134,9 @@ func TestForwardedOpenHonorsPushback(t *testing.T) {
 // report the ESTALE that answers.
 func TestRenameParticipantDiscoveryError(t *testing.T) {
 	tc := newTestCluster(t)
-	c1 := tc.client(t, "c1")
+	// Two acquire attempts bound the discovery, so it times out while
+	// /src's lease is still live.
+	c1 := tc.client(t, "c1", func(o *Options) { o.AcquireRetries = 2 })
 	c2 := tc.client(t, "c2")
 	ctx := context.Background()
 	for _, step := range []struct {
@@ -168,7 +170,7 @@ func TestRenameParticipantDiscoveryError(t *testing.T) {
 	cut := plan.Partition([]rpc.Addr{c1.Addr()}, []rpc.Addr{"leasemgr"})
 	tc.net.SetFaultPlan(plan)
 	defer tc.net.SetFaultPlan(nil)
-	err = c1.coordinateRename(rpc.WithMeta(ctx, rpc.Meta{Budget: qos.NewBudget(2)}), RenameReq{
+	err = c1.coordinateRename(ctx, RenameReq{
 		SrcDir: src.Ino, SrcName: "f", DstDir: dst.Ino, DstName: "moved", Cred: c1.opts.Cred,
 	})
 	cut.Heal()
@@ -184,27 +186,26 @@ func TestRenameParticipantDiscoveryError(t *testing.T) {
 }
 
 // TestMessageTable holds the message table to every type messages.go puts on
-// the wire: a request is described (span, directory field, brownout cost,
-// admission exemption, whether core.meta.remote counts it) and dispatched; a
+// the wire: a request is described (span, directory field, admission
+// exemption, whether core.meta.remote counts it) and dispatched; a
 // response carries its errno through gob. A new message that skips describe,
 // the errno methods, dispatch or this table fails here.
 func TestMessageTable(t *testing.T) {
 	type row struct {
 		span, dirField    string
-		cost              qos.OpCost
 		exempt, namespace bool
 	}
 	requests := map[string]row{
-		"WalkReq":          {"serve.walk", "Dir", qos.CostCheap, false, true},
-		"UnlinkReq":        {"serve.unlink", "Dir", qos.CostNormal, false, true},
-		"SetAttrReq":       {"serve.setattr", "Dir", qos.CostNormal, false, true},
-		"ReaddirReq":       {"serve.readdir", "Dir", qos.CostExpensive, false, true},
-		"RenameReq":        {"serve.rename", "SrcDir", qos.CostExpensive, false, true},
-		"PrepareRenameReq": {"serve.rename.prepare", "DstDir", qos.CostExpensive, false, false},
-		"DecideRenameReq":  {"serve.rename.decide", "DstDir", qos.CostNormal, true, false},
-		"WriteLeaseReq":    {"serve.writelease", "Dir", qos.CostNormal, false, false},
-		"CloseFileReq":     {"serve.close", "Dir", qos.CostNormal, true, false},
-		"FlushCacheReq":    {"serve.flushcache", "", qos.CostNormal, true, false},
+		"WalkReq":          {"serve.walk", "Dir", false, true},
+		"UnlinkReq":        {"serve.unlink", "Dir", false, true},
+		"SetAttrReq":       {"serve.setattr", "Dir", false, true},
+		"ReaddirReq":       {"serve.readdir", "Dir", false, true},
+		"RenameReq":        {"serve.rename", "SrcDir", false, true},
+		"PrepareRenameReq": {"serve.rename.prepare", "DstDir", false, false},
+		"DecideRenameReq":  {"serve.rename.decide", "DstDir", true, false},
+		"WriteLeaseReq":    {"serve.writelease", "Dir", false, false},
+		"CloseFileReq":     {"serve.close", "Dir", true, false},
+		"FlushCacheReq":    {"serve.flushcache", "", true, false},
 	}
 	tc := newTestCluster(t)
 	c := tc.client(t, "a")
@@ -253,7 +254,7 @@ func TestMessageTable(t *testing.T) {
 			v.FieldByName(want.dirField).Set(reflect.ValueOf(wantDir))
 		}
 		got, _ = describe(v.Interface())
-		if got != (msgInfo{span: want.span, dir: wantDir, cost: want.cost, exempt: want.exempt, namespace: want.namespace}) {
+		if got != (msgInfo{span: want.span, dir: wantDir, exempt: want.exempt, namespace: want.namespace}) {
 			t.Errorf("%s: described as %+v, want %+v on %s", typ.Name(), got, want, want.dirField)
 		}
 		// Served on the directory's leader, a known request gets its own

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"arkfs/internal/qos"
 	"arkfs/internal/rpc"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
@@ -261,12 +260,6 @@ func init() {
 type msgInfo struct {
 	span string    // server-side span name
 	dir  types.Ino // directory whose leader serves the request
-	// cost is the brownout class: reads of single entries are cheap (never
-	// shed — they are also how clients discover that pressure dropped),
-	// mutations are normal, and full-directory listings plus 2PC renames —
-	// the ops that hold locks longest and feed the journal most — are
-	// expensive, shed first.
-	cost qos.OpCost
 	// exempt marks protocol-internal messages that bypass admission: a 2PC
 	// decision, a cache-flush broadcast or a lease release is the cleanup
 	// half of work already admitted, and refusing it would turn overload
@@ -282,32 +275,29 @@ type msgInfo struct {
 func describe(req any) (m msgInfo, ok bool) {
 	switch r := req.(type) {
 	case WalkReq:
-		m := msgInfo{span: "serve.walk", dir: r.Dir, cost: qos.CostCheap, namespace: true}
-		if r.Holder != "" {
-			m.cost = qos.CostNormal // it may grant a data lease
-		}
+		m := msgInfo{span: "serve.walk", dir: r.Dir, namespace: true}
 		if r.Create != nil {
-			m.span, m.cost = "serve.create", qos.CostNormal // it may make the file
+			m.span = "serve.create" // it may make the file
 		}
 		return m, true
 	case UnlinkReq:
-		return msgInfo{span: "serve.unlink", dir: r.Dir, cost: qos.CostNormal, namespace: true}, true
+		return msgInfo{span: "serve.unlink", dir: r.Dir, namespace: true}, true
 	case SetAttrReq:
-		return msgInfo{span: "serve.setattr", dir: r.Dir, cost: qos.CostNormal, namespace: true}, true
+		return msgInfo{span: "serve.setattr", dir: r.Dir, namespace: true}, true
 	case ReaddirReq:
-		return msgInfo{span: "serve.readdir", dir: r.Dir, cost: qos.CostExpensive, namespace: true}, true
+		return msgInfo{span: "serve.readdir", dir: r.Dir, namespace: true}, true
 	case RenameReq:
-		return msgInfo{span: "serve.rename", dir: r.SrcDir, cost: qos.CostExpensive, namespace: true}, true
+		return msgInfo{span: "serve.rename", dir: r.SrcDir, namespace: true}, true
 	case PrepareRenameReq:
-		return msgInfo{span: "serve.rename.prepare", dir: r.DstDir, cost: qos.CostExpensive}, true
+		return msgInfo{span: "serve.rename.prepare", dir: r.DstDir}, true
 	case DecideRenameReq:
-		return msgInfo{span: "serve.rename.decide", dir: r.DstDir, cost: qos.CostNormal, exempt: true}, true
+		return msgInfo{span: "serve.rename.decide", dir: r.DstDir, exempt: true}, true
 	case WriteLeaseReq:
-		return msgInfo{span: "serve.writelease", dir: r.Dir, cost: qos.CostNormal}, true
+		return msgInfo{span: "serve.writelease", dir: r.Dir}, true
 	case CloseFileReq:
-		return msgInfo{span: "serve.close", dir: r.Dir, cost: qos.CostNormal, exempt: true}, true
+		return msgInfo{span: "serve.close", dir: r.Dir, exempt: true}, true
 	case FlushCacheReq:
-		return msgInfo{span: "serve.flushcache", cost: qos.CostNormal, exempt: true}, true
+		return msgInfo{span: "serve.flushcache", exempt: true}, true
 	default:
 		return msgInfo{}, false
 	}

@@ -230,7 +230,7 @@ func (c *Client) lookup(ctx context.Context, dir types.Ino, names []string, open
 // leader, a partition, a dropped message — never escape to the workload as
 // hard failures from here: they invalidate the cached route and surface as
 // ErrStale, so forward re-resolves through the lease manager (with backoff)
-// until the operation's attempt budget runs out.
+// until the operation's attempts (maxOpRetries) run out.
 func (c *Client) callLeader(ctx context.Context, leader rpc.Addr, dir types.Ino, req any) (any, error) {
 	resp, err := c.net.CallFromCtx(ctx, c.addr, leader, req)
 	if err == nil {
@@ -238,14 +238,14 @@ func (c *Client) callLeader(ctx context.Context, leader rpc.Addr, dir types.Ino,
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		// Cancellation is not a routing problem: fail the operation outright
-		// instead of burning the retry budget on a dead context.
+		// instead of burning retries on a dead context.
 		return nil, cerr
 	}
 	if errors.Is(err, types.ErrAgain) {
-		// Typed pushback (inbox bound, queue-wait shed) is not a routing
-		// problem either: the leader is alive and asking for backoff.
-		// Rediscovering through the lease manager would only add load where
-		// the hint asks for less; surface it to forward's budgeted retry.
+		// Typed pushback (an admission refusal) is not a routing problem
+		// either: the leader is alive and asking for backoff. Rediscovering
+		// through the lease manager would only add load where the hint asks
+		// for less; surface it to forward's bounded retry.
 		return nil, err
 	}
 	// The leader may have vanished; invalidate and rediscover once.

@@ -10,20 +10,22 @@ import (
 	"arkfs/internal/types"
 )
 
-// TestRetryStormBounded is the wire-call-count regression test for the shared
-// per-operation retry budget. A follower whose leader is unreachable used to
-// multiply attempts across nested loops — the op-level retry, the resolve
-// retry, and leader rediscovery each retried independently, so one Create
-// could emit attempts^2 wire calls (a retry storm that amplifies exactly when
-// the cluster is least able to absorb it). With the shared budget every loop
-// draws from one pool, so the total wire calls of one doomed operation stay
-// linear in the budget.
+// TestRetryStormBounded is the wire-call-count regression test for the
+// retry loops of one doomed operation. A follower whose leader is unreachable
+// used to multiply attempts across nested loops — the op-level retry, the
+// resolve retry, and leader rediscovery each retried independently, so one
+// Create could emit attempts^2 wire calls (a retry storm that amplifies
+// exactly when the cluster is least able to absorb it). Now forward is the
+// one loop that retries a forwarded operation (maxOpRetries = 8), and each
+// of its rediscoveries asks the lease manager inside acquireLease's own
+// AcquireRetries, so the wire calls of one doomed operation stay linear in
+// those two caps.
 func TestRetryStormBounded(t *testing.T) {
 	tc := newTestCluster(t)
 	reg := obs.NewRegistry()
 	tc.net.SetObs(reg)
 	c1 := tc.client(t, "c1")
-	c2 := tc.client(t, "c2", func(o *Options) { o.OpBudget = 6 })
+	c2 := tc.client(t, "c2")
 
 	ctx := context.Background()
 	if err := c1.Mkdir(ctx, "/dir", 0777); err != nil {
@@ -37,7 +39,7 @@ func TestRetryStormBounded(t *testing.T) {
 
 	// Cut c2 off from the leader in both directions; the lease manager stays
 	// reachable, so rediscovery keeps answering "c1 leads" and every retry
-	// path stays live until the budget stops it.
+	// path stays live until its cap stops it.
 	plan := rpc.NewFaultPlan(tc.env, 1)
 	plan.Partition([]rpc.Addr{c2.Addr()}, []rpc.Addr{c1.Addr()})
 	plan.Partition([]rpc.Addr{c1.Addr()}, []rpc.Addr{c2.Addr()})
@@ -53,7 +55,7 @@ func TestRetryStormBounded(t *testing.T) {
 	if err == nil {
 		t.Fatal("create through a partition succeeded")
 	}
-	// The surfaced errno depends on which loop exhausts the budget first:
+	// The surfaced errno depends on which loop reaches its cap first:
 	// ESTALE (leader unreachable), ETIMEDOUT, or EAGAIN are all honest.
 	if !errors.Is(err, types.ErrTimedOut) && !errors.Is(err, types.ErrAgain) && !errors.Is(err, types.ErrStale) {
 		t.Fatalf("err = %v, want timeout/pushback/stale", err)
@@ -62,9 +64,9 @@ func TestRetryStormBounded(t *testing.T) {
 	if wire == 0 {
 		t.Fatal("no wire calls recorded; instrumentation broken")
 	}
-	// Budget 6: at most 7 attempts, each a handful of wire calls (leader
-	// lookup + forwarded op). The pre-budget behavior multiplied the nested
-	// loops into hundreds of calls here.
+	// At most maxOpRetries+1 attempts, each a handful of wire calls (leader
+	// lookup + forwarded op). Nested loops that each retried multiplied into
+	// hundreds of calls here.
 	const bound = 40
 	if wire > bound {
 		t.Fatalf("doomed create emitted %d wire calls, want ≤ %d (retry storm)", wire, bound)
@@ -74,7 +76,7 @@ func TestRetryStormBounded(t *testing.T) {
 	// The forwarded Open (the data-lease half of Open, after resolution) is
 	// under the same bound. The path cannot be resolved through the
 	// partition, so the leader supplies the inodes and the call is made
-	// directly, under a budget minted the way startOp mints it.
+	// directly.
 	dir, err := c1.Stat(ctx, "/dir")
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +86,7 @@ func TestRetryStormBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = calls.Value()
-	if _, _, err := c2.openDataLease(rpc.WithBudget(ctx, rpc.Meta{}, c2.opts.OpBudget), dir.Ino, "seed", seed, false); err == nil {
+	if _, _, err := c2.openDataLease(ctx, dir.Ino, "seed", seed, false); err == nil {
 		t.Fatal("open through a partition succeeded")
 	}
 	if wire := calls.Value() - before; wire == 0 || wire > bound {

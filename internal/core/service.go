@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"arkfs/internal/obs"
-	"arkfs/internal/qos"
 	"arkfs/internal/rpc"
 	"arkfs/internal/types"
 )
@@ -39,26 +38,17 @@ func (c *Client) serve(ctx context.Context, req any) any {
 }
 
 // admit is the leader-side overload gate, run before a forwarded operation
-// dispatches: per-tenant token-bucket admission control first, then the
-// brownout ladder against the journal's commit-pipeline pressure. A refusal
-// is a typed EAGAIN that serve answers with the fabric's Shed payload, so
-// the caller sees the same retry-after error as for an inbox or queue-wait
-// shed. Exempt messages (see msgInfo) are never refused.
+// dispatches: per-tenant token-bucket admission control. A refusal is a
+// typed EAGAIN that serve answers with the fabric's Shed payload, so the
+// caller sees a retry-after error. Exempt messages (see msgInfo) are never
+// refused.
 func (c *Client) admit(tenant string, m msgInfo) error {
-	if m.exempt {
+	if m.exempt || c.opts.QoS == nil {
 		return nil
 	}
-	if c.opts.QoS != nil {
-		if ok, after := c.opts.QoS.Admit(tenant, c.qosNow()); !ok {
-			c.cShedAdmit.Inc()
-			return types.AgainAfter(after, "admission")
-		}
-	}
-	if c.opts.Brownout {
-		if shed, after := qos.Sheds(c.jrnl.Pressure(), m.cost); shed {
-			c.cShedBrownout.Inc()
-			return types.AgainAfter(after, "brownout")
-		}
+	if ok, after := c.opts.QoS.Admit(tenant, c.qosNow()); !ok {
+		c.cShedAdmit.Inc()
+		return types.AgainAfter(after, "admission")
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"arkfs/internal/crashpoint"
 	"arkfs/internal/objstore"
 	"arkfs/internal/obs"
-	"arkfs/internal/qos"
 	"arkfs/internal/types"
 )
 
@@ -19,23 +17,6 @@ import (
 // fails if its two layers are swapped.
 func TestStoreLayerOrder(t *testing.T) {
 	retry := &objstore.RetryPolicy{MaxAttempts: 8, InitialBackoff: 20 * time.Microsecond}
-
-	t.Run("breaker under retry", func(t *testing.T) {
-		tc := newTestCluster(t)
-		c := tc.client(t, "a", func(o *Options) {
-			o.Retry = retry
-			o.Breaker = &qos.BreakerConfig{Threshold: 3, Cooldown: time.Hour}
-		})
-		tc.fault.FailNext("x/", 1000)
-		before := tc.fault.Ops()
-		err := c.tr.Store().Put("x/k", []byte("v"))
-		if !errors.Is(err, types.ErrAgain) || strings.Contains(err.Error(), "gave up") {
-			t.Fatalf("PUT over a dead backend: %v, want the open breaker's EAGAIN", err)
-		}
-		if got := tc.fault.Ops() - before; got != 3 {
-			t.Fatalf("backend saw %d attempts, want 3: the breaker's threshold, not MaxAttempts = %d", got, retry.MaxAttempts)
-		}
-	})
 
 	t.Run("instrument under retry", func(t *testing.T) {
 		tc := newTestCluster(t)

@@ -240,24 +240,6 @@ type ArkFSOptions struct {
 	// pushback.
 	QoSRate  float64
 	QoSBurst float64
-	// LeaseQoSRate > 0 applies the same per-tenant admission control to the
-	// lease manager's Acquire path, answered through the existing
-	// Wait/RetryAfter protocol.
-	LeaseQoSRate  float64
-	LeaseQoSBurst float64
-	// Brownout enables the leader brownout ladder: under journal-pipeline
-	// pressure expensive forwarded ops shed before cheap ones.
-	Brownout bool
-	// OpBudget caps one public operation's total internal retries across
-	// all of its retry loops (0: core.DefaultOpBudget; negative: disabled).
-	OpBudget int
-	// MaxInbox / ShedWait bound every client's leader-side RPC service and
-	// the lease manager(s): see rpc.ServerLimits.
-	MaxInbox int
-	ShedWait time.Duration
-	// Breaker mounts a seeded circuit breaker under each client's store
-	// retry path.
-	Breaker bool
 	// Journal configures every client's journal (zero: 1 s commit interval,
 	// 4 commit and 4 checkpoint workers, fan-out 64, pipeline depth 8).
 	Journal journal.Config
@@ -309,9 +291,7 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 		net.SetObs(o.Obs)
 	}
 	d.close = append(d.close, cluster.Close)
-	lo := lease.Options{Period: cal.LeasePeriod, Workers: 8, ServiceCost: cal.LeaseOp, Obs: o.Obs,
-		Limits: rpc.ServerLimits{MaxInbox: o.MaxInbox, ShedWait: o.ShedWait},
-		QoS:    limiter(o.LeaseQoSRate, o.LeaseQoSBurst)}
+	lo := lease.Options{Period: cal.LeasePeriod, Workers: 8, ServiceCost: cal.LeaseOp, Obs: o.Obs}
 	if o.LeaseShards > 1 {
 		d.Leases = lease.NewCluster(net, lease.ClusterOptions{Shards: o.LeaseShards, Manager: lo})
 		d.close = append(d.close, d.Leases.Close)
@@ -329,10 +309,6 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 		var tenant string
 		if o.Tenants > 0 {
 			tenant = fmt.Sprintf("tenant-%02d", i%o.Tenants)
-		}
-		var breaker *qos.BreakerConfig
-		if o.Breaker {
-			breaker = &qos.BreakerConfig{Seed: o.Seed + int64(i)*104729}
 		}
 		// Each serving client enforces admission (QoS) on its own leader path,
 		// so a tenant's allowance is per leader, matching how capacity is owned.
@@ -359,16 +335,12 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 				PrefetchParallelism: 24,
 				Cost:                sim.CostModel{MemCopyPerByte: cal.MemCopyPerByte},
 			},
-			RPCWorkers:   cal.RPCWorkers,
-			LeasePeriod:  cal.LeasePeriod,
-			Retry:        o.Retry,
-			Obs:          o.Obs,
-			Seed:         o.Seed + int64(1000+i),
-			QoS:          limiter(o.QoSRate, o.QoSBurst),
-			Brownout:     o.Brownout,
-			OpBudget:     o.OpBudget,
-			Breaker:      breaker,
-			ServerLimits: rpc.ServerLimits{MaxInbox: o.MaxInbox, ShedWait: o.ShedWait},
+			RPCWorkers:  cal.RPCWorkers,
+			LeasePeriod: cal.LeasePeriod,
+			Retry:       o.Retry,
+			Obs:         o.Obs,
+			Seed:        o.Seed + int64(1000+i),
+			QoS:         limiter(o.QoSRate, o.QoSBurst),
 		})
 		d.Mounts = append(d.Mounts, fsapi.Adapt(c))
 		d.Ark = append(d.Ark, c)

@@ -4,15 +4,18 @@
 // A run deploys one service client that leads a zipfian directory pool plus
 // one client per tenant, then drives a paced burst where one hostile tenant
 // offers several times its admitted rate while the polite tenants stay under
-// theirs. The oracle asserts the overload-protection contract: no
+// theirs. The one defence under test is leader admission: each serving
+// client charges every forwarded operation to its caller's tenant bucket
+// (core.Options.QoS). The oracle asserts the overload-protection contract: no
 // acknowledged op is ever lost, well-behaved tenants keep most of their
 // isolated-run goodput, the hostile tenant is answered with typed retry-after
-// pushback rather than timeouts (hints its client honors inside the op budget
-// count: they throttle it just the same), and once the burst ends the system
-// converges (new polite work is admitted again). Because all timing flows
-// through sim.VirtEnv and every random draw is precomputed from the seed, a
-// replay of the same seed reproduces the run: OverloadReport.Fingerprint() is
-// stable, including every qos.* counter in the metrics registry.
+// pushback rather than timeouts (a hint its client honors by sleeping before
+// it retries counts: it throttles the tenant just the same), and once the
+// burst ends the system converges (new polite work is admitted again).
+// Because all timing flows through sim.VirtEnv and every random draw is
+// precomputed from the seed, a replay of the same seed reproduces the run:
+// OverloadReport.Fingerprint() is stable, including the qos.* admission and
+// pushback counters in the metrics registry.
 package harness
 
 import (
@@ -37,7 +40,7 @@ type OverloadConfig struct {
 
 // The scenario every seed runs: three polite tenants of 60 submissions each
 // over a zipfian pool of four shared directories, each tenant admitted 400
-// ops/s with a burst of 8 at every leader and a retry budget of 8 per op.
+// ops/s with a burst of 8 at every leader.
 const (
 	overloadTenants      = 3
 	overloadOpsPerTenant = 60
@@ -59,14 +62,14 @@ type OverloadReport struct {
 	// Lost lists acknowledged creates the verifier could not find — any
 	// entry is a violated durability promise.
 	Lost []string
-	// HostileRetries counts the retries the hostile tenant's client spent
-	// inside its op budgets in the contended pass: retry-after hints it
-	// honored, which throttle it but never show in BurstResult.Pushback.
+	// HostileRetries counts the retries the hostile tenant's client made in
+	// the contended pass: retry-after hints it honored, which throttle it but
+	// never show in BurstResult.Pushback.
 	HostileRetries int64
 	// Errors are assertion failures; an empty slice is a pass.
 	Errors []string
 	// Metrics is the contended pass's deterministic metrics fingerprint
-	// (every qos.* shed/pushback/breaker counter folds in).
+	// (the qos.* admission and pushback counters fold in).
 	Metrics string
 }
 
@@ -142,21 +145,22 @@ type overloadPass struct {
 	err      error
 }
 
-func runOverloadPass(cfg OverloadConfig, hostile bool) *overloadPass {
+// overloadOptions is the deployment every overload seed runs on. PermCache
+// is on (the production default): without it every create charges its
+// path-resolution lookups against the same admission bucket as the create
+// itself, and even polite pacing overdraws.
+func overloadOptions(seed int64) ArkFSOptions {
+	return ArkFSOptions{Seed: seed, PermCache: true, QoSRate: overloadRate, QoSBurst: 8}
+}
+
+func runOverloadPass(cfg OverloadConfig, o ArkFSOptions, hostile bool) *overloadPass {
 	p := &overloadPass{}
 	reg := obs.NewRegistry()
 	n := 1 + overloadTenants // service mount + one per polite tenant
 	if hostile {
 		n++
 	}
-	// PermCache on (the production default): without it every create
-	// charges its path-resolution lookups against the same admission
-	// bucket as the create itself, and even polite pacing overdraws.
-	o := ArkFSOptions{
-		Obs: reg, Seed: cfg.Seed, OpBudget: 8, PermCache: true,
-		QoSRate: overloadRate, QoSBurst: 8, Brownout: true, Breaker: true,
-		MaxInbox: 256, ShedWait: 2 * time.Millisecond, LeaseQoSRate: 200, LeaseQoSBurst: 16,
-	}
+	o.Obs = reg
 	p.err = simulate(n, arkfs(DefaultCalibration(), objstore.TestProfile(), o), func(env sim.Env, d *Deployment) error {
 		// overloadRate is admission charges per second, and one logical
 		// create costs about three charged RPCs at the leader (create, open,
@@ -227,13 +231,19 @@ func runOverloadPass(cfg OverloadConfig, hostile bool) *overloadPass {
 // returns its report. Invariant violations are collected in Errors, never
 // panicked.
 func RunOverload(cfg OverloadConfig) *OverloadReport {
+	return runOverload(cfg, overloadOptions(cfg.Seed))
+}
+
+// runOverload is RunOverload on the deployment o, so a test can take a
+// defence away and watch the oracle fail.
+func runOverload(cfg OverloadConfig, o ArkFSOptions) *OverloadReport {
 	rep := &OverloadReport{Seed: cfg.Seed}
-	iso := runOverloadPass(cfg, false)
+	iso := runOverloadPass(cfg, o, false)
 	if iso.err != nil {
 		rep.Errors = append(rep.Errors, fmt.Sprintf("isolated pass: %v", iso.err))
 		return rep
 	}
-	con := runOverloadPass(cfg, true)
+	con := runOverloadPass(cfg, o, true)
 	if con.err != nil {
 		rep.Errors = append(rep.Errors, fmt.Sprintf("contended pass: %v", con.err))
 		return rep

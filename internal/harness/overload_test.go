@@ -38,6 +38,22 @@ func TestOverloadProtection(t *testing.T) {
 	}
 }
 
+// TestOverloadNeedsAdmission pins leader admission as the defence the
+// oracle needs: without it (QoSRate 0) the hostile tenant floods the shared
+// leader unanswered, and seed 1 fails on the missing pushback.
+func TestOverloadNeedsAdmission(t *testing.T) {
+	o := overloadOptions(1)
+	o.QoSRate = 0
+	rep := runOverload(OverloadConfig{Seed: 1}, o)
+	want := "hostile tenant saw no typed retry-after pushback"
+	for _, e := range rep.Errors {
+		if strings.Contains(e, want) {
+			return
+		}
+	}
+	t.Fatalf("without admission the oracle did not report %q:\n%s", want, rep.Summary())
+}
+
 // TestOverloadSeeds sweeps the protection contract across a few seeds, so the
 // pass does not hinge on one lucky schedule.
 func TestOverloadSeeds(t *testing.T) {

@@ -112,12 +112,6 @@ type Journal struct {
 	seqs   atomic.Uint64 // txn id counter
 	idBase atomic.Uint64 // client-unique high bits for txn ids
 
-	// backlog counts sealed records that are not yet durable (queued behind
-	// the pipeline window plus in flight), across all directories. Unlike the
-	// gauges above it is maintained even without a metrics registry: it is the
-	// overload signal Pressure() feeds the leader's brownout ladder.
-	backlog atomic.Int64
-
 	mu     sync.Mutex
 	closed bool
 	dirs   map[types.Ino]*dirJournal
@@ -135,9 +129,8 @@ type dirJournal struct {
 	cancel    func() bool       // the armed commit timer; nil when none is
 
 	p pipe[*record, *sim.Chan[error]]
-	// What j.gInflight and j.backlog count of p: its PUTs in flight, and
-	// those plus its queue.
-	inflight, backlog int
+	// What j.gInflight counts of p: its PUTs in flight.
+	inflight int
 }
 
 // record is one sealed journal transaction on its way to the store and then
@@ -299,10 +292,8 @@ func (j *Journal) run(dj *dirJournal, fx *pipeFx[*record, *sim.Chan[error]]) (do
 		}
 	}
 	dj.p.begin()
-	inflight, backlog := dj.p.inflight, dj.p.inflight+len(dj.p.queued)
-	j.gInflight.Add(int64(inflight - dj.inflight))
-	j.backlog.Add(int64(backlog - dj.backlog))
-	dj.inflight, dj.backlog = inflight, backlog
+	j.gInflight.Add(int64(dj.p.inflight - dj.inflight))
+	dj.inflight = dj.p.inflight
 	return doomed
 }
 
@@ -328,21 +319,6 @@ func (dj *dirJournal) disarm() bool {
 	dj.cancel()
 	dj.cancel = nil
 	return true
-}
-
-// Pressure reports how far the commit pipeline is backed up: the number of
-// sealed-but-not-yet-durable records (in flight plus parked behind full
-// per-directory windows) relative to the aggregate pipeline capacity,
-// CommitWorkers × PipelineDepth. 0 means idle, 1 means every pipeline slot
-// the journal could use is occupied, and values above 1 mean records are
-// queuing faster than the object store lands them — the overload signal the
-// leader's brownout ladder sheds expensive operations on.
-func (j *Journal) Pressure() float64 {
-	window := j.cfg.CommitWorkers * j.cfg.PipelineDepth
-	if window <= 0 {
-		window = 1
-	}
-	return float64(j.backlog.Load()) / float64(window)
 }
 
 // NewTxnID returns a fresh transaction id for 2PC: the client-unique base

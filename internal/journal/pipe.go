@@ -242,9 +242,13 @@ func (p *pipe[R, W]) shut(err error) *pipeFx[R, W] {
 
 // reset primes the pipeline after recovery replayed the journal below seq.
 // The previous leadership's state is obsolete, and a barrier parked on it
-// cannot know what recovery found.
+// cannot know what recovery found. The sequence never moves back: a PUT of
+// the voided generation may still be in flight, and a new record reusing its
+// key would be deleted when that PUT lands and is doomed. Recovery does not
+// need contiguous sequences.
 func (p *pipe[R, W]) reset(seq uint64) *pipeFx[R, W] {
 	fx := p.shut(errReset)
+	seq = max(seq, p.next)
 	p.next, p.durableTo, p.gen = seq, seq, p.gen+1
 	p.err, p.stuck, p.stale, p.queued = nil, nil, nil, nil
 	clear(p.landed)

@@ -317,6 +317,14 @@ func (m *pmModel) apply(s *pmState, mv pmMove) {
 	switch mv.kind {
 	case mvSeal:
 		seq := p.reserve()
+		for i, r := range s.recs[:s.nrecs] {
+			if r.seq == seq {
+				m.fail("seq %d handed out again: record %d has it", seq, i)
+			}
+		}
+		if s.happened(mvReserve) && s.hole == seq {
+			m.fail("seq %d handed out again: the 2PC record has it", seq)
+		}
 		s.recs[s.nrecs] = pmRec{seq: seq, gen: p.gen}
 		s.nrecs++
 		m.effects(s, p.seal(seq, s.nrecs-1))
@@ -367,7 +375,9 @@ func (m *pmModel) apply(s *pmState, mv pmMove) {
 			s.recs[i].reported = true // recovery answers for them now
 		}
 		s.ckptOwed, s.stuck = false, false
-		m.effects(s, p.reset(p.next))
+		// Recovery lists nothing when every record was checkpointed and
+		// deleted: the lowest sequence it can report.
+		m.effects(s, p.reset(0))
 	case mvDrop:
 		p.drop()
 	}
@@ -433,6 +443,7 @@ func (m *pmModel) explore(s *pmState) {
 // checkpoint applying or failing, in queue order; and, by families, one
 // Barrier, one 2PC record's reserve and hole, one rename's resolve, one
 // Flush's drain, one reset (recovery) and one drop. After every step:
+// no sequence is handed out twice, even after a reset to below next;
 // durableTo passes no unlanded record of the live generation, and a record a
 // poison lost leaves an error for the next barrier; a barrier or drain
 // answers nil only when every record below its target is in the store, and

@@ -65,7 +65,7 @@ type AcquireResp struct {
 	RetryAfter time.Duration
 	// Quiesce: the Wait is the manager's own post-restart quiesce window,
 	// not contention on this directory. Clients should not charge it
-	// against their per-directory retry budget — RetryAfter is a firm
+	// against their per-directory acquire retries — RetryAfter is a firm
 	// "come back then" delay, and every directory is affected equally.
 	Quiesce bool
 	// StaleRing: the caller's ring epoch is behind (or it asked a shard that

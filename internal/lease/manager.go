@@ -9,7 +9,6 @@ import (
 
 	"arkfs/internal/objstore"
 	"arkfs/internal/obs"
-	"arkfs/internal/qos"
 	"arkfs/internal/rpc"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
@@ -51,9 +50,6 @@ type Manager struct {
 	snapSeq  uint64     // bumped under mu by every persist-worthy mutation
 	snapWrit uint64     // highest seq durably written (under pmu)
 
-	// qos rate-limits Acquire per tenant (nil admits everything).
-	qos *qos.Limiter
-
 	// Registry counters (nil-safe). Named counters are shared across sharded
 	// managers attached to the same registry, so they aggregate cluster-wide.
 	cAcquires, cExtensions, cRedirects *obs.Counter
@@ -61,8 +57,7 @@ type Manager struct {
 	cRingRedirects                     *obs.Counter
 	cHandoffOut, cHandoffIn            *obs.Counter
 	cPersists, cPersistErrs, cResumed  *obs.Counter
-	cShed                              *obs.Counter // admission refusals
-	tracer                             *obs.Tracer  // nil without Options.Obs
+	tracer                             *obs.Tracer // nil without Options.Obs
 }
 
 // Options configures a Manager.
@@ -99,14 +94,6 @@ type Options struct {
 	// snapshot time and enables the manager's trace ring: every handled
 	// request becomes a child span under the caller's trace.
 	Obs *obs.Registry
-	// QoS, when non-nil, rate-limits Acquire requests per tenant: a refusal
-	// answers with the existing Wait/RetryAfter mechanism, so the client's
-	// budgeted wait loop absorbs it without new protocol. Release, recovery
-	// handshakes, and handoffs are never limited — they shrink load.
-	QoS *qos.Limiter
-	// Limits bounds the requests waiting for one of the Workers slots and
-	// their wait (see rpc.ServerLimits). Zero value means no limits.
-	Limits rpc.ServerLimits
 }
 
 // addrSeed derives a deterministic trace seed from an address: FNV-1a, so a
@@ -143,7 +130,6 @@ func NewManager(net *rpc.Network, opts Options) *Manager {
 		serviceCost: opts.ServiceCost,
 		rule:        newGrants(opts.Period),
 		ring:        opts.Ring,
-		qos:         opts.QoS,
 	}
 	m.cAcquires = opts.Obs.Counter("lease.acquires")
 	m.cExtensions = opts.Obs.Counter("lease.extensions")
@@ -157,7 +143,6 @@ func NewManager(net *rpc.Network, opts Options) *Manager {
 	m.cPersists = opts.Obs.Counter("lease.persist.writes")
 	m.cPersistErrs = opts.Obs.Counter("lease.persist.errors")
 	m.cResumed = opts.Obs.Counter("lease.resume.dirs")
-	m.cShed = opts.Obs.Counter("qos.shed.lease")
 	if opts.Store != nil {
 		m.store = opts.Store
 		m.snapKey = SnapshotKey(opts.Addr)
@@ -172,7 +157,7 @@ func NewManager(net *rpc.Network, opts Options) *Manager {
 		m.tracer.SetSeed(addrSeed(opts.Addr))
 		opts.Obs.Func("obs.trace.spans", m.tracer.Total)
 	}
-	m.server = net.ListenCtx(opts.Addr, opts.Workers, m.handle, opts.Limits)
+	m.server = net.ListenCtx(opts.Addr, opts.Workers, m.handle)
 	return m
 }
 
@@ -251,16 +236,6 @@ func (m *Manager) handle(ctx context.Context, req any) any {
 	switch r := req.(type) {
 	case AcquireReq:
 		sp = span("lease.Acquire", r.Dir)
-		// Per-tenant admission rides the existing Wait/RetryAfter protocol:
-		// a refused Acquire looks exactly like a busy directory, which the
-		// client's budgeted wait loop already knows how to absorb.
-		if m.qos != nil {
-			if ok, after := m.qos.Admit(tenant, time.Unix(0, int64(m.env.Now()))); !ok {
-				m.cShed.Inc()
-				sp.End(nil)
-				return AcquireResp{Wait: true, RetryAfter: after}
-			}
-		}
 	case ReleaseReq:
 		sp = span("lease.Release", r.Dir)
 	case RecoveryDoneReq:

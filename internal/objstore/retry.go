@@ -59,10 +59,10 @@ func (s *RetryStats) Retries() int64 {
 // Retryable classifies a store error: semantic errors the file-system layer
 // interprets (missing object, bad argument, permission) are permanent, while
 // ErrIO-class failures (and unknown backend errors, which real REST gateways
-// produce for timeouts) are transient. Typed EAGAIN pushback (gateway 429,
-// open circuit breaker) is deliberately NOT retryable here: hammering an
-// endpoint that just asked for backoff is the retry storm this layer must not
-// amplify — the budgeted loops above honor the retry-after hint instead.
+// produce for timeouts) are transient. Typed EAGAIN pushback (gateway 429) is
+// deliberately NOT retryable here: hammering an endpoint that just asked for
+// backoff is the retry storm this layer must not amplify — the bounded loops
+// above honor the retry-after hint instead.
 func Retryable(err error) bool {
 	switch {
 	case err == nil:

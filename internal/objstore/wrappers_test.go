@@ -10,7 +10,6 @@ import (
 	"arkfs/internal/crashpoint"
 	"arkfs/internal/objstore"
 	"arkfs/internal/obs"
-	"arkfs/internal/qos"
 	"arkfs/internal/sim"
 	"arkfs/internal/types"
 )
@@ -41,9 +40,6 @@ func TestWrapperContracts(t *testing.T) {
 	type mount = func(objstore.Store) objstore.Store
 	fault := func(s objstore.Store) objstore.Store { return objstore.NewFaultStore(s) }
 	instrument := func(s objstore.Store) objstore.Store { return objstore.Instrument(s, obs.NewRegistry()) }
-	breaker := func(s objstore.Store) objstore.Store {
-		return objstore.NewBreakerStore(env, s, qos.BreakerConfig{})
-	}
 	retry := func(s objstore.Store) objstore.Store { return objstore.NewRetryStore(env, s, policy) }
 	gate := func(s objstore.Store) objstore.Store { return crashpoint.NewGateStore(crashpoint.NewSet(), s) }
 	for _, tc := range []struct {
@@ -52,10 +48,9 @@ func TestWrapperContracts(t *testing.T) {
 	}{
 		{"fault", []mount{fault}},
 		{"instrument", []mount{instrument}},
-		{"breaker", []mount{breaker}},
 		{"retry", []mount{retry}},
 		{"gate", []mount{gate}},
-		{"stack", []mount{fault, instrument, breaker, retry, gate}},
+		{"stack", []mount{fault, instrument, retry, gate}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var s objstore.Store = objstore.NewMemStore()
@@ -101,78 +96,6 @@ func TestInstrumentCountsVerbsBytesAndErrors(t *testing.T) {
 	}
 }
 
-// TestBreakerStore walks the breaker round its three states through the
-// store wrapper: what trips it, what an open breaker answers, what counts as
-// a success, and how a probe closes it.
-func TestBreakerStore(t *testing.T) {
-	env := sim.NewVirtEnv()
-	env.Run(func() {
-		const threshold, cooldown = 3, 10 * time.Millisecond
-		fs := objstore.NewFaultStore(objstore.NewMemStore())
-		b := objstore.NewBreakerStore(env, fs, qos.BreakerConfig{Threshold: threshold, Cooldown: cooldown})
-		st := b.BreakerStats()
-
-		// A missing object is the backend answering: it ends a failure streak.
-		fs.FailNext("k", threshold-1)
-		for i := 0; i < threshold-1; i++ {
-			if err := b.Put("k", nil); !errors.Is(err, types.ErrIO) {
-				t.Errorf("armed put %d: %v", i, err)
-			}
-		}
-		if _, err := b.Get("none"); !errors.Is(err, types.ErrNotExist) {
-			t.Errorf("Get missing through the breaker: %v", err)
-		}
-		fs.FailNext("k", threshold-1)
-		for i := 0; i < threshold-1; i++ {
-			_ = b.Put("k", nil)
-		}
-		if b.State() != qos.BreakerClosed || st.Tripped.Load() != 0 {
-			t.Errorf("state %v, tripped %d after two streaks of %d split by ENOENT, want closed",
-				b.State(), st.Tripped.Load(), threshold-1)
-		}
-
-		// One more transient failure makes the streak: it trips.
-		fs.FailNext("k", 1)
-		_ = b.Put("k", nil)
-		if b.State() != qos.BreakerOpen || st.Tripped.Load() != 1 {
-			t.Errorf("state %v, tripped %d after %d failures in a row, want open and 1",
-				b.State(), st.Tripped.Load(), threshold)
-		}
-
-		// Open: typed pushback with the time to the probe, the backend untouched.
-		ops := fs.Ops()
-		err := b.Put("k", []byte("v"))
-		after, typed := types.RetryAfter(err)
-		if !errors.Is(err, types.ErrAgain) || !typed || after <= 0 || after > 2*cooldown {
-			t.Errorf("open breaker answered %v (retry-after %v, typed %v)", err, after, typed)
-		}
-		if err == nil || !strings.Contains(err.Error(), `objstore: put "k": circuit open`) {
-			t.Errorf("open breaker's message: %v", err)
-		}
-		if _, err := b.List(""); !errors.Is(err, types.ErrAgain) {
-			t.Errorf("open breaker let a List through: %v", err)
-		}
-		if st.FastFails.Load() != 2 || fs.Ops() != ops || st.Probes.Load() != 0 {
-			t.Errorf("fast-fails %d, backend ops +%d, probes %d, want 2, +0, 0",
-				st.FastFails.Load(), fs.Ops()-ops, st.Probes.Load())
-		}
-
-		// Past the cooldown (and its ≤ 25% jitter) one probe goes through and,
-		// succeeding, closes the breaker.
-		env.Sleep(2 * cooldown)
-		if err := b.Put("k", []byte("v")); err != nil {
-			t.Errorf("probe: %v", err)
-		}
-		if b.State() != qos.BreakerClosed || st.Probes.Load() != 1 || fs.Ops() != ops+1 {
-			t.Errorf("after the probe: state %v, probes %d, backend ops +%d, want closed, 1, +1",
-				b.State(), st.Probes.Load(), fs.Ops()-ops)
-		}
-		if v, err := b.Get("k"); err != nil || string(v) != "v" {
-			t.Errorf("closed again: Get = %q, %v", v, err)
-		}
-	})
-}
-
 // TestWrapperErrorStrings: every refusal names the verb and the key the way
 // it always has, on all six verbs.
 func TestWrapperErrorStrings(t *testing.T) {
@@ -182,8 +105,6 @@ func TestWrapperErrorStrings(t *testing.T) {
 		flaky.SetFlaky(1, 1)
 		dead := crashpoint.NewSet()
 		dead.Kill()
-		open := objstore.NewBreakerStore(env, flaky, qos.BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-		_ = open.Put("trip", nil)
 		verbs := []struct {
 			name string
 			call func(objstore.Store) error
@@ -203,7 +124,6 @@ func TestWrapperErrorStrings(t *testing.T) {
 			{flaky, `faultstore: injected %s failure on "k": `, types.ErrIO},
 			{objstore.NewRetryStore(env, flaky, objstore.RetryPolicy{MaxAttempts: 2}),
 				`objstore: %s "k" gave up after 2 attempt(s): faultstore: injected %[1]s failure on "k": `, types.ErrIO},
-			{open, `objstore: %s "k": circuit open: `, types.ErrAgain},
 			{crashpoint.NewGateStore(dead, flaky), `crashpoint: client killed, %s "k" dropped: `, types.ErrIO},
 		} {
 			for _, v := range verbs {
@@ -224,7 +144,7 @@ func TestWrappersAllocateNothingPerVerb(t *testing.T) {
 	defer env.Shutdown()
 	var s objstore.Store = objstore.Verbs(func(objstore.Op) (objstore.Result, error) { return objstore.Result{}, nil })
 	s = objstore.Instrument(objstore.NewFaultStore(s), obs.NewRegistry())
-	s = objstore.NewRetryStore(env, objstore.NewBreakerStore(env, s, qos.BreakerConfig{}), objstore.RetryPolicy{})
+	s = objstore.NewRetryStore(env, s, objstore.RetryPolicy{})
 	s = crashpoint.NewGateStore(crashpoint.NewSet(), s)
 	data := make([]byte, 4096)
 	if n := testing.AllocsPerRun(100, func() {
@@ -235,6 +155,6 @@ func TestWrappersAllocateNothingPerVerb(t *testing.T) {
 		_, _ = s.List("d:")
 		_, _ = s.Head("d:k")
 	}); n != 0 {
-		t.Fatalf("six verbs through five wrappers allocate %v times, want 0", n)
+		t.Fatalf("six verbs through four wrappers allocate %v times, want 0", n)
 	}
 }

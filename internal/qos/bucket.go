@@ -1,3 +1,15 @@
+// Package qos is ArkFS's overload protection: per-tenant token-bucket
+// admission control. A leader charges every forwarded operation to its
+// caller's tenant and refuses one past the tenant's rate with a typed
+// retry-after hint (types.AgainAfter), which the caller honours before it
+// retries; the object-store gateway admits HTTP requests the same way.
+//
+// Nothing in this package reads the wall clock or a global RNG: every
+// decision is a pure function of caller-supplied timestamps (the sim.Env
+// virtual clock in benchmarks and chaos runs), so a same-seed run replays
+// every admit/refuse decision exactly. A nil *Limiter admits everything, so
+// call sites never branch on "qos on?". The package depends only on the
+// standard library.
 package qos
 
 import (

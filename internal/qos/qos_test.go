@@ -127,151 +127,3 @@ func TestLimiterPerTenant(t *testing.T) {
 		t.Fatal("nil limiter must admit")
 	}
 }
-
-// TestBudgetSpendAndDeadline: the shared pool admits exactly n retries, and a
-// deadline stops spending even with tokens left.
-func TestBudgetSpendAndDeadline(t *testing.T) {
-	b := NewBudget(3)
-	for i := 0; i < 3; i++ {
-		if !b.TrySpend(at(0)) {
-			t.Fatalf("retry %d refused with budget left", i)
-		}
-	}
-	if b.TrySpend(at(0)) {
-		t.Fatal("exhausted budget admitted a retry")
-	}
-	d := NewBudget(10)
-	d.SetDeadline(at(5))
-	if !d.TrySpend(at(4)) {
-		t.Fatal("pre-deadline retry refused")
-	}
-	if d.TrySpend(at(5)) {
-		t.Fatal("at-deadline retry admitted")
-	}
-	var nilB *Budget
-	if !nilB.TrySpend(at(0)) {
-		t.Fatal("nil budget must admit")
-	}
-}
-
-// TestBudgetWireRoundTrip: the envelope encoding preserves "no budget" (the
-// sentinel) and rehydrates real counts, with zero meaning exhausted→nil.
-func TestBudgetWireRoundTrip(t *testing.T) {
-	if Wire(nil) != NoBudget {
-		t.Fatalf("Wire(nil) = %d, want sentinel", Wire(nil))
-	}
-	if BudgetFromWire(NoBudget) != nil || BudgetFromWire(0) != nil || BudgetFromWire(-1) != nil {
-		t.Fatal("sentinel/zero/negative must rehydrate to nil")
-	}
-	b := NewBudget(5)
-	b.TrySpend(at(0))
-	r := BudgetFromWire(Wire(b))
-	if r == nil || r.Remaining() != 4 {
-		t.Fatalf("round-trip lost the count: %v", r.Remaining())
-	}
-}
-
-// TestBreakerTransitions walks the classic state machine on a virtual clock:
-// closed trips at the threshold, open refuses until the probe slot, a failed
-// probe re-opens with doubled cooldown, a successful probe closes.
-func TestBreakerTransitions(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 100 * time.Millisecond, Seed: 7})
-	now := at(0)
-	for i := 0; i < 3; i++ {
-		if ok, _ := b.Allow(now); !ok {
-			t.Fatalf("closed breaker refused call %d", i)
-		}
-		b.OnFailure(now)
-	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after %d failures = %v, want open", 3, b.State())
-	}
-	ok, after := b.Allow(now)
-	if ok || after <= 0 {
-		t.Fatalf("open breaker allowed (after=%v)", after)
-	}
-	// The jittered cooldown is at most 1.25×; step past it to the probe slot.
-	probeAt := now.Add(after)
-	if ok, _ := b.Allow(probeAt); !ok {
-		t.Fatal("probe slot refused")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state at probe = %v, want half-open", b.State())
-	}
-	if ok, _ := b.Allow(probeAt); ok {
-		t.Fatal("second concurrent probe admitted")
-	}
-	b.OnFailure(probeAt) // failed probe: re-open, doubled cooldown
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
-	}
-	_, after2 := b.Allow(probeAt)
-	if after2 < after { // doubled (modulo jitter ≥ 0) cooldown
-		t.Fatalf("cooldown did not grow: %v then %v", after, after2)
-	}
-	probe2 := probeAt.Add(after2)
-	if ok, _ := b.Allow(probe2); !ok {
-		t.Fatal("second probe slot refused")
-	}
-	b.OnSuccess()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after probe success = %v, want closed", b.State())
-	}
-	var nilB *Breaker
-	if ok, _ := nilB.Allow(now); !ok || nilB.State() != BreakerClosed {
-		t.Fatal("nil breaker must allow")
-	}
-}
-
-// TestBreakerSeededSchedule: same seed, same probe schedule — the breaker's
-// jitter must not break fingerprint replay.
-func TestBreakerSeededSchedule(t *testing.T) {
-	sched := func(seed int64) []time.Duration {
-		b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 50 * time.Millisecond, Seed: seed})
-		var out []time.Duration
-		now := at(0)
-		for i := 0; i < 6; i++ {
-			b.OnFailure(now)
-			_, after := b.Allow(now)
-			out = append(out, after)
-			now = now.Add(after)
-			b.Allow(now) // take the probe (moves to half-open)
-		}
-		return out
-	}
-	a, b := sched(42), sched(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("probe %d diverged: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-// TestBrownoutLadder: cheap ops never shed; expensive ops shed first; hints
-// grow with overload depth up to a cap.
-func TestBrownoutLadder(t *testing.T) {
-	if shed, _ := Sheds(100, CostCheap); shed {
-		t.Fatal("cheap op shed")
-	}
-	if shed, _ := Sheds(0.5, CostExpensive); shed {
-		t.Fatal("expensive op shed below threshold")
-	}
-	shedE, hintE := Sheds(1, CostExpensive)
-	if !shedE || hintE <= 0 {
-		t.Fatalf("expensive op not shed at pressure 1 (hint %v)", hintE)
-	}
-	if shed, _ := Sheds(2, CostNormal); shed {
-		t.Fatal("normal op shed below its threshold")
-	}
-	if shed, _ := Sheds(3, CostNormal); !shed {
-		t.Fatal("normal op not shed at pressure 3")
-	}
-	_, deep := Sheds(4, CostExpensive)
-	if deep <= hintE {
-		t.Fatalf("hint did not grow with depth: %v then %v", hintE, deep)
-	}
-	_, capped := Sheds(1000, CostExpensive)
-	if capped != 8*10*time.Millisecond {
-		t.Fatalf("depth cap: hint = %v, want 80ms", capped)
-	}
-}

@@ -5,29 +5,24 @@ import (
 	"time"
 
 	"arkfs/internal/obs"
-	"arkfs/internal/qos"
 )
 
 // Meta is the envelope of a call: what rides beside every message, in process
 // and across the TCP bridge, and what the serving side's handler context
-// carries. It travels by value. Only Budget is shared: in process, a server's
-// nested retries draw from the pool of the operation that sent the call.
+// carries. It travels by value.
 type Meta struct {
 	Span   obs.SpanContext // the trace a call continues, zero when untraced
 	Epoch  uint64          // the caller's lease-ring epoch, 0 when unsharded
 	Tenant string          // the tenant the op is attributed to, "" when unknown
-	Budget *qos.Budget     // the op's shared retry budget, nil when unbudgeted
 	Wait   time.Duration   // serving side: arrival→slot, as the fabric measured it
 }
 
 type metaKey struct{}
 
-// metaCtx carries a Meta, and the budget an operation mints for itself, in
-// one allocation.
+// metaCtx carries a Meta in one allocation.
 type metaCtx struct {
 	context.Context
 	meta Meta
-	bud  qos.Budget
 }
 
 func (c *metaCtx) Value(key any) any {
@@ -40,15 +35,6 @@ func (c *metaCtx) Value(key any) any {
 // WithMeta returns ctx carrying m: the envelope of every call made under it.
 func WithMeta(ctx context.Context, m Meta) context.Context {
 	return &metaCtx{Context: ctx, meta: m}
-}
-
-// WithBudget is WithMeta with a fresh retry budget of n tokens in place of
-// m.Budget, held in the same allocation as the context.
-func WithBudget(ctx context.Context, m Meta, n int) context.Context {
-	c := &metaCtx{Context: ctx, meta: m}
-	c.bud.Init(n)
-	c.meta.Budget = &c.bud
-	return c
 }
 
 // MetaFrom returns the envelope ctx carries, the zero Meta when none. Span

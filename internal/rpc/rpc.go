@@ -18,7 +18,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"arkfs/internal/obs"
@@ -30,15 +29,15 @@ func init() {
 	gob.Register(&Shed{})
 }
 
-// Shed is the fabric-level pushback payload: a server that refuses a request
-// before (or instead of) running its handler replies with a Shed, which the
-// calling side converts into a typed types.ErrAgain retry-after error. Being
+// Shed is the fabric-level pushback payload: a handler that refuses a request
+// (a leader's admission gate) replies with a Shed, which the calling side
+// converts into a typed types.ErrAgain retry-after error. Being
 // a gob-registered payload, it crosses the TCP bridge intact, so
 // errors.Is(err, types.ErrAgain) — and the retry-after hint — hold across
 // process boundaries.
 type Shed struct {
 	AfterNS int64  // retry-after hint, nanoseconds
-	Reason  string // shed reason ("inbox", "queue-wait", ...), for counters
+	Reason  string // shed reason ("admission"), for errors and counters
 }
 
 // Err converts the payload into the typed client-side error.
@@ -99,8 +98,6 @@ type Network struct {
 	cCalls      *obs.Counter
 	cDrops      *obs.Counter
 	cTimeouts   *obs.Counter
-	cShedInbox  *obs.Counter   // requests refused at the bound on waiting calls
-	cShedWait   *obs.Counter   // requests shed at their slot for excessive wait
 	hQWait      *obs.Histogram // arrival→slot, all servers
 	hQSvc       *obs.Histogram // slot→handler return, all servers
 	methodHists sync.Map       // method name -> *obs.Histogram
@@ -141,8 +138,6 @@ func (n *Network) SetObs(reg *obs.Registry) {
 	n.cCalls = reg.Counter("rpc.calls")
 	n.cDrops = reg.Counter("rpc.drops")
 	n.cTimeouts = reg.Counter("rpc.timeouts")
-	n.cShedInbox = reg.Counter("qos.shed.rpc.inbox")
-	n.cShedWait = reg.Counter("qos.shed.rpc.wait")
 	n.hQWait = reg.Histogram("rpc.queue.wait")
 	n.hQSvc = reg.Histogram("rpc.queue.service")
 	n.methodHists = sync.Map{}
@@ -183,59 +178,27 @@ func (n *Network) histFor(req any) *obs.Histogram {
 	return h
 }
 
-// ServerLimits bounds the calls waiting for a server's slots and how long
-// they wait; the zero value keeps the historical unbounded behavior.
-type ServerLimits struct {
-	// MaxInbox caps the calls waiting for a slot, while the server already
-	// runs as many handlers at once as it has slots; excess calls are
-	// refused immediately with a typed EAGAIN (0: unbounded). A bound turns
-	// queue growth — the collapse mode under overload — into prompt
-	// pushback the client's retry budget absorbs.
-	MaxInbox int
-	// ShedWait sheds a call when it gets its slot if its arrival→slot wait
-	// already exceeds this threshold: by then the caller has likely timed
-	// out or retried, so running the handler only burns service capacity on
-	// a dead request (0: never shed).
-	ShedWait time.Duration
-}
-
-// retryAfter is the hint attached to inbox-bound refusals: ShedWait when
-// set, else 5ms.
-func (l *ServerLimits) retryAfter() time.Duration {
-	if l.ShedWait > 0 {
-		return l.ShedWait
-	}
-	return 5 * time.Millisecond
-}
-
 // Server is a registered endpoint: a handler and the slots it runs in. A
 // call runs the handler on its own goroutine once it holds a slot, so a
 // server starts no goroutine, and a call that finds every slot taken waits.
 type Server struct {
-	net     *Network
-	addr    Addr
-	h       CtxHandler
-	slots   *sim.Chan[struct{}] // one token per handler that may run at once
-	waiting atomic.Int64        // calls waiting for a slot
-	limits  ServerLimits
-	closed  sync.Once
+	net    *Network
+	addr   Addr
+	h      CtxHandler
+	slots  *sim.Chan[struct{}] // one token per handler that may run at once
+	closed sync.Once
 }
 
 // Listen registers addr with h, which at most workers calls run at once. It
-// panics on a duplicate address, which is always a wiring bug. Optional
-// limits bound the calls waiting for a slot and their wait (at most one
-// ServerLimits applies).
-func (n *Network) Listen(addr Addr, workers int, h Handler, limits ...ServerLimits) *Server {
-	return n.ListenCtx(addr, workers, func(_ context.Context, req any) any { return h(req) }, limits...)
+// panics on a duplicate address, which is always a wiring bug.
+func (n *Network) Listen(addr Addr, workers int, h Handler) *Server {
+	return n.ListenCtx(addr, workers, func(_ context.Context, req any) any { return h(req) })
 }
 
 // ListenCtx is Listen for envelope-aware handlers: each request's handler
 // context carries the caller's Meta, its queue wait included (MetaFrom).
-func (n *Network) ListenCtx(addr Addr, workers int, h CtxHandler, limits ...ServerLimits) *Server {
+func (n *Network) ListenCtx(addr Addr, workers int, h CtxHandler) *Server {
 	s := &Server{net: n, addr: addr, h: h, slots: sim.NewChan[struct{}](n.env)}
-	if len(limits) > 0 {
-		s.limits = limits[0]
-	}
 	for i := 0; i < max(workers, 1); i++ {
 		s.slots.Send(struct{}{})
 	}
@@ -269,34 +232,12 @@ func (s *Server) Close() {
 // stamp it on its span.
 func (s *Server) serve(meta Meta, req any, arrived time.Duration) (any, error) {
 	n := s.net
-	if bound := s.limits.MaxInbox; bound > 0 && s.waiting.Load() >= int64(bound) {
-		// Bounded wait: refuse at the door instead of queueing without
-		// bound. The refusal is typed EAGAIN so budgeted clients back off.
-		n.cShedInbox.Inc()
-		return nil, fmt.Errorf("rpc: server %q inbox full: %w", s.addr,
-			types.AgainAfter(s.limits.retryAfter(), "inbox"))
-	}
-	s.waiting.Add(1)
-	_, ok := s.slots.Recv()
-	s.waiting.Add(-1)
-	if !ok {
+	if _, ok := s.slots.Recv(); !ok {
 		n.cTimeouts.Inc()
 		return nil, fmt.Errorf("rpc: server %q closed: %w", s.addr, types.ErrTimedOut)
 	}
 	start := n.env.Now()
 	meta.Wait = start - arrived
-	if sw := s.limits.ShedWait; sw > 0 && meta.Wait > sw {
-		// The request aged out waiting; shed it without spending handler
-		// service time. The hint tells the client how stale its wait
-		// already is.
-		s.slots.Send(struct{}{})
-		n.cShedWait.Inc()
-		if n.reg != nil {
-			n.hQWait.ObserveTrace(meta.Wait, meta.Span.Trace)
-			n.reg.Tenants().ObserveWait(meta.Tenant, meta.Wait, 0, meta.Span.Trace)
-		}
-		return &Shed{AfterNS: int64(meta.Wait), Reason: "queue-wait"}, nil
-	}
 	resp := s.h(WithMeta(context.Background(), meta), req)
 	s.slots.Send(struct{}{})
 	if n.reg != nil {
@@ -330,7 +271,7 @@ func (n *Network) CallFrom(from, to Addr, req any) (any, error) {
 // interrupted by real channels — so ctx acts as a deadline checked at the
 // call boundary, which is where the retry loops in core re-enter. The
 // envelope ctx carries (MetaFrom) rides the message, so the server side
-// continues the trace and keeps the attribution, epoch and budget.
+// continues the trace and keeps the attribution and epoch.
 func (n *Network) CallFromCtx(ctx context.Context, from, to Addr, req any) (any, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {

@@ -8,35 +8,30 @@ import (
 	"sync"
 
 	"arkfs/internal/obs"
-	"arkfs/internal/qos"
 	"arkfs/internal/types"
 )
 
 // envelope frames one gob-encoded message on the wire: the payload and the
 // caller's Meta, which envelopeFor and meta convert to and from the fields
-// below. The budget crosses as the tokens it has left (qos.NoBudget when
-// unbudgeted), and the serving side derives a budget from it, so nested
-// retries in another process still cannot exceed what the originating
-// operation had left. The queue wait does not cross: the fabric that serves
-// the call measures its own.
+// below. The queue wait does not cross: the fabric that serves the call
+// measures its own.
 type envelope struct {
 	Trace, Span, Epoch uint64
 	Tenant             string
-	Budget             int64
 	Payload            any
 }
 
 func envelopeFor(m Meta, payload any) *envelope {
 	return &envelope{
 		Trace: uint64(m.Span.Trace), Span: uint64(m.Span.Span), Epoch: m.Epoch,
-		Tenant: m.Tenant, Budget: qos.Wire(m.Budget), Payload: payload,
+		Tenant: m.Tenant, Payload: payload,
 	}
 }
 
 func (e *envelope) meta() Meta {
 	return Meta{
 		Span:  obs.SpanContext{Trace: obs.TraceID(e.Trace), Span: obs.SpanID(e.Span)},
-		Epoch: e.Epoch, Tenant: e.Tenant, Budget: qos.BudgetFromWire(e.Budget),
+		Epoch: e.Epoch, Tenant: e.Tenant,
 	}
 }
 

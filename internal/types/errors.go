@@ -41,9 +41,9 @@ var (
 // that care can distinguish detected corruption from plain I/O failure.
 var ErrIntegrity = fmt.Errorf("data integrity check failed: %w", ErrIO)
 
-// RetryAfterError is the typed EAGAIN carrier: an admission controller,
-// load shedder, or circuit breaker rejected the operation and suggests
-// retrying after a delay. It wraps ErrAgain so errors.Is(err, ErrAgain)
+// RetryAfterError is the typed EAGAIN carrier: an admission controller (a
+// leader's, or the object-store gateway's) rejected the operation and
+// suggests retrying after a delay. It wraps ErrAgain so errors.Is(err, ErrAgain)
 // matches, and it survives the string-encoded RPC boundary: Errno renders it
 // as "EAGAIN@<ns>" and FromErrno rehydrates the hint on the far side.
 type RetryAfterError struct {

@@ -147,7 +147,7 @@ type BurstResult struct {
 	Hostile bool
 	// Attempted counts submitted creates; each lands in exactly one of
 	// Acked (the create succeeded — the op was acknowledged), Pushback
-	// (typed retry-after refusal surfaced after the client's budget),
+	// (typed retry-after refusal surfaced after the client's retries),
 	// Timeout, or OtherErr.
 	Attempted, Acked, Pushback, Timeout, OtherErr int
 	// Elapsed is the process's busy window on the virtual clock.

@@ -19,7 +19,7 @@ import (
 )
 
 // optionSuffixes name the configuration types the census counts.
-var optionSuffixes = []string{"Options", "Config", "Policy", "Limits", "Ladder"}
+var optionSuffixes = []string{"Options", "Config", "Policy", "Limits"}
 
 // optionsWithoutCaller lists each option field that no non-test code outside
 // the file declaring it sets, with the reason it stays a field. A field not
@@ -44,19 +44,16 @@ var optionsWithoutCaller = map[string]string{
 	"harness.StatsConfig.FilesPerProc":               tierOneSizes,
 	"harness.StatsConfig.SharedDirs":                 tierOneSizes,
 	"harness.ChaosConfig.LeaseShards":                "CI's TestChaosResharding runs the sharded lease-manager variant",
-	"qos.BreakerConfig.Cooldown":                     breakerTests,
-	"qos.BreakerConfig.Threshold":                    breakerTests,
 }
 
 const (
 	calibration  = "a model parameter the calibration may retune (ROADMAP 2(c))"
 	tierOneSizes = "the tests run the same code at a smaller size to keep tier 1 fast"
-	breakerTests = "the breaker tests script exact trip counts and probe times with it"
 )
 
 // TestEveryOptionHasACaller type-checks every package's non-test files and
-// fails on an exported field of an *Options, *Config, *Policy, *Limits or
-// *Ladder type that no non-test code outside its own file sets, as a
+// fails on an exported field of an *Options, *Config, *Policy or *Limits
+// type that no non-test code outside its own file sets, as a
 // composite-literal key or an assignment target, unless the allowlist above
 // gives its reason. It also fails on an allowlist entry that is stale, and on
 // a field that no non-test code reads.
