@@ -373,7 +373,7 @@ func checkBaseline(rep *harness.BenchReport, path string) error {
 			}
 		}
 	}
-	// The elastic ring is pointless if it does not beat the single manager
+	// The sharded ring is pointless if it does not beat the single manager
 	// where the single manager saturates: the largest sharded point must
 	// clear its same-size single-manager twin.
 	last := base.ShardedScalability

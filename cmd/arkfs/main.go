@@ -97,7 +97,7 @@ func main() {
 	// manager (-leasemgr), or an embedded manager. The ring member strings
 	// must match the ones leasemgr advertises byte-for-byte — rendezvous
 	// routing hashes the address bytes, so any difference splits ownership.
-	var router lease.Router
+	var ring lease.Ring
 	leaseAddr := rpc.Addr(*mgrAddr)
 	if *mgrRing != "" {
 		var members []rpc.Addr
@@ -110,8 +110,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "arkfs: -leasemgrs needs at least one member")
 			os.Exit(2)
 		}
-		router = lease.NewRouter(lease.NewRing(members...))
-		leaseAddr = members[0] // fallback only; the router decides routes
+		ring = lease.NewRing(members...)
 	} else if leaseAddr == "" {
 		mgr := lease.NewManager(net, lease.Options{})
 		defer mgr.Close()
@@ -126,13 +125,13 @@ func main() {
 		log.Fatalf("arkfs: seed: %v", err)
 	}
 	opts := core.Options{
-		ID:          *id,
-		Seed:        int64(binary.LittleEndian.Uint64(seed[:]) | 1),
-		Tenant:      *tenant,
-		Cred:        types.Cred{Uid: uint32(*uid), Gid: uint32(*gid)},
-		Cache:       cache.DefaultConfig(),
-		LeaseMgr:    leaseAddr,
-		LeaseRouter: router,
+		ID:        *id,
+		Seed:      int64(binary.LittleEndian.Uint64(seed[:]) | 1),
+		Tenant:    *tenant,
+		Cred:      types.Cred{Uid: uint32(*uid), Gid: uint32(*gid)},
+		Cache:     cache.DefaultConfig(),
+		LeaseMgr:  leaseAddr,
+		LeaseRing: ring,
 	}
 	if *qosRate > 0 {
 		opts.QoS = qos.NewLimiter(qos.Limits{Rate: *qosRate, Burst: *qosBurst})

@@ -3,10 +3,11 @@
 // -leasemgr flag at it ("tcp!host:port").
 //
 // With -shards N it runs an N-member static lease ring instead: shard i
-// listens on -listen's port + i, and every shard shares the same epoch-1
-// ring over the advertised "tcp!host:port" members. Clients join with the
-// printed -leasemgrs list; routing is rendezvous hashing over the member
-// strings, so client and shard agree on ownership byte-for-byte.
+// listens on -listen's port + i, and every shard shares the same ring over
+// the advertised "tcp!host:port" members. Clients join with the printed
+// -leasemgrs list; routing is rendezvous hashing over the member strings, so
+// client and shard agree on ownership byte-for-byte. A shard denies a request
+// about a directory the ring routes to another shard.
 //
 // Usage:
 //
@@ -132,8 +133,7 @@ func main() {
 		for i, m := range members {
 			parts[i] = string(m)
 		}
-		fmt.Printf("leasemgr: serving a %d-shard lease ring (epoch %d, period %v)\n",
-			*shards, ring.Epoch, *period)
+		fmt.Printf("leasemgr: serving a %d-shard lease ring (period %v)\n", *shards, *period)
 		fmt.Printf("leasemgr: clients connect with -leasemgrs '%s'\n", strings.Join(parts, ","))
 	}
 

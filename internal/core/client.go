@@ -31,11 +31,10 @@ type Options struct {
 	Cred types.Cred
 	// LeaseMgr is the lease manager's address.
 	LeaseMgr rpc.Addr
-	// LeaseRouter routes each directory to its lease-manager shard (the
-	// paper's future-work "cluster of lease managers", lease.Cluster.Router).
-	// The router carries the client's cached ring; stale-ring redirects
-	// update it transparently. Nil uses LeaseMgr for every directory.
-	LeaseRouter lease.Router
+	// LeaseRing routes each directory to its lease-manager shard (the paper's
+	// future-work "cluster of lease managers", lease.Cluster.Ring). The zero
+	// ring uses LeaseMgr for every directory.
+	LeaseRing lease.Ring
 	// PermCache enables the permission caching mode (paper §III-C): remote
 	// directory permissions and lookups are cached for one lease period,
 	// trading strict ACL-change visibility for locality in path resolution.
@@ -344,7 +343,7 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 	if opts.Advertise != "" {
 		listen, c.addr = ServiceName(opts.ID), opts.Advertise
 	}
-	c.lm = &lease.Client{Net: net, Mgr: opts.LeaseMgr, Self: c.addr, Router: opts.LeaseRouter}
+	c.lm = &lease.Client{Net: net, Mgr: opts.LeaseMgr, Self: c.addr, Ring: opts.LeaseRing}
 	c.server = net.ListenCtx(listen, opts.RPCWorkers, c.serve)
 	env.Go(c.leaseKeeper)
 	env.Go(c.twopcResolver)
@@ -761,6 +760,8 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 			c.hAcquireWait.Observe(delay)
 			c.env.Sleep(delay)
 		default:
+			// A denial: a shard asked about a directory its ring routes to
+			// another shard answers so, and asking again would not help.
 			return nil, "", fmt.Errorf("core: lease denied for %s: %w", dir.Short(), types.ErrBusy)
 		}
 	}

@@ -39,7 +39,7 @@ type BenchConfig struct {
 	Procs int
 	// FioFileSize is the per-process sequential file size (default 32 MiB).
 	FioFileSize int64
-	// ShardedClients is the elastic lease-cluster sweep (default
+	// ShardedClients is the sharded lease-cluster sweep (default
 	// 512,1024,2048,4096): each count runs against a Shards-member lease
 	// ring, next to a single-manager point at ShardedClients[0] that anchors
 	// the comparison. Negative Shards disables the sweep.
@@ -166,7 +166,7 @@ type BenchReport struct {
 	FioWrite    BenchBandwidth    `json:"fio_write"`
 	FioRead     BenchBandwidth    `json:"fio_read"`
 	Scalability []BenchScalePoint `json:"scalability"`
-	// ShardedScalability is the elastic lease-cluster sweep: a single-manager
+	// ShardedScalability is the sharded lease-cluster sweep: a single-manager
 	// and a multi-shard point per client count.
 	ShardedScalability []BenchShardPoint `json:"sharded_scalability"`
 	// Takeover is what a leadership change costs, against directory size.
@@ -277,7 +277,7 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 	// Phase 4: sharded lease-cluster sweep (lease churn, not mdtest: every
 	// fresh directory is a lease acquire, so the manager tier is the
 	// contended resource). One single-manager anchor at the smallest client
-	// count, then the elastic-ring points.
+	// count, then the sharded-ring points.
 	if cfg.Shards > 1 {
 		for _, n := range cfg.ShardedClients {
 			for _, shards := range []int{1, cfg.Shards} {

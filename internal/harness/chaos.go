@@ -46,13 +46,12 @@ type ChaosConfig struct {
 	// DataWrites: write file contents too; durable files must read back
 	// byte-exact through a fresh client after the run.
 	DataWrites bool
-	// LeaseShards > 1 runs the scenario against an elastic lease-manager
-	// cluster (consistent-hash ring, grant-table persistence on) instead of
-	// the single manager. Two scripted membership changes then run
-	// mid-workload: an AddShard grows the ring and hands live grants over, a
-	// RemoveShard shrinks it back, tombstoning the removed shard. One shard
-	// restart kills and replaces a ring member, which must resume from its
-	// persisted grant table instead of stalling behind restart amnesia.
+	// LeaseShards > 1 runs the scenario against a static lease-manager
+	// cluster (rendezvous ring fixed at start, grant-table persistence on)
+	// instead of the single manager. The partitions then cut off one ring
+	// member each, and the manager restart becomes a shard kill and restart:
+	// the replacement must resume from its persisted grant table instead of
+	// stalling behind restart amnesia.
 	LeaseShards int
 }
 
@@ -93,10 +92,6 @@ type ChaosReport struct {
 	// Metrics is the deterministic metrics fingerprint of the run's shared
 	// observability registry (counters and histogram counts; no latencies).
 	Metrics string
-	// Handoff tallies, meaningful when LeaseShards > 1: grants that moved
-	// between shards intact during reshards, and grants whose transfer
-	// failed (those directories fall back to the crash-grace stall).
-	HandoffMoved, HandoffLost int64
 }
 
 // Failed reports whether the run violated any invariant.
@@ -258,8 +253,6 @@ type chaosRun struct {
 	mgrMu   sync.Mutex
 	mgr     *lease.Manager
 	leases  *lease.Cluster
-	addedMu sync.Mutex
-	added   []rpc.Addr // shards added by reshard events, newest last
 	reg     *obs.Registry
 	slots   []*slotState
 	oracle  *chaosOracle
@@ -269,13 +262,13 @@ type chaosRun struct {
 	fires *sim.Chan[int] // slot indices whose client just crashed
 }
 
-// router mints a fresh per-client ring router in cluster mode (nil for the
-// single manager; core then uses the static LeaseMgr address).
-func (r *chaosRun) router() lease.Router {
+// ring is the clients' lease ring in cluster mode (zero for the single
+// manager; core then uses the static LeaseMgr address).
+func (r *chaosRun) ring() lease.Ring {
 	if r.leases == nil {
-		return nil
+		return lease.Ring{}
 	}
-	return r.leases.Router()
+	return r.leases.Ring()
 }
 
 // options are the core.Options every client of the run starts from: its
@@ -283,7 +276,7 @@ func (r *chaosRun) router() lease.Router {
 // cadence.
 func (r *chaosRun) options(id string, seed int64) core.Options {
 	return core.Options{
-		ID: id, Cred: types.Cred{Uid: 1000, Gid: 1000}, LeaseRouter: r.router(), LeasePeriod: chaosLeasePeriod,
+		ID: id, Cred: types.Cred{Uid: 1000, Gid: 1000}, LeaseRing: r.ring(), LeasePeriod: chaosLeasePeriod,
 		Journal: journal.Config{CommitInterval: chaosLeasePeriod / 4, CommitWorkers: 2, CheckpointWorkers: 2},
 		Seed:    seed,
 	}
@@ -371,7 +364,7 @@ func (r *chaosRun) run() {
 	r.plan.SetTimeout(lp / 16)
 	r.net.SetFaultPlan(r.plan)
 	if cfg.LeaseShards > 1 {
-		// Elastic cluster mode: rendezvous ring over the shards, grant
+		// Cluster mode: rendezvous ring over the shards, grant
 		// tables persisted to the raw cluster (control-plane writes bypass
 		// the scripted data-path faults; failover realism comes from the
 		// shard kill/restart events).
@@ -437,7 +430,7 @@ func (r *chaosRun) run() {
 	}
 	// The fault mix: three armed crash points, two partitions, one drop
 	// window, one flaky window, one corrupt-reads window, and one manager
-	// restart (sharded: one shard restart and two reshards).
+	// restart (sharded: one shard restart).
 	for range 3 {
 		t := at()
 		slot := rng.Intn(chaosSlots)
@@ -516,9 +509,9 @@ func (r *chaosRun) run() {
 		// half a period later. With the persisted grant table the
 		// replacement resumes granting; its territory must not pay the full
 		// restart-amnesia grace.
-		initial := r.leases.Ring().Members
+		members := r.leases.Ring().Members
 		t := at()
-		victim := initial[rng.Intn(len(initial))]
+		victim := members[rng.Intn(len(members))]
 		mgrDownUntil = t + lp/2
 		addEvent(t, fmt.Sprintf("shard-stop %s", victim), func() {
 			if err := r.leases.KillShard(victim); err != nil {
@@ -530,43 +523,6 @@ func (r *chaosRun) run() {
 				r.logf("shard-restart %s: %v", victim, err)
 			}
 		})
-		// Runtime resharding: grow the ring mid-workload (handing live
-		// grants to the new shard), and shrink it back by removing the most
-		// recently added shard (tombstoning it). A remove scheduled before
-		// any add has landed is a no-op.
-		for i := range 2 {
-			t := at()
-			if i%2 == 0 {
-				addEvent(t, "lease-addshard", func() {
-					addr, err := r.leases.AddShard()
-					if err != nil {
-						r.logf("addshard: %v", err)
-						return
-					}
-					r.addedMu.Lock()
-					r.added = append(r.added, addr)
-					r.addedMu.Unlock()
-					r.logf("addshard %s, ring now %s", addr, r.leases.Ring())
-				})
-			} else {
-				addEvent(t, "lease-removeshard", func() {
-					r.addedMu.Lock()
-					if len(r.added) == 0 {
-						r.addedMu.Unlock()
-						r.logf("removeshard: nothing added yet, skipping")
-						return
-					}
-					victim := r.added[len(r.added)-1]
-					r.added = r.added[:len(r.added)-1]
-					r.addedMu.Unlock()
-					if err := r.leases.RemoveShard(victim); err != nil {
-						r.logf("removeshard %s: %v", victim, err)
-						return
-					}
-					r.logf("removeshard %s, ring now %s", victim, r.leases.Ring())
-				})
-			}
-		}
 	}
 	sort.Slice(r.rep.Script, func(i, j int) bool {
 		if r.rep.Script[i].At != r.rep.Script[j].At {
@@ -641,8 +597,6 @@ func (r *chaosRun) run() {
 
 	r.verify()
 	r.integrityEpilogue()
-	r.rep.HandoffMoved = r.reg.Counter("lease.handoff.moved").Value()
-	r.rep.HandoffLost = r.reg.Counter("lease.handoff.lost").Value()
 	r.rep.Metrics = r.reg.Snapshot().Fingerprint()
 }
 

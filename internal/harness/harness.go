@@ -125,7 +125,7 @@ type Deployment struct {
 	// Ark holds the raw ArkFS clients behind Mounts (nil for baselines),
 	// for retry/cache statistics.
 	Ark []*core.Client
-	// Leases is the elastic lease cluster, non-nil when the deployment was
+	// Leases is the sharded lease cluster, non-nil when the deployment was
 	// built with ArkFSOptions.LeaseShards > 1.
 	Leases *lease.Cluster
 	close  []func()
@@ -208,10 +208,9 @@ type ArkFSOptions struct {
 	ChunkSize int64 // 0: 2 MiB
 	// CacheEntries bounds the data cache per client (memory control).
 	CacheEntries int
-	// LeaseShards > 1 deploys an elastic lease-manager cluster (the paper's
+	// LeaseShards > 1 deploys a static lease-manager cluster (the paper's
 	// future work) instead of the single manager: directories route onto
-	// shards by rendezvous hashing, and the deployment's Leases handle
-	// reshards it at runtime.
+	// shards by rendezvous hashing over a ring fixed at start.
 	LeaseShards int
 	// FlakyProb > 0 inserts a FaultStore between the clients and the
 	// cluster that fails every store op with this probability (seeded by
@@ -299,13 +298,11 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 		mgr := lease.NewManager(net, lo)
 		d.close = append(d.close, mgr.Close)
 	}
+	var ring lease.Ring
+	if d.Leases != nil {
+		ring = d.Leases.Ring()
+	}
 	for i := 0; i < n; i++ {
-		var router lease.Router
-		if d.Leases != nil {
-			// Each client owns its router: the cached ring updates lazily
-			// from StaleRing redirects, per client.
-			router = d.Leases.Router()
-		}
 		var tenant string
 		if o.Tenants > 0 {
 			tenant = fmt.Sprintf("tenant-%02d", i%o.Tenants)
@@ -316,7 +313,7 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 			ID:           fmt.Sprintf("%04d", i),
 			Tenant:       tenant,
 			Cred:         types.Cred{Uid: 1000, Gid: 1000},
-			LeaseRouter:  router,
+			LeaseRing:    ring,
 			PermCache:    o.PermCache,
 			FUSEOverhead: cal.FUSEOverhead,
 			Cost: sim.CostModel{

@@ -17,10 +17,9 @@
 // A grant is a duration, never an instant: processes' clocks have different
 // zeros. The manager counts the period from its answer; the holder counts it
 // from its own send of the request, so the holder's lease ends first. A Wait
-// names a delay counted from the answer, and a handoff the time each lease
-// has left. A restarted manager trusts none of its predecessor's instants: it
-// counts every resumed lease from its own start. Both sides of the rule are
-// in rule.go.
+// names a delay counted from the answer. A restarted manager trusts none of
+// its predecessor's instants: it counts every resumed lease from its own
+// start. Both sides of the rule are in rule.go.
 package lease
 
 import (
@@ -68,12 +67,6 @@ type AcquireResp struct {
 	// against their per-directory acquire retries — RetryAfter is a firm
 	// "come back then" delay, and every directory is affected equally.
 	Quiesce bool
-	// StaleRing: the caller's ring epoch is behind (or it asked a shard that
-	// no longer owns Dir); Ring is the shard's current membership. The client
-	// must update its router and retry at the owner — an EAGAIN-style
-	// redirect, never a wrong-shard grant.
-	StaleRing bool
-	Ring      Ring
 }
 
 // ReleaseReq gives up a lease. Clean indicates all metadata was flushed.
@@ -87,9 +80,6 @@ type ReleaseReq struct {
 // ReleaseResp acknowledges a ReleaseReq.
 type ReleaseResp struct {
 	OK bool
-	// StaleRing: Dir moved to another shard (see AcquireResp.StaleRing).
-	StaleRing bool
-	Ring      Ring
 }
 
 // RecoveryDoneReq reports that the caller finished journal recovery for Dir;
@@ -106,15 +96,11 @@ type RecoveryDoneResp struct {
 	OK      bool
 	Period  time.Duration
 	LeaseID uint64
-	// StaleRing: Dir moved to another shard (see AcquireResp.StaleRing).
-	StaleRing bool
-	Ring      Ring
 }
 
-// DirGrant is one directory's lease chain: the manager's record of it (see
-// grants), and what a handoff ships to the shard that gains the directory.
-// In a table Expiry is an instant on that manager's clock; on the wire it is
-// the time left at the send, which the gainer counts from its receipt.
+// DirGrant is one directory's lease chain as the manager records it (see
+// grants). Expiry is an instant on that manager's clock; a snapshot leaves it
+// out.
 type DirGrant struct {
 	Dir        types.Ino
 	Holder     rpc.Addr
@@ -126,22 +112,6 @@ type DirGrant struct {
 	RecoverID  uint64
 }
 
-// HandoffReq transfers grant state from a losing shard to the gaining shard
-// during a resharding: every DirGrant routes to the receiver under the ring
-// at Epoch. Directories whose transfer fails are the only ones that pay the
-// grace-period stall at the new owner.
-type HandoffReq struct {
-	Epoch  Epoch
-	From   rpc.Addr
-	Grants []DirGrant
-}
-
-// HandoffResp acknowledges a HandoffReq.
-type HandoffResp struct {
-	OK       bool
-	Accepted int
-}
-
 func init() {
 	// Registered for the TCP transport used by the live tools.
 	gob.Register(AcquireReq{})
@@ -150,7 +120,4 @@ func init() {
 	gob.Register(ReleaseResp{})
 	gob.Register(RecoveryDoneReq{})
 	gob.Register(RecoveryDoneResp{})
-	gob.Register(HandoffReq{})
-	gob.Register(HandoffResp{})
-	gob.Register(Ring{})
 }

@@ -3,7 +3,6 @@ package lease
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -30,16 +29,13 @@ type Manager struct {
 	mu   sync.Mutex
 	rule *grants // every grant decision; guarded by mu
 
-	// Elastic-cluster state. ring is the shard's view of the membership
-	// (zero for an unsharded manager); gaining freezes newly-won territory
-	// until the cluster confirms the handoff transfers are settled; tombstone
-	// marks a removed shard that only answers ring redirects.
-	ring      Ring
-	gaining   *Ring // previous ring while a gain is in flight
-	tombstone bool
+	// ring is the deployment's shard membership (zero for an unsharded
+	// manager), fixed at construction: the shard serves only the directories
+	// it routes to ringAddr.
+	ring Ring
 
 	// Grant-table persistence (failover). When store is set, every chain
-	// mutation — grant, release, recovery transition, handoff — is snapshotted
+	// mutation — grant, release, recovery transition — is snapshotted
 	// to one sealed object before the response is sent, so a restarted shard
 	// resumes its grants instead of stalling every directory behind the
 	// amnesia grace. Expiries, and so extensions, are not persisted: the
@@ -54,8 +50,6 @@ type Manager struct {
 	// managers attached to the same registry, so they aggregate cluster-wide.
 	cAcquires, cExtensions, cRedirects *obs.Counter
 	cReleases, cRecoveries, cWaits     *obs.Counter
-	cRingRedirects                     *obs.Counter
-	cHandoffOut, cHandoffIn            *obs.Counter
 	cPersists, cPersistErrs, cResumed  *obs.Counter
 	tracer                             *obs.Tracer // nil without Options.Obs
 }
@@ -82,15 +76,14 @@ type Options struct {
 	// (paper §III-E-2); with one, known directories resume immediately and
 	// only the unknown residue is conservative.
 	Restarted bool
-	// Ring is the shard's initial membership view (zero for unsharded). It is
-	// installed before the server listens, so a shard never grants on a
-	// directory the ring assigns elsewhere.
+	// Ring is the deployment's shard membership (zero for unsharded). A shard
+	// denies every request about a directory the ring assigns elsewhere.
 	Ring Ring
 	// Store, when non-nil, persists the grant table as one CRC-sealed object
 	// (SnapshotKey(Addr)) and resumes from it on construction.
 	Store objstore.Store
 	// Obs, when non-nil, exposes the manager's counters (acquire/extension/
-	// redirect/release/recovery/wait/ring/handoff/persist) in the registry at
+	// redirect/release/recovery/wait/persist) in the registry at
 	// snapshot time and enables the manager's trace ring: every handled
 	// request becomes a child span under the caller's trace.
 	Obs *obs.Registry
@@ -137,9 +130,6 @@ func NewManager(net *rpc.Network, opts Options) *Manager {
 	m.cReleases = opts.Obs.Counter("lease.releases")
 	m.cRecoveries = opts.Obs.Counter("lease.recoveries")
 	m.cWaits = opts.Obs.Counter("lease.waits")
-	m.cRingRedirects = opts.Obs.Counter("lease.ring.redirects")
-	m.cHandoffOut = opts.Obs.Counter("lease.handoff.sent")
-	m.cHandoffIn = opts.Obs.Counter("lease.handoff.received")
 	m.cPersists = opts.Obs.Counter("lease.persist.writes")
 	m.cPersistErrs = opts.Obs.Counter("lease.persist.errors")
 	m.cResumed = opts.Obs.Counter("lease.resume.dirs")
@@ -213,16 +203,14 @@ func (m *Manager) Close() { m.server.Close() }
 func (m *Manager) handle(ctx context.Context, req any) any {
 	// Each handled request is a child span under the caller's trace (or a
 	// local root when the caller is untraced), so lease waits and redirects
-	// show up inside the operation that paid for them. The caller's ring
-	// epoch rides the rpc envelope, not the message.
-	// The caller's tenant and this request's slot wait ride the envelope
-	// too; stamping them on the manager span attributes shard queueing to the
-	// tenant that paid for it.
+	// show up inside the operation that paid for them. The caller's tenant
+	// and this request's slot wait ride the rpc envelope; stamping them on
+	// the manager span attributes shard queueing to the tenant that paid for
+	// it.
 	meta := rpc.MetaFrom(ctx)
-	tenant, epoch := meta.Tenant, meta.Epoch
 	span := func(op string, dir types.Ino) *obs.Span {
 		sp := m.tracer.StartChild(meta.Span, op, "")
-		sp.SetTenant(tenant)
+		sp.SetTenant(meta.Tenant)
 		sp.SetWait(meta.Wait)
 		sp.SetDir(dir)
 		return sp
@@ -240,21 +228,19 @@ func (m *Manager) handle(ctx context.Context, req any) any {
 		sp = span("lease.Release", r.Dir)
 	case RecoveryDoneReq:
 		sp = span("lease.RecoveryDone", r.Dir)
-	case HandoffReq:
-		sp = span("lease.Handoff", types.Ino{})
 	default:
 		return AcquireResp{} // unknown message: deny
 	}
-	resp := m.decide(req, epoch)
+	resp := m.decide(req)
 	sp.End(nil)
 	return resp
 }
 
-// decide answers one request under mu: the ring check, then the rule. A
+// decide answers one request under mu: the ownership test, then the rule. A
 // changed table is persisted before the answer leaves.
-func (m *Manager) decide(req any, epoch uint64) any {
+func (m *Manager) decide(req any) any {
 	m.mu.Lock()
-	resp, v := m.decideLocked(req, epoch, m.env.Now())
+	resp, v := m.decideLocked(req, m.env.Now())
 	var snap []byte
 	var seq uint64
 	if v == changed {
@@ -265,16 +251,15 @@ func (m *Manager) decide(req any, epoch uint64) any {
 	return resp
 }
 
-func (m *Manager) decideLocked(req any, epoch uint64, now time.Duration) (any, verdict) {
+func (m *Manager) decideLocked(req any, now time.Duration) (any, verdict) {
+	// A request about a directory the ring routes elsewhere comes from a
+	// client configured with another ring: the zero answer denies it, and
+	// the client surfaces the denial instead of retrying.
 	switch r := req.(type) {
 	case AcquireReq:
 		m.cAcquires.Inc()
-		if redirect, wait := m.ringCheckLocked(r.Dir, epoch); redirect {
-			m.cRingRedirects.Inc()
-			return AcquireResp{StaleRing: true, Ring: m.ring}, kept
-		} else if wait {
-			m.cWaits.Inc()
-			return AcquireResp{Wait: true, Quiesce: true, RetryAfter: m.period / 16}, kept
+		if !m.owns(r.Dir) {
+			return AcquireResp{}, kept
 		}
 		resp, v := m.rule.acquire(r.Dir, r.Client, now)
 		switch {
@@ -290,62 +275,30 @@ func (m *Manager) decideLocked(req any, epoch uint64, now time.Duration) (any, v
 		return resp, v
 	case ReleaseReq:
 		m.cReleases.Inc()
-		if redirect, wait := m.ringCheckLocked(r.Dir, epoch); redirect || wait {
-			m.cRingRedirects.Inc()
-			return ReleaseResp{StaleRing: true, Ring: m.ring}, kept
+		if !m.owns(r.Dir) {
+			return ReleaseResp{}, kept
 		}
 		return m.rule.release(r.Dir, r.Client, r.LeaseID, r.Clean, now)
 	case RecoveryDoneReq:
-		if redirect, wait := m.ringCheckLocked(r.Dir, epoch); redirect || wait {
-			m.cRingRedirects.Inc()
-			return RecoveryDoneResp{StaleRing: true, Ring: m.ring}, kept
+		if !m.owns(r.Dir) {
+			return RecoveryDoneResp{}, kept
 		}
 		return m.rule.recoveryDone(r.Dir, r.Client, r.LeaseID, now)
-	case HandoffReq:
-		// Grants for an older epoch than the shard's view come from a
-		// superseded resharding.
-		if !m.ring.IsZero() && r.Epoch < m.ring.Epoch {
-			return HandoffResp{}, kept
-		}
-		n := m.rule.accept(r.Grants, now)
-		m.cHandoffIn.Add(int64(n))
-		return HandoffResp{OK: true, Accepted: n}, changed
 	}
 	return nil, kept
 }
 
-// ringCheckLocked classifies a request against the shard's membership view:
-// redirect (the ring assigns dir elsewhere, or this shard is a tombstone) or
-// wait (the caller knows a newer ring than this shard, or the shard is still
-// importing a gained range). Both are cluster-wide conditions, never grants.
-func (m *Manager) ringCheckLocked(dir types.Ino, reqEpoch uint64) (redirect, wait bool) {
-	if m.tombstone {
-		return true, false
-	}
-	if m.ring.IsZero() {
-		return false, false
-	}
-	if reqEpoch > uint64(m.ring.Epoch) {
-		// The client has seen a membership change this shard hasn't: do not
-		// grant under a ring known to be stale, and do not push ours back.
-		return false, true
-	}
-	if m.ring.RouteAddr(dir) != m.ringAddr {
-		return true, false
-	}
-	if m.gaining != nil && m.gaining.RouteAddr(dir) != m.ringAddr {
-		// Newly-gained territory with handoff transfers still in flight:
-		// granting now could bypass a live grant queued in a HandoffReq.
-		return false, true
-	}
-	return false, false
+// owns reports whether dir is this shard's: every directory is, without a
+// ring.
+func (m *Manager) owns(dir types.Ino) bool {
+	return len(m.ring.Members) == 0 || m.ring.RouteAddr(dir) == m.ringAddr
 }
 
 // persistLocked encodes the grant table when persistence is on. Must be
 // called with mu held, after the mutation; the caller hands the result to
 // maybePersist outside the lock, before sending the response.
 func (m *Manager) persistLocked() ([]byte, uint64) {
-	if m.store == nil || m.tombstone {
+	if m.store == nil {
 		return nil, 0
 	}
 	m.snapSeq++
@@ -372,148 +325,30 @@ func (m *Manager) maybePersist(snap []byte, seq uint64) {
 	m.pmu.Unlock()
 }
 
-// StartGain freezes the territory this shard is about to win: nr is
-// installed as the membership view, and directories that prev did not assign
-// to this shard answer short waits until FinishGain. For a brand-new shard
-// prev contains everything-but-me, so its whole range is frozen while the
-// losing shards' HandoffReqs drain in.
-func (m *Manager) StartGain(prev, nr Ring) {
-	m.mu.Lock()
-	p := prev
-	m.ring = nr
-	m.gaining = &p
-	m.mu.Unlock()
-}
-
-// FinishGain unfreezes the gained territory. lost carries a suspicion record,
-// its bound as time left, for every range whose transfer failed or whose
-// loser had forgotten chains; directories in those ranges pay the grace
-// stall, everything else serves from the transferred chains.
-func (m *Manager) FinishGain(lost []suspect) {
-	m.mu.Lock()
-	m.gaining = nil
-	m.rule.suspect(lost, m.env.Now())
-	snap, seq := m.persistLocked()
-	m.mu.Unlock()
-	m.maybePersist(snap, seq)
-}
-
-// BeginHandoff installs nr and extracts the chains of every directory this
-// shard loses under it, grouped by gaining shard. From the moment it returns,
-// moved directories answer StaleRing redirects here; the extracted grants
-// must reach their new owners (HandoffReq) or those directories pay the
-// grace stall there. The second return value carries the suspicion records
-// the gainers must inherit (grants.export).
-func (m *Manager) BeginHandoff(nr Ring) (map[rpc.Addr][]DirGrant, []suspect) {
-	m.mu.Lock()
-	if !m.ring.IsZero() && nr.Epoch <= m.ring.Epoch {
-		m.mu.Unlock()
-		return nil, nil
-	}
-	prev := m.ring
-	m.ring = nr
-	moved, inherited := m.rule.export(prev, nr, m.ringAddr, m.env.Now())
-	for _, gs := range moved {
-		m.cHandoffOut.Add(int64(len(gs)))
-	}
-	snap, seq := m.persistLocked()
-	m.mu.Unlock()
-	m.maybePersist(snap, seq)
-	return moved, inherited
-}
-
-// Tombstone converts a removed shard into a redirect-only stub: it keeps
-// listening so clients with a stale ring learn the final membership instead
-// of timing out, but never grants again. Its persisted snapshot is deleted —
-// the live state moved to the gaining shards.
-func (m *Manager) Tombstone(final Ring) {
-	m.mu.Lock()
-	m.tombstone = true
-	m.ring = final
-	clear(m.rule.dirs)
-	store, key := m.store, m.snapKey
-	m.mu.Unlock()
-	if store != nil {
-		_ = store.Delete(key)
-	}
-}
-
-// Client is the client-side stub of the lease protocol. With an elastic
-// cluster, Router picks the shard per directory and absorbs the ring updates
-// carried by StaleRing redirects; otherwise every request goes to Mgr.
+// Client is the client-side stub of the lease protocol. With a Ring, each
+// request goes to the shard the ring routes its directory to; otherwise every
+// request goes to Mgr.
 type Client struct {
-	Net    *rpc.Network
-	Mgr    rpc.Addr
-	Self   rpc.Addr
-	Router Router
+	Net  *rpc.Network
+	Mgr  rpc.Addr
+	Self rpc.Addr
+	Ring Ring
 }
 
-// maxRingHops bounds how many ring redirects one logical call follows before
-// surfacing a retryable error; membership changes settle in one or two.
-const maxRingHops = 6
-
-func (c *Client) target(dir types.Ino) (rpc.Addr, uint64) {
-	if c.Router != nil {
-		a, e := c.Router.Route(dir)
-		return a, uint64(e)
-	}
-	return c.Mgr, 0
-}
-
-// hop stamps ctx's envelope with the routing epoch for one attempt.
-func hop(ctx context.Context, epoch uint64) context.Context {
-	if epoch == 0 {
-		return ctx
-	}
-	m := rpc.MetaFrom(ctx)
-	m.Epoch = epoch
-	return rpc.WithMeta(ctx, m)
-}
-
-// stale handles one StaleRing response: install the newer ring, or — when
-// the shard's ring is not actually newer (it is mid-resharding itself) —
-// pause briefly so the membership change can settle.
-func (c *Client) stale(ring Ring, epoch uint64) {
-	if c.Router != nil && uint64(ring.Epoch) > epoch {
-		c.Router.Update(ring)
-		return
-	}
-	c.Net.Env().Sleep(time.Millisecond)
-}
-
-// call sends req about dir to the shard that owns it, following StaleRing
-// redirects: the newer ring is installed and the request goes again.
+// call sends req about dir to the manager that owns it.
 func call[R any](ctx context.Context, c *Client, dir types.Ino, req any) (R, error) {
-	var none R
-	for h := 0; h < maxRingHops; h++ {
-		addr, epoch := c.target(dir)
-		resp, err := c.Net.CallFromCtx(hop(ctx, epoch), c.Self, addr, req)
-		if err != nil {
-			return none, err
-		}
-		var ring Ring
-		var stale bool
-		switch r := resp.(type) {
-		case AcquireResp:
-			ring, stale = r.Ring, r.StaleRing
-		case ReleaseResp:
-			ring, stale = r.Ring, r.StaleRing
-		case RecoveryDoneResp:
-			ring, stale = r.Ring, r.StaleRing
-		}
-		if !stale {
-			r, _ := resp.(R)
-			return r, nil
-		}
-		c.stale(ring, epoch)
+	to := c.Mgr
+	if len(c.Ring.Members) > 0 {
+		to = c.Ring.RouteAddr(dir)
 	}
-	return none, fmt.Errorf("lease: ring redirect loop for %s: %w", dir.Short(), types.ErrTimedOut)
+	resp, err := c.Net.CallFromCtx(ctx, c.Self, to, req)
+	r, _ := resp.(R)
+	return r, err
 }
 
 // Acquire requests (or extends) the lease of dir. The caller's trace
 // identity in ctx rides to the manager so its handling shows as a child
-// span of the acquiring operation; the router's ring epoch rides the rpc
-// envelope, and stale-ring redirects are followed transparently.
+// span of the acquiring operation.
 func (c *Client) Acquire(ctx context.Context, dir types.Ino) (AcquireResp, error) {
 	return call[AcquireResp](ctx, c, dir, AcquireReq{Dir: dir, Client: c.Self})
 }

@@ -12,10 +12,9 @@ import (
 	"arkfs/internal/types"
 )
 
-// acquire asks m for dir on client's behalf, as a request whose envelope
-// carries epoch would.
-func acquire(m *Manager, dir types.Ino, client rpc.Addr, epoch uint64) AcquireResp {
-	return m.decide(AcquireReq{Dir: dir, Client: client}, epoch).(AcquireResp)
+// acquire asks m for dir on client's behalf.
+func acquire(m *Manager, dir types.Ino, client rpc.Addr) AcquireResp {
+	return m.decide(AcquireReq{Dir: dir, Client: client}).(AcquireResp)
 }
 
 func TestAcquireExtendRelease(t *testing.T) {
@@ -208,7 +207,7 @@ func TestResumeCountsFromItsOwnStart(t *testing.T) {
 		m := NewManager(rpc.NewNetwork(old, sim.NetModel{}), Options{Period: period, Store: store})
 		defer m.Close()
 		old.Sleep(100 * period)
-		if r := acquire(m, dir, "dead", 0); !r.Granted {
+		if r := acquire(m, dir, "dead"); !r.Granted {
 			t.Fatalf("grant before the restart: %+v", r)
 		}
 	})
@@ -217,7 +216,7 @@ func TestResumeCountsFromItsOwnStart(t *testing.T) {
 		m := NewManager(rpc.NewNetwork(env, sim.NetModel{}), Options{Period: period, Store: store, Restarted: true})
 		defer m.Close()
 		for env.Now() <= 2*period {
-			r := acquire(m, dir, "next", 0)
+			r := acquire(m, dir, "next")
 			switch {
 			case r.Granted:
 				if !r.NeedRecovery {

@@ -21,21 +21,13 @@ import (
 // snapVersion guards the layout; a decoder seeing another version treats the
 // snapshot as unusable (same path as corruption: conservative restart).
 // Version 2 dropped the expiries: an instant on a dead process's clock means
-// nothing to its successor.
-const snapVersion = 2
+// nothing to its successor. Version 3 dropped a section only live resharding
+// used.
+const snapVersion = 3
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-func appendRing(buf []byte, r Ring) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.Epoch))
-	buf = binary.AppendUvarint(buf, uint64(len(r.Members)))
-	for _, m := range r.Members {
-		buf = appendString(buf, string(m))
-	}
-	return buf
 }
 
 // encodeSnapshot serializes t's chains, without their expiries. Callers hold
@@ -49,11 +41,6 @@ func encodeSnapshot(t *grants) []byte {
 	buf := make([]byte, 0, 64+len(t.dirs)*64)
 	buf = append(buf, snapVersion)
 	buf = binary.AppendUvarint(buf, t.nextID)
-	buf = binary.AppendUvarint(buf, uint64(len(t.suspects)))
-	for _, s := range t.suspects {
-		buf = appendRing(buf, s.prev)
-		buf = appendString(buf, string(s.from))
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(inos)))
 	for _, ino := range inos {
 		d := t.dirs[ino]
@@ -123,21 +110,6 @@ func (d *snapDecoder) string(what string) string {
 	return string(d.bytes(int(n), what))
 }
 
-func (d *snapDecoder) ring(what string) Ring {
-	var r Ring
-	r.Epoch = Epoch(d.uvarint(what + " epoch"))
-	n := d.uvarint(what + " member count")
-	if d.err != nil || n > uint64(len(d.buf)-d.off) {
-		d.fail(what)
-		return Ring{}
-	}
-	r.Members = make([]rpc.Addr, 0, n)
-	for i := uint64(0); i < n; i++ {
-		r.Members = append(r.Members, rpc.Addr(d.string(what+" member")))
-	}
-	return r
-}
-
 // decodeSnapshot parses a sealed grant-table object into a table whose
 // expiries are all zero (grants.resume sets them). Any failure — CRC, short
 // buffer, unknown version — returns an error wrapping wire.ErrCorrupt, and
@@ -153,16 +125,6 @@ func decodeSnapshot(frame []byte) (*grants, error) {
 	st := newGrants(0)
 	d := &snapDecoder{buf: body, off: 1}
 	st.nextID = d.uvarint("nextID")
-	nsus := d.uvarint("suspect count")
-	if d.err == nil && nsus > uint64(len(body)) {
-		d.fail("suspect count")
-	}
-	for i := uint64(0); i < nsus && d.err == nil; i++ {
-		var s suspect
-		s.prev = d.ring("suspect ring")
-		s.from = rpc.Addr(d.string("suspect from"))
-		st.suspects = append(st.suspects, s)
-	}
 	ndirs := d.uvarint("dir count")
 	if d.err == nil && ndirs > uint64(len(body)) {
 		d.fail("dir count")

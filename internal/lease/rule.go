@@ -1,7 +1,6 @@
 package lease
 
 import (
-	"slices"
 	"time"
 
 	"arkfs/internal/rpc"
@@ -54,23 +53,10 @@ func (l DirLease) ID() uint64 { return l.id }
 func (l DirLease) Period() time.Duration { return l.period }
 
 // unknownHolder stands in for a holder the manager cannot name: one its
-// restart forgot, one whose chain a failed handoff lost, or one that gave the
-// directory up uncleanly. No client is it, so every acquirer, the one that
+// restart forgot, or one that gave the directory up uncleanly. No client is it, so every acquirer, the one that
 // renounced included, takes the crashed-holder path: the grace, then a grant
 // that recovers the journal first.
 const unknownHolder rpc.Addr = "?unknown"
-
-// suspect records a range of directories whose chains were lost in transit:
-// a handoff transfer that failed, or a shard that restarted without a
-// snapshot and then handed its territory on. An unknown directory in the
-// range is a crashed unknown holder's, whose lease ends at expiry. Suspicion
-// lasts the manager's lifetime and rides handoffs, so a second resharding
-// cannot launder it away.
-type suspect struct {
-	prev   Ring          // membership before the change that lost the state
-	from   rpc.Addr      // the shard whose state went missing
-	expiry time.Duration // bound on any lost holder's lease; time left in transit
-}
 
 // verdict says what a decision did to the table: the manager counts
 // extensions and persists changes before it answers.
@@ -79,14 +65,13 @@ type verdict uint8
 const (
 	kept     verdict = iota // nothing a snapshot holds changed
 	extended                // the holder's chain went on in place
-	changed                 // a chain began, ended or moved
+	changed                 // a chain began or ended
 )
 
 // grants is the manager's side of the directory lease: FCFS grants,
 // extension in place, memory of the previous leader (SameLeader), the grace
-// and NeedRecovery after an unclean end (paper §III-E), the quiesce after a
-// restart, and the chains a handoff moves. A record's Expiry is an instant on
-// this table's clock; exported, it is the time left.
+// and NeedRecovery after an unclean end (paper §III-E) and the quiesce after
+// a restart. A record's Expiry is an instant on this table's clock.
 type grants struct {
 	period time.Duration
 	dirs   map[types.Ino]*DirGrant
@@ -100,7 +85,6 @@ type grants struct {
 	// cheap no-op, so the caution costs little.
 	restarted     bool
 	unknownExpiry time.Duration
-	suspects      []suspect
 }
 
 func newGrants(period time.Duration) *grants {
@@ -118,7 +102,7 @@ func (t *grants) restart(now time.Duration) {
 
 // resume installs the chains of a persisted table at now. The snapshot holds
 // no instant, because the dead process's clock had another zero: every lease
-// and suspect bound ends one period from now. A live holder goes on through
+// ends one period from now. A live holder goes on through
 // an ordinary extension; a dead one lapses into the crashed-holder grace.
 // Chains that changed after the snapshot are the restart's residue.
 func (t *grants) resume(snap *grants, now time.Duration) {
@@ -126,10 +110,7 @@ func (t *grants) resume(snap *grants, now time.Duration) {
 		d.Expiry = now + t.period
 		t.dirs[ino] = d
 	}
-	for i := range snap.suspects {
-		snap.suspects[i].expiry = now + t.period
-	}
-	t.nextID, t.suspects = snap.nextID, snap.suspects
+	t.nextID = snap.nextID
 	t.restarted, t.unknownExpiry = true, now+t.period
 }
 
@@ -142,21 +123,9 @@ func (t *grants) record(dir types.Ino) *DirGrant {
 	d := &DirGrant{Dir: dir, Clean: true}
 	if t.restarted {
 		d = &DirGrant{Dir: dir, Holder: unknownHolder, Expiry: t.unknownExpiry}
-	} else if end, ok := t.suspectBound(dir); ok {
-		d = &DirGrant{Dir: dir, Holder: unknownHolder, Expiry: end}
 	}
 	t.dirs[dir] = d
 	return d
-}
-
-// suspectBound returns the latest bound of the suspects dir falls under.
-func (t *grants) suspectBound(dir types.Ino) (end time.Duration, ok bool) {
-	for _, s := range t.suspects {
-		if s.prev.RouteAddr(dir) == s.from && (!ok || s.expiry > end) {
-			end, ok = s.expiry, true
-		}
-	}
-	return end, ok
 }
 
 // acquire answers client's Acquire of dir at now.
@@ -238,63 +207,4 @@ func (t *grants) recoveryDone(dir types.Ino, client rpc.Addr, id uint64, now tim
 	}
 	d.Recovering, d.Expiry = false, now+t.period
 	return RecoveryDoneResp{OK: true, Period: t.period, LeaseID: d.LeaseID}, changed
-}
-
-// export removes the chains of every directory nr routes away from self at
-// now and returns them by new owner, each expiry as the time left. The
-// suspects come with them, bounds as time left too: t's own, and, when t
-// restarted without its whole table, the range prev gave it.
-func (t *grants) export(prev, nr Ring, self rpc.Addr, now time.Duration) (map[rpc.Addr][]DirGrant, []suspect) {
-	moved := make(map[rpc.Addr][]DirGrant)
-	for ino, d := range t.dirs {
-		owner := nr.RouteAddr(ino)
-		if owner == self {
-			continue
-		}
-		delete(t.dirs, ino)
-		if d.Holder == "" && d.Clean && d.PrevHolder == "" {
-			continue // a free chain nobody held: nothing worth shipping
-		}
-		g := *d
-		g.Expiry -= now
-		moved[owner] = append(moved[owner], g)
-	}
-	for _, gs := range moved {
-		slices.SortFunc(gs, func(a, b DirGrant) int { return a.Dir.Compare(b.Dir) })
-	}
-	inherited := append([]suspect(nil), t.suspects...)
-	if t.restarted {
-		inherited = append(inherited, suspect{prev: prev, from: self, expiry: t.unknownExpiry})
-	}
-	for i := range inherited {
-		inherited[i].expiry -= now
-	}
-	return moved, inherited
-}
-
-// accept installs chains another table exported, received at now: each
-// lease ends its time left after the receipt, which errs late, the safe way.
-// A directory t already knows keeps its own chain. Fencing continues: a new
-// chain here gets a token above every one the loser issued.
-func (t *grants) accept(gs []DirGrant, now time.Duration) int {
-	n := 0
-	for _, g := range gs {
-		if _, ok := t.dirs[g.Dir]; ok {
-			continue
-		}
-		g.Expiry += now
-		t.dirs[g.Dir] = &g
-		t.nextID = max(t.nextID, g.LeaseID, g.RecoverID)
-		n++
-	}
-	return n
-}
-
-// suspect adds the suspects another table exported or a failed transfer
-// left, received at now; each bound ends its time left after the receipt.
-func (t *grants) suspect(lost []suspect, now time.Duration) {
-	for _, s := range lost {
-		s.expiry += now
-		t.suspects = append(t.suspects, s)
-	}
 }

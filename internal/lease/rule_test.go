@@ -129,8 +129,8 @@ type mHolder struct {
 	dead       bool
 }
 
-// mMsg is a request held back by a handoff, or an answer to a holder: of
-// the answer, what the holder acts on (granted is an mRDAns's OK).
+// mMsg is a request to the manager or an answer to a holder: of the answer,
+// what the holder acts on (granted is an mRDAns's OK).
 type mMsg struct {
 	kind                                     uint8 // mAcq, mRel, mRD (requests); mAns, mRDAns (answers)
 	to                                       uint8 // the holder
@@ -156,34 +156,27 @@ const (
 	mOrphaned = 2
 )
 
-// mState is the whole system: the holders, the shard that owns the
-// directory (A until a handoff moves it to B) and what is in flight.
+// mState is the whole system: the holders, the manager A and the answers in
+// flight.
 type mState struct {
-	tick    int
-	h       [2]mHolder
-	owner   *grants
-	zero    time.Duration // the owner's clock zero
-	atB     bool          // the directory moved to B
-	moving  bool          // a handoff is in flight
-	movedAt int           // the tick it began
-	moved   []DirGrant
-	sus     []suspect
-	quiet   time.Duration // the owner grants nothing before this, on its clock
-	msgs    []mMsg
-	dirty   int8
+	tick  int
+	h     [2]mHolder
+	owner *grants
+	zero  time.Duration // the manager's clock zero
+	quiet time.Duration // the manager grants nothing before this, on its clock
+	msgs  []mMsg
+	dirty int8
 	// how often each may still happen
-	acqs, rels, restarts, handoffs, crashes int8
+	acqs, rels, restarts, crashes int8
 }
 
-// mConfig fixes the clocks: the rates of h0, h1, A and B.
-type mConfig struct{ rate [4]time.Duration }
+// mConfig fixes the clocks: the rates of h0, h1 and A.
+type mConfig struct{ rate [3]time.Duration }
 
 type mModel struct {
 	t      *testing.T
 	cfg    mConfig
 	dir    types.Ino
-	prev   Ring // A alone
-	nr     Ring // A and B: dir moves to B
 	seen   map[uint64]bool
 	path   []mStep
 	states int
@@ -193,19 +186,15 @@ type mModel struct {
 
 var mAddr = [2]rpc.Addr{"h0", "h1"}
 
-// Clocks. Holders start at 0 and 7, A at 100, B at 50; a restarted shard's
-// clock reads 1000 more than its predecessor's did, so an instant carried
-// across the restart would show.
+// Clocks. Holders start at 0 and 7, A at 100; a restarted manager's clock
+// reads 1000 more than its predecessor's did, so an instant carried across
+// the restart would show.
 func (m *mModel) hNow(s *mState, i int) time.Duration {
 	return time.Duration(7*i) + m.cfg.rate[i]*time.Duration(s.tick)
 }
 
 func (m *mModel) oNow(s *mState) time.Duration {
-	r := m.cfg.rate[2]
-	if s.atB {
-		r = m.cfg.rate[3]
-	}
-	return s.zero + r*time.Duration(s.tick)
+	return s.zero + m.cfg.rate[2]*time.Duration(s.tick)
 }
 
 func (m *mModel) fail(format string, args ...any) {
@@ -223,10 +212,7 @@ func (s *mState) clone() *mState {
 		d := *v
 		g.dirs[k] = &d
 	}
-	g.suspects = slices.Clone(g.suspects)
 	c.owner = &g
-	c.moved = slices.Clone(s.moved)
-	c.sus = slices.Clone(s.sus)
 	c.msgs = slices.Clone(s.msgs)
 	return &c
 }
@@ -251,44 +237,22 @@ func (m *mModel) key(s *mState) uint64 {
 	}
 	on := m.oNow(s)
 	since := func(t, now, floor time.Duration) int64 { return int64(max(t-now, floor)) }
-	transit := 0
-	if s.moving {
-		transit = 1 + s.tick - s.movedAt
-	}
-	n(f(s.atB), int64(transit), since(s.quiet, on, 0), int64(s.dirty), int64(s.acqs), int64(s.rels), int64(s.restarts),
-		int64(s.handoffs), int64(s.crashes))
+	n(since(s.quiet, on, 0), int64(s.dirty), int64(s.acqs), int64(s.rels), int64(s.restarts), int64(s.crashes))
 	for i, h := range s.h {
 		n(int64(h.l.id), since(h.l.until, m.hNow(s, i), mPeriod/4), f(h.table), f(h.busy), f(h.recovering), int64(h.id),
 			f(h.dead))
 	}
 	g := s.owner
 	n(int64(g.nextID), since(g.readyAt, on, 0), f(g.restarted), since(g.unknownExpiry, on, -mPeriod), int64(len(g.dirs)))
-	grant := func(d DirGrant, now time.Duration) {
+	for _, d := range g.dirs {
 		b = append(b, d.Holder...)
 		b = append(b, '|')
 		b = append(b, d.PrevHolder...)
-		n(int64(d.LeaseID), since(d.Expiry, now, -mPeriod), f(d.Clean), f(d.Recovering), int64(d.RecoverID))
-	}
-	for _, d := range g.dirs {
-		grant(*d, on)
-	}
-	for k, sus := range [][]suspect{g.suspects, s.sus} {
-		n(int64(len(sus)))
-		for _, x := range sus {
-			b = append(b, x.from...)
-			n(int64(x.prev.Epoch), since(x.expiry, []time.Duration{on, 0}[k], -mPeriod))
-		}
-	}
-	n(int64(len(s.moved)))
-	for _, d := range s.moved {
-		grant(d, 0)
+		n(int64(d.LeaseID), since(d.Expiry, on, -mPeriod), f(d.Clean), f(d.Recovering), int64(d.RecoverID))
 	}
 	msgs := make([][16]byte, len(s.msgs))
 	for i, msg := range s.msgs {
-		var age int64 // a release carries no time the holder counts from
-		if msg.kind != mRel {
-			age = since(msg.sent, m.hNow(s, int(msg.to)), -mPeriod*3/4)
-		}
+		age := since(msg.sent, m.hNow(s, int(msg.to)), -mPeriod*3/4)
 		msgs[i] = [16]byte{msg.kind, msg.to, byte(f(msg.clean)), byte(f(msg.granted)), byte(f(msg.same)),
 			byte(f(msg.recovery)), byte(f(msg.redirect)), byte(msg.id), byte(age + 64)}
 	}
@@ -342,17 +306,15 @@ const (
 	mRecoverFails
 	mCrash
 	mRestart
-	mHandoff
-	mTransfer
 	mDeliver
 )
 
 func (e mStep) String() string {
-	names := [...]string{"tick", "acquire", "release", "recover", "recoverFails", "crash", "restart", "handoff", "transfer", "deliver"}
+	names := [...]string{"tick", "acquire", "release", "recover", "recoverFails", "crash", "restart", "deliver"}
 	switch e.what {
-	case mTick, mHandoff:
+	case mTick:
 		return names[e.what]
-	case mRestart, mTransfer:
+	case mRestart:
 		return fmt.Sprintf("%s/%v", names[e.what], e.how)
 	case mDeliver:
 		return fmt.Sprintf("deliver%+v", e.msg)
@@ -363,11 +325,10 @@ func (e mStep) String() string {
 }
 
 // steps lists what may happen next in s: true time passes; a holder asks for
-// the lease, gives it up, finishes or fails a recovery, or dies; the owning
-// shard restarts or hands the directory off; or a message in flight is
-// delivered. A request reaches the manager as it is sent: held longer, it
-// would only have been sent earlier than the holder counts from. A handoff
-// holds requests back until the gainer thaws.
+// the lease, gives it up, finishes or fails a recovery, or dies; the manager
+// restarts; or an answer in flight is delivered. A request reaches the
+// manager as it is sent: held longer, it would only have been sent earlier
+// than the holder counts from.
 func (m *mModel) steps(s *mState) []mStep {
 	var steps []mStep
 	for i := range s.h {
@@ -388,25 +349,16 @@ func (m *mModel) steps(s *mState) []mStep {
 			steps = append(steps, mStep{what: mCrash, i: i})
 		}
 	}
-	if s.restarts > 0 && !s.moving && !s.atB {
+	if s.restarts > 0 {
 		steps = append(steps, mStep{what: mRestart, how: true}, mStep{what: mRestart})
 	}
-	if s.handoffs > 0 && !s.atB && !s.moving {
-		steps = append(steps, mStep{what: mHandoff})
-	}
-	if s.moving {
-		steps = append(steps, mStep{what: mTransfer, how: true}, mStep{what: mTransfer})
-	}
 	for j, msg := range s.msgs {
-		if s.moving && msg.kind < mAns || slices.Contains(s.msgs[:j], msg) {
+		if slices.Contains(s.msgs[:j], msg) {
 			continue
 		}
 		steps = append(steps, mStep{what: mDeliver, i: j, msg: msg})
 	}
-	if !s.moving || s.tick == s.movedAt {
-		steps = append(steps, mStep{what: mTick}) // a transfer takes at most a tick
-	}
-	return steps
+	return append(steps, mStep{what: mTick})
 }
 
 func (m *mModel) apply(s *mState, e mStep) {
@@ -440,16 +392,9 @@ func (m *mModel) apply(s *mState, e mStep) {
 		if s.dirty == int8(i) {
 			s.dirty = mOrphaned
 		}
-		s.msgs = slices.DeleteFunc(s.msgs, func(msg mMsg) bool { return msg.to == uint8(i) && msg.kind >= mAns })
+		s.msgs = slices.DeleteFunc(s.msgs, func(msg mMsg) bool { return msg.to == uint8(i) })
 	case mRestart:
 		m.restart(s, e.how)
-	case mHandoff:
-		s.handoffs--
-		s.moving, s.movedAt = true, s.tick
-		moved, sus := s.owner.export(m.prev, m.nr, "A", m.oNow(s))
-		s.moved, s.sus = moved["B"], sus
-	case mTransfer:
-		m.transfer(s, e.how)
 	case mDeliver:
 		s.msgs = slices.Delete(s.msgs, i, i+1)
 		m.deliver(s, e.msg)
@@ -459,14 +404,10 @@ func (m *mModel) apply(s *mState, e mStep) {
 // send starts a request: the holder waits for it to be answered.
 func (m *mModel) send(s *mState, msg mMsg) {
 	s.h[msg.to].busy = true
-	if s.moving {
-		s.msgs = append(s.msgs, msg)
-		return
-	}
 	m.deliver(s, msg)
 }
 
-// restart replaces the owning shard by one whose clock has another zero:
+// restart replaces the manager by one whose clock has another zero:
 // resumed from a snapshot of its table, or amnesiac.
 func (m *mModel) restart(s *mState, snap bool) {
 	s.restarts--
@@ -487,22 +428,7 @@ func (m *mModel) restart(s *mState, snap bool) {
 	s.quiet = 0
 }
 
-// transfer ends the handoff at B, whose clock has its own zero: the chains
-// land, or the transfer fails and leaves a suspect of one period.
-func (m *mModel) transfer(s *mState, lands bool) {
-	s.moving, s.atB, s.zero, s.quiet = false, true, 50, 0
-	now := m.oNow(s)
-	s.owner = newGrants(mPeriod)
-	if lands {
-		s.owner.accept(s.moved, now)
-	} else {
-		s.sus = append(s.sus, suspect{prev: m.prev, from: "A", expiry: mPeriod})
-	}
-	s.owner.suspect(s.sus, now)
-	s.moved, s.sus = nil, nil
-}
-
-// deliver hands a request to the owning shard, or an answer to its holder,
+// deliver hands a request to the manager, or an answer to its holder,
 // which acts on it as core.Client.acquireLease and becomeLeader do.
 func (m *mModel) deliver(s *mState, msg mMsg) {
 	now := m.oNow(s)
@@ -575,7 +501,7 @@ func (m *mModel) serves(s *mState, i int) bool {
 
 // check states the rule's invariants in true time: at most one holder
 // serves the directory, and one that serves does so within the lease the
-// owning shard counts for its chain, the stand-in for a forgotten holder
+// manager counts for its chain, the stand-in for a forgotten holder
 // included (the grace then covers what the leader handed out meanwhile).
 // deliver and install check the other two: a grant comes after the quiesce
 // of a restart, and nothing serves without the records acknowledged before
@@ -587,17 +513,9 @@ func (m *mModel) check(s *mState) {
 			continue
 		}
 		n++
-		if s.moving {
-			continue // the chain is in the HandoffReq, counted from its receipt
-		}
 		g := s.owner.dirs[m.dir]
-		if g == nil {
-			if end, ok := s.owner.suspectBound(m.dir); s.owner.restarted || ok {
-				if s.owner.restarted {
-					end = s.owner.unknownExpiry
-				}
-				g = &DirGrant{Holder: unknownHolder, Expiry: end}
-			}
+		if g == nil && s.owner.restarted {
+			g = &DirGrant{Holder: unknownHolder, Expiry: s.owner.unknownExpiry}
 		}
 		switch {
 		case g == nil:
@@ -615,54 +533,38 @@ func (m *mModel) check(s *mState) {
 
 // mFamily is what may happen besides time passing and messages being
 // delivered, after h0 was granted the lease and serves: how many more
-// Acquires the holders send, releases and deaths among them, restarts of the
-// owning shard and handoffs to B.
+// Acquires the holders send, releases and deaths among them, and restarts of
+// the manager.
 type mFamily struct {
-	name                                    string
-	acqs, rels, crashes, restarts, handoffs int8
+	name                          string
+	acqs, rels, crashes, restarts int8
 }
 
 // TestDirLeaseTwoSided composes one rule with two holders and explores every
 // order of the events of each family below, for every assignment of the
-// clock rates 1 and 4/3 to the parties the family involves (B only where a
-// handoff can reach it): true time passes; a holder sends Acquires and
-// gives the lease up, cleanly or not; a recovery finishes, or fails and its
-// holder renounces uncleanly; a holder dies; the owning shard restarts, from
-// a snapshot or without; the directory is handed off to a second shard, and
-// the transfer lands or fails into a suspect; every answer is delivered in
+// clock rates 1 and 4/3 to the three parties: true time passes; a holder
+// sends Acquires and gives the lease up, cleanly or not; a recovery
+// finishes, or fails and its holder renounces uncleanly; a holder dies; the
+// manager restarts, from a snapshot or without; every answer is delivered in
 // any order, or not at all. The invariants are checked after every step.
 func TestDirLeaseTwoSided(t *testing.T) {
-	prev := NewRing("A")
-	next := prev.With("B")
-	var dir types.Ino
-	for i := 0; ; i++ {
-		if dir = inoFor(i); next.RouteAddr(dir) == "B" {
-			break
-		}
-	}
 	families := []mFamily{
 		{name: "holders", acqs: 2, rels: 1, crashes: 1},
 		{name: "restart", acqs: 1, rels: 1, crashes: 1, restarts: 1},
-		{name: "handoff", acqs: 1, rels: 1, handoffs: 1},
-		{name: "restart+handoff", acqs: 1, restarts: 1, handoffs: 1},
 	}
 	var states, steps atomic.Int64
 	t.Cleanup(func() { t.Logf("%d states, %d steps", states.Load(), steps.Load()) })
 	for _, fam := range families {
-		parties := 3
-		if fam.handoffs > 0 {
-			parties = 4
-		}
-		for c := 0; c < 1<<parties; c++ {
+		for c := 0; c < 1<<len(mConfig{}.rate); c++ {
 			var cfg mConfig
 			for p := range cfg.rate {
 				cfg.rate[p] = time.Duration(3 + c>>p&1)
 			}
-			t.Run(fmt.Sprintf("%s/%v", fam.name, cfg.rate[:parties]), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%v", fam.name, cfg.rate), func(t *testing.T) {
 				t.Parallel()
-				m := &mModel{t: t, cfg: cfg, dir: dir, prev: prev, nr: next, seen: map[uint64]bool{}}
+				m := &mModel{t: t, cfg: cfg, dir: types.RootIno, seen: map[uint64]bool{}}
 				s := &mState{owner: newGrants(mPeriod), zero: 100, dirty: mStored, acqs: fam.acqs + 1, rels: fam.rels,
-					crashes: fam.crashes, restarts: fam.restarts, handoffs: fam.handoffs}
+					crashes: fam.crashes, restarts: fam.restarts}
 				m.apply(s, mStep{what: mAsk})
 				m.apply(s, mStep{what: mDeliver, msg: s.msgs[0]})
 				m.check(s)

@@ -12,7 +12,6 @@ import (
 // carries. It travels by value.
 type Meta struct {
 	Span   obs.SpanContext // the trace a call continues, zero when untraced
-	Epoch  uint64          // the caller's lease-ring epoch, 0 when unsharded
 	Tenant string          // the tenant the op is attributed to, "" when unknown
 	Wait   time.Duration   // serving side: arrival→slot, as the fabric measured it
 }

@@ -392,7 +392,7 @@ func TestTCPTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	want := Meta{Span: obs.SpanContext{Trace: 0xabc, Span: 0xdef}, Epoch: 7, Tenant: "t1"}
+	want := Meta{Span: obs.SpanContext{Trace: 0xabc, Span: 0xdef}, Tenant: "t1"}
 	if _, err := cli.Call(want, tcpMsg{S: "traced"}); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestTCPTracePropagation(t *testing.T) {
 		t.Fatalf("server saw %d calls, want 2", len(seen))
 	}
 	got := seen[0]
-	if got.Span != want.Span || got.Epoch != 7 || got.Tenant != "t1" {
+	if got.Span != want.Span || got.Tenant != "t1" {
 		t.Fatalf("server saw %+v, want %+v", got, want)
 	}
 	if seen[1] != (Meta{}) {
@@ -420,8 +420,8 @@ func TestMetaCarrier(t *testing.T) {
 		t.Fatalf("empty ctx: %+v, want the zero Meta", m)
 	}
 	remote := obs.SpanContext{Trace: 5, Span: 9}
-	ctx := WithMeta(context.Background(), Meta{Span: remote, Epoch: 3, Tenant: "t"})
-	if m := MetaFrom(ctx); m.Span != remote || m.Epoch != 3 || m.Tenant != "t" {
+	ctx := WithMeta(context.Background(), Meta{Span: remote, Tenant: "t"})
+	if m := MetaFrom(ctx); m.Span != remote || m.Tenant != "t" {
 		t.Fatalf("MetaFrom = %+v", m)
 	}
 	sp := obs.NewTracer(4, nil).StartChild(remote, "serve", "/x")

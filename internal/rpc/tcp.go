@@ -16,22 +16,22 @@ import (
 // below. The queue wait does not cross: the fabric that serves the call
 // measures its own.
 type envelope struct {
-	Trace, Span, Epoch uint64
-	Tenant             string
-	Payload            any
+	Trace, Span uint64
+	Tenant      string
+	Payload     any
 }
 
 func envelopeFor(m Meta, payload any) *envelope {
 	return &envelope{
-		Trace: uint64(m.Span.Trace), Span: uint64(m.Span.Span), Epoch: m.Epoch,
+		Trace: uint64(m.Span.Trace), Span: uint64(m.Span.Span),
 		Tenant: m.Tenant, Payload: payload,
 	}
 }
 
 func (e *envelope) meta() Meta {
 	return Meta{
-		Span:  obs.SpanContext{Trace: obs.TraceID(e.Trace), Span: obs.SpanID(e.Span)},
-		Epoch: e.Epoch, Tenant: e.Tenant,
+		Span:   obs.SpanContext{Trace: obs.TraceID(e.Trace), Span: obs.SpanID(e.Span)},
+		Tenant: e.Tenant,
 	}
 }
 

@@ -43,7 +43,7 @@ var optionsWithoutCaller = map[string]string{
 	"harness.StatsConfig.Clients":                    tierOneSizes,
 	"harness.StatsConfig.FilesPerProc":               tierOneSizes,
 	"harness.StatsConfig.SharedDirs":                 tierOneSizes,
-	"harness.ChaosConfig.LeaseShards":                "CI's TestChaosResharding runs the sharded lease-manager variant",
+	"harness.ChaosConfig.LeaseShards":                "CI's TestChaosShardFailover runs the sharded lease-manager variant",
 }
 
 const (
