@@ -112,7 +112,6 @@ func main() {
 
 		stats     = flag.Bool("stats", false, "run an instrumented deployment and print its metrics")
 		statsJSON = flag.Bool("json", false, "stats: emit the snapshot as JSON instead of a table")
-		tenants   = flag.Int("tenants", 0, "stats: color the clients with N tenant IDs and run the zipfian multi-tenant workload (0: one tenant per client)")
 
 		fsckMode   = flag.Bool("fsck", false, "run a seeded corruption/scrub drill instead of an experiment")
 		fsckRepair = flag.Bool("repair", false, "fsck: scrub-repair the corrupted image and fail unless it re-checks clean")
@@ -186,7 +185,6 @@ func main() {
 	if *stats {
 		snap, err := harness.RunStats(harness.StatsConfig{
 			Flaky: *flaky, FlakySeed: *seed, Obs: reg,
-			Tenants: *tenants, TenantSeed: *chaosSeed,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "arkbench: stats: %v\n", err)

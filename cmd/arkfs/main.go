@@ -62,15 +62,14 @@ func main() {
 		mgrAddr  = flag.String("leasemgr", "", "lease manager address, e.g. tcp!127.0.0.1:7400 (empty: embedded)")
 		mgrRing  = flag.String("leasemgrs", "", "comma-separated lease-shard ring, e.g. tcp!h:7400,tcp!h:7401 (as printed by leasemgr -shards N; overrides -leasemgr)")
 		id       = flag.String("id", defaultID(), "client id, unique per process (default: host and pid)")
-		tenant   = flag.String("tenant", "", "tenant id stamped on every op's spans and accounting (empty: tenant-<id>)")
 		serve    = flag.String("serve", "", "host:port to serve forwarded ops from peer clients on; advertised to them, so not a wildcard")
 		uid      = flag.Uint("uid", 1000, "credential uid")
 		gid      = flag.Uint("gid", 1000, "credential gid")
 		retries  = flag.Int("store-retries", 4, "retry transient object-store failures up to N attempts (0: fail fast)")
 		backoff  = flag.Duration("retry-backoff", 2*time.Millisecond, "initial retry backoff, doubling per attempt")
 
-		qosRate  = flag.Float64("qos-rate", 0, "per-tenant admission rate for forwarded ops this client serves as leader, ops/sec (0: no admission control)")
-		qosBurst = flag.Float64("qos-burst", 8, "per-tenant admission burst depth (with -qos-rate)")
+		qosRate  = flag.Float64("qos-rate", 0, "admission rate per origin client for forwarded ops this client serves as leader, ops/sec (0: no admission control)")
+		qosBurst = flag.Float64("qos-burst", 8, "admission burst depth per origin client (with -qos-rate)")
 
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /stats.json, /traces, /healthz and pprof on this address (empty: off)")
 		slowOp    = flag.Duration("slow-op", 0, "log operations slower than this with their trace IDs (0: off; needs -debug-addr)")
@@ -127,7 +126,6 @@ func main() {
 	opts := core.Options{
 		ID:        *id,
 		Seed:      int64(binary.LittleEndian.Uint64(seed[:]) | 1),
-		Tenant:    *tenant,
 		Cred:      types.Cred{Uid: uint32(*uid), Gid: uint32(*gid)},
 		Cache:     cache.DefaultConfig(),
 		LeaseMgr:  leaseAddr,

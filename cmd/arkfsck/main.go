@@ -28,15 +28,12 @@ func main() {
 	storeURL := flag.String("store", "", "objstored base URL (required)")
 	scrub := flag.Bool("scrub", false, "plan repairs without modifying the store")
 	repair := flag.Bool("repair", false, "repair the image (implies -scrub)")
-	tenant := flag.String("tenant", "fsck", "tenant stamped on every store request, so a QoS-enabled gateway accounts and rate-limits the scan under its own bucket")
 	flag.Parse()
 	if *storeURL == "" {
 		fmt.Fprintln(os.Stderr, "arkfsck: -store is required (an objstored URL)")
 		os.Exit(2)
 	}
-	hs := objstore.NewHTTPStore(*storeURL)
-	hs.SetTenant(*tenant)
-	var store objstore.Store = hs
+	var store objstore.Store = objstore.NewHTTPStore(*storeURL)
 
 	if !*scrub && !*repair {
 		rep, err := fsck.Check(store)

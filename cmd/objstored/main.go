@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	objstored [-listen :9000] [-debug-addr :9100] [-qos-rate 200]
+//	objstored [-listen :9000] [-debug-addr :9100]
 package main
 
 import (
@@ -16,21 +16,14 @@ import (
 	"arkfs/internal/objstore"
 	"arkfs/internal/obs"
 	"arkfs/internal/obs/expose"
-	"arkfs/internal/qos"
 )
 
 func main() {
 	listen := flag.String("listen", ":9000", "HTTP listen address")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /stats.json, /healthz and pprof on this address (empty: off)")
-	qosRate := flag.Float64("qos-rate", 0, "per-tenant admission rate keyed on X-Ark-Tenant, requests/sec; refusals answer 429 with Retry-After (0: no admission control)")
-	qosBurst := flag.Float64("qos-burst", 8, "per-tenant admission burst depth (with -qos-rate)")
 	flag.Parse()
 	store := objstore.NewMemStore()
 	gw := objstore.NewGateway(store)
-	if *qosRate > 0 {
-		gw.SetQoS(qos.NewLimiter(qos.Limits{Rate: *qosRate, Burst: *qosBurst}))
-		fmt.Printf("objstored: per-tenant admission at %.1f req/s (burst %.0f)\n", *qosRate, *qosBurst)
-	}
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
 		gw.SetObs(reg)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"arkfs/internal/obs"
-	"arkfs/internal/rpc"
 	"arkfs/internal/types"
 	"arkfs/internal/wire"
 )
@@ -33,40 +32,30 @@ type opTrack struct {
 }
 
 // startOp opens a span for op and attaches it to ctx. With observability off
-// it returns a nil tracker; end is nil-safe, so call sites never branch. This
-// is where the tenant attribution is minted: the root span carries it and the
-// envelope (rpc.Meta) carries it through every forward.
+// it returns a nil tracker; end is nil-safe, so call sites never branch.
 func (c *Client) startOp(ctx context.Context, op, path string) (context.Context, *opTrack) {
 	if c.obsReg == nil {
 		return ctx, nil
 	}
-	m := rpc.MetaFrom(ctx)
-	m.Tenant = c.opts.Tenant
 	t := &opTrack{c: c, hist: c.opHists[op], span: c.tracer.Start(op, path), start: c.env.Now()}
-	t.span.SetTenant(c.opts.Tenant)
 	if t.span != nil {
 		ctx = obs.WithSpan(ctx, t.span)
 	}
-	return rpc.WithMeta(ctx, m), t
+	return ctx, t
 }
 
-// end closes the span and records the operation latency — globally and in the
-// per-tenant table, with the trace ID as the bucket exemplar — passing err
-// through so call sites stay one-liners.
+// end closes the span and records the operation latency, with the trace ID
+// as the bucket exemplar, passing err through so call sites stay one-liners.
 func (t *opTrack) end(err error) error {
 	if t == nil {
 		return err
 	}
 	t.span.End(err)
-	d := t.c.env.Now() - t.start
 	var trace obs.TraceID
-	var retries int
 	if t.span != nil {
 		trace = t.span.Trace
-		retries = t.span.Retries
 	}
-	t.hist.ObserveTrace(d, trace)
-	t.c.tenants.Observe(t.c.opts.Tenant, d, trace, err != nil, retries)
+	t.hist.ObserveTrace(t.c.env.Now()-t.start, trace)
 	return err
 }
 

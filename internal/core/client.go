@@ -79,17 +79,10 @@ type Options struct {
 	// TraceCap sizes the per-op trace ring buffer (default 256 spans); only
 	// meaningful when Obs is set.
 	TraceCap int
-	// Tenant is the tenant every operation this client issues is attributed
-	// to: stamped on each root span, carried in the RPC envelope across
-	// forwards (leader redirects, lease RPCs, 2PC participant calls), and
-	// accounted in the registry's per-tenant table on every hop. Empty
-	// derives "tenant-<ID>", so single-tenant deployments attribute per
-	// client without configuration.
-	Tenant string
 	// QoS, when non-nil, is the leader-side admission controller: every
-	// forwarded operation is charged to its caller's tenant bucket, and
-	// refusals answer with typed EAGAIN pushback carrying a retry-after
-	// hint. Nil admits everything.
+	// forwarded operation is charged to the bucket of its origin, the client
+	// the op started at (rpc.Meta.Origin), and refusals answer with typed
+	// EAGAIN pushback carrying a retry-after hint. Nil admits everything.
 	QoS *qos.Limiter
 }
 
@@ -136,7 +129,6 @@ type Client struct {
 	// Observability sinks (all nil-safe no-ops when Options.Obs is nil).
 	obsReg       *obs.Registry
 	tracer       *obs.Tracer
-	tenants      *obs.TenantTable          // per-tenant accounting, nil when Obs is
 	opHists      map[string]*obs.Histogram // read-only after New
 	cBytesRead   *obs.Counter
 	cBytesWrite  *obs.Counter
@@ -225,6 +217,8 @@ type permEntry struct {
 // Stats counts client-side activity for the benchmark reports.
 type Stats struct {
 	LocalMetaOps, RemoteMetaOps, LeaseAcquires, PcacheHits atomic.Int64
+	// PushbackHonored counts the retry-after hints this client slept out.
+	PushbackHonored atomic.Int64
 }
 
 // New creates and starts a client on net.
@@ -249,9 +243,6 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 		for _, r := range opts.ID {
 			opts.Seed = opts.Seed*131 + int64(r)
 		}
-	}
-	if opts.Tenant == "" {
-		opts.Tenant = "tenant-" + opts.ID
 	}
 	env := net.Env()
 	// The client's store path, innermost first: the caller's store, then
@@ -308,7 +299,6 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 	if opts.Obs != nil {
 		c.obsReg = opts.Obs
 		c.tracer = tracer
-		c.tenants = opts.Obs.Tenants()
 		opts.Obs.Func("obs.trace.spans", c.tracer.Total)
 		c.opHists = make(map[string]*obs.Histogram, len(opNames))
 		for _, op := range opNames {
@@ -419,9 +409,6 @@ func (c *Client) Registry() *obs.Registry { return c.obsReg }
 // Tracer exposes the per-op trace ring (nil when observability is off); the
 // chaos harness dumps it when a run fails.
 func (c *Client) Tracer() *obs.Tracer { return c.tracer }
-
-// Tenant returns the tenant this client's operations are attributed to.
-func (c *Client) Tenant() string { return c.opts.Tenant }
 
 // recordWBErr keeps the first background write-back failure for FlushAll and
 // Close to surface; the cache keeps the data dirty, so a later flush retries.
@@ -788,10 +775,8 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 	var rep journal.Report
 	if grant.NeedRecovery {
 		c.crashHit(crashpoint.RecoveryPreReplay)
-		meta := rpc.MetaFrom(ctx)
-		rsp := c.tracer.StartChild(meta.Span, "journal.recover", "")
+		rsp := c.tracer.StartChild(rpc.MetaFrom(ctx).Span, "journal.recover", "")
 		rsp.SetDir(dir)
-		rsp.SetTenant(meta.Tenant)
 		var err error
 		rep, err = c.jrnl.Recover(dir)
 		rsp.End(err)
@@ -853,10 +838,8 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		// failing every operation. The scrubber repairs the objects; the
 		// next leadership change reloads cleanly.
 		var lost int
-		meta := rpc.MetaFrom(ctx)
-		dsp := c.tracer.StartChild(meta.Span, "integrity.degraded", dir.Short())
+		dsp := c.tracer.StartChild(rpc.MetaFrom(ctx).Span, "integrity.degraded", dir.Short())
 		dsp.SetDir(dir)
-		dsp.SetTenant(meta.Tenant)
 		tbl, lost, err = c.jrnl.LoadTable(dir, true, dropped)
 		dsp.End(err)
 		if err == nil && lost > 0 {
@@ -1033,6 +1016,7 @@ func (c *Client) shouldRetry(ctx context.Context, dir types.Ino, err error, atte
 		return true
 	}
 	c.cPushbackHonors.Inc()
+	c.stats.PushbackHonored.Add(1)
 	if d, ok := types.RetryAfter(err); ok && d > 0 {
 		c.env.Sleep(d)
 	} else {

@@ -357,7 +357,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		n, err = f.c.data.Read(of.ino, p, off, size)
 	}
 	f.c.cBytesRead.Add(int64(n))
-	f.c.tenants.AddBytes(f.c.opts.Tenant, int64(n), 0)
 	f.c.opHists["read"].Observe(f.c.env.Now() - start)
 	if err != nil {
 		return n, errnoWrap("read", f.path, err)
@@ -398,7 +397,6 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	of.ver++
 	of.mu.Unlock()
 	f.c.cBytesWrite.Add(int64(len(p)))
-	f.c.tenants.AddBytes(f.c.opts.Tenant, 0, int64(len(p)))
 	f.c.opHists["write"].Observe(f.c.env.Now() - start)
 	return len(p), nil
 }

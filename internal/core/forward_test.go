@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"arkfs/internal/obs"
@@ -55,22 +57,16 @@ func BenchmarkForwardedStat(b *testing.B) {
 	}
 }
 
-// admittedCalls counts the wire calls so far of the message types a leader's
-// admission gate charges on the open path.
-func admittedCalls(reg *obs.Registry) int64 {
-	calls := leaderCalls(reg)
-	return calls["Walk"]
-}
-
-// TestForwardedOpenHonorsPushback: a leader whose admission gate refuses the
-// last of a non-leader's Open(O_CREATE) messages once, with a hint, must cost
-// the call one retry — not fail it. The refused walk makes nothing, and the
-// retry makes the file once.
+// TestForwardedOpenHonorsPushback: a leader whose admission gate refuses each
+// of a non-leader's Open(O_CREATE) messages once, with a hint, must cost the
+// call one retry per refusal — not fail it. A refused walk makes nothing, and
+// the retry makes the file once.
 func TestForwardedOpenHonorsPushback(t *testing.T) {
 	tc := newTestCluster(t)
-	netReg := obs.NewRegistry()
-	tc.net.SetObs(netReg)
-	lim := qos.NewLimiter(qos.Limits{}) // admits everything until a tenant is pinned
+	// One token per caller, one more every 50ms: long against the run time
+	// of an open's messages, so each is refused once and admitted at the
+	// slot its hint names, and short enough to wait out.
+	lim := qos.NewLimiter(qos.Limits{Rate: 20, Burst: 1})
 	r1, r2 := obs.NewRegistry(), obs.NewRegistry()
 	leader := tc.client(t, "leader", withObs(r1), func(o *Options) { o.QoS = lim })
 	peer := tc.client(t, "peer", withObs(r2))
@@ -81,33 +77,18 @@ func TestForwardedOpenHonorsPushback(t *testing.T) {
 	if _, err := leader.Readdir(ctx, "/d"); err != nil { // leader leads /d
 		t.Fatal(err)
 	}
-
-	// A warm-up open tells how many admitted messages one Open(O_CREATE)
-	// sends; the walk that carries the create is the last of them.
-	before := admittedCalls(netReg)
-	f, err := peer.Open(ctx, "/d/warm", types.OWronly|types.OCreate, 0644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = f.Close()
-	perOpen := admittedCalls(netReg) - before
-	if perOpen < 1 {
-		t.Fatalf("warm-up open sent %d admitted messages, want the walk at least", perOpen)
-	}
-	// Tokens for all of the next open's messages but the last. At 20/s the
-	// refusal's hint is ~50ms: long against the run time of the messages
-	// before it, so no token accrues early, and short enough to wait out. A
-	// bucket holds at least one token, so it is made one deeper and a stat
-	// spends the extra one.
-	lim.SetTenant(peer.Tenant(), qos.Limits{Rate: 20, Burst: float64(perOpen)})
+	// The stat's last message takes the peer's token, so the open finds its
+	// bucket empty.
 	if _, err := peer.Stat(ctx, "/d"); err != nil {
 		t.Fatal(err)
 	}
 	served := r1.Snapshot().Counters["core.meta.local"]
+	refused := r1.Snapshot().Counters["qos.shed.core.admission"]
+	honored := peer.StatCounters().PushbackHonored.Load()
 
-	f, err = peer.Open(ctx, "/d/pushed", types.OWronly|types.OCreate, 0644)
+	f, err := peer.Open(ctx, "/d/pushed", types.OWronly|types.OCreate, 0644)
 	if err != nil {
-		t.Fatalf("open under one admission refusal: %v", err)
+		t.Fatalf("open under admission refusals: %v", err)
 	}
 	_ = f.Close()
 	if got := r1.Snapshot().Counters["core.meta.local"] - served; got != 1 {
@@ -116,16 +97,94 @@ func TestForwardedOpenHonorsPushback(t *testing.T) {
 	if node, err := leader.Stat(ctx, "/d/pushed"); err != nil || node.Ino != f.Ino() {
 		t.Fatalf("the leader has %v, %v; want the inode the open made", node, err)
 	}
-	if got := r1.Snapshot().Counters["qos.shed.core.admission"]; got != 1 {
-		t.Fatalf("leader refused %d times, want exactly 1", got)
+	refused = r1.Snapshot().Counters["qos.shed.core.admission"] - refused
+	if refused < 1 {
+		t.Fatal("the leader refused none of the open's messages")
 	}
 	sp := mustOp(t, peer.Tracer().Filter(func(s obs.Span) bool { return s.Path == "/d/pushed" }), "open")
-	if sp.Retries != 1 || sp.Err != "" {
-		t.Fatalf("open span: retries=%d err=%q, want one retry and success", sp.Retries, sp.Err)
+	if int64(sp.Retries) != refused || sp.Err != "" {
+		t.Fatalf("open span: retries=%d err=%q, want one retry per refusal (%d) and success", sp.Retries, sp.Err, refused)
 	}
-	if got := r2.Snapshot().Counters["qos.pushback.honored"]; got != 1 {
-		t.Fatalf("peer honored %d hints, want 1", got)
+	if got := peer.StatCounters().PushbackHonored.Load() - honored; got != refused {
+		t.Fatalf("peer honored %d hints, want %d", got, refused)
 	}
+}
+
+// TestAdmissionRefusesUntracedCaller: a rate-limited leader charges a
+// forwarded op to its origin, the client it started at, whether or not that
+// client traces. A peer without a registry is refused like any other, and a
+// 2PC prepare the coordinator sends on the peer's behalf is charged to the
+// peer: with the peer's token at the participant spent, the prepare is
+// refused, where the coordinator's own bucket there is full.
+func TestAdmissionRefusesUntracedCaller(t *testing.T) {
+	t.Run("forwarded", func(t *testing.T) {
+		tc := newTestCluster(t)
+		reg := obs.NewRegistry()
+		leader := tc.client(t, "leader", withObs(reg), func(o *Options) {
+			o.QoS = qos.NewLimiter(qos.Limits{Rate: 50, Burst: 1})
+		})
+		peer := tc.client(t, "peer") // untraced
+		ctx := context.Background()
+		if err := leader.Mkdir(ctx, "/d", 0777); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := leader.Readdir(ctx, "/d"); err != nil { // leader leads /d
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			f, err := peer.Create(ctx, fmt.Sprintf("/d/f%d", i), 0644)
+			if err != nil {
+				t.Fatalf("create under admission: %v", err)
+			}
+			_ = f.Close()
+		}
+		refused := reg.Snapshot().Counters["qos.shed.core.admission"]
+		if refused == 0 {
+			t.Fatal("the leader admitted every call of an untraced peer past its rate")
+		}
+		if got := peer.StatCounters().PushbackHonored.Load(); got != refused {
+			t.Fatalf("peer honored %d hints, want one per refusal (%d)", got, refused)
+		}
+	})
+	t.Run("2pc", func(t *testing.T) {
+		tc := newTestCluster(t)
+		reg := obs.NewRegistry()
+		src := tc.client(t, "src")
+		dst := tc.client(t, "dst", withObs(reg), func(o *Options) {
+			o.QoS = qos.NewLimiter(qos.Limits{Rate: 20, Burst: 1})
+		})
+		peer := tc.client(t, "peer") // untraced
+		ctx := context.Background()
+		for _, p := range []string{"/a", "/b"} {
+			if err := src.Mkdir(ctx, p, 0777); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := src.Create(ctx, "/a/f", 0644) // src leads /a
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = f.Close()
+		if _, err := dst.Readdir(ctx, "/b"); err != nil { // dst leads /b
+			t.Fatal(err)
+		}
+		// The peer's walk into /b spends its token at dst; the prepare src
+		// sends next, within the 50ms the token takes to come back, finds the
+		// bucket empty only if it is charged to the peer. The peer retries
+		// the refused rename until a token has come back.
+		if err := peer.Rename(ctx, "/a/f", "/b/f"); err != nil {
+			t.Fatalf("rename under admission: %v", err)
+		}
+		refused := dst.Tracer().Filter(func(s obs.Span) bool {
+			return s.Op == "serve.rename.prepare" && strings.HasPrefix(s.Err, "EAGAIN")
+		})
+		if len(refused) == 0 {
+			t.Fatal("the participant admitted a prepare charged to the coordinator, not to the origin")
+		}
+		if _, err := src.Stat(ctx, "/b/f"); err != nil {
+			t.Fatalf("renamed file: %v", err)
+		}
+	})
 }
 
 // TestRenameParticipantDiscoveryError: when the coordinator cannot find out

@@ -24,11 +24,10 @@ func (c *Client) serve(ctx context.Context, req any) any {
 	sp := c.tracer.StartChild(meta.Span, m.span, "")
 	if sp != nil {
 		sp.SetDir(m.dir)
-		sp.SetTenant(meta.Tenant)
 		sp.SetWait(meta.Wait)
 		ctx = obs.WithSpan(ctx, sp)
 	}
-	if err := c.admit(meta.Tenant, m); err != nil {
+	if err := c.admit(meta.Origin, m); err != nil {
 		sp.End(err)
 		return rpc.ShedFor(err)
 	}
@@ -38,15 +37,15 @@ func (c *Client) serve(ctx context.Context, req any) any {
 }
 
 // admit is the leader-side overload gate, run before a forwarded operation
-// dispatches: per-tenant token-bucket admission control. A refusal is a
-// typed EAGAIN that serve answers with the fabric's Shed payload, so the
-// caller sees a retry-after error. Exempt messages (see msgInfo) are never
-// refused.
-func (c *Client) admit(tenant string, m msgInfo) error {
+// dispatches: token-bucket admission control per origin, the client the op
+// started at. A refusal is a typed EAGAIN that serve answers with the
+// fabric's Shed payload, so the caller sees a retry-after error. Exempt
+// messages (see msgInfo) are never refused.
+func (c *Client) admit(origin rpc.Addr, m msgInfo) error {
 	if m.exempt || c.opts.QoS == nil {
 		return nil
 	}
-	if ok, after := c.opts.QoS.Admit(tenant, c.qosNow()); !ok {
+	if ok, after := c.opts.QoS.Admit(string(origin), c.qosNow()); !ok {
 		c.cShedAdmit.Inc()
 		return types.AgainAfter(after, "admission")
 	}

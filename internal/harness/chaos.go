@@ -508,17 +508,26 @@ func (r *chaosRun) run() {
 		// Shard failover: kill a ring member mid-workload and replace it
 		// half a period later. With the persisted grant table the
 		// replacement resumes granting; its territory must not pay the full
-		// restart-amnesia grace.
+		// restart-amnesia grace. The victim is drawn when the kill fires,
+		// among the shards holding a live lease then, so the restart has
+		// grants to resume.
 		members := r.leases.Ring().Members
 		t := at()
-		victim := members[rng.Intn(len(members))]
+		pick := rng.Intn(len(members))
+		var victim rpc.Addr
 		mgrDownUntil = t + lp/2
-		addEvent(t, fmt.Sprintf("shard-stop %s", victim), func() {
+		addEvent(t, "shard-stop (a shard holding a live lease)", func() {
+			holding := r.leases.Holding()
+			if len(holding) == 0 {
+				holding = members
+			}
+			victim = holding[pick%len(holding)]
+			r.logf("shard-stop %s", victim)
 			if err := r.leases.KillShard(victim); err != nil {
 				r.logf("shard-stop %s: %v", victim, err)
 			}
 		})
-		addEvent(mgrDownUntil, fmt.Sprintf("shard-restart %s (resume)", victim), func() {
+		addEvent(mgrDownUntil, "shard-restart (resume)", func() {
 			if err := r.leases.RestartShard(victim); err != nil {
 				r.logf("shard-restart %s: %v", victim, err)
 			}

@@ -227,14 +227,9 @@ type ArkFSOptions struct {
 	// derive from it), so two same-config runs with different seeds produce
 	// disjoint ID streams. Zero keeps the historical per-client seeds.
 	Seed int64
-	// Tenants > 0 colors the clients with that many tenant IDs round-robin
-	// (client i becomes "tenant-<i mod Tenants>"), so per-tenant accounting
-	// aggregates several clients per tenant. Zero keeps the per-client
-	// default ("tenant-<ID>").
-	Tenants int
-	// QoSRate > 0 attaches per-tenant token-bucket admission control to
-	// every client's leader serve path: each serving client admits at most
-	// QoSRate forwarded operations per second per tenant, with QoSBurst
+	// QoSRate > 0 attaches token-bucket admission control to every client's
+	// leader serve path: each serving client admits at most QoSRate
+	// forwarded operations per second per origin client, with QoSBurst
 	// bucket depth (default 8). Refusals surface as typed retry-after
 	// pushback.
 	QoSRate  float64
@@ -303,15 +298,10 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 		ring = d.Leases.Ring()
 	}
 	for i := 0; i < n; i++ {
-		var tenant string
-		if o.Tenants > 0 {
-			tenant = fmt.Sprintf("tenant-%02d", i%o.Tenants)
-		}
 		// Each serving client enforces admission (QoS) on its own leader path,
-		// so a tenant's allowance is per leader, matching how capacity is owned.
+		// so a client's allowance is per leader, matching how capacity is owned.
 		c := core.New(net, tr, core.Options{
 			ID:           fmt.Sprintf("%04d", i),
-			Tenant:       tenant,
 			Cred:         types.Cred{Uid: 1000, Gid: 1000},
 			LeaseRing:    ring,
 			PermCache:    o.PermCache,
@@ -346,7 +336,7 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 	return d, nil
 }
 
-// limiter is a per-tenant admission controller at rate (burst default 8);
+// limiter is a per-origin admission controller at rate (burst default 8);
 // nil when rate is zero.
 func limiter(rate, burst float64) *qos.Limiter {
 	if rate <= 0 {

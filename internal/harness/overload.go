@@ -5,13 +5,14 @@
 // one client per tenant, then drives a paced burst where one hostile tenant
 // offers several times its admitted rate while the polite tenants stay under
 // theirs. The one defence under test is leader admission: each serving
-// client charges every forwarded operation to its caller's tenant bucket
-// (core.Options.QoS). The oracle asserts the overload-protection contract: no
-// acknowledged op is ever lost, well-behaved tenants keep most of their
-// isolated-run goodput, the hostile tenant is answered with typed retry-after
-// pushback rather than timeouts (a hint its client honors by sleeping before
-// it retries counts: it throttles the tenant just the same), and once the
-// burst ends the system converges (new polite work is admitted again).
+// client charges every forwarded operation to the bucket of its origin, the
+// client it started at (core.Options.QoS). The oracle asserts the
+// overload-protection contract: no acknowledged op is ever lost,
+// well-behaved tenants keep most of their isolated-run goodput, the hostile
+// tenant is answered with typed retry-after pushback rather than timeouts
+// (a hint its client honors by sleeping before it retries counts: it
+// throttles the tenant just the same), and once the burst ends the system
+// converges (new polite work is admitted again).
 // Because all timing flows through sim.VirtEnv and every random draw is
 // precomputed from the seed, a replay of the same seed reproduces the run:
 // OverloadReport.Fingerprint() is stable, including the qos.* admission and
@@ -62,9 +63,9 @@ type OverloadReport struct {
 	// Lost lists acknowledged creates the verifier could not find — any
 	// entry is a violated durability promise.
 	Lost []string
-	// HostileRetries counts the retries the hostile tenant's client made in
-	// the contended pass: retry-after hints it honored, which throttle it but
-	// never show in BurstResult.Pushback.
+	// HostileRetries counts the retry-after hints the hostile tenant's client
+	// honored in the contended pass (core.Stats.PushbackHonored): they
+	// throttle it but never show in BurstResult.Pushback.
 	HostileRetries int64
 	// Errors are assertion failures; an empty slice is a pass.
 	Errors []string
@@ -138,7 +139,7 @@ func (r *OverloadReport) Summary() string {
 // clock: the isolated baseline (hostile=false) or the contended run.
 type overloadPass struct {
 	results  []workload.BurstResult
-	retries  int64 // the hostile tenant's, from the per-tenant table
+	retries  int64 // the hints the hostile tenant's client honored
 	lost     []string
 	convErrs []string
 	metrics  string
@@ -186,7 +187,7 @@ func runOverloadPass(cfg OverloadConfig, o ArkFSOptions, hostile bool) *overload
 			return err
 		}
 		if hostile {
-			p.retries = reg.Tenants().Snapshot()[d.Ark[n-1].Tenant()].Retries
+			p.retries = d.Ark[n-1].StatCounters().PushbackHonored.Load()
 		}
 		env.Sleep(250 * time.Millisecond) // pressure drains, buckets refill
 

@@ -22,13 +22,6 @@ type StatsConfig struct {
 	// Obs, when non-nil, is the registry the run records into — callers that
 	// serve live debug endpoints pass theirs. Nil allocates a private one.
 	Obs *obs.Registry
-	// Tenants > 0 colors the clients with that many tenant IDs (round-robin)
-	// and appends the zipfian multi-tenant workload, so the snapshot carries a
-	// populated per-tenant table. Zero keeps one tenant per client and skips
-	// that phase.
-	Tenants int
-	// TenantSeed feeds the multi-tenant workload's zipfian draws.
-	TenantSeed int64
 }
 
 func (c *StatsConfig) fill() {
@@ -55,7 +48,7 @@ func RunStats(cfg StatsConfig) (obs.Snapshot, error) {
 		reg = obs.NewRegistry()
 	}
 	cal := DefaultCalibration()
-	o := ArkFSOptions{PermCache: true, Obs: reg, Tenants: cfg.Tenants}
+	o := ArkFSOptions{PermCache: true, Obs: reg}
 	if cfg.Flaky > 0 {
 		o.FlakyProb, o.FlakySeed = cfg.Flaky, cfg.FlakySeed
 		pol := objstore.DefaultRetryPolicy()
@@ -71,14 +64,6 @@ func RunStats(cfg StatsConfig) (obs.Snapshot, error) {
 			FilesPerProc: cfg.FilesPerProc / 2, SharedDirs: cfg.SharedDirs, Root: "/stats-hard",
 		}); err != nil {
 			return fmt.Errorf("mdtest-hard: %w", err)
-		}
-		if cfg.Tenants > 0 {
-			if _, err := workload.MultiTenant(env, d.Mounts, workload.MultiTenantConfig{
-				OpsPerProc: cfg.FilesPerProc / 2, Dirs: cfg.SharedDirs,
-				Seed: cfg.TenantSeed, Root: "/stats-tenants",
-			}); err != nil {
-				return fmt.Errorf("multitenant: %w", err)
-			}
 		}
 		// Let background lease/journal work quiesce so gauges settle.
 		env.Sleep(2 * cal.LeasePeriod)

@@ -60,31 +60,3 @@ func TestRunStatsDeterministic(t *testing.T) {
 		t.Fatalf("same config diverged:\nrun A:\n%s\nrun B:\n%s", a.Fingerprint(), b.Fingerprint())
 	}
 }
-
-// TestRunStatsMultiTenantDeterministic: coloring the clients with tenant IDs
-// and running the zipfian multi-tenant workload keeps the run reproducible —
-// per-tenant accounting folds into the fingerprint as sorted "t ..." lines,
-// byte-identical across same-config runs.
-func TestRunStatsMultiTenantDeterministic(t *testing.T) {
-	cfg := StatsConfig{Clients: 2, FilesPerProc: 30, SharedDirs: 2, Tenants: 2, TenantSeed: 42}
-	a, err := RunStats(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunStats(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpA, fpB := a.Fingerprint(), b.Fingerprint()
-	if fpA != fpB {
-		t.Fatalf("same multi-tenant config diverged:\nrun A:\n%s\nrun B:\n%s", fpA, fpB)
-	}
-	for _, tenant := range []string{"tenant-00", "tenant-01"} {
-		if !strings.Contains(fpA, "t "+tenant+" ") {
-			t.Errorf("fingerprint has no %s line:\n%s", tenant, fpA)
-		}
-		if a.Tenants[tenant].Ops == 0 {
-			t.Errorf("snapshot has no ops for %s", tenant)
-		}
-	}
-}

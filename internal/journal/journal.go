@@ -121,12 +121,11 @@ type Journal struct {
 type dirJournal struct {
 	dir types.Ino
 
-	mu        sync.Mutex
-	running   []wire.Op         // the running compound transaction
-	runInode  map[types.Ino]int // where running holds each inode's one inode op
-	runSC     obs.SpanContext   // trace of the op that opened the running txn
-	runTenant string            // tenant of the op that opened the running txn
-	cancel    func() bool       // the armed commit timer; nil when none is
+	mu       sync.Mutex
+	running  []wire.Op         // the running compound transaction
+	runInode map[types.Ino]int // where running holds each inode's one inode op
+	runSC    obs.SpanContext   // trace of the op that opened the running txn
+	cancel   func() bool       // the armed commit timer; nil when none is
 
 	p pipe[*record, *sim.Chan[error]]
 	// What j.gInflight counts of p: its PUTs in flight.
@@ -142,7 +141,6 @@ type record struct {
 	key    string
 	txn    *wire.Txn
 	sc     obs.SpanContext
-	tenant string        // tenant of the op that opened the batch, for span attribution
 	sealAt time.Duration // env clock at seal; decomposes commit latency into queue wait vs PUT
 	done   *sim.Chan[error]
 }
@@ -357,8 +355,7 @@ func (j *Journal) Log(ctx context.Context, dir types.Ino, ops []wire.Op) {
 	j.cOps.Add(int64(len(ops)))
 	dj.mu.Lock()
 	if len(dj.running) == 0 && ctx != nil {
-		m := rpc.MetaFrom(ctx)
-		dj.runSC, dj.runTenant = m.Span, m.Tenant
+		dj.runSC = rpc.MetaFrom(ctx).Span
 	}
 	before := len(dj.running)
 	for i := range ops {
@@ -431,8 +428,8 @@ func (j *Journal) seal(dj *dirJournal) *pipeFx[*record, *sim.Chan[error]] {
 	if len(dj.running) == 0 {
 		return nil
 	}
-	ops, sc, tenant := dj.running, dj.runSC, dj.runTenant
-	dj.running, dj.runInode, dj.runSC, dj.runTenant = nil, nil, obs.SpanContext{}, ""
+	ops, sc := dj.running, dj.runSC
+	dj.running, dj.runInode, dj.runSC = nil, nil, obs.SpanContext{}
 	j.gBuffer.Add(-int64(len(ops)))
 	seq := dj.p.reserve()
 	rec := &record{
@@ -446,8 +443,7 @@ func (j *Journal) seal(dj *dirJournal) *pipeFx[*record, *sim.Chan[error]] {
 			Stamp: j.env.Now(),
 			Ops:   ops,
 		},
-		sc:     sc,
-		tenant: tenant,
+		sc: sc,
 	}
 	return dj.p.seal(seq, rec)
 }
@@ -469,10 +465,8 @@ func (j *Journal) putLoop(q *sim.Chan[slot[*record]]) {
 		j.hCommitWait.ObserveTrace(wait, rec.sc.Trace)
 		sp := j.trace.StartChild(rec.sc, "journal.commit", rec.key)
 		sp.SetDir(dj.dir)
-		sp.SetTenant(rec.tenant)
 		sp.SetWait(wait)
 		put := j.trace.StartChild(sp.Context(), "objstore.put", rec.key)
-		put.SetTenant(rec.tenant)
 		err := j.tr.Store().Put(rec.key, wire.EncodeTxn(rec.txn))
 		put.End(err)
 		sp.End(err)
@@ -640,7 +634,6 @@ func (j *Journal) checkpoint(r *record) error {
 	ckptStart := j.env.Now()
 	sp := j.trace.StartChild(r.sc, "journal.checkpoint", "")
 	sp.SetDir(dj.dir)
-	sp.SetTenant(r.tenant)
 	err = j.applyOps(dj.dir, r.txn.Ops, j.cfg.Crash)
 	dj.mu.Lock()
 	answer := dj.p.ckptDone(err)
@@ -654,7 +647,6 @@ func (j *Journal) checkpoint(r *record) error {
 	// recovery replay the transaction a second time.
 	j.cfg.Crash.Hit(crashpoint.PostCheckpoint)
 	del := j.trace.StartChild(sp.Context(), "objstore.delete", r.key)
-	del.SetTenant(r.tenant)
 	err = j.tr.Store().Delete(r.key)
 	del.End(err)
 	if err != nil {

@@ -151,12 +151,9 @@ func (j *Journal) writeRecord(ctx context.Context, txn *wire.Txn, what string, c
 	dj.mu.Unlock()
 	txn.Stamp = j.env.Now()
 	key := prt.JournalKey(txn.Dir, seq)
-	meta := rpc.MetaFrom(ctx)
-	sp := j.trace.StartChild(meta.Span, "journal.2pc."+what, key)
+	sp := j.trace.StartChild(rpc.MetaFrom(ctx).Span, "journal.2pc."+what, key)
 	sp.SetDir(txn.Dir)
-	sp.SetTenant(meta.Tenant)
 	put := j.trace.StartChild(sp.Context(), "objstore.put", key)
-	put.SetTenant(meta.Tenant)
 	err := j.tr.Store().Put(key, wire.EncodeTxn(txn))
 	put.End(err)
 	sp.End(err)

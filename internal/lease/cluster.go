@@ -100,6 +100,20 @@ func (c *Cluster) RestartShard(addr rpc.Addr) error {
 	return nil
 }
 
+// Holding returns the ring members, in ring order, whose table holds a lease
+// some client has and has not let lapse at the shard's clock.
+func (c *Cluster) Holding() []rpc.Addr {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []rpc.Addr
+	for _, a := range c.ring.Members {
+		if c.mgrs[a].holding() {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // Close stops every shard. It is idempotent.
 func (c *Cluster) Close() {
 	c.mu.Lock()

@@ -203,14 +203,11 @@ func (m *Manager) Close() { m.server.Close() }
 func (m *Manager) handle(ctx context.Context, req any) any {
 	// Each handled request is a child span under the caller's trace (or a
 	// local root when the caller is untraced), so lease waits and redirects
-	// show up inside the operation that paid for them. The caller's tenant
-	// and this request's slot wait ride the rpc envelope; stamping them on
-	// the manager span attributes shard queueing to the tenant that paid for
-	// it.
+	// show up inside the operation that paid for them. This request's slot
+	// wait rides the rpc envelope; the span records it as shard queueing.
 	meta := rpc.MetaFrom(ctx)
 	span := func(op string, dir types.Ino) *obs.Span {
 		sp := m.tracer.StartChild(meta.Span, op, "")
-		sp.SetTenant(meta.Tenant)
 		sp.SetWait(meta.Wait)
 		sp.SetDir(dir)
 		return sp
@@ -286,6 +283,19 @@ func (m *Manager) decideLocked(req any, now time.Duration) (any, verdict) {
 		return m.rule.recoveryDone(r.Dir, r.Client, r.LeaseID, now)
 	}
 	return nil, kept
+}
+
+// holding reports whether a client holds a live lease in m's table.
+func (m *Manager) holding() bool {
+	now := m.env.Now()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, d := range m.rule.dirs {
+		if d.Holder != "" && d.Holder != unknownHolder && now < d.Expiry {
+			return true
+		}
+	}
+	return false
 }
 
 // owns reports whether dir is this shard's: every directory is, without a

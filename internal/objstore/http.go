@@ -6,25 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"arkfs/internal/obs"
-	"arkfs/internal/qos"
 	"arkfs/internal/types"
 )
-
-// TenantHeader names the HTTP header carrying the caller's tenant on gateway
-// requests; the gateway's admission controller charges the request to it.
-const TenantHeader = "X-Ark-Tenant"
-
-// retryAfterNSHeader carries the exact retry-after hint in nanoseconds on 429
-// responses (the standard Retry-After header only has second granularity).
-const retryAfterNSHeader = "X-Ark-Retry-After-Ns"
 
 // Gateway exposes any Store over a minimal S3-flavored REST API:
 //
@@ -41,48 +30,16 @@ type Gateway struct {
 	store Store
 	mux   *http.ServeMux
 
-	// Admission control; nil admits everything. now is injectable for tests
-	// and defaults to time.Now.
-	qos *qos.Limiter
-	now func() time.Time
-
 	// Per-verb tallies; nil (no registry attached) counts nothing.
-	cPut, cGet, cHead, cDelete, cList, cErrors, cShed *obs.Counter
+	cPut, cGet, cHead, cDelete, cList, cErrors *obs.Counter
 }
 
 // NewGateway wraps store in a REST handler.
 func NewGateway(store Store) *Gateway {
-	g := &Gateway{store: store, mux: http.NewServeMux(), now: time.Now}
+	g := &Gateway{store: store, mux: http.NewServeMux()}
 	g.mux.HandleFunc("/o/", g.object)
 	g.mux.HandleFunc("/list", g.list)
 	return g
-}
-
-// SetQoS attaches per-tenant token-bucket admission control: every request is
-// charged to its X-Ark-Tenant header (requests without one pool under
-// "anon"), and refusals answer 429 with Retry-After. Nil detaches.
-func (g *Gateway) SetQoS(l *qos.Limiter) { g.qos = l }
-
-// admit charges one request to the caller's tenant bucket; on refusal it
-// writes the 429 response and returns false.
-func (g *Gateway) admit(w http.ResponseWriter, r *http.Request) bool {
-	if g.qos == nil {
-		return true
-	}
-	tenant := r.Header.Get(TenantHeader)
-	if tenant == "" {
-		tenant = "anon"
-	}
-	ok, after := g.qos.Admit(tenant, g.now())
-	if ok {
-		return true
-	}
-	g.cShed.Inc()
-	w.Header().Set("Retry-After",
-		strconv.FormatInt(int64(math.Ceil(after.Seconds())), 10))
-	w.Header().Set(retryAfterNSHeader, strconv.FormatInt(after.Nanoseconds(), 10))
-	http.Error(w, "tenant rate limit exceeded", http.StatusTooManyRequests)
-	return false
 }
 
 // SetObs attaches a metrics registry: the gateway counts each REST verb
@@ -94,7 +51,6 @@ func (g *Gateway) SetObs(reg *obs.Registry) {
 	g.cDelete = reg.Counter("gateway.delete")
 	g.cList = reg.Counter("gateway.list")
 	g.cErrors = reg.Counter("gateway.errors")
-	g.cShed = reg.Counter("qos.shed.gateway")
 }
 
 // ServeHTTP implements http.Handler.
@@ -106,9 +62,6 @@ func (g *Gateway) object(w http.ResponseWriter, r *http.Request) {
 	key, err := url.PathUnescape(strings.TrimPrefix(r.URL.EscapedPath(), "/o/"))
 	if err != nil || key == "" {
 		http.Error(w, "bad key", http.StatusBadRequest)
-		return
-	}
-	if !g.admit(w, r) {
 		return
 	}
 	switch r.Method {
@@ -164,9 +117,6 @@ func (g *Gateway) list(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if !g.admit(w, r) {
-		return
-	}
 	g.cList.Inc()
 	keys, err := g.store.List(r.URL.Query().Get("prefix"))
 	if err != nil {
@@ -190,7 +140,6 @@ func httpError(w http.ResponseWriter, err error) {
 // backend registered through its REST API" path of the PRT module.
 type HTTPStore struct {
 	base   string // e.g. "http://127.0.0.1:9000"
-	tenant string // stamped on every request's X-Ark-Tenant header when set
 	client *http.Client
 }
 
@@ -199,23 +148,15 @@ func NewHTTPStore(base string) *HTTPStore {
 	return &HTTPStore{base: strings.TrimRight(base, "/"), client: &http.Client{}}
 }
 
-// SetTenant stamps tenant on every subsequent request, so the gateway's
-// per-tenant admission controller can attribute and rate-limit this client.
-// The Store API is context-free, so the attribution is per-store, not per-op.
-func (s *HTTPStore) SetTenant(tenant string) { s.tenant = tenant }
-
 func (s *HTTPStore) objURL(key string) string {
 	return s.base + "/o/" + url.PathEscape(key)
 }
 
-// roundTrip issues one request with the store's tenant header attached.
+// roundTrip issues one request.
 func (s *HTTPStore) roundTrip(method, rawURL string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequest(method, rawURL, body)
 	if err != nil {
 		return nil, err
-	}
-	if s.tenant != "" {
-		req.Header.Set(TenantHeader, s.tenant)
 	}
 	return s.client.Do(req)
 }
@@ -299,18 +240,6 @@ func statusErr(op, key string, resp *http.Response) error {
 	switch {
 	case resp.StatusCode == http.StatusNotFound:
 		return fmt.Errorf("httpstore %s %q: %w", op, key, ErrNotExist)
-	case resp.StatusCode == http.StatusTooManyRequests:
-		// Typed pushback crosses the REST boundary: rebuild the retry-after
-		// hint from the response headers (exact-nanosecond header first,
-		// standard Retry-After seconds as fallback).
-		after := time.Second
-		if ns, err := strconv.ParseInt(resp.Header.Get(retryAfterNSHeader), 10, 64); err == nil && ns > 0 {
-			after = time.Duration(ns)
-		} else if sec, err := strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64); err == nil && sec > 0 {
-			after = time.Duration(sec) * time.Second
-		}
-		return fmt.Errorf("httpstore %s %q: %w", op, key,
-			types.AgainAfter(after, "gateway"))
 	case resp.StatusCode >= 400:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return fmt.Errorf("httpstore %s %q: status %d: %s: %w",

@@ -59,7 +59,7 @@ func (s *RetryStats) Retries() int64 {
 // Retryable classifies a store error: semantic errors the file-system layer
 // interprets (missing object, bad argument, permission) are permanent, while
 // ErrIO-class failures (and unknown backend errors, which real REST gateways
-// produce for timeouts) are transient. Typed EAGAIN pushback (gateway 429) is
+// produce for timeouts) are transient. Typed EAGAIN pushback is
 // deliberately NOT retryable here: hammering an endpoint that just asked for
 // backoff is the retry storm this layer must not amplify — the bounded loops
 // above honor the retry-after hint instead.

@@ -9,7 +9,6 @@
 package expose
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net"
@@ -66,10 +65,9 @@ func Handler(o Options) http.Handler {
 			return
 		}
 		fmt.Fprint(w, "arkfs debug endpoints:\n"+
-			"  /metrics      Prometheus text exposition (incl. per-tenant series)\n"+
+			"  /metrics      Prometheus text exposition\n"+
 			"  /stats.json   raw metrics snapshot\n"+
-			"  /tenants.json per-tenant accounting table (?tenant=<id>)\n"+
-			"  /traces       span rings (?trace=<id>|op=<op>|tenant=<id>|err=1&limit=N)\n"+
+			"  /traces       span rings (?trace=<id>|op=<op>|err=1&limit=N)\n"+
 			"  /healthz      health probe\n"+
 			"  /debug/pprof  runtime profiles\n")
 	})
@@ -80,24 +78,6 @@ func Handler(o Options) http.Handler {
 	mux.HandleFunc("/stats.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(o.Reg.Snapshot().JSON())
-	})
-	mux.HandleFunc("/tenants.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		tenants := o.Reg.Tenants().Snapshot()
-		if want := r.URL.Query().Get("tenant"); want != "" {
-			filtered := make(map[string]obs.TenantSnapshot)
-			if ts, ok := tenants[want]; ok {
-				filtered[want] = ts
-			}
-			tenants = filtered
-		}
-		// Maps marshal with sorted keys, so the body is deterministic.
-		out, err := json.MarshalIndent(tenants, "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(append(out, '\n'))
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -112,7 +92,6 @@ func Handler(o Options) http.Handler {
 			f.Trace = obs.TraceID(id)
 		}
 		f.Op = q.Get("op")
-		f.Tenant = q.Get("tenant")
 		f.ErrOnly = q.Get("err") == "1"
 		f.Limit = 32
 		if ls := q.Get("limit"); ls != "" {
@@ -209,37 +188,6 @@ func PrometheusText(s obs.Snapshot) string {
 		fmt.Fprintf(&b, "%s_sum %s\n", n, promSeconds(h.SumNanos))
 		fmt.Fprintf(&b, "%s_count %d\n", n, h.Count)
 	}
-	keys = keys[:0]
-	for k := range s.Tenants {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if len(keys) > 0 {
-		tenantCounter := func(name, help string, value func(obs.TenantSnapshot) int64) {
-			fmt.Fprintf(&b, "# HELP %s arkfs per-tenant %s\n# TYPE %s counter\n", name, help, name)
-			for _, k := range keys {
-				fmt.Fprintf(&b, "%s{tenant=%q} %d\n", name, k, value(s.Tenants[k]))
-			}
-		}
-		tenantCounter("arkfs_tenant_ops", "operations", func(t obs.TenantSnapshot) int64 { return t.Ops })
-		tenantCounter("arkfs_tenant_errors", "failed operations", func(t obs.TenantSnapshot) int64 { return t.Errs })
-		tenantCounter("arkfs_tenant_retries", "op retries", func(t obs.TenantSnapshot) int64 { return t.Retries })
-		tenantCounter("arkfs_tenant_bytes_read", "bytes read", func(t obs.TenantSnapshot) int64 { return t.BytesRead })
-		tenantCounter("arkfs_tenant_bytes_written", "bytes written", func(t obs.TenantSnapshot) int64 { return t.BytesWritten })
-		tenantHist := func(name, help string, pick func(obs.TenantSnapshot) obs.HistSnapshot) {
-			fmt.Fprintf(&b, "# HELP %s arkfs per-tenant %s\n# TYPE %s summary\n", name, help, name)
-			for _, k := range keys {
-				h := pick(s.Tenants[k])
-				fmt.Fprintf(&b, "%s{tenant=%q,quantile=\"0.5\"} %s\n", name, k, promSeconds(h.P50))
-				fmt.Fprintf(&b, "%s{tenant=%q,quantile=\"0.99\"} %s\n", name, k, promSeconds(h.P99))
-				fmt.Fprintf(&b, "%s_sum{tenant=%q} %s\n", name, k, promSeconds(h.SumNanos))
-				fmt.Fprintf(&b, "%s_count{tenant=%q} %d\n", name, k, h.Count)
-			}
-		}
-		tenantHist("arkfs_tenant_op_latency", "op latency", func(t obs.TenantSnapshot) obs.HistSnapshot { return t.Latency })
-		tenantHist("arkfs_tenant_queue_wait", "server queue wait", func(t obs.TenantSnapshot) obs.HistSnapshot { return t.Wait })
-		tenantHist("arkfs_tenant_service_time", "server service time", func(t obs.TenantSnapshot) obs.HistSnapshot { return t.Service })
-	}
 	return b.String()
 }
 
@@ -249,7 +197,6 @@ func PrometheusText(s obs.Snapshot) string {
 type TraceFilter struct {
 	Trace   obs.TraceID // only this trace (0 = all)
 	Op      string      // only traces containing a span with this op
-	Tenant  string      // only traces containing a span with this tenant
 	ErrOnly bool        // only traces containing a failed span
 	Limit   int         // newest N matching traces (0 = all)
 }
@@ -258,20 +205,16 @@ type TraceFilter struct {
 // (everything except Trace and Limit).
 func (f TraceFilter) match(spans []obs.Span) bool {
 	keepOp := f.Op == ""
-	keepTenant := f.Tenant == ""
 	keepErr := !f.ErrOnly
 	for _, s := range spans {
 		if s.Op == f.Op {
 			keepOp = true
 		}
-		if s.Tenant == f.Tenant {
-			keepTenant = true
-		}
 		if s.Err != "" {
 			keepErr = true
 		}
 	}
-	return keepOp && keepTenant && keepErr
+	return keepOp && keepErr
 }
 
 // RenderTraces groups spans by trace, applies the filter at trace granularity,
@@ -378,9 +321,6 @@ func spanLine(s obs.Span) string {
 	if s.Proc != "" {
 		fmt.Fprintf(&b, " proc=%s", s.Proc)
 	}
-	if s.Tenant != "" {
-		fmt.Fprintf(&b, " tenant=%s", s.Tenant)
-	}
 	fmt.Fprintf(&b, " op=%s", s.Op)
 	if s.Path != "" {
 		fmt.Fprintf(&b, " path=%s", s.Path)
@@ -426,7 +366,6 @@ func AttachSlowOpLog(tr *obs.Tracer, log *slog.Logger, threshold time.Duration) 
 			"trace", s.Trace.String(),
 			"span", s.ID.String(),
 			"proc", s.Proc,
-			"tenant", s.Tenant,
 			"op", s.Op,
 			"path", s.Path,
 			"route", string(s.Route),

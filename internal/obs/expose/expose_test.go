@@ -266,28 +266,22 @@ func TestAttachSlowOpLog(t *testing.T) {
 // those that MATCH the content filters. A newer non-matching trace must not
 // consume the limit window and squeeze out an older matching one.
 func TestRenderTracesLimitAfterFilter(t *testing.T) {
-	mk := func(trace obs.TraceID, start time.Duration, op, tenant string) obs.Span {
-		return obs.Span{Trace: trace, ID: obs.SpanID(trace), Op: op, Tenant: tenant,
+	mk := func(trace obs.TraceID, start time.Duration, op string) obs.Span {
+		return obs.Span{Trace: trace, ID: obs.SpanID(trace), Op: op,
 			Start: start, Dur: time.Millisecond, Proc: "p"}
 	}
 	spans := []obs.Span{
-		mk(1, 10*time.Millisecond, "create", "acme"), // oldest, matching
-		mk(2, 20*time.Millisecond, "stat", "other"),
-		mk(3, 30*time.Millisecond, "unlink", "other"), // newest, not matching
+		mk(1, 10*time.Millisecond, "create"), // oldest, matching
+		mk(2, 20*time.Millisecond, "stat"),
+		mk(3, 30*time.Millisecond, "unlink"), // newest, not matching
 	}
 
-	out := RenderTraces(spans, TraceFilter{Tenant: "acme", Limit: 1})
+	out := RenderTraces(spans, TraceFilter{Op: "create", Limit: 1})
 	if !strings.Contains(out, "op=create") {
 		t.Fatalf("limit ate the only matching trace:\n%s", out)
 	}
 	if strings.Contains(out, "op=stat") || strings.Contains(out, "op=unlink") {
-		t.Fatalf("tenant filter leaked non-matching traces:\n%s", out)
-	}
-
-	// Same shape for op filtering: limit=1 with a matching oldest trace.
-	out = RenderTraces(spans, TraceFilter{Op: "create", Limit: 1})
-	if !strings.Contains(out, "op=create") {
-		t.Fatalf("op filter + limit lost the matching trace:\n%s", out)
+		t.Fatalf("op filter leaked non-matching traces:\n%s", out)
 	}
 
 	// Unfiltered limit still means the newest trace overall.
@@ -297,106 +291,24 @@ func TestRenderTracesLimitAfterFilter(t *testing.T) {
 	}
 }
 
-// TestSpanLineTenantWait: the one-line rendering carries tenant and queue-wait
-// attribution, and omits them when unset.
-func TestSpanLineTenantWait(t *testing.T) {
+// TestSpanLineWait: the one-line rendering carries the queue wait, and omits
+// it when unset.
+func TestSpanLineWait(t *testing.T) {
 	s := obs.Span{Trace: 7, ID: 7, Op: "create", Proc: "p",
-		Tenant: "acme", Wait: 3 * time.Millisecond, Dur: time.Millisecond}
+		Wait: 3 * time.Millisecond, Dur: time.Millisecond}
 	line := spanLine(s)
-	if !strings.Contains(line, "tenant=acme") {
-		t.Fatalf("no tenant in span line: %q", line)
-	}
 	if !strings.Contains(line, "wait=3ms") {
 		t.Fatalf("no wait in span line: %q", line)
 	}
-	s.Tenant, s.Wait = "", 0
+	s.Wait = 0
 	line = spanLine(s)
-	if strings.Contains(line, "tenant=") || strings.Contains(line, "wait=") {
-		t.Fatalf("unset tenant/wait rendered: %q", line)
+	if strings.Contains(line, "wait=") {
+		t.Fatalf("unset wait rendered: %q", line)
 	}
 }
 
-// TestPrometheusTextTenantSeries: tenant-labeled families appear once any
-// tenant is tracked, stay within the exposition grammar, and vanish when the
-// table is empty.
-func TestPrometheusTextTenantSeries(t *testing.T) {
-	reg := obs.NewRegistry()
-	if out := PrometheusText(reg.Snapshot()); strings.Contains(out, "arkfs_tenant_") {
-		t.Fatalf("tenant families rendered with no tenants:\n%s", out)
-	}
-	reg.Tenants().Observe("acme", 2*time.Millisecond, 0, false, 1)
-	reg.Tenants().Observe("acme", 4*time.Millisecond, 0, true, 0)
-	reg.Tenants().AddBytes("acme", 100, 50)
-	reg.Tenants().ObserveWait("acme", time.Millisecond, 3*time.Millisecond, 0)
-
-	out := PrometheusText(reg.Snapshot())
-	for _, want := range []string{
-		`arkfs_tenant_ops{tenant="acme"} 2`,
-		`arkfs_tenant_errors{tenant="acme"} 1`,
-		`arkfs_tenant_retries{tenant="acme"} 1`,
-		`arkfs_tenant_bytes_read{tenant="acme"} 100`,
-		`arkfs_tenant_bytes_written{tenant="acme"} 50`,
-		`arkfs_tenant_op_latency{tenant="acme",quantile="0.5"}`,
-		`arkfs_tenant_op_latency_count{tenant="acme"} 2`,
-		`arkfs_tenant_queue_wait_count{tenant="acme"} 1`,
-		`arkfs_tenant_service_time_count{tenant="acme"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !promLine.MatchString(line) {
-			t.Fatalf("bad sample line: %q", line)
-		}
-	}
-}
-
-// TestTenantsJSONEndpoint: /tenants.json serves the accounting table as JSON
-// and ?tenant= narrows it to one row.
-func TestTenantsJSONEndpoint(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Tenants().Observe("acme", time.Millisecond, 0, false, 0)
-	reg.Tenants().Observe("globex", time.Millisecond, 0, false, 0)
-	srv := httptest.NewServer(Handler(Options{Reg: reg}))
-	defer srv.Close()
-
-	get := func(path string) map[string]obs.TenantSnapshot {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s = %d: %s", path, resp.StatusCode, body)
-		}
-		var out map[string]obs.TenantSnapshot
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatalf("GET %s not JSON: %v\n%s", path, err, body)
-		}
-		return out
-	}
-
-	all := get("/tenants.json")
-	if len(all) != 2 || all["acme"].Ops != 1 || all["globex"].Ops != 1 {
-		t.Fatalf("/tenants.json = %+v", all)
-	}
-	one := get("/tenants.json?tenant=acme")
-	if len(one) != 1 || one["acme"].Ops != 1 {
-		t.Fatalf("/tenants.json?tenant=acme = %+v", one)
-	}
-	if none := get("/tenants.json?tenant=nope"); len(none) != 0 {
-		t.Fatalf("unknown tenant filter returned rows: %+v", none)
-	}
-}
-
-// TestAttachSlowOpLogBreakdown: the slow-op line reports tenant and the
-// wait/service decomposition, and the threshold applies to wait+service so a
+// TestAttachSlowOpLogBreakdown: the slow-op line reports the wait/service
+// decomposition, and the threshold applies to wait+service so a
 // queue-starved op logs even when its service time alone is under threshold.
 func TestAttachSlowOpLogBreakdown(t *testing.T) {
 	tr := obs.NewTracer(8, nil)
@@ -407,14 +319,13 @@ func TestAttachSlowOpLogBreakdown(t *testing.T) {
 	AttachSlowOpLog(tr, log, time.Hour)
 
 	sp := tr.StartRoot("create", "/q")
-	sp.SetTenant("acme")
 	sp.SetWait(2 * time.Hour) // queue wait alone crosses the threshold
 	sp.End(nil)
 	out := buf.String()
 	if !strings.Contains(out, "slow op") {
 		t.Fatalf("queue-starved op not logged: %q", out)
 	}
-	for _, want := range []string{"tenant=acme", "wait=2h0m0s", "service=", "op=create"} {
+	for _, want := range []string{"wait=2h0m0s", "service=", "op=create"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("slow-op line missing %q: %q", want, out)
 		}

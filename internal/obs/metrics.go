@@ -232,7 +232,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string][]func() int64 // external counters folded at snapshot
-	tenants  *TenantTable
 }
 
 // NewRegistry creates an empty registry.
@@ -242,17 +241,7 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		funcs:    make(map[string][]func() int64),
-		tenants:  NewTenantTable(DefaultTenantK),
 	}
-}
-
-// Tenants returns the registry's per-tenant accounting table, or nil when
-// the registry itself is nil (the no-op sink).
-func (r *Registry) Tenants() *TenantTable {
-	if r == nil {
-		return nil
-	}
-	return r.tenants
 }
 
 // Counter returns (creating on first use) the named counter, or nil when the
@@ -321,10 +310,9 @@ func (r *Registry) Func(name string, fn func() int64) {
 // Snapshot is a point-in-time rendering of a registry: plain maps, so it
 // marshals to deterministic JSON (encoding/json sorts map keys).
 type Snapshot struct {
-	Counters   map[string]int64          `json:"counters"`
-	Gauges     map[string]int64          `json:"gauges"`
-	Histograms map[string]HistSnapshot   `json:"histograms"`
-	Tenants    map[string]TenantSnapshot `json:"tenants"`
+	Counters   map[string]int64        `json:"counters"`
+	Gauges     map[string]int64        `json:"gauges"`
+	Histograms map[string]HistSnapshot `json:"histograms"`
 }
 
 // Snapshot captures the registry's current state. A nil registry yields an
@@ -334,12 +322,10 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
 		Histograms: map[string]HistSnapshot{},
-		Tenants:    map[string]TenantSnapshot{},
 	}
 	if r == nil {
 		return s
 	}
-	s.Tenants = r.tenants.Snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for name, c := range r.counters {
@@ -392,22 +378,6 @@ func (s Snapshot) Fingerprint() string {
 	for _, k := range keys {
 		fmt.Fprintf(&b, "h %s %d\n", k, s.Histograms[k].Count)
 	}
-	// Tenant lines carry the exact per-tenant counts (ops, errors, retries,
-	// bytes read/written). Sketch weights, latency sums, and exemplars are
-	// excluded: they are either interleaving-dependent or duplicate the
-	// counts. The lines are exact — and therefore replayable — whenever the
-	// run's distinct tenants fit the table (no evictions), which the chaos
-	// and stats harnesses guarantee by construction.
-	keys = keys[:0]
-	for k := range s.Tenants {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		ts := s.Tenants[k]
-		fmt.Fprintf(&b, "t %s %d %d %d %d %d\n", k,
-			ts.Ops, ts.Errs, ts.Retries, ts.BytesRead, ts.BytesWritten)
-	}
 	return b.String()
 }
 
@@ -455,21 +425,6 @@ func (s Snapshot) Table() string {
 			fmt.Fprintf(&b, "%-44s %10d %12v %12v %12v %12v\n", k, h.Count,
 				time.Duration(h.MeanNanos()), time.Duration(h.P50),
 				time.Duration(h.P95), time.Duration(h.P99))
-		}
-	}
-	keys = keys[:0]
-	for k := range s.Tenants {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if len(keys) > 0 {
-		fmt.Fprintf(&b, "%-20s %10s %8s %8s %12s %12s %12s %12s\n",
-			"tenant", "ops", "errs", "retries", "bytes_r", "bytes_w", "p99", "wait_p99")
-		for _, k := range keys {
-			ts := s.Tenants[k]
-			fmt.Fprintf(&b, "%-20s %10d %8d %8d %12d %12d %12v %12v\n", k,
-				ts.Ops, ts.Errs, ts.Retries, ts.BytesRead, ts.BytesWritten,
-				time.Duration(ts.Latency.P99), time.Duration(ts.Wait.P99))
 		}
 	}
 	return b.String()

@@ -350,3 +350,27 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Fatalf("lost updates: c=%d h=%d", c.Value(), h.Count())
 	}
 }
+
+// TestHistogramExemplars: ObserveTrace retains the most recent trace per
+// bucket and the snapshot renders it; traceless observations leave no
+// exemplar.
+func TestHistogramExemplars(t *testing.T) {
+	var h Histogram
+	h.Observe(time.Millisecond) // no trace: no exemplar
+	if ex := h.snapshot().Exemplars; ex != nil {
+		t.Fatalf("exemplars after traceless observe: %v", ex)
+	}
+	h.ObserveTrace(time.Millisecond, TraceID(0xabc))
+	h.ObserveTrace(time.Millisecond, TraceID(0xdef)) // same bucket: last wins
+	h.ObserveTrace(40*time.Second, TraceID(0x123))   // overflow bucket
+	ex := h.snapshot().Exemplars
+	if len(ex) != 2 {
+		t.Fatalf("exemplar buckets = %d, want 2: %v", len(ex), ex)
+	}
+	if got := ex[time.Duration(bucketBound(bucketFor(time.Millisecond))).String()]; got != TraceID(0xdef).String() {
+		t.Fatalf("ms bucket exemplar = %s, want %s (last writer)", got, TraceID(0xdef))
+	}
+	if got := ex["+inf"]; got != TraceID(0x123).String() {
+		t.Fatalf("overflow exemplar = %s, want %s", got, TraceID(0x123))
+	}
+}

@@ -59,7 +59,6 @@ type Span struct {
 	Path    string        // primary path argument
 	Dir     types.Ino     // directory the op resolved to (nil if unresolved)
 	Route   Route         // local vs remote, set once routed
-	Tenant  string        // tenant the op is attributed to, "" if unknown
 	Retries int           // ESTALE/lease retries consumed
 	Start   time.Duration // environment-clock time at Start
 	Wait    time.Duration // queue wait before service began (enqueue→start)
@@ -89,13 +88,6 @@ func (s *Span) SetRoute(r Route) {
 func (s *Span) SetDir(ino types.Ino) {
 	if s != nil {
 		s.Dir = ino
-	}
-}
-
-// SetTenant attributes the span to a tenant. Nil-safe.
-func (s *Span) SetTenant(tenant string) {
-	if s != nil {
-		s.Tenant = tenant
 	}
 }
 
@@ -149,9 +141,6 @@ func (s Span) String() string {
 	}
 	if s.Proc != "" {
 		fmt.Fprintf(&b, "proc=%s ", s.Proc)
-	}
-	if s.Tenant != "" {
-		fmt.Fprintf(&b, "tenant=%s ", s.Tenant)
 	}
 	fmt.Fprintf(&b, "%s %s dir=%s route=%s retries=%d dur=%v", s.Op, s.Path,
 		s.Dir.Short(), route, s.Retries, s.Dur)
@@ -360,7 +349,7 @@ func (t *Tracer) Dump(limit int) string {
 }
 
 // spanKey carries the active local span in a context. What crosses the wire
-// (trace identity, tenant, queue wait) is the rpc envelope's (rpc.Meta).
+// (trace identity, origin, queue wait) is the rpc envelope's (rpc.Meta).
 type spanKey struct{}
 
 // WithSpan returns ctx carrying span. A nil span is carried as-is; SpanFrom

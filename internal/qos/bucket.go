@@ -1,8 +1,8 @@
-// Package qos is ArkFS's overload protection: per-tenant token-bucket
-// admission control. A leader charges every forwarded operation to its
-// caller's tenant and refuses one past the tenant's rate with a typed
-// retry-after hint (types.AgainAfter), which the caller honours before it
-// retries; the object-store gateway admits HTTP requests the same way.
+// Package qos is ArkFS's overload protection: token-bucket admission control
+// per caller. A leader charges every forwarded operation to its origin, the
+// client the op started at, and refuses one past that client's rate with a
+// typed retry-after hint (types.AgainAfter), which the caller honours before
+// it retries.
 //
 // Nothing in this package reads the wall clock or a global RNG: every
 // decision is a pure function of caller-supplied timestamps (the sim.Env
@@ -76,65 +76,39 @@ func (b *TokenBucket) Take(now time.Time) (ok bool, retryAfter time.Duration) {
 	return false, after
 }
 
-// Limits parameterizes one tenant's admission rate.
+// Limits parameterizes one caller's admission rate.
 type Limits struct {
 	Rate  float64 // sustained operations per second
 	Burst float64 // bucket depth (instantaneous allowance)
 }
 
-// Limiter is per-tenant token-bucket admission control. Unknown tenants get
-// the default limits; hostile or premium tenants can be pinned with
-// SetTenant. All methods are nil-safe: a nil *Limiter admits everything.
+// Limiter is token-bucket admission control with one bucket per caller, each
+// at the same limits. It is nil-safe: a nil *Limiter admits everything.
 type Limiter struct {
 	mu      sync.Mutex
-	def     Limits
-	perT    map[string]Limits
+	lim     Limits
 	buckets map[string]*TokenBucket
 }
 
-// NewLimiter builds a limiter whose unknown-tenant default is def. A
-// non-positive default rate disables limiting for tenants without explicit
-// limits (they are always admitted).
-func NewLimiter(def Limits) *Limiter {
-	return &Limiter{
-		def:     def,
-		perT:    make(map[string]Limits),
-		buckets: make(map[string]*TokenBucket),
-	}
+// NewLimiter builds a limiter that gives every caller lim. A non-positive
+// rate disables limiting (every call is admitted).
+func NewLimiter(lim Limits) *Limiter {
+	return &Limiter{lim: lim, buckets: make(map[string]*TokenBucket)}
 }
 
-// SetTenant pins explicit limits for one tenant, replacing any existing
-// bucket so the new limits take effect immediately.
-func (l *Limiter) SetTenant(tenant string, lim Limits) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.perT[tenant] = lim
-	delete(l.buckets, tenant)
-}
-
-// Admit charges one operation to tenant's bucket. Refusals carry the
-// retry-after hint. Tenants whose effective rate is non-positive (and the
-// empty tenant, which cannot be attributed) are always admitted.
-func (l *Limiter) Admit(tenant string, now time.Time) (ok bool, retryAfter time.Duration) {
-	if l == nil || tenant == "" {
+// Admit charges one operation to caller's bucket. Refusals carry the
+// retry-after hint. The empty caller, which names no one to charge, is
+// always admitted.
+func (l *Limiter) Admit(caller string, now time.Time) (ok bool, retryAfter time.Duration) {
+	if l == nil || caller == "" || l.lim.Rate <= 0 {
 		return true, 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	lim, pinned := l.perT[tenant]
-	if !pinned {
-		lim = l.def
-	}
-	if lim.Rate <= 0 {
-		return true, 0
-	}
-	b := l.buckets[tenant]
+	b := l.buckets[caller]
 	if b == nil {
-		b = NewTokenBucket(lim.Rate, lim.Burst)
-		l.buckets[tenant] = b
+		b = NewTokenBucket(l.lim.Rate, l.lim.Burst)
+		l.buckets[caller] = b
 	}
 	return b.Take(now)
 }

@@ -93,33 +93,27 @@ func TestTokenBucketSpreadsHints(t *testing.T) {
 	}
 }
 
-// TestLimiterPerTenant: tenants get independent buckets, SetTenant overrides
-// the default, and the empty tenant (plus nil limiter) always admits.
-func TestLimiterPerTenant(t *testing.T) {
+// TestLimiterPerCaller: callers get independent buckets, a non-positive
+// rate never limits, and the empty caller (plus nil limiter) always admits.
+func TestLimiterPerCaller(t *testing.T) {
 	l := NewLimiter(Limits{Rate: 100, Burst: 1})
-	l.SetTenant("premium", Limits{Rate: 100, Burst: 8})
-	l.SetTenant("open", Limits{}) // non-positive rate: never limited
 	now := at(0)
 	if ok, _ := l.Admit("a", now); !ok {
-		t.Fatal("tenant a's burst token refused")
+		t.Fatal("caller a's burst token refused")
 	}
 	if ok, _ := l.Admit("a", now); ok {
-		t.Fatal("tenant a over burst admitted")
+		t.Fatal("caller a over burst admitted")
 	}
 	if ok, _ := l.Admit("b", now); !ok {
-		t.Fatal("tenant b throttled by tenant a's bucket")
+		t.Fatal("caller b throttled by caller a's bucket")
 	}
-	for i := 0; i < 8; i++ {
-		if ok, _ := l.Admit("premium", now); !ok {
-			t.Fatalf("premium token %d refused", i)
-		}
-	}
+	open := NewLimiter(Limits{})
 	for i := 0; i < 100; i++ {
-		if ok, _ := l.Admit("open", now); !ok {
-			t.Fatal("zero-rate tenant must never be limited")
+		if ok, _ := open.Admit("a", now); !ok {
+			t.Fatal("zero-rate limiter must never limit")
 		}
 		if ok, _ := l.Admit("", now); !ok {
-			t.Fatal("empty tenant must always admit")
+			t.Fatal("empty caller must always admit")
 		}
 	}
 	var nilL *Limiter

@@ -11,9 +11,12 @@ import (
 // and across the TCP bridge, and what the serving side's handler context
 // carries. It travels by value.
 type Meta struct {
-	Span   obs.SpanContext // the trace a call continues, zero when untraced
-	Tenant string          // the tenant the op is attributed to, "" when unknown
-	Wait   time.Duration   // serving side: arrival→slot, as the fabric measured it
+	Span obs.SpanContext // the trace a call continues, zero when untraced
+	// Origin is the client the op started at: the fabric stamps the caller's
+	// address on a call that carries none, and a leader's onward calls keep
+	// it, so admission charges the whole op to the client that started it.
+	Origin Addr
+	Wait   time.Duration // serving side: arrival→slot, as the fabric measured it
 }
 
 type metaKey struct{}

@@ -130,9 +130,8 @@ func (n *Network) faultPlan() *FaultPlan {
 // including fault-plan delays), and rpc.drops / rpc.timeouts on failure.
 // Servers additionally split each delivered request into queue wait
 // (rpc.queue.wait: arrival→slot, the wait for one of the handlers the server
-// runs at once) and service time (rpc.queue.service: slot→handler return),
-// attributed per tenant in the registry's tenant table. Call before serving
-// traffic; nil detaches.
+// runs at once) and service time (rpc.queue.service: slot→handler return).
+// Call before serving traffic; nil detaches.
 func (n *Network) SetObs(reg *obs.Registry) {
 	n.reg = reg
 	n.cCalls = reg.Counter("rpc.calls")
@@ -241,10 +240,8 @@ func (s *Server) serve(meta Meta, req any, arrived time.Duration) (any, error) {
 	resp := s.h(WithMeta(context.Background(), meta), req)
 	s.slots.Send(struct{}{})
 	if n.reg != nil {
-		svc := n.env.Now() - start
 		n.hQWait.ObserveTrace(meta.Wait, meta.Span.Trace)
-		n.hQSvc.ObserveTrace(svc, meta.Span.Trace)
-		n.reg.Tenants().ObserveWait(meta.Tenant, meta.Wait, svc, meta.Span.Trace)
+		n.hQSvc.ObserveTrace(n.env.Now()-start, meta.Span.Trace)
 	}
 	return resp, nil
 }
@@ -271,7 +268,7 @@ func (n *Network) CallFrom(from, to Addr, req any) (any, error) {
 // interrupted by real channels — so ctx acts as a deadline checked at the
 // call boundary, which is where the retry loops in core re-enter. The
 // envelope ctx carries (MetaFrom) rides the message, so the server side
-// continues the trace and keeps the attribution and epoch.
+// continues the trace and charges the op's origin.
 func (n *Network) CallFromCtx(ctx context.Context, from, to Addr, req any) (any, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -282,6 +279,9 @@ func (n *Network) CallFromCtx(ctx context.Context, from, to Addr, req any) (any,
 }
 
 func (n *Network) dispatch(meta Meta, from, to Addr, req any) (any, error) {
+	if meta.Origin == "" {
+		meta.Origin = from
+	}
 	if n.reg == nil {
 		return n.callFrom(meta, from, to, req)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -140,6 +141,35 @@ func TestNetworkNestedCalls(t *testing.T) {
 	resp, err := net.Call("a", 5)
 	if err != nil || resp.(int) != 16 {
 		t.Fatalf("resp = %v, %v", resp, err)
+	}
+}
+
+// TestOriginIsTheFirstCaller: a call that carries no origin is stamped with
+// its caller's address, and a handler's onward call keeps the origin it was
+// called with, so the last hop sees the client the op started at.
+func TestOriginIsTheFirstCaller(t *testing.T) {
+	env := sim.NewRealEnv()
+	defer env.Shutdown()
+	net := NewNetwork(env, sim.NetModel{})
+	var seen []Addr
+	b := net.ListenCtx("b", 1, func(ctx context.Context, req any) any {
+		seen = append(seen, MetaFrom(ctx).Origin)
+		return req
+	})
+	defer b.Close()
+	a := net.ListenCtx("a", 1, func(ctx context.Context, req any) any {
+		resp, _ := net.CallFromCtx(ctx, "a", "b", req)
+		return resp
+	})
+	defer a.Close()
+	if _, err := net.CallFromCtx(context.Background(), "cli", "a", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.CallFromCtx(context.Background(), "a", "b", 2); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Addr{"cli", "a"}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("origins at b = %v, want %v", seen, want)
 	}
 }
 
@@ -392,7 +422,7 @@ func TestTCPTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	want := Meta{Span: obs.SpanContext{Trace: 0xabc, Span: 0xdef}, Tenant: "t1"}
+	want := Meta{Span: obs.SpanContext{Trace: 0xabc, Span: 0xdef}, Origin: "arkfs-1"}
 	if _, err := cli.Call(want, tcpMsg{S: "traced"}); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +435,7 @@ func TestTCPTracePropagation(t *testing.T) {
 		t.Fatalf("server saw %d calls, want 2", len(seen))
 	}
 	got := seen[0]
-	if got.Span != want.Span || got.Tenant != "t1" {
+	if got.Span != want.Span || got.Origin != want.Origin {
 		t.Fatalf("server saw %+v, want %+v", got, want)
 	}
 	if seen[1] != (Meta{}) {
@@ -420,8 +450,8 @@ func TestMetaCarrier(t *testing.T) {
 		t.Fatalf("empty ctx: %+v, want the zero Meta", m)
 	}
 	remote := obs.SpanContext{Trace: 5, Span: 9}
-	ctx := WithMeta(context.Background(), Meta{Span: remote, Tenant: "t"})
-	if m := MetaFrom(ctx); m.Span != remote || m.Tenant != "t" {
+	ctx := WithMeta(context.Background(), Meta{Span: remote, Origin: "arkfs-1"})
+	if m := MetaFrom(ctx); m.Span != remote || m.Origin != "arkfs-1" {
 		t.Fatalf("MetaFrom = %+v", m)
 	}
 	sp := obs.NewTracer(4, nil).StartChild(remote, "serve", "/x")

@@ -17,21 +17,21 @@ import (
 // measures its own.
 type envelope struct {
 	Trace, Span uint64
-	Tenant      string
+	Origin      Addr
 	Payload     any
 }
 
 func envelopeFor(m Meta, payload any) *envelope {
 	return &envelope{
 		Trace: uint64(m.Span.Trace), Span: uint64(m.Span.Span),
-		Tenant: m.Tenant, Payload: payload,
+		Origin: m.Origin, Payload: payload,
 	}
 }
 
 func (e *envelope) meta() Meta {
 	return Meta{
 		Span:   obs.SpanContext{Trace: obs.TraceID(e.Trace), Span: obs.SpanID(e.Span)},
-		Tenant: e.Tenant,
+		Origin: e.Origin,
 	}
 }
 

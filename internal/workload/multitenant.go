@@ -14,92 +14,9 @@ import (
 	"arkfs/internal/types"
 )
 
-// MultiTenantConfig parameterizes the multi-tenant mixed workload.
-type MultiTenantConfig struct {
-	// OpsPerProc is how many create+stat (and occasional delete) rounds each
-	// process runs.
-	OpsPerProc int
-	// Dirs is the shared directory pool the zipfian popularity draws from.
-	Dirs int
-	// Seed feeds the per-process PRNGs; the same seed yields byte-identical
-	// path sequences and therefore byte-identical per-tenant accounting.
-	Seed int64
-	// Root is the workload directory prefix.
-	Root string
-}
-
-func (c *MultiTenantConfig) fill() {
-	if c.OpsPerProc <= 0 {
-		c.OpsPerProc = 100
-	}
-	if c.Dirs <= 0 {
-		c.Dirs = 8
-	}
-	if c.Root == "" {
-		c.Root = "/multitenant"
-	}
-}
-
-// zipfS is the skew of the directory popularity both multi-tenant workloads
-// draw: a few hot directories absorb most traffic, the tail stays warm.
+// zipfS is the skew of the burst's directory popularity: a few hot
+// directories absorb most traffic, the tail stays warm.
 const zipfS = 1.2
-
-// MultiTenant drives a tenant-colored mixed metadata workload: every process
-// (each mount is one tenant's client — the harness assigns core.Options.Tenant)
-// issues creates, stats, and deletes against a shared directory pool whose
-// popularity follows a seeded zipfian distribution, so tenants contend on the
-// same few hot directories the way real archive ingest does. Ops and paths are
-// precomputed deterministically from cfg.Seed, so a virtual-clock run produces
-// the same per-tenant op/byte accounting every time.
-func MultiTenant(env sim.Env, mounts []fsapi.FileSystem, cfg MultiTenantConfig) ([]PhaseResult, error) {
-	ctx := context.Background()
-	cfg.fill()
-	if err := setupTree(ctx, mounts[0], cfg.Root, cfg.Dirs); err != nil {
-		return nil, err
-	}
-
-	// Precompute each process's directory draws outside the timed phase: the
-	// PRNG sequence depends only on (Seed, proc), never on scheduling.
-	draws := make([][]int, len(mounts))
-	for p := range mounts {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(p)*7919))
-		z := rand.NewZipf(rng, zipfS, 1, uint64(cfg.Dirs-1))
-		draws[p] = make([]int, cfg.OpsPerProc)
-		for i := range draws[p] {
-			draws[p][i] = int(z.Uint64())
-		}
-	}
-
-	var results []PhaseResult
-	mixed := runPhase(env, "MIXED", mounts, func(proc int, m fsapi.FileSystem) int {
-		errs := 0
-		for i, dir := range draws[proc] {
-			p := fmt.Sprintf("%s/p%03d/t%03d.%05d", cfg.Root, dir, proc, i)
-			f, err := m.Open(ctx, p, types.OWronly|types.OCreate|types.OExcl, 0644)
-			if err != nil {
-				errs++
-				continue
-			}
-			_ = f.Close()
-			if _, err := m.Stat(ctx, p); err != nil {
-				errs++
-			}
-			// Every fourth file is deleted again: the mix keeps unlink (and
-			// its forwarded-op path) in every tenant's profile.
-			if i%4 == 3 {
-				if err := m.Unlink(ctx, p); err != nil {
-					errs++
-				}
-			}
-		}
-		if flushAll(m) != nil {
-			errs++
-		}
-		return errs
-	}, cfg.OpsPerProc)
-	results = append(results, mixed)
-	return results, nil
-}
 
 // BurstConfig parameterizes MultiTenantBurst: a paced multi-tenant burst
 // against directories led by a dedicated service mount, with an optional set
@@ -112,8 +29,8 @@ type BurstConfig struct {
 	// Interval is the polite think time between submissions; a polite
 	// process offers 1/Interval ops per second. Default 5ms.
 	Interval time.Duration
-	// Dirs, Seed: shared directory pool, under BurstRoot, as in
-	// MultiTenantConfig.
+	// Dirs is the shared directory pool under BurstRoot the zipfian
+	// popularity draws from; Seed feeds the per-process draws.
 	Dirs int
 	Seed int64
 	// HostileProcs marks the last N non-service mounts as hostile: each runs
