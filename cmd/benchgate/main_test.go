@@ -53,8 +53,8 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 15 {
-		t.Fatalf("%d rows in the table, want the fifteen gated benchmarks", len(want))
+	if len(want) != 16 {
+		t.Fatalf("%d rows in the table, want the sixteen gated benchmarks", len(want))
 	}
 	got := map[string]reading{}
 	for name, r := range want {

@@ -152,11 +152,9 @@ func TestDirLeaseSurvivesClockSkew(t *testing.T) {
 			c := tcpClient(t, clientEnv, url, "skew", tcpManager(t, mgrEnv, period), period)
 			believed := func() {
 				t.Helper()
-				c.mu.Lock()
-				defer c.mu.Unlock()
 				now := c.env.Now()
-				for dir, ld := range c.led {
-					if ld.lease.Live(now + period) {
+				for dir, ld := range c.ledSet() {
+					if ld.lease.Load().Live(now + period) {
 						t.Fatalf("%s: the client believes more than the %v lease is left", dir.Short(), period)
 					}
 				}

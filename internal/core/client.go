@@ -100,16 +100,18 @@ type Client struct {
 	opts   Options
 	server *rpc.Server
 
-	mu     sync.Mutex
-	led    map[types.Ino]*ledDir
+	mu sync.Mutex
+	// led maps each directory this client leads to its *ledDir. It is read
+	// without c.mu (ledEntry, ledDirFor) and written under it.
+	led    sync.Map
 	remote map[types.Ino]rpc.Addr // last known leader of remote directories
 	pcache map[types.Ino]*permEntry
 	// pcacheSweep is when pcachePut next drops every expired pcache entry.
 	pcacheSweep time.Duration
 	open        map[types.Ino]*openFile // inodes with a live handle or a release pending
 	closed      bool
-	// acquiring runs one lease acquisition per directory at a time. An entry
-	// lives only while an acquisition holds or waits for it.
+	// acquiring runs one lease acquisition or release per directory at a
+	// time (serialize). An entry lives only while one holds or waits for it.
 	acquiring  map[types.Ino]*acquisition
 	hold       leaseHolder         // as a holder: the client's side of its data leases
 	quiet      *sim.Chan[struct{}] // made by a FlushAll or Close that waits for hold's returns
@@ -163,7 +165,7 @@ type ledDir struct {
 	// perform store I/O while holding it.
 	opMu  *sim.Mutex
 	table *metatable.Table
-	lease lease.DirLease // guarded by c.mu
+	lease atomic.Pointer[lease.DirLease]
 	// leases is this leader's side of its files' data leases (paper §III-D).
 	leases leaseTable
 	// renames are the cross-directory renames this table holds a tentative
@@ -174,14 +176,29 @@ type ledDir struct {
 	// epoch unchanged has nothing new to make durable and skips the journal
 	// barrier entirely.
 	durableEpoch uint64
+	// released is set under opMu when ReleaseDir gives the directory up. A
+	// mutation that takes opMu later refuses with ESTALE, so the flush that
+	// follows holds every mutation this table acknowledged.
+	released bool
 }
 
-// writable gates every mutating operation on a led directory: a directory
-// whose table lost entries to detected corruption (its dentry block at load,
-// or a child whenever it is fetched) is served read-only from the last valid
-// state until the scrubber repairs the objects and the next leadership
-// change reloads it.
+// grant replaces the lease with a grant of period under id, requested at
+// sent. A lease is never changed in place, so a reader needs no lock.
+func (ld *ledDir) grant(sent, period time.Duration, id uint64) {
+	var l lease.DirLease
+	l.Grant(sent, period, id)
+	ld.lease.Store(&l)
+}
+
+// writable gates every mutating operation on a led directory. A released
+// directory takes no more mutations (ESTALE). A directory whose table lost
+// entries to detected corruption (its dentry block at load, or a child
+// whenever it is fetched) is served read-only from the last valid state until
+// the scrubber repairs the objects and the next leadership change reloads it.
 func (ld *ledDir) writable() error {
+	if ld.released {
+		return fmt.Errorf("core: directory released: %w", types.ErrStale)
+	}
 	if ld.table.Lost() > 0 {
 		return fmt.Errorf("core: directory degraded by detected corruption, serving read-only: %w", types.ErrReadOnly)
 	}
@@ -286,7 +303,6 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 		data:   cache.New(env, tr, opts.Cache),
 		addr:   rpc.Addr("arkfs-" + opts.ID),
 		opts:   opts,
-		led:    make(map[types.Ino]*ledDir),
 		remote: make(map[types.Ino]rpc.Addr),
 		pcache: make(map[types.Ino]*permEntry),
 		open:   make(map[types.Ino]*openFile),
@@ -363,14 +379,14 @@ func (c *Client) leaseKeeper() {
 			c.mu.Unlock()
 			return
 		}
+		c.mu.Unlock()
 		var due []types.Ino
 		now := c.env.Now()
-		for ino, ld := range c.led {
-			if ld.lease.Due(now) {
+		for ino, ld := range c.ledSet() {
+			if ld.lease.Load().Due(now) {
 				due = append(due, ino)
 			}
 		}
-		c.mu.Unlock()
 		slices.SortFunc(due, types.Ino.Compare)
 		for _, ino := range due {
 			_, _, _ = c.acquireLease(context.Background(), ino)
@@ -441,10 +457,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	held := make(map[types.Ino]*ledDir, len(c.led))
-	for ino, ld := range c.led {
-		held[ino] = ld
-	}
+	held := c.ledSet()
 	c.mu.Unlock()
 
 	// Close is a lease-handoff barrier: the journal FlushAll is the strong
@@ -457,16 +470,15 @@ func (c *Client) Close() error {
 	c.awaitReturns()
 	inos := c.stopTables(held)
 	for _, ino := range inos {
-		// An in-flight leaseKeeper extension may still be writing ld, so the
-		// ID must be read under the lock (and freshest-ID wins). A table that
-		// holds a prepared rename releases uncleanly, as in ReleaseDir.
+		// A table that holds a prepared rename releases uncleanly, as in
+		// ReleaseDir.
 		c.mu.Lock()
-		clean, id := err == nil && len(held[ino].renames) == 0, held[ino].lease.ID()
+		clean := err == nil && len(held[ino].renames) == 0
 		c.mu.Unlock()
-		_ = c.lm.Release(context.Background(), ino, id, clean)
+		_ = c.lm.Release(context.Background(), ino, held[ino].lease.Load().ID(), clean)
 	}
 	c.mu.Lock()
-	c.led = make(map[types.Ino]*ledDir)
+	c.unleadAll()
 	c.mu.Unlock()
 	c.jrnl.Close()
 	c.server.Close()
@@ -482,8 +494,7 @@ func (c *Client) Close() error {
 func (c *Client) Crash() {
 	c.mu.Lock()
 	c.closed = true
-	led := c.led
-	c.led = make(map[types.Ino]*ledDir)
+	led := c.unleadAll()
 	c.mu.Unlock()
 	if c.opts.Crash != nil {
 		// Dead processes issue no I/O: fail everything behind the gate.
@@ -492,6 +503,16 @@ func (c *Client) Crash() {
 	c.stopTables(led)
 	c.jrnl.Close()
 	c.server.Close()
+}
+
+// ledSet copies the led set, live leases and lapsed alike.
+func (c *Client) ledSet() map[types.Ino]*ledDir {
+	set := make(map[types.Ino]*ledDir)
+	c.led.Range(func(k, v any) bool {
+		set[k.(types.Ino)] = v.(*ledDir)
+		return true
+	})
+	return set
 }
 
 // stopTables stops the tables of directories this client no longer leads
@@ -533,11 +554,10 @@ func (c *Client) chargeMetaOp() {
 // manager, through acquireLease, which also extends a lease near its end.
 // This keeps steady-state forwarding free of manager round trips.
 func (c *Client) routeFor(ctx context.Context, dir types.Ino) (*ledDir, rpc.Addr, error) {
-	c.mu.Lock()
-	if ld, ok := c.led[dir]; ok && ld.lease.Serves(c.env.Now()) {
-		c.mu.Unlock()
+	if ld := c.ledEntry(dir); ld != nil && ld.lease.Load().Serves(c.env.Now()) {
 		return ld, "", nil
 	}
+	c.mu.Lock()
 	if addr, ok := c.remote[dir]; ok {
 		c.mu.Unlock()
 		return nil, addr, nil
@@ -619,40 +639,24 @@ func forward[R response, Q any](ctx context.Context, c *Client, sp *obs.Span, di
 // crashed client must never extend — or re-take — a lease. A cancelled or
 // expired ctx stops the wait loop before the next manager round trip.
 //
-// Acquisitions of one directory by this client run one at a time. The manager
-// lets a recovering holder extend its lease in place, so a second acquisition
-// answered during the first one's recovery would serve the directory from the
-// table that recovery is about to replace, and log into the journal recovery
-// resets: an acknowledged create would be lost. One that waited uses what the
-// other installed.
+// Acquisitions and releases of one directory by this client run one at a
+// time (serialize). The manager lets a recovering holder extend its lease in
+// place, so a second acquisition answered during the first one's recovery
+// would serve the directory from the table that recovery is about to replace,
+// and log into the journal recovery resets: an acknowledged create would be
+// lost. One that waited uses what the other installed.
 func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.Addr, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return nil, "", fmt.Errorf("core: client closed: %w", types.ErrIO)
 	}
-	prev, a := c.led[dir], c.acquiring[dir]
-	if a == nil {
-		a = &acquisition{mu: sim.NewMutex(c.env)}
-		c.acquiring[dir] = a
-	}
-	a.refs++
-	c.mu.Unlock()
-	a.mu.Lock()
-	defer func() {
-		a.mu.Unlock()
-		c.mu.Lock()
-		if a.refs--; a.refs == 0 {
-			delete(c.acquiring, dir)
-		}
-		c.mu.Unlock()
-	}()
-	c.mu.Lock()
-	if ld := c.led[dir]; ld != nil && ld != prev && ld.lease.Serves(c.env.Now()) {
-		c.mu.Unlock()
+	prev := c.ledEntry(dir)
+	defer c.serialize(dir)()
+	if ld := c.ledEntry(dir); ld != nil && ld != prev && ld.lease.Load().Serves(c.env.Now()) {
 		return ld, "", nil
 	}
-	c.mu.Unlock()
 	c.stats.LeaseAcquires.Add(1)
 	// The manager's quiesce window after its own restart affects every
 	// directory and comes with a firm retry-after hint, so those waits get
@@ -701,7 +705,7 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 				chain = resp.LeaseID
 			} else {
 				c.mu.Lock()
-				taken.lease.Grant(sent, resp.Period, resp.LeaseID) // the same chain, re-granted in place
+				taken.grant(sent, resp.Period, resp.LeaseID) // the same chain, re-granted in place
 				c.mu.Unlock()
 			}
 			if installed, err := c.install(dir, taken); err != nil {
@@ -722,8 +726,7 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 			// drop the stale table (its journal was flushed at the last
 			// clean hand-off or will be recovered by the new leader).
 			c.mu.Lock()
-			stale := c.led[dir]
-			delete(c.led, dir)
+			stale := c.unlead(dir)
 			c.remote[dir] = resp.Leader
 			c.mu.Unlock()
 			if stale != nil {
@@ -755,13 +758,32 @@ func (c *Client) acquireLease(ctx context.Context, dir types.Ino) (*ledDir, rpc.
 	return nil, "", fmt.Errorf("core: lease acquire retries exhausted for %s: %w", dir.Short(), types.ErrTimedOut)
 }
 
+// serialize waits until no other acquisition or release of dir by this
+// client is in progress, and returns the function that ends the caller's.
+func (c *Client) serialize(dir types.Ino) (done func()) {
+	c.mu.Lock()
+	a := c.acquiring[dir]
+	if a == nil {
+		a = &acquisition{mu: sim.NewMutex(c.env)}
+		c.acquiring[dir] = a
+	}
+	a.refs++
+	c.mu.Unlock()
+	a.mu.Lock()
+	return func() {
+		a.mu.Unlock()
+		c.mu.Lock()
+		if a.refs--; a.refs == 0 {
+			delete(c.acquiring, dir)
+		}
+		c.mu.Unlock()
+	}
+}
+
 // abandon stops the table of ld, which this call built for dir, unless it is
 // the one this client leads dir from.
 func (c *Client) abandon(dir types.Ino, ld *ledDir) {
-	c.mu.Lock()
-	led := c.led[dir] == ld
-	c.mu.Unlock()
-	if !led {
+	if c.ledEntry(dir) != ld {
 		ld.table.Stop()
 	}
 }
@@ -811,9 +833,9 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		c.mu.Unlock()
 		return nil, fmt.Errorf("core: client closed: %w", types.ErrIO)
 	}
-	if ld, ok := c.led[dir]; ok && grant.SameLeader {
+	if ld := c.ledEntry(dir); ld != nil && grant.SameLeader {
 		// Extension of a lease we already hold: keep the table.
-		ld.lease.Grant(sent, grant.Period, grant.LeaseID)
+		ld.grant(sent, grant.Period, grant.LeaseID)
 		c.mu.Unlock()
 		return ld, nil
 	}
@@ -859,7 +881,7 @@ func (c *Client) becomeLeader(ctx context.Context, dir types.Ino, grant lease.Ac
 		return nil, fmt.Errorf("core: access %s: %w", dir.Short(), err)
 	}
 	ld := &ledDir{opMu: sim.NewMutex(c.env), table: tbl, leases: make(leaseTable), renames: make(map[uint64]journal.Rename)}
-	ld.lease.Grant(sent, grant.Period, grant.LeaseID)
+	ld.grant(sent, grant.Period, grant.LeaseID)
 	c.adoptRenames(ld, rep.Pending)
 	return ld, nil
 }
@@ -873,15 +895,16 @@ func (c *Client) install(dir types.Ino, ld *ledDir) (bool, error) {
 		c.mu.Unlock()
 		return false, fmt.Errorf("core: client closed: %w", types.ErrIO)
 	}
-	if !ld.lease.Serves(c.env.Now()) {
+	l := ld.lease.Load()
+	if !l.Serves(c.env.Now()) {
 		c.mu.Unlock()
 		return false, nil
 	}
-	old := c.led[dir]
-	c.led[dir] = ld
+	old := c.ledEntry(dir)
+	c.led.Store(dir, ld)
 	delete(c.remote, dir)
-	if ld.lease.Period() < c.keepPeriod {
-		c.keepPeriod = ld.lease.Period()
+	if l.Period() < c.keepPeriod {
+		c.keepPeriod = l.Period()
 		c.env.Go(c.leaseKeeper)
 	}
 	c.mu.Unlock()
@@ -931,20 +954,39 @@ func (c *Client) Leads(dir types.Ino) bool {
 	return ok
 }
 
-// ledDirFor returns the ledDir if this client leads dir (without acquiring).
+// ledDirFor returns the ledDir if this client leads dir and its lease has
+// not lapsed (without acquiring). It takes no lock.
 func (c *Client) ledDirFor(dir types.Ino) (*ledDir, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ledLocked(dir)
-}
-
-// ledLocked is ledDirFor for a caller that holds c.mu.
-func (c *Client) ledLocked(dir types.Ino) (*ledDir, bool) {
-	ld, ok := c.led[dir]
-	if !ok || !ld.lease.Live(c.env.Now()) {
+	ld := c.ledEntry(dir)
+	if ld == nil || !ld.lease.Load().Live(c.env.Now()) {
 		return nil, false
 	}
 	return ld, true
+}
+
+// ledEntry is the ledDir of dir in the led set, whatever its lease, or nil.
+func (c *Client) ledEntry(dir types.Ino) *ledDir {
+	v, _ := c.led.Load(dir)
+	ld, _ := v.(*ledDir)
+	return ld
+}
+
+// unlead drops dir from the led set and returns what it held there, or nil.
+// The caller holds c.mu.
+func (c *Client) unlead(dir types.Ino) *ledDir {
+	v, _ := c.led.LoadAndDelete(dir)
+	ld, _ := v.(*ledDir)
+	return ld
+}
+
+// unleadAll empties the led set and returns what it held. The caller holds
+// c.mu.
+func (c *Client) unleadAll() map[types.Ino]*ledDir {
+	set := c.ledSet()
+	for dir := range set {
+		c.led.Delete(dir)
+	}
+	return set
 }
 
 // AwaitLoad waits until the table of dir, if this client leads dir, holds
@@ -965,23 +1007,29 @@ func (c *Client) AwaitLoad(dir types.Ino) bool {
 // barriers are durability-only; handoff never is. A prepared rename the
 // table still holds is in the journal whatever the flush did, so its release
 // is unclean: the next leader recovers and holds it.
+//
+// A release waits for an acquisition of dir in progress, such as the keeper's
+// extension: one answered after the release would reload and serve the
+// directory while the manager thinks it free, and grant it to another client.
+// A mutation of the table that starts after the release refuses (writable).
 func (c *Client) ReleaseDir(dir types.Ino) error {
+	defer c.serialize(dir)()
 	c.mu.Lock()
-	ld, ok := c.led[dir]
-	if ok {
-		delete(c.led, dir)
-	}
+	ld := c.unlead(dir)
 	c.mu.Unlock()
-	if !ok {
+	if ld == nil {
 		return nil
 	}
+	ld.opMu.Lock()
+	ld.released = true
+	ld.opMu.Unlock()
 	ld.table.Stop()
 	err := c.jrnl.Flush(dir)
 	c.jrnl.DropDir(dir)
 	c.mu.Lock()
-	clean, id := err == nil && len(ld.renames) == 0, ld.lease.ID()
+	clean := err == nil && len(ld.renames) == 0
 	c.mu.Unlock()
-	_ = c.lm.Release(context.Background(), dir, id, clean)
+	_ = c.lm.Release(context.Background(), dir, ld.lease.Load().ID(), clean)
 	return err
 }
 

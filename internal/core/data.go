@@ -192,7 +192,7 @@ func (c *Client) unref(of *openFile) {
 // decides so; a remote leader's return leaves on a goroutine unless inline.
 func (c *Client) release(of *openFile, inline bool) {
 	c.mu.Lock()
-	ld, leads := c.ledLocked(of.parent)
+	ld, leads := c.ledDirFor(of.parent)
 	back, ok := c.hold.release(&of.lease, c.data.Dirty(of.ino), leads)
 	if ok {
 		c.data.Invalidate(of.ino)

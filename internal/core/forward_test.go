@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"arkfs/internal/obs"
@@ -19,15 +20,20 @@ import (
 // BenchmarkForwardedStat is BenchmarkStatNoObs for the other branch of
 // forward: one client leads every directory on the path, the other stats a
 // file at its end, so every iteration is one walk over the in-process fabric,
-// whatever the depth. allocs/op is the number to watch (both rows are in
+// whatever the depth. allocs/op is the number to watch (the rows are in
 // cmd/benchgate/table.txt): a request boxed on the way in, a per-op closure
-// in the forwarding path, or a message per component shows up here.
+// in the forwarding path, or a message per component shows up here. The
+// parallel row has two peers stat at once through one leader, whose service
+// of each must take no lock the other holds (DESIGN.md §5.9); its ns/op is
+// the one that contention shows in.
 func BenchmarkForwardedStat(b *testing.B) {
-	for _, bm := range []struct{ name, dir string }{{"depth1", "/b"}, {"depth3", "/b/c/d"}} {
+	for _, bm := range []struct {
+		name, dir string
+		peers     []string
+	}{{"depth1", "/b", []string{"peer"}}, {"depth3", "/b/c/d", []string{"peer"}}, {"parallel", "/b", []string{"peer", "peer2"}}} {
 		b.Run(bm.name, func(b *testing.B) {
 			tc := newTestCluster(b)
 			leader := tc.client(b, "leader")
-			peer := tc.client(b, "peer")
 			ctx := context.Background()
 			for end := 2; end <= len(bm.dir); end += 2 {
 				if err := leader.Mkdir(ctx, bm.dir[:end], 0777); err != nil {
@@ -39,20 +45,37 @@ func BenchmarkForwardedStat(b *testing.B) {
 				b.Fatal(err)
 			}
 			_ = f.Close()
-			dir, err := peer.Stat(ctx, bm.dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if peer.Leads(dir.Ino) || !leader.Leads(dir.Ino) {
-				b.Fatal("peer does not forward to leader; the benchmark would measure nothing")
+			peers := make([]*Client, len(bm.peers))
+			for i, id := range bm.peers {
+				peers[i] = tc.client(b, id)
+				dir, err := peers[i].Stat(ctx, bm.dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if peers[i].Leads(dir.Ino) || !leader.Leads(dir.Ino) {
+					b.Fatal("peer does not forward to leader; the benchmark would measure nothing")
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := peer.Stat(ctx, bm.dir+"/f"); err != nil {
-					b.Fatal(err)
+			if len(peers) == 1 {
+				for i := 0; i < b.N; i++ {
+					if _, err := peers[0].Stat(ctx, bm.dir+"/f"); err != nil {
+						b.Fatal(err)
+					}
 				}
+				return
 			}
+			var next atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				peer := peers[int(next.Add(1)-1)%len(peers)]
+				for pb.Next() {
+					if _, err := peer.Stat(ctx, bm.dir+"/f"); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
 		})
 	}
 }

@@ -322,9 +322,9 @@ func (c *Client) twopcResolver() {
 			return
 		}
 		now := c.env.Now()
-		for _, ld := range c.led {
+		for _, ld := range c.ledSet() {
 			for _, pr := range ld.renames {
-				if pr.Due(now, c.opts.LeasePeriod, ld.lease.Live(now)) {
+				if pr.Due(now, c.opts.LeasePeriod, ld.lease.Load().Live(now)) {
 					due = append(due, pr)
 				}
 			}

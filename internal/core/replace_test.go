@@ -178,7 +178,7 @@ func TestLapsedCoordinatorWritesNoDecision(t *testing.T) {
 	// as a redirect leaves it.
 	crash.Arm(crashpoint.TwoPCPostPrepare, func() {
 		coord.mu.Lock()
-		delete(coord.led, srcDir)
+		coord.unlead(srcDir)
 		coord.mu.Unlock()
 	})
 	table, _ := part.ledDirFor(dstDir)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
+	"time"
 
 	"arkfs/internal/obs"
 	"arkfs/internal/rpc"
@@ -52,12 +54,27 @@ func (c *Client) admit(origin rpc.Addr, m msgInfo) error {
 	return nil
 }
 
+// servedLapsed counts the requests dispatch served from a ledDir whose lease
+// was not live at the clock reading the request arrived with, while a test
+// that churns the led set has servesChecked set.
+var (
+	servesChecked atomic.Bool
+	servedLapsed  atomic.Int64
+)
+
 // dispatch runs req against dir, the directory the message table names for
 // it. If this client does not lead dir the answer is ESTALE: the caller was
 // redirected here but our lease is gone, so it must rediscover. FlushCacheReq
 // names no directory; it is addressed to a lease holder, not to a leader.
 func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response {
+	var arrived time.Duration
+	if servesChecked.Load() {
+		arrived = c.env.Now()
+	}
 	ld, leads := c.ledDirFor(dir)
+	if leads && servesChecked.Load() && !ld.lease.Load().Live(arrived) {
+		servedLapsed.Add(1)
+	}
 	if _, toHolder := req.(FlushCacheReq); !leads && !toHolder {
 		return ErrResp{Err: "ESTALE"}
 	}
@@ -137,9 +154,12 @@ func (c *Client) serveWalk(ctx context.Context, ld *ledDir, r WalkReq) WalkResp 
 			}
 		}
 		resp.Inodes = append(resp.Inodes, child)
+		if child.Type != types.TypeDir {
+			break
+		}
 		var leads bool
 		if ld, leads = c.ledDirFor(child.Ino); !leads {
-			break // not a directory, or not ours: the walker asks its leader
+			break // not ours: the walker asks its leader
 		}
 		dir = child.Ino
 	}

@@ -122,10 +122,8 @@ func createFile(c *Client, path string) error {
 // installed reports whether c has dir in its led set, and whether that
 // entry's lease has run out.
 func installed(c *Client, dir types.Ino) (led, lapsed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ld, ok := c.led[dir]
-	return ok, ok && !ld.lease.Live(c.env.Now())
+	ld := c.ledEntry(dir)
+	return ld != nil, ld != nil && !ld.lease.Load().Live(c.env.Now())
 }
 
 // A takeover that ends after its lease has lapsed must not install

@@ -82,18 +82,34 @@ type Limits struct {
 	Burst float64 // bucket depth (instantaneous allowance)
 }
 
+// idle reports whether b answers every Take from now on as a fresh bucket
+// would: it has refilled to its burst, and its last hint lies at least one
+// token step in the past, so no future hint is spaced from it.
+func (b *TokenBucket) idle(now time.Time) bool {
+	step := time.Duration(float64(time.Second) / b.rate)
+	full := b.tokens+b.rate*now.Sub(b.last).Seconds() >= b.burst
+	return full && !b.hint.Add(step).After(now)
+}
+
 // Limiter is token-bucket admission control with one bucket per caller, each
 // at the same limits. It is nil-safe: a nil *Limiter admits everything.
 type Limiter struct {
 	mu      sync.Mutex
 	lim     Limits
 	buckets map[string]*TokenBucket
+	// sweepAt is the number of buckets at which Admit next drops the idle
+	// ones: twice what the last sweep kept, so each Admit pays O(1) on
+	// average and the map stays within twice the callers not yet idle.
+	sweepAt int
 }
+
+// minSweep is the fewest buckets a sweep waits for.
+const minSweep = 64
 
 // NewLimiter builds a limiter that gives every caller lim. A non-positive
 // rate disables limiting (every call is admitted).
 func NewLimiter(lim Limits) *Limiter {
-	return &Limiter{lim: lim, buckets: make(map[string]*TokenBucket)}
+	return &Limiter{lim: lim, buckets: make(map[string]*TokenBucket), sweepAt: minSweep}
 }
 
 // Admit charges one operation to caller's bucket. Refusals carry the
@@ -105,6 +121,16 @@ func (l *Limiter) Admit(caller string, now time.Time) (ok bool, retryAfter time.
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if len(l.buckets) >= l.sweepAt {
+		// An idle bucket is indistinguishable from the fresh one its
+		// caller's next Admit would make, so dropping it changes no answer.
+		for k, b := range l.buckets {
+			if b.idle(now) {
+				delete(l.buckets, k)
+			}
+		}
+		l.sweepAt = max(2*len(l.buckets), minSweep)
+	}
 	b := l.buckets[caller]
 	if b == nil {
 		b = NewTokenBucket(l.lim.Rate, l.lim.Burst)

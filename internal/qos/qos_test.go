@@ -1,6 +1,8 @@
 package qos
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -120,4 +122,46 @@ func TestLimiterPerCaller(t *testing.T) {
 	if ok, _ := nilL.Admit("a", now); !ok {
 		t.Fatal("nil limiter must admit")
 	}
+}
+
+// TestLimiterDropsIdleBuckets: over a seeded trace of 10^4 origins, a limiter
+// that drops idle buckets answers every call exactly as one that keeps every
+// bucket (decision and hint), and its map stays far below the number of
+// origins it has seen. Sixteen of the origins take turns being hot: eight at a
+// time, for about 50 ms, are refused and promised retry slots far ahead, then
+// go quiet long enough to refill, and come back before those slots pass.
+func TestLimiterDropsIdleBuckets(t *testing.T) {
+	lim := Limits{Rate: 100, Burst: 4}
+	l := NewLimiter(lim)
+	kept := make(map[string]*TokenBucket)
+	rng := rand.New(rand.NewSource(1))
+	now, most := at(0), 0
+	for i := 0; i < 200_000; i++ {
+		now = now.Add(time.Duration(rng.Intn(20)) * time.Microsecond)
+		caller := fmt.Sprintf("c%d", rng.Intn(10_000))
+		if i%4 == 0 { // about 3,000 calls/s each
+			caller = fmt.Sprintf("hot%d", 8*(i/5_000%2)+rng.Intn(8))
+		}
+		b := kept[caller]
+		if b == nil {
+			b = NewTokenBucket(lim.Rate, lim.Burst)
+			kept[caller] = b
+		}
+		wantOK, wantAfter := b.Take(now)
+		ok, after := l.Admit(caller, now)
+		if ok != wantOK || after != wantAfter {
+			t.Fatalf("call %d (%s at %v): admit %v after %v, a limiter that keeps every bucket says %v after %v",
+				i, caller, now.Sub(at(0)), ok, after, wantOK, wantAfter)
+		}
+		most = max(most, len(l.buckets))
+	}
+	if len(kept) < 9_900 {
+		t.Fatalf("the trace reached only %d origins", len(kept))
+	}
+	// A bucket refills within 40 ms and a call comes every 10 µs on average,
+	// so about 4,000 calls, and fewer origins, are not yet idle at a time.
+	if most > 2*4_000+minSweep {
+		t.Fatalf("the limiter held up to %d buckets for %d origins", most, len(kept))
+	}
+	t.Logf("%d origins, at most %d buckets held", len(kept), most)
 }
