@@ -176,10 +176,18 @@ type ledDir struct {
 	// epoch unchanged has nothing new to make durable and skips the journal
 	// barrier entirely.
 	durableEpoch uint64
-	// released is set under opMu when ReleaseDir gives the directory up. A
-	// mutation that takes opMu later refuses with ESTALE, so the flush that
-	// follows holds every mutation this table acknowledged.
+	// released is set under opMu when ReleaseDir or Close gives the
+	// directory up. A mutation that takes opMu later refuses with ESTALE, so
+	// the flush that follows holds every mutation this table acknowledged.
 	released bool
+}
+
+// release marks ld released under opMu and stops its table before a handoff.
+func (ld *ledDir) release() {
+	ld.opMu.Lock()
+	ld.released = true
+	ld.opMu.Unlock()
+	ld.table.Stop()
 }
 
 // grant replaces the lease with a grant of period under id, requested at
@@ -462,13 +470,23 @@ func (c *Client) Close() error {
 
 	// Close is a lease-handoff barrier: the journal FlushAll is the strong
 	// (commit + checkpoint) form, because a cleanly released directory is
-	// loaded by the next leader without journal replay. Both flush failures
+	// loaded by the next leader without journal replay. Every table takes its
+	// last mutation before that flush, as in ReleaseDir. Both flush failures
 	// matter to the caller — a swallowed journal error here would report a
 	// clean close over lost acknowledged metadata — so the errors are joined
 	// rather than first-one-wins.
-	err := errors.Join(c.data.FlushAll(), c.jrnl.FlushAll(), c.takeWBErr())
+	derr := c.data.FlushAll()
+	inos := make([]types.Ino, 0, len(held))
+	for ino := range held {
+		inos = append(inos, ino)
+	}
+	slices.SortFunc(inos, types.Ino.Compare)
+	for _, ino := range inos {
+		held[ino].release()
+	}
+	err := errors.Join(derr, c.jrnl.FlushAll(), c.takeWBErr())
 	c.awaitReturns()
-	inos := c.stopTables(held)
+	c.stopTables(held)
 	for _, ino := range inos {
 		// A table that holds a prepared rename releases uncleanly, as in
 		// ReleaseDir.
@@ -517,9 +535,9 @@ func (c *Client) ledSet() map[types.Ino]*ledDir {
 
 // stopTables stops the tables of directories this client no longer leads
 // and waits for their loaders to end, so that no GET of theirs outlives the
-// client. It goes in inode order, returned: the order of the waits must not
-// depend on map order.
-func (c *Client) stopTables(dropped map[types.Ino]*ledDir) []types.Ino {
+// client. It goes in inode order: the order of the waits must not depend on
+// map order.
+func (c *Client) stopTables(dropped map[types.Ino]*ledDir) {
 	inos := make([]types.Ino, 0, len(dropped))
 	for ino := range dropped {
 		inos = append(inos, ino)
@@ -529,7 +547,6 @@ func (c *Client) stopTables(dropped map[types.Ino]*ledDir) []types.Ino {
 	for _, ino := range inos {
 		dropped[ino].table.Await()
 	}
-	return inos
 }
 
 // chargeFUSE models the FUSE request overhead for one application-visible
@@ -1020,10 +1037,7 @@ func (c *Client) ReleaseDir(dir types.Ino) error {
 	if ld == nil {
 		return nil
 	}
-	ld.opMu.Lock()
-	ld.released = true
-	ld.opMu.Unlock()
-	ld.table.Stop()
+	ld.release()
 	err := c.jrnl.Flush(dir)
 	c.jrnl.DropDir(dir)
 	c.mu.Lock()

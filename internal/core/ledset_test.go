@@ -178,51 +178,61 @@ func TestLedSetUnderChurn(t *testing.T) {
 	}
 }
 
-// A mutation that passed the leader check before ReleaseDir began lands in
+// A mutation that passed the leader check before a release began lands in
 // the flush that precedes the release, or is refused: here a forwarded create
-// waits for the table's opMu, which the test holds, while the leader releases
-// the directory. Without the release's own turn on opMu the create went into
-// the dropped table after the flush, was acknowledged, and the directory's
-// next leader, loading what the clean release checkpointed, had no such file.
-// No event marks the create's arrival at opMu or the release's, so the test
-// gives each a tenth of a second.
+// waits for the table's opMu, which the test holds, while the leader gives
+// the directory up, by ReleaseDir or by Close. Without the release's own turn
+// on opMu the create went into the dropped table after the flush, was
+// acknowledged, and the directory's next leader, loading what the clean
+// release checkpointed, had no such file. No event marks the create's arrival
+// at opMu or the release's, so the test gives each a tenth of a second.
 func TestReleaseDirTakesNoMutationAfterItsFlush(t *testing.T) {
-	tc := newTestCluster(t)
-	leader, peer := tc.client(t, "leader"), tc.client(t, "peer")
-	ctx := context.Background()
-	if err := leader.Mkdir(ctx, "/d", 0777); err != nil {
-		t.Fatal(err)
-	}
-	seedFile(t, leader, "/d/seed", "", 0666)
-	dir := statIno(t, leader, "/d")
-	if _, err := peer.Stat(ctx, "/d/seed"); err != nil || peer.Leads(dir) {
-		t.Fatalf("setup: the peer should reach /d through the leader (%v)", err)
-	}
-	ld, ok := leader.ledDirFor(dir)
-	if !ok {
-		t.Fatal("setup: the leader does not lead /d")
-	}
-	ld.opMu.Lock()
-	made, released := make(chan error, 1), make(chan error, 1)
-	go func() {
-		f, err := peer.Create(ctx, "/d/f", 0644)
-		if err == nil {
-			err = f.Close()
-		}
-		made <- err
-	}()
-	time.Sleep(100 * time.Millisecond)
-	go func() { released <- leader.ReleaseDir(dir) }()
-	time.Sleep(100 * time.Millisecond)
-	ld.opMu.Unlock()
-	if err := <-released; err != nil {
-		t.Fatalf("release: %v", err)
-	}
-	if err := <-made; err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	if _, err := peer.Stat(ctx, "/d/f"); err != nil {
-		t.Fatalf("the acknowledged create is gone after the release: %v", err)
+	for _, tt := range []struct {
+		name    string
+		release func(c *Client, dir types.Ino) error
+	}{
+		{"ReleaseDir", (*Client).ReleaseDir},
+		{"Close", func(c *Client, _ types.Ino) error { return c.Close() }},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc := newTestCluster(t)
+			leader, peer := tc.client(t, "leader"), tc.client(t, "peer")
+			ctx := context.Background()
+			if err := leader.Mkdir(ctx, "/d", 0777); err != nil {
+				t.Fatal(err)
+			}
+			seedFile(t, leader, "/d/seed", "", 0666)
+			dir := statIno(t, leader, "/d")
+			if _, err := peer.Stat(ctx, "/d/seed"); err != nil || peer.Leads(dir) {
+				t.Fatalf("setup: the peer should reach /d through the leader (%v)", err)
+			}
+			ld, ok := leader.ledDirFor(dir)
+			if !ok {
+				t.Fatal("setup: the leader does not lead /d")
+			}
+			ld.opMu.Lock()
+			made, released := make(chan error, 1), make(chan error, 1)
+			go func() {
+				f, err := peer.Create(ctx, "/d/f", 0644)
+				if err == nil {
+					err = f.Close()
+				}
+				made <- err
+			}()
+			time.Sleep(100 * time.Millisecond)
+			go func() { released <- tt.release(leader, dir) }()
+			time.Sleep(100 * time.Millisecond)
+			ld.opMu.Unlock()
+			if err := <-released; err != nil {
+				t.Fatalf("release: %v", err)
+			}
+			if err := <-made; err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			if _, err := peer.Stat(ctx, "/d/f"); err != nil {
+				t.Fatalf("the acknowledged create is gone after the release: %v", err)
+			}
+		})
 	}
 }
 

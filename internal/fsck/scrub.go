@@ -49,10 +49,11 @@ type ScrubReport struct {
 }
 
 type scrubber struct {
-	store  objstore.Store
-	tr     *prt.Translator
-	repair bool
-	rep    *ScrubReport
+	store   objstore.Store
+	tr      *prt.Translator
+	repair  bool
+	rep     *ScrubReport
+	rebuilt bool // a dentry block was rebuilt: orphans go to quarantine
 }
 
 // Scrub checks the image and repairs what the journal can prove. With
@@ -76,6 +77,8 @@ type scrubber struct {
 //     file reads a hole there;
 //  6. orphans (unreachable inodes, dentry blocks, chunks, journals) are
 //     collected — only when no valid journal record is pending anywhere.
+//     After a step 4 rebuild they are quarantined instead (journals aside):
+//     the children a rebuilt block lost are orphans, not garbage.
 func Scrub(store objstore.Store, repair bool) (*ScrubReport, error) {
 	pre, err := Check(store)
 	if err != nil {
@@ -312,6 +315,7 @@ func (s *scrubber) dentries() error {
 		if err := s.quarantine(k, "corrupt dentry block"); err != nil {
 			return err
 		}
+		s.rebuilt = true
 		if !s.act("rebuild-dentries", k, "replaying the journal of %s", dir.Short()) {
 			continue
 		}
@@ -407,25 +411,28 @@ func (s *scrubber) collectOrphans() error {
 		return err
 	}
 	for _, p := range rep.Problems {
+		keys, detail := []string{p.Path}, p.Detail
 		switch p.Kind {
 		case "orphan-inode", "orphan-dentries":
-			if s.act("gc", p.Path, "%s", p.Detail) {
-				if err := s.store.Delete(p.Path); err != nil && !errors.Is(err, types.ErrNotExist) {
-					return fmt.Errorf("fsck: gc %s: %w", p.Path, err)
-				}
-			}
 		case "orphan-chunks", "dangling-chunks", "orphan-journal":
 			// Path is the key prefix of the group; collect every member.
-			keys, err := s.store.List(p.Path + ":")
-			if err != nil {
+			if keys, err = s.store.List(p.Path + ":"); err != nil {
 				return fmt.Errorf("fsck: gc list %s: %w", p.Path, err)
 			}
-			for _, k := range keys {
-				if s.act("gc", k, "%s", p.Kind) {
-					if err := s.store.Delete(k); err != nil && !errors.Is(err, types.ErrNotExist) {
-						return fmt.Errorf("fsck: gc %s: %w", k, err)
-					}
+			detail = p.Kind
+		default:
+			continue
+		}
+		for _, k := range keys {
+			if s.rebuilt && p.Kind != "orphan-journal" {
+				err = s.quarantine(k, "unreachable after a dentry rebuild: "+detail)
+			} else if s.act("gc", k, "%s", detail) {
+				if err = s.store.Delete(k); errors.Is(err, types.ErrNotExist) {
+					err = nil
 				}
+			}
+			if err != nil {
+				return fmt.Errorf("fsck: gc %s: %w", k, err)
 			}
 		}
 	}

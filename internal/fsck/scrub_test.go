@@ -215,6 +215,45 @@ func TestScrubRebuildsDentriesFromJournal(t *testing.T) {
 	}
 }
 
+// Checkpoints delete the journal records they apply, so a dentry block
+// rebuilt from the journal of a flushed directory is empty, and every child
+// it named is unreachable. Those children are what the lost block held, not
+// garbage: the scrub moves them under quarantine and deletes none of them.
+func TestScrubQuarantinesWhatARebuildCouldNotPlace(t *testing.T) {
+	store, _ := buildImage(t)
+	var live []string
+	for _, prefix := range []string{prt.PrefixInode, prt.PrefixDentry, prt.PrefixData} {
+		keys, err := store.List(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if k != prt.InodeKey(types.RootIno) && k != prt.DentryKey(types.RootIno) {
+				live = append(live, k)
+			}
+		}
+	}
+	if len(live) < 5 { // /docs (i:, e:), a.txt (i:, 3 d:), /link (i:)
+		t.Fatalf("setup: the image holds %v below the root", live)
+	}
+	flipBit(t, store, prt.DentryKey(types.RootIno))
+	rep, err := Scrub(store, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := actions(rep); a["rebuild-dentries"] != 1 || a["gc"] != 0 {
+		t.Fatalf("actions: %v", rep.Actions)
+	}
+	for _, k := range live {
+		if _, err := store.Get(QuarantinePrefix + k); err != nil {
+			t.Errorf("%s is not under quarantine: %v", k, err)
+		}
+	}
+	if !rep.Post.Clean() {
+		t.Fatalf("post-repair check not clean: %v", rep.Post.Problems)
+	}
+}
+
 func TestScrubTruncatesJournalAtFirstCorruptRecord(t *testing.T) {
 	store, _ := buildImage(t)
 	dir := types.RootIno

@@ -324,7 +324,7 @@ func (r *chaosRun) newClient(slot *slotState, idx int) {
 		r.logf("crash fired: slot %d gen %d at %s", idx, gen, site)
 	})
 	o := r.options(fmt.Sprintf("s%d-g%d", idx, gen), r.cfg.Seed*7919+int64(idx)*1000+int64(gen)+1)
-	o.Journal.CheckpointFanout, o.Journal.PipelineDepth = 8, 4
+	o.Journal.CheckpointFanout = 8
 	o.Cache = cache.Config{EntrySize: r.chunk, MaxEntries: 32, FlushParallelism: 4, PrefetchParallelism: 2}
 	o.RPCWorkers, o.AcquireRetries, o.Obs, o.Crash = 4, 64, r.reg, set
 	c := core.New(r.net, prt.New(r.fault, r.chunk), o)

@@ -229,7 +229,7 @@ func TestChaosDirectedLeaderCrashDuringPartition(t *testing.T) {
 
 // TestChaosDirectedAsyncCommitCrash scripts the async commit pipeline's
 // acknowledged-durable contract: a leader acknowledges a burst of creates
-// spread over several commit ticks (multiple records in flight at once),
+// spread over several commit ticks (several records sealed and queued),
 // fsyncs them, then dies the instant a later record lands — before any of
 // its checkpoints. The successor's replay must surface every fsync'd file,
 // and the run must be deterministic under the virtual clock: two identical
@@ -248,10 +248,10 @@ func TestChaosDirectedAsyncCommitCrash(t *testing.T) {
 			mgr := lease.NewManager(net, lease.Options{Period: lp, Workers: 8})
 			defer mgr.Close()
 
-			// A short interval and a deep window keep several journal PUTs of
-			// the same directory in flight at once.
+			// A short interval seals a record of the same directory on every
+			// tick, so records queue behind the one PUT in flight.
 			jcfg := journal.Config{CommitInterval: lp / 16, CommitWorkers: 8,
-				CheckpointWorkers: 4, PipelineDepth: 8}
+				CheckpointWorkers: 4}
 			set := crashpoint.NewSet()
 			leader := core.New(net, prt.New(cluster, 4096), core.Options{
 				ID: "leader", Cred: types.Cred{Uid: 1, Gid: 1}, LeasePeriod: lp,

@@ -235,7 +235,7 @@ type ArkFSOptions struct {
 	QoSRate  float64
 	QoSBurst float64
 	// Journal configures every client's journal (zero: 1 s commit interval,
-	// 4 commit and 4 checkpoint workers, fan-out 64, pipeline depth 8).
+	// 4 commit and 4 checkpoint workers, fan-out 64).
 	Journal journal.Config
 }
 
@@ -258,7 +258,6 @@ func BuildArkFS(env sim.Env, cal Calibration, prof objstore.Profile, n int, o Ar
 		o.Journal = journal.Config{
 			CommitInterval: time.Second, CommitWorkers: 4,
 			CheckpointWorkers: 4, CheckpointFanout: 64,
-			PipelineDepth: 8,
 		}
 	}
 	cluster := newCluster(env, prof, o.ChunkSize)

@@ -1,15 +1,14 @@
 // Package journal implements ArkFS's per-directory journaling (paper §III-E)
-// with an asynchronous, pipelined commit path.
+// with an asynchronous commit path.
 //
 // Each directory a client leads gets its own journal: a sequence of objects
 // "j:<dir>:<seq>" holding CRC-protected compound transactions. Metadata
 // mutations are acknowledged immediately from the in-memory metatable and
 // accumulate in a running transaction for up to the commit interval (1 s by
 // default). When the interval tick fires, every dirty directory is sealed in
-// one pass (cross-directory group commit) and the sealed records feed a
-// pipelined PUT stage: up to PipelineDepth records of the same directory may
-// be in flight at once, each written by any put worker, so record N+1 is
-// encoded and sent while record N is still on the wire.
+// one pass (cross-directory group commit). As in the paper, a directory has
+// one record's PUT in flight at a time, and its PUTs and checkpoints go to
+// commit and checkpoint workers mapped statically by directory inode.
 //
 // Sequence order, durability and what each barrier promises are one rule
 // per directory, the pipe type (pipe.go): the watermark advances only
@@ -56,10 +55,6 @@ type Config struct {
 	// CheckpointFanout bounds the concurrent inode-object writes one
 	// transaction's checkpoint issues (they are independent objects).
 	CheckpointFanout int
-	// PipelineDepth bounds how many journal PUTs of one directory may be in
-	// flight at once. 1 serializes appends (the pre-async behavior); higher
-	// values overlap record N+1's PUT with record N's.
-	PipelineDepth int
 	// Crash, when non-nil, announces the commit/checkpoint/2PC crash sites
 	// this journal passes through; chaos scenarios arm it. Nil is inert.
 	Crash *crashpoint.Set
@@ -74,9 +69,9 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
-// DefaultConfig matches the paper's settings plus the async pipeline depth.
+// DefaultConfig matches the paper's settings.
 func DefaultConfig() Config {
-	return Config{CommitInterval: time.Second, CommitWorkers: 4, CheckpointWorkers: 4, CheckpointFanout: 16, PipelineDepth: 4}
+	return Config{CommitInterval: time.Second, CommitWorkers: 4, CheckpointWorkers: 4, CheckpointFanout: 16}
 }
 
 // Journal manages every per-directory journal owned by one client.
@@ -128,8 +123,6 @@ type dirJournal struct {
 	cancel   func() bool       // the armed commit timer; nil when none is
 
 	p pipe[*record, *sim.Chan[error]]
-	// What j.gInflight counts of p: its PUTs in flight.
-	inflight int
 }
 
 // record is one sealed journal transaction on its way to the store and then
@@ -158,9 +151,6 @@ func New(env sim.Env, tr *prt.Translator, cfg Config) *Journal {
 	}
 	if cfg.CheckpointFanout <= 0 {
 		cfg.CheckpointFanout = 16
-	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = 4
 	}
 	j := &Journal{env: env, tr: tr, cfg: cfg, trace: cfg.Trace, dirs: make(map[types.Ino]*dirJournal)}
 	j.cAppends = cfg.Obs.Counter("journal.appends")
@@ -231,11 +221,12 @@ func (j *Journal) sortedLocked() []*dirJournal {
 	return djs
 }
 
-// ckptQ returns the checkpoint queue statically assigned to dir: one
-// directory's checkpoints always serialize through the same worker, which is
-// what keeps them applied in sequence order.
-func (j *Journal) ckptQ(dir types.Ino) *sim.Chan[*record] {
-	return j.ckptQs[int(dir.Lo()%uint64(len(j.ckptQs)))]
+// worker returns the queue of the worker statically assigned to dir, the
+// paper's mapping by directory inode: one directory's PUTs always go to the
+// same commit worker, and its checkpoints serialize through the same
+// checkpoint worker, which is what keeps them applied in sequence order.
+func worker[T any](qs []*sim.Chan[T], dir types.Ino) *sim.Chan[T] {
+	return qs[int(dir.Lo()%uint64(len(qs)))]
 }
 
 // dirJournal returns (creating if needed) the journal of dir.
@@ -249,7 +240,7 @@ func (j *Journal) dirJournalLocked(dir types.Ino) *dirJournal {
 	dj := j.dirs[dir]
 	if dj == nil {
 		dj = &dirJournal{dir: dir}
-		dj.p.init(dir, j.cfg.PipelineDepth)
+		dj.p.init(dir)
 		j.dirs[dir] = dj
 	}
 	return dj
@@ -260,13 +251,12 @@ func (j *Journal) dirJournalLocked(dir types.Ino) *dirJournal {
 // closed journal cannot queue fails like one the store refused. The caller
 // holds dj.mu, and deletes the returned keys once it dropped it.
 func (j *Journal) run(dj *dirJournal, fx *pipeFx[*record, *sim.Chan[error]]) (doomed []string) {
-	var failed []slot[*record]
 	for fx != nil {
 		for _, r := range fx.ckpts {
 			// Time to watermark: seal → contiguous durability. This is what a
 			// barrier waiting on this record actually experiences.
 			j.hWatermark.ObserveTrace(j.env.Now()-r.sealAt, r.sc.Trace)
-			if !j.ckptQ(dj.dir).Send(r) {
+			if !worker(j.ckptQs, dj.dir).Send(r) {
 				dj.p.ckptDone(fmt.Errorf("journal: shut down before checkpoint of %s: %w", r.key, types.ErrIO))
 			}
 		}
@@ -276,22 +266,17 @@ func (j *Journal) run(dj *dirJournal, fx *pipeFx[*record, *sim.Chan[error]]) (do
 		for _, r := range fx.doomed {
 			doomed = append(doomed, r.key)
 		}
-		for _, s := range fx.puts {
-			q := j.putQs[int((dj.dir.Lo()+s.seq)%uint64(len(j.putQs)))]
-			if !q.Send(s) {
-				failed = append(failed, s)
-			}
-		}
+		puts := fx.puts // at most one, read before putFailed reuses fx
 		fx = nil
-		if len(failed) > 0 {
-			s := failed[0]
-			failed = failed[1:]
-			fx = dj.p.putFailed(s, fmt.Errorf("journal: shut down during commit of %s: %w", s.rec.key, types.ErrIO))
+		for _, s := range puts {
+			if worker(j.putQs, dj.dir).Send(s) {
+				j.gInflight.Add(1)
+			} else {
+				fx = dj.p.putFailed(s, fmt.Errorf("journal: shut down during commit of %s: %w", s.rec.key, types.ErrIO))
+			}
 		}
 	}
 	dj.p.begin()
-	j.gInflight.Add(int64(dj.p.inflight - dj.inflight))
-	dj.inflight = dj.p.inflight
 	return doomed
 }
 
@@ -459,8 +444,8 @@ func (j *Journal) putLoop(q *sim.Chan[slot[*record]]) {
 		rec, dj := s.rec, s.rec.dj
 		j.cfg.Crash.Hit(crashpoint.PreJournalPut)
 		start := j.env.Now()
-		// Queue wait: seal → PUT start. Separates time spent behind the
-		// pipeline window / worker queues from the PUT itself.
+		// Queue wait: seal → PUT start. Separates time spent queued behind
+		// the directory's PUT in flight from the PUT itself.
 		wait := start - rec.sealAt
 		j.hCommitWait.ObserveTrace(wait, rec.sc.Trace)
 		sp := j.trace.StartChild(rec.sc, "journal.commit", rec.key)
@@ -468,6 +453,7 @@ func (j *Journal) putLoop(q *sim.Chan[slot[*record]]) {
 		sp.SetWait(wait)
 		put := j.trace.StartChild(sp.Context(), "objstore.put", rec.key)
 		err := j.tr.Store().Put(rec.key, wire.EncodeTxn(rec.txn))
+		j.gInflight.Add(-1)
 		put.End(err)
 		sp.End(err)
 		if err != nil {
@@ -539,7 +525,7 @@ func (j *Journal) Flush(dir types.Ino) error {
 // answer. A closed worker still answers what was queued before.
 func (j *Journal) await(r *record) error {
 	r.done = sim.NewChan[error](j.env)
-	if !j.ckptQ(r.dj.dir).Send(r) {
+	if !worker(j.ckptQs, r.dj.dir).Send(r) {
 		return fmt.Errorf("journal: shut down before %s's checkpoint worker answered: %w", r.dj.dir.Short(), types.ErrIO)
 	}
 	err, _ := r.done.Recv()

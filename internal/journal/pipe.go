@@ -2,6 +2,7 @@ package journal
 
 import (
 	"fmt"
+	"slices"
 
 	"arkfs/internal/types"
 )
@@ -15,12 +16,11 @@ import (
 //
 // R is the caller's sealed record, W a parked barrier's handle.
 type pipe[R, W any] struct {
-	dir       types.Ino // for the messages only
-	depth     int       // PUTs of this directory in flight at once
-	next      uint64    // the sequence reserve hands out next
-	gen       uint64    // bumped by poison and reset: a PUT of an older one is void
-	queued    []slot[R] // sealed, waiting for a window slot
-	inflight  int
+	dir       types.Ino          // for the messages only
+	next      uint64             // the sequence reserve hands out next
+	gen       uint64             // bumped by poison and reset: a PUT of an older one is void
+	queued    []slot[R]          // sealed, waiting for the PUT in flight to answer
+	busy      bool               // a PUT, void or live, is in flight: one at a time
 	landed    map[uint64]slot[R] // durable records and holes above the watermark
 	durableTo uint64             // every sequence below is durable, a hole, or poisoned past
 	barriers  []parked[W]
@@ -66,14 +66,14 @@ type woken[W any] struct {
 type pipeFx[R, W any] struct {
 	ckpts  []R        // checkpoints to queue, in sequence order
 	wake   []woken[W] // barriers to answer
-	puts   []slot[R]  // PUTs to start; each answers putLanded or putFailed
+	puts   []slot[R]  // the PUT to start, if any; it answers putLanded or putFailed
 	doomed []R        // landed records to delete: they must not replay
 }
 
 var errReset = fmt.Errorf("journal: recovery replaced the pipeline under a barrier: %w", types.ErrIO)
 
-func (p *pipe[R, W]) init(dir types.Ino, depth int) {
-	p.dir, p.depth, p.landed = dir, depth, make(map[uint64]slot[R])
+func (p *pipe[R, W]) init(dir types.Ino) {
+	p.dir, p.landed = dir, make(map[uint64]slot[R])
 }
 
 // begin empties fx for the next transition. Its caller calls it too once it
@@ -94,65 +94,62 @@ func (p *pipe[R, W]) reserve() uint64 {
 }
 
 // seal puts rec, of sequence seq, into the pipeline: its PUT starts, or it
-// queues while depth PUTs are in flight.
+// queues while another PUT of the directory is in flight.
 func (p *pipe[R, W]) seal(seq uint64, rec R) *pipeFx[R, W] {
 	p.begin()
-	p.start(slot[R]{seq: seq, gen: p.gen, rec: rec})
+	p.queued = append(p.queued, slot[R]{seq: seq, gen: p.gen, rec: rec})
+	p.pump()
 	return &p.fx
 }
 
-func (p *pipe[R, W]) start(s slot[R]) {
-	if p.inflight >= p.depth {
-		p.queued = append(p.queued, s)
-		return
+// pump starts the first queued record's PUT unless one is in flight.
+func (p *pipe[R, W]) pump() {
+	if !p.busy && len(p.queued) > 0 {
+		p.busy = true
+		p.fx.puts = append(p.fx.puts, p.queued[0])
+		p.queued = slices.Delete(p.queued, 0, 1)
 	}
-	p.inflight++
-	p.fx.puts = append(p.fx.puts, s)
 }
 
 // putLanded: s's PUT succeeded. A record of a poisoned generation is deleted,
 // so that the journal stays a replayable prefix.
 func (p *pipe[R, W]) putLanded(s slot[R]) *pipeFx[R, W] {
 	p.begin()
-	p.inflight--
 	if s.gen != p.gen {
 		p.fx.doomed = append(p.fx.doomed, s.rec)
-		return &p.fx
+	} else {
+		p.landed[s.seq] = s
+		p.advance()
 	}
-	p.landed[s.seq] = s
-	p.advance()
-	for len(p.queued) > 0 && p.inflight < p.depth {
-		next := p.queued[0]
-		p.queued = p.queued[1:]
-		p.start(next)
-	}
+	p.busy = false
+	p.pump()
 	return &p.fx
 }
 
 // putFailed: s's PUT failed for good. A live record poisons its generation:
 // every record not yet durable is lost with it. The ones that landed above
-// the gap are deleted (replayed without their predecessor they could apply
-// ops whose prerequisites were lost), the queue is dropped, the PUTs in
-// flight are void, and the watermark jumps past them all. Every parked
+// the gap (waiting on a 2PC hole below them) are deleted (replayed without
+// their predecessor they could apply ops whose prerequisites were lost), the
+// queue is dropped, and the watermark jumps past them all. Every parked
 // barrier covers a lost record, so each answers err; with none parked, the
 // next barrier does.
 func (p *pipe[R, W]) putFailed(s slot[R], err error) *pipeFx[R, W] {
 	p.begin()
-	p.inflight--
-	if s.gen != p.gen {
-		return &p.fx
-	}
-	p.keep(err)
-	p.gen++
-	for seq := p.durableTo; seq < p.next; seq++ {
-		if l, ok := p.landed[seq]; ok && !l.hole {
-			p.fx.doomed = append(p.fx.doomed, l.rec)
+	if s.gen == p.gen {
+		p.keep(err)
+		p.gen++
+		for seq := p.durableTo; seq < p.next; seq++ {
+			if l, ok := p.landed[seq]; ok && !l.hole {
+				p.fx.doomed = append(p.fx.doomed, l.rec)
+			}
 		}
+		clear(p.landed)
+		p.queued = nil
+		p.durableTo = p.next
+		p.wake(true)
 	}
-	clear(p.landed)
-	p.queued = nil
-	p.durableTo = p.next
-	p.wake(true)
+	p.busy = false
+	p.pump()
 	return &p.fx
 }
 

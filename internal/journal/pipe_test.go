@@ -20,7 +20,6 @@ type pmPipe = pipe[int, int]
 
 const (
 	pmSeals = 4 // records sealed per sequence
-	pmDepth = 2 // PUTs in flight at once
 	pmRoom  = 2 * pmSeals
 )
 
@@ -116,7 +115,7 @@ func (s *pmState) cloneInto(c *pmState) {
 // in it is below 256.
 func (s *pmState) key(b []byte) []byte {
 	p := &s.p
-	b = append(b, byte(p.next), byte(p.durableTo), byte(p.inflight), bit(p.err != nil), bit(p.stuck != nil), bit(p.dropped))
+	b = append(b, byte(p.next), byte(p.durableTo), bit(p.busy), bit(p.err != nil), bit(p.stuck != nil), bit(p.dropped))
 	for _, q := range p.queued {
 		b = append(b, byte(q.rec))
 	}
@@ -255,6 +254,9 @@ func (m *pmModel) effects(s *pmState, fx *pipeFx[int, int]) {
 		s.parked = false
 		m.answered(s, "the barrier", s.target, w.err)
 	}
+	if len(fx.puts) > 1 {
+		m.fail("%d PUTs started at once", len(fx.puts))
+	}
 	for _, q := range fx.puts {
 		if q.gen != s.p.gen {
 			m.fail("PUT of record %d started in a dead generation", q.rec)
@@ -280,8 +282,11 @@ func (m *pmModel) check(s *pmState) {
 			m.fail("record %d was lost, and no error waits for the next barrier", i)
 		}
 	}
-	if p.inflight != s.nputs || p.inflight > pmDepth {
-		m.fail("%d PUTs in flight, the pipe counts %d (depth %d)", s.nputs, p.inflight, pmDepth)
+	if s.nputs > 1 || p.busy != (s.nputs == 1) {
+		m.fail("%d PUTs in flight, at most one; the pipe says busy %v", s.nputs, p.busy)
+	}
+	if !p.busy && len(p.queued) > 0 {
+		m.fail("%d sealed record(s) queued behind no PUT", len(p.queued))
 	}
 	if p.durableTo > p.next {
 		m.fail("durableTo %d beyond next %d", p.durableTo, p.next)
@@ -439,10 +444,12 @@ func (m *pmModel) explore(s *pmState) {
 }
 
 // TestJournalPipelineExhaustive drives one directory's pipe through every
-// order of: up to four seals at depth 2; each PUT landing or failing; each
-// checkpoint applying or failing, in queue order; and, by families, one
-// Barrier, one 2PC record's reserve and hole, one rename's resolve, one
-// Flush's drain, one reset (recovery) and one drop. After every step:
+// order of: up to four seals, one PUT in flight at a time; each PUT landing
+// or failing; each checkpoint applying or failing, in queue order; and, by
+// families, one Barrier, one 2PC record's reserve and hole, one rename's
+// resolve, one Flush's drain, one reset (recovery) and one drop. After every
+// step:
+// at most one PUT is in flight, and a queued record waits only behind one;
 // no sequence is handed out twice, even after a reset to below next;
 // durableTo passes no unlanded record of the live generation, and a record a
 // poison lost leaves an error for the next barrier; a barrier or drain
@@ -468,7 +475,7 @@ func TestJournalPipelineExhaustive(t *testing.T) {
 				m.family |= 1 << k
 			}
 			s := &pmState{}
-			s.p.init(types.Ino{}, pmDepth)
+			s.p.init(types.Ino{})
 			m.seen[string(s.key(nil))] = true
 			m.explore(s)
 			t.Logf("%d states, %d steps", len(m.seen), m.steps)

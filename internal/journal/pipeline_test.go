@@ -147,46 +147,8 @@ func TestBarrierIsDurabilityOnly(t *testing.T) {
 	})
 }
 
-// With PipelineDepth > 1 the journal starts record N+1's PUT while N's is
-// still in flight, so a burst of timed commits against a slow store finishes
-// in a fraction of the serialized time.
-func TestPipelineOverlapsJournalPuts(t *testing.T) {
-	elapsed := func(depth int) time.Duration {
-		env := sim.NewVirtEnv()
-		var total time.Duration
-		env.Run(func() {
-			fault := objstore.NewFaultStore(objstore.NewMemStore())
-			fault.InjectLatency(env, 50*time.Millisecond)
-			tr := prt.New(fault, 64)
-			j := New(env, tr, Config{CommitInterval: time.Millisecond, CommitWorkers: 8,
-				CheckpointWorkers: 2, PipelineDepth: depth})
-			defer j.Close()
-			src := types.NewInoSource(24)
-			dir := src.Next()
-			start := env.Now()
-			for i := 0; i < 8; i++ {
-				child := mkFileInode(src, 1)
-				j.Log(context.Background(), dir, createOps(dir, "f"+string(rune('a'+i)), child))
-				env.Sleep(2 * time.Millisecond) // let the timed commit seal this record
-			}
-			if err := j.Barrier(dir); err != nil {
-				t.Fatal(err)
-			}
-			total = env.Now() - start
-		})
-		return total
-	}
-	serial, piped := elapsed(1), elapsed(8)
-	// 8 records x 50ms PUT latency: serialized is ~400ms, pipelined is bounded
-	// by the last seal plus one PUT. Require at least a 2x gap so scheduler
-	// noise can never flake the assertion.
-	if piped*2 >= serial {
-		t.Fatalf("pipelining gained nothing: depth=1 %v vs depth=8 %v", serial, piped)
-	}
-}
-
-// Overlapping PUTs must not reorder a directory's checkpoints: records are
-// applied in sequence order no matter which commit worker lands first.
+// A directory's checkpoints apply its records in sequence order: each record
+// replaces what the one before it wrote.
 func TestPipelinePreservesPerDirOrder(t *testing.T) {
 	env := sim.NewVirtEnv()
 	env.Run(func() {
@@ -194,7 +156,7 @@ func TestPipelinePreservesPerDirOrder(t *testing.T) {
 		fault.InjectLatency(env, 10*time.Millisecond)
 		tr := prt.New(fault, 64)
 		j := New(env, tr, Config{CommitInterval: time.Millisecond, CommitWorkers: 8,
-			CheckpointWorkers: 4, PipelineDepth: 8})
+			CheckpointWorkers: 4})
 		defer j.Close()
 		src := types.NewInoSource(25)
 		dir := src.Next()
