@@ -53,8 +53,8 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 16 {
-		t.Fatalf("%d rows in the table, want the sixteen gated benchmarks", len(want))
+	if len(want) != 17 {
+		t.Fatalf("%d rows in the table, want the seventeen gated benchmarks", len(want))
 	}
 	got := map[string]reading{}
 	for name, r := range want {
@@ -73,7 +73,7 @@ func TestTableStopsTheChunkSizedSmallFile(t *testing.T) {
 		t.Fatalf("a forwarded stat of five messages: %q", bad)
 	}
 	// And an OpenReq after the walk (ISSUE 24's parent).
-	got["BenchmarkForwardedOpenReadClose"] = reading{9130, 70}
+	got["BenchmarkForwardedOpenReadClose/one"] = reading{9130, 70}
 	if bad := check(want, got); len(bad) != 3 {
 		t.Fatalf("a forwarded open of three messages: %q", bad)
 	}

@@ -117,6 +117,11 @@ type Client struct {
 	quiet      *sim.Chan[struct{}] // made by a FlushAll or Close that waits for hold's returns
 	keepPeriod time.Duration       // what the leaseKeeper wakes for
 
+	// returns holds, per leader, the remote returns queued or in flight to it
+	// (queueReturn); spareReturns is the last emptied queue, kept for its arrays.
+	returns      map[rpc.Addr]*returnQueue
+	spareReturns *returnQueue
+
 	grantSeq atomic.Uint64 // as a leader: the last number a data-lease grant was given
 
 	// wbErr records the first background write-back failure (lease-recall or
@@ -318,6 +323,7 @@ func New(net *rpc.Network, tr *prt.Translator, opts Options) *Client {
 
 		acquiring:  make(map[types.Ino]*acquisition),
 		keepPeriod: opts.LeasePeriod,
+		returns:    make(map[rpc.Addr]*returnQueue),
 	}
 	c.jrnl.SetTxnIDBase(uint64(opts.Seed) & 0xFFFFFFFF)
 	if opts.Obs != nil {

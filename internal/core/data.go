@@ -176,7 +176,7 @@ func (c *Client) unref(of *openFile) {
 	last := c.hold.close(&of.lease)
 	c.mu.Unlock()
 	if !last || !c.data.Dirty(of.ino) {
-		c.release(of, false) // which stands down while a handle holds the record
+		c.release(of) // which stands down while a handle holds the record
 		return
 	}
 	c.env.Go(func() {
@@ -184,50 +184,99 @@ func (c *Client) unref(of *openFile) {
 			c.recordWBErr(err)
 			return
 		}
-		c.release(of, true)
+		c.release(of)
 	})
 }
 
 // release invalidates the cache and gives the lease back if leaseHolder.release
-// decides so; a remote leader's return leaves on a goroutine unless inline.
-func (c *Client) release(of *openFile, inline bool) {
+// decides so. A return to this client's own table, or of a lease no leader
+// lists, ends here. One to a remote leader goes to whoever listed this client,
+// not through the lease manager, which could make this client the leader: it
+// joins that leader's queue (queueReturn) and ends when the message carrying
+// it is answered.
+func (c *Client) release(of *openFile) {
 	c.mu.Lock()
 	ld, leads := c.ledDirFor(of.parent)
 	back, ok := c.hold.release(&of.lease, c.data.Dirty(of.ino), leads)
 	if ok {
 		c.data.Invalidate(of.ino)
 	}
+	switch {
+	case !ok:
+	case back.to != "":
+		c.queueReturn(of, back)
+	case !back.self: // no leader lists this client
+		c.endReturn(of.ino, false)
+	}
 	c.mu.Unlock()
 	if back.self {
 		ld.opMu.Lock()
 		ld.leases.release(of.ino, c.addr, back.grant)
 		ld.opMu.Unlock()
-	}
-	switch {
-	case !ok:
-	case back.to == "" || inline:
-		c.giveBack(of, back)
-	default:
-		c.env.Go(func() { c.giveBack(of, back) })
+		c.mu.Lock()
+		c.endReturn(of.ino, false)
+		c.mu.Unlock()
 	}
 }
 
-// giveBack ends a release. A remote return goes to whoever listed this client,
-// not through the lease manager, which could make this client the leader;
-// a lost one leaves a stale holder until the directory's lease turns over.
-func (c *Client) giveBack(of *openFile, back leaseReturn) {
-	if back.to != "" {
-		_, _ = c.net.CallFrom(c.addr, back.to, CloseFileReq{Dir: of.parent, Below: of.below, Ino: of.ino, Client: c.addr, Grant: back.grant})
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if delete(c.open, of.ino); of.returned != nil {
+// endReturn ends the return of ino's record, under c.mu: the record goes, an
+// Open waiting for it goes on, and a remote one is no longer in flight. The
+// record is c.open[ino] until then, since ref waits for a decided return.
+func (c *Client) endReturn(ino types.Ino, remote bool) {
+	if of := c.open[ino]; of.returned != nil {
 		of.returned.Close()
 	}
-	if back.to != "" && c.hold.answered() && c.quiet != nil {
+	delete(c.open, ino)
+	if remote && c.hold.answered() && c.quiet != nil {
 		c.quiet.Close()
 		c.quiet = nil
 	}
+}
+
+// returnQueue is one leader's lease returns, while any is queued or in flight:
+// next is what the coming CloseFileReq carries, sent what the one in flight
+// does. The two swap at each send, so neither gives up its array.
+type returnQueue struct {
+	next, sent []ClosedFile
+}
+
+// queueReturn appends of's return to back.to's queue, under c.mu. The first
+// return queued while no message to that leader is in flight starts the
+// queue's drain; the others wait only for the message already in flight.
+func (c *Client) queueReturn(of *openFile, back leaseReturn) {
+	q := c.returns[back.to]
+	if q == nil {
+		q, c.spareReturns = c.spareReturns, nil
+		if q == nil {
+			q = new(returnQueue)
+		}
+		c.returns[back.to] = q
+		c.env.Go(func() { c.drainReturns(back.to, q) })
+	}
+	q.next = append(q.next, ClosedFile{Dir: of.parent, Below: of.below, Ino: of.ino, Grant: back.grant})
+}
+
+// drainReturns sends everything queued for to as one CloseFileReq, ends each
+// of those returns once it is answered (a lost one leaves a stale holder until
+// the directory's lease turns over), and repeats until the queue is empty,
+// which then goes. One message at a time keeps a leader's returns in order.
+func (c *Client) drainReturns(to rpc.Addr, q *returnQueue) {
+	c.mu.Lock()
+	for len(q.next) > 0 {
+		q.next, q.sent = q.sent, q.next
+		req := CloseFileReq{Client: c.addr, Files: q.sent}
+		c.mu.Unlock()
+		_, _ = c.net.CallFrom(c.addr, to, req)
+		c.mu.Lock()
+		for _, f := range q.sent {
+			c.endReturn(f.Ino, true)
+		}
+		clear(q.sent)
+		q.sent = q.sent[:0]
+	}
+	delete(c.returns, to)
+	c.spareReturns = q // its arrays, for the next queue
+	c.mu.Unlock()
 }
 
 // awaitReturns waits until no lease return is on its way to a remote leader.

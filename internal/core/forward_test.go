@@ -286,7 +286,7 @@ func TestMessageTable(t *testing.T) {
 		"PrepareRenameReq": {"serve.rename.prepare", "DstDir", false, false},
 		"DecideRenameReq":  {"serve.rename.decide", "DstDir", true, false},
 		"WriteLeaseReq":    {"serve.writelease", "Dir", false, false},
-		"CloseFileReq":     {"serve.close", "Dir", true, false},
+		"CloseFileReq":     {"serve.close", "", true, false},
 		"FlushCacheReq":    {"serve.flushcache", "", true, false},
 	}
 	tc := newTestCluster(t)

@@ -195,15 +195,22 @@ type WriteLeaseResp struct {
 	Direct bool
 }
 
-// CloseFileReq releases the caller's data lease on a child file, listed under
+// CloseFileReq gives back every data lease the caller has queued for this
+// leader since its last one, in the order it decided them. The leader applies
+// each item on its own, and drops one whose directory it no longer leads.
+type CloseFileReq struct {
+	Client rpc.Addr
+	Files  []ClosedFile
+}
+
+// ClosedFile releases Client's lease on a child file of Dir, listed under
 // Grant at most (leaseTable.release). Below names the way from Dir down to
 // the file's directory for a create whose walk got no answer.
-type CloseFileReq struct {
-	Dir    types.Ino
-	Below  []string
-	Ino    types.Ino
-	Client rpc.Addr
-	Grant  uint64
+type ClosedFile struct {
+	Dir   types.Ino
+	Below []string
+	Ino   types.Ino
+	Grant uint64
 }
 
 // CloseFileResp answers CloseFileReq.
@@ -259,7 +266,7 @@ func init() {
 // one request type, declared once in describe.
 type msgInfo struct {
 	span string    // server-side span name
-	dir  types.Ino // directory whose leader serves the request
+	dir  types.Ino // directory whose leader serves the request; zero if it names none, or one per item
 	// exempt marks protocol-internal messages that bypass admission: a 2PC
 	// decision, a cache-flush broadcast or a lease release is the cleanup
 	// half of work already admitted, and refusing it would turn overload
@@ -295,7 +302,7 @@ func describe(req any) (m msgInfo, ok bool) {
 	case WriteLeaseReq:
 		return msgInfo{span: "serve.writelease", dir: r.Dir}, true
 	case CloseFileReq:
-		return msgInfo{span: "serve.close", dir: r.Dir, exempt: true}, true
+		return msgInfo{span: "serve.close", exempt: true}, true
 	case FlushCacheReq:
 		return msgInfo{span: "serve.flushcache", exempt: true}, true
 	default:

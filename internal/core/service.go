@@ -66,6 +66,7 @@ var (
 // it. If this client does not lead dir the answer is ESTALE: the caller was
 // redirected here but our lease is gone, so it must rediscover. FlushCacheReq
 // names no directory; it is addressed to a lease holder, not to a leader.
+// Nor does CloseFileReq, whose items each name their own.
 func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response {
 	var arrived time.Duration
 	if servesChecked.Load() {
@@ -75,8 +76,12 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 	if leads && servesChecked.Load() && !ld.lease.Load().Live(arrived) {
 		servedLapsed.Add(1)
 	}
-	if _, toHolder := req.(FlushCacheReq); !leads && !toHolder {
-		return ErrResp{Err: "ESTALE"}
+	switch req.(type) {
+	case FlushCacheReq, CloseFileReq:
+	default:
+		if !leads {
+			return ErrResp{Err: "ESTALE"}
+		}
 	}
 	switch r := req.(type) {
 	case WalkReq:
@@ -101,10 +106,13 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 		direct, _ := c.grantLease(ld, r.Ino, r.Client, true)
 		return WriteLeaseResp{Direct: direct}
 	case CloseFileReq:
-		if ld = c.ledBelow(ld, r.Below); ld != nil {
-			ld.opMu.Lock()
-			ld.leases.release(r.Ino, r.Client, r.Grant)
-			ld.opMu.Unlock()
+		for _, f := range r.Files {
+			ld, _ := c.ledDirFor(f.Dir)
+			if ld = c.ledBelow(ld, f.Below); ld != nil {
+				ld.opMu.Lock()
+				ld.leases.release(f.Ino, r.Client, f.Grant)
+				ld.opMu.Unlock()
+			}
 		}
 		return CloseFileResp{}
 	case FlushCacheReq:
@@ -166,9 +174,12 @@ func (c *Client) serveWalk(ctx context.Context, ld *ledDir, r WalkReq) WalkResp 
 	return resp
 }
 
-// ledBelow is the led directory names lead to from ld, or nil if this client
-// does not lead one of the directories on the way.
+// ledBelow is the led directory names lead to from ld, or nil if ld is nil or
+// this client does not lead one of the directories on the way.
 func (c *Client) ledBelow(ld *ledDir, names []string) *ledDir {
+	if ld == nil {
+		return nil
+	}
 	for _, name := range names {
 		child, err := ld.table.Peek(name)
 		if err != nil {

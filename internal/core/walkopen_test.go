@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -241,6 +244,202 @@ func TestLateReturnAfterNewerWalkGrant(t *testing.T) {
 	}
 }
 
+// holdFirstClose routes c's calls for dir through a listener that serves them
+// at leader and holds the first CloseFileReq, before the leader sees it, until
+// let is called; held closes once it is held. batches reports how many files
+// each CloseFileReq carried, in arrival order. Every one must be answered
+// with a CloseFileResp: a batch is never refused whole.
+func holdFirstClose(t *testing.T, tc *testCluster, leader, c *Client, dir types.Ino) (held chan struct{}, let func(), batches func() []int) {
+	t.Helper()
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	let = func() { once.Do(func() { close(release) }) }
+	var mu sync.Mutex
+	var sizes []int
+	proxy := rpc.Addr("hold-" + c.Addr())
+	srv := tc.net.ListenCtx(proxy, 4, func(ctx context.Context, req any) any {
+		r, closing := req.(CloseFileReq)
+		if closing {
+			mu.Lock()
+			sizes = append(sizes, len(r.Files))
+			first := len(sizes) == 1
+			mu.Unlock()
+			if first {
+				close(held)
+				<-release
+			}
+		}
+		resp := leader.serve(ctx, req)
+		if _, ok := resp.(CloseFileResp); closing && !ok {
+			t.Errorf("a CloseFileReq of %d files was answered %+v", len(r.Files), resp)
+		}
+		return resp
+	})
+	t.Cleanup(srv.Close)
+	t.Cleanup(let) // before c's Close, which waits for the held message
+	c.mu.Lock()
+	c.remote[dir] = proxy
+	c.mu.Unlock()
+	return held, let, func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(sizes)
+	}
+}
+
+// A client's lease returns to one leader leave one message at a time, each
+// carrying every return queued while the one before was in flight; returns to
+// another leader do not wait for them, an Open of a file whose return is
+// queued waits for it, and the leader applies each return of a message on
+// its own.
+func TestLeaseReturnsBatchPerLeader(t *testing.T) {
+	ctx := context.Background()
+	t.Run("batch", func(t *testing.T) {
+		tc := newTestCluster(t)
+		leader := leaderOf(t, tc, "/d")
+		c := tc.client(t, "c")
+		dir := statIno(t, leader, "/d")
+		for i := range 64 {
+			seedFile(t, leader, fmt.Sprintf("/d/f%d", i), "content", 0666)
+		}
+		held, let, batches := holdFirstClose(t, tc, leader, c, types.RootIno)
+		readAll(t, c, "/d/f0")
+		<-held
+		for i := 1; i < 64; i++ {
+			readAll(t, c, fmt.Sprintf("/d/f%d", i))
+		}
+		let()
+		if err := c.FlushAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := batches(); !slices.Equal(got, []int{1, 63}) {
+			t.Errorf("64 returns left in messages of %v files, want [1 63]", got)
+		}
+		if _, _, entries := leaseOf(t, leader, dir, types.Ino{}); entries != 0 || records(c) != 0 {
+			t.Errorf("after every return: %d data leases at the leader, %d records at the client", entries, records(c))
+		}
+	})
+	t.Run("two leaders", func(t *testing.T) {
+		tc := newTestCluster(t)
+		a := leaderOf(t, tc, "/a") // and the root
+		b, c := tc.client(t, "b"), tc.client(t, "c")
+		if err := b.Mkdir(ctx, "/b", 0777); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Readdir(ctx, "/b"); err != nil {
+			t.Fatal(err)
+		}
+		dirA, dirB := statIno(t, a, "/a"), statIno(t, b, "/b")
+		if !a.Leads(dirA) || !b.Leads(dirB) {
+			t.Fatal("setup: a must lead /a and b /b")
+		}
+		seedFile(t, a, "/a/f", "content", 0666)
+		g := seedFile(t, b, "/b/g", "content", 0666)
+		held, let, batches := holdFirstClose(t, tc, a, c, types.RootIno)
+		readAll(t, c, "/a/f")
+		<-held
+		readAll(t, c, "/b/g")
+		for end := time.Now().Add(5 * time.Second); holdsLease(t, b, dirB, g, c.Addr()); time.Sleep(time.Millisecond) {
+			if time.Now().After(end) {
+				t.Fatal("b's return waited for the message held on its way to a")
+			}
+		}
+		let()
+		if err := c.FlushAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := batches(); !slices.Equal(got, []int{1}) {
+			t.Errorf("a was sent messages of %v files, want [1]", got)
+		}
+		if _, _, entries := leaseOf(t, a, dirA, types.Ino{}); entries != 0 || records(c) != 0 {
+			t.Errorf("after every return: %d data leases at a, %d records at the client", entries, records(c))
+		}
+	})
+	t.Run("reopen", func(t *testing.T) {
+		tc := newTestCluster(t)
+		leader := leaderOf(t, tc, "/d")
+		c := tc.client(t, "c")
+		dir := statIno(t, leader, "/d")
+		seedFile(t, leader, "/d/first", "content", 0666)
+		ino := seedFile(t, leader, "/d/f", "content", 0666)
+		held, let, batches := holdFirstClose(t, tc, leader, c, types.RootIno)
+		readAll(t, c, "/d/first")
+		<-held
+		readAll(t, c, "/d/f") // its return queued behind the held message
+		var f *File
+		opened := make(chan error, 1)
+		go func() {
+			var err error
+			f, err = c.Open(ctx, "/d/f", types.ORdonly, 0)
+			opened <- err
+		}()
+		select {
+		case err := <-opened:
+			t.Fatalf("the reopen did not wait for the queued return: %v", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		let()
+		if err := <-opened; err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FlushAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if !holdsLease(t, leader, dir, ino, c.Addr()) {
+			t.Error("a handle is open and the queued return took its client off the list")
+		}
+		if got, err := io.ReadAll(f); err != nil || string(got) != "content" {
+			t.Errorf("the reopened handle reads %q, %v", got, err)
+		}
+		_ = f.Close()
+		if err := c.FlushAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := batches(); !slices.Equal(got, []int{1, 1, 1}) {
+			t.Errorf("messages of %v files, want [1 1 1]", got)
+		}
+		if _, _, entries := leaseOf(t, leader, dir, ino); entries != 0 || records(c) != 0 {
+			t.Errorf("after the last close: %d data leases at the leader, %d records at the client", entries, records(c))
+		}
+	})
+	t.Run("dropped item", func(t *testing.T) {
+		tc := newTestCluster(t)
+		leader := leaderOf(t, tc, "/d")
+		c := tc.client(t, "c")
+		if err := leader.Mkdir(ctx, "/e", 0777); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := leader.Readdir(ctx, "/e"); err != nil {
+			t.Fatal(err)
+		}
+		dirD, dirE := statIno(t, leader, "/d"), statIno(t, leader, "/e")
+		seedFile(t, leader, "/d/first", "content", 0666)
+		seedFile(t, leader, "/e/g", "content", 0666)
+		seedFile(t, leader, "/d/f", "content", 0666)
+		held, let, batches := holdFirstClose(t, tc, leader, c, types.RootIno)
+		readAll(t, c, "/d/first")
+		<-held
+		readAll(t, c, "/e/g")
+		readAll(t, c, "/d/f")
+		if err := leader.ReleaseDir(dirE); err != nil {
+			t.Fatal(err)
+		}
+		if leader.Leads(dirE) {
+			t.Fatal("setup: the leader still leads /e")
+		}
+		let()
+		if err := c.FlushAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := batches(); !slices.Equal(got, []int{1, 2}) {
+			t.Errorf("messages of %v files, want [1 2]", got)
+		}
+		if _, _, entries := leaseOf(t, leader, dirD, types.Ino{}); entries != 0 || records(c) != 0 {
+			t.Errorf("the item after the dropped one: %d data leases left in /d, %d records at the client", entries, records(c))
+		}
+	})
+}
+
 // A walk's answer carries the size the leader had at the grant. If this
 // client has since published a larger one through another handle of the same
 // file, the late open must not bring the old size back: the two handles share
@@ -452,37 +651,52 @@ func TestLeaseReturnTakesNoDirectoryLease(t *testing.T) {
 	}
 }
 
-// BenchmarkForwardedOpenReadClose is the read phase of mdtest-hard: one
+// BenchmarkForwardedOpenReadClose is the read phase of mdtest-hard: a
 // 3,901-byte file under a remote leader opened, read and closed per iteration
-// over a warm route, observability off. The leases go back off the caller's
-// stack, so the loop ends with the FlushAll that waits for them, inside the
-// timer. Two messages a call, one of them waited for.
+// over a warm route, observability off, the same file every time (one) or
+// each of 256 in turn (many). The leases go back off the caller's stack, so
+// the loop ends with the FlushAll that waits for them, inside the timer. A
+// call is a walk, waited for, and a lease return: one message each in one,
+// and in many, where returns to the leader queue behind the one in flight,
+// one message for every return queued meanwhile.
 func BenchmarkForwardedOpenReadClose(b *testing.B) {
-	tc := newTestClusterAt(b, 2<<20)
-	leader := leaderOf(b, tc, "/b")
-	c := tc.client(b, "peer")
-	ctx := context.Background()
-	seedFile(b, c, "/b/f", string(make([]byte, 3901)), 0644)
-	buf := make([]byte, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := c.Open(ctx, "/b/f", types.ORdonly, 0)
-		if err != nil {
-			b.Fatal(err)
+	for _, files := range []int{1, 256} {
+		name := "one"
+		if files > 1 {
+			name = "many"
 		}
-		if n, _ := f.ReadAt(buf, 0); n != 3901 {
-			b.Fatalf("read %d bytes", n)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := c.FlushAll(ctx); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if dir, err := c.Stat(ctx, "/b"); err != nil || !leader.Leads(dir.Ino) || c.StatCounters().LocalMetaOps.Load() != 0 {
-		b.Fatalf("the run did not stay forwarded (%v)", err)
+		b.Run(name, func(b *testing.B) {
+			tc := newTestClusterAt(b, 2<<20)
+			leader := leaderOf(b, tc, "/b")
+			c := tc.client(b, "peer")
+			ctx := context.Background()
+			paths := make([]string, files)
+			for i := range paths {
+				paths[i] = fmt.Sprintf("/b/f%d", i)
+				seedFile(b, c, paths[i], string(make([]byte, 3901)), 0644)
+			}
+			buf := make([]byte, 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, err := c.Open(ctx, paths[i%files], types.ORdonly, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n, _ := f.ReadAt(buf, 0); n != 3901 {
+					b.Fatalf("read %d bytes", n)
+				}
+				if err := f.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := c.FlushAll(ctx); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if dir, err := c.Stat(ctx, "/b"); err != nil || !leader.Leads(dir.Ino) || c.StatCounters().LocalMetaOps.Load() != 0 {
+				b.Fatalf("the run did not stay forwarded (%v)", err)
+			}
+		})
 	}
 }
