@@ -55,12 +55,21 @@ func (c *Client) admit(origin rpc.Addr, m msgInfo) error {
 }
 
 // servedLapsed counts the requests dispatch served from a ledDir whose lease
-// was not live at the clock reading the request arrived with, while a test
-// that churns the led set has servesChecked set.
+// was not live at the clock reading the request arrived with, and each item
+// of a CloseFileReq so served, while a test that churns the led set has
+// servesChecked set.
 var (
 	servesChecked atomic.Bool
 	servedLapsed  atomic.Int64
 )
+
+// countLapsed adds one to servedLapsed if ld's lease was not live at
+// arrived, the clock reading the request arrived with.
+func countLapsed(ld *ledDir, arrived time.Duration) {
+	if servesChecked.Load() && !ld.lease.Load().Live(arrived) {
+		servedLapsed.Add(1)
+	}
+}
 
 // dispatch runs req against dir, the directory the message table names for
 // it. If this client does not lead dir the answer is ESTALE: the caller was
@@ -73,8 +82,8 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 		arrived = c.env.Now()
 	}
 	ld, leads := c.ledDirFor(dir)
-	if leads && servesChecked.Load() && !ld.lease.Load().Live(arrived) {
-		servedLapsed.Add(1)
+	if leads {
+		countLapsed(ld, arrived)
 	}
 	switch req.(type) {
 	case FlushCacheReq, CloseFileReq:
@@ -107,7 +116,10 @@ func (c *Client) dispatch(ctx context.Context, dir types.Ino, req any) response 
 		return WriteLeaseResp{Direct: direct}
 	case CloseFileReq:
 		for _, f := range r.Files {
-			ld, _ := c.ledDirFor(f.Dir)
+			ld, leads := c.ledDirFor(f.Dir)
+			if leads {
+				countLapsed(ld, arrived)
+			}
 			if ld = c.ledBelow(ld, f.Below); ld != nil {
 				ld.opMu.Lock()
 				ld.leases.release(f.Ino, r.Client, f.Grant)
